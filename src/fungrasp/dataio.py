@@ -156,12 +156,14 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, success_onl
 
     `episodes` are episode results carrying a RolloutRecord with its
     trajectory, the world affordance point, and the conditioned style.
-    Action targets are absolute next-frame (t, r, q); the last frame
-    targets itself.
+    Errored episodes (no record) are skipped and counted as `n_errored`
+    in the manifest. Action targets are absolute next-frame (t, r, q);
+    the last frame targets itself.
     """
     path = Path(path)
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
-    selected = [e for e in episodes if (e.record.success or not success_only)]
+    completed = [e for e in episodes if e.record is not None]
+    selected = [e for e in completed if (e.record.success or not success_only)]
     n_frames = 0
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
@@ -218,6 +220,7 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, success_onl
         "frames": n_frames,
         "success_only": success_only,
         "n_success": sum(1 for e in selected if e.record.success),
+        "n_errored": len(episodes) - len(completed),
         "config_digest": config_digest(config) if config is not None else None,
         "cameras": {name: cam.to_dict() for name, cam in cameras.items()},
     }

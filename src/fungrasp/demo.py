@@ -199,13 +199,19 @@ def save_demo(demo: Demonstration, hand_name: str, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def target_joint_config(style_q, k: float, dq, spec: HandSpec) -> np.ndarray:
-    """Edited target joints q* = clamp(k * style_q + dq)."""
+def target_joint_config(style_q, k, dq, spec: HandSpec) -> np.ndarray:
+    """Edited target joints q* = clamp(k * style_q + dq).
+
+    Element-wise, so a (E, J) stack of styles with (E, 1) scales gives
+    each row the bits it would get alone.
+    """
     return clamp_to_limits(spec, k * np.asarray(style_q, dtype=float) + np.asarray(dq, dtype=float))
 
 
 def interpolation_fraction(q0, qT, q_star):
     """Per-joint fraction f = (q* - q0) / (qT - q0) plus a static mask.
+
+    q_star may be a (E, J) stack; f then has one row per target.
 
     Joints the reference never moves (|qT - q0| < STATIC_JOINT_TOL) get
     f = 0 and static[j] = True; interpolate_joints ramps those joints
@@ -217,8 +223,9 @@ def interpolation_fraction(q0, qT, q_star):
     q_star = np.asarray(q_star, dtype=float)
     span = qT - q0
     static = np.abs(span) < STATIC_JOINT_TOL
-    f = np.zeros_like(q0)
-    f[~static] = (q_star[~static] - q0[~static]) / span[~static]
+    move = ~static
+    f = np.zeros(q_star.shape)
+    f[..., move] = (q_star[..., move] - q0[move]) / span[move]
     return f, static
 
 
@@ -236,31 +243,41 @@ def edited_joint_trajectory(demo: Demonstration, q_star, spec: HandSpec) -> np.n
     q_t = q0 + f * (q_t_ref - q0); after it they hold q* plus the
     reference's post-grasp deltas scaled by f, which keeps the lift phase
     consistent with the closure. Static joints ramp linearly from q0 to
-    q* over the approach and hold q* afterwards.
+    q* over the approach and hold q* afterwards. A (E, J) stack of
+    targets gives (E, T_D + 1, J), row for row the single-target result.
     """
     q_star = np.asarray(q_star, dtype=float)
     q0 = demo.joints[0]
     tl = demo.grasp_index
     f, static = interpolation_fraction(q0, demo.joints[tl], q_star)
+    f = f[..., None, :]
+    target = q_star[..., None, :]
     ts = np.arange(demo.horizon + 1)
-    out = np.empty_like(demo.joints)
+    out = np.empty(q_star.shape[:-1] + demo.joints.shape)
     pre = ts <= tl
-    out[pre] = q0 + f * (demo.joints[pre] - q0)
-    out[~pre] = q_star + f * (demo.joints[~pre] - demo.joints[tl])
+    out[..., pre, :] = q0 + f * (demo.joints[pre] - q0)
+    out[..., ~pre, :] = target + f * (demo.joints[~pre] - demo.joints[tl])
     if static.any():
         ramp = np.minimum(ts / tl, 1.0)[:, None]
-        static_traj = q0 + ramp * (q_star - q0)
-        out[:, static] = static_traj[:, static]
+        static_traj = q0 + ramp * (target - q0)
+        out[..., static] = static_traj[..., static]
     return clamp_to_limits(spec, out)
 
 
-def edit_wrist_arrays(demo: Demonstration, action: EditAction, object_pose: Pose):
-    """Vectorized edit_wrist: ((T_D + 1, 3) translations, (T_D + 1, 4) quats)."""
+def edit_wrist_arrays(demo: Demonstration, actions, object_poses):
+    """Vectorized edit_wrist over E episodes: ((E, T_D + 1, 3)
+    translations, (E, T_D + 1, 4) quats).
+
+    Each episode's prefix pose is composed on its own; the per-frame
+    products are element-wise, so every row has the single-episode bits.
+    """
     from .geometry import quat_mul, quat_normalize, quat_rotate
 
-    prefix = compose_pose(object_pose, action.pose())
-    t = prefix.t + quat_rotate(prefix.r, demo.pose_t)
-    r = quat_normalize(quat_mul(prefix.r, demo.pose_r))
+    prefixes = [compose_pose(p, a.pose()) for a, p in zip(actions, object_poses)]
+    prefix_t = np.stack([p.t for p in prefixes])[:, None, :]
+    prefix_r = np.stack([p.r for p in prefixes])[:, None, :]
+    t = prefix_t + quat_rotate(prefix_r, demo.pose_t)
+    r = quat_normalize(quat_mul(prefix_r, demo.pose_r))
     return t, r
 
 
@@ -270,8 +287,8 @@ def edit_wrist(demo: Demonstration, action: EditAction, object_pose: Pose) -> li
     The edit is a single rigid offset in the object frame applied to the
     whole object-centric trajectory, so the approach shape is preserved.
     """
-    t, r = edit_wrist_arrays(demo, action, object_pose)
-    return [Pose(t=ti, r=ri) for ti, ri in zip(t, r)]
+    t, r = edit_wrist_arrays(demo, [action], [object_pose])
+    return [Pose(t=ti, r=ri) for ti, ri in zip(t[0], r[0])]
 
 
 def disturb_style(style_q, sigma: float, rng: np.random.Generator, spec: HandSpec) -> np.ndarray:

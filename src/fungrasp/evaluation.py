@@ -25,7 +25,7 @@ from .training import (
     TrainConfig,
     config_to_dict,
     episode_rng,
-    run_episode,
+    run_episodes,
     train,
 )
 
@@ -228,17 +228,15 @@ def evaluate(
                 train_mode=False, mode=action_mode,
             )
         else:
-            results = []
             cache: dict = {}
-            for i in range(n_episodes):
-                per_style = [
-                    run_episode(
-                        params, cfg, assets, cache, seed, (STREAM_EVAL,), i,
-                        train_mode=False, mode=action_mode, force_style=s,
-                    )
-                    for s in range(len(assets.styles))
-                ]
-                results.append(_best_of_styles(per_style))
+            by_style = [
+                run_episodes(
+                    params, cfg, assets, cache, seed, (STREAM_EVAL,), range(n_episodes),
+                    train_mode=False, mode=action_mode, force_style=s,
+                )
+                for s in range(len(assets.styles))
+            ]
+            results = [_best_of_styles(list(per_style)) for per_style in zip(*by_style)]
     finally:
         if own_pool:
             pool.close()

@@ -5,12 +5,23 @@ are sphere-vs-cloud proximity tests, and "did the grasp work" is an
 epsilon-perturbed force-closure feasibility check at the grasp frame.
 That trades the lift test a physics engine would run for something
 deterministic, fast, and checkable against analytic grasps.
+
+rollout_batch scores E episodes at once, and rollout, grasp_success
+and feasible_combination are its one-item cases. Joint targets, joint
+trajectories, wrist edits and FK run once over all E x (T_D + 1) frames;
+the nearest-point query and contact selection stay per episode (each
+episode has its own cloud and pose); the seven closure LPs of every
+grasp that passes the crush, table and two-mask-finger gates run as one
+stacked simplex. Each batched step is element-wise or keeps each
+episode's own reductions (the per-grasp contact centroid, the 1-D norm
+of each tangent, each tableau's own pivots), so every record is bit for
+bit what the episode gets alone.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +44,11 @@ __all__ = [
     "style_contact_point",
     "check_table_collision",
     "grasp_success",
+    "grasp_success_batch",
     "feasible_combination",
+    "feasible_combination_batch",
     "rollout",
+    "rollout_batch",
 ]
 
 
@@ -66,15 +80,16 @@ class EnvState:
     obj: ObjectModel
     object_pose: Pose
     condition: EnvCondition
-    _cloud_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def world_cloud(self):
-        """Object points and normals in the world frame (cached)."""
-        if self._cloud_cache is None:
-            pts = transform_points(self.object_pose, self.obj.points)
-            nrm = quat_rotate(self.object_pose.r, self.obj.normals)
-            self._cloud_cache = (pts, nrm)
-        return self._cloud_cache
+        """Object points and normals in the world frame.
+
+        Not cached: a batch of environments would otherwise hold every
+        episode's transformed cloud at once.
+        """
+        pts = transform_points(self.object_pose, self.obj.points)
+        nrm = quat_rotate(self.object_pose.r, self.obj.normals)
+        return pts, nrm
 
 
 @dataclass(frozen=True)
@@ -209,55 +224,69 @@ def check_table_collision(frames: HandFrames, tol: float = 0.002) -> bool:
 def feasible_combination(generators: np.ndarray, load: np.ndarray, tol: float = 1e-9) -> bool:
     """Phase-1 simplex feasibility of  generators @ alpha = load,  alpha >= 0.
 
-    Small and self-contained (problems here are 6 rows x <= ~30 columns).
-    Bland's rule prevents cycling; returns True when the artificial
-    objective can be driven to ~0.
+    The one-problem case of feasible_combination_batch.
     """
-    w = np.asarray(generators, dtype=float)
-    b = np.asarray(load, dtype=float).copy()
-    m, n = w.shape
-    a = np.array(w)
+    return bool(feasible_combination_batch(np.asarray(generators)[None], np.asarray(load)[None], tol)[0])
+
+
+def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Phase-1 simplex feasibility of  generators[i] @ alpha = loads[i],
+    alpha >= 0, for a (B, m, n) stack of problems; returns (B,) bools.
+
+    Small and self-contained (problems here are 6 rows x <= ~30 columns).
+    Every tableau pivots on its own by Bland's rule, which prevents
+    cycling, and is feasible when its artificial objective can be driven
+    to ~0. Problems with fewer generators are padded with zero columns:
+    their reduced cost stays -0.0, so they never enter, and the
+    artificial columns keep their order after the real ones, so each
+    tableau takes exactly the pivots, and the bits, it takes alone.
+    """
+    a = np.array(generators, dtype=float)
+    b = np.array(loads, dtype=float)
+    count, m, n = a.shape
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = a
-    tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[m, :n] = -a.sum(axis=0)
-    tab[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
+    tab = np.zeros((count, m + 1, n + m + 1))
+    tab[:, :m, :n] = a
+    tab[:, :m, n : n + m] = np.eye(m)
+    tab[:, :m, -1] = b
+    tab[:, m, :n] = -a.sum(axis=1)
+    tab[:, m, -1] = -b.sum(axis=1)
+    basis = np.tile(np.arange(n, n + m), (count, 1))
+    ids = np.arange(count)
+    feasible = np.zeros(count, dtype=bool)
     for _ in range(1000):
-        enter = -1
-        for j in range(n + m):
-            if tab[m, j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            break
-        col = tab[:m, enter]
-        ratios = np.full(m, np.inf)
+        cand = tab[:, m, : n + m] < -tol
+        done = ~cand.any(axis=1)
+        feasible[ids[done]] = tab[done, m, -1] >= -tol
+        enter = cand.argmax(axis=1)
+        col = tab[np.arange(len(ids)), :m, enter]
+        ratios = np.full(col.shape, np.inf)
         pos = col > 1e-11
-        ratios[pos] = tab[:m, -1][pos] / col[pos]
-        if not np.isfinite(ratios).any():
-            return False
-        best = ratios.min()
-        ties = [i for i in range(m) if np.isfinite(ratios[i]) and ratios[i] - best <= 1e-12]
-        leave = min(ties, key=lambda i: basis[i])
-        tab[leave] /= tab[leave, enter]
-        for r in range(m + 1):
-            if r != leave and tab[r, enter] != 0.0:
-                tab[r] -= tab[r, enter] * tab[leave]
-        basis[leave] = enter
-    return bool(tab[m, -1] >= -tol)
-
-
-def _tangent_basis(n: np.ndarray):
-    ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    t1 = np.cross(n, ref)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return t1, t2
+        ratios[pos] = tab[:, :m, -1][pos] / col[pos]
+        finite = np.isfinite(ratios)
+        # finished tableaus leave the stack; unbounded ones are infeasible
+        keep = ~done & finite.any(axis=1)
+        if not keep.all():
+            tab, basis, ids, enter, ratios, finite = (
+                x[keep] for x in (tab, basis, ids, enter, ratios, finite)
+            )
+        if not len(ids):
+            return feasible
+        rows = np.arange(len(ids))
+        best = ratios.min(axis=1)
+        ties = finite & (ratios - best[:, None] <= 1e-12)
+        leave = np.where(ties, basis, n + m).argmin(axis=1)
+        pivot = tab[rows, leave] / tab[rows, leave, enter][:, None]
+        tab[rows, leave] = pivot
+        factor = tab[rows, :, enter]
+        update = factor != 0.0
+        update[rows, leave] = False
+        tab = np.where(update[:, :, None], tab - factor[:, :, None] * pivot[:, None, :], tab)
+        basis[rows, leave] = enter
+    feasible[ids] = tab[:, m, -1] >= -tol
+    return feasible
 
 
 def wrench_generators(contacts: list[Contact], env: EnvState, mu: float) -> np.ndarray:
@@ -265,7 +294,9 @@ def wrench_generators(contacts: list[Contact], env: EnvState, mu: float) -> np.n
 
     Forces point into the surface (along -normal); torques are taken
     about the contact centroid and normalized by obj_bb / 2 so force and
-    torque rows share a scale.
+    torque rows share a scale. Columns go contact by contact, edges
+    t1, -t1, t2, -t2. Each tangent is normalized with its own 1-D norm:
+    an axis-wise norm rounds differently and would move low bits.
     """
     pts = np.array([c.point for c in contacts])
     normals = np.array([c.normal for c in contacts])
@@ -273,15 +304,14 @@ def wrench_generators(contacts: list[Contact], env: EnvState, mu: float) -> np.n
         raise ContactError("non-finite contact geometry")
     center = pts.mean(axis=0)
     scale = env.obj.obj_bb / 2.0
-    cols = []
-    for p, n_out in zip(pts, normals):
-        n_in = -n_out
-        t1, t2 = _tangent_basis(n_in)
-        for t in (t1, -t1, t2, -t2):
-            f = n_in + mu * t
-            tq = np.cross(p - center, f) / scale
-            cols.append(np.concatenate([f, tq]))
-    return np.array(cols).T
+    n_in = -normals
+    ref = np.where((np.abs(n_in[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    t1 = np.cross(n_in, ref)
+    t1 /= np.array([np.linalg.norm(t) for t in t1])[:, None]
+    t2 = np.cross(n_in, t1)
+    f = n_in[:, None, :] + mu * np.stack([t1, -t1, t2, -t2], axis=1)
+    tq = np.cross((pts - center)[:, None, :], f) / scale
+    return np.concatenate([f, tq], axis=2).reshape(-1, 6).T
 
 
 def grasp_success(
@@ -297,27 +327,58 @@ def grasp_success(
     Requires (a) at least two distinct contact-mask fingers in contact,
     (b) friction-pyramid feasibility of the gravity load and of six
     perturbed loads (+-eta along each force axis), torques about the
-    contact centroid, and (c) no table collision.
+    contact centroid, and (c) no table collision. Raises ContactError
+    on non-finite contact geometry.
     """
-    if table_collision:
-        return False
-    mask = set(env.condition.contact_mask)
-    mask_fingers = {c.finger for c in contacts if c.finger in mask}
-    if len(mask_fingers) < 2:
-        return False
-    gens = wrench_generators(contacts, env, mu)
-    center = np.array([c.point for c in contacts]).mean(axis=0)
-    scale = env.obj.obj_bb / 2.0
+    (outcome,) = grasp_success_batch([contacts], [env], mu, eta, table_collision=[table_collision])
+    if isinstance(outcome, ContactError):
+        raise outcome
+    return outcome
+
+
+def grasp_success_batch(
+    contact_lists: list[list[Contact]],
+    envs: list[EnvState],
+    mu: float = 0.5,
+    eta: float = 0.2,
+    *,
+    table_collision: list[bool],
+) -> list:
+    """grasp_success for many grasps, with one stacked simplex for the
+    seven loads of every grasp that passes the table and mask-finger
+    gates. Each entry is a bool, or the ContactError its grasp raised.
+    """
+    out: list = [False] * len(envs)
     g_dir = np.array([0.0, 0.0, -1.0])
-    obj_center = transform_point(env.object_pose, env.obj.centroid)
-    w_gravity = np.concatenate([g_dir, np.cross(obj_center - center, g_dir) / scale])
-    loads = [-w_gravity]
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            pert = np.zeros(6)
-            pert[axis] = sign * eta
-            loads.append(-(w_gravity + pert))
-    return all(feasible_combination(gens, b) for b in loads)
+    gens, gravity, owners = [], [], []
+    for i, (contacts, env, table) in enumerate(zip(contact_lists, envs, table_collision)):
+        mask = set(env.condition.contact_mask)
+        if table or len({c.finger for c in contacts if c.finger in mask}) < 2:
+            continue
+        try:
+            gens.append(wrench_generators(contacts, env, mu))
+        except ContactError as e:
+            out[i] = e
+            continue
+        center = np.array([c.point for c in contacts]).mean(axis=0)
+        scale = env.obj.obj_bb / 2.0
+        obj_center = transform_point(env.object_pose, env.obj.centroid)
+        gravity.append(np.concatenate([g_dir, np.cross(obj_center - center, g_dir) / scale]))
+        owners.append(i)
+    if not owners:
+        return out
+    stacked = np.zeros((len(gens), 6, max(w.shape[1] for w in gens)))
+    for g, w in enumerate(gens):
+        stacked[g, :, : w.shape[1]] = w
+    # gravity, then gravity perturbed by +eta and -eta along x, y and z
+    perts = np.zeros((6, 6))
+    perts[np.arange(6), np.arange(6) // 2] = [eta, -eta] * 3
+    w = np.array(gravity)[:, None, :]
+    loads = np.concatenate([-w, -(w + perts)], axis=1)
+    feasible = feasible_combination_batch(np.repeat(stacked, 7, axis=0), loads.reshape(-1, 6))
+    for i, ok in zip(owners, feasible.reshape(-1, 7).all(axis=1)):
+        out[i] = bool(ok)
+    return out
 
 
 def rollout(
@@ -329,20 +390,12 @@ def rollout(
     params: SimParams = SimParams(),
 ) -> RolloutRecord:
     """Execute one edited trajectory; pure function of its inputs."""
-    from .demo import EditedTrajectory, edit_wrist_arrays
+    return rollout_batch([env], demo, [action], spec, styles, params)[0]
 
-    cond = env.condition
-    q_star = target_joint_config(cond.q_style_used, action.k, action.dq, spec)
-    joints = edited_joint_trajectory(demo, q_star, spec)
-    wrist_t, wrist_r = edit_wrist_arrays(demo, action, env.object_pose)
-    centers, tips = forward_kinematics_batch(spec, wrist_t, wrist_r, joints)
-    radii, finger_index, _ = sphere_metadata(spec)
-    tl = demo.grasp_index
 
-    p_afford_world = transform_point(env.object_pose, cond.p_afford)
-    centroid_series = tips[:, list(cond.contact_mask)].mean(axis=1)
-    d_series = np.linalg.norm(centroid_series - p_afford_world, axis=1)
-
+def _approach_contacts(env: EnvState, centers: np.ndarray, radii, finger_index, tl: int, params: SimParams):
+    """Crush test over the approach and contacts at the grasp frame, for
+    one episode's (T + 1, K, 3) sphere centers."""
     pts, nrm = env.world_cloud()
     t_count, k_count = centers.shape[0], centers.shape[1]
     flat = centers.reshape(-1, 3)
@@ -367,50 +420,96 @@ def rollout(
     # crush: a sphere center driven past the surface by more than
     # (crush_factor - 1) x radius during the approach
     crushed = bool(np.any(gap[:tl] < radii * (1.0 - params.crush_factor)))
+    contacts = _select_contacts(dist[tl], idx[tl], pts, nrm, radii, finger_index, params.delta_c)
+    return crushed, contacts
 
-    contacts = _select_contacts(
-        dist[tl], idx[tl], pts, nrm, radii, finger_index, params.delta_c
+
+def rollout_batch(
+    envs: list[EnvState],
+    demo: Demonstration,
+    actions: list[EditAction],
+    spec: HandSpec,
+    styles: list[Style],
+    params: SimParams = SimParams(),
+) -> list[RolloutRecord]:
+    """Execute E edited trajectories; record i is a pure function of
+    (envs[i], actions[i]), bit for bit whatever else is in the batch.
+
+    Target joints, joint trajectories, wrist edits and FK run once over
+    all E x (T_D + 1) frames; the nearest-point query and contact
+    selection run per episode; the closure LPs of every grasp that gets
+    that far run as one stacked simplex (grasp_success_batch).
+    """
+    from .demo import EditedTrajectory, edit_wrist_arrays
+
+    q_star = target_joint_config(
+        np.stack([env.condition.q_style_used for env in envs]),
+        np.array([[a.k] for a in actions]),
+        np.stack([a.dq for a in actions]),
+        spec,
     )
-    table_collision = bool(np.any(centers[tl][:, 2] < radii + params.table_tol))
+    joints = edited_joint_trajectory(demo, q_star, spec)
+    wrist_t, wrist_r = edit_wrist_arrays(demo, actions, [env.object_pose for env in envs])
+    e_count, t_count = joints.shape[:2]
+    centers, tips = forward_kinematics_batch(
+        spec, wrist_t.reshape(-1, 3), wrist_r.reshape(-1, 4), joints.reshape(e_count * t_count, -1)
+    )
+    centers = centers.reshape(e_count, t_count, *centers.shape[1:])
+    tips = tips.reshape(e_count, t_count, *tips.shape[1:])
+    radii, finger_index, _ = sphere_metadata(spec)
+    tl = demo.grasp_index
 
-    failure_reason = None
-    if crushed:
-        success = False
-        failure_reason = "crush"
-    else:
-        try:
-            success = grasp_success(
-                contacts, env, params.mu, params.eta, table_collision=table_collision
-            )
-            if not success:
-                failure_reason = "table_collision" if table_collision else "no_closure"
-        except ContactError as e:
+    d_series, crushed, contacts = [], [], []
+    for env, c, tp in zip(envs, centers, tips):
+        cond = env.condition
+        p_afford_world = transform_point(env.object_pose, cond.p_afford)
+        centroid_series = tp[:, list(cond.contact_mask)].mean(axis=1)
+        d_series.append(np.linalg.norm(centroid_series - p_afford_world, axis=1))
+        crush, found = _approach_contacts(env, c, radii, finger_index, tl, params)
+        crushed.append(crush)
+        contacts.append(found)
+    table = np.any(centers[:, tl, :, 2] < radii + params.table_tol, axis=1)
+    open_ = [i for i in range(e_count) if not crushed[i]]
+    outcomes = dict(zip(open_, grasp_success_batch(
+        [contacts[i] for i in open_], [envs[i] for i in open_], params.mu, params.eta,
+        table_collision=[bool(table[i]) for i in open_],
+    )))
+
+    records = []
+    for i, env in enumerate(envs):
+        cond = env.condition
+        failure_reason = None
+        success = outcomes.get(i, False)
+        if crushed[i]:
+            failure_reason = "crush"
+        elif isinstance(success, ContactError):
+            failure_reason = f"degenerate_contacts: {success}"
+            log.warning("episode failed: %s", success)
             success = False
-            failure_reason = f"degenerate_contacts: {e}"
-            log.warning("episode failed: %s", e)
-
-    q_final = joints[-1]
-    record = RolloutRecord(
-        success=success,
-        d_series=d_series,
-        d_min=float(d_series.min()),
-        d_final=float(d_series[-1]),
-        q_final=q_final,
-        q_star=q_star,
-        contacts_at_grasp=contacts,
-        executed_style=classify_style(spec, q_final, styles),
-        table_collision=table_collision,
-        crushed=crushed,
-        obj_bb=env.obj.obj_bb,
-        q_style_canonical=styles[cond.style_index].q_canonical.copy(),
-        failure_reason=failure_reason,
-        trajectory=EditedTrajectory(
-            pose_t=wrist_t,
-            pose_r=wrist_r,
-            joints=joints,
-            style_index=cond.style_index,
-            p_afford=cond.p_afford,
-            q_star=q_star,
-        ),
-    )
-    return record
+        elif not success:
+            failure_reason = "table_collision" if table[i] else "no_closure"
+        q_final = joints[i, -1]
+        records.append(RolloutRecord(
+            success=success,
+            d_series=d_series[i],
+            d_min=float(d_series[i].min()),
+            d_final=float(d_series[i][-1]),
+            q_final=q_final,
+            q_star=q_star[i],
+            contacts_at_grasp=contacts[i],
+            executed_style=classify_style(spec, q_final, styles),
+            table_collision=bool(table[i]),
+            crushed=crushed[i],
+            obj_bb=env.obj.obj_bb,
+            q_style_canonical=styles[cond.style_index].q_canonical.copy(),
+            failure_reason=failure_reason,
+            trajectory=EditedTrajectory(
+                pose_t=wrist_t[i],
+                pose_r=wrist_r[i],
+                joints=joints[i],
+                style_index=cond.style_index,
+                p_afford=cond.p_afford,
+                q_star=q_star[i],
+            ),
+        ))
+    return records

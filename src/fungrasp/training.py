@@ -6,10 +6,31 @@ batch collected with 8 workers is bit-identical to one collected with 1.
 There is no discounting and no bootstrapping anywhere — the advantage is
 exactly reward minus the learned value of the conditioned observation,
 normalized once per batch.
+
+The episode engine (run_episodes) takes a chunk of episodes — all of
+them with one worker, every workers-th index in each pool worker —
+through three phases:
+
+1. Per episode: the episode rng, the object draw, reset_env,
+   encode_observation, a B=1 policy_forward and the action draw. The
+   rng draws keep their order (object, reset, action), and the forward
+   pass stays B=1 because a stacked forward is a matrix-matrix product
+   whose rows round differently from the single-row product.
+2. One sim.rollout_batch over the chunk: joint targets, trajectories,
+   wrist edits and FK at once, per-episode contacts, one stacked
+   closure LP (see sim).
+3. Per episode: the reward and the EpisodeResult.
+
+Every batched step is element-wise or independent per episode, so an
+episode's result does not depend on which chunk it ran in; run_episode
+is the one-episode case. An episode that raises in phase 1 or 3 is
+scored as an error alone; if phase 2 raises, the chunk is rerun one
+episode at a time so only the failing episode becomes an error.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import logging
@@ -32,6 +53,7 @@ from .objects import (
 from .policy import (
     ObsBatch,
     ObservationVector,
+    PolicyError,
     PolicyParams,
     encode_observation,
     entropy,
@@ -46,7 +68,7 @@ from .policy import (
     unflatten_params,
 )
 from .rewards import RewardConfig, total_reward
-from .sim import SimParams, reset_env, rollout
+from .sim import EnvState, SimParams, reset_env, rollout_batch
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +80,7 @@ __all__ = [
     "AdamState",
     "load_assets",
     "run_episode",
+    "run_episodes",
     "collect_batch",
     "ppo_update",
     "train",
@@ -200,6 +223,171 @@ def _zero_observation(cfg: TrainConfig, assets: Assets) -> ObservationVector:
     )
 
 
+@dataclass
+class _Draft:
+    """An episode after phase 1: its environment, observation and action."""
+
+    index: int
+    env: EnvState
+    obs: ObservationVector
+    raw: np.ndarray
+    action: EditAction
+    log_prob: float
+    value: float
+
+
+def _act(params, cfg, assets, fps_cache, seed, stream_key, index, train_mode, mode, force_style) -> _Draft:
+    """Phase 1 of one episode: reset, observe, a B=1 forward pass, act."""
+    rng = episode_rng(seed, *stream_key, index)
+    joint_count = assets.spec.joint_count
+    obj = assets.objects[int(rng.integers(len(assets.objects)))]
+    env = reset_env(
+        obj,
+        assets.afford_dists[obj.name],
+        assets.styles,
+        rng,
+        train_mode,
+        spec=assets.spec,
+        square_half=cfg.square_half,
+        sigma_style=cfg.sigma_style if train_mode else 0.0,
+    )
+    if force_style is not None:
+        style = assets.styles[force_style]
+        env.condition = dataclasses.replace(
+            env.condition,
+            style_index=force_style,
+            q_style_used=style.q_canonical.copy(),
+            contact_mask=style.contact_mask,
+        )
+    obs = encode_observation(
+        env, assets.demo, assets.spec, assets.styles, cfg.m_points, cfg.seed, fps_cache
+    )
+    mean, log_std, value, _ = policy_forward(params, stack_observations([obs]))
+    lo, hi = cfg.bounds.intervals(joint_count)
+    if mode == "policy":
+        sample = sample_action(mean[0], log_std, cfg.bounds, joint_count, rng)
+        raw, action, logp = sample.raw, sample.action, sample.log_prob
+    elif mode == "mean":
+        raw = mean[0]
+        vec = squash(raw, lo, hi)
+        action = EditAction.from_vector(vec, joint_count)
+        logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
+        logp = float(logp)
+    elif mode == "random":
+        vec = rng.uniform(lo, hi)
+        action = EditAction.from_vector(vec, joint_count)
+        raw = np.zeros_like(vec)
+        logp = 0.0
+    elif mode == "identity":
+        action = EditAction.identity(joint_count)
+        raw = np.zeros(7 + joint_count)
+        logp = 0.0
+    else:
+        raise ValueError(f"unknown action mode {mode!r}")
+    return _Draft(index, env, obs, np.asarray(raw, dtype=float), action, float(logp), float(value[0]))
+
+
+def _score(draft: _Draft, record, cfg: TrainConfig) -> EpisodeResult:
+    """Phase 3 of one episode: reward the rollout record."""
+    terms = total_reward(record, cfg.reward)
+    env = draft.env
+    return EpisodeResult(
+        index=draft.index,
+        object_name=env.obj.name,
+        obs=draft.obs,
+        raw=draft.raw,
+        action_vec=draft.action.to_vector(),
+        log_prob=draft.log_prob,
+        value=draft.value,
+        reward=float(terms.total),
+        record=record,
+        p_afford_world=transform_point(env.object_pose, env.condition.p_afford),
+        conditioned_style=env.condition.style_index,
+    )
+
+
+def _failed(params, cfg: TrainConfig, assets: Assets, index: int, exc: Exception) -> EpisodeResult:
+    log.warning("episode %d failed (%s); scored as zero reward", index, exc)
+    joint_count = assets.spec.joint_count
+    obs = _zero_observation(cfg, assets)
+    mean, log_std, value, _ = policy_forward(params, stack_observations([obs]))
+    raw = np.array(mean[0])
+    logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
+    return EpisodeResult(
+        index=index,
+        object_name="<error>",
+        obs=obs,
+        raw=raw,
+        action_vec=squash(raw, *cfg.bounds.intervals(joint_count)),
+        log_prob=float(logp),
+        value=float(value[0]),
+        reward=0.0,
+        record=None,
+        p_afford_world=np.zeros(3),
+        conditioned_style=0,
+        error=str(exc),
+    )
+
+
+def run_episodes(
+    params: PolicyParams,
+    cfg: TrainConfig,
+    assets: Assets,
+    fps_cache: dict,
+    seed: int,
+    stream_key: tuple,
+    indices,
+    *,
+    train_mode: bool,
+    mode: str = "policy",          # policy | mean | random | identity
+    force_style: int | None = None,
+) -> list[EpisodeResult]:
+    """Full conditioned episodes, in the order of `indices`, through the
+    engine's three phases (see the module docstring).
+
+    An episode that raises in phase 1 or 3 is scored as an error on its
+    own. If the batched rollout raises, the episodes are rerun one at a
+    time, so only the failing one becomes an error. force_style
+    overrides the sampled style *after* the reset draws, so the
+    environment (object, pose, affordance) is identical across the
+    forced candidates of a best-style sweep.
+    """
+    episodes: list[_Draft | EpisodeResult] = []
+    for index in indices:
+        try:
+            episodes.append(
+                _act(params, cfg, assets, fps_cache, seed, stream_key, index, train_mode, mode, force_style)
+            )
+        except Exception as e:  # noqa: BLE001 - degenerate geometry must not kill a sweep
+            episodes.append(_failed(params, cfg, assets, index, e))
+    live = [i for i, ep in enumerate(episodes) if isinstance(ep, _Draft)]
+    if not live:
+        return episodes  # type: ignore[return-value]
+    try:
+        records = rollout_batch(
+            [episodes[i].env for i in live], assets.demo, [episodes[i].action for i in live],
+            assets.spec, assets.styles, cfg.sim,
+        )
+    except Exception as e:  # noqa: BLE001 - contained to the failing episode below
+        if len(live) > 1:
+            log.warning("batched rollout failed (%s); rerunning %d episodes one at a time", e, len(live))
+        for i in live:
+            index = episodes[i].index
+            episodes[i] = (
+                _failed(params, cfg, assets, index, e) if len(live) == 1 else run_episode(
+                    params, cfg, assets, fps_cache, seed, stream_key, index,
+                    train_mode=train_mode, mode=mode, force_style=force_style,
+                )
+            )
+        return episodes  # type: ignore[return-value]
+    for i, record in zip(live, records):
+        try:
+            episodes[i] = _score(episodes[i], record, cfg)
+        except Exception as e:  # noqa: BLE001
+            episodes[i] = _failed(params, cfg, assets, episodes[i].index, e)
+    return episodes  # type: ignore[return-value]
+
+
 def run_episode(
     params: PolicyParams,
     cfg: TrainConfig,
@@ -213,94 +401,12 @@ def run_episode(
     mode: str = "policy",          # policy | mean | random | identity
     force_style: int | None = None,
 ) -> EpisodeResult:
-    """One full conditioned episode: reset, observe, act, roll out, score.
-
-    force_style overrides the sampled style *after* the reset draws, so
-    the environment (object, pose, affordance) is identical across the
-    forced candidates of a best-style sweep.
-    """
-    rng = episode_rng(seed, *stream_key, index)
-    joint_count = assets.spec.joint_count
-    try:
-        obj = assets.objects[int(rng.integers(len(assets.objects)))]
-        env = reset_env(
-            obj,
-            assets.afford_dists[obj.name],
-            assets.styles,
-            rng,
-            train_mode,
-            spec=assets.spec,
-            square_half=cfg.square_half,
-            sigma_style=cfg.sigma_style if train_mode else 0.0,
-        )
-        if force_style is not None:
-            style = assets.styles[force_style]
-            env.condition = dataclasses.replace(
-                env.condition,
-                style_index=force_style,
-                q_style_used=style.q_canonical.copy(),
-                contact_mask=style.contact_mask,
-            )
-        obs = encode_observation(
-            env, assets.demo, assets.spec, assets.styles, cfg.m_points, cfg.seed, fps_cache
-        )
-        mean, log_std, value, _ = policy_forward(params, stack_observations([obs]))
-        lo, hi = cfg.bounds.intervals(joint_count)
-        if mode == "policy":
-            sample = sample_action(mean[0], log_std, cfg.bounds, joint_count, rng)
-            raw, action, logp = sample.raw, sample.action, sample.log_prob
-        elif mode == "mean":
-            raw = mean[0]
-            vec = squash(raw, lo, hi)
-            action = EditAction.from_vector(vec, joint_count)
-            logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
-            logp = float(logp)
-        elif mode == "random":
-            vec = rng.uniform(lo, hi)
-            action = EditAction.from_vector(vec, joint_count)
-            raw = np.zeros_like(vec)
-            logp = 0.0
-        elif mode == "identity":
-            action = EditAction.identity(joint_count)
-            raw = np.zeros(7 + joint_count)
-            logp = 0.0
-        else:
-            raise ValueError(f"unknown action mode {mode!r}")
-        record = rollout(env, assets.demo, action, assets.spec, assets.styles, cfg.sim)
-        terms = total_reward(record, cfg.reward)
-        return EpisodeResult(
-            index=index,
-            object_name=obj.name,
-            obs=obs,
-            raw=np.asarray(raw, dtype=float),
-            action_vec=action.to_vector(),
-            log_prob=float(logp),
-            value=float(value[0]),
-            reward=float(terms.total),
-            record=record,
-            p_afford_world=transform_point(env.object_pose, env.condition.p_afford),
-            conditioned_style=env.condition.style_index,
-        )
-    except Exception as e:  # noqa: BLE001 - degenerate geometry must not kill a sweep
-        log.warning("episode %d failed (%s); scored as zero reward", index, e)
-        obs = _zero_observation(cfg, assets)
-        mean, log_std, value, _ = policy_forward(params, stack_observations([obs]))
-        raw = np.array(mean[0])
-        logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
-        return EpisodeResult(
-            index=index,
-            object_name="<error>",
-            obs=obs,
-            raw=raw,
-            action_vec=squash(raw, *cfg.bounds.intervals(joint_count)),
-            log_prob=float(logp),
-            value=float(value[0]),
-            reward=0.0,
-            record=None,
-            p_afford_world=np.zeros(3),
-            conditioned_style=0,
-            error=str(e),
-        )
+    """One full conditioned episode: reset, observe, act, roll out, score."""
+    (result,) = run_episodes(
+        params, cfg, assets, fps_cache, seed, stream_key, [index],
+        train_mode=train_mode, mode=mode, force_style=force_style,
+    )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +414,46 @@ def run_episode(
 # ---------------------------------------------------------------------------
 
 _WORKER_ASSETS: Assets | None = None
+_WORKER_FPS_CACHE: dict = {}
+
+
+def _pin_blas_threads(n: int) -> None:
+    """Set the thread count of the OpenBLAS that numpy loaded, through
+    its own set-num-threads entry point. Logs at debug level and does
+    nothing when no such library or symbol is mapped in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        libs = []
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(n)
+                return
+    log.debug("no OpenBLAS set-num-threads entry point found; BLAS threads left as they are")
 
 
 def _pool_init(assets: Assets):
-    global _WORKER_ASSETS
+    """Worker set-up: shared assets, an FPS cache for the worker's
+    lifetime, and one BLAS thread, since the workers already share the
+    cores between them."""
+    global _WORKER_ASSETS, _WORKER_FPS_CACHE
     _WORKER_ASSETS = assets
+    _WORKER_FPS_CACHE = {}
+    _pin_blas_threads(1)
 
 
 def _pool_chunk(args):
     params, cfg, seed, stream_key, indices, train_mode, mode = args
-    cache: dict = {}
-    return [
-        run_episode(
-            params, cfg, _WORKER_ASSETS, cache, seed, stream_key, i,
-            train_mode=train_mode, mode=mode,
-        )
-        for i in indices
-    ]
+    return run_episodes(
+        params, cfg, _WORKER_ASSETS, _WORKER_FPS_CACHE, seed, stream_key, indices,
+        train_mode=train_mode, mode=mode,
+    )
 
 
 class EpisodePool:
@@ -343,13 +472,10 @@ class EpisodePool:
     def run(self, params, cfg, seed, stream_key, n_episodes, *, train_mode, mode="policy") -> list[EpisodeResult]:
         indices = list(range(n_episodes))
         if self._ex is None:
-            return [
-                run_episode(
-                    params, cfg, self.assets, self._fps_cache, seed, stream_key, i,
-                    train_mode=train_mode, mode=mode,
-                )
-                for i in indices
-            ]
+            return run_episodes(
+                params, cfg, self.assets, self._fps_cache, seed, stream_key, indices,
+                train_mode=train_mode, mode=mode,
+            )
         chunks = [indices[c :: self.workers] for c in range(self.workers)]
         tasks = [(params, cfg, seed, stream_key, ch, train_mode, mode) for ch in chunks if ch]
         out: list[EpisodeResult | None] = [None] * n_episodes
@@ -461,8 +587,8 @@ def ppo_update(
 ) -> tuple[PolicyParams, AdamState, dict]:
     """Epochs of shuffled-minibatch clipped-surrogate steps.
 
-    A non-finite loss aborts the iteration and restores the incoming
-    parameters (the batch is discarded).
+    A non-finite loss or non-finite activations abort the iteration and
+    restore the incoming parameters (the batch is discarded).
     """
     snapshot_params, snapshot_adam = params, adam
     e = batch.raw.shape[0]
@@ -502,7 +628,7 @@ def ppo_update(
                 clip_hits += int(np.sum(np.abs(ratio - 1.0) > cfg.clip_eps))
                 clip_total += n_mb
                 value_loss_last = float(np.mean(value_err**2))
-    except FloatingPointError as exc:
+    except (FloatingPointError, PolicyError) as exc:
         log.error("ppo_update aborted, restoring previous parameters: %s", exc)
         return snapshot_params, snapshot_adam, {"aborted": str(exc)}
     stats = _batch_stats(batch)

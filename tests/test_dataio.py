@@ -116,6 +116,21 @@ def test_export_success_only_counts(tmp_path, box_assets):
     assert manifest["config_digest"] == config_digest({"x": 1})
 
 
+def test_export_skips_errored_episodes(tmp_path, box_assets):
+    from dataclasses import replace
+
+    results = _episode_results(box_assets, n=3)
+    errored = replace(results[0], index=99, object_name="<error>", record=None,
+                      reward=0.0, error="synthetic geometry failure")
+    path = tmp_path / "frames.jsonl"
+    manifest = export_rollouts(results + [errored], default_cameras(), path)
+    horizon = len(results[0].record.trajectory.joints)
+    assert manifest["episodes"] == 3 and manifest["n_errored"] == 1
+    assert manifest["frames"] == 3 * horizon
+    frames = [json.loads(l) for l in path.read_text().splitlines()[1:]]
+    assert {f["episode"] for f in frames} == {r.index for r in results}
+
+
 def test_export_round_trip_schema(tmp_path, box_assets):
     results = _episode_results(box_assets, n=4)
     path = tmp_path / "frames.jsonl"

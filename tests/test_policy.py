@@ -70,7 +70,7 @@ def test_encode_scale_invariance(assets):
                     np.random.default_rng(1), False, spec=assets.spec, square_half=0.0)
     import dataclasses
 
-    env2 = dataclasses.replace(env, obj=scaled, _cloud_cache=None)
+    env2 = dataclasses.replace(env, obj=scaled)
     env2.condition = dataclasses.replace(env.condition, p_afford=env.condition.p_afford * 2.0)
     cache = {}
     a = encode_observation(env, assets.demo, assets.spec, assets.styles, 32, 0, cache)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from fungrasp.demo import EditAction
+from fungrasp.demo import EditAction, EditBounds
 from fungrasp.geometry import Pose, axis_angle_to_quat, identity_pose, quat_rotate, transform_point
 from fungrasp.hand import HandFrames, forward_kinematics
 from fungrasp.objects import affordance_distribution, make_cylinder, make_sphere
@@ -15,9 +17,12 @@ from fungrasp.sim import (
     check_table_collision,
     detect_contacts,
     feasible_combination,
+    feasible_combination_batch,
     grasp_success,
+    grasp_success_batch,
     reset_env,
     rollout,
+    rollout_batch,
     style_contact_point,
     wrench_generators,
 )
@@ -248,6 +253,115 @@ def test_feasibility_against_scipy_oracle():
     assert agree == 60
 
 
+def _random_wrench_set(rng, n_contacts, feasible):
+    """Pyramid generators of random contacts on a unit-scale object,
+    and a load that is feasible by construction or drawn at random."""
+    pts = rng.normal(scale=0.03, size=(n_contacts, 3))
+    normals = rng.normal(size=(n_contacts, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    contacts = [Contact(finger=i, point=p, normal=n, penetration=0.0)
+                for i, (p, n) in enumerate(zip(pts, normals))]
+    env = _env_for(make_sphere(radius=0.032))
+    w = wrench_generators(contacts, env, mu=float(rng.uniform(0.1, 1.0)))
+    if feasible:
+        return w, w @ rng.uniform(0.05, 1.0, size=w.shape[1])
+    return w, rng.normal(size=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.lists(st.tuples(st.integers(2, 7), st.booleans()), min_size=1, max_size=8),
+)
+def test_stacked_feasibility_matches_single_and_scipy(seed, shapes):
+    """One stacked simplex over ragged, zero-padded wrench sets gives
+    each problem's own answer, and scipy's."""
+    rng = np.random.default_rng(seed)
+    problems = [_random_wrench_set(rng, n, feasible) for n, feasible in shapes]
+    width = max(w.shape[1] for w, _ in problems)
+    padded = np.zeros((len(problems), 6, width))
+    for i, (w, _) in enumerate(problems):
+        padded[i, :, : w.shape[1]] = w
+    stacked = feasible_combination_batch(padded, np.array([b for _, b in problems]))
+    alone = [feasible_combination(w, b) for w, b in problems]
+    ref = [
+        linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],
+                method="highs").status == 0
+        for w, b in problems
+    ]
+    assert list(stacked) == alone == ref
+    for (n, feasible), ok in zip(shapes, alone):
+        assert ok or not feasible
+
+
+def _per_contact_generators(contacts, env, mu):
+    """Reference: the friction-pyramid wrenches built one contact and one
+    edge at a time."""
+    pts = np.array([c.point for c in contacts])
+    center = pts.mean(axis=0)
+    scale = env.obj.obj_bb / 2.0
+    cols = []
+    for c in contacts:
+        n_in = -c.normal
+        ref = np.array([0.0, 0.0, 1.0]) if abs(n_in[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+        t1 = np.cross(n_in, ref)
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(n_in, t1)
+        for t in (t1, -t1, t2, -t2):
+            f = n_in + mu * t
+            cols.append(np.concatenate([f, np.cross(c.point - center, f) / scale]))
+    return np.array(cols).T
+
+
+def test_vectorized_wrench_generators_match_per_contact_reference():
+    rng = np.random.default_rng(11)
+    env = _env_for(make_sphere(radius=0.032))
+    for trial in range(200):
+        n = int(rng.integers(1, 8))
+        normals = rng.normal(size=(n, 3))
+        # steep normals take the other tangent reference
+        normals[rng.random(n) < 0.3, :2] *= 0.01
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        contacts = [Contact(finger=i, point=p, normal=nrm, penetration=0.0)
+                    for i, (p, nrm) in enumerate(zip(rng.normal(scale=0.03, size=(n, 3)), normals))]
+        mu = float(rng.uniform(0.1, 1.0))
+        assert np.array_equal(wrench_generators(contacts, env, mu), _per_contact_generators(contacts, env, mu))
+
+
+def test_grasp_success_batch_matches_one_grasp_calls(objects):
+    """Grasps scored together get the answers they get alone, whatever
+    their object, pose, mask or contact count."""
+    rng = np.random.default_rng(8)
+    contact_lists, envs = [], []
+    for i in range(150):
+        obj = list(objects.values())[i % len(objects)]
+        pose = Pose(t=np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
+                    r=axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
+        env = _env_for(obj, mask=tuple(rng.choice(5, size=int(rng.integers(1, 4)), replace=False)), pose=pose)
+        pick = rng.choice(len(obj.points), size=int(rng.integers(1, 6)), replace=False)
+        pts, nrm = env.world_cloud()
+        contact_lists.append([Contact(finger=int(f), point=pts[j], normal=nrm[j], penetration=0.0)
+                              for f, j in zip(rng.permutation(5), pick)])
+        envs.append(env)
+    table = list(rng.random(len(envs)) < 0.1)
+    batch = grasp_success_batch(contact_lists, envs, mu=0.5, eta=0.2, table_collision=table)
+    alone = [grasp_success(c, e, mu=0.5, eta=0.2, table_collision=t)
+             for c, e, t in zip(contact_lists, envs, table)]
+    assert batch == alone
+    assert 10 <= sum(alone) <= len(alone) - 10
+
+
+def test_grasp_success_batch_reports_degenerate_grasp_alone():
+    obj = make_sphere(radius=0.032)
+    env = _env_for(obj)
+    good = _antipodal_sphere_contacts(obj)
+    bad = [good[0], Contact(finger=1, point=good[1].point, normal=np.array([np.nan, 0, 0]), penetration=0.0)]
+    out = grasp_success_batch([good, bad, good[:1]], [env, env, env], mu=0.5, eta=0.2,
+                              table_collision=[False] * 3)
+    assert out[0] is True and out[2] is False
+    assert isinstance(out[1], ContactError)
+
+
 def test_wrench_generator_shape_and_torque_scale(objects):
     obj = objects["box"]
     env = _env_for(obj)
@@ -373,3 +487,45 @@ def test_crush_rule_triggers(box_assets, spec, styles, demo):
     assert not rec.success
     assert rec.crushed
     assert rec.failure_reason == "crush"
+
+
+def _hand_assets(hand):
+    from fungrasp.assets import default_demo_path, default_hand_path, default_objects_dir, default_styles_path
+    from fungrasp.training import load_assets
+
+    return load_assets(default_hand_path(hand), default_styles_path(hand),
+                       default_demo_path(hand), default_objects_dir())
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_rollout_batch_matches_one_item_rollouts(hand):
+    """A batch rollout gives every episode the bits it gets alone."""
+    assets = _hand_assets(hand)
+    spec = assets.spec
+    lo, hi = EditBounds().intervals(spec.joint_count)
+    rng = np.random.default_rng(3)
+    envs, actions = [], []
+    for i in range(60):
+        obj = assets.objects[int(rng.integers(len(assets.objects)))]
+        envs.append(reset_env(obj, assets.afford_dists[obj.name], assets.styles, rng, bool(i % 2), spec=spec))
+        if i % 4 == 0:
+            vec = rng.uniform(lo, hi)
+        else:  # small edits of the replay, which often grasp
+            vec = np.clip(np.r_[np.zeros(6 + spec.joint_count), 1.0] + rng.normal(0.0, 0.01, lo.shape), lo, hi)
+        actions.append(EditAction.from_vector(vec, spec.joint_count))
+    batch = rollout_batch(envs, assets.demo, actions, spec, assets.styles)
+    reasons = set()
+    for env, action, got in zip(envs, actions, batch):
+        want = rollout(env, assets.demo, action, spec, assets.styles)
+        assert np.array_equal(got.d_series, want.d_series)
+        assert np.array_equal(got.q_final, want.q_final)
+        assert got.failure_reason == want.failure_reason
+        assert got.executed_style == want.executed_style
+        assert got.success == want.success
+        assert len(got.contacts_at_grasp) == len(want.contacts_at_grasp)
+        for a, b in zip(got.contacts_at_grasp, want.contacts_at_grasp):
+            assert a.finger == b.finger and a.penetration == b.penetration
+            assert np.array_equal(a.point, b.point) and np.array_equal(a.normal, b.normal)
+        reasons.add(want.failure_reason or "ok")
+    # the batch reaches the closure LP both ways, and the crush test
+    assert {"ok", "no_closure", "crush"} <= reasons

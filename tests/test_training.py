@@ -130,6 +130,19 @@ def test_ppo_update_aborts_on_nonfinite(assets, tiny_cfg, tiny_params):
     assert np.array_equal(flatten_params(params2), flatten_params(tiny_params))
 
 
+def test_ppo_update_restores_on_nonfinite_activations(assets, tiny_cfg, tiny_params):
+    from dataclasses import replace
+
+    batch = collect_batch(tiny_params, tiny_cfg, assets, 0)
+    a_w1 = tiny_params.a_w1.copy()
+    a_w1[0, 0] = np.nan
+    broken = replace(tiny_params, a_w1=a_w1)
+    adam = AdamState.init(broken)
+    params2, adam2, stats = ppo_update(broken, batch, tiny_cfg, adam, episode_rng(0, 3, 2))
+    assert "non-finite activations" in stats["aborted"]
+    assert params2 is broken and adam2 is adam
+
+
 def test_adam_zero_gradient_is_noop(tiny_params):
     from fungrasp.policy import zeros_like_params
 
@@ -166,12 +179,103 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
     def boom(*a, **k):
         raise RuntimeError("synthetic geometry failure")
 
-    monkeypatch.setattr(tr, "rollout", boom)
+    monkeypatch.setattr(tr, "rollout_batch", boom)
     res = tr.run_episode(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), 0, train_mode=True)
     assert res.error is not None
     assert res.reward == 0.0
     assert res.record is None
     assert np.all(np.isfinite(res.raw))
+
+
+def test_batched_rollout_failure_is_contained(assets, tiny_cfg, tiny_params, monkeypatch):
+    """When a batched rollout raises, the chunk is rerun one episode at a
+    time and only the episode that raises becomes an error."""
+    import fungrasp.training as tr
+    from fungrasp.geometry import transform_point
+
+    def run(indices):
+        return tr.run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), indices, train_mode=True)
+
+    reference = run(range(6))
+    poisoned = reference[2].p_afford_world
+    real = tr.rollout_batch
+
+    def fragile(envs, *args):
+        if any(np.array_equal(transform_point(e.object_pose, e.condition.p_afford), poisoned) for e in envs):
+            raise RuntimeError("synthetic geometry failure")
+        return real(envs, *args)
+
+    monkeypatch.setattr(tr, "rollout_batch", fragile)
+    got = run(range(6))
+    assert [r.index for r in got] == list(range(6))
+    assert got[2].error is not None and got[2].record is None and got[2].reward == 0.0
+    for want, res in zip(reference[:2] + reference[3:], got[:2] + got[3:]):
+        assert res.error is None
+        assert res.reward == want.reward and res.log_prob == want.log_prob
+        assert np.array_equal(res.raw, want.raw)
+        assert np.array_equal(res.record.d_series, want.record.d_series)
+
+
+def test_engine_chunking_does_not_change_results(assets, tiny_cfg, tiny_params):
+    import fungrasp.training as tr
+
+    def run(indices):
+        return tr.run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), indices, train_mode=True)
+
+    whole = run(range(8))
+    split = run([5, 1, 7]) + run([0, 2, 3, 4, 6])
+    by_index = {r.index: r for r in split}
+    for r in whole:
+        other = by_index[r.index]
+        assert r.reward == other.reward and r.log_prob == other.log_prob
+        assert np.array_equal(r.record.d_series, other.record.d_series)
+        assert r.record.failure_reason == other.record.failure_reason
+
+
+def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypatch):
+    import fungrasp.policy as policy
+    import fungrasp.training as tr
+
+    calls = []
+    real = policy.farthest_point_sample
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(policy, "farthest_point_sample", counted)
+    monkeypatch.setattr(tr, "_WORKER_ASSETS", assets)
+    monkeypatch.setattr(tr, "_WORKER_FPS_CACHE", {})
+    task = (tiny_params, tiny_cfg, 17, (1, 0), list(range(8)), True, "policy")
+    first = tr._pool_chunk(task)
+    n_first = len(calls)
+    second = tr._pool_chunk(task)
+    assert n_first == len({r.object_name for r in first}) and len(calls) == n_first
+    assert [r.reward for r in first] == [r.reward for r in second]
+
+
+def test_pin_blas_threads_sets_one_thread():
+    import subprocess
+    import sys
+
+    code = (
+        "import ctypes, logging\n"
+        "logging.basicConfig(level=logging.DEBUG)\n"
+        "from fungrasp.training import _pin_blas_threads\n"
+        "_pin_blas_threads(1)\n"
+        "libs = {l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l.lower() and '/' in l}\n"
+        "get = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads64_', None) for p in libs]\n"
+        "get = [g for g in get if g is not None]\n"
+        "print(get[0]() if get else 'absent')\n"
+    )
+    import os
+    from pathlib import Path
+
+    import fungrasp
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(Path(fungrasp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() in ("1", "absent"), out.stderr
 
 
 def test_bandit_learns_fast():

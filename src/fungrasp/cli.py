@@ -52,6 +52,9 @@ USER_ERRORS = (
 
 GRADIENT_GATE = 1e-4
 
+# top-level config-file keys: the flag-backed settings and the "train" section
+CONFIG_KEYS = ("seed", "workers", "objects", "demo", "hand", "styles", "out", "checkpoint", "episodes", "train")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; this tool reserves 2 for internal faults
@@ -73,7 +76,13 @@ def _load_config_file(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    return json.loads(p.read_text())
+    cfg = json.loads(p.read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {p} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {p}: {', '.join(map(repr, unknown))}; known: {', '.join(CONFIG_KEYS)}")
+    return cfg
 
 
 def _resolve(args, cfg_file: dict, key: str, default=None):
@@ -153,7 +162,7 @@ def cmd_eval(args) -> int:
     rows = [_row_from_result(r) for r in results]
     rows_path = out / "episodes.jsonl"
     write_episode_rows(rows, rows_path)
-    write_report(metrics, cfg, rows_path, out / "report.json")
+    write_report(metrics, cfg, rows_path, out / "report.json", results)
     print(json.dumps(metrics.as_dict()))
     return 0
 

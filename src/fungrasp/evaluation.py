@@ -23,8 +23,10 @@ from .training import (
     EpisodePool,
     EpisodeResult,
     TrainConfig,
+    check_m_points,
     config_to_dict,
     episode_rng,
+    outcome_counts,
     run_episodes,
     train,
 )
@@ -217,6 +219,7 @@ def evaluate(
         raise ValueError("n_episodes must be >= 1")
     if not assets.objects:
         raise ValueError("empty object set")
+    check_m_points(cfg, assets)
     action_mode = mode or ("policy" if stochastic else "mean")
     own_pool = pool is None
     if own_pool:
@@ -249,6 +252,7 @@ def random_baseline(
     *, strict: bool = False, pool: EpisodePool | None = None,
 ) -> tuple[Metrics, list[EpisodeResult]]:
     """Uniform-within-bounds actions through the same metrics pipeline."""
+    check_m_points(cfg, assets)
     params = init_params(
         episode_rng(seed, STREAM_EVAL, 999), cfg.m_points, len(assets.styles),
         assets.spec.joint_count,
@@ -319,11 +323,14 @@ def write_episode_rows(rows: list[EpisodeRow], path) -> None:
             fh.write(json.dumps(row.to_json()) + "\n")
 
 
-def write_report(metrics: Metrics, cfg: TrainConfig, rows_path, path) -> None:
+def write_report(metrics: Metrics, cfg: TrainConfig, rows_path, path, results: list[EpisodeResult]) -> None:
+    """report.json: the metrics, the episodes' outcome counts, the
+    config digest and where the per-episode rows are."""
     from .dataio import config_digest
 
     report = {
         "metrics": metrics.as_dict(),
+        "outcomes": outcome_counts(results),
         "config_digest": config_digest(config_to_dict(cfg)),
         "per_episode_file": str(rows_path),
     }

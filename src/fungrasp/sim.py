@@ -8,14 +8,23 @@ deterministic, fast, and checkable against analytic grasps.
 
 rollout_batch scores E episodes at once, and rollout, grasp_success
 and feasible_combination are its one-item cases. Joint targets, joint
-trajectories, wrist edits and FK run once over all E x (T_D + 1) frames;
-the nearest-point query and contact selection stay per episode (each
-episode has its own cloud and pose); the seven closure LPs of every
-grasp that passes the crush, table and two-mask-finger gates run as one
-stacked simplex. Each batched step is element-wise or keeps each
-episode's own reductions (the per-grasp contact centroid, the 1-D norm
-of each tangent, each tableau's own pivots), so every record is bit for
-bit what the episode gets alone.
+trajectories, wrist edits and FK run once over all E x (T_D + 1) frames.
+The contact phase then works in each episode's object frame: one inverse
+rotation maps the sphere centers of frames 0..T_l (nothing reads later
+frames) into it, a bounding-box test drops spheres too far from the
+cloud to matter, and one _nearest call per object answers the kept
+spheres of every episode on that object. Only the selected grasp-frame
+points and normals go back to the world frame. The seven closure LPs of
+every grasp that passes the crush, table and two-mask-finger gates run
+as one stacked simplex.
+
+Determinism: every batched step is element-wise or keeps each row's or
+episode's own reductions (each query row's own argmin, the per-grasp
+contact centroid, the 1-D norm of each tangent, each tableau's own
+pivots), so every record is bit for bit what the episode gets alone.
+_nearest takes its product in fixed row blocks and never sends a single
+row to the matrix product, which numpy would hand to gemv and round
+differently.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demo import Demonstration, EditAction, edited_joint_trajectory, disturb_style, target_joint_config
-from .geometry import Pose, axis_angle_to_quat, quat_rotate, transform_point, transform_points
+from .geometry import Pose, axis_angle_to_quat, quat_conjugate, quat_rotate, transform_point
 from .hand import HandFrames, HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
 
@@ -64,6 +73,14 @@ class SimParams:
     eta: float = 0.2              # load perturbation scale (fraction of gravity)
     crush_factor: float = 1.5     # fail if signed penetration exceeds this x radius
 
+    def __post_init__(self):
+        for name in ("delta_c", "table_tol", "eta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("mu", "crush_factor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"sim.{name} must be positive, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class EnvCondition:
@@ -80,16 +97,6 @@ class EnvState:
     obj: ObjectModel
     object_pose: Pose
     condition: EnvCondition
-
-    def world_cloud(self):
-        """Object points and normals in the world frame.
-
-        Not cached: a batch of environments would otherwise hold every
-        episode's transformed cloud at once.
-        """
-        pts = transform_points(self.object_pose, self.obj.points)
-        nrm = quat_rotate(self.object_pose.r, self.obj.normals)
-        return pts, nrm
 
 
 @dataclass(frozen=True)
@@ -162,45 +169,103 @@ def reset_env(
     )
 
 
+# rows per block of _nearest's product: the (block, N) scratch stays small
+_ROW_BLOCK = 64
+
+
 def _nearest(centers: np.ndarray, pts: np.ndarray):
-    """Nearest cloud point per row of centers: (indices, distances)."""
-    d2 = (
-        (centers**2).sum(axis=1)[:, None]
-        + (pts**2).sum(axis=1)[None, :]
-        - 2.0 * centers @ pts.T
-    )
-    idx = d2.argmin(axis=1)
-    d = np.sqrt(np.maximum(d2[np.arange(len(idx)), idx], 0.0))
-    return idx, d
+    """Nearest cloud point per row of centers: (indices, distances).
+
+    The argmin of |p|^2 - 2 c.p, taken in blocks of _ROW_BLOCK rows; the
+    distance is then the exact |c - p| of the chosen point. A row's
+    answer does not depend on the other rows: no block has one row,
+    since numpy hands a one-row product to gemv, which rounds
+    differently from gemm.
+    """
+    rows = centers if len(centers) != 1 else np.repeat(centers, 2, axis=0)
+    neg2p = -2.0 * pts.T
+    p2 = np.einsum("ij,ij->i", pts, pts)
+    idx = np.empty(len(rows), dtype=np.intp)
+    scratch = np.empty((min(_ROW_BLOCK, len(rows)), len(pts)))
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, len(rows))
+        lo = min(lo, hi - 2)  # a lone last row is taken with the one before it
+        block = scratch[: hi - lo]
+        np.matmul(rows[lo:hi], neg2p, out=block)
+        block += p2
+        idx[lo:hi] = block.argmin(axis=1)
+    idx = idx[: len(centers)]
+    diff = centers - pts[idx]
+    return idx, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _select_contacts(dist, nearest_idx, pts, nrm, radii, finger_index, delta_c):
-    """Per finger, the deepest sphere-vs-cloud contact within the shell."""
-    contacts = []
-    depth = radii - dist
-    hits = dist <= radii + delta_c
+def _contact_phase(envs: list[EnvState], centers: np.ndarray, radii, finger_index, tl: int, params: SimParams):
+    """Crush test over frames 0..tl-1 and contacts at frame tl, for the
+    (E, > tl, K, 3) world-frame sphere centers of E episodes.
+
+    Returns (crushed (E,) bools, per-episode contact lists, one
+    deepest contact per finger within the shell radius + params.delta_c).
+    """
+    e_count = len(envs)
+    pose_t = np.stack([env.object_pose.t for env in envs])
+    pose_r = np.stack([env.object_pose.r for env in envs])
+    local = quat_rotate(quat_conjugate(pose_r)[:, None, None], centers[:, : tl + 1] - pose_t[:, None, None])
+    dist = np.full(local.shape[:3], np.inf)
+    gap = np.full(local.shape[:3], np.inf)
+    idx = np.zeros(local.shape[:3], dtype=np.intp)
+    # crush and contacts only need spheres near the cloud: quick-reject
+    # everything outside its bounding box grown by radius + shell
+    margin = radii.max() + params.delta_c + 1e-9
+    groups: dict[int, list[int]] = {}
+    for i, env in enumerate(envs):
+        groups.setdefault(id(env.obj), []).append(i)
+    for members in groups.values():
+        obj = envs[members[0]].obj
+        sph = local[members]
+        near = np.all((sph >= obj.points.min(axis=0) - margin) & (sph <= obj.points.max(axis=0) + margin), axis=-1)
+        near[:, tl] = True  # the grasp frame always gets exact contacts
+        rows = sph[near]
+        found, d = _nearest(rows, obj.points)
+        a, t, k = np.nonzero(near)
+        at = (np.asarray(members)[a], t, k)
+        dist[at] = d
+        gap[at] = np.einsum("ij,ij->i", rows - obj.points[found], obj.normals[found])
+        idx[at] = found
+    # crush: a sphere center driven past the surface by more than
+    # (crush_factor - 1) x radius during the approach
+    crushed = np.any(gap[:, :tl] < radii * (1.0 - params.crush_factor), axis=(1, 2))
+
+    dist_tl = dist[:, tl]
+    hits = dist_tl <= radii + params.delta_c
+    depth = radii - dist_tl
+    ranked = np.where(hits, depth, -np.inf)
+    picks = []  # (episode, finger, sphere) of each finger's deepest hit, finger by finger
     for f in np.unique(finger_index):
-        cand = np.where(hits & (finger_index == f))[0]
-        if cand.size == 0:
-            continue
-        best = cand[np.argmax(depth[cand])]
-        j = nearest_idx[best]
-        contacts.append(
-            Contact(
-                finger=int(f),
-                point=pts[j].copy(),
-                normal=nrm[j].copy(),
-                penetration=float(max(0.0, depth[best])),
-            )
-        )
-    return contacts
+        cols = np.flatnonzero(finger_index == f)
+        best = cols[ranked[:, cols].argmax(axis=1)]
+        picks.extend((i, int(f), int(best[i])) for i in np.flatnonzero(hits[np.arange(e_count), best]))
+    picks.sort(key=lambda p: p[0])
+    # back to the world frame: only the chosen points, each row on its own
+    owner = np.array([i for i, _, _ in picks], dtype=np.intp)
+    local_pts = np.array([envs[i].obj.points[idx[i, tl, k]] for i, _, k in picks]).reshape(-1, 3)
+    local_nrm = np.array([envs[i].obj.normals[idx[i, tl, k]] for i, _, k in picks]).reshape(-1, 3)
+    world_pts = quat_rotate(pose_r[owner], local_pts) + pose_t[owner]
+    world_nrm = quat_rotate(pose_r[owner], local_nrm)
+    contacts: list[list[Contact]] = [[] for _ in envs]
+    for n, (i, f, k) in enumerate(picks):
+        contacts[i].append(Contact(
+            finger=f, point=world_pts[n], normal=world_nrm[n], penetration=float(max(0.0, depth[i, k])),
+        ))
+    return [bool(c) for c in crushed], contacts
 
 
 def detect_contacts(frames: HandFrames, env: EnvState, delta_c: float = 0.005) -> list[Contact]:
-    """Sphere-vs-cloud contacts, one (deepest) per finger."""
-    pts, nrm = env.world_cloud()
-    idx, d = _nearest(frames.centers, pts)
-    return _select_contacts(d, idx, pts, nrm, frames.radii, frames.finger_index, delta_c)
+    """Sphere-vs-cloud contacts, one (deepest) per finger: the
+    one-episode, one-frame case of the rollout's contact phase."""
+    centers = np.asarray(frames.centers, dtype=float)[None, None]
+    _, (contacts,) = _contact_phase([env], centers, np.asarray(frames.radii, dtype=float),
+                                    np.asarray(frames.finger_index), 0, SimParams(delta_c=delta_c))
+    return contacts
 
 
 def style_contact_point(frames: HandFrames, mask) -> np.ndarray:
@@ -393,37 +458,6 @@ def rollout(
     return rollout_batch([env], demo, [action], spec, styles, params)[0]
 
 
-def _approach_contacts(env: EnvState, centers: np.ndarray, radii, finger_index, tl: int, params: SimParams):
-    """Crush test over the approach and contacts at the grasp frame, for
-    one episode's (T + 1, K, 3) sphere centers."""
-    pts, nrm = env.world_cloud()
-    t_count, k_count = centers.shape[0], centers.shape[1]
-    flat = centers.reshape(-1, 3)
-    # crush and contacts only need spheres near the cloud: quick-reject
-    # everything outside the cloud's bounding box grown by radius + shell
-    margin = radii.max() + params.delta_c + 1e-9
-    lo = pts.min(axis=0) - margin
-    hi = pts.max(axis=0) + margin
-    near = np.all((flat >= lo) & (flat <= hi), axis=1)
-    near = near.reshape(t_count, k_count)
-    near[tl, :] = True  # the grasp frame always gets exact contacts
-    flat_near = flat[near.ravel()]
-    dist = np.full((t_count, k_count), np.inf)
-    gap = np.full((t_count, k_count), np.inf)
-    idx = np.zeros((t_count, k_count), dtype=int)
-    if flat_near.shape[0]:
-        idx_n, d_n = _nearest(flat_near, pts)
-        gap_n = np.einsum("ij,ij->i", flat_near - pts[idx_n], nrm[idx_n])
-        dist[near] = d_n
-        gap[near] = gap_n
-        idx[near] = idx_n
-    # crush: a sphere center driven past the surface by more than
-    # (crush_factor - 1) x radius during the approach
-    crushed = bool(np.any(gap[:tl] < radii * (1.0 - params.crush_factor)))
-    contacts = _select_contacts(dist[tl], idx[tl], pts, nrm, radii, finger_index, params.delta_c)
-    return crushed, contacts
-
-
 def rollout_batch(
     envs: list[EnvState],
     demo: Demonstration,
@@ -436,9 +470,15 @@ def rollout_batch(
     (envs[i], actions[i]), bit for bit whatever else is in the batch.
 
     Target joints, joint trajectories, wrist edits and FK run once over
-    all E x (T_D + 1) frames; the nearest-point query and contact
-    selection run per episode; the closure LPs of every grasp that gets
-    that far run as one stacked simplex (grasp_success_batch).
+    all E x (T_D + 1) frames. The contact phase (_contact_phase) maps the
+    sphere centers of frames 0..T_l into each episode's object frame
+    with one inverse rotation, keeps those inside the cloud's grown
+    bounding box (and every grasp-frame sphere), makes one _nearest
+    call per object for all its episodes, takes the crush gap in the
+    object frame, and rotates only the chosen grasp-frame points and
+    normals back to the world, row by row. The closure LPs of every
+    grasp that gets that far run as one stacked simplex
+    (grasp_success_batch).
     """
     from .demo import EditedTrajectory, edit_wrist_arrays
 
@@ -459,15 +499,13 @@ def rollout_batch(
     radii, finger_index, _ = sphere_metadata(spec)
     tl = demo.grasp_index
 
-    d_series, crushed, contacts = [], [], []
-    for env, c, tp in zip(envs, centers, tips):
+    d_series = []
+    for env, tp in zip(envs, tips):
         cond = env.condition
         p_afford_world = transform_point(env.object_pose, cond.p_afford)
         centroid_series = tp[:, list(cond.contact_mask)].mean(axis=1)
         d_series.append(np.linalg.norm(centroid_series - p_afford_world, axis=1))
-        crush, found = _approach_contacts(env, c, radii, finger_index, tl, params)
-        crushed.append(crush)
-        contacts.append(found)
+    crushed, contacts = _contact_phase(envs, centers, radii, finger_index, tl, params)
     table = np.any(centers[:, tl, :, 2] < radii + params.table_tol, axis=1)
     open_ = [i for i in range(e_count) if not crushed[i]]
     outcomes = dict(zip(open_, grasp_success_batch(

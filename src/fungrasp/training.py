@@ -17,13 +17,18 @@ through three phases:
    pass stays B=1 because a stacked forward is a matrix-matrix product
    whose rows round differently from the single-row product.
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
-   wrist edits and FK at once, per-episode contacts, one stacked
-   closure LP (see sim).
+   wrist edits and FK at once; one contact phase in the object frame,
+   with one nearest-point query per object for every episode of the
+   chunk on it; one stacked closure LP (see sim).
 3. Per episode: the reward and the EpisodeResult.
 
-Every batched step is element-wise or independent per episode, so an
-episode's result does not depend on which chunk it ran in; run_episode
-is the one-episode case. An episode that raises in phase 1 or 3 is
+Every batched step is element-wise or independent per episode or per
+query row (the nearest-point product runs in fixed row blocks and never
+as a one-row product), so an episode's result does not depend on which
+chunk it ran in, nor on which episodes share its object; run_episode is
+the one-episode case. metrics.jsonl stays byte-identical across worker
+counts: its lines, outcome counts included, depend only on the
+episodes' results. An episode that raises in phase 1 or 3 is
 scored as an error alone; if phase 2 raises, the chunk is rerun one
 episode at a time so only the failing episode becomes an error.
 """
@@ -87,6 +92,9 @@ __all__ = [
     "finite_diff_check",
     "run_bandit",
     "episode_rng",
+    "check_m_points",
+    "outcome_counts",
+    "OUTCOMES",
     "config_to_dict",
     "config_from_dict",
 ]
@@ -128,6 +136,10 @@ class TrainConfig:
         for name in ("learning_rate", "clip_eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -136,11 +148,20 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
+def _known_keys(d: dict, cls, section: str) -> dict:
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config key(s) in '{section}': {', '.join(map(repr, unknown))}")
+    return d
+
+
 def config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    reward = RewardConfig(**d.pop("reward", {}))
-    bounds = EditBounds(**d.pop("bounds", {}))
-    sim = SimParams(**d.pop("sim", {}))
+    """TrainConfig from nested dicts; an unknown key in any section is a
+    ValueError that names it."""
+    d = dict(_known_keys(d, TrainConfig, "train"))
+    reward = RewardConfig(**_known_keys(d.pop("reward", {}), RewardConfig, "train.reward"))
+    bounds = EditBounds(**_known_keys(d.pop("bounds", {}), EditBounds, "train.bounds"))
+    sim = SimParams(**_known_keys(d.pop("sim", {}), SimParams, "train.sim"))
     return TrainConfig(**d, reward=reward, bounds=bounds, sim=sim)
 
 
@@ -177,6 +198,17 @@ def load_assets(hand_path, styles_path, demo_path, objects_dir=None) -> Assets:
             raise FileNotFoundError(f"no .ply objects found in {objects_dir}")
         objects = [load_object(p) for p in paths]
     return Assets.build(spec, styles, demo, objects)
+
+
+def check_m_points(cfg: TrainConfig, assets: Assets) -> None:
+    """Reject an m_points larger than the smallest cloud before any
+    episode runs; otherwise every episode's sampling fails on its own."""
+    smallest = min(assets.objects, key=lambda o: len(o.points))
+    if cfg.m_points > len(smallest.points):
+        raise ValueError(
+            f"m_points {cfg.m_points} exceeds the {len(smallest.points)} points of the smallest cloud "
+            f"({smallest.name!r})"
+        )
 
 
 def episode_rng(seed: int, stream: int, *key) -> np.random.Generator:
@@ -651,6 +683,27 @@ def _index_obs(obs: ObsBatch, sel: np.ndarray) -> ObsBatch:
     )
 
 
+# episode outcomes, in the order metrics.jsonl and the eval report list them
+OUTCOMES = ("ok", "crush", "table_collision", "no_closure", "degenerate", "error")
+
+
+def outcome_counts(results: list[EpisodeResult]) -> dict:
+    """How many episodes ended in each of OUTCOMES: "error" when the
+    episode raised, "ok" on success, else its record's failure_reason
+    (every "degenerate_contacts: ..." reason counts as "degenerate")."""
+    counts = dict.fromkeys(OUTCOMES, 0)
+    for r in results:
+        rec = r.record
+        if rec is None:
+            outcome = "error"
+        elif rec.success:
+            outcome = "ok"
+        else:
+            outcome = rec.failure_reason.split(":")[0].removesuffix("_contacts")
+        counts[outcome] += 1
+    return counts
+
+
 def _batch_stats(batch: Batch) -> dict:
     paired = [(x.record, x.conditioned_style) for x in batch.results if x.record is not None]
     succ = [rec for rec, _ in paired if rec.success]
@@ -661,6 +714,7 @@ def _batch_stats(batch: Batch) -> dict:
         "sad": float(np.mean([r.d_final for r in succ])) if succ else None,
         "sa": len(matches) / len(succ) if succ else None,
         "episode_errors": batch.episode_errors,
+        "outcomes": outcome_counts(batch.results),
     }
 
 
@@ -672,6 +726,7 @@ def train(cfg: TrainConfig, assets: Assets, out_dir) -> dict:
     from .dataio import save_checkpoint
     from .evaluation import evaluate
 
+    check_m_points(cfg, assets)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.jsonl"
@@ -690,10 +745,11 @@ def train(cfg: TrainConfig, assets: Assets, out_dir) -> dict:
             metrics.write(json.dumps(line) + "\n")
             metrics.flush()
             if cfg.eval_every and (it + 1) % cfg.eval_every == 0:
-                m, _ = evaluate(
+                m, results = evaluate(
                     params, cfg, assets, cfg.eval_episodes, seed=cfg.seed, pool=pool
                 )
-                metrics.write(json.dumps({"kind": "eval", "iteration": it, **m.as_dict()}) + "\n")
+                line = {"kind": "eval", "iteration": it, **m.as_dict(), "outcomes": outcome_counts(results)}
+                metrics.write(json.dumps(line) + "\n")
                 metrics.flush()
             if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
                 save_checkpoint(

@@ -129,3 +129,46 @@ def test_reproducible_outputs(tmp_path, capsys):
     ca = (tmp_path / "a" / "checkpoint.json").read_bytes()
     cb = (tmp_path / "b" / "checkpoint.json").read_bytes()
     assert ca == cb
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"seed": 1, "iterations": 5}, "iterations"),
+    ({"seed": 1, "train": {"iteratons": 1}}, "iteratons"),
+    ({"seed": 1, "train": {"reward": {"lambda_afford_x": 1.0}}}, "lambda_afford_x"),
+    ({"seed": 1, "train": {"bounds": {"b_x": 0.1}}}, "b_x"),
+    ({"seed": 1, "train": {"sim": {"friction": 0.5}}}, "friction"),
+])
+def test_unknown_config_key_is_a_named_user_error(tmp_path, capsys, config, key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "unknown config key" in err and "internal error" not in err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
+def test_out_of_range_config_values_are_user_errors(tmp_path, capsys):
+    for train, field in (({"iterations": -3}, "iterations"), ({"workers": 0}, "workers"),
+                         ({"sim": {"mu": 0.0}}, "mu"), ({"m_points": 4000}, "m_points")):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, "train": {"envs_per_iter": 8, "minibatch": 8, **train}}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_eval_report_counts_outcomes(tmp_path, capsys):
+    from fungrasp.dataio import save_checkpoint
+    from fungrasp.policy import init_params
+    from fungrasp.training import OUTCOMES
+
+    ckpt = tmp_path / "init.json"
+    save_checkpoint(init_params(np.random.default_rng(0), 32, 4, 6), {"hand": "inspire_like"}, ckpt)
+    cfg_path = _write_config(tmp_path)
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--episodes", "12", "--out", str(tmp_path / "e")]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    report = json.loads((tmp_path / "e" / "report.json").read_text())
+    assert tuple(report["outcomes"]) == OUTCOMES
+    assert sum(report["outcomes"].values()) == 12
+    assert report["outcomes"]["ok"] == metrics["n_success"]

@@ -1,13 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
-from fungrasp.demo import EditAction, EditBounds
-from fungrasp.geometry import Pose, axis_angle_to_quat, identity_pose, quat_rotate, transform_point
-from fungrasp.hand import HandFrames, forward_kinematics
-from fungrasp.objects import affordance_distribution, make_cylinder, make_sphere
+from contact_reference import dense_nearest, hand_assets, reference_contact_phase, seeded_rollout_inputs
+from fungrasp import sim
+from fungrasp.demo import EditAction
+from fungrasp.geometry import (
+    Pose,
+    axis_angle_to_quat,
+    compose_pose,
+    identity_pose,
+    invert_pose,
+    quat_rotate,
+    transform_point,
+    transform_points,
+)
+from fungrasp.hand import HandFrames
+from fungrasp.objects import make_cylinder, make_sphere
 from fungrasp.sim import (
     Contact,
     ContactError,
@@ -86,7 +100,7 @@ def test_reset_object_rests_on_table(assets):
     dist = assets.afford_dists[obj.name]
     for seed in range(10):
         env = reset_env(obj, dist, assets.styles, np.random.default_rng(seed), True, spec=assets.spec)
-        pts, _ = env.world_cloud()
+        pts = transform_points(env.object_pose, obj.points)
         assert pts[:, 2].min() >= -1e-6
 
 
@@ -339,7 +353,8 @@ def test_grasp_success_batch_matches_one_grasp_calls(objects):
                     r=axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
         env = _env_for(obj, mask=tuple(rng.choice(5, size=int(rng.integers(1, 4)), replace=False)), pose=pose)
         pick = rng.choice(len(obj.points), size=int(rng.integers(1, 6)), replace=False)
-        pts, nrm = env.world_cloud()
+        pts = transform_points(env.object_pose, obj.points)
+        nrm = quat_rotate(env.object_pose.r, obj.normals)
         contact_lists.append([Contact(finger=int(f), point=pts[j], normal=nrm[j], penetration=0.0)
                               for f, j in zip(rng.permutation(5), pick)])
         envs.append(env)
@@ -489,30 +504,12 @@ def test_crush_rule_triggers(box_assets, spec, styles, demo):
     assert rec.failure_reason == "crush"
 
 
-def _hand_assets(hand):
-    from fungrasp.assets import default_demo_path, default_hand_path, default_objects_dir, default_styles_path
-    from fungrasp.training import load_assets
-
-    return load_assets(default_hand_path(hand), default_styles_path(hand),
-                       default_demo_path(hand), default_objects_dir())
-
-
 @pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
 def test_rollout_batch_matches_one_item_rollouts(hand):
     """A batch rollout gives every episode the bits it gets alone."""
-    assets = _hand_assets(hand)
+    assets = hand_assets(hand)
     spec = assets.spec
-    lo, hi = EditBounds().intervals(spec.joint_count)
-    rng = np.random.default_rng(3)
-    envs, actions = [], []
-    for i in range(60):
-        obj = assets.objects[int(rng.integers(len(assets.objects)))]
-        envs.append(reset_env(obj, assets.afford_dists[obj.name], assets.styles, rng, bool(i % 2), spec=spec))
-        if i % 4 == 0:
-            vec = rng.uniform(lo, hi)
-        else:  # small edits of the replay, which often grasp
-            vec = np.clip(np.r_[np.zeros(6 + spec.joint_count), 1.0] + rng.normal(0.0, 0.01, lo.shape), lo, hi)
-        actions.append(EditAction.from_vector(vec, spec.joint_count))
+    envs, actions = seeded_rollout_inputs(assets, 60, seed=3)
     batch = rollout_batch(envs, assets.demo, actions, spec, assets.styles)
     reasons = set()
     for env, action, got in zip(envs, actions, batch):
@@ -529,3 +526,138 @@ def test_rollout_batch_matches_one_item_rollouts(hand):
         reasons.add(want.failure_reason or "ok")
     # the batch reaches the closure LP both ways, and the crush test
     assert {"ok", "no_closure", "crush"} <= reasons
+
+
+# ---------------------------------------------------------------------------
+# nearest-point query and the object-frame contact phase
+# ---------------------------------------------------------------------------
+
+def _random_cloud(rng, n):
+    return rng.normal(scale=0.04, size=(n, 3)) + [0.0, 0.0, 0.05]
+
+
+def test_nearest_matches_kdtree_and_dense_formula():
+    rng = np.random.default_rng(21)
+    for n_pts, n_rows in ((800, 1), (1536, 63), (2250, 700)):
+        pts = _random_cloud(rng, n_pts)
+        centers = _random_cloud(rng, n_rows) * 1.5
+        idx, d = sim._nearest(centers, pts)
+        kd_d, kd_idx = cKDTree(pts).query(centers)
+        dense_idx, dense_d = dense_nearest(centers, pts)
+        assert np.array_equal(idx, kd_idx) and np.array_equal(idx, dense_idx)
+        assert np.allclose(d, kd_d, rtol=0, atol=1e-15)
+        assert np.allclose(d, dense_d, rtol=0, atol=1e-12)
+        # the distance is the exact one of the chosen point
+        assert np.allclose(d, np.linalg.norm(centers - pts[idx], axis=1), rtol=1e-15, atol=0)
+
+
+def test_nearest_row_does_not_depend_on_its_block():
+    """A row gets the same bits alone, in two rows, and at either side of
+    a block boundary (257 rows leave a lone last row)."""
+    rng = np.random.default_rng(5)
+    pts = _random_cloud(rng, 1839)
+    centers = _random_cloud(rng, 257) * 1.2
+    idx, d = sim._nearest(centers, pts)
+    for row in (0, 1, sim._ROW_BLOCK - 1, sim._ROW_BLOCK, 255, 256):
+        one_idx, one_d = sim._nearest(centers[row : row + 1], pts)
+        two_idx, two_d = sim._nearest(centers[[row, (row + 7) % 257]], pts)
+        assert one_idx[0] == two_idx[0] == idx[row]
+        assert one_d[0] == two_d[0] == d[row]
+    for n in (2, 3, sim._ROW_BLOCK + 1, 2 * sim._ROW_BLOCK + 1):
+        sub_idx, sub_d = sim._nearest(centers[:n], pts)
+        assert np.array_equal(sub_idx, idx[:n]) and np.array_equal(sub_d, d[:n])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    axis_angle=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+    shift=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+)
+def test_contacts_invariant_under_a_rigid_move(seed, axis_angle, shift):
+    """Moving the object pose and the sphere centers by one rigid
+    transform picks the same cloud points, fingers and depths."""
+    rng = np.random.default_rng(seed)
+    obj = make_sphere(radius=0.032)
+    pose = Pose(t=np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
+                r=axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
+    move = Pose(t=np.array(shift), r=axis_angle_to_quat(np.array(axis_angle)))
+    # sphere centers in a shell around the object, near enough to touch
+    pick = rng.choice(len(obj.points), size=12, replace=False)
+    local = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.014, (12, 1))
+    radii = np.full(12, 0.01)
+    fingers = np.repeat(np.arange(4), 3)
+    base = _frames(transform_points(pose, local), radii, fingers)
+    moved = _frames(transform_points(compose_pose(move, pose), local), radii, fingers)
+    a = detect_contacts(base, _env_for(obj, pose=pose))
+    b = detect_contacts(moved, _env_for(obj, pose=compose_pose(move, pose)))
+    assert [c.finger for c in a] == [c.finger for c in b]
+    assert a, "the shell puts some sphere in contact"
+    back_a = transform_points(invert_pose(pose), np.array([c.point for c in a]))
+    back_b = transform_points(invert_pose(compose_pose(move, pose)), np.array([c.point for c in b]))
+    idx_a, gap_a = sim._nearest(back_a, obj.points)
+    idx_b, gap_b = sim._nearest(back_b, obj.points)
+    assert np.array_equal(idx_a, idx_b) and gap_a.max() < 1e-12 and gap_b.max() < 1e-12
+    assert np.allclose([c.penetration for c in a], [c.penetration for c in b], rtol=0, atol=1e-12)
+
+
+def _assert_same_record(got, want, penetration_tol):
+    """Every RolloutRecord field bit for bit, except contact depths."""
+    for f in dataclasses.fields(want):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "contacts_at_grasp":
+            assert len(g) == len(w)
+            for a, b in zip(g, w):
+                assert a.finger == b.finger
+                assert np.array_equal(a.point, b.point) and np.array_equal(a.normal, b.normal)
+                assert abs(a.penetration - b.penetration) <= penetration_tol
+        elif f.name == "trajectory":
+            for t in dataclasses.fields(w):
+                assert np.array_equal(getattr(g, t.name), getattr(w, t.name)), t.name
+        elif isinstance(w, np.ndarray):
+            assert np.array_equal(g, w), f.name
+        else:
+            assert g == w, f.name
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_contact_phase_matches_per_episode_world_frame_reference(hand, monkeypatch):
+    """The object-frame contact phase gives the records of the
+    per-episode world-frame one on 640 seeded rollouts; only contact
+    depths may differ, by the rounding of the old expanded distance."""
+    assets = hand_assets(hand)
+    envs, actions = seeded_rollout_inputs(assets, 640, seed=12)
+    got = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
+    monkeypatch.setattr(sim, "_contact_phase", reference_contact_phase)
+    want = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
+    for g, w in zip(got, want):
+        _assert_same_record(g, w, penetration_tol=1e-12)
+    reasons = {w.failure_reason or "ok" for w in want}
+    assert {"ok", "no_closure", "crush", "table_collision"} <= reasons
+    assert sum(len(w.contacts_at_grasp) for w in want) > 640
+
+
+def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
+    obj = objects["mug"]
+    pose = Pose(t=np.array([0.1, -0.05, 0.0]), r=axis_angle_to_quat(np.array([0.0, 0.0, 0.7])))
+    env = _env_for(obj, pose=pose)
+    rng = np.random.default_rng(2)
+    pick = rng.choice(len(obj.points), size=8, replace=False)
+    local = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.01, (8, 1))
+    frames = _frames(transform_points(pose, local), fingers=np.repeat(np.arange(4), 2))
+    _, (want,) = reference_contact_phase([env], frames.centers[None, None], frames.radii, frames.finger_index, 0,
+                                         SimParams())
+    got = detect_contacts(frames, env)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.finger == b.finger
+        assert np.array_equal(a.point, b.point) and np.array_equal(a.normal, b.normal)
+        assert a.penetration == pytest.approx(b.penetration, abs=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta_c", -0.001), ("table_tol", -1e-3), ("eta", -0.1), ("mu", 0.0), ("mu", -0.5), ("crush_factor", 0.0),
+])
+def test_sim_params_reject_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimParams(**{field: value})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fungrasp.policy import init_params, flatten_params
 from fungrasp.rewards import total_reward
 from fungrasp.training import (
+    OUTCOMES,
     AdamState,
     Batch,
     EpisodePool,
@@ -16,6 +18,7 @@ from fungrasp.training import (
     config_from_dict,
     config_to_dict,
     episode_rng,
+    outcome_counts,
     ppo_update,
     run_bandit,
     run_episode,
@@ -160,6 +163,11 @@ def test_train_writes_metrics_and_checkpoint(assets, tmp_path):
     assert len(lines) == 3
     assert all(np.isfinite(l["mean_reward"]) for l in lines)
     assert all(l["kind"] == "train" for l in lines)
+    for line in lines:
+        assert tuple(line["outcomes"]) == OUTCOMES
+        assert sum(line["outcomes"].values()) == cfg.envs_per_iter
+        assert line["outcomes"]["error"] == line["episode_errors"]
+        assert line["outcomes"]["ok"] == round(line["gsr"] * cfg.envs_per_iter)
     assert out["checkpoint_path"].exists()
     from fungrasp.dataio import load_checkpoint
 
@@ -171,6 +179,45 @@ def test_config_round_trip():
     cfg = TrainConfig(seed=9, envs_per_iter=32, minibatch=16)
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
+
+
+@pytest.mark.parametrize("field, value", [("iterations", -3), ("workers", 0)])
+def test_train_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_m_points_beyond_the_smallest_cloud_fails_before_any_episode(assets, tmp_path, monkeypatch):
+    import fungrasp.training as tr
+    from fungrasp.evaluation import evaluate
+
+    smallest = min(len(o.points) for o in assets.objects)
+    cfg = TrainConfig(envs_per_iter=8, minibatch=8, iterations=1, m_points=smallest + 1, seed=3)
+
+    def no_episodes(*a, **k):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(tr, "run_episodes", no_episodes)
+    with pytest.raises(ValueError, match="m_points"):
+        train(cfg, assets, tmp_path / "run")
+    params = init_params(episode_rng(3, 4), cfg.m_points, len(assets.styles), assets.spec.joint_count)
+    with pytest.raises(ValueError, match="m_points"):
+        evaluate(params, cfg, assets, 4, seed=3)
+    assert not (tmp_path / "run").exists()
+
+
+def test_outcome_counts_cover_every_result(assets, tiny_cfg, tiny_params):
+    batch = collect_batch(tiny_params, tiny_cfg, assets, 0)
+    broken = dataclasses.replace(batch.results[0], record=None, error="synthetic")
+    degenerate = dataclasses.replace(
+        batch.results[1],
+        record=dataclasses.replace(batch.results[1].record, success=False,
+                                   failure_reason="degenerate_contacts: non-finite contact geometry"),
+    )
+    counts = outcome_counts([broken, degenerate, *batch.results[2:]])
+    assert tuple(counts) == OUTCOMES
+    assert counts["error"] == 1 and counts["degenerate"] >= 1
+    assert sum(counts.values()) == len(batch.results)
 
 
 def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkeypatch):

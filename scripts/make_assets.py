@@ -24,9 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fungrasp.demo import Demonstration, EditAction, save_demo, load_demo
 from fungrasp.geometry import Pose, identity_pose
-from fungrasp.hand import forward_kinematics, load_hand_spec, load_styles
+from fungrasp.hand import forward_kinematics_batch, load_hand_spec, load_styles
 from fungrasp.objects import save_object_ply, toy_suite
-from fungrasp.sim import EnvCondition, EnvState, rollout, SimParams
+from fungrasp.sim import EnvCondition, EnvState, SimParams, rollout_batch
 
 RY90 = [np.cos(np.pi / 4), 0.0, np.sin(np.pi / 4), 0.0]  # R_y(90 deg): local +x -> world -z
 
@@ -138,9 +138,13 @@ def shadow_like_hand() -> dict:
 # Numeric style solving: flexion angle that puts a fingertip at a target x
 # ---------------------------------------------------------------------------
 
-def _tip_x(spec, q, finger):
-    frames = forward_kinematics(spec, identity_pose(), q)
-    return frames.fingertips[finger][0]
+def _fingertips(spec, q):
+    """(B, F, 3) fingertips of a (B, J) stack of joint vectors, wrist at
+    the identity."""
+    q = np.asarray(q, dtype=float)
+    wrist = identity_pose()
+    _, tips = forward_kinematics_batch(spec, np.tile(wrist.t, (len(q), 1)), np.tile(wrist.r, (len(q), 1)), q)
+    return tips
 
 
 def solve_flexion(spec, base_q, finger, flex_joints, target_x, toward_neg: bool):
@@ -150,13 +154,16 @@ def solve_flexion(spec, base_q, finger, flex_joints, target_x, toward_neg: bool)
     scan for the first bracketing interval and bisect inside it.
     """
 
+    def tips(angles):
+        q = np.tile(np.asarray(base_q, dtype=float), (len(angles), 1))
+        q[:, list(flex_joints)] = np.asarray(angles)[:, None]
+        return _fingertips(spec, q)[:, finger, 0]
+
     def tip(a):
-        q = np.array(base_q)
-        q[list(flex_joints)] = a
-        return _tip_x(spec, q, finger)
+        return tips([a])[0]
 
     grid = np.linspace(0.0, 1.2, 241)
-    vals = [tip(a) for a in grid]
+    vals = tips(grid)
     lo_a = hi_a = None
     for i in range(len(grid) - 1):
         if (vals[i] - target_x) * (vals[i + 1] - target_x) <= 0:
@@ -269,7 +276,7 @@ def build_demo(spec, style0_q, q_open, contact_z_finger=0.034) -> Demonstration:
     q_grasp = np.array(style0_q)
     # wrist height: put the middle finger's tip at the contact height
     mid = 2
-    tip_z_rel = forward_kinematics(spec, identity_pose(), q_grasp).fingertips[mid][2]
+    tip_z_rel = _fingertips(spec, q_grasp[None])[0, mid, 2]
     wrist_z = contact_z_finger - tip_z_rel
     poses, joints = [], []
     for t in range(T_D + 1):
@@ -297,7 +304,7 @@ def replay_success(spec, styles, demo, obj, style_index=0) -> tuple[bool, str]:
             contact_mask=style.contact_mask,
         ),
     )
-    rec = rollout(env, demo, EditAction.identity(spec.joint_count), spec, styles, SimParams())
+    (rec,) = rollout_batch([env], demo, [EditAction.identity(spec.joint_count)], spec, styles, SimParams())
     return rec.success, rec.failure_reason or "ok"
 
 

@@ -1,72 +1,8 @@
 """Desk-scale laboratory for affordance- and style-conditioned dexterous
-grasping, learned by editing a single demonstration with one-step PPO."""
+grasping, learned by editing a single demonstration with one-step PPO.
+
+Import what you need from its modules (fungrasp.training,
+fungrasp.evaluation, fungrasp.sim, ...); the package itself exports
+nothing else."""
 
 __version__ = "0.1.0"
-
-from .geometry import (
-    AxisAngle,
-    Pose,
-    axis_angle_to_quat,
-    compose_pose,
-    identity_pose,
-    invert_pose,
-    quat_to_axis_angle,
-    transform_point,
-    transform_points,
-)
-from .hand import (
-    HandFrames,
-    HandSpec,
-    Style,
-    classify_style,
-    clamp_to_limits,
-    forward_kinematics,
-    load_hand_spec,
-    load_styles,
-)
-from .objects import (
-    AffordanceDistribution,
-    AffordanceParams,
-    ObjectModel,
-    affordance_distribution,
-    farthest_point_sample,
-    load_object,
-    sample_affordance,
-    toy_suite,
-)
-from .demo import (
-    Demonstration,
-    EditAction,
-    EditBounds,
-    disturb_style,
-    edit_wrist,
-    interpolate_joints,
-    interpolation_fraction,
-    load_demo,
-    target_joint_config,
-)
-from .sim import (
-    Contact,
-    EnvState,
-    RolloutRecord,
-    SimParams,
-    check_table_collision,
-    detect_contacts,
-    grasp_success,
-    reset_env,
-    rollout,
-    style_contact_point,
-)
-from .rewards import RewardConfig, RewardTerms, afford_reward, close_reward, qpos_reward, total_reward
-from .policy import (
-    ObservationVector,
-    PolicyParams,
-    action_log_prob,
-    encode_observation,
-    init_params,
-    policy_forward,
-    sample_action,
-)
-from .training import Assets, TrainConfig, collect_batch, finite_diff_check, load_assets, ppo_update, run_bandit, train
-from .evaluation import Metrics, ablation_run, evaluate, pairwise_style_diversity, random_baseline
-from .dataio import CameraModel, default_cameras, export_rollouts, load_checkpoint, project_affordance, save_checkpoint, unproject

@@ -24,8 +24,8 @@ from . import assets as bundled
 from .dataio import CheckpointError, default_cameras, export_rollouts, load_checkpoint, save_checkpoint
 from .demo import DemoError, load_demo
 from .hand import HandError, load_hand_spec
-from .objects import ObjectError, affordance_distribution, load_object, sample_affordance_index, toy_suite
-from .policy import init_params, PolicyError
+from .objects import ObjectError, affordance_distribution, sample_affordance_index
+from .policy import ObsBatch, PolicyError, init_params
 from .training import (
     Assets,
     TrainConfig,
@@ -34,6 +34,7 @@ from .training import (
     episode_rng,
     finite_diff_check,
     load_assets,
+    load_objects,
     train,
 )
 
@@ -151,8 +152,8 @@ def cmd_eval(args) -> int:
     if ckpt is None:
         raise ValueError("eval needs --checkpoint (or config 'checkpoint')")
     params, _ = load_checkpoint(
-        ckpt, expect_hand=assets.spec.name,
-        expect_style_count=len(assets.styles), expect_m_points=cfg.m_points,
+        ckpt, expect_hand=assets.spec.name, expect_style_count=len(assets.styles),
+        expect_m_points=cfg.m_points, expect_joint_count=assets.spec.joint_count,
     )
     n = int(_resolve(args, cfg_file, "episodes", 200))
     metrics, results = evaluate(
@@ -200,8 +201,8 @@ def cmd_collect(args) -> int:
     if ckpt is None:
         raise ValueError("collect needs --checkpoint (or config 'checkpoint')")
     params, _ = load_checkpoint(
-        ckpt, expect_hand=assets.spec.name,
-        expect_style_count=len(assets.styles), expect_m_points=cfg.m_points,
+        ckpt, expect_hand=assets.spec.name, expect_style_count=len(assets.styles),
+        expect_m_points=cfg.m_points, expect_joint_count=assets.spec.joint_count,
     )
     n = int(_resolve(args, cfg_file, "episodes", 200))
     _, results = evaluate(params, cfg, assets, n, seed=cfg.seed)
@@ -216,14 +217,7 @@ def cmd_collect(args) -> int:
 def cmd_sample_affordance(args) -> int:
     cfg_file = _load_config_file(args.config)
     seed = _require_seed(args, cfg_file)
-    objects_dir = _resolve(args, cfg_file, "objects")
-    if objects_dir is None:
-        objs = toy_suite()
-    else:
-        paths = sorted(Path(objects_dir).glob("*.ply"))
-        if not paths:
-            raise FileNotFoundError(f"no .ply objects found in {objects_dir}")
-        objs = {p.stem: load_object(p) for p in paths}
+    objs = {o.name: o for o in load_objects(_resolve(args, cfg_file, "objects"))}
     name = args.object or sorted(objs)[0]
     if name not in objs:
         raise ValueError(f"object {name!r} not found; have {sorted(objs)}")
@@ -265,11 +259,9 @@ def cmd_check_gradients(args) -> int:
     cfg_file = _load_config_file(args.config)
     seed = _require_seed(args, cfg_file)
     rng = episode_rng(seed, 7)
-    from .policy import ObservationVector, stack_observations  # noqa: F401
-
     m_points, style_count, joint_count = 16, 4, 6
     params = init_params(rng, m_points, style_count, joint_count)
-    obs = [_random_obs(rng, m_points, style_count) for _ in range(4)]
+    obs = ObsBatch.concat([_random_obs(rng, m_points, style_count) for _ in range(4)])
     err = finite_diff_check(params, obs, rng, n_params=int(args.params))
     ok = err < GRADIENT_GATE
     print(json.dumps({"max_relative_error": err, "gate": GRADIENT_GATE, "pass": bool(ok)}))
@@ -277,17 +269,16 @@ def cmd_check_gradients(args) -> int:
 
 
 def _random_obs(rng, m_points, style_count):
-    from .policy import ObservationVector
-
-    one_hot = np.zeros(style_count)
-    one_hot[rng.integers(style_count)] = 1.0
-    return ObservationVector(
-        s_r=rng.normal(size=7),
-        s_o=rng.normal(size=7),
-        cloud=rng.normal(size=(m_points, 6)),
-        p_afford_rel=rng.normal(size=3),
+    """One random observation, as a batch of one."""
+    one_hot = np.zeros((1, style_count))
+    one_hot[0, rng.integers(style_count)] = 1.0
+    return ObsBatch(
+        s_r=rng.normal(size=(1, 7)),
+        s_o=rng.normal(size=(1, 7)),
+        cloud=rng.normal(size=(1, m_points, 6)),
+        p_afford_rel=rng.normal(size=(1, 3)),
         l_style=one_hot,
-        obj_bb=float(rng.uniform(0.05, 0.3)),
+        obj_bb=rng.uniform(0.05, 0.3, size=(1, 1)),
     )
 
 

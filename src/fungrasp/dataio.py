@@ -80,14 +80,6 @@ class CameraModel:
             "extrinsic": {"t": list(self.extrinsic.t), "r": list(self.extrinsic.r)},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraModel":
-        return cls(
-            fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-            width=d.get("width", 256), height=d.get("height", 256),
-            extrinsic=Pose(t=np.array(d["extrinsic"]["t"]), r=np.array(d["extrinsic"]["r"])),
-        )
-
 
 def project_affordance(cam: CameraModel, p_world):
     """Project a world point to (u, v, depth); None when behind the camera."""
@@ -175,7 +167,7 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, success_onl
                 if traj is None:
                     raise ExportError(f"episode {ep.index} has no retained trajectory")
                 terms = ep.record.reward_terms
-                poses = traj.poses
+                poses = [Pose(t=t, r=r) for t, r in zip(traj.pose_t, traj.pose_r)]
                 horizon = len(poses) - 1
                 cam_views = {}
                 for name, cam in cameras.items():
@@ -245,7 +237,8 @@ def save_checkpoint(params: PolicyParams, meta: dict, path) -> None:
 
 
 def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: int | None = None,
-                    expect_m_points: int | None = None) -> tuple[PolicyParams, dict]:
+                    expect_m_points: int | None = None,
+                    expect_joint_count: int | None = None) -> tuple[PolicyParams, dict]:
     """Load and validate a checkpoint; rejects shape/identity mismatches."""
     path = Path(path)
     try:
@@ -260,6 +253,7 @@ def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: in
         (payload.get("hand"), expect_hand, "hand"),
         (payload.get("style_count"), expect_style_count, "style_count"),
         (payload.get("m_points"), expect_m_points, "m_points"),
+        (payload.get("joint_count"), expect_joint_count, "joint_count"),
     ):
         if want is not None and got != want:
             raise CheckpointError(f"{path}: checkpoint {label}={got!r}, configured {label}={want!r}")

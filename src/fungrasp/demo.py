@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import AxisAngle, Pose, axis_angle_to_quat, compose_pose
+from .geometry import AxisAngle, Pose, axis_angle_to_quat, compose_pose, quat_mul, quat_normalize, quat_rotate
 from .hand import HandSpec, clamp_to_limits
 
 log = logging.getLogger(__name__)
@@ -31,9 +31,8 @@ __all__ = [
     "save_demo",
     "target_joint_config",
     "interpolation_fraction",
-    "interpolate_joints",
     "edited_joint_trajectory",
-    "edit_wrist",
+    "edit_wrist_arrays",
     "disturb_style",
     "STATIC_JOINT_TOL",
 ]
@@ -84,6 +83,13 @@ class EditBounds:
     b_q: float = 0.3           # radians per joint residual
     k_min: float = 0.6
     k_max: float = 1.4
+
+    def __post_init__(self):
+        for name in ("b_t", "b_r", "b_q"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"bounds.{name} must be >= 0, got {getattr(self, name)}")
+        if self.k_min > self.k_max:
+            raise ValueError(f"bounds.k_min must be <= bounds.k_max, got {self.k_min} > {self.k_max}")
 
     def intervals(self, joint_count: int) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) per action dimension, layout [dt(3), dr(3), dq(J), k].
@@ -145,10 +151,6 @@ class EditedTrajectory:
     style_index: int
     p_afford: np.ndarray       # object frame
     q_star: np.ndarray
-
-    @property
-    def poses(self) -> tuple[Pose, ...]:
-        return tuple(Pose(t=t, r=r) for t, r in zip(self.pose_t, self.pose_r))
 
 
 def load_demo(path, spec: HandSpec) -> Demonstration:
@@ -214,8 +216,8 @@ def interpolation_fraction(q0, qT, q_star):
     q_star may be a (E, J) stack; f then has one row per target.
 
     Joints the reference never moves (|qT - q0| < STATIC_JOINT_TOL) get
-    f = 0 and static[j] = True; interpolate_joints ramps those joints
-    linearly instead. f is deliberately not clamped: extrapolation past
+    f = 0 and static[j] = True; edited_joint_trajectory ramps those
+    joints linearly instead. f is deliberately not clamped: extrapolation past
     the reference excursion is allowed, joint limits apply later.
     """
     q0 = np.asarray(q0, dtype=float)
@@ -227,13 +229,6 @@ def interpolation_fraction(q0, qT, q_star):
     f = np.zeros(q_star.shape)
     f[..., move] = (q_star[..., move] - q0[move]) / span[move]
     return f, static
-
-
-def interpolate_joints(demo: Demonstration, f, t: int, q_star, spec: HandSpec) -> np.ndarray:
-    """Joint vector at frame t of the edited trajectory (clamped)."""
-    if not (0 <= t <= demo.horizon):
-        raise DemoError(f"frame {t} outside 0..{demo.horizon}")
-    return edited_joint_trajectory(demo, q_star, spec)[t]
 
 
 def edited_joint_trajectory(demo: Demonstration, q_star, spec: HandSpec) -> np.ndarray:
@@ -265,30 +260,20 @@ def edited_joint_trajectory(demo: Demonstration, q_star, spec: HandSpec) -> np.n
 
 
 def edit_wrist_arrays(demo: Demonstration, actions, object_poses):
-    """Vectorized edit_wrist over E episodes: ((E, T_D + 1, 3)
-    translations, (E, T_D + 1, 4) quats).
+    """World-frame end-effector poses object_pose o dT o p_t of E
+    episodes: ((E, T_D + 1, 3) translations, (E, T_D + 1, 4) quats).
 
+    The edit is a single rigid offset in the object frame applied to the
+    whole object-centric trajectory, so the approach shape is preserved.
     Each episode's prefix pose is composed on its own; the per-frame
     products are element-wise, so every row has the single-episode bits.
     """
-    from .geometry import quat_mul, quat_normalize, quat_rotate
-
     prefixes = [compose_pose(p, a.pose()) for a, p in zip(actions, object_poses)]
     prefix_t = np.stack([p.t for p in prefixes])[:, None, :]
     prefix_r = np.stack([p.r for p in prefixes])[:, None, :]
     t = prefix_t + quat_rotate(prefix_r, demo.pose_t)
     r = quat_normalize(quat_mul(prefix_r, demo.pose_r))
     return t, r
-
-
-def edit_wrist(demo: Demonstration, action: EditAction, object_pose: Pose) -> list[Pose]:
-    """World-frame end-effector poses: object_pose o dT o p_t per frame.
-
-    The edit is a single rigid offset in the object frame applied to the
-    whole object-centric trajectory, so the approach shape is preserved.
-    """
-    t, r = edit_wrist_arrays(demo, [action], [object_pose])
-    return [Pose(t=ti, r=ri) for ti, ri in zip(t[0], r[0])]
 
 
 def disturb_style(style_q, sigma: float, rng: np.random.Generator, spec: HandSpec) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Metrics (GSR, SAD, SD, SA), ablations, and the random-action baseline.
+"""Metrics (GSR, SAD, SD, SA) and ablations.
 
 Evaluation is deterministic given its seed: actions are taken at the
 squashed policy mean unless the stochastic flag is set, and episodes are
-keyed by (seed, episode index) exactly like training rollouts.
+keyed by (seed, episode index) exactly like training rollouts. The
+random-action baseline is evaluate(..., mode="random"): uniform actions
+within the bounds, the same episodes and the same metrics.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import config_digest
 from .hand import normalize_joints
-from .policy import PolicyParams, init_params
+from .policy import PolicyParams
 from .rewards import RewardConfig
 from .training import (
     STREAM_EVAL,
@@ -25,7 +28,6 @@ from .training import (
     TrainConfig,
     check_m_points,
     config_to_dict,
-    episode_rng,
     outcome_counts,
     run_episodes,
     train,
@@ -40,7 +42,6 @@ __all__ = [
     "pairwise_style_diversity",
     "compute_metrics",
     "ablation_run",
-    "random_baseline",
     "ABLATION_COMPONENTS",
     "STRICT_AFFORD_RADIUS",
     "write_episode_rows",
@@ -212,8 +213,11 @@ def evaluate(
 ) -> tuple[Metrics, list[EpisodeResult]]:
     """Run N conditioned evaluation episodes and aggregate metrics.
 
-    With exhaustive_styles each episode replays every style candidate
-    (identical environment otherwise) and keeps the best outcome.
+    mode overrides the action choice (policy | mean | random | identity);
+    with "random" the actions, and so the metrics, do not depend on
+    params. With exhaustive_styles each episode replays every style
+    candidate (identical environment otherwise) and keeps the best
+    outcome.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
@@ -245,30 +249,6 @@ def evaluate(
             pool.close()
     rows = [_row_from_result(r) for r in results]
     return compute_metrics(rows, assets.spec, strict, baseline_sd), results
-
-
-def random_baseline(
-    cfg: TrainConfig, assets: Assets, n_episodes: int, seed: int,
-    *, strict: bool = False, pool: EpisodePool | None = None,
-) -> tuple[Metrics, list[EpisodeResult]]:
-    """Uniform-within-bounds actions through the same metrics pipeline."""
-    check_m_points(cfg, assets)
-    params = init_params(
-        episode_rng(seed, STREAM_EVAL, 999), cfg.m_points, len(assets.styles),
-        assets.spec.joint_count,
-    )
-    own_pool = pool is None
-    if own_pool:
-        pool = EpisodePool(cfg.workers, assets)
-    try:
-        results = pool.run(
-            params, cfg, seed, (STREAM_EVAL,), n_episodes, train_mode=False, mode="random"
-        )
-    finally:
-        if own_pool:
-            pool.close()
-    rows = [_row_from_result(r) for r in results]
-    return compute_metrics(rows, assets.spec, strict), results
 
 
 @dataclass(frozen=True)
@@ -326,8 +306,6 @@ def write_episode_rows(rows: list[EpisodeRow], path) -> None:
 def write_report(metrics: Metrics, cfg: TrainConfig, rows_path, path, results: list[EpisodeResult]) -> None:
     """report.json: the metrics, the episodes' outcome counts, the
     config digest and where the per-episode rows are."""
-    from .dataio import config_digest
-
     report = {
         "metrics": metrics.as_dict(),
         "outcomes": outcome_counts(results),

@@ -22,7 +22,6 @@ __all__ = [
     "compose_pose",
     "invert_pose",
     "transform_point",
-    "transform_points",
     "axis_angle_to_quat",
     "quat_to_axis_angle",
     "quat_mul",
@@ -192,13 +191,8 @@ def invert_pose(p: Pose) -> Pose:
 
 
 def transform_point(p: Pose, x) -> np.ndarray:
-    """Apply pose p to a single 3-vector."""
+    """Apply pose p to a 3-vector or an (N, 3) array of points."""
     return quat_rotate(p.r, np.asarray(x, dtype=float)) + p.t
-
-
-def transform_points(p: Pose, xs) -> np.ndarray:
-    """Apply pose p to an (N, 3) array of points."""
-    return quat_rotate(p.r, np.asarray(xs, dtype=float)) + p.t
 
 
 def axis_angle_to_quat(v) -> np.ndarray:

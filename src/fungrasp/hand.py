@@ -26,10 +26,8 @@ __all__ = [
     "Coupling",
     "HandSpec",
     "Style",
-    "HandFrames",
     "load_hand_spec",
     "load_styles",
-    "forward_kinematics",
     "forward_kinematics_batch",
     "clamp_to_limits",
     "classify_style",
@@ -91,28 +89,6 @@ class Style:
     index: int
     q_canonical: np.ndarray     # (J,), within limits
     contact_mask: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HandFrames:
-    """World-frame collision geometry of one hand configuration."""
-
-    wrist: Pose
-    centers: np.ndarray        # (K, 3) sphere centers, chain order
-    radii: np.ndarray          # (K,)
-    finger_index: np.ndarray   # (K,) which chain each sphere belongs to
-    segment_index: np.ndarray  # (K,)
-    fingertips: np.ndarray     # (F, 3) last sphere center per chain
-
-    def spheres(self):
-        """Iterate (finger, segment, center, radius) tuples."""
-        for i in range(len(self.radii)):
-            yield (
-                int(self.finger_index[i]),
-                int(self.segment_index[i]),
-                self.centers[i],
-                float(self.radii[i]),
-            )
 
 
 def _build_spec(name, fingers, couplings) -> HandSpec:
@@ -324,21 +300,6 @@ def sphere_metadata(spec: HandSpec):
             fidx.append(fi)
             sidx.append(si)
     return np.array(radii), np.array(fidx), np.array(sidx)
-
-
-def forward_kinematics(spec: HandSpec, wrist: Pose, q) -> HandFrames:
-    """World-frame sphere centers and fingertips for one configuration."""
-    q = np.asarray(q, dtype=float)
-    centers, tips = forward_kinematics_batch(spec, wrist.t[None], wrist.r[None], q[None])
-    radii, fidx, sidx = sphere_metadata(spec)
-    return HandFrames(
-        wrist=wrist,
-        centers=centers[0],
-        radii=radii,
-        finger_index=fidx,
-        segment_index=sidx,
-        fingertips=tips[0],
-    )
 
 
 def normalize_joints(spec: HandSpec, q) -> np.ndarray:

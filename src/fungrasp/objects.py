@@ -24,7 +24,6 @@ __all__ = [
     "load_object",
     "save_object_ply",
     "affordance_distribution",
-    "sample_affordance",
     "sample_affordance_index",
     "farthest_point_sample",
     "make_box",
@@ -255,11 +254,6 @@ def sample_affordance_index(dist: AffordanceDistribution, rng: np.random.Generat
     cdf = np.cumsum(dist.weights)
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, len(dist.weights) - 1)
-
-
-def sample_affordance(dist: AffordanceDistribution, obj: ObjectModel, rng: np.random.Generator) -> np.ndarray:
-    """Sample an affordance point (object frame) from the distribution."""
-    return obj.points[sample_affordance_index(dist, rng)].copy()
 
 
 def farthest_point_sample(points, m: int, seed: int) -> np.ndarray:

@@ -6,6 +6,11 @@ an actor trunk maps the concatenated observation to a Gaussian action
 head (state-independent log-std), and a separate value path shares no
 trunk parameters with the actor. Reverse-mode gradients are written out
 by hand and gated against finite differences by the trainer.
+
+Observations only exist as an ObsBatch: an episode encodes a batch of
+one, collection concatenates them, and the update indexes minibatch rows
+out of the result. Log-probabilities are always taken of the stored raw
+(pre-squash) samples, so no squashed action is ever inverted.
 """
 
 from __future__ import annotations
@@ -22,12 +27,10 @@ from .sim import EnvState
 
 __all__ = [
     "PolicyError",
-    "ObservationVector",
     "ObsBatch",
     "PolicyParams",
     "ActionSample",
     "encode_observation",
-    "stack_observations",
     "init_params",
     "policy_forward",
     "policy_backward",
@@ -35,10 +38,8 @@ __all__ = [
     "flatten_params",
     "unflatten_params",
     "squash",
-    "unsquash",
     "gaussian_log_prob",
     "sample_action",
-    "action_log_prob",
     "entropy",
     "LOG_STD_MIN",
     "LOG_STD_MAX",
@@ -58,27 +59,27 @@ class PolicyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ObservationVector:
-    s_r: np.ndarray            # (7,) initial end-effector pose (t, quat)
-    s_o: np.ndarray            # (7,) object pose
-    cloud: np.ndarray          # (M, 6) centered/scaled FPS points + normals
-    p_afford_rel: np.ndarray   # (3,) affordance relative to centroid, / obj_bb
-    l_style: np.ndarray        # (S,) one-hot
-    obj_bb: float
-
-
-@dataclass(frozen=True)
 class ObsBatch:
-    s_r: np.ndarray            # (B, 7)
-    s_o: np.ndarray            # (B, 7)
-    cloud: np.ndarray          # (B, M, 6)
-    p_afford_rel: np.ndarray   # (B, 3)
-    l_style: np.ndarray        # (B, S)
+    """B observations; one episode's observation is a batch of one."""
+
+    s_r: np.ndarray            # (B, 7) initial end-effector pose (t, quat)
+    s_o: np.ndarray            # (B, 7) object pose
+    cloud: np.ndarray          # (B, M, 6) centered/scaled FPS points + normals
+    p_afford_rel: np.ndarray   # (B, 3) affordance relative to centroid, / obj_bb
+    l_style: np.ndarray        # (B, S) one-hot
     obj_bb: np.ndarray         # (B, 1)
 
     @property
     def size(self) -> int:
         return self.s_r.shape[0]
+
+    def __getitem__(self, sel) -> "ObsBatch":
+        """The rows `sel` (an index array or a slice) picks."""
+        return ObsBatch(**{f.name: getattr(self, f.name)[sel] for f in fields(self)})
+
+    @classmethod
+    def concat(cls, batches) -> "ObsBatch":
+        return cls(**{f.name: np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)})
 
 
 def encode_observation(
@@ -89,8 +90,9 @@ def encode_observation(
     m_points: int,
     fps_seed: int,
     fps_cache: dict,
-) -> ObservationVector:
-    """Deterministic observation encoding for one reset environment.
+) -> ObsBatch:
+    """Deterministic observation encoding for one reset environment, as a
+    batch of one.
 
     Cloud points are FPS-subsampled once per (object, M, seed), centered
     on the centroid, and scaled by 1/obj_bb so the encoding is invariant
@@ -110,29 +112,18 @@ def encode_observation(
     ee0 = compose_pose(env.object_pose, demo.poses[0])
     one_hot = np.zeros(len(styles))
     one_hot[env.condition.style_index] = 1.0
-    obs = ObservationVector(
-        s_r=np.concatenate([ee0.t, ee0.r]),
-        s_o=np.concatenate([env.object_pose.t, env.object_pose.r]),
-        cloud=cloud,
-        p_afford_rel=(env.condition.p_afford - obj.centroid) * scale,
-        l_style=one_hot,
-        obj_bb=float(obj.obj_bb),
+    obs = ObsBatch(
+        s_r=np.concatenate([ee0.t, ee0.r])[None],
+        s_o=np.concatenate([env.object_pose.t, env.object_pose.r])[None],
+        cloud=cloud[None],
+        p_afford_rel=((env.condition.p_afford - obj.centroid) * scale)[None],
+        l_style=one_hot[None],
+        obj_bb=np.array([[obj.obj_bb]], dtype=float),
     )
     for name in ("s_r", "s_o", "cloud", "p_afford_rel", "l_style"):
         if not np.all(np.isfinite(getattr(obs, name))):
             raise PolicyError(f"non-finite observation field {name}")
     return obs
-
-
-def stack_observations(obs_list: list[ObservationVector]) -> ObsBatch:
-    return ObsBatch(
-        s_r=np.stack([o.s_r for o in obs_list]),
-        s_o=np.stack([o.s_o for o in obs_list]),
-        cloud=np.stack([o.cloud for o in obs_list]),
-        p_afford_rel=np.stack([o.p_afford_rel for o in obs_list]),
-        l_style=np.stack([o.l_style for o in obs_list]),
-        obj_bb=np.array([[o.obj_bb] for o in obs_list]),
-    )
 
 
 @dataclass
@@ -386,19 +377,6 @@ def squash(raw, lo, hi) -> np.ndarray:
     return center + half * np.tanh(raw)
 
 
-def unsquash(action, lo, hi, interior: float = 1e-6):
-    """Invert squash; actions on the bound are pulled 'interior' inside.
-
-    Returns (raw, n_clamped) so callers can flag boundary actions.
-    """
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    u = (np.asarray(action, dtype=float) - center) / half
-    clipped = np.clip(u, -1.0 + interior, 1.0 - interior)
-    n_clamped = int(np.sum(clipped != u))
-    return np.arctanh(clipped), n_clamped
-
-
 def gaussian_log_prob(mean, log_std, raw):
     """Sum log N(raw; mean, exp(log_std)) over the last axis.
 
@@ -455,26 +433,6 @@ def log_prob_of_raw(mean, log_std, raw, bounds: EditBounds, joint_count: int):
     lo, hi = bounds.intervals(joint_count)
     logp, d_mean, d_log_std = gaussian_log_prob(mean, log_std, raw)
     return logp - squash_correction(raw, lo, hi), d_mean, d_log_std
-
-
-def action_log_prob(
-    params: PolicyParams,
-    obs: ObservationVector,
-    action: EditAction,
-    bounds: EditBounds,
-) -> float:
-    """Density of a squashed action under the current policy."""
-    lo, hi = bounds.intervals(params.joint_count)
-    raw, n_clamped = unsquash(action.to_vector(), lo, hi)
-    if n_clamped:
-        import logging
-
-        logging.getLogger(__name__).debug(
-            "action_log_prob: %d component(s) clamped to the bound interior", n_clamped
-        )
-    mean, log_std, _, _ = policy_forward(params, stack_observations([obs]))
-    logp, _, _ = gaussian_log_prob(mean[0], log_std, raw)
-    return float(logp - squash_correction(raw, lo, hi))
 
 
 def entropy(log_std: np.ndarray) -> float:

@@ -37,6 +37,8 @@ class RewardConfig:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.close_threshold <= 0:
             raise ValueError(f"close_threshold must be > 0, got {self.close_threshold}")
+        if self.fixed_clip_radius <= 0:
+            raise ValueError(f"fixed_clip_radius must be > 0, got {self.fixed_clip_radius}")
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,17 @@ epsilon-perturbed force-closure feasibility check at the grasp frame.
 That trades the lift test a physics engine would run for something
 deterministic, fast, and checkable against analytic grasps.
 
-rollout_batch scores E episodes at once, and rollout, grasp_success
-and feasible_combination are its one-item cases. Joint targets, joint
-trajectories, wrist edits and FK run once over all E x (T_D + 1) frames.
-The contact phase then works in each episode's object frame: one inverse
-rotation maps the sphere centers of frames 0..T_l (nothing reads later
-frames) into it, a bounding-box test drops spheres too far from the
-cloud to matter, and one _nearest call per object answers the kept
-spheres of every episode on that object. Only the selected grasp-frame
-points and normals go back to the world frame. The seven closure LPs of
-every grasp that passes the crush, table and two-mask-finger gates run
-as one stacked simplex.
+rollout_batch scores E episodes at once; one episode is a batch of
+one. Joint targets, joint trajectories, wrist edits and FK run once over
+all E x (T_D + 1) frames. The contact phase (detect_contacts) then works
+in each episode's object frame: one inverse rotation maps the sphere
+centers of frames 0..T_l (nothing reads later frames) into it, a
+bounding-box test drops spheres too far from the cloud to matter, and
+one _nearest call per object answers the kept spheres of every episode
+on that object. Only the selected grasp-frame points and normals go
+back to the world frame. The seven closure LPs of every grasp that
+passes the crush, table and two-mask-finger gates run as one stacked
+simplex (grasp_success_batch, feasible_combination_batch).
 
 Determinism: every batched step is element-wise or keeps each row's or
 episode's own reductions (each query row's own argmin, the per-grasp
@@ -36,7 +36,7 @@ import numpy as np
 
 from .demo import Demonstration, EditAction, edited_joint_trajectory, disturb_style, target_joint_config
 from .geometry import Pose, axis_angle_to_quat, quat_conjugate, quat_rotate, transform_point
-from .hand import HandFrames, HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
+from .hand import HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
 
 log = logging.getLogger(__name__)
@@ -52,11 +52,8 @@ __all__ = [
     "detect_contacts",
     "style_contact_point",
     "check_table_collision",
-    "grasp_success",
     "grasp_success_batch",
-    "feasible_combination",
     "feasible_combination_batch",
-    "rollout",
     "rollout_batch",
 ]
 
@@ -199,9 +196,10 @@ def _nearest(centers: np.ndarray, pts: np.ndarray):
     return idx, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _contact_phase(envs: list[EnvState], centers: np.ndarray, radii, finger_index, tl: int, params: SimParams):
-    """Crush test over frames 0..tl-1 and contacts at frame tl, for the
-    (E, > tl, K, 3) world-frame sphere centers of E episodes.
+def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_index, tl: int, params: SimParams):
+    """Crush test over frames 0..tl-1 and sphere-vs-cloud contacts at
+    frame tl, for the (E, > tl, K, 3) world-frame sphere centers of E
+    episodes.
 
     Returns (crushed (E,) bools, per-episode contact lists, one
     deepest contact per finger within the shell radius + params.delta_c).
@@ -259,39 +257,24 @@ def _contact_phase(envs: list[EnvState], centers: np.ndarray, radii, finger_inde
     return [bool(c) for c in crushed], contacts
 
 
-def detect_contacts(frames: HandFrames, env: EnvState, delta_c: float = 0.005) -> list[Contact]:
-    """Sphere-vs-cloud contacts, one (deepest) per finger: the
-    one-episode, one-frame case of the rollout's contact phase."""
-    centers = np.asarray(frames.centers, dtype=float)[None, None]
-    _, (contacts,) = _contact_phase([env], centers, np.asarray(frames.radii, dtype=float),
-                                    np.asarray(frames.finger_index), 0, SimParams(delta_c=delta_c))
-    return contacts
-
-
-def style_contact_point(frames: HandFrames, mask) -> np.ndarray:
-    """Mean world position of the mask fingers' fingertips."""
+def style_contact_point(fingertips: np.ndarray, mask) -> np.ndarray:
+    """Mean world position of the mask fingers' fingertips: (..., F, 3)
+    fingertips give (..., 3)."""
     mask = list(mask)
     if not mask:
         raise ValueError("contact mask is empty")
-    return frames.fingertips[mask].mean(axis=0)
+    return fingertips[..., mask, :].mean(axis=-2)
 
 
-def check_table_collision(frames: HandFrames, tol: float = 0.002) -> bool:
-    """True when any collision sphere reaches the table plane z = 0.
+def check_table_collision(centers: np.ndarray, radii, tol: float = 0.002) -> np.ndarray:
+    """True where any collision sphere of a (..., K, 3) stack of centers
+    reaches the table plane z = 0.
 
     tol is a conservative margin: a sphere counts as colliding when its
     center is within tol of tangency (z < radius + tol), so grazing
     passes are flagged rather than forgiven.
     """
-    return bool(np.any(frames.centers[:, 2] < frames.radii + tol))
-
-
-def feasible_combination(generators: np.ndarray, load: np.ndarray, tol: float = 1e-9) -> bool:
-    """Phase-1 simplex feasibility of  generators @ alpha = load,  alpha >= 0.
-
-    The one-problem case of feasible_combination_batch.
-    """
-    return bool(feasible_combination_batch(np.asarray(generators)[None], np.asarray(load)[None], tol)[0])
+    return np.any(centers[..., 2] < radii + tol, axis=-1)
 
 
 def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -379,28 +362,6 @@ def wrench_generators(contacts: list[Contact], env: EnvState, mu: float) -> np.n
     return np.concatenate([f, tq], axis=2).reshape(-1, 6).T
 
 
-def grasp_success(
-    contacts: list[Contact],
-    env: EnvState,
-    mu: float = 0.5,
-    eta: float = 0.2,
-    *,
-    table_collision: bool = False,
-) -> bool:
-    """Quasi-static grasp test at the grasp frame.
-
-    Requires (a) at least two distinct contact-mask fingers in contact,
-    (b) friction-pyramid feasibility of the gravity load and of six
-    perturbed loads (+-eta along each force axis), torques about the
-    contact centroid, and (c) no table collision. Raises ContactError
-    on non-finite contact geometry.
-    """
-    (outcome,) = grasp_success_batch([contacts], [env], mu, eta, table_collision=[table_collision])
-    if isinstance(outcome, ContactError):
-        raise outcome
-    return outcome
-
-
 def grasp_success_batch(
     contact_lists: list[list[Contact]],
     envs: list[EnvState],
@@ -409,9 +370,15 @@ def grasp_success_batch(
     *,
     table_collision: list[bool],
 ) -> list:
-    """grasp_success for many grasps, with one stacked simplex for the
-    seven loads of every grasp that passes the table and mask-finger
-    gates. Each entry is a bool, or the ContactError its grasp raised.
+    """Quasi-static grasp test at the grasp frame of many grasps.
+
+    A grasp succeeds with (a) at least two distinct contact-mask fingers
+    in contact, (b) friction-pyramid feasibility of the gravity load and
+    of six perturbed loads (+-eta along each force axis), torques about
+    the contact centroid, and (c) no table collision. The seven loads of
+    every grasp that passes (a) and (c) run as one stacked simplex. Each
+    entry is a bool, or the ContactError its grasp's non-finite contact
+    geometry raised.
     """
     out: list = [False] * len(envs)
     g_dir = np.array([0.0, 0.0, -1.0])
@@ -446,18 +413,6 @@ def grasp_success_batch(
     return out
 
 
-def rollout(
-    env: EnvState,
-    demo: Demonstration,
-    action: EditAction,
-    spec: HandSpec,
-    styles: list[Style],
-    params: SimParams = SimParams(),
-) -> RolloutRecord:
-    """Execute one edited trajectory; pure function of its inputs."""
-    return rollout_batch([env], demo, [action], spec, styles, params)[0]
-
-
 def rollout_batch(
     envs: list[EnvState],
     demo: Demonstration,
@@ -470,7 +425,7 @@ def rollout_batch(
     (envs[i], actions[i]), bit for bit whatever else is in the batch.
 
     Target joints, joint trajectories, wrist edits and FK run once over
-    all E x (T_D + 1) frames. The contact phase (_contact_phase) maps the
+    all E x (T_D + 1) frames. The contact phase (detect_contacts) maps the
     sphere centers of frames 0..T_l into each episode's object frame
     with one inverse rotation, keeps those inside the cloud's grown
     bounding box (and every grasp-frame sphere), makes one _nearest
@@ -503,10 +458,9 @@ def rollout_batch(
     for env, tp in zip(envs, tips):
         cond = env.condition
         p_afford_world = transform_point(env.object_pose, cond.p_afford)
-        centroid_series = tp[:, list(cond.contact_mask)].mean(axis=1)
-        d_series.append(np.linalg.norm(centroid_series - p_afford_world, axis=1))
-    crushed, contacts = _contact_phase(envs, centers, radii, finger_index, tl, params)
-    table = np.any(centers[:, tl, :, 2] < radii + params.table_tol, axis=1)
+        d_series.append(np.linalg.norm(style_contact_point(tp, cond.contact_mask) - p_afford_world, axis=1))
+    crushed, contacts = detect_contacts(envs, centers, radii, finger_index, tl, params)
+    table = check_table_collision(centers[:, tl], radii, params.table_tol)
     open_ = [i for i in range(e_count) if not crushed[i]]
     outcomes = dict(zip(open_, grasp_success_batch(
         [contacts[i] for i in open_], [envs[i] for i in open_], params.mu, params.eta,

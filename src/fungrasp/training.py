@@ -25,8 +25,8 @@ through three phases:
 Every batched step is element-wise or independent per episode or per
 query row (the nearest-point product runs in fixed row blocks and never
 as a one-row product), so an episode's result does not depend on which
-chunk it ran in, nor on which episodes share its object; run_episode is
-the one-episode case. metrics.jsonl stays byte-identical across worker
+chunk it ran in, nor on which episodes share its object; one episode is
+a chunk of one. metrics.jsonl stays byte-identical across worker
 counts: its lines, outcome counts included, depend only on the
 episodes' results. An episode that raises in phase 1 or 3 is
 scored as an error alone; if phase 2 raises, the chunk is rerun one
@@ -48,16 +48,9 @@ import numpy as np
 from .demo import Demonstration, EditAction, EditBounds, load_demo
 from .geometry import transform_point
 from .hand import HandSpec, Style, load_hand_spec, load_styles
-from .objects import (
-    AffordanceDistribution,
-    ObjectModel,
-    affordance_distribution,
-    load_object,
-    toy_suite,
-)
+from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object, toy_suite
 from .policy import (
     ObsBatch,
-    ObservationVector,
     PolicyError,
     PolicyParams,
     encode_observation,
@@ -69,7 +62,6 @@ from .policy import (
     policy_forward,
     sample_action,
     squash,
-    stack_observations,
     unflatten_params,
 )
 from .rewards import RewardConfig, total_reward
@@ -84,7 +76,7 @@ __all__ = [
     "EpisodeResult",
     "AdamState",
     "load_assets",
-    "run_episode",
+    "load_objects",
     "run_episodes",
     "collect_batch",
     "ppo_update",
@@ -182,22 +174,24 @@ class Assets:
         return cls(spec=spec, styles=styles, demo=demo, objects=objects, afford_dists=dists)
 
 
-def load_assets(hand_path, styles_path, demo_path, objects_dir=None) -> Assets:
-    """Load a hand, its styles, its demo, and an object set.
+def load_objects(objects_dir=None) -> list[ObjectModel]:
+    """Every *.ply cloud in objects_dir, by file name; None gives the
+    procedural toy suite."""
+    if objects_dir is None:
+        return list(toy_suite().values())
+    paths = sorted(Path(objects_dir).glob("*.ply"))
+    if not paths:
+        raise FileNotFoundError(f"no .ply objects found in {objects_dir}")
+    return [load_object(p) for p in paths]
 
-    objects_dir of None falls back to the procedural toy suite.
-    """
+
+def load_assets(hand_path, styles_path, demo_path, objects_dir=None) -> Assets:
+    """Load a hand, its styles, its demo, and an object set
+    (load_objects)."""
     spec = load_hand_spec(hand_path)
     styles = load_styles(styles_path, spec)
     demo = load_demo(demo_path, spec)
-    if objects_dir is None:
-        objects = list(toy_suite().values())
-    else:
-        paths = sorted(Path(objects_dir).glob("*.ply"))
-        if not paths:
-            raise FileNotFoundError(f"no .ply objects found in {objects_dir}")
-        objects = [load_object(p) for p in paths]
-    return Assets.build(spec, styles, demo, objects)
+    return Assets.build(spec, styles, demo, load_objects(objects_dir))
 
 
 def check_m_points(cfg: TrainConfig, assets: Assets) -> None:
@@ -220,7 +214,7 @@ def episode_rng(seed: int, stream: int, *key) -> np.random.Generator:
 class EpisodeResult:
     index: int
     object_name: str
-    obs: ObservationVector
+    obs: ObsBatch                  # B = 1
     raw: np.ndarray
     action_vec: np.ndarray
     log_prob: float
@@ -244,14 +238,14 @@ class Batch:
     episode_errors: int
 
 
-def _zero_observation(cfg: TrainConfig, assets: Assets) -> ObservationVector:
-    return ObservationVector(
-        s_r=np.zeros(7),
-        s_o=np.zeros(7),
-        cloud=np.zeros((cfg.m_points, 6)),
-        p_afford_rel=np.zeros(3),
-        l_style=np.eye(len(assets.styles))[0],
-        obj_bb=1.0,
+def _zero_observation(cfg: TrainConfig, assets: Assets) -> ObsBatch:
+    return ObsBatch(
+        s_r=np.zeros((1, 7)),
+        s_o=np.zeros((1, 7)),
+        cloud=np.zeros((1, cfg.m_points, 6)),
+        p_afford_rel=np.zeros((1, 3)),
+        l_style=np.eye(len(assets.styles))[:1],
+        obj_bb=np.ones((1, 1)),
     )
 
 
@@ -261,7 +255,7 @@ class _Draft:
 
     index: int
     env: EnvState
-    obs: ObservationVector
+    obs: ObsBatch
     raw: np.ndarray
     action: EditAction
     log_prob: float
@@ -294,7 +288,7 @@ def _act(params, cfg, assets, fps_cache, seed, stream_key, index, train_mode, mo
     obs = encode_observation(
         env, assets.demo, assets.spec, assets.styles, cfg.m_points, cfg.seed, fps_cache
     )
-    mean, log_std, value, _ = policy_forward(params, stack_observations([obs]))
+    mean, log_std, value, _ = policy_forward(params, obs)
     lo, hi = cfg.bounds.intervals(joint_count)
     if mode == "policy":
         sample = sample_action(mean[0], log_std, cfg.bounds, joint_count, rng)
@@ -342,7 +336,7 @@ def _failed(params, cfg: TrainConfig, assets: Assets, index: int, exc: Exception
     log.warning("episode %d failed (%s); scored as zero reward", index, exc)
     joint_count = assets.spec.joint_count
     obs = _zero_observation(cfg, assets)
-    mean, log_std, value, _ = policy_forward(params, stack_observations([obs]))
+    mean, log_std, value, _ = policy_forward(params, obs)
     raw = np.array(mean[0])
     logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
     return EpisodeResult(
@@ -406,10 +400,10 @@ def run_episodes(
         for i in live:
             index = episodes[i].index
             episodes[i] = (
-                _failed(params, cfg, assets, index, e) if len(live) == 1 else run_episode(
-                    params, cfg, assets, fps_cache, seed, stream_key, index,
+                _failed(params, cfg, assets, index, e) if len(live) == 1 else run_episodes(
+                    params, cfg, assets, fps_cache, seed, stream_key, [index],
                     train_mode=train_mode, mode=mode, force_style=force_style,
-                )
+                )[0]
             )
         return episodes  # type: ignore[return-value]
     for i, record in zip(live, records):
@@ -418,27 +412,6 @@ def run_episodes(
         except Exception as e:  # noqa: BLE001
             episodes[i] = _failed(params, cfg, assets, episodes[i].index, e)
     return episodes  # type: ignore[return-value]
-
-
-def run_episode(
-    params: PolicyParams,
-    cfg: TrainConfig,
-    assets: Assets,
-    fps_cache: dict,
-    seed: int,
-    stream_key: tuple,
-    index: int,
-    *,
-    train_mode: bool,
-    mode: str = "policy",          # policy | mean | random | identity
-    force_style: int | None = None,
-) -> EpisodeResult:
-    """One full conditioned episode: reset, observe, act, roll out, score."""
-    (result,) = run_episodes(
-        params, cfg, assets, fps_cache, seed, stream_key, [index],
-        train_mode=train_mode, mode=mode, force_style=force_style,
-    )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +529,7 @@ def _assemble_batch(results: list[EpisodeResult]) -> Batch:
     adv = rewards - values
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     return Batch(
-        obs=stack_observations([r.obs for r in results]),
+        obs=ObsBatch.concat([r.obs for r in results]),
         raw=np.stack([r.raw for r in results]),
         log_prob_old=np.array([r.log_prob for r in results]),
         rewards=rewards,
@@ -634,8 +607,7 @@ def ppo_update(
             rng.shuffle(order)
             for start in range(0, e, cfg.minibatch):
                 sel = order[start : start + cfg.minibatch]
-                sub_obs = _index_obs(batch.obs, sel)
-                mean, log_std, value, cache = policy_forward(params, sub_obs)
+                mean, log_std, value, cache = policy_forward(params, batch.obs[sel])
                 logp_new, d_mean_lp, d_logstd_lp = log_prob_of_raw(
                     mean, log_std, batch.raw[sel], cfg.bounds, joint_count
                 )
@@ -670,17 +642,6 @@ def ppo_update(
         value_loss=value_loss_last,
     )
     return params, adam, stats
-
-
-def _index_obs(obs: ObsBatch, sel: np.ndarray) -> ObsBatch:
-    return ObsBatch(
-        s_r=obs.s_r[sel],
-        s_o=obs.s_o[sel],
-        cloud=obs.cloud[sel],
-        p_afford_rel=obs.p_afford_rel[sel],
-        l_style=obs.l_style[sel],
-        obj_bb=obs.obj_bb[sel],
-    )
 
 
 # episode outcomes, in the order metrics.jsonl and the eval report list them
@@ -771,7 +732,7 @@ def train(cfg: TrainConfig, assets: Assets, out_dir) -> dict:
 
 def finite_diff_check(
     params: PolicyParams,
-    obs_list: list[ObservationVector],
+    batch: ObsBatch,
     rng: np.random.Generator,
     n_params: int = 200,
     h: float = 1e-5,
@@ -786,7 +747,6 @@ def finite_diff_check(
     """
     bounds = EditBounds()
     joint_count = params.joint_count
-    batch = stack_observations(obs_list)
     b = batch.size
     a_dim = params.action_dim
     raw = rng.standard_normal((b, a_dim))
@@ -855,15 +815,14 @@ def run_bandit(
     params = init_params(rng0, m_points, style_count, joint_count, init_log_std=-0.5)
     a_dim = params.action_dim
     a_star = episode_rng(seed, STREAM_BANDIT, 1).uniform(-0.5, 0.5, a_dim)
-    obs = ObservationVector(
-        s_r=np.zeros(7),
-        s_o=np.zeros(7),
-        cloud=np.zeros((m_points, 6)),
-        p_afford_rel=np.zeros(3),
-        l_style=np.ones(1),
-        obj_bb=1.0,
+    obs_batch = ObsBatch(
+        s_r=np.zeros((envs, 7)),
+        s_o=np.zeros((envs, 7)),
+        cloud=np.zeros((envs, m_points, 6)),
+        p_afford_rel=np.zeros((envs, 3)),
+        l_style=np.ones((envs, 1)),
+        obj_bb=np.ones((envs, 1)),
     )
-    obs_batch = stack_observations([obs] * envs)
     adam = AdamState.init(params)
     history = []
     for it in range(iterations):
@@ -877,7 +836,7 @@ def run_bandit(
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         results = [
             EpisodeResult(
-                index=i, object_name="bandit", obs=obs, raw=raw[i],
+                index=i, object_name="bandit", obs=obs_batch[i : i + 1], raw=raw[i],
                 action_vec=np.tanh(raw[i]), log_prob=float(logp[i]), value=float(value[i]),
                 reward=float(rewards[i]), record=None, p_afford_world=np.zeros(3),
                 conditioned_style=0,

@@ -1,16 +1,16 @@
 """Reference contact phase: the per-episode, world-frame implementation
-that sim._contact_phase replaced, kept as an oracle.
+that sim.detect_contacts replaced, kept as an oracle.
 
 Each episode transforms its whole cloud into the world frame, quick-
 rejects sphere centers against the world bounding box of that cloud,
 and runs one dense |c|^2 + |p|^2 - 2 c.p product over every frame.
-reference_contact_phase has _contact_phase's signature, so a test can
+reference_contact_phase has detect_contacts' signature, so a test can
 swap it into sim and compare whole rollout records.
 """
 
 import numpy as np
 
-from fungrasp.geometry import quat_rotate, transform_points
+from fungrasp.geometry import quat_rotate, transform_point
 from fungrasp.sim import Contact
 
 
@@ -51,7 +51,7 @@ def _select_contacts(dist, nearest_idx, pts, nrm, radii, finger_index, delta_c):
 def approach_contacts(env, centers, radii, finger_index, tl, params):
     """Crush test over the approach and contacts at the grasp frame, for
     one episode's (T + 1, K, 3) sphere centers."""
-    pts = transform_points(env.object_pose, env.obj.points)
+    pts = transform_point(env.object_pose, env.obj.points)
     nrm = quat_rotate(env.object_pose.r, env.obj.normals)
     t_count, k_count = centers.shape[0], centers.shape[1]
     flat = centers.reshape(-1, 3)

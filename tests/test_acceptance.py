@@ -15,11 +15,11 @@ import pytest
 import metrics_oracle
 from fungrasp.dataio import default_cameras, export_rollouts
 from fungrasp.demo import EditAction
-from fungrasp.evaluation import _ablate_config, _row_from_result, evaluate, random_baseline, write_episode_rows
+from fungrasp.evaluation import _ablate_config, _row_from_result, evaluate, write_episode_rows
 from fungrasp.objects import make_sphere
-from fungrasp.policy import ObservationVector, init_params
+from fungrasp.policy import ObsBatch, init_params
 from fungrasp.rewards import RewardConfig, afford_reward, total_reward
-from fungrasp.sim import Contact, EnvCondition, EnvState, grasp_success, rollout
+from fungrasp.sim import Contact, EnvCondition, EnvState, grasp_success_batch
 from fungrasp.geometry import identity_pose
 from fungrasp.training import (
     AdamState,
@@ -75,33 +75,34 @@ def test_criterion_1_gradient_gate(spec, styles):
     params = init_params(rng, 16, len(styles), spec.joint_count)
 
     def rand_obs():
-        one_hot = np.zeros(len(styles))
-        one_hot[rng.integers(len(styles))] = 1.0
-        return ObservationVector(
-            s_r=rng.normal(size=7), s_o=rng.normal(size=7), cloud=rng.normal(size=(16, 6)),
-            p_afford_rel=rng.normal(size=3), l_style=one_hot, obj_bb=float(rng.uniform(0.05, 0.3)),
+        one_hot = np.zeros((1, len(styles)))
+        one_hot[0, rng.integers(len(styles))] = 1.0
+        return ObsBatch(
+            s_r=rng.normal(size=(1, 7)), s_o=rng.normal(size=(1, 7)), cloud=rng.normal(size=(1, 16, 6)),
+            p_afford_rel=rng.normal(size=(1, 3)), l_style=one_hot, obj_bb=rng.uniform(0.05, 0.3, size=(1, 1)),
         )
 
-    err = finite_diff_check(params, [rand_obs() for _ in range(4)], rng, n_params=200, h=1e-5)
+    obs = ObsBatch.concat([rand_obs() for _ in range(4)])
+    err = finite_diff_check(params, obs, rng, n_params=200, h=1e-5)
     elapsed = time.time() - t0
     ok = err < 1e-4 and elapsed < 30.0
     assert _report(1, ok, f"gradient gate: max rel err {err:.2e} (<1e-4), {elapsed:.1f}s (<30s)")
 
 
 def test_criterion_2_replay_identity(assets, demo, spec, styles):
-    from fungrasp.demo import edit_wrist, edited_joint_trajectory
-    from fungrasp.geometry import compose_pose, invert_pose, quat_distance
+    from fungrasp.demo import edit_wrist_arrays, edited_joint_trajectory
+    from fungrasp.geometry import Pose, compose_pose, invert_pose, quat_distance
 
     # conditioned on style 0, whose canonical joints are the demo's grasp row
     q_star = 1.0 * styles[0].q_canonical + np.zeros(spec.joint_count)
     traj = edited_joint_trajectory(demo, q_star, spec)
     joint_err = float(np.max(np.abs(traj - demo.joints)))
     obj_pose = identity_pose()
-    poses = edit_wrist(demo, EditAction.identity(spec.joint_count), obj_pose)
+    t, r = edit_wrist_arrays(demo, [EditAction.identity(spec.joint_count)], [obj_pose])
     inv = invert_pose(obj_pose)
     pose_err = 0.0
-    for p, ref in zip(poses, demo.poses):
-        back = compose_pose(inv, p)
+    for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
+        back = compose_pose(inv, Pose(t=p_t, r=p_r))
         pose_err = max(pose_err, float(np.max(np.abs(back.t - ref.t))), quat_distance(back.r, ref.r))
     ok = joint_err < 1e-12 and pose_err < 1e-12
     assert _report(2, ok, f"replay identity: joints {joint_err:.2e}, poses {pose_err:.2e} (<1e-12)")
@@ -144,11 +145,13 @@ def test_criterion_4_force_closure_oracle():
         Contact(finger=0, point=c + [-0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
         Contact(finger=1, point=c + [0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
     ]
-    ok_anti = grasp_success(antipodal, env, mu=0.5, eta=0.2)
-    ok_single = not grasp_success(antipodal[:1], env, mu=0.5)
-    ok_parallel = not grasp_success(parallel, env, mu=0.1)
+    ok_anti, single = grasp_success_batch([antipodal, antipodal[:1]], [env, env], mu=0.5, eta=0.2,
+                                          table_collision=[False, False])
+    ok_single = not single
+    (parallel_ok,) = grasp_success_batch([parallel], [env], mu=0.1, table_collision=[False])
+    ok_parallel = not parallel_ok
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2]
-    results = [grasp_success(antipodal, env, mu=m) for m in grid]
+    results = [grasp_success_batch([antipodal], [env], mu=m, table_collision=[False])[0] for m in grid]
     first = results.index(True) if True in results else len(results)
     ok_mono = all(results[first:])
     elapsed = time.time() - t0
@@ -172,7 +175,7 @@ def test_criterion_5_bandit_sanity():
 
 def test_criterion_6_desk_training_beats_random(assets, train_cfg, trained):
     mt, _ = evaluate(trained["params"], train_cfg, assets, 400, seed=train_cfg.seed)
-    mr, _ = random_baseline(train_cfg, assets, 400, seed=train_cfg.seed)
+    mr, _ = evaluate(trained["params"], train_cfg, assets, 400, seed=train_cfg.seed, mode="random")
     margin = 100.0 * (mt.gsr - mr.gsr)
     ok = margin >= 30.0 and trained["seconds"] < 1800.0
     assert _report(6, ok, f"desk training: trained GSR {mt.gsr:.3f} vs random {mr.gsr:.3f} "

@@ -108,6 +108,34 @@ def test_eval_checkpoint_hand_mismatch(tmp_path, capsys):
     assert "hand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "collect"])
+def test_checkpoint_joint_count_mismatch_is_a_user_error(tmp_path, capsys, command):
+    from fungrasp.dataio import save_checkpoint
+    from fungrasp.policy import init_params
+
+    # hand name and style count match the bundled inspire_like (J=6); J does not
+    ckpt = tmp_path / "j5.json"
+    save_checkpoint(init_params(np.random.default_rng(0), 32, 4, 5), {"hand": "inspire_like"}, ckpt)
+    cfg_path = _write_config(tmp_path)
+    code = main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--episodes", "4", "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "joint_count=5" in err and "joint_count=6" in err and "internal error" not in err
+
+
+def test_sample_affordance_reads_an_objects_directory(tmp_path, capsys):
+    from fungrasp.objects import make_sphere, save_object_ply
+
+    save_object_ply(make_sphere(name="ball"), tmp_path / "ball.ply")
+    assert main(["sample-affordance", "--seed", "3", "--objects", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["object"] == "ball"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["sample-affordance", "--seed", "3", "--objects", str(empty)]) == 1
+    assert "no .ply objects" in capsys.readouterr().err
+
+
 def test_flags_override_config(tmp_path, capsys):
     # seed given only by flag; config file supplies the rest
     cfg = {"train": {"envs_per_iter": 8, "minibatch": 8, "iterations": 1, "m_points": 32}}

@@ -22,7 +22,7 @@ def chunk(request):
     """(hand, the arguments rollout_batch passes to its contact phase)."""
     assets = hand_assets(request.param)
     envs, actions = seeded_rollout_inputs(assets, CHUNK, seed=31)
-    real = sim._contact_phase
+    real = sim.detect_contacts
     captured = []
 
     def capture(*args):
@@ -30,12 +30,12 @@ def chunk(request):
         return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_contact_phase", capture)
+        mp.setattr(sim, "detect_contacts", capture)
         sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
     return request.param, captured[0]
 
 
-@pytest.mark.parametrize("phase", [sim._contact_phase, reference_contact_phase],
+@pytest.mark.parametrize("phase", [sim.detect_contacts, reference_contact_phase],
                          ids=["object_frame", "per_episode_reference"])
 def test_contact_phase_benchmark(benchmark, chunk, phase):
     hand, args = chunk

@@ -179,6 +179,16 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         load_checkpoint(path, expect_hand="shadow_like", expect_style_count=4)
 
 
+def test_checkpoint_joint_count_mismatch_rejected(tmp_path):
+    params = init_params(np.random.default_rng(4), 16, 4, 5)
+    path = tmp_path / "ck5.json"
+    save_checkpoint(params, {"hand": "inspire_like"}, path)
+    with pytest.raises(CheckpointError, match=r"joint_count=5, configured joint_count=6"):
+        load_checkpoint(path, expect_hand="inspire_like", expect_joint_count=6)
+    back, _ = load_checkpoint(path, expect_hand="inspire_like", expect_joint_count=5)
+    assert back.joint_count == 5
+
+
 def test_checkpoint_truncated_rejected(tmp_path):
     params = init_params(np.random.default_rng(5), 8, 4, 6)
     path = tmp_path / "ck.json"

@@ -9,9 +9,8 @@ from fungrasp.demo import (
     EditAction,
     EditBounds,
     disturb_style,
-    edit_wrist,
+    edit_wrist_arrays,
     edited_joint_trajectory,
-    interpolate_joints,
     interpolation_fraction,
     load_demo,
     save_demo,
@@ -120,11 +119,9 @@ def test_replay_identity(spec, demo, styles):
 def test_interpolation_hits_target_at_grasp_frame(spec):
     d = _synthetic_demo(spec)
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        q_star = rng.uniform(spec.limits_lo, spec.limits_hi)
-        f, _ = interpolation_fraction(d.joints[0], d.joints[d.grasp_index], q_star)
-        q_tl = interpolate_joints(d, f, d.grasp_index, q_star, spec)
-        assert np.max(np.abs(q_tl - q_star)) < 1e-12
+    q_star = rng.uniform(spec.limits_lo, spec.limits_hi, size=(50, spec.joint_count))
+    q_tl = edited_joint_trajectory(d, q_star, spec)[:, d.grasp_index]
+    assert np.max(np.abs(q_tl - q_star)) < 1e-12
 
 
 def test_static_joint_linear_ramp(spec):
@@ -163,10 +160,10 @@ def test_monotone_scaling_single_joint(spec):
 def test_edit_wrist_identity_replays_object_frame(demo):
     rng = np.random.default_rng(2)
     obj_pose = random_pose(rng)
-    poses = edit_wrist(demo, EditAction.identity(6), obj_pose)
+    t, r = edit_wrist_arrays(demo, [EditAction.identity(6)], [obj_pose])
     inv = invert_pose(obj_pose)
-    for p, ref in zip(poses, demo.poses):
-        back = compose_pose(inv, p)
+    for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
+        back = compose_pose(inv, Pose(t=p_t, r=p_r))
         assert np.allclose(back.t, ref.t, atol=1e-12)
         assert quat_distance(back.r, ref.r) < 1e-12
 
@@ -174,9 +171,8 @@ def test_edit_wrist_identity_replays_object_frame(demo):
 def test_edit_wrist_pure_translation_shift(demo):
     dt = np.array([0.0, 0.0, 0.05])
     action = EditAction(dt=dt, dr=AxisAngle(np.zeros(3)), dq=np.zeros(6), k=1.0)
-    poses = edit_wrist(demo, action, identity_pose())
-    for p, ref in zip(poses, demo.poses):
-        assert np.allclose(p.t, ref.t + dt, atol=1e-12)
+    t, _ = edit_wrist_arrays(demo, [action], [identity_pose()])
+    assert np.allclose(t[0], demo.pose_t + dt, atol=1e-12)
 
 
 def test_edit_wrist_object_rotation_equivariance(demo):
@@ -184,12 +180,12 @@ def test_edit_wrist_object_rotation_equivariance(demo):
     yaw = Pose(t=np.array([0.1, -0.2, 0.0]), r=axis_angle_to_quat(np.array([0, 0, np.pi / 2])))
     action = EditAction(dt=np.array([0.01, 0.02, -0.03]), dr=AxisAngle(np.array([0.1, 0.0, 0.2])),
                         dq=np.zeros(6), k=1.0)
-    poses = edit_wrist(demo, action, yaw)
+    t, r = edit_wrist_arrays(demo, [action], [yaw])
     prefix = compose_pose(yaw, action.pose())
-    for p, ref in zip(poses, demo.poses):
+    for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
         want = compose_pose(prefix, ref)
-        assert np.allclose(p.t, want.t, atol=1e-12)
-        assert quat_distance(p.r, want.r) < 1e-12
+        assert np.allclose(p_t, want.t, atol=1e-12)
+        assert quat_distance(p_r, want.r) < 1e-12
 
 
 def test_disturb_style_zero_sigma_and_determinism(spec, styles):

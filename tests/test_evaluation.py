@@ -11,7 +11,6 @@ from fungrasp.evaluation import (
     compute_metrics,
     evaluate,
     pairwise_style_diversity,
-    random_baseline,
     write_episode_rows,
 )
 from fungrasp.policy import init_params
@@ -143,10 +142,14 @@ def test_exhaustive_styles_at_least_as_good(box_assets, eval_cfg, eval_params):
     assert best.gsr >= base.gsr - 1e-12
 
 
-def test_random_baseline_determinism(assets, eval_cfg):
-    a, _ = random_baseline(eval_cfg, assets, 25, seed=2)
-    b, _ = random_baseline(eval_cfg, assets, 25, seed=2)
+def test_random_baseline_determinism(assets, eval_cfg, eval_params):
+    a, _ = evaluate(eval_params, eval_cfg, assets, 25, seed=2, mode="random")
+    b, _ = evaluate(eval_params, eval_cfg, assets, 25, seed=2, mode="random")
     assert a == b
+    # random actions ignore the policy: other parameters give the same metrics
+    other = init_params(episode_rng(99, 4), eval_cfg.m_points, len(assets.styles), assets.spec.joint_count)
+    c, _ = evaluate(other, eval_cfg, assets, 25, seed=2, mode="random")
+    assert c == a
 
 
 def test_random_baseline_zero_bounds_equals_identity(box_assets, eval_cfg, eval_params):
@@ -155,7 +158,7 @@ def test_random_baseline_zero_bounds_equals_identity(box_assets, eval_cfg, eval_
     degenerate = dataclasses.replace(
         eval_cfg, bounds=EditBounds(b_t=0.0, b_r=0.0, b_q=0.0, k_min=1.0, k_max=1.0)
     )
-    rand, _ = random_baseline(degenerate, box_assets, 20, seed=9)
+    rand, _ = evaluate(eval_params, degenerate, box_assets, 20, seed=9, mode="random")
     ident, _ = evaluate(eval_params, degenerate, box_assets, 20, seed=9, mode="identity")
     assert rand.gsr == ident.gsr
     assert rand.sad == pytest.approx(ident.sad, abs=1e-12)

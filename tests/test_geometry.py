@@ -14,7 +14,6 @@ from fungrasp.geometry import (
     quat_to_axis_angle,
     quat_to_matrix,
     transform_point,
-    transform_points,
 )
 
 from conftest import random_pose
@@ -77,7 +76,7 @@ def test_transform_points_matches_single():
     rng = np.random.default_rng(4)
     p = random_pose(rng)
     xs = rng.normal(size=(20, 3))
-    batch = transform_points(p, xs)
+    batch = transform_point(p, xs)
     for i in range(20):
         assert np.allclose(batch[i], transform_point(p, xs[i]), atol=1e-12)
 

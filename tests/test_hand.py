@@ -8,7 +8,7 @@ from fungrasp.hand import (
     HandError,
     clamp_to_limits,
     classify_style,
-    forward_kinematics,
+    forward_kinematics_batch,
     load_hand_spec,
     load_styles,
     normalize_joints,
@@ -59,6 +59,14 @@ def test_bundled_style_counts(spec, styles, shadow_spec):
     assert len(load_styles(default_styles_path("shadow_like"), shadow_spec)) == 9
 
 
+def _fk(spec, wrists, qs):
+    """forward_kinematics_batch over a list of wrist poses and a (B, J)
+    stack of joint vectors: (centers (B, K, 3), fingertips (B, F, 3))."""
+    t = np.stack([w.t for w in wrists])
+    r = np.stack([w.r for w in wrists])
+    return forward_kinematics_batch(spec, t, r, np.asarray(qs, dtype=float))
+
+
 def test_limits_violation_rejected(tmp_path):
     payload = {
         "name": "bad",
@@ -76,66 +84,63 @@ def test_limits_violation_rejected(tmp_path):
 
 def test_fk_zero_config_straight_chain(tmp_path):
     hand = _single_finger_spec(tmp_path)
-    frames = forward_kinematics(hand, identity_pose(), np.zeros(2))
+    centers, tips = _fk(hand, [identity_pose()], np.zeros((1, 2)))
     # segments extend along +x from an identity base
-    assert np.allclose(frames.fingertips[0], [0.7, 0, 0], atol=1e-12)
-    assert np.allclose(frames.centers[0], [0.4, 0, 0], atol=1e-12)
+    assert np.allclose(tips[0, 0], [0.7, 0, 0], atol=1e-12)
+    assert np.allclose(centers[0, 0], [0.4, 0, 0], atol=1e-12)
 
 
 def test_fk_bundled_zero_config_matches_summed_lengths(spec):
-    frames = forward_kinematics(spec, identity_pose(), np.zeros(spec.joint_count))
+    _, tips = _fk(spec, [identity_pose()], np.zeros((1, spec.joint_count)))
     for fi, finger in enumerate(spec.fingers):
         total = sum(s.length for s in finger.segments)
         # bundled bases point the chains straight down
         expected = finger.base.t + np.array([0.0, 0.0, -total])
-        assert np.allclose(frames.fingertips[fi], expected, atol=1e-9)
+        assert np.allclose(tips[0, fi], expected, atol=1e-9)
 
 
 def test_fk_wrist_translation_equivariance(spec):
     rng = np.random.default_rng(0)
     q = rng.uniform(spec.limits_lo, spec.limits_hi)
     d = np.array([0.3, -0.2, 0.5])
-    base = forward_kinematics(spec, identity_pose(), q)
-    moved = forward_kinematics(spec, Pose(t=d, r=np.array([1.0, 0, 0, 0])), q)
-    assert np.allclose(moved.centers, base.centers + d, atol=1e-12)
+    (base, moved), _ = _fk(spec, [identity_pose(), Pose(t=d, r=np.array([1.0, 0, 0, 0]))], [q, q])
+    assert np.allclose(moved, base + d, atol=1e-12)
 
 
 def test_fk_two_link_planar_closed_form(tmp_path):
     hand = _single_finger_spec(tmp_path, axis=(0, 0, 1), lengths=(0.4, 0.3))
-    frames = forward_kinematics(hand, identity_pose(), np.array([np.pi / 2, 0.0]))
-    assert np.allclose(frames.fingertips[0], [0.0, 0.7, 0.0], atol=1e-12)
-    frames = forward_kinematics(hand, identity_pose(), np.array([np.pi / 2, -np.pi / 2]))
-    assert np.allclose(frames.fingertips[0], [0.3, 0.4, 0.0], atol=1e-12)
+    _, tips = _fk(hand, [identity_pose()] * 2, [[np.pi / 2, 0.0], [np.pi / 2, -np.pi / 2]])
+    assert np.allclose(tips[0, 0], [0.0, 0.7, 0.0], atol=1e-12)
+    assert np.allclose(tips[1, 0], [0.3, 0.4, 0.0], atol=1e-12)
 
 
 def test_fk_wrist_equivariance_property(spec):
     rng = np.random.default_rng(1)
+    gs, wrists, qs = [], [], []
     for _ in range(10):
-        g = random_pose(rng)
-        wrist = random_pose(rng)
-        q = rng.uniform(spec.limits_lo, spec.limits_hi)
-        lhs = forward_kinematics(spec, compose_pose(g, wrist), q)
-        rhs = forward_kinematics(spec, wrist, q)
-        for i in range(lhs.centers.shape[0]):
-            assert np.allclose(lhs.centers[i], transform_point(g, rhs.centers[i]), atol=1e-9)
+        gs.append(random_pose(rng))
+        wrists.append(random_pose(rng))
+        qs.append(rng.uniform(spec.limits_lo, spec.limits_hi))
+    lhs, _ = _fk(spec, [compose_pose(g, w) for g, w in zip(gs, wrists)], qs)
+    rhs, _ = _fk(spec, wrists, qs)
+    for g, lhs_b, rhs_b in zip(gs, lhs, rhs):
+        assert np.allclose(lhs_b, transform_point(g, rhs_b), atol=1e-9)
 
 
 def test_fk_dimension_mismatch(spec):
     with pytest.raises(HandError, match="J="):
-        forward_kinematics(spec, identity_pose(), np.zeros(spec.joint_count + 1))
+        _fk(spec, [identity_pose()], np.zeros((1, spec.joint_count + 1)))
 
 
 def test_coupled_segment_follows_source(spec):
     # index distal (finger 1, segment 1) is coupled to joint 3 with scale 1
-    q = np.zeros(spec.joint_count)
-    q[3] = 0.7
-    bent = forward_kinematics(spec, identity_pose(), q)
+    q = np.zeros((2, spec.joint_count))
+    q[0, 3] = 0.7
     # the distal sphere must differ from a configuration where only the
     # proximal rotates; compare against a hand without coupling
-    q2 = np.zeros(spec.joint_count)
-    q2[3] = 0.35
-    half = forward_kinematics(spec, identity_pose(), q2)
-    assert not np.allclose(bent.fingertips[1], half.fingertips[1], atol=1e-6)
+    q[1, 3] = 0.35
+    _, (bent, half) = _fk(spec, [identity_pose()] * 2, q)
+    assert not np.allclose(bent[1], half[1], atol=1e-6)
 
 
 def test_clamp_cases(spec):

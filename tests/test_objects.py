@@ -12,7 +12,6 @@ from fungrasp.objects import (
     make_box,
     make_cylinder,
     make_sphere,
-    sample_affordance,
     sample_affordance_index,
     save_object_ply,
     toy_suite,
@@ -117,8 +116,8 @@ def test_sample_one_hot_and_determinism(objects):
         rng = np.random.default_rng(seed)
         assert sample_affordance_index(dist, rng) == 17
     d2 = affordance_distribution(obj)
-    a = sample_affordance(d2, obj, np.random.default_rng(42))
-    b = sample_affordance(d2, obj, np.random.default_rng(42))
+    a = obj.points[sample_affordance_index(d2, np.random.default_rng(42))]
+    b = obj.points[sample_affordance_index(d2, np.random.default_rng(42))]
     assert np.array_equal(a, b)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,8 @@ from fungrasp.objects import ObjectModel
 from fungrasp.policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
-    ObservationVector,
+    ObsBatch,
     PolicyError,
-    action_log_prob,
     encode_observation,
     entropy,
     flatten_params,
@@ -21,9 +22,7 @@ from fungrasp.policy import (
     sample_action,
     squash,
     squash_correction,
-    stack_observations,
     unflatten_params,
-    unsquash,
     zeros_like_params,
 )
 from fungrasp.sim import reset_env
@@ -31,11 +30,12 @@ from fungrasp.training import episode_rng, finite_diff_check
 
 
 def _random_obs(rng, m=16, s=4):
-    one_hot = np.zeros(s)
-    one_hot[rng.integers(s)] = 1.0
-    return ObservationVector(
-        s_r=rng.normal(size=7), s_o=rng.normal(size=7), cloud=rng.normal(size=(m, 6)),
-        p_afford_rel=rng.normal(size=3), l_style=one_hot, obj_bb=float(rng.uniform(0.05, 0.3)),
+    """One random observation, as a batch of one."""
+    one_hot = np.zeros((1, s))
+    one_hot[0, rng.integers(s)] = 1.0
+    return ObsBatch(
+        s_r=rng.normal(size=(1, 7)), s_o=rng.normal(size=(1, 7)), cloud=rng.normal(size=(1, m, 6)),
+        p_afford_rel=rng.normal(size=(1, 3)), l_style=one_hot, obj_bb=rng.uniform(0.05, 0.3, size=(1, 1)),
     )
 
 
@@ -52,13 +52,14 @@ def test_encode_affordance_at_centroid(assets):
     obj = assets.objects[0]
     env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
                     np.random.default_rng(0), False, spec=assets.spec, square_half=0.0)
-    env.condition = __import__("dataclasses").replace(env.condition, p_afford=obj.centroid.copy())
+    env.condition = dataclasses.replace(env.condition, p_afford=obj.centroid.copy())
     cache = {}
     obs = encode_observation(env, assets.demo, assets.spec, assets.styles, 32, 0, cache)
+    assert obs.size == 1
     assert np.allclose(obs.p_afford_rel, 0.0, atol=1e-12)
     assert obs.l_style.sum() == 1.0
-    assert obs.l_style[env.condition.style_index] == 1.0
-    assert obs.cloud.shape == (32, 6)
+    assert obs.l_style[0, env.condition.style_index] == 1.0
+    assert obs.cloud.shape == (1, 32, 6)
 
 
 def test_encode_scale_invariance(assets):
@@ -68,8 +69,6 @@ def test_encode_scale_invariance(assets):
     scaled = ObjectModel.from_points("scaled", obj.points * 2.0, obj.normals)
     env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
                     np.random.default_rng(1), False, spec=assets.spec, square_half=0.0)
-    import dataclasses
-
     env2 = dataclasses.replace(env, obj=scaled)
     env2.condition = dataclasses.replace(env.condition, p_afford=env.condition.p_afford * 2.0)
     cache = {}
@@ -77,7 +76,7 @@ def test_encode_scale_invariance(assets):
     b = encode_observation(env2, assets.demo, assets.spec, assets.styles, 32, 0, cache)
     assert np.allclose(a.cloud, b.cloud, atol=1e-12)
     assert np.allclose(a.p_afford_rel, b.p_afford_rel, atol=1e-12)
-    assert b.obj_bb == pytest.approx(2.0 * a.obj_bb)
+    assert b.obj_bb[0, 0] == pytest.approx(2.0 * a.obj_bb[0, 0])
 
 
 def test_encode_fps_cache_reused(assets):
@@ -97,15 +96,13 @@ def test_encode_fps_cache_reused(assets):
 # ---------------------------------------------------------------------------
 
 def test_zero_heads_give_zero_outputs(small_params):
-    import dataclasses
-
     p = dataclasses.replace(
         small_params,
         mean_w=np.zeros_like(small_params.mean_w), mean_b=np.zeros_like(small_params.mean_b),
         v_w3=np.zeros_like(small_params.v_w3), v_b3=np.zeros_like(small_params.v_b3),
     )
     rng = np.random.default_rng(3)
-    batch = stack_observations([_random_obs(rng) for _ in range(5)])
+    batch = ObsBatch.concat([_random_obs(rng) for _ in range(5)])
     mean, _, value, _ = policy_forward(p, batch)
     assert np.all(mean == 0.0)
     assert np.all(value == 0.0)
@@ -115,12 +112,9 @@ def test_point_permutation_invariance(small_params):
     rng = np.random.default_rng(4)
     obs = _random_obs(rng)
     perm = rng.permutation(16)
-    obs_p = ObservationVector(
-        s_r=obs.s_r, s_o=obs.s_o, cloud=obs.cloud[perm],
-        p_afford_rel=obs.p_afford_rel, l_style=obs.l_style, obj_bb=obs.obj_bb,
-    )
-    ma, _, va, _ = policy_forward(small_params, stack_observations([obs]))
-    mb, _, vb, _ = policy_forward(small_params, stack_observations([obs_p]))
+    obs_p = dataclasses.replace(obs, cloud=obs.cloud[:, perm])
+    ma, _, va, _ = policy_forward(small_params, obs)
+    mb, _, vb, _ = policy_forward(small_params, obs_p)
     assert np.array_equal(ma, mb)
     assert np.array_equal(va, vb)
 
@@ -129,16 +123,13 @@ def test_point_permutation_invariant_gradients(small_params):
     rng = np.random.default_rng(5)
     obs = _random_obs(rng)
     perm = rng.permutation(16)
-    obs_p = ObservationVector(
-        s_r=obs.s_r, s_o=obs.s_o, cloud=obs.cloud[perm],
-        p_afford_rel=obs.p_afford_rel, l_style=obs.l_style, obj_bb=obs.obj_bb,
-    )
+    obs_p = dataclasses.replace(obs, cloud=obs.cloud[:, perm])
     d_mean = rng.normal(size=(1, small_params.action_dim))
     d_value = rng.normal(size=1)
     d_ls = rng.normal(size=small_params.action_dim)
     grads = []
     for o in (obs, obs_p):
-        _, _, _, cache = policy_forward(small_params, stack_observations([o]))
+        _, _, _, cache = policy_forward(small_params, o)
         grads.append(flatten_params(policy_backward(small_params, cache, d_mean, d_value, d_ls)))
     assert np.allclose(grads[0], grads[1], atol=1e-12)
 
@@ -146,7 +137,7 @@ def test_point_permutation_invariant_gradients(small_params):
 def test_forward_regression_pinned(small_params):
     # golden values frozen from the first verified run of this architecture
     obs = _random_obs(np.random.default_rng(2024))
-    mean, log_std, value, _ = policy_forward(small_params, stack_observations([obs]))
+    mean, log_std, value, _ = policy_forward(small_params, obs)
     fingerprint = np.array([
         float(mean[0, :3].sum()),
         float(mean[0].std()),
@@ -161,20 +152,18 @@ def test_forward_shape_validation(small_params):
     rng = np.random.default_rng(6)
     bad = _random_obs(rng, m=8)
     with pytest.raises(PolicyError, match="cloud"):
-        policy_forward(small_params, stack_observations([bad]))
+        policy_forward(small_params, bad)
     bad2 = _random_obs(rng, m=16, s=2)
     with pytest.raises(PolicyError, match="one-hot|S="):
-        policy_forward(small_params, stack_observations([bad2]))
+        policy_forward(small_params, bad2)
 
 
 def test_forward_nonfinite_rejected(small_params):
     rng = np.random.default_rng(7)
     obs = _random_obs(rng)
-    import dataclasses
-
     p = dataclasses.replace(small_params, a_w1=small_params.a_w1 * np.inf)
     with np.errstate(invalid="ignore"), pytest.raises(PolicyError, match="actor_trunk"):
-        policy_forward(p, stack_observations([obs]))
+        policy_forward(p, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +179,6 @@ def test_squash_within_bounds_bulk():
     assert np.all(a > lo - 1e-12) and np.all(a < hi + 1e-12)
     dr_norm = np.linalg.norm(a[:, 3:6], axis=1)
     assert np.all(dr_norm <= bounds.b_r + 1e-9)
-
-
-def test_unsquash_round_trip_and_clamp_flag():
-    bounds = EditBounds()
-    lo, hi = bounds.intervals(6)
-    rng = np.random.default_rng(9)
-    raw = rng.normal(size=13)
-    back, n_clamped = unsquash(squash(raw, lo, hi), lo, hi)
-    assert n_clamped == 0
-    assert np.allclose(back, raw, atol=1e-9)
-    _, n_clamped = unsquash(hi, lo, hi)
-    assert n_clamped == 13
 
 
 def test_sample_action_deterministic_limit(small_params):
@@ -227,10 +204,14 @@ def test_log_prob_self_consistency(small_params, assets):
     bounds = EditBounds()
     rng = np.random.default_rng(12)
     obs = _random_obs(rng)
-    mean, log_std, _, _ = policy_forward(small_params, stack_observations([obs]))
+    mean, log_std, _, _ = policy_forward(small_params, obs)
     sample = sample_action(mean[0], log_std, bounds, 6, rng)
-    recomputed = action_log_prob(small_params, obs, sample.action, bounds)
-    assert recomputed == pytest.approx(sample.log_prob, abs=1e-9)
+    lo, hi = bounds.intervals(6)
+    assert np.array_equal(sample.action.to_vector(), squash(sample.raw, lo, hi))
+    # the update's batched log-prob of the stored raw sample, from a fresh forward pass
+    mean2, log_std2, _, _ = policy_forward(small_params, ObsBatch.concat([obs, obs]))
+    recomputed, _, _ = log_prob_of_raw(mean2, log_std2, np.stack([sample.raw] * 2), bounds, 6)
+    assert recomputed == pytest.approx([sample.log_prob] * 2, abs=1e-9)
 
 
 def test_log_prob_closed_form():
@@ -251,7 +232,7 @@ def test_log_prob_decreases_away_from_mean(small_params):
     bounds = EditBounds()
     rng = np.random.default_rng(13)
     obs = _random_obs(rng)
-    mean, log_std, _, _ = policy_forward(small_params, stack_observations([obs]))
+    mean, log_std, _, _ = policy_forward(small_params, obs)
     lo, hi = bounds.intervals(6)
     direction = rng.normal(size=13)
     direction /= np.linalg.norm(direction)
@@ -285,7 +266,7 @@ def test_entropy_formula():
 
 def test_zero_upstream_grad_gives_zero_params(small_params):
     rng = np.random.default_rng(15)
-    batch = stack_observations([_random_obs(rng) for _ in range(3)])
+    batch = ObsBatch.concat([_random_obs(rng) for _ in range(3)])
     _, _, _, cache = policy_forward(small_params, batch)
     g = policy_backward(small_params, cache, np.zeros((3, 13)), np.zeros(3), np.zeros(13))
     assert np.all(flatten_params(g) == 0.0)
@@ -296,9 +277,9 @@ def test_duplicated_row_doubles_gradient(small_params):
     obs = _random_obs(rng)
     d_mean = rng.normal(size=(1, 13))
     d_value = rng.normal(size=1)
-    _, _, _, c1 = policy_forward(small_params, stack_observations([obs]))
+    _, _, _, c1 = policy_forward(small_params, obs)
     g1 = flatten_params(policy_backward(small_params, c1, d_mean, d_value, np.zeros(13)))
-    _, _, _, c2 = policy_forward(small_params, stack_observations([obs, obs]))
+    _, _, _, c2 = policy_forward(small_params, ObsBatch.concat([obs, obs]))
     g2 = flatten_params(policy_backward(
         small_params, c2, np.repeat(d_mean, 2, axis=0), np.repeat(d_value, 2), np.zeros(13)
     ))
@@ -306,11 +287,9 @@ def test_duplicated_row_doubles_gradient(small_params):
 
 
 def test_log_std_clamp_masks_gradient(small_params):
-    import dataclasses
-
     p = dataclasses.replace(small_params, log_std=np.full(13, LOG_STD_MIN - 1.0))
     rng = np.random.default_rng(17)
-    batch = stack_observations([_random_obs(rng)])
+    batch = _random_obs(rng)
     _, log_std, _, cache = policy_forward(p, batch)
     assert np.all(log_std == LOG_STD_MIN)
     g = policy_backward(p, cache, np.zeros((1, 13)), np.zeros(1), np.ones(13))
@@ -319,7 +298,7 @@ def test_log_std_clamp_masks_gradient(small_params):
 
 def test_finite_difference_gate(small_params):
     rng = episode_rng(123, 7)
-    obs = [_random_obs(rng) for _ in range(4)]
+    obs = ObsBatch.concat([_random_obs(rng) for _ in range(4)])
     err = finite_diff_check(small_params, obs, rng, n_params=200)
     assert err < 1e-4
 
@@ -327,12 +306,24 @@ def test_finite_difference_gate(small_params):
 def test_finite_difference_zero_obs(small_params):
     # zero inputs park activations exactly on the ReLU kink; the contract
     # here is only that the check stays finite, not that it passes the gate
-    zero = ObservationVector(
-        s_r=np.zeros(7), s_o=np.zeros(7), cloud=np.zeros((16, 6)),
-        p_afford_rel=np.zeros(3), l_style=np.eye(4)[0], obj_bb=1.0,
+    zero = ObsBatch(
+        s_r=np.zeros((1, 7)), s_o=np.zeros((1, 7)), cloud=np.zeros((1, 16, 6)),
+        p_afford_rel=np.zeros((1, 3)), l_style=np.eye(4)[:1], obj_bb=np.ones((1, 1)),
     )
-    err = finite_diff_check(small_params, [zero], episode_rng(5, 7), n_params=50)
+    err = finite_diff_check(small_params, zero, episode_rng(5, 7), n_params=50)
     assert np.isfinite(err)
+
+
+def test_obs_batch_rows_and_concat():
+    rng = np.random.default_rng(18)
+    rows = [_random_obs(rng) for _ in range(4)]
+    batch = ObsBatch.concat(rows)
+    assert batch.size == 4 and batch.cloud.shape == (4, 16, 6) and batch.obj_bb.shape == (4, 1)
+    picked = batch[np.array([2, 0])]
+    for f in dataclasses.fields(ObsBatch):
+        assert np.array_equal(getattr(picked, f.name), np.concatenate([getattr(rows[2], f.name),
+                                                                      getattr(rows[0], f.name)]))
+    assert np.array_equal(batch[1:2].cloud, rows[1].cloud)
 
 
 def test_flatten_round_trip(small_params):

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 
 from contact_reference import dense_nearest, hand_assets, reference_contact_phase, seeded_rollout_inputs
 from fungrasp import sim
-from fungrasp.demo import EditAction
+from fungrasp.demo import EditAction, EditBounds
 from fungrasp.geometry import (
     Pose,
     axis_angle_to_quat,
@@ -18,10 +18,9 @@ from fungrasp.geometry import (
     invert_pose,
     quat_rotate,
     transform_point,
-    transform_points,
 )
-from fungrasp.hand import HandFrames
 from fungrasp.objects import make_cylinder, make_sphere
+from fungrasp.rewards import RewardConfig
 from fungrasp.sim import (
     Contact,
     ContactError,
@@ -30,12 +29,9 @@ from fungrasp.sim import (
     SimParams,
     check_table_collision,
     detect_contacts,
-    feasible_combination,
     feasible_combination_batch,
-    grasp_success,
     grasp_success_batch,
     reset_env,
-    rollout,
     rollout_batch,
     style_contact_point,
     wrench_generators,
@@ -55,19 +51,14 @@ def _env_for(obj, mask=(0, 1), pose=None):
     )
 
 
-def _frames(centers, radii=None, fingers=None):
+def _spheres(centers, radii=None, fingers=None):
+    """detect_contacts' sphere arguments for one episode's one frame:
+    (1, 1, K, 3) centers, radii (default 1 cm) and finger indices."""
     centers = np.asarray(centers, dtype=float)
     k = centers.shape[0]
     radii = np.full(k, 0.01) if radii is None else np.asarray(radii, float)
     fingers = np.arange(k) if fingers is None else np.asarray(fingers)
-    return HandFrames(
-        wrist=identity_pose(),
-        centers=centers,
-        radii=radii,
-        finger_index=fingers,
-        segment_index=np.zeros(k, dtype=int),
-        fingertips=centers,
-    )
+    return centers[None, None], radii, fingers
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +91,7 @@ def test_reset_object_rests_on_table(assets):
     dist = assets.afford_dists[obj.name]
     for seed in range(10):
         env = reset_env(obj, dist, assets.styles, np.random.default_rng(seed), True, spec=assets.spec)
-        pts = transform_points(env.object_pose, obj.points)
+        pts = transform_point(env.object_pose, obj.points)
         assert pts[:, 2].min() >= -1e-6
 
 
@@ -127,16 +118,15 @@ def test_reset_xy_uniform_ks(assets):
 
 def test_contacts_far_away_empty(objects):
     env = _env_for(objects["box"])
-    frames = _frames([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]])
-    assert detect_contacts(frames, env) == []
+    crushed, contacts = detect_contacts([env], *_spheres([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]), 0, SimParams())
+    assert contacts == [[]] and crushed == [False]
 
 
 def test_contact_center_on_cloud_point(objects):
     obj = objects["box"]
     env = _env_for(obj)
     target = obj.points[100]
-    frames = _frames([target])
-    contacts = detect_contacts(frames, env)
+    _, (contacts,) = detect_contacts([env], *_spheres([target]), 0, SimParams())
     assert len(contacts) == 1
     assert contacts[0].penetration == pytest.approx(0.01, abs=1e-12)
     assert np.allclose(contacts[0].point, target)
@@ -146,8 +136,8 @@ def test_contact_center_on_cloud_point(objects):
 def test_contacts_straddling_cylinder_oppose():
     obj = make_cylinder(radius=0.03, height=0.08)
     env = _env_for(obj)
-    frames = _frames([[0.038, 0.0, 0.04], [-0.038, 0.0, 0.04]], fingers=[0, 1])
-    contacts = detect_contacts(frames, env)
+    spheres = _spheres([[0.038, 0.0, 0.04], [-0.038, 0.0, 0.04]], fingers=[0, 1])
+    _, (contacts,) = detect_contacts([env], *spheres, 0, SimParams())
     assert len(contacts) == 2
     n0, n1 = contacts[0].normal, contacts[1].normal
     assert float(n0 @ n1) < -0.9
@@ -158,28 +148,31 @@ def test_deepest_contact_per_finger(objects):
     env = _env_for(obj)
     shallow = obj.points[10] + obj.normals[10] * 0.008
     deep = obj.points[50] + obj.normals[50] * 0.001
-    frames = _frames([shallow, deep], fingers=[0, 0])
-    contacts = detect_contacts(frames, env)
+    _, (contacts,) = detect_contacts([env], *_spheres([shallow, deep], fingers=[0, 0]), 0, SimParams())
     assert len(contacts) == 1
     assert contacts[0].penetration == pytest.approx(0.009, abs=1e-4)
 
 
 def test_style_contact_point_cases():
-    frames = _frames([[1.0, 0, 0], [-1.0, 0, 0], [0, 3.0, 0]])
-    assert np.allclose(style_contact_point(frames, [0]), [1.0, 0, 0])
-    assert np.allclose(style_contact_point(frames, [0, 1]), [0, 0, 0])
-    assert np.allclose(style_contact_point(frames, [0, 1, 2]), [0, 1.0, 0])
+    tips = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 3.0, 0]])
+    assert np.allclose(style_contact_point(tips, [0]), [1.0, 0, 0])
+    assert np.allclose(style_contact_point(tips, [0, 1]), [0, 0, 0])
+    assert np.allclose(style_contact_point(tips, [0, 1, 2]), [0, 1.0, 0])
+    # a (T, F, 3) series of fingertips gives one point per frame
+    series = np.stack([tips, tips + [0, 0, 1.0]])
+    assert np.allclose(style_contact_point(series, [0, 1]), [[0, 0, 0], [0, 0, 1.0]])
     with pytest.raises(ValueError):
-        style_contact_point(frames, [])
+        style_contact_point(tips, [])
 
 
 def test_table_collision_cases():
-    assert not check_table_collision(_frames([[0, 0, 0.5]]))
-    assert check_table_collision(_frames([[0, 0, 0.0]]))
+    radii = np.array([0.01])
+    assert not check_table_collision(np.array([[0, 0, 0.5]]), radii)
+    assert check_table_collision(np.array([[0, 0, 0.0]]), radii)
     # grazing: z = radius - tol/2 is still a collision (conservative margin)
     tol = 0.002
-    assert check_table_collision(_frames([[0, 0, 0.01 - tol / 2]]), tol=tol)
-    assert not check_table_collision(_frames([[0, 0, 0.01 + 2 * tol]]), tol=tol)
+    stack = np.array([[[0, 0, 0.01 - tol / 2]], [[0, 0, 0.01 + 2 * tol]]])
+    assert check_table_collision(stack, radii, tol).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +190,15 @@ def _antipodal_sphere_contacts(obj):
 def test_antipodal_sphere_succeeds():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    assert grasp_success(_antipodal_sphere_contacts(obj), env, mu=0.5, eta=0.2)
+    assert grasp_success_batch([_antipodal_sphere_contacts(obj)], [env], mu=0.5, eta=0.2,
+                               table_collision=[False]) == [True]
 
 
 def test_single_contact_fails():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    assert not grasp_success(_antipodal_sphere_contacts(obj)[:1], env, mu=0.5)
+    assert grasp_success_batch([_antipodal_sphere_contacts(obj)[:1]], [env], mu=0.5,
+                               table_collision=[False]) == [False]
 
 
 def test_parallel_same_direction_normals_fail():
@@ -214,7 +209,7 @@ def test_parallel_same_direction_normals_fail():
         Contact(finger=0, point=c + [-0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
         Contact(finger=1, point=c + [0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
     ]
-    assert not grasp_success(contacts, env, mu=0.1)
+    assert grasp_success_batch([contacts], [env], mu=0.1, table_collision=[False]) == [False]
 
 
 def test_mu_monotonicity():
@@ -222,7 +217,7 @@ def test_mu_monotonicity():
     env = _env_for(obj)
     contacts = _antipodal_sphere_contacts(obj)
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2]
-    results = [grasp_success(contacts, env, mu=m, eta=0.2) for m in grid]
+    results = [grasp_success_batch([contacts], [env], mu=m, eta=0.2, table_collision=[False])[0] for m in grid]
     # once successful, stays successful as mu grows
     first_true = results.index(True) if True in results else len(results)
     assert all(results[first_true:])
@@ -231,13 +226,15 @@ def test_mu_monotonicity():
 def test_table_collision_fails_grasp():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    assert not grasp_success(_antipodal_sphere_contacts(obj), env, mu=0.5, table_collision=True)
+    assert grasp_success_batch([_antipodal_sphere_contacts(obj)], [env], mu=0.5,
+                               table_collision=[True]) == [False]
 
 
 def test_mask_fingers_requirement():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj, mask=(2, 3))  # contacts carry fingers 0 and 1
-    assert not grasp_success(_antipodal_sphere_contacts(obj), env, mu=0.5)
+    assert grasp_success_batch([_antipodal_sphere_contacts(obj)], [env], mu=0.5,
+                               table_collision=[False]) == [False]
 
 
 def test_degenerate_normals_raise():
@@ -246,7 +243,9 @@ def test_degenerate_normals_raise():
     contacts = _antipodal_sphere_contacts(obj)
     bad = Contact(finger=1, point=contacts[1].point, normal=np.array([np.nan, 0, 0]), penetration=0.0)
     with pytest.raises(ContactError):
-        grasp_success([contacts[0], bad], env, mu=0.5)
+        wrench_generators([contacts[0], bad], env, mu=0.5)
+    (outcome,) = grasp_success_batch([[contacts[0], bad]], [env], mu=0.5, table_collision=[False])
+    assert isinstance(outcome, ContactError)
 
 
 def test_feasibility_against_scipy_oracle():
@@ -259,7 +258,7 @@ def test_feasibility_against_scipy_oracle():
             b = w @ np.abs(rng.normal(size=m_gen))  # feasible by construction
         else:
             b = rng.normal(size=6)
-        mine = feasible_combination(w, b)
+        mine = feasible_combination_batch(w[None], b[None])[0]
         ref = linprog(np.zeros(m_gen), A_eq=w, b_eq=b,
                       bounds=[(0, None)] * m_gen, method="highs").status == 0
         assert mine == ref
@@ -297,7 +296,7 @@ def test_stacked_feasibility_matches_single_and_scipy(seed, shapes):
     for i, (w, _) in enumerate(problems):
         padded[i, :, : w.shape[1]] = w
     stacked = feasible_combination_batch(padded, np.array([b for _, b in problems]))
-    alone = [feasible_combination(w, b) for w, b in problems]
+    alone = [feasible_combination_batch(w[None], b[None])[0] for w, b in problems]
     ref = [
         linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],
                 method="highs").status == 0
@@ -353,14 +352,14 @@ def test_grasp_success_batch_matches_one_grasp_calls(objects):
                     r=axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
         env = _env_for(obj, mask=tuple(rng.choice(5, size=int(rng.integers(1, 4)), replace=False)), pose=pose)
         pick = rng.choice(len(obj.points), size=int(rng.integers(1, 6)), replace=False)
-        pts = transform_points(env.object_pose, obj.points)
+        pts = transform_point(env.object_pose, obj.points)
         nrm = quat_rotate(env.object_pose.r, obj.normals)
         contact_lists.append([Contact(finger=int(f), point=pts[j], normal=nrm[j], penetration=0.0)
                               for f, j in zip(rng.permutation(5), pick)])
         envs.append(env)
     table = list(rng.random(len(envs)) < 0.1)
     batch = grasp_success_batch(contact_lists, envs, mu=0.5, eta=0.2, table_collision=table)
-    alone = [grasp_success(c, e, mu=0.5, eta=0.2, table_collision=t)
+    alone = [grasp_success_batch([c], [e], mu=0.5, eta=0.2, table_collision=[t])[0]
              for c, e, t in zip(contact_lists, envs, table)]
     assert batch == alone
     assert 10 <= sum(alone) <= len(alone) - 10
@@ -411,7 +410,7 @@ def _fixture_env(assets, style_index=0):
 
 def test_identity_rollout_succeeds_on_fixture(box_assets, demo, spec, styles):
     env = _fixture_env(box_assets)
-    rec = rollout(env, demo, EditAction.identity(spec.joint_count), spec, styles)
+    (rec,) = rollout_batch([env], demo, [EditAction.identity(spec.joint_count)], spec, styles)
     assert rec.success
     assert np.all(np.isfinite(rec.d_series))
     assert rec.executed_style == 0
@@ -425,7 +424,7 @@ def test_rollout_far_action_fails(box_assets, demo, spec, styles):
 
     action = EditAction(dt=np.array([0.10, 0.10, 0.10]), dr=AxisAngle(np.zeros(3)),
                         dq=np.zeros(6), k=1.0)
-    rec = rollout(env, demo, action, spec, styles)
+    (rec,) = rollout_batch([env], demo, [action], spec, styles)
     assert not rec.success
     assert rec.contacts_at_grasp == [] or not rec.success
 
@@ -435,8 +434,8 @@ def test_rollout_purity(box_assets, demo, spec, styles):
     env2 = _fixture_env(box_assets)
     a = EditAction(dt=np.array([0.01, -0.01, 0.0]), dr=EditAction.identity(6).dr,
                    dq=np.full(6, 0.02), k=1.1)
-    r1 = rollout(env1, demo, a, spec, styles)
-    r2 = rollout(env2, demo, a, spec, styles)
+    (r1,) = rollout_batch([env1], demo, [a], spec, styles)
+    (r2,) = rollout_batch([env2], demo, [a], spec, styles)
     assert r1.success == r2.success
     assert np.array_equal(r1.d_series, r2.d_series)
     assert np.array_equal(r1.q_final, r2.q_final)
@@ -444,13 +443,12 @@ def test_rollout_purity(box_assets, demo, spec, styles):
 
 def test_rollout_record_invariants(box_assets, demo, spec, styles):
     rng = np.random.default_rng(6)
-    from fungrasp.demo import EditBounds
-
     lo, hi = EditBounds().intervals(spec.joint_count)
+    envs, actions = [], []
     for i in range(15):
-        env = _fixture_env(box_assets, style_index=int(rng.integers(4)))
-        action = EditAction.from_vector(rng.uniform(lo, hi), spec.joint_count)
-        rec = rollout(env, demo, action, spec, styles)
+        envs.append(_fixture_env(box_assets, style_index=int(rng.integers(4))))
+        actions.append(EditAction.from_vector(rng.uniform(lo, hi), spec.joint_count))
+    for rec in rollout_batch(envs, demo, actions, spec, styles):
         assert rec.d_series.shape == (demo.horizon + 1,)
         assert rec.d_min <= rec.d_final + 1e-15
         assert np.all(rec.d_series >= 0.0)
@@ -472,8 +470,7 @@ def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
     env_a = EnvState(obj=obj, object_pose=identity_pose(), condition=base_cond)
     g = Pose(t=np.array([0.12, -0.3, 0.0]), r=axis_angle_to_quat(np.array([0, 0, 1.1])))
     env_b = EnvState(obj=obj, object_pose=g, condition=base_cond)
-    ra = rollout(env_a, demo, action, spec, styles)
-    rb = rollout(env_b, demo, action, spec, styles)
+    ra, rb = rollout_batch([env_a, env_b], demo, [action, action], spec, styles)
     assert ra.success == rb.success
     assert np.allclose(ra.d_series, rb.d_series, atol=1e-9)
     assert len(ra.contacts_at_grasp) == len(rb.contacts_at_grasp)
@@ -498,7 +495,7 @@ def test_crush_rule_triggers(box_assets, spec, styles, demo):
 
     action = EditAction(dt=np.array([-0.06, 0.0, 0.0]), dr=AxisAngle(np.zeros(3)),
                         dq=np.zeros(6), k=1.0)
-    rec = rollout(env, demo, action, spec, styles)
+    (rec,) = rollout_batch([env], demo, [action], spec, styles)
     assert not rec.success
     assert rec.crushed
     assert rec.failure_reason == "crush"
@@ -513,7 +510,7 @@ def test_rollout_batch_matches_one_item_rollouts(hand):
     batch = rollout_batch(envs, assets.demo, actions, spec, assets.styles)
     reasons = set()
     for env, action, got in zip(envs, actions, batch):
-        want = rollout(env, assets.demo, action, spec, assets.styles)
+        (want,) = rollout_batch([env], assets.demo, [action], spec, assets.styles)
         assert np.array_equal(got.d_series, want.d_series)
         assert np.array_equal(got.q_final, want.q_final)
         assert got.failure_reason == want.failure_reason
@@ -587,14 +584,13 @@ def test_contacts_invariant_under_a_rigid_move(seed, axis_angle, shift):
     local = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.014, (12, 1))
     radii = np.full(12, 0.01)
     fingers = np.repeat(np.arange(4), 3)
-    base = _frames(transform_points(pose, local), radii, fingers)
-    moved = _frames(transform_points(compose_pose(move, pose), local), radii, fingers)
-    a = detect_contacts(base, _env_for(obj, pose=pose))
-    b = detect_contacts(moved, _env_for(obj, pose=compose_pose(move, pose)))
+    poses = [pose, compose_pose(move, pose)]
+    centers = np.stack([transform_point(p, local) for p in poses])[:, None]
+    _, (a, b) = detect_contacts([_env_for(obj, pose=p) for p in poses], centers, radii, fingers, 0, SimParams())
     assert [c.finger for c in a] == [c.finger for c in b]
     assert a, "the shell puts some sphere in contact"
-    back_a = transform_points(invert_pose(pose), np.array([c.point for c in a]))
-    back_b = transform_points(invert_pose(compose_pose(move, pose)), np.array([c.point for c in b]))
+    back_a = transform_point(invert_pose(pose), np.array([c.point for c in a]))
+    back_b = transform_point(invert_pose(compose_pose(move, pose)), np.array([c.point for c in b]))
     idx_a, gap_a = sim._nearest(back_a, obj.points)
     idx_b, gap_b = sim._nearest(back_b, obj.points)
     assert np.array_equal(idx_a, idx_b) and gap_a.max() < 1e-12 and gap_b.max() < 1e-12
@@ -628,7 +624,7 @@ def test_contact_phase_matches_per_episode_world_frame_reference(hand, monkeypat
     assets = hand_assets(hand)
     envs, actions = seeded_rollout_inputs(assets, 640, seed=12)
     got = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
-    monkeypatch.setattr(sim, "_contact_phase", reference_contact_phase)
+    monkeypatch.setattr(sim, "detect_contacts", reference_contact_phase)
     want = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
     for g, w in zip(got, want):
         _assert_same_record(g, w, penetration_tol=1e-12)
@@ -644,10 +640,9 @@ def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
     rng = np.random.default_rng(2)
     pick = rng.choice(len(obj.points), size=8, replace=False)
     local = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.01, (8, 1))
-    frames = _frames(transform_points(pose, local), fingers=np.repeat(np.arange(4), 2))
-    _, (want,) = reference_contact_phase([env], frames.centers[None, None], frames.radii, frames.finger_index, 0,
-                                         SimParams())
-    got = detect_contacts(frames, env)
+    spheres = _spheres(transform_point(pose, local), fingers=np.repeat(np.arange(4), 2))
+    _, (want,) = reference_contact_phase([env], *spheres, 0, SimParams())
+    _, (got,) = detect_contacts([env], *spheres, 0, SimParams())
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert a.finger == b.finger
@@ -661,3 +656,17 @@ def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
 def test_sim_params_reject_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         SimParams(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("b_t", -0.01), ("b_r", -0.1), ("b_q", -1e-9), ("k_min", 1.5), ("k_max", 0.5),
+])
+def test_edit_bounds_reject_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        EditBounds(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1])
+def test_reward_config_rejects_non_positive_fixed_clip_radius(value):
+    with pytest.raises(ValueError, match="fixed_clip_radius"):
+        RewardConfig(fixed_clip_radius=value)

@@ -18,10 +18,11 @@ from fungrasp.training import (
     config_from_dict,
     config_to_dict,
     episode_rng,
+    load_objects,
     outcome_counts,
     ppo_update,
     run_bandit,
-    run_episode,
+    run_episodes,
     train,
 )
 
@@ -39,8 +40,8 @@ def tiny_params(assets, tiny_cfg):
 
 
 def test_single_episode_deterministic(assets, tiny_cfg, tiny_params):
-    a = run_episode(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), 0, train_mode=True)
-    b = run_episode(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), 0, train_mode=True)
+    (a,) = run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), [0], train_mode=True)
+    (b,) = run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), [0], train_mode=True)
     assert a.object_name == b.object_name
     assert np.array_equal(a.raw, b.raw)
     assert a.log_prob == b.log_prob
@@ -175,6 +176,21 @@ def test_train_writes_metrics_and_checkpoint(assets, tmp_path):
     assert meta["iteration"] == 3
 
 
+def test_load_objects_directory_and_toy_fallback(tmp_path, objects):
+    from fungrasp.objects import save_object_ply, toy_suite
+
+    for name in ("mug", "box"):
+        save_object_ply(objects[name], tmp_path / f"{name}.ply")
+    (tmp_path / "notes.txt").write_text("not a cloud")
+    loaded = load_objects(tmp_path)
+    assert [o.name for o in loaded] == ["box", "mug"]
+    assert np.array_equal(loaded[1].points, objects["mug"].points)
+    assert [o.name for o in load_objects(None)] == list(toy_suite())
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(FileNotFoundError, match="no .ply objects"):
+        load_objects(tmp_path / "empty")
+
+
 def test_config_round_trip():
     cfg = TrainConfig(seed=9, envs_per_iter=32, minibatch=16)
     back = config_from_dict(config_to_dict(cfg))
@@ -227,7 +243,7 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
         raise RuntimeError("synthetic geometry failure")
 
     monkeypatch.setattr(tr, "rollout_batch", boom)
-    res = tr.run_episode(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), 0, train_mode=True)
+    (res,) = tr.run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), [0], train_mode=True)
     assert res.error is not None
     assert res.reward == 0.0
     assert res.record is None

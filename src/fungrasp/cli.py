@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assets as bundled
-from .dataio import CheckpointError, default_cameras, export_rollouts, load_checkpoint, save_checkpoint
+from .dataio import CheckpointError, default_cameras, export_rollouts, load_checkpoint
 from .demo import DemoError, load_demo
 from .hand import HandError, load_hand_spec
 from .objects import ObjectError, affordance_distribution, sample_affordance_index
@@ -141,21 +141,28 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    from .evaluation import evaluate, write_episode_rows, write_report, _row_from_result
-
+def _checkpoint_run(args):
+    """What eval and collect share: the config, the assets, the output
+    directory, the checkpoint's params (checked against the hand and the
+    config) and the episode count."""
     cfg_file = _load_config_file(args.config)
     cfg = _build_train_config(args, cfg_file)
     assets = _build_assets(args, cfg_file)
     out = _out_dir(args, cfg_file)
     ckpt = _resolve(args, cfg_file, "checkpoint")
     if ckpt is None:
-        raise ValueError("eval needs --checkpoint (or config 'checkpoint')")
+        raise ValueError(f"{args.command} needs --checkpoint (or config 'checkpoint')")
     params, _ = load_checkpoint(
         ckpt, expect_hand=assets.spec.name, expect_style_count=len(assets.styles),
         expect_m_points=cfg.m_points, expect_joint_count=assets.spec.joint_count,
     )
-    n = int(_resolve(args, cfg_file, "episodes", 200))
+    return cfg, assets, out, params, int(_resolve(args, cfg_file, "episodes", 200))
+
+
+def cmd_eval(args) -> int:
+    from .evaluation import evaluate, write_episode_rows, write_report, _row_from_result
+
+    cfg, assets, out, params, n = _checkpoint_run(args)
     metrics, results = evaluate(
         params, cfg, assets, n, seed=cfg.seed,
         strict=bool(args.strict_success), exhaustive_styles=bool(args.exhaustive_styles),
@@ -193,18 +200,7 @@ def cmd_ablate(args) -> int:
 def cmd_collect(args) -> int:
     from .evaluation import evaluate
 
-    cfg_file = _load_config_file(args.config)
-    cfg = _build_train_config(args, cfg_file)
-    assets = _build_assets(args, cfg_file)
-    out = _out_dir(args, cfg_file)
-    ckpt = _resolve(args, cfg_file, "checkpoint")
-    if ckpt is None:
-        raise ValueError("collect needs --checkpoint (or config 'checkpoint')")
-    params, _ = load_checkpoint(
-        ckpt, expect_hand=assets.spec.name, expect_style_count=len(assets.styles),
-        expect_m_points=cfg.m_points, expect_joint_count=assets.spec.joint_count,
-    )
-    n = int(_resolve(args, cfg_file, "episodes", 200))
+    cfg, assets, out, params, n = _checkpoint_run(args)
     _, results = evaluate(params, cfg, assets, n, seed=cfg.seed)
     manifest = export_rollouts(
         results, default_cameras(), out / "rollouts.jsonl",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Pose, invert_pose, quat_from_matrix, transform_point
-from .policy import ARRAY_FIELDS, PolicyParams, unflatten_params
+from .policy import ARRAY_FIELDS, PolicyParams, param_shapes
 
 log = logging.getLogger(__name__)
 
@@ -239,7 +239,10 @@ def save_checkpoint(params: PolicyParams, meta: dict, path) -> None:
 def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: int | None = None,
                     expect_m_points: int | None = None,
                     expect_joint_count: int | None = None) -> tuple[PolicyParams, dict]:
-    """Load and validate a checkpoint; rejects shape/identity mismatches."""
+    """Load and validate a checkpoint. Rejects identity mismatches, and
+    any array whose size differs from the shape its stored style_count
+    and joint_count give it (policy.param_shapes) or that holds a
+    non-finite value; each CheckpointError names what it rejects."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -257,31 +260,25 @@ def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: in
     ):
         if want is not None and got != want:
             raise CheckpointError(f"{path}: checkpoint {label}={got!r}, configured {label}={want!r}")
-    template = _params_template(payload)
-    flat = []
-    for f in ARRAY_FIELDS:
-        shape = tuple(payload["shapes"][f])
-        arr = np.array(payload["arrays"][f], dtype=float)
-        if arr.size != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: array {f} has {arr.size} values, shape {shape}")
-        flat.append(arr)
-    params = unflatten_params(template, np.concatenate(flat))
+    try:
+        counts = {k: int(payload[k]) for k in ("m_points", "style_count", "joint_count")}
+        shapes = param_shapes(counts["style_count"], counts["joint_count"])
+        arrays = {f: np.array(payload["arrays"][f], dtype=float) for f in shapes}
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
+    for f, shape in shapes.items():
+        if arrays[f].size != int(np.prod(shape)):
+            raise CheckpointError(
+                f"{path}: array {f} has {arrays[f].size} values, but style_count={counts['style_count']} "
+                f"and joint_count={counts['joint_count']} give it shape {shape}"
+            )
+        if not np.all(np.isfinite(arrays[f])):
+            raise CheckpointError(f"{path}: array {f} holds non-finite values")
+        arrays[f] = arrays[f].reshape(shape)
+    params = PolicyParams(**arrays, **counts)
     meta = {
         "hand": payload.get("hand"),
         "iteration": payload.get("iteration", 0),
         "rng": payload.get("rng", {}),
     }
     return params, meta
-
-
-def _params_template(payload: dict) -> PolicyParams:
-    try:
-        kw = {f: np.zeros(tuple(payload["shapes"][f])) for f in ARRAY_FIELDS}
-    except KeyError as e:
-        raise CheckpointError(f"checkpoint missing shape for {e}") from e
-    return PolicyParams(
-        **kw,
-        m_points=int(payload["m_points"]),
-        style_count=int(payload["style_count"]),
-        joint_count=int(payload["joint_count"]),
-    )

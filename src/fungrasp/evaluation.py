@@ -1,16 +1,18 @@
 """Metrics (GSR, SAD, SD, SA) and ablations.
 
 Evaluation is deterministic given its seed: actions are taken at the
-squashed policy mean unless the stochastic flag is set, and episodes are
-keyed by (seed, episode index) exactly like training rollouts. The
-random-action baseline is evaluate(..., mode="random"): uniform actions
-within the bounds, the same episodes and the same metrics.
+squashed policy mean unless a mode says otherwise (mode="policy"
+samples them), and episodes are keyed by (seed, episode index) exactly
+like training rollouts, through the same EpisodePool. The random-action
+baseline is evaluate(..., mode="random"): uniform actions within the
+bounds, the same episodes and the same metrics.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,7 +21,6 @@ import numpy as np
 from .dataio import config_digest
 from .hand import normalize_joints
 from .policy import PolicyParams
-from .rewards import RewardConfig
 from .training import (
     STREAM_EVAL,
     Assets,
@@ -29,7 +30,6 @@ from .training import (
     check_m_points,
     config_to_dict,
     outcome_counts,
-    run_episodes,
     train,
 )
 
@@ -204,7 +204,6 @@ def evaluate(
     n_episodes: int,
     seed: int,
     *,
-    stochastic: bool = False,
     strict: bool = False,
     exhaustive_styles: bool = False,
     mode: str | None = None,
@@ -213,10 +212,10 @@ def evaluate(
 ) -> tuple[Metrics, list[EpisodeResult]]:
     """Run N conditioned evaluation episodes and aggregate metrics.
 
-    mode overrides the action choice (policy | mean | random | identity);
-    with "random" the actions, and so the metrics, do not depend on
-    params. With exhaustive_styles each episode replays every style
-    candidate (identical environment otherwise) and keeps the best
+    mode sets the action choice (mean by default; policy | random |
+    identity); with "random" the actions, and so the metrics, do not
+    depend on params. With exhaustive_styles each episode replays every
+    style candidate (identical environment otherwise) and keeps the best
     outcome.
     """
     if n_episodes < 1:
@@ -224,29 +223,16 @@ def evaluate(
     if not assets.objects:
         raise ValueError("empty object set")
     check_m_points(cfg, assets)
-    action_mode = mode or ("policy" if stochastic else "mean")
-    own_pool = pool is None
-    if own_pool:
-        pool = EpisodePool(cfg.workers, assets)
-    try:
-        if not exhaustive_styles:
-            results = pool.run(
+    forced = range(len(assets.styles)) if exhaustive_styles else [None]
+    with nullcontext(pool) if pool else EpisodePool(cfg.workers, assets) as pool:
+        by_style = [
+            pool.run(
                 params, cfg, seed, (STREAM_EVAL,), n_episodes,
-                train_mode=False, mode=action_mode,
+                train_mode=False, mode=mode or "mean", force_style=s,
             )
-        else:
-            cache: dict = {}
-            by_style = [
-                run_episodes(
-                    params, cfg, assets, cache, seed, (STREAM_EVAL,), range(n_episodes),
-                    train_mode=False, mode=action_mode, force_style=s,
-                )
-                for s in range(len(assets.styles))
-            ]
-            results = [_best_of_styles(list(per_style)) for per_style in zip(*by_style)]
-    finally:
-        if own_pool:
-            pool.close()
+            for s in forced
+        ]
+    results = [_best_of_styles(list(per_style)) for per_style in zip(*by_style)]
     rows = [_row_from_result(r) for r in results]
     return compute_metrics(rows, assets.spec, strict, baseline_sd), results
 

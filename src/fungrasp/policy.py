@@ -21,8 +21,8 @@ import numpy as np
 
 from .demo import EditAction, EditBounds
 from .geometry import compose_pose
-from .hand import HandSpec, Style
-from .objects import ObjectModel, farthest_point_sample
+from .hand import Style
+from .objects import farthest_point_sample
 from .sim import EnvState
 
 __all__ = [
@@ -85,7 +85,6 @@ class ObsBatch:
 def encode_observation(
     env: EnvState,
     demo,
-    spec: HandSpec,
     styles: list[Style],
     m_points: int,
     fps_seed: int,
@@ -156,16 +155,26 @@ class PolicyParams:
         return 7 + self.joint_count
 
 
-ARRAY_FIELDS = [
-    "pb_w1", "pb_b1", "pb_w2", "pb_b2",
-    "a_w1", "a_b1", "a_w2", "a_b2",
-    "mean_w", "mean_b", "log_std",
-    "v_w1", "v_b1", "v_w2", "v_b2", "v_w3", "v_b3",
-]
-
-
 def trunk_input_dim(style_count: int) -> int:
     return 7 + 7 + CLOUD_FEAT_DIM + 3 + style_count + 1
+
+
+def param_shapes(style_count: int, joint_count: int) -> dict[str, tuple]:
+    """The shape of every learnable array, in PolicyParams field order;
+    init_params builds them and load_checkpoint checks them."""
+    d = trunk_input_dim(style_count)
+    a_dim = 7 + joint_count
+    return {
+        "pb_w1": (POINT_FEATURES, 32), "pb_b1": (32,),
+        "pb_w2": (32, CLOUD_FEAT_DIM), "pb_b2": (CLOUD_FEAT_DIM,),
+        "a_w1": (d, 128), "a_b1": (128,), "a_w2": (128, 128), "a_b2": (128,),
+        "mean_w": (128, a_dim), "mean_b": (a_dim,), "log_std": (a_dim,),
+        "v_w1": (d, 128), "v_b1": (128,), "v_w2": (128, 64), "v_b2": (64,),
+        "v_w3": (64, 1), "v_b3": (1,),
+    }
+
+
+ARRAY_FIELDS = list(param_shapes(1, 0))
 
 
 def _orthogonal(rng: np.random.Generator, shape, gain: float) -> np.ndarray:
@@ -182,33 +191,19 @@ def init_params(
     joint_count: int,
     init_log_std: float = -0.5,
 ) -> PolicyParams:
-    """Orthogonal init; output heads scaled down so the initial policy
-    squashes to (almost) the identity edit."""
-    d = trunk_input_dim(style_count)
-    a_dim = 7 + joint_count
-    g = np.sqrt(2.0)
-    return PolicyParams(
-        pb_w1=_orthogonal(rng, (POINT_FEATURES, 32), g),
-        pb_b1=np.zeros(32),
-        pb_w2=_orthogonal(rng, (32, CLOUD_FEAT_DIM), g),
-        pb_b2=np.zeros(CLOUD_FEAT_DIM),
-        a_w1=_orthogonal(rng, (d, 128), g),
-        a_b1=np.zeros(128),
-        a_w2=_orthogonal(rng, (128, 128), g),
-        a_b2=np.zeros(128),
-        mean_w=_orthogonal(rng, (128, a_dim), HEAD_SCALE),
-        mean_b=np.zeros(a_dim),
-        log_std=np.full(a_dim, float(init_log_std)),
-        v_w1=_orthogonal(rng, (d, 128), g),
-        v_b1=np.zeros(128),
-        v_w2=_orthogonal(rng, (128, 64), g),
-        v_b2=np.zeros(64),
-        v_w3=_orthogonal(rng, (64, 1), HEAD_SCALE),
-        v_b3=np.zeros(1),
-        m_points=m_points,
-        style_count=style_count,
-        joint_count=joint_count,
-    )
+    """Orthogonal weights (drawn in field order), zero biases; output
+    heads scaled down so the initial policy squashes to (almost) the
+    identity edit."""
+    arrays = {}
+    for name, shape in param_shapes(style_count, joint_count).items():
+        if name == "log_std":
+            arrays[name] = np.full(shape, float(init_log_std))
+        elif len(shape) == 2:
+            gain = HEAD_SCALE if name in ("mean_w", "v_w3") else np.sqrt(2.0)
+            arrays[name] = _orthogonal(rng, shape, gain)
+        else:
+            arrays[name] = np.zeros(shape)
+    return PolicyParams(**arrays, m_points=m_points, style_count=style_count, joint_count=joint_count)
 
 
 def zeros_like_params(p: PolicyParams) -> PolicyParams:

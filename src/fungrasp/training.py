@@ -28,9 +28,14 @@ as a one-row product), so an episode's result does not depend on which
 chunk it ran in, nor on which episodes share its object; one episode is
 a chunk of one. metrics.jsonl stays byte-identical across worker
 counts: its lines, outcome counts included, depend only on the
-episodes' results. An episode that raises in phase 1 or 3 is
-scored as an error alone; if phase 2 raises, the chunk is rerun one
-episode at a time so only the failing episode becomes an error.
+episodes' results.
+
+One error rule: a PolicyError in phase 1 (a non-finite observation or
+activation) ends that episode alone as an error that keeps the type in
+its text; it gets zero reward and no sample in the PPO batch.
+Degenerate contact geometry is the rollout's own "degenerate" outcome,
+not an error. Any other exception propagates, and a run in which every
+episode errors raises PolicyError.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import dataclasses
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,15 +129,15 @@ class TrainConfig:
     sim: SimParams = field(default_factory=SimParams)
 
     def __post_init__(self):
+        for name, low in (("minibatch", 1), ("workers", 1), ("eval_episodes", 1), ("iterations", 0),
+                          ("sigma_style", 0), ("eval_every", 0), ("checkpoint_every", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.envs_per_iter < self.minibatch:
             raise ValueError("envs_per_iter must be >= minibatch")
         for name in ("learning_rate", "clip_eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -159,13 +165,16 @@ def config_from_dict(d: dict) -> TrainConfig:
 
 @dataclass
 class Assets:
-    """Immutable bundle shared (read-only) by every rollout worker."""
+    """Bundle shared (read-only) by every rollout worker, plus the FPS
+    indices each cloud's observation uses, filled on first use. A pool
+    worker's copy of the bundle is its cache for the worker's lifetime."""
 
     spec: HandSpec
     styles: list[Style]
     demo: Demonstration
     objects: list[ObjectModel]
     afford_dists: dict[str, AffordanceDistribution]
+    fps_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, spec, styles, demo, objects) -> "Assets":
@@ -212,15 +221,17 @@ def episode_rng(seed: int, stream: int, *key) -> np.random.Generator:
 
 @dataclass
 class EpisodeResult:
+    """One episode; an errored one has no obs, raw, action_vec or record."""
+
     index: int
     object_name: str
-    obs: ObsBatch                  # B = 1
-    raw: np.ndarray
-    action_vec: np.ndarray
+    obs: ObsBatch | None           # B = 1
+    raw: np.ndarray | None
+    action_vec: np.ndarray | None
     log_prob: float
     value: float
     reward: float
-    record: object                 # RolloutRecord (None only if the episode errored)
+    record: object                 # RolloutRecord
     p_afford_world: np.ndarray
     conditioned_style: int
     error: str | None = None
@@ -228,25 +239,17 @@ class EpisodeResult:
 
 @dataclass
 class Batch:
+    """The PPO batch: E' rows, one per episode that ran; results holds
+    all E episodes, errored ones included."""
+
     obs: ObsBatch
-    raw: np.ndarray                # (E, A)
-    log_prob_old: np.ndarray       # (E,)
-    rewards: np.ndarray            # (E,)
-    values_old: np.ndarray         # (E,)
-    advantages: np.ndarray         # (E,) normalized
+    raw: np.ndarray                # (E', A)
+    log_prob_old: np.ndarray       # (E',)
+    rewards: np.ndarray            # (E',)
+    values_old: np.ndarray         # (E',)
+    advantages: np.ndarray         # (E',) normalized
     results: list[EpisodeResult]
     episode_errors: int
-
-
-def _zero_observation(cfg: TrainConfig, assets: Assets) -> ObsBatch:
-    return ObsBatch(
-        s_r=np.zeros((1, 7)),
-        s_o=np.zeros((1, 7)),
-        cloud=np.zeros((1, cfg.m_points, 6)),
-        p_afford_rel=np.zeros((1, 3)),
-        l_style=np.eye(len(assets.styles))[:1],
-        obj_bb=np.ones((1, 1)),
-    )
 
 
 @dataclass
@@ -262,7 +265,7 @@ class _Draft:
     value: float
 
 
-def _act(params, cfg, assets, fps_cache, seed, stream_key, index, train_mode, mode, force_style) -> _Draft:
+def _act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style) -> _Draft:
     """Phase 1 of one episode: reset, observe, a B=1 forward pass, act."""
     rng = episode_rng(seed, *stream_key, index)
     joint_count = assets.spec.joint_count
@@ -285,9 +288,7 @@ def _act(params, cfg, assets, fps_cache, seed, stream_key, index, train_mode, mo
             q_style_used=style.q_canonical.copy(),
             contact_mask=style.contact_mask,
         )
-    obs = encode_observation(
-        env, assets.demo, assets.spec, assets.styles, cfg.m_points, cfg.seed, fps_cache
-    )
+    obs = encode_observation(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.fps_cache)
     mean, log_std, value, _ = policy_forward(params, obs)
     lo, hi = cfg.bounds.intervals(joint_count)
     if mode == "policy":
@@ -332,26 +333,12 @@ def _score(draft: _Draft, record, cfg: TrainConfig) -> EpisodeResult:
     )
 
 
-def _failed(params, cfg: TrainConfig, assets: Assets, index: int, exc: Exception) -> EpisodeResult:
+def _failed(index: int, exc: PolicyError) -> EpisodeResult:
     log.warning("episode %d failed (%s); scored as zero reward", index, exc)
-    joint_count = assets.spec.joint_count
-    obs = _zero_observation(cfg, assets)
-    mean, log_std, value, _ = policy_forward(params, obs)
-    raw = np.array(mean[0])
-    logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
     return EpisodeResult(
-        index=index,
-        object_name="<error>",
-        obs=obs,
-        raw=raw,
-        action_vec=squash(raw, *cfg.bounds.intervals(joint_count)),
-        log_prob=float(logp),
-        value=float(value[0]),
-        reward=0.0,
-        record=None,
-        p_afford_world=np.zeros(3),
-        conditioned_style=0,
-        error=str(exc),
+        index=index, object_name="<error>", obs=None, raw=None, action_vec=None,
+        log_prob=0.0, value=0.0, reward=0.0, record=None, p_afford_world=np.zeros(3),
+        conditioned_style=0, error=f"{type(exc).__name__}: {exc}",
     )
 
 
@@ -359,7 +346,6 @@ def run_episodes(
     params: PolicyParams,
     cfg: TrainConfig,
     assets: Assets,
-    fps_cache: dict,
     seed: int,
     stream_key: tuple,
     indices,
@@ -369,48 +355,26 @@ def run_episodes(
     force_style: int | None = None,
 ) -> list[EpisodeResult]:
     """Full conditioned episodes, in the order of `indices`, through the
-    engine's three phases (see the module docstring).
+    engine's three phases and its error rule (see the module docstring).
 
-    An episode that raises in phase 1 or 3 is scored as an error on its
-    own. If the batched rollout raises, the episodes are rerun one at a
-    time, so only the failing one becomes an error. force_style
-    overrides the sampled style *after* the reset draws, so the
-    environment (object, pose, affordance) is identical across the
+    force_style overrides the sampled style *after* the reset draws, so
+    the environment (object, pose, affordance) is identical across the
     forced candidates of a best-style sweep.
     """
     episodes: list[_Draft | EpisodeResult] = []
     for index in indices:
         try:
-            episodes.append(
-                _act(params, cfg, assets, fps_cache, seed, stream_key, index, train_mode, mode, force_style)
-            )
-        except Exception as e:  # noqa: BLE001 - degenerate geometry must not kill a sweep
-            episodes.append(_failed(params, cfg, assets, index, e))
+            episodes.append(_act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style))
+        except PolicyError as e:
+            episodes.append(_failed(index, e))
     live = [i for i, ep in enumerate(episodes) if isinstance(ep, _Draft)]
-    if not live:
-        return episodes  # type: ignore[return-value]
-    try:
+    if live:
         records = rollout_batch(
             [episodes[i].env for i in live], assets.demo, [episodes[i].action for i in live],
             assets.spec, assets.styles, cfg.sim,
         )
-    except Exception as e:  # noqa: BLE001 - contained to the failing episode below
-        if len(live) > 1:
-            log.warning("batched rollout failed (%s); rerunning %d episodes one at a time", e, len(live))
-        for i in live:
-            index = episodes[i].index
-            episodes[i] = (
-                _failed(params, cfg, assets, index, e) if len(live) == 1 else run_episodes(
-                    params, cfg, assets, fps_cache, seed, stream_key, [index],
-                    train_mode=train_mode, mode=mode, force_style=force_style,
-                )[0]
-            )
-        return episodes  # type: ignore[return-value]
-    for i, record in zip(live, records):
-        try:
+        for i, record in zip(live, records):
             episodes[i] = _score(episodes[i], record, cfg)
-        except Exception as e:  # noqa: BLE001
-            episodes[i] = _failed(params, cfg, assets, episodes[i].index, e)
     return episodes  # type: ignore[return-value]
 
 
@@ -419,7 +383,6 @@ def run_episodes(
 # ---------------------------------------------------------------------------
 
 _WORKER_ASSETS: Assets | None = None
-_WORKER_FPS_CACHE: dict = {}
 
 
 def _pin_blas_threads(n: int) -> None:
@@ -444,50 +407,56 @@ def _pin_blas_threads(n: int) -> None:
 
 
 def _pool_init(assets: Assets):
-    """Worker set-up: shared assets, an FPS cache for the worker's
-    lifetime, and one BLAS thread, since the workers already share the
+    """Worker set-up: the shared assets (and with them the worker's FPS
+    cache), and one BLAS thread, since the workers already share the
     cores between them."""
-    global _WORKER_ASSETS, _WORKER_FPS_CACHE
+    global _WORKER_ASSETS
     _WORKER_ASSETS = assets
-    _WORKER_FPS_CACHE = {}
     _pin_blas_threads(1)
 
 
 def _pool_chunk(args):
-    params, cfg, seed, stream_key, indices, train_mode, mode = args
+    params, cfg, seed, stream_key, indices, train_mode, mode, force_style = args
     return run_episodes(
-        params, cfg, _WORKER_ASSETS, _WORKER_FPS_CACHE, seed, stream_key, indices,
-        train_mode=train_mode, mode=mode,
+        params, cfg, _WORKER_ASSETS, seed, stream_key, indices,
+        train_mode=train_mode, mode=mode, force_style=force_style,
     )
 
 
 class EpisodePool:
-    """Bulk-synchronous episode runner; workers share read-only assets."""
+    """Bulk-synchronous episode runner; workers share read-only assets.
+    Every episode of training and evaluation runs through `run`."""
 
     def __init__(self, workers: int, assets: Assets):
         self.workers = max(1, int(workers))
         self.assets = assets
-        self._fps_cache: dict = {}
         self._ex = None
         if self.workers > 1:
             self._ex = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_pool_init, initargs=(assets,)
             )
 
-    def run(self, params, cfg, seed, stream_key, n_episodes, *, train_mode, mode="policy") -> list[EpisodeResult]:
+    def run(
+        self, params, cfg, seed, stream_key, n_episodes, *, train_mode, mode="policy", force_style=None,
+    ) -> list[EpisodeResult]:
+        """Episodes 0..n_episodes-1 in index order; raises PolicyError
+        if every one of them errored."""
         indices = list(range(n_episodes))
         if self._ex is None:
-            return run_episodes(
-                params, cfg, self.assets, self._fps_cache, seed, stream_key, indices,
-                train_mode=train_mode, mode=mode,
+            out = run_episodes(
+                params, cfg, self.assets, seed, stream_key, indices,
+                train_mode=train_mode, mode=mode, force_style=force_style,
             )
-        chunks = [indices[c :: self.workers] for c in range(self.workers)]
-        tasks = [(params, cfg, seed, stream_key, ch, train_mode, mode) for ch in chunks if ch]
-        out: list[EpisodeResult | None] = [None] * n_episodes
-        for results in self._ex.map(_pool_chunk, tasks):
-            for r in results:
-                out[r.index] = r
-        return out  # type: ignore[return-value]
+        else:
+            chunks = [indices[c :: self.workers] for c in range(self.workers)]
+            tasks = [(params, cfg, seed, stream_key, ch, train_mode, mode, force_style) for ch in chunks if ch]
+            out = [None] * n_episodes
+            for results in self._ex.map(_pool_chunk, tasks):
+                for r in results:
+                    out[r.index] = r
+        if out and all(r.error is not None for r in out):
+            raise PolicyError(f"all {len(out)} episodes failed; the first: {out[0].error}")
+        return out
 
     def close(self):
         if self._ex is not None:
@@ -509,34 +478,30 @@ def collect_batch(
     pool: EpisodePool | None = None,
 ) -> Batch:
     """E independent training episodes assembled in episode-index order."""
-    own_pool = pool is None
-    if own_pool:
-        pool = EpisodePool(cfg.workers, assets)
-    try:
+    with nullcontext(pool) if pool else EpisodePool(cfg.workers, assets) as pool:
         results = pool.run(
             params, cfg, cfg.seed, (STREAM_TRAIN, iteration), cfg.envs_per_iter,
             train_mode=True, mode="policy",
         )
-    finally:
-        if own_pool:
-            pool.close()
     return _assemble_batch(results)
 
 
 def _assemble_batch(results: list[EpisodeResult]) -> Batch:
-    rewards = np.array([r.reward for r in results])
-    values = np.array([r.value for r in results])
+    """Stack the episodes that ran; errored ones stay in results only."""
+    ran = [r for r in results if r.error is None]
+    rewards = np.array([r.reward for r in ran])
+    values = np.array([r.value for r in ran])
     adv = rewards - values
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     return Batch(
-        obs=ObsBatch.concat([r.obs for r in results]),
-        raw=np.stack([r.raw for r in results]),
-        log_prob_old=np.array([r.log_prob for r in results]),
+        obs=ObsBatch.concat([r.obs for r in ran]),
+        raw=np.stack([r.raw for r in ran]),
+        log_prob_old=np.array([r.log_prob for r in ran]),
         rewards=rewards,
         values_old=values,
         advantages=adv,
         results=results,
-        episode_errors=sum(1 for r in results if r.error is not None),
+        episode_errors=len(results) - len(ran),
     )
 
 

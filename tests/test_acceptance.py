@@ -5,7 +5,6 @@ directional and reported without gating, as specified; everything else
 asserts at its stated tolerance.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 import metrics_oracle
-from fungrasp.dataio import default_cameras, export_rollouts
+from fungrasp.dataio import default_cameras
 from fungrasp.demo import EditAction
 from fungrasp.evaluation import _ablate_config, _row_from_result, evaluate, write_episode_rows
 from fungrasp.objects import make_sphere
@@ -215,7 +214,7 @@ def test_criterion_7_ablation_directions(assets, train_cfg, trained):
 def test_criterion_8_metric_oracle_equivalence(assets, tmp_path):
     cfg = TrainConfig(envs_per_iter=8, minibatch=8, m_points=32, seed=808)
     params = init_params(episode_rng(808, 4), 32, len(assets.styles), assets.spec.joint_count)
-    metrics, results = evaluate(params, cfg, assets, 120, seed=808, stochastic=True)
+    metrics, results = evaluate(params, cfg, assets, 120, seed=808, mode="policy")
     rows_path = tmp_path / "episodes.jsonl"
     write_episode_rows([_row_from_result(r) for r in results], rows_path)
     ref = metrics_oracle.recompute(metrics_oracle.read_rows(rows_path))

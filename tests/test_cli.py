@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fungrasp.cli import main
-from fungrasp.training import TrainConfig, config_to_dict
 
 
 SUBCOMMANDS = ("train", "eval", "ablate", "collect", "sample-affordance", "demo", "check-gradients")
@@ -122,6 +121,33 @@ def test_checkpoint_joint_count_mismatch_is_a_user_error(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert code == 1
     assert "joint_count=5" in err and "joint_count=6" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command, defect, named", [
+    ("eval", "joint_count", "array mean_w has 1536 values"),
+    ("collect", "nan", "array a_w1 holds non-finite values"),
+])
+def test_invalid_checkpoint_arrays_are_user_errors(tmp_path, capsys, command, defect, named):
+    from fungrasp.dataio import save_checkpoint
+    from fungrasp.policy import init_params
+
+    ckpt = tmp_path / "bad.json"
+    if defect == "joint_count":
+        # arrays saved for J=5; the stored joint_count edited to the hand's 6
+        save_checkpoint(init_params(np.random.default_rng(0), 32, 4, 5), {"hand": "inspire_like"}, ckpt)
+        payload = json.loads(ckpt.read_text())
+        payload["joint_count"] = 6
+        ckpt.write_text(json.dumps(payload))
+    else:
+        params = init_params(np.random.default_rng(0), 32, 4, 6)
+        params.a_w1[0, 0] = np.nan
+        save_checkpoint(params, {"hand": "inspire_like"}, ckpt)
+    cfg_path = _write_config(tmp_path)
+    code = main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--episodes", "4", "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert named in err and "internal error" not in err
 
 
 def test_sample_affordance_reads_an_objects_directory(tmp_path, capsys):

@@ -9,7 +9,6 @@ from fungrasp.dataio import (
     config_digest,
     default_cameras,
     export_rollouts,
-    in_frame,
     load_checkpoint,
     look_at_camera,
     project_affordance,
@@ -187,6 +186,30 @@ def test_checkpoint_joint_count_mismatch_rejected(tmp_path):
         load_checkpoint(path, expect_hand="inspire_like", expect_joint_count=6)
     back, _ = load_checkpoint(path, expect_hand="inspire_like", expect_joint_count=5)
     assert back.joint_count == 5
+
+
+def test_checkpoint_array_shapes_follow_the_stored_counts(tmp_path):
+    # arrays saved for J=5 under a joint_count edited to 6: mean_w is the first array J shapes
+    path = tmp_path / "ck5.json"
+    save_checkpoint(init_params(np.random.default_rng(4), 16, 4, 5), {"hand": "inspire_like"}, path)
+    payload = json.loads(path.read_text())
+    payload["joint_count"] = 6
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=r"array mean_w has 1536 values, .*joint_count=6 give it shape \(128, 13\)"):
+        load_checkpoint(path)
+    del payload["arrays"]["v_b3"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="malformed checkpoint.*v_b3"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_rejected(tmp_path):
+    params = init_params(np.random.default_rng(4), 16, 4, 6)
+    params.v_w2[3, 1] = np.nan
+    path = tmp_path / "nan.json"
+    save_checkpoint(params, {"hand": "inspire_like"}, path)
+    with pytest.raises(CheckpointError, match="array v_w2 holds non-finite values"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_truncated_rejected(tmp_path):

@@ -5,7 +5,6 @@ from fungrasp.demo import EditBounds
 from fungrasp.evaluation import (
     ABLATION_COMPONENTS,
     EpisodeRow,
-    Metrics,
     _ablate_config,
     _row_from_result,
     compute_metrics,
@@ -14,7 +13,7 @@ from fungrasp.evaluation import (
     write_episode_rows,
 )
 from fungrasp.policy import init_params
-from fungrasp.training import TrainConfig, collect_batch, episode_rng
+from fungrasp.training import EpisodePool, TrainConfig, collect_batch, episode_rng
 
 import metrics_oracle
 
@@ -119,7 +118,7 @@ def test_identity_policy_on_box_fixture(box_assets, eval_cfg, eval_params):
 
 
 def test_metrics_match_independent_oracle(assets, eval_cfg, eval_params, tmp_path):
-    m, results = evaluate(eval_params, eval_cfg, assets, 40, seed=13, stochastic=True)
+    m, results = evaluate(eval_params, eval_cfg, assets, 40, seed=13, mode="policy")
     rows = [_row_from_result(r) for r in results]
     path = tmp_path / "rows.jsonl"
     write_episode_rows(rows, path)
@@ -140,6 +139,15 @@ def test_exhaustive_styles_at_least_as_good(box_assets, eval_cfg, eval_params):
     best, _ = evaluate(eval_params, eval_cfg, box_assets, 15, seed=5, mode="identity",
                        exhaustive_styles=True)
     assert best.gsr >= base.gsr - 1e-12
+
+
+def test_exhaustive_styles_run_on_the_pool(box_assets, eval_cfg, eval_params):
+    serial_m, serial = evaluate(eval_params, eval_cfg, box_assets, 9, seed=5, exhaustive_styles=True)
+    with EpisodePool(2, box_assets) as pool:
+        pooled_m, pooled = evaluate(eval_params, eval_cfg, box_assets, 9, seed=5, exhaustive_styles=True,
+                                    pool=pool)
+    assert pooled_m == serial_m
+    assert [_row_from_result(r) for r in pooled] == [_row_from_result(r) for r in serial]
 
 
 def test_random_baseline_determinism(assets, eval_cfg, eval_params):

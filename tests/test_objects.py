@@ -14,7 +14,6 @@ from fungrasp.objects import (
     make_sphere,
     sample_affordance_index,
     save_object_ply,
-    toy_suite,
 )
 
 

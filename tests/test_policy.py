@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from fungrasp.demo import EditBounds
-from fungrasp.geometry import identity_pose
 from fungrasp.objects import ObjectModel
 from fungrasp.policy import (
-    LOG_STD_MAX,
     LOG_STD_MIN,
     ObsBatch,
     PolicyError,
@@ -54,7 +52,7 @@ def test_encode_affordance_at_centroid(assets):
                     np.random.default_rng(0), False, spec=assets.spec, square_half=0.0)
     env.condition = dataclasses.replace(env.condition, p_afford=obj.centroid.copy())
     cache = {}
-    obs = encode_observation(env, assets.demo, assets.spec, assets.styles, 32, 0, cache)
+    obs = encode_observation(env, assets.demo, assets.styles, 32, 0, cache)
     assert obs.size == 1
     assert np.allclose(obs.p_afford_rel, 0.0, atol=1e-12)
     assert obs.l_style.sum() == 1.0
@@ -72,8 +70,8 @@ def test_encode_scale_invariance(assets):
     env2 = dataclasses.replace(env, obj=scaled)
     env2.condition = dataclasses.replace(env.condition, p_afford=env.condition.p_afford * 2.0)
     cache = {}
-    a = encode_observation(env, assets.demo, assets.spec, assets.styles, 32, 0, cache)
-    b = encode_observation(env2, assets.demo, assets.spec, assets.styles, 32, 0, cache)
+    a = encode_observation(env, assets.demo, assets.styles, 32, 0, cache)
+    b = encode_observation(env2, assets.demo, assets.styles, 32, 0, cache)
     assert np.allclose(a.cloud, b.cloud, atol=1e-12)
     assert np.allclose(a.p_afford_rel, b.p_afford_rel, atol=1e-12)
     assert b.obj_bb[0, 0] == pytest.approx(2.0 * a.obj_bb[0, 0])
@@ -84,10 +82,10 @@ def test_encode_fps_cache_reused(assets):
     env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
                     np.random.default_rng(2), False, spec=assets.spec)
     cache = {}
-    encode_observation(env, assets.demo, assets.spec, assets.styles, 32, 7, cache)
+    encode_observation(env, assets.demo, assets.styles, 32, 7, cache)
     assert (obj.name, 32, 7) in cache
     first = cache[(obj.name, 32, 7)]
-    encode_observation(env, assets.demo, assets.spec, assets.styles, 32, 7, cache)
+    encode_observation(env, assets.demo, assets.styles, 32, 7, cache)
     assert cache[(obj.name, 32, 7)] is first
 
 

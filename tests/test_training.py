@@ -4,12 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from fungrasp.policy import init_params, flatten_params
+from fungrasp.policy import PolicyError, init_params, flatten_params
 from fungrasp.rewards import total_reward
 from fungrasp.training import (
     OUTCOMES,
     AdamState,
-    Batch,
     EpisodePool,
     TrainConfig,
     adam_step,
@@ -40,8 +39,8 @@ def tiny_params(assets, tiny_cfg):
 
 
 def test_single_episode_deterministic(assets, tiny_cfg, tiny_params):
-    (a,) = run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), [0], train_mode=True)
-    (b,) = run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), [0], train_mode=True)
+    (a,) = run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0], train_mode=True)
+    (b,) = run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0], train_mode=True)
     assert a.object_name == b.object_name
     assert np.array_equal(a.raw, b.raw)
     assert a.log_prob == b.log_prob
@@ -156,24 +155,47 @@ def test_adam_zero_gradient_is_noop(tiny_params):
     assert state2.step == 1
 
 
-def test_train_writes_metrics_and_checkpoint(assets, tmp_path):
+@pytest.mark.parametrize("periodic", [{}, {"eval_every": 2, "checkpoint_every": 2, "eval_episodes": 6}],
+                         ids=["final_only", "periodic"])
+def test_train_writes_metrics_and_checkpoint(assets, tmp_path, monkeypatch, periodic):
+    import fungrasp.dataio as dataio
+
+    saved = []
+    real_save = dataio.save_checkpoint
+
+    def recording_save(params, meta, path):
+        saved.append(meta["iteration"])
+        real_save(params, meta, path)
+
+    monkeypatch.setattr(dataio, "save_checkpoint", recording_save)
     cfg = TrainConfig(envs_per_iter=8, minibatch=8, epochs=1, iterations=3,
-                      m_points=32, seed=23)
+                      m_points=32, seed=23, **periodic)
     out = train(cfg, assets, tmp_path / "run")
     lines = [json.loads(l) for l in out["metrics_path"].read_text().splitlines()]
-    assert len(lines) == 3
-    assert all(np.isfinite(l["mean_reward"]) for l in lines)
-    assert all(l["kind"] == "train" for l in lines)
+    kinds = [(l["kind"], l["iteration"]) for l in lines]
+    if periodic:
+        # eval after every second iteration; a checkpoint then too, and one at the end
+        assert kinds == [("train", 0), ("train", 1), ("eval", 1), ("train", 2)]
+        assert saved == [2, 3]
+    else:
+        assert kinds == [("train", 0), ("train", 1), ("train", 2)]
+        assert saved == [3]
     for line in lines:
+        n = cfg.envs_per_iter if line["kind"] == "train" else cfg.eval_episodes
         assert tuple(line["outcomes"]) == OUTCOMES
-        assert sum(line["outcomes"].values()) == cfg.envs_per_iter
-        assert line["outcomes"]["error"] == line["episode_errors"]
-        assert line["outcomes"]["ok"] == round(line["gsr"] * cfg.envs_per_iter)
+        assert sum(line["outcomes"].values()) == n
+        if line["kind"] == "train":
+            assert np.isfinite(line["mean_reward"])
+            assert line["outcomes"]["error"] == line["episode_errors"]
+            assert line["outcomes"]["ok"] == round(line["gsr"] * n)
+        else:
+            assert line["n_episodes"] == n and line["outcomes"]["ok"] == line["n_success"]
     assert out["checkpoint_path"].exists()
-    from fungrasp.dataio import load_checkpoint
-
-    params, meta = load_checkpoint(out["checkpoint_path"], expect_hand=assets.spec.name)
+    params, meta = dataio.load_checkpoint(out["checkpoint_path"], expect_hand=assets.spec.name)
     assert meta["iteration"] == 3
+    if periodic:
+        pooled = train(dataclasses.replace(cfg, workers=2), assets, tmp_path / "run_w2")
+        assert pooled["metrics_path"].read_bytes() == out["metrics_path"].read_bytes()
 
 
 def test_load_objects_directory_and_toy_fallback(tmp_path, objects):
@@ -197,7 +219,10 @@ def test_config_round_trip():
     assert back == cfg
 
 
-@pytest.mark.parametrize("field, value", [("iterations", -3), ("workers", 0)])
+@pytest.mark.parametrize("field, value", [
+    ("iterations", -3), ("workers", 0), ("minibatch", 0), ("sigma_style", -0.01),
+    ("eval_every", -1), ("checkpoint_every", -1), ("eval_episodes", 0),
+])
 def test_train_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
@@ -237,53 +262,84 @@ def test_outcome_counts_cover_every_result(assets, tiny_cfg, tiny_params):
 
 
 def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkeypatch):
-    import fungrasp.training as tr
-
-    def boom(*a, **k):
-        raise RuntimeError("synthetic geometry failure")
-
-    monkeypatch.setattr(tr, "rollout_batch", boom)
-    (res,) = tr.run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), [0], train_mode=True)
-    assert res.error is not None
-    assert res.reward == 0.0
-    assert res.record is None
-    assert np.all(np.isfinite(res.raw))
-
-
-def test_batched_rollout_failure_is_contained(assets, tiny_cfg, tiny_params, monkeypatch):
-    """When a batched rollout raises, the chunk is rerun one episode at a
-    time and only the episode that raises becomes an error."""
+    """A PolicyError in phase 1 errors that episode alone: it keeps the
+    error type, gets zero reward, adds no sample to the PPO batch, and
+    leaves every other episode unchanged bit for bit."""
     import fungrasp.training as tr
     from fungrasp.geometry import transform_point
 
     def run(indices):
-        return tr.run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), indices, train_mode=True)
+        return tr.run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True)
 
-    reference = run(range(6))
-    poisoned = reference[2].p_afford_world
-    real = tr.rollout_batch
+    # run() draws the same episodes as the batch of iteration 0 (seed 17, stream 1)
+    reference = collect_batch(tiny_params, tiny_cfg, assets, 0)
+    poisoned = reference.results[2].p_afford_world
+    real = tr.encode_observation
 
-    def fragile(envs, *args):
-        if any(np.array_equal(transform_point(e.object_pose, e.condition.p_afford), poisoned) for e in envs):
-            raise RuntimeError("synthetic geometry failure")
-        return real(envs, *args)
+    def fragile(env, *args):
+        if np.array_equal(transform_point(env.object_pose, env.condition.p_afford), poisoned):
+            raise tr.PolicyError("non-finite observation field cloud")
+        return real(env, *args)
 
-    monkeypatch.setattr(tr, "rollout_batch", fragile)
+    monkeypatch.setattr(tr, "encode_observation", fragile)
     got = run(range(6))
-    assert [r.index for r in got] == list(range(6))
-    assert got[2].error is not None and got[2].record is None and got[2].reward == 0.0
-    for want, res in zip(reference[:2] + reference[3:], got[:2] + got[3:]):
+    bad = got[2]
+    assert bad.error == "PolicyError: non-finite observation field cloud"
+    assert bad.reward == 0.0 and bad.record is None
+    assert bad.obs is None and bad.raw is None and bad.action_vec is None
+    for want, res in zip(reference.results[:2] + reference.results[3:6], got[:2] + got[3:]):
         assert res.error is None
         assert res.reward == want.reward and res.log_prob == want.log_prob
         assert np.array_equal(res.raw, want.raw)
         assert np.array_equal(res.record.d_series, want.record.d_series)
+    batch = collect_batch(tiny_params, tiny_cfg, assets, 0)
+    assert len(batch.results) == tiny_cfg.envs_per_iter and batch.episode_errors == 1
+    assert batch.results[2].error is not None
+    assert np.array_equal(batch.raw, np.delete(reference.raw, 2, axis=0))
+    assert np.array_equal(batch.rewards, np.delete(reference.rewards, 2))
+    assert batch.obs.size == tiny_cfg.envs_per_iter - 1
+
+
+def test_batched_rollout_failure_is_contained(assets, tiny_cfg, tiny_params, monkeypatch):
+    """Only a PolicyError in phase 1 is scored per episode: any other
+    exception, from the batched rollout or from phase 1, propagates."""
+    import fungrasp.training as tr
+
+    def boom(*args):
+        raise RuntimeError("synthetic geometry failure")
+
+    monkeypatch.setattr(tr, "rollout_batch", boom)
+    with pytest.raises(RuntimeError, match="synthetic geometry failure"):
+        tr.run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), range(6), train_mode=True)
+    with pytest.raises(RuntimeError, match="synthetic geometry failure"):
+        collect_batch(tiny_params, tiny_cfg, assets, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(tr, "encode_observation", boom)
+    with pytest.raises(RuntimeError, match="synthetic geometry failure"):
+        collect_batch(tiny_params, tiny_cfg, assets, 0)
+
+
+def test_every_episode_failing_raises(assets, tiny_cfg, tiny_params):
+    from fungrasp.evaluation import evaluate
+
+    a_w1 = tiny_params.a_w1.copy()
+    a_w1[0, 0] = np.nan
+    broken = dataclasses.replace(tiny_params, a_w1=a_w1)
+    first = r"all 8 episodes failed; the first: PolicyError: non-finite activations in actor_trunk"
+    with pytest.raises(PolicyError, match=first):
+        collect_batch(broken, tiny_cfg, assets, 0)
+    with EpisodePool(2, assets) as pool:
+        with pytest.raises(PolicyError, match=first):
+            evaluate(broken, tiny_cfg, assets, 8, seed=1, pool=pool)
+        with pytest.raises(PolicyError, match=first):
+            evaluate(broken, tiny_cfg, assets, 8, seed=1, pool=pool, exhaustive_styles=True)
 
 
 def test_engine_chunking_does_not_change_results(assets, tiny_cfg, tiny_params):
     import fungrasp.training as tr
 
     def run(indices):
-        return tr.run_episodes(tiny_params, tiny_cfg, assets, {}, 17, (1, 0), indices, train_mode=True)
+        return tr.run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True)
 
     whole = run(range(8))
     split = run([5, 1, 7]) + run([0, 2, 3, 4, 6])
@@ -296,6 +352,8 @@ def test_engine_chunking_does_not_change_results(assets, tiny_cfg, tiny_params):
 
 
 def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypatch):
+    """FPS runs once per (object, M, seed) per Assets; a pool worker's
+    copy of the assets is its cache for the worker's lifetime."""
     import fungrasp.policy as policy
     import fungrasp.training as tr
 
@@ -307,14 +365,19 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
         return real(*args)
 
     monkeypatch.setattr(policy, "farthest_point_sample", counted)
-    monkeypatch.setattr(tr, "_WORKER_ASSETS", assets)
-    monkeypatch.setattr(tr, "_WORKER_FPS_CACHE", {})
-    task = (tiny_params, tiny_cfg, 17, (1, 0), list(range(8)), True, "policy")
+    monkeypatch.setattr(tr, "_WORKER_ASSETS", dataclasses.replace(assets))
+    task = (tiny_params, tiny_cfg, 17, (1, 0), list(range(8)), True, "policy", None)
     first = tr._pool_chunk(task)
     n_first = len(calls)
     second = tr._pool_chunk(task)
     assert n_first == len({r.object_name for r in first}) and len(calls) == n_first
     assert [r.reward for r in first] == [r.reward for r in second]
+    assert sorted(tr._WORKER_ASSETS.fps_cache) == sorted((name, 32, tiny_cfg.seed) for name in
+                                                         {r.object_name for r in first})
+    # another Assets bundle starts with an empty cache
+    third = tr.run_episodes(tiny_params, tiny_cfg, dataclasses.replace(assets), 17, (1, 0), range(8), train_mode=True)
+    assert len(calls) == 2 * n_first
+    assert [r.reward for r in third] == [r.reward for r in first]
 
 
 def test_pin_blas_threads_sets_one_thread():

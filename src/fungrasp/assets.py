@@ -1,4 +1,5 @@
-"""Paths to the assets bundled with the package.
+"""Paths to the assets bundled with the package, and the reader of
+every JSON input file.
 
 Hands, styles, demos, and the PLY exports of the toy suite live under
 fungrasp/assets/; scripts/make_assets.py regenerates them.
@@ -6,6 +7,7 @@ fungrasp/assets/; scripts/make_assets.py regenerates them.
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +19,7 @@ __all__ = [
     "default_styles_path",
     "default_demo_path",
     "default_objects_dir",
+    "read_json_object",
     "DEFAULT_HAND",
 ]
 
@@ -39,3 +42,16 @@ def default_demo_path(name: str = DEFAULT_HAND) -> Path:
 
 def default_objects_dir() -> Path:
     return asset_dir() / "objects"
+
+
+def read_json_object(path, error: type[Exception]) -> dict:
+    """The JSON object the file at path holds. Raises `error`, naming
+    the file, when it cannot be read or parsed or its top level is not
+    an object."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise error(f"{path}: cannot parse JSON ({e})") from e
+    if not isinstance(data, dict):
+        raise error(f"{path}: the top level must be a JSON object, not {type(data).__name__}")
+    return data

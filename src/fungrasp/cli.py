@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +78,7 @@ def _load_config_file(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    cfg = json.loads(p.read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {p} must hold a JSON object")
+    cfg = bundled.read_json_object(p, ValueError)
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) in {p}: {', '.join(map(repr, unknown))}; known: {', '.join(CONFIG_KEYS)}")
@@ -117,12 +116,10 @@ def _build_assets(args, cfg_file) -> Assets:
 
 
 def _build_train_config(args, cfg_file) -> TrainConfig:
-    base = dict(cfg_file.get("train", {}))
-    base["seed"] = _require_seed(args, cfg_file)
+    seed = _require_seed(args, cfg_file)
     workers = _resolve(args, cfg_file, "workers")
-    if workers is not None:
-        base["workers"] = int(workers)
-    return config_from_dict(base)
+    cfg = config_from_dict(cfg_file.get("train", {}))
+    return replace(cfg, seed=seed, workers=cfg.workers if workers is None else int(workers))
 
 
 def _out_dir(args, cfg_file, default="runs/out") -> Path:

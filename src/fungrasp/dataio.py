@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .assets import read_json_object
 from .geometry import Pose, invert_pose, quat_from_matrix, transform_point
-from .policy import ARRAY_FIELDS, PolicyParams, param_shapes
+from .policy import PolicyParams, param_shapes, param_views
 
 log = logging.getLogger(__name__)
 
@@ -222,6 +223,7 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, success_onl
 
 def save_checkpoint(params: PolicyParams, meta: dict, path) -> None:
     """Versioned JSON checkpoint; floats round-trip bit-exactly."""
+    arrays = param_views(params.flat, params.style_count, params.joint_count)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "hand": meta.get("hand"),
@@ -230,8 +232,8 @@ def save_checkpoint(params: PolicyParams, meta: dict, path) -> None:
         "joint_count": params.joint_count,
         "iteration": meta.get("iteration", 0),
         "rng": meta.get("rng", {}),
-        "shapes": {f: list(getattr(params, f).shape) for f in ARRAY_FIELDS},
-        "arrays": {f: [float(v) for v in getattr(params, f).ravel()] for f in ARRAY_FIELDS},
+        "shapes": {f: list(a.shape) for f, a in arrays.items()},
+        "arrays": {f: [float(v) for v in a.ravel()] for f, a in arrays.items()},
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -243,11 +245,7 @@ def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: in
     any array whose size differs from the shape its stored style_count
     and joint_count give it (policy.param_shapes) or that holds a
     non-finite value; each CheckpointError names what it rejects."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: cannot parse checkpoint ({e})") from e
+    payload = read_json_object(path, CheckpointError)
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise CheckpointError(
             f"{path}: schema_version {payload.get('schema_version')} != {SCHEMA_VERSION}"
@@ -274,8 +272,7 @@ def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: in
             )
         if not np.all(np.isfinite(arrays[f])):
             raise CheckpointError(f"{path}: array {f} holds non-finite values")
-        arrays[f] = arrays[f].reshape(shape)
-    params = PolicyParams(**arrays, **counts)
+    params = PolicyParams(np.concatenate([arrays[f].ravel() for f in shapes]), **counts)
     meta = {
         "hand": payload.get("hand"),
         "iteration": payload.get("iteration", 0),

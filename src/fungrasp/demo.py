@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .assets import read_json_object
 from .geometry import AxisAngle, Pose, axis_angle_to_quat, compose_pose, quat_mul, quat_normalize, quat_rotate
 from .hand import HandSpec, clamp_to_limits
 
@@ -106,9 +107,6 @@ class EditBounds:
         ])
         return lo, hi
 
-    def action_dim(self, joint_count: int) -> int:
-        return 7 + joint_count
-
 
 @dataclass(frozen=True)
 class EditAction:
@@ -155,11 +153,7 @@ class EditedTrajectory:
 
 def load_demo(path, spec: HandSpec) -> Demonstration:
     """Parse a demo JSON file for a given hand."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise DemoError(f"{path}: not valid JSON ({e})") from e
+    data = read_json_object(path, DemoError)
     if data.get("hand") != spec.name:
         raise DemoError(f"{path}: demo recorded for hand {data.get('hand')!r}, configured hand is {spec.name!r}")
     frames = data.get("frames", [])

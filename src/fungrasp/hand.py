@@ -10,13 +10,12 @@ linear function (``scale * q[source]``) of an active joint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .assets import read_json_object
 from .geometry import Pose, quat_mul, quat_rotate
 
 __all__ = [
@@ -131,11 +130,7 @@ def _build_spec(name, fingers, couplings) -> HandSpec:
 
 def load_hand_spec(path) -> HandSpec:
     """Parse a hand spec JSON file; rejects limit and schema violations."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise HandError(f"{path}: not valid JSON ({e})") from e
+    data = read_json_object(path, HandError)
 
     def fail(where, msg):
         raise HandError(f"{path}: {where}: {msg}")
@@ -206,11 +201,7 @@ def load_hand_spec(path) -> HandSpec:
 
 def load_styles(path, spec: HandSpec) -> list[Style]:
     """Parse a style file and validate it against a hand spec."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise HandError(f"{path}: not valid JSON ({e})") from e
+    data = read_json_object(path, HandError)
     if data.get("hand") != spec.name:
         raise HandError(f"{path}: styles are for hand {data.get('hand')!r}, spec is {spec.name!r}")
     styles = []

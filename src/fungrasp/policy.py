@@ -11,11 +11,18 @@ Observations only exist as an ObsBatch: an episode encodes a batch of
 one, collection concatenates them, and the update indexes minibatch rows
 out of the result. Log-probabilities are always taken of the stored raw
 (pre-squash) samples, so no squashed action is ever inverted.
+
+The parameters live in one float64 vector, PolicyParams.flat, laid out
+as param_shapes lists the 17 arrays, each stored C-order. Each named
+array (params.pb_w1 ... params.v_b3) is a read-only view into flat, so
+an update builds a new vector; policy_backward's gradient and Adam's
+moments are vectors in the same layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,9 +41,8 @@ __all__ = [
     "init_params",
     "policy_forward",
     "policy_backward",
-    "zeros_like_params",
-    "flatten_params",
-    "unflatten_params",
+    "param_shapes",
+    "param_views",
     "squash",
     "gaussian_log_prob",
     "sample_action",
@@ -125,44 +131,11 @@ def encode_observation(
     return obs
 
 
-@dataclass
-class PolicyParams:
-    """All learnable arrays plus the shape metadata they were built for."""
-
-    pb_w1: np.ndarray
-    pb_b1: np.ndarray
-    pb_w2: np.ndarray
-    pb_b2: np.ndarray
-    a_w1: np.ndarray
-    a_b1: np.ndarray
-    a_w2: np.ndarray
-    a_b2: np.ndarray
-    mean_w: np.ndarray
-    mean_b: np.ndarray
-    log_std: np.ndarray
-    v_w1: np.ndarray
-    v_b1: np.ndarray
-    v_w2: np.ndarray
-    v_b2: np.ndarray
-    v_w3: np.ndarray
-    v_b3: np.ndarray
-    m_points: int
-    style_count: int
-    joint_count: int
-
-    @property
-    def action_dim(self) -> int:
-        return 7 + self.joint_count
-
-
-def trunk_input_dim(style_count: int) -> int:
-    return 7 + 7 + CLOUD_FEAT_DIM + 3 + style_count + 1
-
-
 def param_shapes(style_count: int, joint_count: int) -> dict[str, tuple]:
-    """The shape of every learnable array, in PolicyParams field order;
-    init_params builds them and load_checkpoint checks them."""
-    d = trunk_input_dim(style_count)
+    """The layout of PolicyParams.flat: every learnable array's shape,
+    in the order the arrays are stored. The trunks read s_r, s_o, the
+    pooled cloud feature, p_afford_rel, the style one-hot and obj_bb."""
+    d = 7 + 7 + CLOUD_FEAT_DIM + 3 + style_count + 1
     a_dim = 7 + joint_count
     return {
         "pb_w1": (POINT_FEATURES, 32), "pb_b1": (32,),
@@ -174,7 +147,42 @@ def param_shapes(style_count: int, joint_count: int) -> dict[str, tuple]:
     }
 
 
-ARRAY_FIELDS = list(param_shapes(1, 0))
+def param_views(flat: np.ndarray, style_count: int, joint_count: int) -> dict[str, np.ndarray]:
+    """Every array of the param_shapes layout, by name, as a view into
+    the vector flat (read-only when flat is). Raises PolicyError when
+    flat is not a vector of the layout's size."""
+    shapes = param_shapes(style_count, joint_count)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if flat.shape != (sum(sizes),):
+        raise PolicyError(f"parameter vector has shape {flat.shape}, the layout needs ({sum(sizes)},)")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+
+@dataclass(frozen=True, eq=False)
+class PolicyParams:
+    """All learnable parameters as one float64 vector, plus the counts
+    that fix its layout; each named array (params.a_w1, ...) is a
+    read-only view into flat."""
+
+    flat: np.ndarray
+    m_points: int
+    style_count: int
+    joint_count: int
+
+    def __post_init__(self):
+        flat = np.ascontiguousarray(self.flat, dtype=float).view()
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
+        self.__dict__.update(param_views(flat, self.style_count, self.joint_count))
+
+    def __reduce__(self):
+        # numpy pickles every view as its own copy, so only flat goes in
+        return PolicyParams, (self.flat, self.m_points, self.style_count, self.joint_count)
+
+    @property
+    def action_dim(self) -> int:
+        return 7 + self.joint_count
 
 
 def _orthogonal(rng: np.random.Generator, shape, gain: float) -> np.ndarray:
@@ -191,41 +199,20 @@ def init_params(
     joint_count: int,
     init_log_std: float = -0.5,
 ) -> PolicyParams:
-    """Orthogonal weights (drawn in field order), zero biases; output
+    """Orthogonal weights (drawn in layout order), zero biases; output
     heads scaled down so the initial policy squashes to (almost) the
     identity edit."""
-    arrays = {}
+    parts = []
     for name, shape in param_shapes(style_count, joint_count).items():
         if name == "log_std":
-            arrays[name] = np.full(shape, float(init_log_std))
+            part = np.full(shape, float(init_log_std))
         elif len(shape) == 2:
             gain = HEAD_SCALE if name in ("mean_w", "v_w3") else np.sqrt(2.0)
-            arrays[name] = _orthogonal(rng, shape, gain)
+            part = _orthogonal(rng, shape, gain)
         else:
-            arrays[name] = np.zeros(shape)
-    return PolicyParams(**arrays, m_points=m_points, style_count=style_count, joint_count=joint_count)
-
-
-def zeros_like_params(p: PolicyParams) -> PolicyParams:
-    kw = {f: np.zeros_like(getattr(p, f)) for f in ARRAY_FIELDS}
-    return replace(p, **kw)
-
-
-def flatten_params(p: PolicyParams) -> np.ndarray:
-    return np.concatenate([getattr(p, f).ravel() for f in ARRAY_FIELDS])
-
-
-def unflatten_params(template: PolicyParams, vec: np.ndarray) -> PolicyParams:
-    expected = sum(getattr(template, f).size for f in ARRAY_FIELDS)
-    if vec.size != expected:
-        raise PolicyError(f"flat vector has {vec.size} entries, expected {expected}")
-    kw = {}
-    off = 0
-    for f in ARRAY_FIELDS:
-        arr = getattr(template, f)
-        kw[f] = vec[off : off + arr.size].reshape(arr.shape).copy()
-        off += arr.size
-    return replace(template, **kw)
+            part = np.zeros(shape)
+        parts.append(part.ravel())
+    return PolicyParams(np.concatenate(parts), m_points, style_count, joint_count)
 
 
 @dataclass
@@ -307,53 +294,55 @@ def policy_backward(
     d_mean: np.ndarray,
     d_value: np.ndarray,
     d_log_std: np.ndarray,
-) -> PolicyParams:
-    """Exact reverse-mode gradients, summed over the batch.
+) -> np.ndarray:
+    """Exact reverse-mode gradients, summed over the batch, as one vector
+    in the layout of params.flat.
 
     Upstream gradients are per-sample (B, A) / (B,); a duplicated batch
     row therefore contributes its gradient twice. d_log_std collects the
     direct terms (density sigma-derivatives, entropy bonus) and is masked
     by the [-5, 1] clamp.
     """
-    g = zeros_like_params(params)
+    flat = np.zeros_like(params.flat)
+    g = param_views(flat, params.style_count, params.joint_count)
     # actor head and trunk
-    g.mean_w = cache.aa2.T @ d_mean
-    g.mean_b = d_mean.sum(axis=0)
+    g["mean_w"][...] = cache.aa2.T @ d_mean
+    g["mean_b"][...] = d_mean.sum(axis=0)
     d_aa2 = d_mean @ params.mean_w.T
     d_az2 = d_aa2 * (cache.az2 > 0.0)
-    g.a_w2 = cache.aa1.T @ d_az2
-    g.a_b2 = d_az2.sum(axis=0)
+    g["a_w2"][...] = cache.aa1.T @ d_az2
+    g["a_b2"][...] = d_az2.sum(axis=0)
     d_aa1 = d_az2 @ params.a_w2.T
     d_az1 = d_aa1 * (cache.az1 > 0.0)
-    g.a_w1 = cache.feat.T @ d_az1
-    g.a_b1 = d_az1.sum(axis=0)
+    g["a_w1"][...] = cache.feat.T @ d_az1
+    g["a_b1"][...] = d_az1.sum(axis=0)
     d_feat = d_az1 @ params.a_w1.T
     # value path
-    g.v_w3 = cache.va2.T @ d_value[:, None]
-    g.v_b3 = np.array([d_value.sum()])
+    g["v_w3"][...] = cache.va2.T @ d_value[:, None]
+    g["v_b3"][...] = d_value.sum()
     d_va2 = d_value[:, None] * params.v_w3[:, 0][None, :]
     d_vz2 = d_va2 * (cache.vz2 > 0.0)
-    g.v_w2 = cache.va1.T @ d_vz2
-    g.v_b2 = d_vz2.sum(axis=0)
+    g["v_w2"][...] = cache.va1.T @ d_vz2
+    g["v_b2"][...] = d_vz2.sum(axis=0)
     d_va1 = d_vz2 @ params.v_w2.T
     d_vz1 = d_va1 * (cache.vz1 > 0.0)
-    g.v_w1 = cache.feat.T @ d_vz1
-    g.v_b1 = d_vz1.sum(axis=0)
+    g["v_w1"][...] = cache.feat.T @ d_vz1
+    g["v_b1"][...] = d_vz1.sum(axis=0)
     d_feat = d_feat + d_vz1 @ params.v_w1.T
     # route the pooled slice back through the winning points only
     d_pooled = d_feat[:, 14 : 14 + CLOUD_FEAT_DIM]
     d_a2 = np.zeros_like(cache.a2)
     np.put_along_axis(d_a2, cache.pool_arg[:, None, :], d_pooled[:, None, :], axis=1)
     d_z2 = d_a2 * (cache.z2 > 0.0)
-    g.pb_w2 = np.einsum("bmi,bmo->io", cache.a1, d_z2)
-    g.pb_b2 = d_z2.sum(axis=(0, 1))
+    g["pb_w2"][...] = np.einsum("bmi,bmo->io", cache.a1, d_z2)
+    g["pb_b2"][...] = d_z2.sum(axis=(0, 1))
     d_a1 = d_z2 @ params.pb_w2.T
     d_z1 = d_a1 * (cache.z1 > 0.0)
-    g.pb_w1 = np.einsum("bmi,bmo->io", cache.batch.cloud, d_z1)
-    g.pb_b1 = d_z1.sum(axis=(0, 1))
+    g["pb_w1"][...] = np.einsum("bmi,bmo->io", cache.batch.cloud, d_z1)
+    g["pb_b1"][...] = d_z1.sum(axis=(0, 1))
     inside = (params.log_std > LOG_STD_MIN) & (params.log_std < LOG_STD_MAX)
-    g.log_std = d_log_std * inside
-    return g
+    g["log_std"][...] = d_log_std * inside
+    return flat
 
 
 # ---------------------------------------------------------------------------

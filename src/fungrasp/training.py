@@ -61,14 +61,12 @@ from .policy import (
     PolicyParams,
     encode_observation,
     entropy,
-    flatten_params,
     init_params,
     log_prob_of_raw,
     policy_backward,
     policy_forward,
     sample_action,
     squash,
-    unflatten_params,
 )
 from .rewards import RewardConfig, total_reward
 from .sim import EnvState, SimParams, reset_env, rollout_batch
@@ -146,20 +144,35 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
-def _known_keys(d: dict, cls, section: str) -> dict:
+def _section(d, cls, section: str) -> dict:
+    """d, checked as the config section `section` of dataclass cls: an
+    object whose keys are fields of cls and whose values fit each
+    field's default (an object for a section, any number for a float,
+    otherwise the default's type; a bool is not a number)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config '{section}' must be an object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown config key(s) in '{section}': {', '.join(map(repr, unknown))}")
+    defaults = cls()
+    for name, value in d.items():
+        default = getattr(defaults, name)
+        nested = dataclasses.is_dataclass(default)
+        want = dict if nested else (int, float) if isinstance(default, float) else type(default)
+        if not isinstance(value, want) or isinstance(value, bool) != isinstance(default, bool):
+            kind = "an object" if nested else type(default).__name__
+            raise ValueError(f"config '{section}.{name}' must be {kind}, got {value!r}")
     return d
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    """TrainConfig from nested dicts; an unknown key in any section is a
-    ValueError that names it."""
-    d = dict(_known_keys(d, TrainConfig, "train"))
-    reward = RewardConfig(**_known_keys(d.pop("reward", {}), RewardConfig, "train.reward"))
-    bounds = EditBounds(**_known_keys(d.pop("bounds", {}), EditBounds, "train.bounds"))
-    sim = SimParams(**_known_keys(d.pop("sim", {}), SimParams, "train.sim"))
+    """TrainConfig from nested dicts. A section that is not an object,
+    an unknown key in any section, or a value whose type does not fit
+    the field's default is a ValueError that names it."""
+    d = dict(_section(d, TrainConfig, "train"))
+    reward = RewardConfig(**_section(d.pop("reward", {}), RewardConfig, "train.reward"))
+    bounds = EditBounds(**_section(d.pop("bounds", {}), EditBounds, "train.bounds"))
+    sim = SimParams(**_section(d.pop("sim", {}), SimParams, "train.sim"))
     return TrainConfig(**d, reward=reward, bounds=bounds, sim=sim)
 
 
@@ -511,29 +524,29 @@ def _assemble_batch(results: list[EpisodeResult]) -> Batch:
 
 @dataclass
 class AdamState:
-    m: np.ndarray
+    m: np.ndarray                  # moments, in the layout of PolicyParams.flat
     v: np.ndarray
     step: int = 0
 
     @classmethod
     def init(cls, params: PolicyParams) -> "AdamState":
-        n = flatten_params(params).size
+        n = params.flat.size
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
 
 
 def adam_step(
-    params: PolicyParams, grads: PolicyParams, state: AdamState, lr: float,
+    params: PolicyParams, grads: np.ndarray, state: AdamState, lr: float,
     beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
 ) -> tuple[PolicyParams, AdamState]:
-    g = flatten_params(grads)
-    p = flatten_params(params)
+    """One Adam step on params.flat; grads is a gradient vector in the
+    same layout (policy_backward's)."""
     step = state.step + 1
-    m = beta1 * state.m + (1 - beta1) * g
-    v = beta2 * state.v + (1 - beta2) * g * g
+    m = beta1 * state.m + (1 - beta1) * grads
+    v = beta2 * state.v + (1 - beta2) * grads * grads
     m_hat = m / (1 - beta1**step)
     v_hat = v / (1 - beta2**step)
-    p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return unflatten_params(params, p), AdamState(m=m, v=v, step=step)
+    flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return dataclasses.replace(params, flat=flat), AdamState(m=m, v=v, step=step)
 
 
 def clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, clip_eps: float):
@@ -731,17 +744,18 @@ def finite_diff_check(
     d_log_std = (c_lp[:, None] * d_logstd_lp).sum(axis=0) + c_h
     grads = policy_backward(params, cache, d_mean, d_value, d_log_std)
 
-    flat_grad = flatten_params(grads)
-    flat = flatten_params(params)
+    flat = params.flat.copy()
     idx = rng.choice(flat.size, size=min(n_params, flat.size), replace=False)
     worst = 0.0
     for i in idx:
-        bump = np.zeros_like(flat)
-        bump[i] = h
-        f_plus = objective(unflatten_params(params, flat + bump))
-        f_minus = objective(unflatten_params(params, flat - bump))
+        x = flat[i]
+        flat[i] = x + h
+        f_plus = objective(dataclasses.replace(params, flat=flat))
+        flat[i] = x - h
+        f_minus = objective(dataclasses.replace(params, flat=flat))
+        flat[i] = x
         fd = (f_plus - f_minus) / (2.0 * h)
-        an = flat_grad[i]
+        an = grads[i]
         rel = abs(an - fd) / max(abs(an), abs(fd), 1e-3)
         worst = max(worst, rel)
     return worst

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
 from fungrasp.demo import load_demo
+from fungrasp.geometry import Pose
 from fungrasp.hand import load_hand_spec, load_styles
 from fungrasp.objects import toy_suite
+from fungrasp.policy import param_views
 from fungrasp.training import Assets
 
 
@@ -45,8 +50,30 @@ def box_assets(spec, styles, demo, objects):
 
 
 def random_pose(rng):
-    from fungrasp.geometry import Pose, axis_angle_to_quat
+    from fungrasp.geometry import axis_angle_to_quat
 
     v = rng.normal(size=3)
     v = v / np.linalg.norm(v) * rng.uniform(0, 3.0)
     return Pose(t=rng.normal(size=3), r=axis_angle_to_quat(v))
+
+
+def unit_quaternions():
+    """Hypothesis strategy: unit quaternions, normalized from 4-vectors of
+    norm at least 0.1, so every rotation (and both signs) can come up."""
+    vecs = st.tuples(*[st.floats(-1.0, 1.0)] * 4).map(np.array).filter(lambda q: np.linalg.norm(q) >= 0.1)
+    return vecs.map(lambda q: q / np.linalg.norm(q))
+
+
+def poses():
+    """Hypothesis strategy: rigid poses with translations within 2 m."""
+    return st.builds(lambda t, r: Pose(t=np.array(t), r=r), st.tuples(*[st.floats(-2.0, 2.0)] * 3), unit_quaternions())
+
+
+def with_arrays(params, **arrays):
+    """A copy of params with the named arrays replaced, written through
+    the flat layout."""
+    flat = params.flat.copy()
+    views = param_views(flat, params.style_count, params.joint_count)
+    for name, value in arrays.items():
+        views[name][...] = value
+    return dataclasses.replace(params, flat=flat)

@@ -5,6 +5,8 @@ import pytest
 
 from fungrasp.cli import main
 
+from conftest import with_arrays
+
 
 SUBCOMMANDS = ("train", "eval", "ablate", "collect", "sample-affordance", "demo", "check-gradients")
 
@@ -140,8 +142,9 @@ def test_invalid_checkpoint_arrays_are_user_errors(tmp_path, capsys, command, de
         ckpt.write_text(json.dumps(payload))
     else:
         params = init_params(np.random.default_rng(0), 32, 4, 6)
-        params.a_w1[0, 0] = np.nan
-        save_checkpoint(params, {"hand": "inspire_like"}, ckpt)
+        a_w1 = params.a_w1.copy()
+        a_w1[0, 0] = np.nan
+        save_checkpoint(with_arrays(params, a_w1=a_w1), {"hand": "inspire_like"}, ckpt)
     cfg_path = _write_config(tmp_path)
     code = main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
                  "--episodes", "4", "--out", str(tmp_path / "e")])
@@ -199,6 +202,39 @@ def test_unknown_config_key_is_a_named_user_error(tmp_path, capsys, config, key)
     err = capsys.readouterr().err
     assert key in err and "unknown config key" in err and "internal error" not in err
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"seed": 1, "train": 5}', "config 'train' must be an object, got 5"),
+    ('{"seed": 1, "train": {"sim": 3}}', "config 'train.sim' must be an object, got 3"),
+    ('{"seed": 1, "train": {"minibatch": "8"}}', "config 'train.minibatch' must be int, got '8'"),
+    ('{"seed": 1, "train": {"reward": {"gamma": "4"}}}', "config 'train.reward.gamma' must be float, got '4'"),
+    ('{"seed": 1, "train": {"bounds": {"b_t": null}}}', "config 'train.bounds.b_t' must be float, got None"),
+    ("seed = 1", "c.json: cannot parse JSON"),
+], ids=["train", "sim", "minibatch", "gamma", "b_t", "not_json"])
+def test_config_shape_and_type_errors_are_user_errors(tmp_path, capsys, text, named):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["eval", "--checkpoint", "{file}"], "[1, 2]"),
+    (["demo", "inspect", "--demo", "{file}"], "[]"),
+    (["demo", "inspect", "--hand", "{file}"], "[]"),
+    (["train", "--styles", "{file}"], "[]"),
+], ids=["checkpoint", "demo", "hand", "styles"])
+def test_non_object_json_files_are_user_errors(tmp_path, capsys, argv, text):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    code = main([*argv, "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{path}: the top level must be a JSON object, not list" in err and "internal error" not in err
 
 
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys):

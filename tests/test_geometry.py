@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fungrasp.geometry import (
     AxisAngle,
@@ -9,6 +10,7 @@ from fungrasp.geometry import (
     identity_pose,
     invert_pose,
     quat_distance,
+    quat_from_matrix,
     quat_mul,
     quat_normalize,
     quat_to_axis_angle,
@@ -16,7 +18,7 @@ from fungrasp.geometry import (
     transform_point,
 )
 
-from conftest import random_pose
+from conftest import poses, random_pose, unit_quaternions
 
 
 def test_identity_compose_is_noop():
@@ -27,11 +29,10 @@ def test_identity_compose_is_noop():
     assert quat_distance(q.r, p.r) < 1e-12
 
 
-def test_compose_with_inverse_is_identity():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        p = random_pose(rng)
-        q = compose_pose(p, invert_pose(p))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=poses())
+def test_compose_with_inverse_is_identity(p):
+    for q in (compose_pose(p, invert_pose(p)), compose_pose(invert_pose(p), p)):
         assert np.linalg.norm(q.t) < 1e-9
         assert quat_distance(q.r, np.array([1.0, 0, 0, 0])) < 1e-9
 
@@ -53,13 +54,25 @@ def test_invert_identity_and_pure_translation():
     assert np.allclose(invert_pose(p).t, [-1.0, -2.0, -3.0], atol=1e-15)
 
 
-def test_double_invert_round_trip():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        p = random_pose(rng)
-        q = invert_pose(invert_pose(p))
-        assert np.allclose(q.t, p.t, atol=1e-9)
-        assert quat_distance(q.r, p.r) < 1e-9
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=poses(), b=poses())
+def test_double_invert_round_trip(a, b):
+    q = invert_pose(invert_pose(a))
+    assert np.allclose(q.t, a.t, atol=1e-9)
+    assert quat_distance(q.r, a.r) < 1e-9
+    # undoing a recovers b from a∘b
+    back = compose_pose(invert_pose(a), compose_pose(a, b))
+    assert np.allclose(back.t, b.t, atol=1e-9)
+    assert quat_distance(back.r, b.r) < 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(q=unit_quaternions())
+def test_quat_matrix_round_trip(q):
+    m = quat_to_matrix(q)
+    assert np.allclose(m @ m.T, np.eye(3), atol=1e-12) and np.linalg.det(m) == pytest.approx(1.0)
+    # q and -q are the same rotation, so the way back may return either
+    assert quat_distance(quat_from_matrix(m), q) < 1e-12
 
 
 def test_transform_point_cases():

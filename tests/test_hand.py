@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fungrasp.geometry import Pose, compose_pose, identity_pose, transform_point
 from fungrasp.hand import (
@@ -14,7 +16,7 @@ from fungrasp.hand import (
     normalize_joints,
 )
 
-from conftest import random_pose
+from conftest import poses
 
 
 def _write(tmp_path, name, payload):
@@ -114,17 +116,19 @@ def test_fk_two_link_planar_closed_form(tmp_path):
     assert np.allclose(tips[1, 0], [0.3, 0.4, 0.0], atol=1e-12)
 
 
-def test_fk_wrist_equivariance_property(spec):
-    rng = np.random.default_rng(1)
-    gs, wrists, qs = [], [], []
-    for _ in range(10):
-        gs.append(random_pose(rng))
-        wrists.append(random_pose(rng))
-        qs.append(rng.uniform(spec.limits_lo, spec.limits_hi))
-    lhs, _ = _fk(spec, [compose_pose(g, w) for g, w in zip(gs, wrists)], qs)
-    rhs, _ = _fk(spec, wrists, qs)
-    for g, lhs_b, rhs_b in zip(gs, lhs, rhs):
-        assert np.allclose(lhs_b, transform_point(g, rhs_b), atol=1e-9)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(moves=st.lists(st.tuples(poses(), poses()), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_fk_wrist_equivariance_property(spec, shadow_spec, moves, seed):
+    """FK under the wrist pose g∘w puts every sphere and fingertip at g
+    applied to where FK under w puts it, row by row of one batch."""
+    rng = np.random.default_rng(seed)
+    for hand in (spec, shadow_spec):
+        qs = rng.uniform(hand.limits_lo, hand.limits_hi, (len(moves), hand.joint_count))
+        moved = _fk(hand, [compose_pose(g, w) for g, w in moves], qs)
+        base = _fk(hand, [w for _, w in moves], qs)
+        for lhs, rhs in zip(moved, base):
+            for (g, _), lhs_b, rhs_b in zip(moves, lhs, rhs):
+                assert np.allclose(lhs_b, transform_point(g, rhs_b), atol=1e-9)
 
 
 def test_fk_dimension_mismatch(spec):

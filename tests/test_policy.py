@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -9,22 +10,24 @@ from fungrasp.policy import (
     LOG_STD_MIN,
     ObsBatch,
     PolicyError,
+    PolicyParams,
     encode_observation,
     entropy,
-    flatten_params,
     gaussian_log_prob,
     init_params,
     log_prob_of_raw,
+    param_shapes,
+    param_views,
     policy_backward,
     policy_forward,
     sample_action,
     squash,
     squash_correction,
-    unflatten_params,
-    zeros_like_params,
 )
 from fungrasp.sim import reset_env
 from fungrasp.training import episode_rng, finite_diff_check
+
+from conftest import with_arrays
 
 
 def _random_obs(rng, m=16, s=4):
@@ -94,11 +97,7 @@ def test_encode_fps_cache_reused(assets):
 # ---------------------------------------------------------------------------
 
 def test_zero_heads_give_zero_outputs(small_params):
-    p = dataclasses.replace(
-        small_params,
-        mean_w=np.zeros_like(small_params.mean_w), mean_b=np.zeros_like(small_params.mean_b),
-        v_w3=np.zeros_like(small_params.v_w3), v_b3=np.zeros_like(small_params.v_b3),
-    )
+    p = with_arrays(small_params, mean_w=0.0, mean_b=0.0, v_w3=0.0, v_b3=0.0)
     rng = np.random.default_rng(3)
     batch = ObsBatch.concat([_random_obs(rng) for _ in range(5)])
     mean, _, value, _ = policy_forward(p, batch)
@@ -128,7 +127,7 @@ def test_point_permutation_invariant_gradients(small_params):
     grads = []
     for o in (obs, obs_p):
         _, _, _, cache = policy_forward(small_params, o)
-        grads.append(flatten_params(policy_backward(small_params, cache, d_mean, d_value, d_ls)))
+        grads.append(policy_backward(small_params, cache, d_mean, d_value, d_ls))
     assert np.allclose(grads[0], grads[1], atol=1e-12)
 
 
@@ -159,7 +158,7 @@ def test_forward_shape_validation(small_params):
 def test_forward_nonfinite_rejected(small_params):
     rng = np.random.default_rng(7)
     obs = _random_obs(rng)
-    p = dataclasses.replace(small_params, a_w1=small_params.a_w1 * np.inf)
+    p = with_arrays(small_params, a_w1=small_params.a_w1 * np.inf)
     with np.errstate(invalid="ignore"), pytest.raises(PolicyError, match="actor_trunk"):
         policy_forward(p, obs)
 
@@ -267,7 +266,7 @@ def test_zero_upstream_grad_gives_zero_params(small_params):
     batch = ObsBatch.concat([_random_obs(rng) for _ in range(3)])
     _, _, _, cache = policy_forward(small_params, batch)
     g = policy_backward(small_params, cache, np.zeros((3, 13)), np.zeros(3), np.zeros(13))
-    assert np.all(flatten_params(g) == 0.0)
+    assert np.all(g == 0.0)
 
 
 def test_duplicated_row_doubles_gradient(small_params):
@@ -276,22 +275,20 @@ def test_duplicated_row_doubles_gradient(small_params):
     d_mean = rng.normal(size=(1, 13))
     d_value = rng.normal(size=1)
     _, _, _, c1 = policy_forward(small_params, obs)
-    g1 = flatten_params(policy_backward(small_params, c1, d_mean, d_value, np.zeros(13)))
+    g1 = policy_backward(small_params, c1, d_mean, d_value, np.zeros(13))
     _, _, _, c2 = policy_forward(small_params, ObsBatch.concat([obs, obs]))
-    g2 = flatten_params(policy_backward(
-        small_params, c2, np.repeat(d_mean, 2, axis=0), np.repeat(d_value, 2), np.zeros(13)
-    ))
+    g2 = policy_backward(small_params, c2, np.repeat(d_mean, 2, axis=0), np.repeat(d_value, 2), np.zeros(13))
     assert np.allclose(g2, 2.0 * g1, atol=1e-12)
 
 
 def test_log_std_clamp_masks_gradient(small_params):
-    p = dataclasses.replace(small_params, log_std=np.full(13, LOG_STD_MIN - 1.0))
+    p = with_arrays(small_params, log_std=LOG_STD_MIN - 1.0)
     rng = np.random.default_rng(17)
     batch = _random_obs(rng)
     _, log_std, _, cache = policy_forward(p, batch)
     assert np.all(log_std == LOG_STD_MIN)
     g = policy_backward(p, cache, np.zeros((1, 13)), np.zeros(1), np.ones(13))
-    assert np.all(g.log_std == 0.0)
+    assert np.all(param_views(g, 4, 6)["log_std"] == 0.0)
 
 
 def test_finite_difference_gate(small_params):
@@ -325,13 +322,48 @@ def test_obs_batch_rows_and_concat():
 
 
 def test_flatten_round_trip(small_params):
-    flat = flatten_params(small_params)
-    back = unflatten_params(small_params, flat)
-    assert np.array_equal(flatten_params(back), flat)
-    z = zeros_like_params(small_params)
-    assert flatten_params(z).sum() == 0.0
+    # the named arrays, raveled in layout order, are the flat vector itself
+    views = param_views(small_params.flat, 4, 6)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views.values()]), small_params.flat)
+    back = PolicyParams(small_params.flat.copy(), 16, 4, 6)
+    assert np.array_equal(back.flat, small_params.flat)
+    assert np.array_equal(back.a_w1, small_params.a_w1)
     with pytest.raises(PolicyError):
-        unflatten_params(small_params, flat[:-1])
+        PolicyParams(small_params.flat[:-1], 16, 4, 6)
+
+
+def test_named_arrays_are_views_of_flat(small_params):
+    offset = 0
+    for name, shape in param_shapes(4, 6).items():
+        arr = getattr(small_params, name)
+        assert arr.shape == shape and arr.base is not None
+        assert np.shares_memory(arr, small_params.flat)
+        assert np.array_equal(arr.ravel(), small_params.flat[offset : offset + arr.size])
+        offset += arr.size
+    assert offset == small_params.flat.size
+
+
+def test_writing_through_a_view_raises(small_params):
+    with pytest.raises(ValueError, match="read-only"):
+        small_params.a_w1[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        small_params.log_std[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        small_params.flat[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_params.a_w1 = np.zeros_like(small_params.a_w1)
+
+
+def test_pickle_carries_the_floats_once(spec, styles):
+    params = init_params(np.random.default_rng(0), 64, len(styles), spec.joint_count)
+    blob = pickle.dumps(params, protocol=pickle.HIGHEST_PROTOCOL)
+    # 409,845 bytes with one array per field; a pickled view would add its floats again
+    assert len(blob) <= 409_845
+    assert len(blob) < params.flat.nbytes + 1024
+    back = pickle.loads(blob)
+    assert np.array_equal(back.flat, params.flat)
+    assert np.shares_memory(back.a_w1, back.flat) and not back.a_w1.flags.writeable
+    assert (back.m_points, back.style_count, back.joint_count) == (64, len(styles), spec.joint_count)
 
 
 GOLDEN_FINGERPRINT = [

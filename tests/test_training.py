@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fungrasp.policy import PolicyError, init_params, flatten_params
+from fungrasp.policy import PolicyError, init_params
 from fungrasp.rewards import total_reward
 from fungrasp.training import (
     OUTCOMES,
@@ -24,6 +24,8 @@ from fungrasp.training import (
     run_episodes,
     train,
 )
+
+from conftest import with_arrays
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +123,7 @@ def test_ppo_update_deterministic(assets, tiny_cfg, tiny_params):
     batch = collect_batch(tiny_params, tiny_cfg, assets, 2)
     a, _, _ = ppo_update(tiny_params, batch, tiny_cfg, AdamState.init(tiny_params), episode_rng(0, 3, 1))
     b, _, _ = ppo_update(tiny_params, batch, tiny_cfg, AdamState.init(tiny_params), episode_rng(0, 3, 1))
-    assert np.array_equal(flatten_params(a), flatten_params(b))
+    assert np.array_equal(a.flat, b.flat)
 
 
 def test_ppo_update_aborts_on_nonfinite(assets, tiny_cfg, tiny_params):
@@ -130,16 +132,14 @@ def test_ppo_update_aborts_on_nonfinite(assets, tiny_cfg, tiny_params):
     params2, _, stats = ppo_update(tiny_params, batch, tiny_cfg, AdamState.init(tiny_params),
                                    episode_rng(0, 3, 2))
     assert "aborted" in stats
-    assert np.array_equal(flatten_params(params2), flatten_params(tiny_params))
+    assert np.array_equal(params2.flat, tiny_params.flat)
 
 
 def test_ppo_update_restores_on_nonfinite_activations(assets, tiny_cfg, tiny_params):
-    from dataclasses import replace
-
     batch = collect_batch(tiny_params, tiny_cfg, assets, 0)
     a_w1 = tiny_params.a_w1.copy()
     a_w1[0, 0] = np.nan
-    broken = replace(tiny_params, a_w1=a_w1)
+    broken = with_arrays(tiny_params, a_w1=a_w1)
     adam = AdamState.init(broken)
     params2, adam2, stats = ppo_update(broken, batch, tiny_cfg, adam, episode_rng(0, 3, 2))
     assert "non-finite activations" in stats["aborted"]
@@ -147,11 +147,9 @@ def test_ppo_update_restores_on_nonfinite_activations(assets, tiny_cfg, tiny_par
 
 
 def test_adam_zero_gradient_is_noop(tiny_params):
-    from fungrasp.policy import zeros_like_params
-
     state = AdamState.init(tiny_params)
-    new, state2 = adam_step(tiny_params, zeros_like_params(tiny_params), state, 1e-3)
-    assert np.array_equal(flatten_params(new), flatten_params(tiny_params))
+    new, state2 = adam_step(tiny_params, np.zeros_like(tiny_params.flat), state, 1e-3)
+    assert np.array_equal(new.flat, tiny_params.flat)
     assert state2.step == 1
 
 
@@ -217,6 +215,21 @@ def test_config_round_trip():
     cfg = TrainConfig(seed=9, envs_per_iter=32, minibatch=16)
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
+    # JSON has one number type: an integer is a valid float value
+    assert config_from_dict({"learning_rate": 1, "sim": {"mu": 1}}).sim.mu == 1
+
+
+@pytest.mark.parametrize("d, named", [
+    ({"epochs": True}, "'train.epochs' must be int, got True"),
+    ({"epochs": 2.0}, "'train.epochs' must be int, got 2.0"),
+    ({"reward": {"afford_on": 1}}, "'train.reward.afford_on' must be bool, got 1"),
+    ({"sim": {"mu": False}}, "'train.sim.mu' must be float, got False"),
+    ({"bounds": []}, "'train.bounds' must be an object, got []"),
+])
+def test_config_from_dict_checks_value_types(d, named):
+    with pytest.raises(ValueError) as err:
+        config_from_dict(d)
+    assert named in str(err.value)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -324,7 +337,7 @@ def test_every_episode_failing_raises(assets, tiny_cfg, tiny_params):
 
     a_w1 = tiny_params.a_w1.copy()
     a_w1[0, 0] = np.nan
-    broken = dataclasses.replace(tiny_params, a_w1=a_w1)
+    broken = with_arrays(tiny_params, a_w1=a_w1)
     first = r"all 8 episodes failed; the first: PolicyError: non-finite activations in actor_trunk"
     with pytest.raises(PolicyError, match=first):
         collect_batch(broken, tiny_cfg, assets, 0)

@@ -20,6 +20,7 @@ __all__ = [
     "default_demo_path",
     "default_objects_dir",
     "read_json_object",
+    "json_object_list",
     "DEFAULT_HAND",
 ]
 
@@ -55,3 +56,16 @@ def read_json_object(path, error: type[Exception]) -> dict:
     if not isinstance(data, dict):
         raise error(f"{path}: the top level must be a JSON object, not {type(data).__name__}")
     return data
+
+
+def json_object_list(data: dict, key: str, error: type[Exception], where: str) -> list[dict]:
+    """data[key], or [] when it is absent, checked to be a list of JSON
+    objects. Raises `error`, naming `where` (the file, and the entry that
+    holds data) and the offending entry, when it is not."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise error(f"{where}{key}: must be a list, not {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise error(f"{where}{key}[{i}]: must be an object, not {type(entry).__name__}")
+    return entries

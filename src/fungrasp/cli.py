@@ -19,14 +19,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import assets as bundled
 from .dataio import CheckpointError, default_cameras, export_rollouts, load_checkpoint
 from .demo import DemoError, load_demo
 from .hand import HandError, load_hand_spec
 from .objects import ObjectError, affordance_distribution, sample_affordance_index
-from .policy import ObsBatch, PolicyError, init_params
+from .policy import PolicyError, init_params, random_obs
 from .training import (
     Assets,
     TrainConfig,
@@ -54,8 +52,13 @@ USER_ERRORS = (
 
 GRADIENT_GATE = 1e-4
 
-# top-level config-file keys: the flag-backed settings and the "train" section
-CONFIG_KEYS = ("seed", "workers", "objects", "demo", "hand", "styles", "out", "checkpoint", "episodes", "train")
+# top-level config-file keys: the flag-backed settings, with the type each
+# must hold, and the "train" section, which config_from_dict checks
+CONFIG_TYPES = {
+    "seed": int, "workers": int, "objects": str, "demo": str, "hand": str,
+    "styles": str, "out": str, "checkpoint": str, "episodes": int,
+}
+CONFIG_KEYS = (*CONFIG_TYPES, "train")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,6 +85,10 @@ def _load_config_file(path) -> dict:
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) in {p}: {', '.join(map(repr, unknown))}; known: {', '.join(CONFIG_KEYS)}")
+    for key, want in CONFIG_TYPES.items():
+        # a JSON true/false is a Python bool, which is an int too
+        if key in cfg and (not isinstance(cfg[key], want) or isinstance(cfg[key], bool)):
+            raise ValueError(f"{p}: config '{key}' must be {want.__name__}, got {cfg[key]!r}")
     return cfg
 
 
@@ -254,25 +261,11 @@ def cmd_check_gradients(args) -> int:
     rng = episode_rng(seed, 7)
     m_points, style_count, joint_count = 16, 4, 6
     params = init_params(rng, m_points, style_count, joint_count)
-    obs = ObsBatch.concat([_random_obs(rng, m_points, style_count) for _ in range(4)])
+    obs = random_obs(rng, 4, m_points, style_count)
     err = finite_diff_check(params, obs, rng, n_params=int(args.params))
     ok = err < GRADIENT_GATE
     print(json.dumps({"max_relative_error": err, "gate": GRADIENT_GATE, "pass": bool(ok)}))
     return 0 if ok else 1
-
-
-def _random_obs(rng, m_points, style_count):
-    """One random observation, as a batch of one."""
-    one_hot = np.zeros((1, style_count))
-    one_hot[0, rng.integers(style_count)] = 1.0
-    return ObsBatch(
-        s_r=rng.normal(size=(1, 7)),
-        s_o=rng.normal(size=(1, 7)),
-        cloud=rng.normal(size=(1, m_points, 6)),
-        p_afford_rel=rng.normal(size=(1, 3)),
-        l_style=one_hot,
-        obj_bb=rng.uniform(0.05, 0.3, size=(1, 1)),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assets import read_json_object
+from .assets import json_object_list, read_json_object
 from .geometry import AxisAngle, Pose, axis_angle_to_quat, compose_pose, quat_mul, quat_normalize, quat_rotate
 from .hand import HandSpec, clamp_to_limits
 
@@ -156,14 +156,14 @@ def load_demo(path, spec: HandSpec) -> Demonstration:
     data = read_json_object(path, DemoError)
     if data.get("hand") != spec.name:
         raise DemoError(f"{path}: demo recorded for hand {data.get('hand')!r}, configured hand is {spec.name!r}")
-    frames = data.get("frames", [])
+    frames = json_object_list(data, "frames", DemoError, f"{path}: ")
     if len(frames) < 3:
         raise DemoError(f"{path}: needs at least 3 frames (T_D >= 2), got {len(frames)}")
     poses, joints = [], []
     for i, fr in enumerate(frames):
         try:
             poses.append(Pose(t=np.array(fr["p"]["t"], float), r=np.array(fr["p"]["r"], float)))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise DemoError(f"{path}: frames[{i}].p: {e}") from e
         q = np.array(fr.get("q", []), float)
         if q.shape != (spec.joint_count,):

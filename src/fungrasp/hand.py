@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assets import read_json_object
+from .assets import json_object_list, read_json_object
 from .geometry import Pose, quat_mul, quat_rotate
 
 __all__ = [
@@ -139,17 +139,17 @@ def load_hand_spec(path) -> HandSpec:
     if not isinstance(name, str) or not name:
         fail("name", "missing or empty")
     fingers = []
-    for fi, fd in enumerate(data.get("fingers", [])):
+    for fi, fd in enumerate(json_object_list(data, "fingers", HandError, f"{path}: ")):
         where = f"fingers[{fi}]"
         try:
             base = Pose(t=np.array(fd["base"]["t"], float), r=np.array(fd["base"]["r"], float))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             fail(where + ".base", str(e))
         tip_radius = float(fd.get("tip_radius", 0.0))
         if tip_radius <= 0:
             fail(where + ".tip_radius", "must be > 0")
         segments = []
-        for si, sd in enumerate(fd.get("segments", [])):
+        for si, sd in enumerate(json_object_list(fd, "segments", HandError, f"{path}: {where}.")):
             sw = f"{where}.segments[{si}]"
             length = float(sd.get("length", 0.0))
             if length <= 0:
@@ -184,7 +184,7 @@ def load_hand_spec(path) -> HandSpec:
     if not fingers:
         fail("fingers", "hand has no fingers")
     couplings = []
-    for ci, cd in enumerate(data.get("coupling", [])):
+    for ci, cd in enumerate(json_object_list(data, "coupling", HandError, f"{path}: ")):
         try:
             couplings.append(
                 Coupling(
@@ -194,7 +194,7 @@ def load_hand_spec(path) -> HandSpec:
                     scale=float(cd.get("scale", 1.0)),
                 )
             )
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             fail(f"coupling[{ci}]", str(e))
     return _build_spec(name, fingers, couplings)
 
@@ -205,7 +205,7 @@ def load_styles(path, spec: HandSpec) -> list[Style]:
     if data.get("hand") != spec.name:
         raise HandError(f"{path}: styles are for hand {data.get('hand')!r}, spec is {spec.name!r}")
     styles = []
-    for i, sd in enumerate(data.get("styles", [])):
+    for i, sd in enumerate(json_object_list(data, "styles", HandError, f"{path}: ")):
         q = np.array(sd.get("q", []), float)
         if q.shape != (spec.joint_count,):
             raise HandError(f"{path}: styles[{i}]: q has shape {q.shape}, hand has J={spec.joint_count}")

@@ -12,6 +12,15 @@ one, collection concatenates them, and the update indexes minibatch rows
 out of the result. Log-probabilities are always taken of the stored raw
 (pre-squash) samples, so no squashed action is ever inverted.
 
+The observed cloud depends only on (object, M, FPS seed), so a batch
+holds a table of its U distinct encoded clouds, clouds (U, M, 6), and
+each row's entry in it, cloud_index (B,). Every entry is used by some
+row: an episode's batch of one has a table of one (the entry cached for
+its object), concat keeps each distinct cloud once, and indexing rows
+keeps only the entries they use. The point branch runs once per table
+entry in both passes; the pooled feature is gathered per row, and its
+gradient summed per entry before it is routed back through the pool.
+
 The parameters live in one float64 vector, PolicyParams.flat, laid out
 as param_shapes lists the 17 arrays, each stored C-order. Each named
 array (params.pb_w1 ... params.v_b3) is a read-only view into flat, so
@@ -22,7 +31,7 @@ moments are vectors in the same layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +47,7 @@ __all__ = [
     "PolicyParams",
     "ActionSample",
     "encode_observation",
+    "random_obs",
     "init_params",
     "policy_forward",
     "policy_backward",
@@ -64,28 +74,52 @@ class PolicyError(RuntimeError):
     """Raised on dimension mismatches or non-finite activations."""
 
 
+# the ObsBatch fields that hold the observations' own values, one row each
+_ROW_FIELDS = ("s_r", "s_o", "p_afford_rel", "l_style", "obj_bb")
+
+
 @dataclass(frozen=True)
 class ObsBatch:
-    """B observations; one episode's observation is a batch of one."""
+    """B observations over a table of U distinct clouds; one episode's
+    observation is a batch of one over a table of one."""
 
     s_r: np.ndarray            # (B, 7) initial end-effector pose (t, quat)
     s_o: np.ndarray            # (B, 7) object pose
-    cloud: np.ndarray          # (B, M, 6) centered/scaled FPS points + normals
     p_afford_rel: np.ndarray   # (B, 3) affordance relative to centroid, / obj_bb
     l_style: np.ndarray        # (B, S) one-hot
     obj_bb: np.ndarray         # (B, 1)
+    cloud_index: np.ndarray    # (B,) each row's entry in clouds
+    clouds: np.ndarray         # (U, M, 6) centered/scaled FPS points + normals
 
     @property
     def size(self) -> int:
         return self.s_r.shape[0]
 
     def __getitem__(self, sel) -> "ObsBatch":
-        """The rows `sel` (an index array or a slice) picks."""
-        return ObsBatch(**{f.name: getattr(self, f.name)[sel] for f in fields(self)})
+        """The rows `sel` (an index array or a slice) picks, over the
+        table entries those rows use."""
+        used, index = np.unique(self.cloud_index[sel], return_inverse=True)
+        rows = {name: getattr(self, name)[sel] for name in _ROW_FIELDS}
+        return ObsBatch(**rows, cloud_index=index, clouds=self.clouds[used])
 
     @classmethod
     def concat(cls, batches) -> "ObsBatch":
-        return cls(**{f.name: np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)})
+        """The batches' rows in order, over one table that holds each
+        distinct cloud once (clouds with equal bytes share an entry)."""
+        entries: dict[bytes, tuple[int, np.ndarray]] = {}   # first seen first
+        index = []
+        for b in batches:
+            remap = [entries.setdefault(cloud.tobytes(), (len(entries), cloud))[0] for cloud in b.clouds]
+            index.append(np.array(remap)[b.cloud_index])
+        rows = {name: np.concatenate([getattr(b, name) for b in batches]) for name in _ROW_FIELDS}
+        clouds = np.stack([cloud for _, cloud in entries.values()])
+        return cls(**rows, cloud_index=np.concatenate(index), clouds=clouds)
+
+
+# every batch of one indexes entry 0 of its table of one; sharing one
+# read-only array lets a chunk's pickled results hold it once
+_FIRST_ENTRY = np.zeros(1, dtype=np.intp)
+_FIRST_ENTRY.flags.writeable = False
 
 
 def encode_observation(
@@ -94,41 +128,60 @@ def encode_observation(
     styles: list[Style],
     m_points: int,
     fps_seed: int,
-    fps_cache: dict,
+    cloud_cache: dict,
 ) -> ObsBatch:
     """Deterministic observation encoding for one reset environment, as a
     batch of one.
 
-    Cloud points are FPS-subsampled once per (object, M, seed), centered
-    on the centroid, and scaled by 1/obj_bb so the encoding is invariant
-    to uniform object scaling. s_r is the would-be initial end-effector
-    pose of the unedited replay.
+    The cloud is FPS-subsampled, centered on the centroid, and scaled by
+    1/obj_bb, so the encoding is invariant to uniform object scaling; it
+    is encoded once per (object, M, seed) into cloud_cache, as a
+    read-only table of one that every batch of that object shares. s_r
+    is the would-be initial end-effector pose of the unedited replay.
     """
     obj = env.obj
-    key = (obj.name, m_points, fps_seed)
-    idx = fps_cache.get(key)
-    if idx is None:
-        idx = farthest_point_sample(obj.points, m_points, fps_seed)
-        fps_cache[key] = idx
     scale = 1.0 / obj.obj_bb
-    cloud = np.concatenate(
-        [(obj.points[idx] - obj.centroid) * scale, obj.normals[idx]], axis=1
-    )
+    key = (obj.name, m_points, fps_seed)
+    clouds = cloud_cache.get(key)
+    if clouds is None:
+        idx = farthest_point_sample(obj.points, m_points, fps_seed)
+        clouds = np.concatenate([(obj.points[idx] - obj.centroid) * scale, obj.normals[idx]], axis=1)[None]
+        if not np.all(np.isfinite(clouds)):
+            raise PolicyError("non-finite observation field clouds")
+        clouds.flags.writeable = False
+        cloud_cache[key] = clouds
     ee0 = compose_pose(env.object_pose, demo.poses[0])
     one_hot = np.zeros(len(styles))
     one_hot[env.condition.style_index] = 1.0
     obs = ObsBatch(
         s_r=np.concatenate([ee0.t, ee0.r])[None],
         s_o=np.concatenate([env.object_pose.t, env.object_pose.r])[None],
-        cloud=cloud[None],
         p_afford_rel=((env.condition.p_afford - obj.centroid) * scale)[None],
         l_style=one_hot[None],
         obj_bb=np.array([[obj.obj_bb]], dtype=float),
+        cloud_index=_FIRST_ENTRY,
+        clouds=clouds,
     )
-    for name in ("s_r", "s_o", "cloud", "p_afford_rel", "l_style"):
+    for name in ("s_r", "s_o", "p_afford_rel", "l_style"):
         if not np.all(np.isfinite(getattr(obs, name))):
             raise PolicyError(f"non-finite observation field {name}")
     return obs
+
+
+def random_obs(rng: np.random.Generator, size: int, m_points: int, style_count: int) -> ObsBatch:
+    """`size` random observations over `size` distinct random clouds, the
+    batch the gradient gate probes. Each row draws, in order, its style,
+    s_r, s_o, cloud, p_afford_rel and obj_bb."""
+    draws = []
+    for _ in range(size):
+        style = rng.integers(style_count)
+        draws.append(dict(
+            s_r=rng.normal(size=7), s_o=rng.normal(size=7), clouds=rng.normal(size=(m_points, 6)),
+            p_afford_rel=rng.normal(size=3), l_style=np.eye(style_count)[style],
+            obj_bb=rng.uniform(0.05, 0.3, size=1),
+        ))
+    return ObsBatch(**{name: np.stack([d[name] for d in draws]) for name in draws[0]},
+                    cloud_index=np.arange(size))
 
 
 def param_shapes(style_count: int, joint_count: int) -> dict[str, tuple]:
@@ -222,7 +275,6 @@ class ForwardCache:
     a1: np.ndarray
     z2: np.ndarray
     a2: np.ndarray
-    pool_arg: np.ndarray
     feat: np.ndarray
     az1: np.ndarray
     aa1: np.ndarray
@@ -242,27 +294,30 @@ def _check_finite(name: str, arr: np.ndarray):
 def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True):
     """Batched forward pass.
 
-    Returns (mean (B, A), log_std (A,), value (B,), cache). The max pool
-    over points makes the cloud branch permutation-invariant; pooling
-    ties route to the lowest point index (argmax convention), which the
-    backward pass mirrors.
+    Returns (mean (B, A), log_std (A,), value (B,), cache). The point
+    branch runs once per entry of the cloud table, and each row takes
+    its entry's pooled feature; every output row has the bits it would
+    have with the branch run on the row's own copy of its cloud. The max
+    pool over points makes the cloud branch permutation-invariant; the
+    backward pass routes a pooling tie to the lowest point index (argmax
+    convention).
     """
-    if batch.cloud.shape[1] != params.m_points or batch.cloud.shape[2] != POINT_FEATURES:
+    if batch.clouds.shape[1] != params.m_points or batch.clouds.shape[2] != POINT_FEATURES:
         raise PolicyError(
-            f"cloud shape {batch.cloud.shape[1:]} does not match params (M={params.m_points})"
+            f"cloud shape {batch.clouds.shape[1:]} does not match params (M={params.m_points})"
         )
     if batch.l_style.shape[1] != params.style_count:
         raise PolicyError(
             f"style one-hot dim {batch.l_style.shape[1]} != S={params.style_count}"
         )
-    z1 = batch.cloud @ params.pb_w1 + params.pb_b1
+    z1 = batch.clouds @ params.pb_w1 + params.pb_b1        # (U, M, 32)
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.pb_w2 + params.pb_b2
     a2 = np.maximum(z2, 0.0)
-    pool_arg = np.argmax(a2, axis=1)                       # (B, 64)
-    pooled = np.take_along_axis(a2, pool_arg[:, None, :], axis=1)[:, 0, :]
+    pooled = a2.max(axis=1)                                # (U, 64)
     feat = np.concatenate(
-        [batch.s_r, batch.s_o, pooled, batch.p_afford_rel, batch.l_style, batch.obj_bb],
+        [batch.s_r, batch.s_o, pooled.take(batch.cloud_index, axis=0), batch.p_afford_rel,
+         batch.l_style, batch.obj_bb],
         axis=1,
     )
     az1 = feat @ params.a_w1 + params.a_b1
@@ -276,13 +331,13 @@ def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True):
     va2 = np.maximum(vz2, 0.0)
     value = (va2 @ params.v_w3 + params.v_b3)[:, 0]
     if check:
-        _check_finite("point_branch", a2)
+        _check_finite("point_branch", pooled)   # a NaN or inf in a2 reaches its column's max
         _check_finite("actor_trunk", aa2)
         _check_finite("action_head", mean)
         _check_finite("value_head", value)
     log_std = np.clip(params.log_std, LOG_STD_MIN, LOG_STD_MAX)
     cache = ForwardCache(
-        batch=batch, z1=z1, a1=a1, z2=z2, a2=a2, pool_arg=pool_arg, feat=feat,
+        batch=batch, z1=z1, a1=a1, z2=z2, a2=a2, feat=feat,
         az1=az1, aa1=aa1, az2=az2, aa2=aa2, vz1=vz1, va1=va1, vz2=vz2, va2=va2,
     )
     return mean, log_std, value, cache
@@ -299,9 +354,11 @@ def policy_backward(
     in the layout of params.flat.
 
     Upstream gradients are per-sample (B, A) / (B,); a duplicated batch
-    row therefore contributes its gradient twice. d_log_std collects the
-    direct terms (density sigma-derivatives, entropy bonus) and is masked
-    by the [-5, 1] clamp.
+    row therefore contributes its gradient twice, and the rows that
+    share a cloud add up their pooled-feature gradients before the point
+    branch. d_log_std collects the direct terms (density
+    sigma-derivatives, entropy bonus) and is masked by the [-5, 1]
+    clamp.
     """
     flat = np.zeros_like(params.flat)
     g = param_views(flat, params.style_count, params.joint_count)
@@ -329,16 +386,20 @@ def policy_backward(
     g["v_w1"][...] = cache.feat.T @ d_vz1
     g["v_b1"][...] = d_vz1.sum(axis=0)
     d_feat = d_feat + d_vz1 @ params.v_w1.T
-    # route the pooled slice back through the winning points only
-    d_pooled = d_feat[:, 14 : 14 + CLOUD_FEAT_DIM]
+    # sum the pooled slice per cloud, then route it back through the
+    # winning points only (the first of tied ones, as argmax picks); the
+    # point-branch weights take one product over the U*M table points
+    d_pooled = np.zeros((len(cache.a2), CLOUD_FEAT_DIM))
+    np.add.at(d_pooled, cache.batch.cloud_index, d_feat[:, 14 : 14 + CLOUD_FEAT_DIM])
     d_a2 = np.zeros_like(cache.a2)
-    np.put_along_axis(d_a2, cache.pool_arg[:, None, :], d_pooled[:, None, :], axis=1)
+    pool_arg = np.argmax(cache.a2, axis=1)
+    np.put_along_axis(d_a2, pool_arg[:, None, :], d_pooled[:, None, :], axis=1)
     d_z2 = d_a2 * (cache.z2 > 0.0)
-    g["pb_w2"][...] = np.einsum("bmi,bmo->io", cache.a1, d_z2)
+    g["pb_w2"][...] = cache.a1.reshape(-1, 32).T @ d_z2.reshape(-1, CLOUD_FEAT_DIM)
     g["pb_b2"][...] = d_z2.sum(axis=(0, 1))
     d_a1 = d_z2 @ params.pb_w2.T
     d_z1 = d_a1 * (cache.z1 > 0.0)
-    g["pb_w1"][...] = np.einsum("bmi,bmo->io", cache.batch.cloud, d_z1)
+    g["pb_w1"][...] = cache.batch.clouds.reshape(-1, POINT_FEATURES).T @ d_z1.reshape(-1, 32)
     g["pb_b1"][...] = d_z1.sum(axis=(0, 1))
     inside = (params.log_std > LOG_STD_MIN) & (params.log_std < LOG_STD_MAX)
     g["log_std"][...] = d_log_std * inside

@@ -56,6 +56,8 @@ from .geometry import transform_point
 from .hand import HandSpec, Style, load_hand_spec, load_styles
 from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object, toy_suite
 from .policy import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     ObsBatch,
     PolicyError,
     PolicyParams,
@@ -68,7 +70,7 @@ from .policy import (
     sample_action,
     squash,
 )
-from .rewards import RewardConfig, total_reward
+from .rewards import RewardConfig, RewardTerms, total_reward
 from .sim import EnvState, SimParams, reset_env, rollout_batch
 
 log = logging.getLogger(__name__)
@@ -178,16 +180,17 @@ def config_from_dict(d: dict) -> TrainConfig:
 
 @dataclass
 class Assets:
-    """Bundle shared (read-only) by every rollout worker, plus the FPS
-    indices each cloud's observation uses, filled on first use. A pool
-    worker's copy of the bundle is its cache for the worker's lifetime."""
+    """Bundle shared (read-only) by every rollout worker, plus each
+    object's encoded observation cloud, by (object, M, FPS seed), filled
+    on first use by encode_observation. A pool worker's copy of the
+    bundle is its cache for the worker's lifetime."""
 
     spec: HandSpec
     styles: list[Style]
     demo: Demonstration
     objects: list[ObjectModel]
     afford_dists: dict[str, AffordanceDistribution]
-    fps_cache: dict = field(default_factory=dict, init=False, repr=False)
+    cloud_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, spec, styles, demo, objects) -> "Assets":
@@ -301,7 +304,7 @@ def _act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_s
             q_style_used=style.q_canonical.copy(),
             contact_mask=style.contact_mask,
         )
-    obs = encode_observation(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.fps_cache)
+    obs = encode_observation(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache)
     mean, log_std, value, _ = policy_forward(params, obs)
     lo, hi = cfg.bounds.intervals(joint_count)
     if mode == "policy":
@@ -420,7 +423,7 @@ def _pin_blas_threads(n: int) -> None:
 
 
 def _pool_init(assets: Assets):
-    """Worker set-up: the shared assets (and with them the worker's FPS
+    """Worker set-up: the shared assets (and with them the worker's cloud
     cache), and one BLAS thread, since the workers already share the
     cores between them."""
     global _WORKER_ASSETS
@@ -613,10 +616,11 @@ def ppo_update(
     except (FloatingPointError, PolicyError) as exc:
         log.error("ppo_update aborted, restoring previous parameters: %s", exc)
         return snapshot_params, snapshot_adam, {"aborted": str(exc)}
-    stats = _batch_stats(batch)
+    log_std = np.clip(params.log_std, LOG_STD_MIN, LOG_STD_MAX)
+    stats = _batch_stats(batch, log_std)
     stats.update(
         clip_fraction=clip_hits / max(1, clip_total),
-        entropy=entropy(np.clip(params.log_std, -5.0, 1.0)),
+        entropy=entropy(log_std),
         value_loss=value_loss_last,
     )
     return params, adam, stats
@@ -643,10 +647,14 @@ def outcome_counts(results: list[EpisodeResult]) -> dict:
     return counts
 
 
-def _batch_stats(batch: Batch) -> dict:
+def _batch_stats(batch: Batch, log_std: np.ndarray) -> dict:
+    """The batch's part of a metrics.jsonl train line, with the range of
+    the updated policy's (clamped) log_std and the mean of each reward
+    term over the episodes that ran."""
     paired = [(x.record, x.conditioned_style) for x in batch.results if x.record is not None]
     succ = [rec for rec, _ in paired if rec.success]
     matches = [rec for rec, cond in paired if rec.success and rec.executed_style == cond]
+    terms = [rec.reward_terms for rec, _ in paired]
     return {
         "mean_reward": float(batch.rewards.mean()),
         "gsr": len(succ) / max(1, len(paired)),
@@ -654,6 +662,11 @@ def _batch_stats(batch: Batch) -> dict:
         "sa": len(matches) / len(succ) if succ else None,
         "episode_errors": batch.episode_errors,
         "outcomes": outcome_counts(batch.results),
+        "log_std": {"min": float(log_std.min()), "mean": float(log_std.mean()), "max": float(log_std.max())},
+        "reward_terms": {
+            f.name: float(np.mean([getattr(t, f.name) for t in terms])) if terms else None
+            for f in dataclasses.fields(RewardTerms)
+        },
     }
 
 
@@ -797,10 +810,11 @@ def run_bandit(
     obs_batch = ObsBatch(
         s_r=np.zeros((envs, 7)),
         s_o=np.zeros((envs, 7)),
-        cloud=np.zeros((envs, m_points, 6)),
         p_afford_rel=np.zeros((envs, 3)),
         l_style=np.ones((envs, 1)),
         obj_bb=np.ones((envs, 1)),
+        cloud_index=np.zeros(envs, dtype=np.intp),
+        clouds=np.zeros((1, m_points, 6)),
     )
     adam = AdamState.init(params)
     history = []

@@ -16,7 +16,7 @@ from fungrasp.dataio import default_cameras
 from fungrasp.demo import EditAction
 from fungrasp.evaluation import _ablate_config, _row_from_result, evaluate, write_episode_rows
 from fungrasp.objects import make_sphere
-from fungrasp.policy import ObsBatch, init_params
+from fungrasp.policy import init_params, random_obs
 from fungrasp.rewards import RewardConfig, afford_reward, total_reward
 from fungrasp.sim import Contact, EnvCondition, EnvState, grasp_success_batch
 from fungrasp.geometry import identity_pose
@@ -73,15 +73,7 @@ def test_criterion_1_gradient_gate(spec, styles):
     rng = episode_rng(77, 7)
     params = init_params(rng, 16, len(styles), spec.joint_count)
 
-    def rand_obs():
-        one_hot = np.zeros((1, len(styles)))
-        one_hot[0, rng.integers(len(styles))] = 1.0
-        return ObsBatch(
-            s_r=rng.normal(size=(1, 7)), s_o=rng.normal(size=(1, 7)), cloud=rng.normal(size=(1, 16, 6)),
-            p_afford_rel=rng.normal(size=(1, 3)), l_style=one_hot, obj_bb=rng.uniform(0.05, 0.3, size=(1, 1)),
-        )
-
-    obs = ObsBatch.concat([rand_obs() for _ in range(4)])
+    obs = random_obs(rng, 4, 16, len(styles))
     err = finite_diff_check(params, obs, rng, n_params=200, h=1e-5)
     elapsed = time.time() - t0
     ok = err < 1e-4 and elapsed < 30.0

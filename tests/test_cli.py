@@ -211,7 +211,11 @@ def test_unknown_config_key_is_a_named_user_error(tmp_path, capsys, config, key)
     ('{"seed": 1, "train": {"reward": {"gamma": "4"}}}', "config 'train.reward.gamma' must be float, got '4'"),
     ('{"seed": 1, "train": {"bounds": {"b_t": null}}}', "config 'train.bounds.b_t' must be float, got None"),
     ("seed = 1", "c.json: cannot parse JSON"),
-], ids=["train", "sim", "minibatch", "gamma", "b_t", "not_json"])
+    ('{"seed": [1]}', "c.json: config 'seed' must be int, got [1]"),
+    ('{"seed": true}', "c.json: config 'seed' must be int, got True"),
+    ('{"seed": 1, "hand": 5}', "c.json: config 'hand' must be str, got 5"),
+    ('{"seed": 1, "workers": "2"}', "c.json: config 'workers' must be int, got '2'"),
+], ids=["train", "sim", "minibatch", "gamma", "b_t", "not_json", "seed_list", "seed_bool", "hand", "workers"])
 def test_config_shape_and_type_errors_are_user_errors(tmp_path, capsys, text, named):
     path = tmp_path / "c.json"
     path.write_text(text)
@@ -235,6 +239,22 @@ def test_non_object_json_files_are_user_errors(tmp_path, capsys, argv, text):
     err = capsys.readouterr().err
     assert code == 1
     assert f"{path}: the top level must be a JSON object, not list" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("argv, data, entry", [
+    (["demo", "inspect", "--hand", "{file}"], {"name": "h", "fingers": [1]}, "fingers[0]"),
+    (["demo", "inspect", "--hand", "{file}"], {"name": "h", "fingers": [{"base": {"t": [0, 0, 0], "r": [1, 0, 0, 0]}, "tip_radius": 0.01, "segments": [2]}]}, "fingers[0].segments[0]"),
+    (["demo", "inspect", "--demo", "{file}"], {"hand": "inspire_like", "frames": [1, 2, 3]}, "frames[0]"),
+    (["train", "--styles", "{file}"], {"hand": "inspire_like", "styles": [1]}, "styles[0]"),
+], ids=["fingers", "segments", "frames", "styles"])
+def test_non_object_entries_are_user_errors(tmp_path, capsys, argv, data, entry):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    code = main([*argv, "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{path}: {entry}: must be an object, not int" in err and "internal error" not in err
 
 
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys):

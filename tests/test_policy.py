@@ -20,6 +20,7 @@ from fungrasp.policy import (
     param_views,
     policy_backward,
     policy_forward,
+    random_obs,
     sample_action,
     squash,
     squash_correction,
@@ -28,16 +29,12 @@ from fungrasp.sim import reset_env
 from fungrasp.training import episode_rng, finite_diff_check
 
 from conftest import with_arrays
+from policy_reference import reference_backward, reference_forward
 
 
 def _random_obs(rng, m=16, s=4):
     """One random observation, as a batch of one."""
-    one_hot = np.zeros((1, s))
-    one_hot[0, rng.integers(s)] = 1.0
-    return ObsBatch(
-        s_r=rng.normal(size=(1, 7)), s_o=rng.normal(size=(1, 7)), cloud=rng.normal(size=(1, m, 6)),
-        p_afford_rel=rng.normal(size=(1, 3)), l_style=one_hot, obj_bb=rng.uniform(0.05, 0.3, size=(1, 1)),
-    )
+    return random_obs(rng, 1, m, s)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +57,7 @@ def test_encode_affordance_at_centroid(assets):
     assert np.allclose(obs.p_afford_rel, 0.0, atol=1e-12)
     assert obs.l_style.sum() == 1.0
     assert obs.l_style[0, env.condition.style_index] == 1.0
-    assert obs.cloud.shape == (1, 32, 6)
+    assert obs.clouds.shape == (1, 32, 6) and obs.cloud_index.tolist() == [0]
 
 
 def test_encode_scale_invariance(assets):
@@ -75,7 +72,7 @@ def test_encode_scale_invariance(assets):
     cache = {}
     a = encode_observation(env, assets.demo, assets.styles, 32, 0, cache)
     b = encode_observation(env2, assets.demo, assets.styles, 32, 0, cache)
-    assert np.allclose(a.cloud, b.cloud, atol=1e-12)
+    assert np.allclose(a.clouds, b.clouds, atol=1e-12)
     assert np.allclose(a.p_afford_rel, b.p_afford_rel, atol=1e-12)
     assert b.obj_bb[0, 0] == pytest.approx(2.0 * a.obj_bb[0, 0])
 
@@ -85,11 +82,13 @@ def test_encode_fps_cache_reused(assets):
     env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
                     np.random.default_rng(2), False, spec=assets.spec)
     cache = {}
-    encode_observation(env, assets.demo, assets.styles, 32, 7, cache)
-    assert (obj.name, 32, 7) in cache
+    a = encode_observation(env, assets.demo, assets.styles, 32, 7, cache)
+    assert list(cache) == [(obj.name, 32, 7)]
     first = cache[(obj.name, 32, 7)]
-    encode_observation(env, assets.demo, assets.styles, 32, 7, cache)
-    assert cache[(obj.name, 32, 7)] is first
+    b = encode_observation(env, assets.demo, assets.styles, 32, 7, cache)
+    # one encoded, read-only table entry that every observation of the object shares
+    assert cache[(obj.name, 32, 7)] is first and a.clouds is first and b.clouds is first
+    assert not first.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -105,30 +104,39 @@ def test_zero_heads_give_zero_outputs(small_params):
     assert np.all(value == 0.0)
 
 
+def _five_cloud_batch(rng, rows=32):
+    """`rows` observations over 5 distinct clouds, the shape of a training
+    minibatch: each row repeats one of 5 random observations."""
+    base = random_obs(rng, 5, 16, 4)
+    return ObsBatch.concat([base[np.array([i])] for i in rng.permutation(np.arange(rows) % 5)])
+
+
+def _permute_points(rng, batch):
+    """batch with the points of every cloud-table entry shuffled apart."""
+    clouds = np.stack([c[rng.permutation(len(c))] for c in batch.clouds])
+    return dataclasses.replace(batch, clouds=clouds)
+
+
 def test_point_permutation_invariance(small_params):
     rng = np.random.default_rng(4)
-    obs = _random_obs(rng)
-    perm = rng.permutation(16)
-    obs_p = dataclasses.replace(obs, cloud=obs.cloud[:, perm])
-    ma, _, va, _ = policy_forward(small_params, obs)
-    mb, _, vb, _ = policy_forward(small_params, obs_p)
-    assert np.array_equal(ma, mb)
-    assert np.array_equal(va, vb)
+    for batch in (_random_obs(rng), _five_cloud_batch(rng)):
+        ma, _, va, _ = policy_forward(small_params, batch)
+        mb, _, vb, _ = policy_forward(small_params, _permute_points(rng, batch))
+        assert np.array_equal(ma, mb)
+        assert np.array_equal(va, vb)
 
 
 def test_point_permutation_invariant_gradients(small_params):
     rng = np.random.default_rng(5)
-    obs = _random_obs(rng)
-    perm = rng.permutation(16)
-    obs_p = dataclasses.replace(obs, cloud=obs.cloud[:, perm])
-    d_mean = rng.normal(size=(1, small_params.action_dim))
-    d_value = rng.normal(size=1)
-    d_ls = rng.normal(size=small_params.action_dim)
-    grads = []
-    for o in (obs, obs_p):
-        _, _, _, cache = policy_forward(small_params, o)
-        grads.append(policy_backward(small_params, cache, d_mean, d_value, d_ls))
-    assert np.allclose(grads[0], grads[1], atol=1e-12)
+    for batch in (_random_obs(rng), _five_cloud_batch(rng)):
+        d_mean = rng.normal(size=(batch.size, small_params.action_dim))
+        d_value = rng.normal(size=batch.size)
+        d_ls = rng.normal(size=small_params.action_dim)
+        grads = []
+        for o in (batch, _permute_points(rng, batch)):
+            _, _, _, cache = policy_forward(small_params, o)
+            grads.append(policy_backward(small_params, cache, d_mean, d_value, d_ls))
+        assert np.allclose(grads[0], grads[1], atol=1e-12)
 
 
 def test_forward_regression_pinned(small_params):
@@ -277,8 +285,47 @@ def test_duplicated_row_doubles_gradient(small_params):
     _, _, _, c1 = policy_forward(small_params, obs)
     g1 = policy_backward(small_params, c1, d_mean, d_value, np.zeros(13))
     _, _, _, c2 = policy_forward(small_params, ObsBatch.concat([obs, obs]))
+    # the two rows share one table entry, so the point branch runs once
+    assert c2.a2.shape[0] == 1
     g2 = policy_backward(small_params, c2, np.repeat(d_mean, 2, axis=0), np.repeat(d_value, 2), np.zeros(13))
     assert np.allclose(g2, 2.0 * g1, atol=1e-12)
+
+
+def _reference_batches(rng):
+    """A 32-row minibatch over 5 clouds and random batches of distinct clouds."""
+    yield _five_cloud_batch(rng)
+    for size in (1, 3, 12):
+        yield random_obs(rng, size, 16, 4)
+
+
+def test_forward_matches_the_per_row_reference(small_params):
+    rng = np.random.default_rng(19)
+    for batch in _reference_batches(rng):
+        assert batch.size == 32 and len(batch.clouds) == 5 or batch.size == len(batch.clouds)
+        mean, log_std, value, cache = policy_forward(small_params, batch)
+        r_mean, r_log_std, r_value, _ = reference_forward(small_params, batch)
+        assert np.array_equal(mean, r_mean) and np.array_equal(value, r_value)
+        assert np.array_equal(log_std, r_log_std)
+        # the point branch ran once per distinct cloud
+        assert cache.a2.shape[0] == len(batch.clouds) == len(np.unique(batch.cloud_index))
+
+
+def test_backward_matches_the_per_row_reference(small_params):
+    rng = np.random.default_rng(20)
+    for batch in _reference_batches(rng):
+        _, _, _, cache = policy_forward(small_params, batch)
+        _, _, _, r_cache = reference_forward(small_params, batch)
+        d_mean = rng.normal(size=(batch.size, 13))
+        d_value = rng.normal(size=batch.size)
+        d_ls = rng.normal(size=13)
+        got = param_views(policy_backward(small_params, cache, d_mean, d_value, d_ls), 4, 6)
+        want = param_views(reference_backward(small_params, r_cache, d_mean, d_value, d_ls), 4, 6)
+        for name, w in want.items():
+            if name.startswith("pb_"):
+                # only the point-branch sums run in another order
+                assert np.max(np.abs(got[name] - w)) <= 1e-12 * np.max(np.abs(w)), name
+            else:
+                assert np.array_equal(got[name], w), name
 
 
 def test_log_std_clamp_masks_gradient(small_params):
@@ -293,7 +340,7 @@ def test_log_std_clamp_masks_gradient(small_params):
 
 def test_finite_difference_gate(small_params):
     rng = episode_rng(123, 7)
-    obs = ObsBatch.concat([_random_obs(rng) for _ in range(4)])
+    obs = random_obs(rng, 4, 16, 4)
     err = finite_diff_check(small_params, obs, rng, n_params=200)
     assert err < 1e-4
 
@@ -302,8 +349,9 @@ def test_finite_difference_zero_obs(small_params):
     # zero inputs park activations exactly on the ReLU kink; the contract
     # here is only that the check stays finite, not that it passes the gate
     zero = ObsBatch(
-        s_r=np.zeros((1, 7)), s_o=np.zeros((1, 7)), cloud=np.zeros((1, 16, 6)),
-        p_afford_rel=np.zeros((1, 3)), l_style=np.eye(4)[:1], obj_bb=np.ones((1, 1)),
+        s_r=np.zeros((1, 7)), s_o=np.zeros((1, 7)), p_afford_rel=np.zeros((1, 3)),
+        l_style=np.eye(4)[:1], obj_bb=np.ones((1, 1)), cloud_index=np.zeros(1, dtype=int),
+        clouds=np.zeros((1, 16, 6)),
     )
     err = finite_diff_check(small_params, zero, episode_rng(5, 7), n_params=50)
     assert np.isfinite(err)
@@ -312,13 +360,25 @@ def test_finite_difference_zero_obs(small_params):
 def test_obs_batch_rows_and_concat():
     rng = np.random.default_rng(18)
     rows = [_random_obs(rng) for _ in range(4)]
-    batch = ObsBatch.concat(rows)
-    assert batch.size == 4 and batch.cloud.shape == (4, 16, 6) and batch.obj_bb.shape == (4, 1)
-    picked = batch[np.array([2, 0])]
-    for f in dataclasses.fields(ObsBatch):
-        assert np.array_equal(getattr(picked, f.name), np.concatenate([getattr(rows[2], f.name),
-                                                                      getattr(rows[0], f.name)]))
-    assert np.array_equal(batch[1:2].cloud, rows[1].cloud)
+    batch = ObsBatch.concat(rows + [rows[1], rows[3]])
+    # six rows over the four distinct clouds, each held once, in first-seen order
+    assert batch.size == 6 and batch.clouds.shape == (4, 16, 6) and batch.obj_bb.shape == (6, 1)
+    assert batch.cloud_index.tolist() == [0, 1, 2, 3, 1, 3]
+    for i, row in enumerate(rows):
+        assert np.array_equal(batch.clouds[i], row.clouds[0])
+    picked = batch[np.array([2, 0, 5])]
+    expected = [rows[2], rows[0], rows[3]]
+    for name in ("s_r", "s_o", "p_afford_rel", "l_style", "obj_bb"):
+        assert np.array_equal(getattr(picked, name), np.concatenate([getattr(r, name) for r in expected]))
+    # the picked rows keep only the entries they use, remapped
+    assert picked.clouds.shape == (3, 16, 6)
+    assert np.array_equal(picked.clouds[picked.cloud_index], np.concatenate([r.clouds for r in expected]))
+    one = batch[4:5]
+    assert one.cloud_index.tolist() == [0] and np.array_equal(one.clouds, rows[1].clouds)
+    # concatenating batches that already share clouds does not grow the table
+    twice = ObsBatch.concat([batch, picked])
+    assert twice.clouds.shape == (4, 16, 6)
+    assert np.array_equal(twice.clouds[twice.cloud_index][6:], picked.clouds[picked.cloud_index])
 
 
 def test_flatten_round_trip(small_params):

@@ -78,6 +78,27 @@ def test_collect_worker_determinism(assets, tiny_cfg, tiny_params):
     assert np.array_equal(serial.rewards, parallel.rewards)
     assert np.array_equal(serial.log_prob_old, parallel.log_prob_old)
     assert np.array_equal(serial.advantages, parallel.advantages)
+    # each worker's episodes bring their own copy of a cloud; the batch keeps one per object
+    objects = sorted({r.object_name for r in serial.results})
+    for batch in (serial, parallel):
+        assert len(batch.obs.clouds) == len(objects)
+        assert np.array_equal(batch.obs.clouds[batch.obs.cloud_index], serial.obs.clouds[serial.obs.cloud_index])
+
+
+def test_chunk_pickle_carries_each_cloud_once(assets):
+    """A pool chunk's results share the cached cloud of each object, so
+    pickling them (as a worker returns them) stores each cloud once."""
+    import pickle
+
+    cfg = TrainConfig(envs_per_iter=96, minibatch=32, m_points=64, seed=2026)
+    params = init_params(episode_rng(cfg.seed, 4), cfg.m_points, len(assets.styles), assets.spec.joint_count)
+    results = run_episodes(params, cfg, assets, cfg.seed, (1, 0), range(96), train_mode=True)
+    blob = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
+    clouds = {r.object_name: r.obs.clouds for r in results}
+    assert len(clouds) == len(assets.objects)
+    assert all(blob.count(c.tobytes()) == 1 for c in clouds.values())
+    # 10.2 KB per episode when every observation held its own copy of its cloud
+    assert len(blob) / 96 <= 10_200 - 3_000
 
 
 def test_clipped_surrogate_hand_computed():
@@ -184,6 +205,11 @@ def test_train_writes_metrics_and_checkpoint(assets, tmp_path, monkeypatch, peri
         assert sum(line["outcomes"].values()) == n
         if line["kind"] == "train":
             assert np.isfinite(line["mean_reward"])
+            assert line["log_std"]["min"] <= line["log_std"]["mean"] <= line["log_std"]["max"]
+            terms = line["reward_terms"]
+            assert list(terms) == ["r_afford", "r_close", "r_qpos", "r_success", "total"]
+            assert terms["total"] == pytest.approx(line["mean_reward"], abs=1e-12)
+            assert terms["r_success"] == pytest.approx(line["gsr"], abs=1e-12)
             assert line["outcomes"]["error"] == line["episode_errors"]
             assert line["outcomes"]["ok"] == round(line["gsr"] * n)
         else:
@@ -365,8 +391,9 @@ def test_engine_chunking_does_not_change_results(assets, tiny_cfg, tiny_params):
 
 
 def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypatch):
-    """FPS runs once per (object, M, seed) per Assets; a pool worker's
-    copy of the assets is its cache for the worker's lifetime."""
+    """FPS runs once per (object, M, seed) per Assets, into the encoded
+    cloud the Assets cache; a pool worker's copy of the assets is its
+    cache for the worker's lifetime."""
     import fungrasp.policy as policy
     import fungrasp.training as tr
 
@@ -385,8 +412,10 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
     second = tr._pool_chunk(task)
     assert n_first == len({r.object_name for r in first}) and len(calls) == n_first
     assert [r.reward for r in first] == [r.reward for r in second]
-    assert sorted(tr._WORKER_ASSETS.fps_cache) == sorted((name, 32, tiny_cfg.seed) for name in
-                                                         {r.object_name for r in first})
+    cache = tr._WORKER_ASSETS.cloud_cache
+    assert sorted(cache) == sorted((name, 32, tiny_cfg.seed) for name in {r.object_name for r in first})
+    # every observation of an object holds its cached entry, not a copy
+    assert all(r.obs.clouds is cache[(r.object_name, 32, tiny_cfg.seed)] for r in first + second)
     # another Assets bundle starts with an empty cache
     third = tr.run_episodes(tiny_params, tiny_cfg, dataclasses.replace(assets), 17, (1, 0), range(8), train_mode=True)
     assert len(calls) == 2 * n_first

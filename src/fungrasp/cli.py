@@ -207,7 +207,7 @@ def cmd_collect(args) -> int:
     cfg, assets, out, params, n = _checkpoint_run(args)
     _, results = evaluate(params, cfg, assets, n, seed=cfg.seed)
     manifest = export_rollouts(
-        results, default_cameras(), out / "rollouts.jsonl",
+        results, default_cameras(), out / "rollouts.jsonl", assets.demo, assets.spec,
         success_only=bool(args.success_only), config=config_to_dict(cfg),
     )
     print(json.dumps(manifest))

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .assets import read_json_object
+from .demo import Demonstration, EditAction, edit_wrist_arrays, edited_joint_trajectory
 from .geometry import Pose, invert_pose, quat_from_matrix, transform_point
+from .hand import HandSpec
 from .policy import PolicyParams, param_shapes, param_views
 
 log = logging.getLogger(__name__)
@@ -143,32 +145,35 @@ def _pose_dict(p: Pose) -> dict:
     return {"t": [float(v) for v in p.t], "r": [float(v) for v in p.r]}
 
 
-def export_rollouts(episodes, cameras: dict[str, CameraModel], path, success_only: bool = False,
-                    config: dict | None = None) -> dict:
+def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demonstration, spec: HandSpec,
+                    success_only: bool = False, config: dict | None = None) -> dict:
     """Write per-frame JSONL plus a manifest JSON next to it.
 
-    `episodes` are episode results carrying a RolloutRecord with its
-    trajectory, the world affordance point, and the conditioned style.
-    Errored episodes (no record) are skipped and counted as `n_errored`
-    in the manifest. Action targets are absolute next-frame (t, r, q);
-    the last frame targets itself.
+    `episodes` are episode results of `demo` on the hand `spec`. Each
+    exported episode's trajectory is rebuilt from its action, object
+    pose and the record's edited target q*, with the rollout's own
+    element-wise edit_wrist_arrays and edited_joint_trajectory, so its
+    frames carry the bits the rollout ran. Errored episodes (no record)
+    are skipped and counted as `n_errored` in the manifest. Action
+    targets are absolute next-frame (t, r, q); the last frame targets
+    itself.
     """
     path = Path(path)
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     completed = [e for e in episodes if e.record is not None]
     selected = [e for e in completed if (e.record.success or not success_only)]
+    if selected:
+        actions = [EditAction.from_vector(e.action_vec, spec.joint_count) for e in selected]
+        wrist_t, wrist_r = edit_wrist_arrays(demo, actions, [e.object_pose for e in selected])
+        joints = edited_joint_trajectory(demo, np.stack([e.record.q_star for e in selected]), spec)
     n_frames = 0
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with tmp.open("w") as fh:
             header = {"schema_version": SCHEMA_VERSION, "kind": "fungrasp-rollout-frames"}
             fh.write(json.dumps(header) + "\n")
-            for ep in selected:
-                traj = ep.record.trajectory
-                if traj is None:
-                    raise ExportError(f"episode {ep.index} has no retained trajectory")
-                terms = ep.record.reward_terms
-                poses = [Pose(t=t, r=r) for t, r in zip(traj.pose_t, traj.pose_r)]
+            for i, ep in enumerate(selected):
+                poses = [Pose(t=t, r=r) for t, r in zip(wrist_t[i], wrist_r[i])]
                 horizon = len(poses) - 1
                 cam_views = {}
                 for name, cam in cameras.items():
@@ -187,18 +192,18 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, success_onl
                         "frame": t,
                         "object": ep.object_name,
                         "s_r": _pose_dict(poses[t]),
-                        "q": [float(v) for v in traj.joints[t]],
+                        "q": [float(v) for v in joints[i, t]],
                         "target": {
                             **_pose_dict(poses[nxt]),
-                            "q": [float(v) for v in traj.joints[nxt]],
+                            "q": [float(v) for v in joints[i, nxt]],
                         },
                         "condition": {
                             "p_afford_world": [float(v) for v in ep.p_afford_world],
-                            "style": traj.style_index,
+                            "style": ep.conditioned_style,
                         },
                         "cameras": cam_views,
                         "success": bool(ep.record.success),
-                        "reward": terms.as_dict() if terms is not None else None,
+                        "reward": ep.terms.as_dict(),
                     }
                     fh.write(json.dumps(line) + "\n")
                     n_frames += 1

@@ -27,7 +27,6 @@ __all__ = [
     "Demonstration",
     "EditBounds",
     "EditAction",
-    "EditedTrajectory",
     "load_demo",
     "save_demo",
     "target_joint_config",
@@ -137,18 +136,6 @@ class EditAction:
 
     def pose(self) -> Pose:
         return Pose(t=self.dt, r=axis_angle_to_quat(self.dr))
-
-
-@dataclass(frozen=True)
-class EditedTrajectory:
-    """Executed world-frame trajectory plus the conditioning it answered."""
-
-    pose_t: np.ndarray         # (T_D + 1, 3) ee translations, world frame
-    pose_r: np.ndarray         # (T_D + 1, 4) ee quaternions
-    joints: np.ndarray         # (T_D + 1, J), clamped
-    style_index: int
-    p_afford: np.ndarray       # object frame
-    q_star: np.ndarray
 
 
 def load_demo(path, spec: HandSpec) -> Demonstration:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .training import (
     TrainConfig,
     check_m_points,
     config_to_dict,
-    outcome_counts,
+    episode_summary,
     train,
 )
 
@@ -65,16 +65,7 @@ class Metrics:
     sd_ratio: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "gsr": self.gsr,
-            "sad": self.sad,
-            "sd": self.sd,
-            "sd_normalized": self.sd_normalized,
-            "sa": self.sa,
-            "n_episodes": self.n_episodes,
-            "n_success": self.n_success,
-            "sd_ratio": self.sd_ratio,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -290,11 +281,11 @@ def write_episode_rows(rows: list[EpisodeRow], path) -> None:
 
 
 def write_report(metrics: Metrics, cfg: TrainConfig, rows_path, path, results: list[EpisodeResult]) -> None:
-    """report.json: the metrics, the episodes' outcome counts, the
-    config digest and where the per-episode rows are."""
+    """report.json: the metrics, the episode_summary of the results,
+    the config digest and where the per-episode rows are."""
     report = {
         "metrics": metrics.as_dict(),
-        "outcomes": outcome_counts(results),
+        **episode_summary(results),
         "config_digest": config_digest(config_to_dict(cfg)),
         "per_episode_file": str(rows_path),
     }

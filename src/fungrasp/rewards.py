@@ -11,7 +11,7 @@ the edited style target. Ablation flags zero individual terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,13 +50,7 @@ class RewardTerms:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "r_afford": self.r_afford,
-            "r_close": self.r_close,
-            "r_qpos": self.r_qpos,
-            "r_success": self.r_success,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def qpos_reward(q_final, q_star) -> float:
@@ -93,8 +87,10 @@ def close_reward(d_min: float, cfg: RewardConfig) -> float:
     return 1.0 if d_min < cfg.close_threshold else 0.0
 
 
-def total_reward(record, cfg: RewardConfig) -> RewardTerms:
-    """Combine the terms for a finished rollout and attach them to it.
+def total_reward(record, obj_bb: float, q_style, cfg: RewardConfig) -> RewardTerms:
+    """The terms of a finished rollout on an object of size obj_bb,
+    conditioned on a style whose canonical joints are q_style; the
+    record is only read.
 
     Disabled terms are reported as 0 and excluded from the total, so the
     linear-combination identity holds exactly whatever the flags. The
@@ -102,19 +98,9 @@ def total_reward(record, cfg: RewardConfig) -> RewardTerms:
     style's *canonical* configuration: it is the pressure that keeps
     edits from drifting away from the intended style.
     """
-    r_afford = (
-        afford_reward(record.success, record.d_final, record.obj_bb, cfg)
-        if cfg.afford_on
-        else 0.0
-    )
+    r_afford = afford_reward(record.success, record.d_final, obj_bb, cfg) if cfg.afford_on else 0.0
     r_close = close_reward(record.d_min, cfg) if cfg.close_on else 0.0
-    if cfg.qpos_on:
-        reference = record.q_style_canonical
-        if reference is None:
-            reference = record.q_star
-        r_qpos = qpos_reward(record.q_final, reference)
-    else:
-        r_qpos = 0.0
+    r_qpos = qpos_reward(record.q_final, q_style) if cfg.qpos_on else 0.0
     r_success = cfg.success_reward if record.success else 0.0
     total = (
         cfg.lambda_afford * r_afford
@@ -122,8 +108,4 @@ def total_reward(record, cfg: RewardConfig) -> RewardTerms:
         + cfg.lambda_qpos * r_qpos
         + r_success
     )
-    terms = RewardTerms(
-        r_afford=r_afford, r_close=r_close, r_qpos=r_qpos, r_success=r_success, total=total
-    )
-    record.reward_terms = terms
-    return terms
+    return RewardTerms(r_afford=r_afford, r_close=r_close, r_qpos=r_qpos, r_success=r_success, total=total)

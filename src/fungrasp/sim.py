@@ -104,25 +104,46 @@ class Contact:
     penetration: float            # max(0, radius - distance), meters
 
 
-@dataclass
+@dataclass(frozen=True)
 class RolloutRecord:
-    success: bool
-    d_series: np.ndarray          # (T_D + 1,) affordance-to-contact-centroid distance
-    d_min: float
-    d_final: float
+    """What one rollout measured, and nothing it was given: the
+    affordance-to-contact-centroid distance of every frame, the final
+    and the edited target joints, the grasp-frame contacts, the style
+    the final joints read as, the table test, and why the grasp failed
+    (None on success). Everything else is a property of these fields."""
+
+    d_series: np.ndarray          # (T_D + 1,)
     q_final: np.ndarray
     q_star: np.ndarray
     contacts_at_grasp: list[Contact]
     executed_style: int
     table_collision: bool
-    crushed: bool
-    obj_bb: float
-    # canonical joints of the conditioned style; the style-consistency
-    # reward measures deviation from this intention
-    q_style_canonical: np.ndarray | None = None
     failure_reason: str | None = None
-    reward_terms: object | None = None   # populated by the reward engine
-    trajectory: object | None = None     # EditedTrajectory, kept for export
+
+    @property
+    def success(self) -> bool:
+        return self.failure_reason is None
+
+    @property
+    def crushed(self) -> bool:
+        return self.failure_reason == "crush"
+
+    @property
+    def d_min(self) -> float:
+        return float(self.d_series.min())
+
+    @property
+    def d_final(self) -> float:
+        return float(self.d_series[-1])
+
+    @property
+    def outcome(self) -> str:
+        """How the rollout ended, as named in training.OUTCOMES: "ok",
+        "degenerate" for every "degenerate_contacts: ..." reason, else
+        the failure reason."""
+        if self.failure_reason is None:
+            return "ok"
+        return "degenerate" if self.failure_reason.startswith("degenerate") else self.failure_reason
 
 
 def reset_env(
@@ -435,7 +456,7 @@ def rollout_batch(
     grasp that gets that far run as one stacked simplex
     (grasp_success_batch).
     """
-    from .demo import EditedTrajectory, edit_wrist_arrays
+    from .demo import edit_wrist_arrays
 
     q_star = target_joint_config(
         np.stack([env.condition.q_style_used for env in envs]),
@@ -468,8 +489,7 @@ def rollout_batch(
     )))
 
     records = []
-    for i, env in enumerate(envs):
-        cond = env.condition
+    for i in range(e_count):
         failure_reason = None
         success = outcomes.get(i, False)
         if crushed[i]:
@@ -477,31 +497,16 @@ def rollout_batch(
         elif isinstance(success, ContactError):
             failure_reason = f"degenerate_contacts: {success}"
             log.warning("episode failed: %s", success)
-            success = False
         elif not success:
             failure_reason = "table_collision" if table[i] else "no_closure"
         q_final = joints[i, -1]
         records.append(RolloutRecord(
-            success=success,
             d_series=d_series[i],
-            d_min=float(d_series[i].min()),
-            d_final=float(d_series[i][-1]),
             q_final=q_final,
             q_star=q_star[i],
             contacts_at_grasp=contacts[i],
             executed_style=classify_style(spec, q_final, styles),
             table_collision=bool(table[i]),
-            crushed=crushed[i],
-            obj_bb=env.obj.obj_bb,
-            q_style_canonical=styles[cond.style_index].q_canonical.copy(),
             failure_reason=failure_reason,
-            trajectory=EditedTrajectory(
-                pose_t=wrist_t[i],
-                pose_r=wrist_r[i],
-                joints=joints[i],
-                style_index=cond.style_index,
-                p_afford=cond.p_afford,
-                q_star=q_star[i],
-            ),
         ))
     return records

@@ -12,15 +12,17 @@ them with one worker, every workers-th index in each pool worker —
 through three phases:
 
 1. Per episode: the episode rng, the object draw, reset_env,
-   encode_observation, a B=1 policy_forward and the action draw. The
-   rng draws keep their order (object, reset, action), and the forward
-   pass stays B=1 because a stacked forward is a matrix-matrix product
-   whose rows round differently from the single-row product.
+   encode_observation, a B=1 policy_forward and the action draw, which
+   build the episode's EpisodeResult. The rng draws keep their order
+   (object, reset, action), and the forward pass stays B=1 because a
+   stacked forward is a matrix-matrix product whose rows round
+   differently from the single-row product.
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
    wrist edits and FK at once; one contact phase in the object frame,
    with one nearest-point query per object for every episode of the
    chunk on it; one stacked closure LP (see sim).
-3. Per episode: the reward and the EpisodeResult.
+3. Per episode: the rollout's record and its reward terms complete the
+   result.
 
 Every batched step is element-wise or independent per episode or per
 query row (the nearest-point product runs in fixed row blocks and never
@@ -32,7 +34,8 @@ episodes' results.
 
 One error rule: a PolicyError in phase 1 (a non-finite observation or
 activation) ends that episode alone as an error that keeps the type in
-its text; it gets zero reward and no sample in the PPO batch.
+its text; the result keeps the episode's object, pose, affordance point
+and style, and gets zero reward and no sample in the PPO batch.
 Degenerate contact geometry is the rollout's own "degenerate" outcome,
 not an error. Any other exception propagates, and a run in which every
 episode errors raises PolicyError.
@@ -44,6 +47,7 @@ import ctypes
 import dataclasses
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -52,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .demo import Demonstration, EditAction, EditBounds, load_demo
-from .geometry import transform_point
+from .geometry import Pose, transform_point
 from .hand import HandSpec, Style, load_hand_spec, load_styles
 from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object, toy_suite
 from .policy import (
@@ -71,7 +75,7 @@ from .policy import (
     squash,
 )
 from .rewards import RewardConfig, RewardTerms, total_reward
-from .sim import EnvState, SimParams, reset_env, rollout_batch
+from .sim import RolloutRecord, SimParams, reset_env, rollout_batch
 
 log = logging.getLogger(__name__)
 
@@ -92,6 +96,7 @@ __all__ = [
     "episode_rng",
     "check_m_points",
     "outcome_counts",
+    "episode_summary",
     "OUTCOMES",
     "config_to_dict",
     "config_from_dict",
@@ -237,26 +242,35 @@ def episode_rng(seed: int, stream: int, *key) -> np.random.Generator:
 
 @dataclass
 class EpisodeResult:
-    """One episode; an errored one has no obs, raw, action_vec or record."""
+    """One episode: phase 1 builds it, phase 3 adds the rollout's record
+    and reward terms. An errored episode keeps the facts of its reset
+    and has no obs, raw, action_vec, record or terms."""
 
     index: int
     object_name: str
-    obs: ObsBatch | None           # B = 1
-    raw: np.ndarray | None
-    action_vec: np.ndarray | None
-    log_prob: float
-    value: float
-    reward: float
-    record: object                 # RolloutRecord
+    object_pose: Pose
     p_afford_world: np.ndarray
     conditioned_style: int
+    obs: ObsBatch | None = None    # B = 1
+    raw: np.ndarray | None = None
+    action_vec: np.ndarray | None = None
+    log_prob: float = 0.0
+    value: float = 0.0
+    record: RolloutRecord | None = None
+    terms: RewardTerms | None = None
     error: str | None = None
+
+    @property
+    def reward(self) -> float:
+        """The reward terms' total; 0.0 for an errored episode."""
+        return 0.0 if self.terms is None else float(self.terms.total)
 
 
 @dataclass
 class Batch:
     """The PPO batch: E' rows, one per episode that ran; results holds
-    all E episodes, errored ones included."""
+    all E episodes, errored ones included (the bandit's batch runs no
+    engine episodes, so its results are empty)."""
 
     obs: ObsBatch
     raw: np.ndarray                # (E', A)
@@ -268,21 +282,10 @@ class Batch:
     episode_errors: int
 
 
-@dataclass
-class _Draft:
-    """An episode after phase 1: its environment, observation and action."""
-
-    index: int
-    env: EnvState
-    obs: ObsBatch
-    raw: np.ndarray
-    action: EditAction
-    log_prob: float
-    value: float
-
-
-def _act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style) -> _Draft:
-    """Phase 1 of one episode: reset, observe, a B=1 forward pass, act."""
+def _act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style):
+    """Phase 1 of one episode: reset, observe, a B=1 forward pass, act.
+    Returns the episode's result, its env and its action; a PolicyError
+    makes the result an errored one, with no action."""
     rng = episode_rng(seed, *stream_key, index)
     joint_count = assets.spec.joint_count
     obj = assets.objects[int(rng.integers(len(assets.objects)))]
@@ -304,8 +307,15 @@ def _act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_s
             q_style_used=style.q_canonical.copy(),
             contact_mask=style.contact_mask,
         )
-    obs = encode_observation(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache)
-    mean, log_std, value, _ = policy_forward(params, obs)
+    pose, cond = env.object_pose, env.condition
+    result = EpisodeResult(index, obj.name, pose, transform_point(pose, cond.p_afford), cond.style_index)
+    try:
+        obs = encode_observation(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache)
+        mean, log_std, value, _ = policy_forward(params, obs)
+    except PolicyError as exc:
+        log.warning("episode %d failed (%s); scored as zero reward", index, exc)
+        result.error = f"{type(exc).__name__}: {exc}"
+        return result, env, None
     lo, hi = cfg.bounds.intervals(joint_count)
     if mode == "policy":
         sample = sample_action(mean[0], log_std, cfg.bounds, joint_count, rng)
@@ -315,7 +325,6 @@ def _act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_s
         vec = squash(raw, lo, hi)
         action = EditAction.from_vector(vec, joint_count)
         logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
-        logp = float(logp)
     elif mode == "random":
         vec = rng.uniform(lo, hi)
         action = EditAction.from_vector(vec, joint_count)
@@ -327,35 +336,9 @@ def _act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_s
         logp = 0.0
     else:
         raise ValueError(f"unknown action mode {mode!r}")
-    return _Draft(index, env, obs, np.asarray(raw, dtype=float), action, float(logp), float(value[0]))
-
-
-def _score(draft: _Draft, record, cfg: TrainConfig) -> EpisodeResult:
-    """Phase 3 of one episode: reward the rollout record."""
-    terms = total_reward(record, cfg.reward)
-    env = draft.env
-    return EpisodeResult(
-        index=draft.index,
-        object_name=env.obj.name,
-        obs=draft.obs,
-        raw=draft.raw,
-        action_vec=draft.action.to_vector(),
-        log_prob=draft.log_prob,
-        value=draft.value,
-        reward=float(terms.total),
-        record=record,
-        p_afford_world=transform_point(env.object_pose, env.condition.p_afford),
-        conditioned_style=env.condition.style_index,
-    )
-
-
-def _failed(index: int, exc: PolicyError) -> EpisodeResult:
-    log.warning("episode %d failed (%s); scored as zero reward", index, exc)
-    return EpisodeResult(
-        index=index, object_name="<error>", obs=None, raw=None, action_vec=None,
-        log_prob=0.0, value=0.0, reward=0.0, record=None, p_afford_world=np.zeros(3),
-        conditioned_style=0, error=f"{type(exc).__name__}: {exc}",
-    )
+    result.obs, result.raw, result.action_vec = obs, np.asarray(raw, dtype=float), action.to_vector()
+    result.log_prob, result.value = float(logp), float(value[0])
+    return result, env, action
 
 
 def run_episodes(
@@ -377,21 +360,18 @@ def run_episodes(
     the environment (object, pose, affordance) is identical across the
     forced candidates of a best-style sweep.
     """
-    episodes: list[_Draft | EpisodeResult] = []
-    for index in indices:
-        try:
-            episodes.append(_act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style))
-        except PolicyError as e:
-            episodes.append(_failed(index, e))
-    live = [i for i, ep in enumerate(episodes) if isinstance(ep, _Draft)]
+    acted = [_act(params, cfg, assets, seed, stream_key, i, train_mode, mode, force_style) for i in indices]
+    live = [(res, env, action) for res, env, action in acted if res.error is None]
     if live:
         records = rollout_batch(
-            [episodes[i].env for i in live], assets.demo, [episodes[i].action for i in live],
+            [env for _, env, _ in live], assets.demo, [action for _, _, action in live],
             assets.spec, assets.styles, cfg.sim,
         )
-        for i, record in zip(live, records):
-            episodes[i] = _score(episodes[i], record, cfg)
-    return episodes  # type: ignore[return-value]
+        for (res, env, _), record in zip(live, records):
+            q_style = assets.styles[res.conditioned_style].q_canonical
+            res.record = record
+            res.terms = total_reward(record, env.obj.obj_bb, q_style, cfg.reward)
+    return [res for res, _, _ in acted]
 
 
 # ---------------------------------------------------------------------------
@@ -632,41 +612,44 @@ OUTCOMES = ("ok", "crush", "table_collision", "no_closure", "degenerate", "error
 
 def outcome_counts(results: list[EpisodeResult]) -> dict:
     """How many episodes ended in each of OUTCOMES: "error" when the
-    episode raised, "ok" on success, else its record's failure_reason
-    (every "degenerate_contacts: ..." reason counts as "degenerate")."""
+    episode raised, else its record's outcome."""
     counts = dict.fromkeys(OUTCOMES, 0)
     for r in results:
-        rec = r.record
-        if rec is None:
-            outcome = "error"
-        elif rec.success:
-            outcome = "ok"
-        else:
-            outcome = rec.failure_reason.split(":")[0].removesuffix("_contacts")
-        counts[outcome] += 1
+        counts["error" if r.record is None else r.record.outcome] += 1
     return counts
 
 
-def _batch_stats(batch: Batch, log_std: np.ndarray) -> dict:
-    """The batch's part of a metrics.jsonl train line, with the range of
-    the updated policy's (clamped) log_std and the mean of each reward
-    term over the episodes that ran."""
-    paired = [(x.record, x.conditioned_style) for x in batch.results if x.record is not None]
-    succ = [rec for rec, _ in paired if rec.success]
-    matches = [rec for rec, cond in paired if rec.success and rec.executed_style == cond]
-    terms = [rec.reward_terms for rec, _ in paired]
+def episode_summary(results: list[EpisodeResult]) -> dict:
+    """What metrics.jsonl and report.json say of a list of episodes:
+    the outcome counts, the mean of each reward term over the episodes
+    that ran (None when none did) and how often each error message came
+    up."""
+    terms = [r.terms for r in results if r.terms is not None]
     return {
-        "mean_reward": float(batch.rewards.mean()),
-        "gsr": len(succ) / max(1, len(paired)),
-        "sad": float(np.mean([r.d_final for r in succ])) if succ else None,
-        "sa": len(matches) / len(succ) if succ else None,
-        "episode_errors": batch.episode_errors,
-        "outcomes": outcome_counts(batch.results),
-        "log_std": {"min": float(log_std.min()), "mean": float(log_std.mean()), "max": float(log_std.max())},
+        "outcomes": outcome_counts(results),
         "reward_terms": {
             f.name: float(np.mean([getattr(t, f.name) for t in terms])) if terms else None
             for f in dataclasses.fields(RewardTerms)
         },
+        "errors": dict(Counter(r.error for r in results if r.error is not None)),
+    }
+
+
+def _batch_stats(batch: Batch, log_std: np.ndarray) -> dict:
+    """The batch's part of a metrics.jsonl train line, with the
+    episode_summary of its results and the range of the updated
+    policy's (clamped) log_std."""
+    ran = [r for r in batch.results if r.record is not None]
+    succ = [r for r in ran if r.record.success]
+    matches = [r for r in succ if r.record.executed_style == r.conditioned_style]
+    return {
+        "mean_reward": float(batch.rewards.mean()),
+        "gsr": len(succ) / max(1, len(ran)),
+        "sad": float(np.mean([r.record.d_final for r in succ])) if succ else None,
+        "sa": len(matches) / len(succ) if succ else None,
+        "episode_errors": batch.episode_errors,
+        **episode_summary(batch.results),
+        "log_std": {"min": float(log_std.min()), "mean": float(log_std.mean()), "max": float(log_std.max())},
     }
 
 
@@ -700,7 +683,7 @@ def train(cfg: TrainConfig, assets: Assets, out_dir) -> dict:
                 m, results = evaluate(
                     params, cfg, assets, cfg.eval_episodes, seed=cfg.seed, pool=pool
                 )
-                line = {"kind": "eval", "iteration": it, **m.as_dict(), "outcomes": outcome_counts(results)}
+                line = {"kind": "eval", "iteration": it, **m.as_dict(), **episode_summary(results)}
                 metrics.write(json.dumps(line) + "\n")
                 metrics.flush()
             if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
@@ -827,18 +810,9 @@ def run_bandit(
         logp, _, _ = log_prob_of_raw(mean, log_std, raw, cfg.bounds, joint_count)
         adv = rewards - value
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        results = [
-            EpisodeResult(
-                index=i, object_name="bandit", obs=obs_batch[i : i + 1], raw=raw[i],
-                action_vec=np.tanh(raw[i]), log_prob=float(logp[i]), value=float(value[i]),
-                reward=float(rewards[i]), record=None, p_afford_world=np.zeros(3),
-                conditioned_style=0,
-            )
-            for i in range(envs)
-        ]
         batch = Batch(
             obs=obs_batch, raw=raw, log_prob_old=logp, rewards=rewards,
-            values_old=value, advantages=adv, results=results, episode_errors=0,
+            values_old=value, advantages=adv, results=[], episode_errors=0,
         )
         params, adam, _ = ppo_update(params, batch, cfg, adam, episode_rng(seed, STREAM_UPDATE, it))
         history.append(float(rewards.mean()))

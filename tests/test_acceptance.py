@@ -243,14 +243,13 @@ def test_criterion_9_reward_algebra():
             lambda_qpos=float(rng.uniform(0, 5)), success_reward=float(rng.uniform(0, 3)),
             gamma=float(rng.uniform(1, 8)), close_threshold=float(rng.uniform(0.005, 0.1)),
         )
+        success = bool(rng.integers(2))
         rec = RolloutRecord(
-            success=bool(rng.integers(2)), d_series=np.zeros(2),
-            d_min=float(rng.uniform(0, 0.2)), d_final=float(rng.uniform(0, 0.2)),
-            q_final=rng.normal(size=4), q_star=rng.normal(size=4),
-            contacts_at_grasp=[], executed_style=0, table_collision=False, crushed=False,
-            obj_bb=float(rng.uniform(0.02, 0.5)),
+            d_series=rng.uniform(0, 0.2, 2), q_final=rng.normal(size=4), q_star=np.zeros(4),
+            contacts_at_grasp=[], executed_style=0, table_collision=False,
+            failure_reason=None if success else "no_closure",
         )
-        t = total_reward(rec, cfg)
+        t = total_reward(rec, float(rng.uniform(0.02, 0.5)), rng.normal(size=4), cfg)
         expected = (cfg.lambda_afford * t.r_afford + cfg.lambda_close * t.r_close
                     + cfg.lambda_qpos * t.r_qpos + t.r_success)
         sum_exact &= t.total == expected

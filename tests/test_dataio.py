@@ -15,12 +15,14 @@ from fungrasp.dataio import (
     save_checkpoint,
     unproject,
 )
+from fungrasp.demo import edited_joint_trajectory
 from fungrasp.geometry import Pose, axis_angle_to_quat, compose_pose, identity_pose, invert_pose
 from fungrasp.policy import init_params
-from fungrasp.training import TrainConfig, episode_rng
+from fungrasp.training import TrainConfig, episode_rng, run_episodes
 from fungrasp.evaluation import evaluate
 
 from conftest import with_arrays
+from contact_reference import hand_assets
 
 
 @pytest.fixture
@@ -98,8 +100,8 @@ def _episode_results(assets, n=6, seed=41):
     return results
 
 
-def test_export_zero_records(tmp_path):
-    manifest = export_rollouts([], default_cameras(), tmp_path / "out.jsonl")
+def test_export_zero_records(tmp_path, demo, spec):
+    manifest = export_rollouts([], default_cameras(), tmp_path / "out.jsonl", demo, spec)
     lines = (tmp_path / "out.jsonl").read_text().splitlines()
     assert len(lines) == 1
     header = json.loads(lines[0])
@@ -110,8 +112,8 @@ def test_export_zero_records(tmp_path):
 def test_export_success_only_counts(tmp_path, box_assets):
     results = _episode_results(box_assets, n=8)
     n_success = sum(1 for r in results if r.record.success)
-    manifest = export_rollouts(results, default_cameras(), tmp_path / "all.jsonl",
-                               success_only=True, config={"x": 1})
+    manifest = export_rollouts(results, default_cameras(), tmp_path / "all.jsonl", box_assets.demo,
+                               box_assets.spec, success_only=True, config={"x": 1})
     assert manifest["episodes"] == n_success
     assert manifest["n_success"] == n_success
     assert manifest["config_digest"] == config_digest({"x": 1})
@@ -121,11 +123,10 @@ def test_export_skips_errored_episodes(tmp_path, box_assets):
     from dataclasses import replace
 
     results = _episode_results(box_assets, n=3)
-    errored = replace(results[0], index=99, object_name="<error>", record=None,
-                      reward=0.0, error="synthetic geometry failure")
+    errored = replace(results[0], index=99, record=None, terms=None, error="synthetic geometry failure")
     path = tmp_path / "frames.jsonl"
-    manifest = export_rollouts(results + [errored], default_cameras(), path)
-    horizon = len(results[0].record.trajectory.joints)
+    manifest = export_rollouts(results + [errored], default_cameras(), path, box_assets.demo, box_assets.spec)
+    horizon = box_assets.demo.horizon + 1
     assert manifest["episodes"] == 3 and manifest["n_errored"] == 1
     assert manifest["frames"] == 3 * horizon
     frames = [json.loads(l) for l in path.read_text().splitlines()[1:]]
@@ -135,11 +136,11 @@ def test_export_skips_errored_episodes(tmp_path, box_assets):
 def test_export_round_trip_schema(tmp_path, box_assets):
     results = _episode_results(box_assets, n=4)
     path = tmp_path / "frames.jsonl"
-    export_rollouts(results, default_cameras(), path)
+    export_rollouts(results, default_cameras(), path, box_assets.demo, box_assets.spec)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     header, frames = lines[0], lines[1:]
     assert header["kind"] == "fungrasp-rollout-frames"
-    horizon = len(results[0].record.trajectory.joints)
+    horizon = box_assets.demo.horizon + 1
     assert len(frames) == len(results) * horizon
     fr = frames[0]
     for key in ("episode", "frame", "s_r", "q", "target", "condition", "cameras", "success", "reward"):
@@ -147,7 +148,10 @@ def test_export_round_trip_schema(tmp_path, box_assets):
     # serialized floats round-trip exactly against the source record
     ep0 = [f for f in frames if f["episode"] == results[0].index]
     got = np.array([f["q"] for f in ep0])
-    assert np.array_equal(got, results[0].record.trajectory.joints)
+    rec = results[0].record
+    assert np.array_equal(got, edited_joint_trajectory(box_assets.demo, rec.q_star, box_assets.spec))
+    assert np.array_equal(got[-1], rec.q_final)
+    assert ep0[0]["reward"] == results[0].terms.as_dict() and ep0[0]["success"] == rec.success
     # target at frame t equals state at frame t+1 (absolute convention)
     assert ep0[0]["target"]["q"] == ep0[1]["q"]
     assert ep0[-1]["target"]["q"] == ep0[-1]["q"]
@@ -157,6 +161,36 @@ def test_export_round_trip_schema(tmp_path, box_assets):
         assert view is None or set(view) == {"u", "v", "depth", "in_frame"}
     manifest = json.loads((tmp_path / "frames.jsonl.manifest.json").read_text())
     assert manifest["frames"] == len(frames)
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_export_rebuilds_the_rollouts_trajectory(hand, tmp_path, monkeypatch):
+    """The exported wrist poses and joints of every frame are, bit for
+    bit, the inputs the rollout gave forward kinematics."""
+    import fungrasp.sim as sim
+
+    assets = hand_assets(hand)
+    cfg = TrainConfig(envs_per_iter=24, minibatch=8, m_points=32, seed=5)
+    params = init_params(episode_rng(5, 4), 32, len(assets.styles), assets.spec.joint_count)
+    seen = []
+    real = sim.forward_kinematics_batch
+
+    def capture(spec, wrist_t, wrist_r, q):
+        seen.append((wrist_t.copy(), wrist_r.copy(), q.copy()))
+        return real(spec, wrist_t, wrist_r, q)
+
+    monkeypatch.setattr(sim, "forward_kinematics_batch", capture)
+    results = run_episodes(params, cfg, assets, 5, (1, 0), range(24), train_mode=True)
+    (fk_t, fk_r, fk_q), = seen
+    frames_per = assets.demo.horizon + 1
+    path = tmp_path / "frames.jsonl"
+    export_rollouts(results, default_cameras(), path, assets.demo, assets.spec)
+    frames = [json.loads(l) for l in path.read_text().splitlines()[1:]]
+    assert len(frames) == len(fk_q) == 24 * frames_per
+    for row, f in enumerate(frames):
+        assert f["episode"] == row // frames_per and f["frame"] == row % frames_per
+        assert np.array_equal(f["s_r"]["t"], fk_t[row]) and np.array_equal(f["s_r"]["r"], fk_r[row])
+        assert np.array_equal(f["q"], fk_q[row])
 
 
 def test_checkpoint_round_trip_exact(tmp_path):

@@ -11,6 +11,7 @@ from fungrasp.evaluation import (
     evaluate,
     pairwise_style_diversity,
     write_episode_rows,
+    write_report,
 )
 from fungrasp.policy import init_params
 from fungrasp.training import EpisodePool, TrainConfig, collect_batch, episode_rng
@@ -186,9 +187,10 @@ def test_ablate_config_flags(eval_cfg):
 def test_qpos_ablation_zeroes_term_in_batches(assets, eval_cfg, eval_params):
     cfg = _ablate_config(eval_cfg, "qpos")
     batch = collect_batch(eval_params, cfg, assets, 0)
+    assert any(res.terms is not None for res in batch.results)
     for res in batch.results:
-        if res.record is not None and res.record.reward_terms is not None:
-            assert res.record.reward_terms.r_qpos == 0.0
+        if res.terms is not None:
+            assert res.terms.r_qpos == 0.0
 
 
 def test_disturbance_ablation_uses_canonical_styles(assets, eval_cfg, eval_params):
@@ -203,3 +205,39 @@ def test_disturbance_ablation_uses_canonical_styles(assets, eval_cfg, eval_param
         dq = res.action_vec[6:12]
         expected = np.clip(k * style.q_canonical + dq, assets.spec.limits_lo, assets.spec.limits_hi)
         assert np.allclose(res.record.q_star, expected, atol=1e-12)
+
+
+def test_report_explains_its_episodes(assets, eval_cfg, eval_params, tmp_path, monkeypatch):
+    """report.json counts the outcomes, averages each reward term over the
+    episodes that ran and groups the errors by message."""
+    import dataclasses
+    import json
+
+    import fungrasp.training as tr
+    from fungrasp.geometry import transform_point
+    from fungrasp.rewards import RewardTerms, total_reward
+
+    _, reference = evaluate(eval_params, eval_cfg, assets, 10, seed=4)
+    poisoned = reference[3].p_afford_world
+    real = tr.encode_observation
+
+    def fragile(env, *args):
+        if np.array_equal(transform_point(env.object_pose, env.condition.p_afford), poisoned):
+            raise tr.PolicyError("non-finite observation field cloud")
+        return real(env, *args)
+
+    monkeypatch.setattr(tr, "encode_observation", fragile)
+    metrics, results = evaluate(eval_params, eval_cfg, assets, 10, seed=4)
+    write_report(metrics, eval_cfg, tmp_path / "episodes.jsonl", tmp_path / "report.json", results)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["errors"] == {"PolicyError: non-finite observation field cloud": 1}
+    assert report["outcomes"]["error"] == 1 and sum(report["outcomes"].values()) == 10
+    objects = {o.name: o for o in assets.objects}
+    recount = [
+        total_reward(r.record, objects[r.object_name].obj_bb, assets.styles[r.conditioned_style].q_canonical,
+                     eval_cfg.reward)
+        for r in results if r.record is not None
+    ]
+    assert len(recount) == 9
+    for f in dataclasses.fields(RewardTerms):
+        assert report["reward_terms"][f.name] == np.mean([getattr(t, f.name) for t in recount])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,15 @@ from fungrasp.rewards import RewardConfig, afford_reward, close_reward, qpos_rew
 from fungrasp.sim import RolloutRecord
 
 
-def _record(success=True, d_final=0.0, d_min=0.0, q_final=None, q_star=None, obj_bb=0.2):
+# the object size and the conditioned style's canonical joints of _record's episodes
+BB, CANONICAL = 0.2, np.zeros(4)
+
+
+def _record(success=True, d_final=0.0, d_min=0.0, q_final=None):
     q_final = np.zeros(4) if q_final is None else np.asarray(q_final, float)
-    q_star = np.zeros(4) if q_star is None else np.asarray(q_star, float)
     return RolloutRecord(
-        success=success, d_series=np.array([d_min, d_final]), d_min=d_min, d_final=d_final,
-        q_final=q_final, q_star=q_star, contacts_at_grasp=[], executed_style=0,
-        table_collision=False, crushed=False, obj_bb=obj_bb,
+        d_series=np.array([d_min, d_final]), q_final=q_final, q_star=q_final.copy(), contacts_at_grasp=[],
+        executed_style=0, table_collision=False, failure_reason=None if success else "no_closure",
     )
 
 
@@ -74,38 +78,45 @@ def test_close_reward_cases():
 def test_close_reward_success_independent():
     cfg = RewardConfig()
     rec = _record(success=False, d_min=0.01, d_final=0.5)
-    terms = total_reward(rec, cfg)
+    terms = total_reward(rec, BB, CANONICAL, cfg)
     assert terms.r_close == 1.0
     assert terms.r_success == 0.0
 
 
 def test_total_reward_all_zero_failure():
-    rec = _record(success=False, d_final=1.0, d_min=1.0,
-                  q_final=np.ones(4) * 10, q_star=np.zeros(4))
-    terms = total_reward(rec, RewardConfig(qpos_on=False))
+    rec = _record(success=False, d_final=1.0, d_min=1.0, q_final=np.ones(4) * 10)
+    terms = total_reward(rec, BB, CANONICAL, RewardConfig(qpos_on=False))
     assert terms.total == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_reward_perfect_episode_defaults():
     rec = _record(success=True, d_final=0.0, d_min=0.0)
-    terms = total_reward(rec, RewardConfig())
+    terms = total_reward(rec, BB, CANONICAL, RewardConfig())
     # 2*1 + 0.5*1 + 0.5*1 + 1 = 4 with repo defaults
     assert terms.total == pytest.approx(4.0)
-    assert rec.reward_terms is terms
+
+
+def test_total_reward_leaves_the_record_untouched():
+    rec = _record(success=True, d_final=0.01, d_min=0.0, q_final=np.full(4, 0.1))
+    before = copy.deepcopy(rec)
+    total_reward(rec, BB, CANONICAL, RewardConfig())
+    assert vars(rec).keys() == vars(before).keys()
+    for name, value in vars(before).items():
+        assert np.array_equal(getattr(rec, name), value), name
 
 
 def test_total_reward_flag_contract():
     rec = _record(success=True, d_final=0.0, d_min=0.0)
-    on = total_reward(rec, RewardConfig())
-    off = total_reward(rec, RewardConfig(qpos_on=False))
+    on = total_reward(rec, BB, CANONICAL, RewardConfig())
+    off = total_reward(rec, BB, CANONICAL, RewardConfig(qpos_on=False))
     assert off.r_qpos == 0.0
     assert off.total == pytest.approx(on.total - 0.5 * on.r_qpos)
 
 
 def test_total_reward_linear_in_weights():
     rec = _record(success=True, d_final=0.01, d_min=0.0)
-    base = total_reward(rec, RewardConfig(lambda_afford=2.0))
-    doubled = total_reward(rec, RewardConfig(lambda_afford=4.0))
+    base = total_reward(rec, BB, CANONICAL, RewardConfig(lambda_afford=2.0))
+    doubled = total_reward(rec, BB, CANONICAL, RewardConfig(lambda_afford=4.0))
     assert doubled.total - base.total == pytest.approx(2.0 * base.r_afford)
 
 
@@ -122,10 +133,8 @@ def test_total_reward_weighted_sum_identity():
             d_final=float(rng.uniform(0, 0.2)),
             d_min=float(rng.uniform(0, 0.2)),
             q_final=rng.normal(size=4),
-            q_star=rng.normal(size=4),
-            obj_bb=float(rng.uniform(0.02, 0.5)),
         )
-        t = total_reward(rec, cfg)
+        t = total_reward(rec, float(rng.uniform(0.02, 0.5)), rng.normal(size=4), cfg)
         expected = (cfg.lambda_afford * t.r_afford + cfg.lambda_close * t.r_close
                     + cfg.lambda_qpos * t.r_qpos + t.r_success)
         assert t.total == expected  # exact, not approx
@@ -137,8 +146,8 @@ def test_total_bounded():
     rng = np.random.default_rng(3)
     for _ in range(200):
         rec = _record(success=True, d_final=float(rng.uniform(0, 0.01)), d_min=0.0,
-                      q_final=rng.normal(size=4) * 0.01, q_star=np.zeros(4))
-        assert 0.0 <= total_reward(rec, cfg).total <= bound
+                      q_final=rng.normal(size=4) * 0.01)
+        assert 0.0 <= total_reward(rec, BB, CANONICAL, cfg).total <= bound
 
 
 def test_invalid_config_rejected():
@@ -152,9 +161,8 @@ def test_qpos_term_measures_style_intention():
     # the style term compares executed joints to the conditioned style's
     # canonical configuration, so a large edit is penalized even though
     # the executed joints match the edited target exactly
-    rec = _record(success=True, q_final=np.full(4, 0.5), q_star=np.full(4, 0.5))
-    rec.q_style_canonical = np.zeros(4)
-    t = total_reward(rec, RewardConfig())
+    rec = _record(success=True, q_final=np.full(4, 0.5))
+    assert np.array_equal(rec.q_star, rec.q_final)
+    t = total_reward(rec, BB, np.zeros(4), RewardConfig())
     assert t.r_qpos == pytest.approx(np.exp(-1.0))
-    rec.q_style_canonical = np.full(4, 0.5)
-    assert total_reward(rec, RewardConfig()).r_qpos == 1.0
+    assert total_reward(rec, BB, np.full(4, 0.5), RewardConfig()).r_qpos == 1.0

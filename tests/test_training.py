@@ -52,11 +52,13 @@ def test_single_episode_deterministic(assets, tiny_cfg, tiny_params):
 
 def test_batch_reward_matches_reward_engine(assets, tiny_cfg, tiny_params):
     batch = collect_batch(tiny_params, tiny_cfg, assets, 0)
+    objects = {o.name: o for o in assets.objects}
     for res in batch.results:
         if res.record is None:
             continue
-        terms = total_reward(res.record, tiny_cfg.reward)
-        assert res.reward == pytest.approx(terms.total, abs=1e-12)
+        q_style = assets.styles[res.conditioned_style].q_canonical
+        terms = total_reward(res.record, objects[res.object_name].obj_bb, q_style, tiny_cfg.reward)
+        assert res.terms == terms and res.reward == terms.total
 
 
 def test_advantage_normalization(assets, tiny_cfg, tiny_params):
@@ -97,8 +99,9 @@ def test_chunk_pickle_carries_each_cloud_once(assets):
     clouds = {r.object_name: r.obs.clouds for r in results}
     assert len(clouds) == len(assets.objects)
     assert all(blob.count(c.tobytes()) == 1 for c in clouds.values())
-    # 10.2 KB per episode when every observation held its own copy of its cloud
-    assert len(blob) / 96 <= 10_200 - 3_000
+    # 10.2 KB per episode when every observation held its own copy of its
+    # cloud, 6.2 KB while each record carried its edited trajectory
+    assert len(blob) / 96 <= 2_500
 
 
 def test_clipped_surrogate_hand_computed():
@@ -214,6 +217,8 @@ def test_train_writes_metrics_and_checkpoint(assets, tmp_path, monkeypatch, peri
             assert line["outcomes"]["ok"] == round(line["gsr"] * n)
         else:
             assert line["n_episodes"] == n and line["outcomes"]["ok"] == line["n_success"]
+            assert line["reward_terms"]["r_success"] == pytest.approx(line["gsr"], abs=1e-12)
+        assert line["errors"] == {}
     assert out["checkpoint_path"].exists()
     params, meta = dataio.load_checkpoint(out["checkpoint_path"], expect_hand=assets.spec.name)
     assert meta["iteration"] == 3
@@ -288,10 +293,10 @@ def test_m_points_beyond_the_smallest_cloud_fails_before_any_episode(assets, tmp
 
 def test_outcome_counts_cover_every_result(assets, tiny_cfg, tiny_params):
     batch = collect_batch(tiny_params, tiny_cfg, assets, 0)
-    broken = dataclasses.replace(batch.results[0], record=None, error="synthetic")
+    broken = dataclasses.replace(batch.results[0], record=None, terms=None, error="synthetic")
     degenerate = dataclasses.replace(
         batch.results[1],
-        record=dataclasses.replace(batch.results[1].record, success=False,
+        record=dataclasses.replace(batch.results[1].record,
                                    failure_reason="degenerate_contacts: non-finite contact geometry"),
     )
     counts = outcome_counts([broken, degenerate, *batch.results[2:]])
@@ -302,8 +307,9 @@ def test_outcome_counts_cover_every_result(assets, tiny_cfg, tiny_params):
 
 def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkeypatch):
     """A PolicyError in phase 1 errors that episode alone: it keeps the
-    error type, gets zero reward, adds no sample to the PPO batch, and
-    leaves every other episode unchanged bit for bit."""
+    error type and the facts of its reset, gets zero reward, adds no
+    sample to the PPO batch, and leaves every other episode unchanged bit
+    for bit."""
     import fungrasp.training as tr
     from fungrasp.geometry import transform_point
 
@@ -324,8 +330,13 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
     got = run(range(6))
     bad = got[2]
     assert bad.error == "PolicyError: non-finite observation field cloud"
-    assert bad.reward == 0.0 and bad.record is None
+    assert bad.reward == 0.0 and bad.record is None and bad.terms is None
     assert bad.obs is None and bad.raw is None and bad.action_vec is None
+    ref = reference.results[2]
+    assert bad.object_name == ref.object_name and bad.conditioned_style == ref.conditioned_style
+    assert np.array_equal(bad.p_afford_world, ref.p_afford_world)
+    assert np.array_equal(bad.object_pose.t, ref.object_pose.t)
+    assert np.array_equal(bad.object_pose.r, ref.object_pose.r)
     for want, res in zip(reference.results[:2] + reference.results[3:6], got[:2] + got[3:]):
         assert res.error is None
         assert res.reward == want.reward and res.log_prob == want.log_prob

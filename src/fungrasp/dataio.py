@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +22,6 @@ from .demo import Demonstration, EditAction, edit_wrist_arrays, edited_joint_tra
 from .geometry import Pose, invert_pose, quat_from_matrix, transform_point
 from .hand import HandSpec
 from .policy import PolicyParams, param_shapes, param_views
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "CameraModel",

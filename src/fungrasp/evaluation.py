@@ -11,7 +11,6 @@ bounds, the same episodes and the same metrics.
 from __future__ import annotations
 
 import json
-import logging
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -32,8 +31,6 @@ from .training import (
     episode_summary,
     train,
 )
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "Metrics",
@@ -75,8 +72,8 @@ class EpisodeRow:
     episode: int
     object_name: str
     success: bool
-    d_final: float
-    d_min: float
+    d_final: float | None        # None for an errored episode
+    d_min: float | None
     q_final: list
     conditioned_style: int
     executed_style: int
@@ -101,7 +98,7 @@ def _row_from_result(res: EpisodeResult) -> EpisodeRow:
     if rec is None:
         return EpisodeRow(
             episode=res.index, object_name=res.object_name, success=False,
-            d_final=float("inf"), d_min=float("inf"), q_final=[],
+            d_final=None, d_min=None, q_final=[],
             conditioned_style=res.conditioned_style, executed_style=-1,
             reward_total=0.0,
         )
@@ -176,16 +173,9 @@ def compute_metrics(rows: list[EpisodeRow], spec=None, strict: bool = False,
 
 
 def _best_of_styles(results_by_style: list[EpisodeResult]) -> EpisodeResult:
-    # success beats failure, then higher total reward; ties keep low style
-    def key(res):
-        ok = res.record.success if res.record is not None else False
-        return (1 if ok else 0, res.reward)
-
-    best = results_by_style[0]
-    for res in results_by_style[1:]:
-        if key(res) > key(best):
-            best = res
-    return best
+    # success beats failure, then higher total reward; max keeps the
+    # first of equal keys, so ties keep the low style
+    return max(results_by_style, key=lambda res: (res.record is not None and res.record.success, res.reward))
 
 
 def evaluate(
@@ -273,11 +263,12 @@ def ablation_run(
 
 
 def write_episode_rows(rows: list[EpisodeRow], path) -> None:
-    """Per-episode JSONL used by the metric-oracle round trip."""
+    """Per-episode JSONL used by the metric-oracle round trip; strict
+    JSON, so an errored episode's distances are null."""
     path = Path(path)
     with path.open("w") as fh:
         for row in rows:
-            fh.write(json.dumps(row.to_json()) + "\n")
+            fh.write(json.dumps(row.to_json(), allow_nan=False) + "\n")
 
 
 def write_report(metrics: Metrics, cfg: TrainConfig, rows_path, path, results: list[EpisodeResult]) -> None:

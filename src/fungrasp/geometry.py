@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UNIT_TOL = 1e-9
-
 __all__ = [
     "Pose",
     "AxisAngle",

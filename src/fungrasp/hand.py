@@ -283,14 +283,13 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
 
 
 def sphere_metadata(spec: HandSpec):
-    """(radii (K,), finger_index (K,), segment_index (K,)) in chain order."""
-    radii, fidx, sidx = [], [], []
+    """(radii (K,), finger_index (K,)) in chain order."""
+    radii, fidx = [], []
     for fi, finger in enumerate(spec.fingers):
-        for si, seg in enumerate(finger.segments):
+        for seg in finger.segments:
             radii.append(seg.radius)
             fidx.append(fi)
-            sidx.append(si)
-    return np.array(radii), np.array(fidx), np.array(sidx)
+    return np.array(radii), np.array(fidx)
 
 
 def normalize_joints(spec: HandSpec, q) -> np.ndarray:

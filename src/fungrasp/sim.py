@@ -13,18 +13,24 @@ in each episode's object frame: one inverse rotation maps the sphere
 centers of frames 0..T_l (nothing reads later frames) into it, a
 bounding-box test drops spheres too far from the cloud to matter, and
 one _nearest call per object answers the kept spheres of every episode
-on that object. Only the selected grasp-frame points and normals go
-back to the world frame. The seven closure LPs of every grasp that
-passes the crush, table and two-mask-finger gates run as one stacked
-simplex (grasp_success_batch, feasible_combination_batch).
+on that object. What comes out is one contact table of fixed shape:
+hit (E, F), points and normals (E, F, 3), each finger's deepest hit in
+the world frame and a zero row where it has none. Everything after it
+is an array expression over the chunk, with (E, F) bool contact masks
+in place of finger lists: the style contact point and d_series, the
+contact centroid, the gravity wrench and the friction-pyramid
+generators (four zero columns per finger without a hit). The seven
+closure LPs of every grasp that passes the crush, table and
+two-mask-finger gates run as one stacked simplex (grasp_success_batch,
+feasible_combination_batch).
 
 Determinism: every batched step is element-wise or keeps each row's or
-episode's own reductions (each query row's own argmin, the per-grasp
-contact centroid, the 1-D norm of each tangent, each tableau's own
-pivots), so every record is bit for bit what the episode gets alone.
-_nearest takes its product in fixed row blocks and never sends a single
-row to the matrix product, which numpy would hand to gemv and round
-differently.
+episode's own reductions (each query row's own argmin, the 1-D norm of
+each tangent, each tableau's own pivots), and a masked mean adds the
+left-out fingers as exact zeros in the order np.mean adds, so every
+record is bit for bit what the episode gets alone. _nearest takes its
+product in fixed row blocks and never sends a single row to the matrix
+product, which numpy would hand to gemv and round differently.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demo import Demonstration, EditAction, edited_joint_trajectory, disturb_style, target_joint_config
-from .geometry import Pose, axis_angle_to_quat, quat_conjugate, quat_rotate, transform_point
+from .geometry import Pose, axis_angle_to_quat, quat_conjugate, quat_rotate
 from .hand import HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
 
@@ -45,8 +51,6 @@ __all__ = [
     "SimParams",
     "EnvCondition",
     "EnvState",
-    "Contact",
-    "ContactError",
     "RolloutRecord",
     "reset_env",
     "detect_contacts",
@@ -56,10 +60,6 @@ __all__ = [
     "feasible_combination_batch",
     "rollout_batch",
 ]
-
-
-class ContactError(ValueError):
-    """Raised when contact geometry is degenerate (non-finite normals)."""
 
 
 @dataclass(frozen=True)
@@ -97,25 +97,16 @@ class EnvState:
 
 
 @dataclass(frozen=True)
-class Contact:
-    finger: int
-    point: np.ndarray             # matched cloud point, world frame
-    normal: np.ndarray            # outward surface normal at that point, world frame
-    penetration: float            # max(0, radius - distance), meters
-
-
-@dataclass(frozen=True)
 class RolloutRecord:
     """What one rollout measured, and nothing it was given: the
     affordance-to-contact-centroid distance of every frame, the final
-    and the edited target joints, the grasp-frame contacts, the style
-    the final joints read as, the table test, and why the grasp failed
-    (None on success). Everything else is a property of these fields."""
+    and the edited target joints, the style the final joints read as,
+    the table test, and why the grasp failed (None on success).
+    Everything else is a property of these fields."""
 
     d_series: np.ndarray          # (T_D + 1,)
     q_final: np.ndarray
     q_star: np.ndarray
-    contacts_at_grasp: list[Contact]
     executed_style: int
     table_collision: bool
     failure_reason: str | None = None
@@ -222,8 +213,11 @@ def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_ind
     frame tl, for the (E, > tl, K, 3) world-frame sphere centers of E
     episodes.
 
-    Returns (crushed (E,) bools, per-episode contact lists, one
-    deepest contact per finger within the shell radius + params.delta_c).
+    Returns the contact table (crushed (E,), hit (E, F), points (E, F, 3),
+    normals (E, F, 3)): for each finger, the matched cloud point and
+    outward normal of its deepest sphere within the shell radius +
+    params.delta_c, in the world frame, and a zero row where the finger
+    has no hit.
     """
     e_count = len(envs)
     pose_t = np.stack([env.object_pose.t for env in envs])
@@ -232,6 +226,8 @@ def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_ind
     dist = np.full(local.shape[:3], np.inf)
     gap = np.full(local.shape[:3], np.inf)
     idx = np.zeros(local.shape[:3], dtype=np.intp)
+    grasp_pts = np.empty((e_count, local.shape[2], 3))  # each grasp-frame sphere's cloud point
+    grasp_nrm = np.empty((e_count, local.shape[2], 3))  # and its normal, object frame
     # crush and contacts only need spheres near the cloud: quick-reject
     # everything outside its bounding box grown by radius + shell
     margin = radii.max() + params.delta_c + 1e-9
@@ -250,41 +246,34 @@ def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_ind
         dist[at] = d
         gap[at] = np.einsum("ij,ij->i", rows - obj.points[found], obj.normals[found])
         idx[at] = found
+        grasp_pts[members] = obj.points[idx[members, tl]]
+        grasp_nrm[members] = obj.normals[idx[members, tl]]
     # crush: a sphere center driven past the surface by more than
     # (crush_factor - 1) x radius during the approach
     crushed = np.any(gap[:, :tl] < radii * (1.0 - params.crush_factor), axis=(1, 2))
 
-    dist_tl = dist[:, tl]
-    hits = dist_tl <= radii + params.delta_c
-    depth = radii - dist_tl
-    ranked = np.where(hits, depth, -np.inf)
-    picks = []  # (episode, finger, sphere) of each finger's deepest hit, finger by finger
-    for f in np.unique(finger_index):
-        cols = np.flatnonzero(finger_index == f)
-        best = cols[ranked[:, cols].argmax(axis=1)]
-        picks.extend((i, int(f), int(best[i])) for i in np.flatnonzero(hits[np.arange(e_count), best]))
-    picks.sort(key=lambda p: p[0])
-    # back to the world frame: only the chosen points, each row on its own
-    owner = np.array([i for i, _, _ in picks], dtype=np.intp)
-    local_pts = np.array([envs[i].obj.points[idx[i, tl, k]] for i, _, k in picks]).reshape(-1, 3)
-    local_nrm = np.array([envs[i].obj.normals[idx[i, tl, k]] for i, _, k in picks]).reshape(-1, 3)
-    world_pts = quat_rotate(pose_r[owner], local_pts) + pose_t[owner]
-    world_nrm = quat_rotate(pose_r[owner], local_nrm)
-    contacts: list[list[Contact]] = [[] for _ in envs]
-    for n, (i, f, k) in enumerate(picks):
-        contacts[i].append(Contact(
-            finger=f, point=world_pts[n], normal=world_nrm[n], penetration=float(max(0.0, depth[i, k])),
-        ))
-    return [bool(c) for c in crushed], contacts
+    # per finger, its deepest in-shell sphere; ties go to the lowest sphere
+    dist_tl = dist[:, tl, None]
+    own = finger_index == np.arange(finger_index.max() + 1)[:, None]  # (F, K)
+    cand = own & (dist_tl <= radii + params.delta_c)  # (E, F, K)
+    best = np.where(cand, radii - dist_tl, -np.inf).argmax(axis=2)
+    hit = cand.any(axis=2)[..., None]
+    e = np.arange(e_count)[:, None]
+    points = quat_rotate(pose_r[:, None], grasp_pts[e, best]) + pose_t[:, None]
+    normals = quat_rotate(pose_r[:, None], grasp_nrm[e, best])
+    return crushed, hit[..., 0], np.where(hit, points, 0.0), np.where(hit, normals, 0.0)
 
 
-def style_contact_point(fingertips: np.ndarray, mask) -> np.ndarray:
-    """Mean world position of the mask fingers' fingertips: (..., F, 3)
-    fingertips give (..., 3)."""
-    mask = list(mask)
-    if not mask:
+def style_contact_point(points: np.ndarray, mask) -> np.ndarray:
+    """Mean of the masked fingers' points: (..., F, 3) points and a
+    (..., F) bool mask give (..., 3). Of fingertips it is the style's
+    contact point; of a contact table, the contact centroid. The masked
+    sum adds the left-out fingers as exact zeros, in finger order.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
         raise ValueError("contact mask is empty")
-    return fingertips[..., mask, :].mean(axis=-2)
+    return np.where(mask[..., None], points, 0.0).sum(axis=-2) / mask.sum(axis=-1)[..., None]
 
 
 def check_table_collision(centers: np.ndarray, radii, tol: float = 0.002) -> np.ndarray:
@@ -305,10 +294,12 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: f
     Small and self-contained (problems here are 6 rows x <= ~30 columns).
     Every tableau pivots on its own by Bland's rule, which prevents
     cycling, and is feasible when its artificial objective can be driven
-    to ~0. Problems with fewer generators are padded with zero columns:
-    their reduced cost stays -0.0, so they never enter, and the
-    artificial columns keep their order after the real ones, so each
-    tableau takes exactly the pivots, and the bits, it takes alone.
+    to ~0. Zero columns may sit anywhere, between real columns as well as
+    after them (a finger without a hit, or a problem with fewer
+    generators): their reduced cost stays -0.0, so they never enter, and
+    the real columns keep their order, before the artificial ones, so
+    each tableau takes exactly the pivots, and the bits, it takes with
+    its zero columns left out.
     """
     a = np.array(generators, dtype=float)
     b = np.array(loads, dtype=float)
@@ -358,80 +349,77 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: f
     return feasible
 
 
-def wrench_generators(contacts: list[Contact], env: EnvState, mu: float) -> np.ndarray:
-    """6 x (4 * n_contacts) friction-pyramid edge wrenches.
+def wrench_generators(hit: np.ndarray, points: np.ndarray, normals: np.ndarray, scale: np.ndarray, mu: float):
+    """(G, 6, 4F) friction-pyramid edge wrenches of G grasps' contact
+    tables: hit (G, F), points and normals (G, F, 3), scale (G,).
 
     Forces point into the surface (along -normal); torques are taken
-    about the contact centroid and normalized by obj_bb / 2 so force and
-    torque rows share a scale. Columns go contact by contact, edges
-    t1, -t1, t2, -t2. Each tangent is normalized with its own 1-D norm:
-    an axis-wise norm rounds differently and would move low bits.
+    about the contact centroid and divided by scale (obj_bb / 2) so force
+    and torque rows share a scale. Columns go finger by finger, edges
+    t1, -t1, t2, -t2; a finger without a hit gives four zero columns.
+    Each tangent is normalized with its own 1-D norm: an axis-wise norm
+    rounds differently and would move low bits.
     """
-    pts = np.array([c.point for c in contacts])
-    normals = np.array([c.normal for c in contacts])
-    if not np.all(np.isfinite(normals)) or not np.all(np.isfinite(pts)):
-        raise ContactError("non-finite contact geometry")
-    center = pts.mean(axis=0)
-    scale = env.obj.obj_bb / 2.0
-    n_in = -normals
+    center = style_contact_point(points, hit)
+    owner = np.nonzero(hit)[0]
+    n_in = -normals[hit]
     ref = np.where((np.abs(n_in[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     t1 = np.cross(n_in, ref)
     t1 /= np.array([np.linalg.norm(t) for t in t1])[:, None]
     t2 = np.cross(n_in, t1)
     f = n_in[:, None, :] + mu * np.stack([t1, -t1, t2, -t2], axis=1)
-    tq = np.cross((pts - center)[:, None, :], f) / scale
-    return np.concatenate([f, tq], axis=2).reshape(-1, 6).T
+    tq = np.cross((points[hit] - center[owner])[:, None, :], f) / scale[owner][:, None, None]
+    cols = np.zeros((*hit.shape, 4, 6))
+    cols[hit] = np.concatenate([f, tq], axis=2)
+    return cols.reshape(len(hit), -1, 6).transpose(0, 2, 1)
 
 
 def grasp_success_batch(
-    contact_lists: list[list[Contact]],
+    hit: np.ndarray,
+    points: np.ndarray,
+    normals: np.ndarray,
+    mask: np.ndarray,
     envs: list[EnvState],
     mu: float = 0.5,
     eta: float = 0.2,
     *,
-    table_collision: list[bool],
-) -> list:
-    """Quasi-static grasp test at the grasp frame of many grasps.
+    table_collision: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quasi-static grasp test at the grasp frame of E grasps, given their
+    contact tables (detect_contacts) and (E, F) bool contact masks.
 
     A grasp succeeds with (a) at least two distinct contact-mask fingers
     in contact, (b) friction-pyramid feasibility of the gravity load and
     of six perturbed loads (+-eta along each force axis), torques about
     the contact centroid, and (c) no table collision. The seven loads of
-    every grasp that passes (a) and (c) run as one stacked simplex. Each
-    entry is a bool, or the ContactError its grasp's non-finite contact
-    geometry raised.
+    every grasp that passes (a) and (c) with finite contact geometry run
+    as one stacked simplex. Returns (success (E,), degenerate (E,)):
+    degenerate marks the grasps past (a) and (c) whose contact points or
+    normals are not finite; they are not scored.
     """
-    out: list = [False] * len(envs)
+    gated = ~np.asarray(table_collision, dtype=bool) & ((hit & mask).sum(axis=1) >= 2)
+    finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(normals).all(axis=(1, 2))
+    degenerate = gated & ~finite
+    scored = np.flatnonzero(gated & finite)
+    success = np.zeros(len(hit), dtype=bool)
+    if not len(scored):
+        return success, degenerate
+    hit, points = hit[scored], points[scored]
+    scale = np.array([envs[i].obj.obj_bb for i in scored]) / 2.0
+    pose_t = np.stack([envs[i].object_pose.t for i in scored])
+    pose_r = np.stack([envs[i].object_pose.r for i in scored])
+    obj_center = quat_rotate(pose_r, np.stack([envs[i].obj.centroid for i in scored])) + pose_t
     g_dir = np.array([0.0, 0.0, -1.0])
-    gens, gravity, owners = [], [], []
-    for i, (contacts, env, table) in enumerate(zip(contact_lists, envs, table_collision)):
-        mask = set(env.condition.contact_mask)
-        if table or len({c.finger for c in contacts if c.finger in mask}) < 2:
-            continue
-        try:
-            gens.append(wrench_generators(contacts, env, mu))
-        except ContactError as e:
-            out[i] = e
-            continue
-        center = np.array([c.point for c in contacts]).mean(axis=0)
-        scale = env.obj.obj_bb / 2.0
-        obj_center = transform_point(env.object_pose, env.obj.centroid)
-        gravity.append(np.concatenate([g_dir, np.cross(obj_center - center, g_dir) / scale]))
-        owners.append(i)
-    if not owners:
-        return out
-    stacked = np.zeros((len(gens), 6, max(w.shape[1] for w in gens)))
-    for g, w in enumerate(gens):
-        stacked[g, :, : w.shape[1]] = w
+    torque = np.cross(obj_center - style_contact_point(points, hit), g_dir) / scale[:, None]
+    w = np.concatenate([np.broadcast_to(g_dir, torque.shape), torque], axis=1)[:, None, :]
     # gravity, then gravity perturbed by +eta and -eta along x, y and z
     perts = np.zeros((6, 6))
     perts[np.arange(6), np.arange(6) // 2] = [eta, -eta] * 3
-    w = np.array(gravity)[:, None, :]
     loads = np.concatenate([-w, -(w + perts)], axis=1)
-    feasible = feasible_combination_batch(np.repeat(stacked, 7, axis=0), loads.reshape(-1, 6))
-    for i, ok in zip(owners, feasible.reshape(-1, 7).all(axis=1)):
-        out[i] = bool(ok)
-    return out
+    gens = wrench_generators(hit, points, normals[scored], scale, mu)
+    feasible = feasible_combination_batch(np.repeat(gens, 7, axis=0), loads.reshape(-1, 6))
+    success[scored] = feasible.reshape(-1, 7).all(axis=1)
+    return success, degenerate
 
 
 def rollout_batch(
@@ -446,18 +434,22 @@ def rollout_batch(
     (envs[i], actions[i]), bit for bit whatever else is in the batch.
 
     Target joints, joint trajectories, wrist edits and FK run once over
-    all E x (T_D + 1) frames. The contact phase (detect_contacts) maps the
-    sphere centers of frames 0..T_l into each episode's object frame
-    with one inverse rotation, keeps those inside the cloud's grown
-    bounding box (and every grasp-frame sphere), makes one _nearest
-    call per object for all its episodes, takes the crush gap in the
-    object frame, and rotates only the chosen grasp-frame points and
-    normals back to the world, row by row. The closure LPs of every
-    grasp that gets that far run as one stacked simplex
-    (grasp_success_batch).
+    all E x (T_D + 1) frames, and d_series once over all of them. The
+    contact phase (detect_contacts) maps the sphere centers of frames
+    0..T_l into each episode's object frame with one inverse rotation,
+    keeps those inside the cloud's grown bounding box (and every
+    grasp-frame sphere), makes one _nearest call per object for all its
+    episodes, takes the crush gap in the object frame, and returns the
+    (E, F) contact table of each finger's deepest hit, rotated back to
+    the world frame. The closure LPs of every grasp that gets that far
+    run as one stacked simplex (grasp_success_batch).
     """
     from .demo import edit_wrist_arrays
 
+    mask = np.array([np.isin(np.arange(spec.finger_count), env.condition.contact_mask) for env in envs])
+    pose_t = np.stack([env.object_pose.t for env in envs])
+    pose_r = np.stack([env.object_pose.r for env in envs])
+    p_afford = quat_rotate(pose_r, np.stack([env.condition.p_afford for env in envs])) + pose_t
     q_star = target_joint_config(
         np.stack([env.condition.q_style_used for env in envs]),
         np.array([[a.k] for a in actions]),
@@ -472,39 +464,32 @@ def rollout_batch(
     )
     centers = centers.reshape(e_count, t_count, *centers.shape[1:])
     tips = tips.reshape(e_count, t_count, *tips.shape[1:])
-    radii, finger_index, _ = sphere_metadata(spec)
+    radii, finger_index = sphere_metadata(spec)
     tl = demo.grasp_index
 
-    d_series = []
-    for env, tp in zip(envs, tips):
-        cond = env.condition
-        p_afford_world = transform_point(env.object_pose, cond.p_afford)
-        d_series.append(np.linalg.norm(style_contact_point(tp, cond.contact_mask) - p_afford_world, axis=1))
-    crushed, contacts = detect_contacts(envs, centers, radii, finger_index, tl, params)
+    d_series = np.linalg.norm(style_contact_point(tips, mask[:, None]) - p_afford[:, None], axis=-1)
+    crushed, hit, points, normals = detect_contacts(envs, centers, radii, finger_index, tl, params)
     table = check_table_collision(centers[:, tl], radii, params.table_tol)
-    open_ = [i for i in range(e_count) if not crushed[i]]
-    outcomes = dict(zip(open_, grasp_success_batch(
-        [contacts[i] for i in open_], [envs[i] for i in open_], params.mu, params.eta,
-        table_collision=[bool(table[i]) for i in open_],
-    )))
+    # a crushed grasp skips the closure test as a table collision does
+    success, degenerate = grasp_success_batch(
+        hit, points, normals, mask, envs, params.mu, params.eta, table_collision=table | crushed,
+    )
 
     records = []
     for i in range(e_count):
         failure_reason = None
-        success = outcomes.get(i, False)
         if crushed[i]:
             failure_reason = "crush"
-        elif isinstance(success, ContactError):
-            failure_reason = f"degenerate_contacts: {success}"
-            log.warning("episode failed: %s", success)
-        elif not success:
+        elif degenerate[i]:
+            failure_reason = "degenerate_contacts: non-finite contact geometry"
+            log.warning("episode failed: non-finite contact geometry")
+        elif not success[i]:
             failure_reason = "table_collision" if table[i] else "no_closure"
         q_final = joints[i, -1]
         records.append(RolloutRecord(
             d_series=d_series[i],
             q_final=q_final,
             q_star=q_star[i],
-            contacts_at_grasp=contacts[i],
             executed_style=classify_style(spec, q_final, styles),
             table_collision=bool(table[i]),
             failure_reason=failure_reason,

@@ -20,7 +20,10 @@ through three phases:
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
    wrist edits and FK at once; one contact phase in the object frame,
    with one nearest-point query per object for every episode of the
-   chunk on it; one stacked closure LP (see sim).
+   chunk on it, that yields one (E, F) contact table (each finger's
+   deepest hit, or a zero row); the wrenches, gravity loads and
+   d_series as array expressions over that table; one stacked closure
+   LP (see sim).
 3. Per episode: the rollout's record and its reward terms complete the
    result.
 

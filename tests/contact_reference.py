@@ -4,14 +4,14 @@ that sim.detect_contacts replaced, kept as an oracle.
 Each episode transforms its whole cloud into the world frame, quick-
 rejects sphere centers against the world bounding box of that cloud,
 and runs one dense |c|^2 + |p|^2 - 2 c.p product over every frame.
-reference_contact_phase has detect_contacts' signature, so a test can
-swap it into sim and compare whole rollout records.
+reference_contact_phase has detect_contacts' signature and returns its
+contact table, so a test can swap it into sim and compare whole rollout
+records.
 """
 
 import numpy as np
 
 from fungrasp.geometry import quat_rotate, transform_point
-from fungrasp.sim import Contact
 
 
 def dense_nearest(centers, pts):
@@ -27,8 +27,11 @@ def dense_nearest(centers, pts):
 
 
 def _select_contacts(dist, nearest_idx, pts, nrm, radii, finger_index, delta_c):
-    """Per finger, the deepest sphere-vs-cloud contact within the shell."""
-    contacts = []
+    """Per finger, the deepest sphere-vs-cloud contact within the shell,
+    as one row of the contact table: (hit (F,), points (F, 3), normals
+    (F, 3)), zero rows where a finger has no hit."""
+    f_count = finger_index.max() + 1
+    hit, points, normals = np.zeros(f_count, dtype=bool), np.zeros((f_count, 3)), np.zeros((f_count, 3))
     depth = radii - dist
     hits = dist <= radii + delta_c
     for f in np.unique(finger_index):
@@ -37,15 +40,8 @@ def _select_contacts(dist, nearest_idx, pts, nrm, radii, finger_index, delta_c):
             continue
         best = cand[np.argmax(depth[cand])]
         j = nearest_idx[best]
-        contacts.append(
-            Contact(
-                finger=int(f),
-                point=pts[j].copy(),
-                normal=nrm[j].copy(),
-                penetration=float(max(0.0, depth[best])),
-            )
-        )
-    return contacts
+        hit[f], points[f], normals[f] = True, pts[j], nrm[j]
+    return hit, points, normals
 
 
 def approach_contacts(env, centers, radii, finger_index, tl, params):
@@ -72,15 +68,14 @@ def approach_contacts(env, centers, radii, finger_index, tl, params):
         gap[near] = gap_n
         idx[near] = idx_n
     crushed = bool(np.any(gap[:tl] < radii * (1.0 - params.crush_factor)))
-    contacts = _select_contacts(dist[tl], idx[tl], pts, nrm, radii, finger_index, params.delta_c)
-    return crushed, contacts
+    return (crushed, *_select_contacts(dist[tl], idx[tl], pts, nrm, radii, finger_index, params.delta_c))
 
 
 def reference_contact_phase(envs, centers, radii, finger_index, tl, params):
     """The contact phase one episode at a time, over all its frames."""
     out = [approach_contacts(env, c, radii, finger_index, tl, params)
            for env, c in zip(envs, centers)]
-    return [crushed for crushed, _ in out], [contacts for _, contacts in out]
+    return tuple(np.array(column) for column in zip(*out))
 
 
 def hand_assets(hand):

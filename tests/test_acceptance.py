@@ -18,7 +18,7 @@ from fungrasp.evaluation import _ablate_config, _row_from_result, evaluate, writ
 from fungrasp.objects import make_sphere
 from fungrasp.policy import init_params, random_obs
 from fungrasp.rewards import RewardConfig, afford_reward, total_reward
-from fungrasp.sim import Contact, EnvCondition, EnvState, grasp_success_batch
+from fungrasp.sim import EnvCondition, EnvState, grasp_success_batch
 from fungrasp.geometry import identity_pose
 from fungrasp.training import (
     AdamState,
@@ -127,22 +127,22 @@ def test_criterion_4_force_closure_oracle():
     env = EnvState(obj=obj, object_pose=identity_pose(),
                    condition=EnvCondition(p_afford=obj.points[0].copy(), style_index=0,
                                           q_style_used=np.zeros(6), contact_mask=(0, 1)))
-    c = obj.centroid
-    antipodal = [
-        Contact(finger=0, point=c + [-0.032, 0, 0], normal=np.array([-1.0, 0, 0]), penetration=0.001),
-        Contact(finger=1, point=c + [0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
-    ]
-    parallel = [
-        Contact(finger=0, point=c + [-0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
-        Contact(finger=1, point=c + [0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
-    ]
-    ok_anti, single = grasp_success_batch([antipodal, antipodal[:1]], [env, env], mu=0.5, eta=0.2,
-                                          table_collision=[False, False])
+    # contact tables of two fingers at opposite poles: antipodal, the
+    # same with only finger 0 in contact, and both normals pointing one way
+    points = np.array([obj.centroid + [-0.032, 0, 0], obj.centroid + [0.032, 0, 0]])
+    hit = np.array([[True, True], [True, False], [True, True]])
+    normals = np.array([[[-1.0, 0, 0], [1.0, 0, 0]], [[-1.0, 0, 0], [0, 0, 0]], [[1.0, 0, 0], [1.0, 0, 0]]])
+    tables = (hit, np.where(hit[..., None], points, 0.0), normals, np.ones((3, 2), dtype=bool))
+
+    def success(rows, mu, eta=0.2):
+        return grasp_success_batch(*(t[rows] for t in tables), [env] * len(rows), mu=mu, eta=eta,
+                                   table_collision=np.zeros(len(rows), dtype=bool))[0]
+
+    ok_anti, single = success([0, 1], mu=0.5)
     ok_single = not single
-    (parallel_ok,) = grasp_success_batch([parallel], [env], mu=0.1, table_collision=[False])
-    ok_parallel = not parallel_ok
+    ok_parallel = not success([2], mu=0.1)[0]
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2]
-    results = [grasp_success_batch([antipodal], [env], mu=m, table_collision=[False])[0] for m in grid]
+    results = [bool(success([0], mu=m)[0]) for m in grid]
     first = results.index(True) if True in results else len(results)
     ok_mono = all(results[first:])
     elapsed = time.time() - t0
@@ -246,7 +246,7 @@ def test_criterion_9_reward_algebra():
         success = bool(rng.integers(2))
         rec = RolloutRecord(
             d_series=rng.uniform(0, 0.2, 2), q_final=rng.normal(size=4), q_star=np.zeros(4),
-            contacts_at_grasp=[], executed_style=0, table_collision=False,
+            executed_style=0, table_collision=False,
             failure_reason=None if success else "no_closure",
         )
         t = total_reward(rec, float(rng.uniform(0.02, 0.5)), rng.normal(size=4), cfg)

@@ -241,3 +241,37 @@ def test_report_explains_its_episodes(assets, eval_cfg, eval_params, tmp_path, m
     assert len(recount) == 9
     for f in dataclasses.fields(RewardTerms):
         assert report["reward_terms"][f.name] == np.mean([getattr(t, f.name) for t in recount])
+
+
+def test_episode_rows_of_an_errored_episode_are_strict_json(assets, eval_cfg, eval_params, tmp_path, monkeypatch):
+    """An errored episode has no distances: its row writes them as null,
+    never as the non-JSON token Infinity, and the metrics still match
+    the oracle's."""
+    import json
+
+    import fungrasp.training as tr
+    from fungrasp.geometry import transform_point
+
+    _, reference = evaluate(eval_params, eval_cfg, assets, 4, seed=4)
+    poisoned = reference[1].p_afford_world
+    real = tr.encode_observation
+
+    def fragile(env, *args):
+        if np.array_equal(transform_point(env.object_pose, env.condition.p_afford), poisoned):
+            raise tr.PolicyError("non-finite observation field cloud")
+        return real(env, *args)
+
+    monkeypatch.setattr(tr, "encode_observation", fragile)
+    metrics, results = evaluate(eval_params, eval_cfg, assets, 4, seed=4)
+    assert [r.record is None for r in results] == [False, True, False, False]
+    path = tmp_path / "episodes.jsonl"
+    write_episode_rows([_row_from_result(r) for r in results], path)
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    rows = [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
+    assert rows[1]["d_final"] is None and rows[1]["d_min"] is None and not rows[1]["success"]
+    assert all(isinstance(r["d_final"], float) for i, r in enumerate(rows) if i != 1)
+    ref = metrics_oracle.recompute(metrics_oracle.read_rows(path))
+    assert ref["gsr"] == metrics.gsr and ref["n_success"] == metrics.n_success

@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "fungrasp").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "fungrasp").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+# every file that may use a package module's names
+READERS = sorted(p for d in ("src/fungrasp", "tests", "perfbench", "scripts") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -66,3 +69,60 @@ def test_stale_export_scan_catches_one():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_stale_exports(path):
     assert stale_exports(path.read_text()) == []
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+def names_used_from(tree, module: str) -> set[str]:
+    """The names a file takes from a package module: imported from it, or
+    read as an attribute of a name the file binds to it."""
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                used |= {alias.name for alias in node.names}
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names if alias.asname and alias.name.split(".")[-1] == module}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            used.add(node.attr)
+    return used
+
+
+def unread_top_level_names(source: str, module: str, others: list[str]) -> list[str]:
+    """Top-level functions, classes and assigned names of a module that
+    the module never reads, that are not in __all__, and that no other
+    file (given as sources) imports or reads as an attribute."""
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    used |= _exported(tree)
+    for other in others:
+        used |= names_used_from(ast.parse(other), module)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id: node.lineno for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")}
+    return sorted(f"{name} (line {line})" for name, line in defined.items() if name not in used)
+
+
+def test_unread_name_scan_catches_one():
+    source = "import logging\nlog = logging.getLogger(__name__)\nTOL = 1e-9\nA = 1\nB = 2\nC = 3\n"
+    source += "def f(): return A\ndef g(): pass\n__all__ = ['f']\n"
+    others = ["from fungrasp import mod\nprint(mod.B)\n", "from fungrasp.mod import C\n",
+              "import numpy as np\nnp.g()\n"]
+    assert unread_top_level_names(source, "mod", others) == ["TOL (line 3)", "g (line 8)", "log (line 2)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_top_level_names(path):
+    others = [p.read_text() for p in READERS if p != path]
+    assert unread_top_level_names(path.read_text(), path.stem, others) == []

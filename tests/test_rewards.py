@@ -14,7 +14,7 @@ BB, CANONICAL = 0.2, np.zeros(4)
 def _record(success=True, d_final=0.0, d_min=0.0, q_final=None):
     q_final = np.zeros(4) if q_final is None else np.asarray(q_final, float)
     return RolloutRecord(
-        d_series=np.array([d_min, d_final]), q_final=q_final, q_star=q_final.copy(), contacts_at_grasp=[],
+        d_series=np.array([d_min, d_final]), q_final=q_final, q_star=q_final.copy(),
         executed_style=0, table_collision=False, failure_reason=None if success else "no_closure",
     )
 

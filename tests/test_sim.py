@@ -22,8 +22,6 @@ from fungrasp.geometry import (
 from fungrasp.objects import make_cylinder, make_sphere
 from fungrasp.rewards import RewardConfig
 from fungrasp.sim import (
-    Contact,
-    ContactError,
     EnvCondition,
     EnvState,
     SimParams,
@@ -119,29 +117,29 @@ def test_reset_xy_uniform_ks(assets):
 
 def test_contacts_far_away_empty(objects):
     env = _env_for(objects["box"])
-    crushed, contacts = detect_contacts([env], *_spheres([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]), 0, SimParams())
-    assert contacts == [[]] and crushed == [False]
+    crushed, hit, points, normals = detect_contacts([env], *_spheres([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]), 0,
+                                                    SimParams())
+    assert hit.tolist() == [[False, False]] and crushed.tolist() == [False]
+    assert not points.any() and not normals.any()
 
 
 def test_contact_center_on_cloud_point(objects):
     obj = objects["box"]
     env = _env_for(obj)
     target = obj.points[100]
-    _, (contacts,) = detect_contacts([env], *_spheres([target]), 0, SimParams())
-    assert len(contacts) == 1
-    assert contacts[0].penetration == pytest.approx(0.01, abs=1e-12)
-    assert np.allclose(contacts[0].point, target)
-    assert np.allclose(contacts[0].normal, obj.normals[100])
+    _, hit, points, normals = detect_contacts([env], *_spheres([target]), 0, SimParams())
+    assert hit.tolist() == [[True]]
+    assert np.allclose(points[0, 0], target)
+    assert np.allclose(normals[0, 0], obj.normals[100])
 
 
 def test_contacts_straddling_cylinder_oppose():
     obj = make_cylinder(radius=0.03, height=0.08)
     env = _env_for(obj)
     spheres = _spheres([[0.038, 0.0, 0.04], [-0.038, 0.0, 0.04]], fingers=[0, 1])
-    _, (contacts,) = detect_contacts([env], *spheres, 0, SimParams())
-    assert len(contacts) == 2
-    n0, n1 = contacts[0].normal, contacts[1].normal
-    assert float(n0 @ n1) < -0.9
+    _, hit, _, normals = detect_contacts([env], *spheres, 0, SimParams())
+    assert hit.tolist() == [[True, True]]
+    assert float(normals[0, 0] @ normals[0, 1]) < -0.9
 
 
 def test_deepest_contact_per_finger(objects):
@@ -149,21 +147,24 @@ def test_deepest_contact_per_finger(objects):
     env = _env_for(obj)
     shallow = obj.points[10] + obj.normals[10] * 0.008
     deep = obj.points[50] + obj.normals[50] * 0.001
-    _, (contacts,) = detect_contacts([env], *_spheres([shallow, deep], fingers=[0, 0]), 0, SimParams())
-    assert len(contacts) == 1
-    assert contacts[0].penetration == pytest.approx(0.009, abs=1e-4)
+    _, hit, points, _ = detect_contacts([env], *_spheres([shallow, deep], fingers=[0, 0]), 0, SimParams())
+    assert hit.tolist() == [[True]]
+    assert np.allclose(points[0, 0], obj.points[50])
 
 
 def test_style_contact_point_cases():
     tips = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 3.0, 0]])
-    assert np.allclose(style_contact_point(tips, [0]), [1.0, 0, 0])
-    assert np.allclose(style_contact_point(tips, [0, 1]), [0, 0, 0])
-    assert np.allclose(style_contact_point(tips, [0, 1, 2]), [0, 1.0, 0])
+    assert np.allclose(style_contact_point(tips, [True, False, False]), [1.0, 0, 0])
+    assert np.allclose(style_contact_point(tips, [True, True, False]), [0, 0, 0])
+    assert np.allclose(style_contact_point(tips, [True, True, True]), [0, 1.0, 0])
     # a (T, F, 3) series of fingertips gives one point per frame
     series = np.stack([tips, tips + [0, 0, 1.0]])
-    assert np.allclose(style_contact_point(series, [0, 1]), [[0, 0, 0], [0, 0, 1.0]])
+    assert np.allclose(style_contact_point(series, [True, True, False]), [[0, 0, 0], [0, 0, 1.0]])
+    # and (E, F) masks one point per row
+    assert np.allclose(style_contact_point(series, [[True, False, False], [False, False, True]]),
+                       [[1.0, 0, 0], [0, 3.0, 1.0]])
     with pytest.raises(ValueError):
-        style_contact_point(tips, [])
+        style_contact_point(tips, [False, False, False])
 
 
 def test_table_collision_cases():
@@ -180,45 +181,55 @@ def test_table_collision_cases():
 # force closure
 # ---------------------------------------------------------------------------
 
-def _antipodal_sphere_contacts(obj):
+def _table(fingers, points, normals, f_count=4):
+    """One grasp's contact table, (hit (1, F), points (1, F, 3), normals
+    (1, F, 3)), with the given contacts on the given fingers."""
+    hit, pts, nrm = np.zeros((1, f_count), dtype=bool), np.zeros((1, f_count, 3)), np.zeros((1, f_count, 3))
+    hit[0, fingers], pts[0, fingers], nrm[0, fingers] = True, points, normals
+    return hit, pts, nrm
+
+
+def _scores(tables, envs, mu=0.5, eta=0.2, table_collision=None):
+    """grasp_success_batch over stacked one-grasp tables, each with its
+    env's contact mask: (success (G,), degenerate (G,))."""
+    hit, pts, nrm = (np.concatenate(column) for column in zip(*tables))
+    mask = np.array([np.isin(np.arange(hit.shape[1]), env.condition.contact_mask) for env in envs])
+    table = np.zeros(len(envs), dtype=bool) if table_collision is None else np.array(table_collision)
+    return grasp_success_batch(hit, pts, nrm, mask, envs, mu, eta, table_collision=table)
+
+
+def _antipodal_sphere_table(obj, fingers=(0, 1)):
     c = obj.centroid
-    return [
-        Contact(finger=0, point=c + [-obj.obj_bb / 2, 0, 0], normal=np.array([-1.0, 0, 0]), penetration=0.001),
-        Contact(finger=1, point=c + [obj.obj_bb / 2, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
-    ]
+    points = [c + [-obj.obj_bb / 2, 0, 0], c + [obj.obj_bb / 2, 0, 0]]
+    normals = [[-1.0, 0, 0], [1.0, 0, 0]]
+    return _table(list(fingers), points[: len(fingers)], normals[: len(fingers)])
 
 
 def test_antipodal_sphere_succeeds():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    assert grasp_success_batch([_antipodal_sphere_contacts(obj)], [env], mu=0.5, eta=0.2,
-                               table_collision=[False]) == [True]
+    assert _scores([_antipodal_sphere_table(obj)], [env])[0].tolist() == [True]
 
 
 def test_single_contact_fails():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    assert grasp_success_batch([_antipodal_sphere_contacts(obj)[:1]], [env], mu=0.5,
-                               table_collision=[False]) == [False]
+    assert _scores([_antipodal_sphere_table(obj, fingers=[0])], [env])[0].tolist() == [False]
 
 
 def test_parallel_same_direction_normals_fail():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
     c = obj.centroid
-    contacts = [
-        Contact(finger=0, point=c + [-0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
-        Contact(finger=1, point=c + [0.032, 0, 0], normal=np.array([1.0, 0, 0]), penetration=0.001),
-    ]
-    assert grasp_success_batch([contacts], [env], mu=0.1, table_collision=[False]) == [False]
+    table = _table([0, 1], [c + [-0.032, 0, 0], c + [0.032, 0, 0]], [[1.0, 0, 0], [1.0, 0, 0]])
+    assert _scores([table], [env], mu=0.1)[0].tolist() == [False]
 
 
 def test_mu_monotonicity():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    contacts = _antipodal_sphere_contacts(obj)
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2]
-    results = [grasp_success_batch([contacts], [env], mu=m, eta=0.2, table_collision=[False])[0] for m in grid]
+    results = [bool(_scores([_antipodal_sphere_table(obj)], [env], mu=m)[0][0]) for m in grid]
     # once successful, stays successful as mu grows
     first_true = results.index(True) if True in results else len(results)
     assert all(results[first_true:])
@@ -227,26 +238,22 @@ def test_mu_monotonicity():
 def test_table_collision_fails_grasp():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    assert grasp_success_batch([_antipodal_sphere_contacts(obj)], [env], mu=0.5,
-                               table_collision=[True]) == [False]
+    assert _scores([_antipodal_sphere_table(obj)], [env], table_collision=[True])[0].tolist() == [False]
 
 
 def test_mask_fingers_requirement():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj, mask=(2, 3))  # contacts carry fingers 0 and 1
-    assert grasp_success_batch([_antipodal_sphere_contacts(obj)], [env], mu=0.5,
-                               table_collision=[False]) == [False]
+    assert _scores([_antipodal_sphere_table(obj)], [env])[0].tolist() == [False]
 
 
-def test_degenerate_normals_raise():
+def test_degenerate_normals_are_reported():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    contacts = _antipodal_sphere_contacts(obj)
-    bad = Contact(finger=1, point=contacts[1].point, normal=np.array([np.nan, 0, 0]), penetration=0.0)
-    with pytest.raises(ContactError):
-        wrench_generators([contacts[0], bad], env, mu=0.5)
-    (outcome,) = grasp_success_batch([[contacts[0], bad]], [env], mu=0.5, table_collision=[False])
-    assert isinstance(outcome, ContactError)
+    hit, pts, nrm = _antipodal_sphere_table(obj)
+    nrm[0, 1] = [np.nan, 0, 0]
+    success, degenerate = _scores([(hit, pts, nrm)], [env])
+    assert success.tolist() == [False] and degenerate.tolist() == [True]
 
 
 def test_feasibility_against_scipy_oracle():
@@ -270,13 +277,12 @@ def test_feasibility_against_scipy_oracle():
 def _random_wrench_set(rng, n_contacts, feasible):
     """Pyramid generators of random contacts on a unit-scale object,
     and a load that is feasible by construction or drawn at random."""
-    pts = rng.normal(scale=0.03, size=(n_contacts, 3))
-    normals = rng.normal(size=(n_contacts, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    contacts = [Contact(finger=i, point=p, normal=n, penetration=0.0)
-                for i, (p, n) in enumerate(zip(pts, normals))]
-    env = _env_for(make_sphere(radius=0.032))
-    w = wrench_generators(contacts, env, mu=float(rng.uniform(0.1, 1.0)))
+    pts = rng.normal(scale=0.03, size=(1, n_contacts, 3))
+    normals = rng.normal(size=(1, n_contacts, 3))
+    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    hit = np.ones((1, n_contacts), dtype=bool)
+    scale = np.array([make_sphere(radius=0.032).obj_bb / 2.0])
+    (w,) = wrench_generators(hit, pts, normals, scale, mu=float(rng.uniform(0.1, 1.0)))
     if feasible:
         return w, w @ rng.uniform(0.05, 1.0, size=w.shape[1])
     return w, rng.normal(size=6)
@@ -286,16 +292,22 @@ def _random_wrench_set(rng, n_contacts, feasible):
 @given(
     seed=st.integers(0, 2**32 - 1),
     shapes=st.lists(st.tuples(st.integers(2, 7), st.booleans()), min_size=1, max_size=8),
+    layout=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 8), st.booleans()),
 )
-def test_stacked_feasibility_matches_single_and_scipy(seed, shapes):
-    """One stacked simplex over ragged, zero-padded wrench sets gives
-    each problem's own answer, and scipy's."""
+def test_stacked_feasibility_matches_single_and_scipy(seed, shapes, layout):
+    """One stacked simplex over ragged wrench sets, with zero columns
+    anywhere (between real columns, or after them all), gives each
+    problem its own unpadded answer, and scipy's."""
     rng = np.random.default_rng(seed)
     problems = [_random_wrench_set(rng, n, feasible) for n, feasible in shapes]
-    width = max(w.shape[1] for w, _ in problems)
+    layout_seed, extra, trailing = layout
+    width = max(w.shape[1] for w, _ in problems) + extra
+    place = np.random.default_rng(layout_seed)
     padded = np.zeros((len(problems), 6, width))
     for i, (w, _) in enumerate(problems):
-        padded[i, :, : w.shape[1]] = w
+        # the real columns keep their order; zero columns fill the rest
+        cols = np.arange(w.shape[1]) if trailing else np.sort(place.choice(width, w.shape[1], replace=False))
+        padded[i][:, cols] = w
     stacked = feasible_combination_batch(padded, np.array([b for _, b in problems]))
     alone = [feasible_combination_batch(w[None], b[None])[0] for w, b in problems]
     ref = [
@@ -308,91 +320,108 @@ def test_stacked_feasibility_matches_single_and_scipy(seed, shapes):
         assert ok or not feasible
 
 
-def _per_contact_generators(contacts, env, mu):
-    """Reference: the friction-pyramid wrenches built one contact and one
-    edge at a time."""
-    pts = np.array([c.point for c in contacts])
-    center = pts.mean(axis=0)
-    scale = env.obj.obj_bb / 2.0
+def _per_contact_generators(hit, points, normals, scale, mu):
+    """Reference: one grasp's friction-pyramid wrenches built one contact
+    and one edge at a time, four zero columns for a finger without a hit."""
+    center = points[hit].mean(axis=0)
     cols = []
-    for c in contacts:
-        n_in = -c.normal
+    for h, p, nrm in zip(hit, points, normals):
+        if not h:
+            cols.extend([np.zeros(6)] * 4)
+            continue
+        n_in = -nrm
         ref = np.array([0.0, 0.0, 1.0]) if abs(n_in[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
         t1 = np.cross(n_in, ref)
         t1 /= np.linalg.norm(t1)
         t2 = np.cross(n_in, t1)
         for t in (t1, -t1, t2, -t2):
             f = n_in + mu * t
-            cols.append(np.concatenate([f, np.cross(c.point - center, f) / scale]))
+            cols.append(np.concatenate([f, np.cross(p - center, f) / scale]))
     return np.array(cols).T
 
 
 def test_vectorized_wrench_generators_match_per_contact_reference():
+    """All grasps' generators at once equal the per-contact reference,
+    grasp by grasp."""
     rng = np.random.default_rng(11)
-    env = _env_for(make_sphere(radius=0.032))
-    for trial in range(200):
-        n = int(rng.integers(1, 8))
-        normals = rng.normal(size=(n, 3))
-        # steep normals take the other tangent reference
-        normals[rng.random(n) < 0.3, :2] *= 0.01
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        contacts = [Contact(finger=i, point=p, normal=nrm, penetration=0.0)
-                    for i, (p, nrm) in enumerate(zip(rng.normal(scale=0.03, size=(n, 3)), normals))]
-        mu = float(rng.uniform(0.1, 1.0))
-        assert np.array_equal(wrench_generators(contacts, env, mu), _per_contact_generators(contacts, env, mu))
+    g_count, f_count = 200, 7
+    hit = rng.random((g_count, f_count)) < 0.5
+    hit[np.arange(g_count), rng.integers(f_count, size=g_count)] = True
+    normals = rng.normal(size=(g_count, f_count, 3))
+    # steep normals take the other tangent reference
+    normals[rng.random((g_count, f_count)) < 0.3, :2] *= 0.01
+    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    points = rng.normal(scale=0.03, size=(g_count, f_count, 3))
+    points[~hit], normals[~hit] = 0.0, 0.0
+    scale = rng.uniform(0.01, 0.1, g_count)
+    mu = float(rng.uniform(0.1, 1.0))
+    gens = wrench_generators(hit, points, normals, scale, mu)
+    assert gens.shape == (g_count, 6, 4 * f_count)
+    for g in range(g_count):
+        assert np.array_equal(gens[g], _per_contact_generators(hit[g], points[g], normals[g], scale[g], mu))
 
 
 def test_grasp_success_batch_matches_one_grasp_calls(objects):
     """Grasps scored together get the answers they get alone, whatever
     their object, pose, mask or contact count."""
     rng = np.random.default_rng(8)
-    contact_lists, envs = [], []
+    tables, envs = [], []
     for i in range(150):
         obj = list(objects.values())[i % len(objects)]
         pose = Pose(t=np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
                     r=axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
         env = _env_for(obj, mask=tuple(rng.choice(5, size=int(rng.integers(1, 4)), replace=False)), pose=pose)
         pick = rng.choice(len(obj.points), size=int(rng.integers(1, 6)), replace=False)
-        pts = transform_point(env.object_pose, obj.points)
-        nrm = quat_rotate(env.object_pose.r, obj.normals)
-        contact_lists.append([Contact(finger=int(f), point=pts[j], normal=nrm[j], penetration=0.0)
-                              for f, j in zip(rng.permutation(5), pick)])
+        pts = transform_point(env.object_pose, obj.points[pick])
+        nrm = quat_rotate(env.object_pose.r, obj.normals[pick])
+        tables.append(_table(rng.permutation(5)[: len(pick)], pts, nrm, f_count=5))
         envs.append(env)
-    table = list(rng.random(len(envs)) < 0.1)
-    batch = grasp_success_batch(contact_lists, envs, mu=0.5, eta=0.2, table_collision=table)
-    alone = [grasp_success_batch([c], [e], mu=0.5, eta=0.2, table_collision=[t])[0]
-             for c, e, t in zip(contact_lists, envs, table)]
-    assert batch == alone
-    assert 10 <= sum(alone) <= len(alone) - 10
+    table = rng.random(len(envs)) < 0.1
+    success, degenerate = _scores(tables, envs, table_collision=table)
+    alone = [_scores([c], [e], table_collision=[t]) for c, e, t in zip(tables, envs, table)]
+    assert success.tolist() == [bool(s[0]) for s, _ in alone]
+    assert not degenerate.any() and not any(d[0] for _, d in alone)
+    assert 10 <= success.sum() <= len(envs) - 10
 
 
 def test_grasp_success_batch_reports_degenerate_grasp_alone():
     obj = make_sphere(radius=0.032)
     env = _env_for(obj)
-    good = _antipodal_sphere_contacts(obj)
-    bad = [good[0], Contact(finger=1, point=good[1].point, normal=np.array([np.nan, 0, 0]), penetration=0.0)]
-    out = grasp_success_batch([good, bad, good[:1]], [env, env, env], mu=0.5, eta=0.2,
-                              table_collision=[False] * 3)
-    assert out[0] is True and out[2] is False
-    assert isinstance(out[1], ContactError)
+    good = _antipodal_sphere_table(obj)
+    hit, pts, nrm = (a.copy() for a in good)
+    nrm[0, 1] = [np.nan, 0, 0]
+    success, degenerate = _scores([good, (hit, pts, nrm), _antipodal_sphere_table(obj, fingers=[0])], [env] * 3)
+    assert success.tolist() == [True, False, False]
+    assert degenerate.tolist() == [False, True, False]
 
 
 def test_wrench_generator_shape_and_torque_scale(objects):
     obj = objects["box"]
-    env = _env_for(obj)
-    contacts = [
-        Contact(finger=0, point=np.array([-0.03, 0.0, 0.03]), normal=np.array([-1.0, 0, 0]), penetration=0.0),
-        Contact(finger=1, point=np.array([0.03, 0.0, 0.03]), normal=np.array([1.0, 0, 0]), penetration=0.0),
-    ]
-    gens = wrench_generators(contacts, env, mu=0.5)
-    assert gens.shape == (6, 8)
+    hit, pts, nrm = _table([0, 1], [[-0.03, 0.0, 0.03], [0.03, 0.0, 0.03]], [[-1.0, 0, 0], [1.0, 0, 0]], f_count=2)
+    gens = wrench_generators(hit, pts, nrm, np.array([obj.obj_bb / 2]), mu=0.5)
+    assert gens.shape == (1, 6, 8)
     # force rows are pyramid edges of unit normals: norm <= 1 + mu
-    assert np.all(np.linalg.norm(gens[:3], axis=0) <= 1.0 + 0.5 + 1e-9)
+    assert np.all(np.linalg.norm(gens[0, :3], axis=0) <= 1.0 + 0.5 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # rollout
 # ---------------------------------------------------------------------------
+
+def _rollout_with_tables(phase, *args):
+    """rollout_batch's records, and the contact table that phase (the
+    real detect_contacts or a reference) gave it."""
+    tables = []
+
+    def capture(*a):
+        tables.append(phase(*a))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "detect_contacts", capture)
+        records = rollout_batch(*args)
+    return records, tables[0]
+
 
 def _fixture_env(assets, style_index=0):
     obj = assets.objects[0]  # box (single-object bundle sorts to box)
@@ -427,7 +456,6 @@ def test_rollout_far_action_fails(box_assets, demo, spec, styles):
                         dq=np.zeros(6), k=1.0)
     (rec,) = rollout_batch([env], demo, [action], spec, styles)
     assert not rec.success
-    assert rec.contacts_at_grasp == [] or not rec.success
 
 
 def test_rollout_purity(box_assets, demo, spec, styles):
@@ -476,21 +504,17 @@ def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
     env_a = EnvState(obj=obj, object_pose=identity_pose(), condition=base_cond)
     g = Pose(t=np.array([0.12, -0.3, 0.0]), r=axis_angle_to_quat(np.array([0, 0, 1.1])))
     env_b = EnvState(obj=obj, object_pose=g, condition=base_cond)
-    ra, rb = rollout_batch([env_a, env_b], demo, [action, action], spec, styles)
+    (ra, rb), (_, hit, points, normals) = _rollout_with_tables(
+        sim.detect_contacts, [env_a, env_b], demo, [action, action], spec, styles)
     assert ra.success == rb.success
     assert np.allclose(ra.d_series, rb.d_series, atol=1e-9)
-    assert len(ra.contacts_at_grasp) == len(rb.contacts_at_grasp)
-    from fungrasp.geometry import invert_pose
-
+    assert np.array_equal(hit[0], hit[1]) and hit[0].any()
     # contact matching snaps to the sampled cloud: transformed near-ties can
     # resolve to a neighboring grid point, so points match up to the grid
     # pitch while normals (same face) and fingers match exactly
     g_inv = invert_pose(g)
-    for ca, cb in zip(ra.contacts_at_grasp, rb.contacts_at_grasp):
-        assert ca.finger == cb.finger
-        assert np.allclose(ca.point, transform_point(g_inv, cb.point), atol=6e-3)
-        assert np.allclose(ca.normal, quat_rotate(g_inv.r, cb.normal), atol=1e-9)
-        assert abs(ca.penetration - cb.penetration) < 6e-3
+    assert np.allclose(points[0][hit[0]], transform_point(g_inv, points[1][hit[1]]), atol=6e-3)
+    assert np.allclose(normals[0][hit[0]], quat_rotate(g_inv.r, normals[1][hit[1]]), atol=1e-9)
 
 
 def test_crush_rule_triggers(box_assets, spec, styles, demo):
@@ -513,19 +537,15 @@ def test_rollout_batch_matches_one_item_rollouts(hand):
     assets = hand_assets(hand)
     spec = assets.spec
     envs, actions = seeded_rollout_inputs(assets, 60, seed=3)
-    batch = rollout_batch(envs, assets.demo, actions, spec, assets.styles)
+    batch, tables = _rollout_with_tables(sim.detect_contacts, envs, assets.demo, actions, spec,
+                                         assets.styles)
     reasons = set()
-    for env, action, got in zip(envs, actions, batch):
-        (want,) = rollout_batch([env], assets.demo, [action], spec, assets.styles)
-        assert np.array_equal(got.d_series, want.d_series)
-        assert np.array_equal(got.q_final, want.q_final)
-        assert got.failure_reason == want.failure_reason
-        assert got.executed_style == want.executed_style
-        assert got.success == want.success
-        assert len(got.contacts_at_grasp) == len(want.contacts_at_grasp)
-        for a, b in zip(got.contacts_at_grasp, want.contacts_at_grasp):
-            assert a.finger == b.finger and a.penetration == b.penetration
-            assert np.array_equal(a.point, b.point) and np.array_equal(a.normal, b.normal)
+    for i, (env, action, got) in enumerate(zip(envs, actions, batch)):
+        (want,), want_tables = _rollout_with_tables(sim.detect_contacts, [env], assets.demo,
+                                                    [action], spec, assets.styles)
+        _assert_same_record(got, want)
+        for column, want_column in zip(tables, want_tables):
+            assert np.array_equal(column[i], want_column[0])
         reasons.add(want.failure_reason or "ok")
     # the batch reaches the closure LP both ways, and the crush test
     assert {"ok", "no_closure", "crush"} <= reasons
@@ -592,48 +612,43 @@ def test_contacts_invariant_under_a_rigid_move(seed, axis_angle, shift):
     fingers = np.repeat(np.arange(4), 3)
     poses = [pose, compose_pose(move, pose)]
     centers = np.stack([transform_point(p, local) for p in poses])[:, None]
-    _, (a, b) = detect_contacts([_env_for(obj, pose=p) for p in poses], centers, radii, fingers, 0, SimParams())
-    assert [c.finger for c in a] == [c.finger for c in b]
-    assert a, "the shell puts some sphere in contact"
-    back_a = transform_point(invert_pose(pose), np.array([c.point for c in a]))
-    back_b = transform_point(invert_pose(compose_pose(move, pose)), np.array([c.point for c in b]))
+    _, hit, points, _ = detect_contacts([_env_for(obj, pose=p) for p in poses], centers, radii, fingers, 0,
+                                        SimParams())
+    assert np.array_equal(hit[0], hit[1])
+    assert hit.any(), "the shell puts some sphere in contact"
+    back_a = transform_point(invert_pose(pose), points[0][hit[0]])
+    back_b = transform_point(invert_pose(compose_pose(move, pose)), points[1][hit[1]])
     idx_a, gap_a = sim._nearest(back_a, obj.points)
     idx_b, gap_b = sim._nearest(back_b, obj.points)
     assert np.array_equal(idx_a, idx_b) and gap_a.max() < 1e-12 and gap_b.max() < 1e-12
-    assert np.allclose([c.penetration for c in a], [c.penetration for c in b], rtol=0, atol=1e-12)
 
 
-def _assert_same_record(got, want, penetration_tol):
-    """Every RolloutRecord field bit for bit, except contact depths."""
+def _assert_same_record(got, want):
+    """Every RolloutRecord field bit for bit."""
     for f in dataclasses.fields(want):
         g, w = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "contacts_at_grasp":
-            assert len(g) == len(w)
-            for a, b in zip(g, w):
-                assert a.finger == b.finger
-                assert np.array_equal(a.point, b.point) and np.array_equal(a.normal, b.normal)
-                assert abs(a.penetration - b.penetration) <= penetration_tol
-        elif isinstance(w, np.ndarray):
+        if isinstance(w, np.ndarray):
             assert np.array_equal(g, w), f.name
         else:
             assert g == w, f.name
 
 
 @pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
-def test_contact_phase_matches_per_episode_world_frame_reference(hand, monkeypatch):
-    """The object-frame contact phase gives the records of the
-    per-episode world-frame one on 640 seeded rollouts; only contact
-    depths may differ, by the rounding of the old expanded distance."""
+def test_contact_phase_matches_per_episode_world_frame_reference(hand):
+    """The object-frame contact phase gives the contact tables and the
+    records of the per-episode world-frame one on 640 seeded rollouts."""
     assets = hand_assets(hand)
     envs, actions = seeded_rollout_inputs(assets, 640, seed=12)
-    got = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
-    monkeypatch.setattr(sim, "detect_contacts", reference_contact_phase)
-    want = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
+    args = (envs, assets.demo, actions, assets.spec, assets.styles)
+    got, got_tables = _rollout_with_tables(sim.detect_contacts, *args)
+    want, want_tables = _rollout_with_tables(reference_contact_phase, *args)
     for g, w in zip(got, want):
-        _assert_same_record(g, w, penetration_tol=1e-12)
+        _assert_same_record(g, w)
+    for g, w in zip(got_tables, want_tables):
+        assert np.array_equal(g, w)
     reasons = {w.failure_reason or "ok" for w in want}
     assert {"ok", "no_closure", "crush", "table_collision"} <= reasons
-    assert sum(len(w.contacts_at_grasp) for w in want) > 640
+    assert want_tables[1].sum() > 640
 
 
 def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
@@ -644,13 +659,11 @@ def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
     pick = rng.choice(len(obj.points), size=8, replace=False)
     local = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.01, (8, 1))
     spheres = _spheres(transform_point(pose, local), fingers=np.repeat(np.arange(4), 2))
-    _, (want,) = reference_contact_phase([env], *spheres, 0, SimParams())
-    _, (got,) = detect_contacts([env], *spheres, 0, SimParams())
-    assert len(got) == len(want) > 0
-    for a, b in zip(got, want):
-        assert a.finger == b.finger
-        assert np.array_equal(a.point, b.point) and np.array_equal(a.normal, b.normal)
-        assert a.penetration == pytest.approx(b.penetration, abs=1e-12)
+    want = reference_contact_phase([env], *spheres, 0, SimParams())
+    got = detect_contacts([env], *spheres, 0, SimParams())
+    assert want[1].any()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -304,7 +304,7 @@ def replay_success(spec, styles, demo, obj, style_index=0) -> tuple[bool, str]:
             contact_mask=style.contact_mask,
         ),
     )
-    (rec,) = rollout_batch([env], demo, [EditAction.identity(spec.joint_count)], spec, styles, SimParams())
+    (rec,) = rollout_batch([env], demo, [EditAction.identity(spec.joint_count).to_vector()], spec, styles, SimParams())
     return rec.success, rec.failure_reason or "ok"
 
 

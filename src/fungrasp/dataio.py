@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .assets import read_json_object
-from .demo import Demonstration, EditAction, edit_wrist_arrays, edited_joint_trajectory
+from .demo import Demonstration, edit_wrist_arrays, edited_joint_trajectory
 from .geometry import Pose, invert_pose, quat_from_matrix, transform_point
 from .hand import HandSpec
 from .policy import PolicyParams, param_shapes, param_views
@@ -160,8 +160,10 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
     completed = [e for e in episodes if e.record is not None]
     selected = [e for e in completed if (e.record.success or not success_only)]
     if selected:
-        actions = [EditAction.from_vector(e.action_vec, spec.joint_count) for e in selected]
-        wrist_t, wrist_r = edit_wrist_arrays(demo, actions, [e.object_pose for e in selected])
+        wrist_t, wrist_r = edit_wrist_arrays(
+            demo, np.stack([e.action_vec for e in selected]),
+            np.stack([e.object_pose.t for e in selected]), np.stack([e.object_pose.r for e in selected]),
+        )
         joints = edited_joint_trajectory(demo, np.stack([e.record.q_star for e in selected]), spec)
     n_frames = 0
     tmp = path.with_suffix(path.suffix + ".tmp")

@@ -17,7 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .assets import json_object_list, read_json_object
-from .geometry import AxisAngle, Pose, axis_angle_to_quat, compose_pose, quat_mul, quat_normalize, quat_rotate
+from .geometry import (
+    AxisAngle,
+    Pose,
+    axis_angle_to_quat,
+    compose_pose_rows,
+    normalize_rows,
+    quat_mul,
+    quat_normalize,
+    quat_rotate,
+)
 from .hand import HandSpec, clamp_to_limits
 
 log = logging.getLogger(__name__)
@@ -134,9 +143,6 @@ class EditAction:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.dt, self.dr.v, self.dq, [self.k]])
 
-    def pose(self) -> Pose:
-        return Pose(t=self.dt, r=axis_angle_to_quat(self.dr))
-
 
 def load_demo(path, spec: HandSpec) -> Demonstration:
     """Parse a demo JSON file for a given hand."""
@@ -240,20 +246,25 @@ def edited_joint_trajectory(demo: Demonstration, q_star, spec: HandSpec) -> np.n
     return clamp_to_limits(spec, out)
 
 
-def edit_wrist_arrays(demo: Demonstration, actions, object_poses):
+def edit_wrist_arrays(demo: Demonstration, actions, pose_t, pose_r):
     """World-frame end-effector poses object_pose o dT o p_t of E
-    episodes: ((E, T_D + 1, 3) translations, (E, T_D + 1, 4) quats).
+    episodes, from their (E, 7 + J) action vectors (dt = [:, :3],
+    dr = [:, 3:6]) and their (E, 3) / (E, 4) object poses:
+    ((E, T_D + 1, 3) translations, (E, T_D + 1, 4) quats).
 
     The edit is a single rigid offset in the object frame applied to the
     whole object-centric trajectory, so the approach shape is preserved.
-    Each episode's prefix pose is composed on its own; the per-frame
-    products are element-wise, so every row has the single-episode bits.
+    Every step is an array expression over the episodes that gives each
+    row the bits of one episode: the offset quaternion and the prefix
+    pose object_pose o dT are renormalized as Pose renormalizes one
+    quaternion (normalize_rows), and the per-frame products are
+    element-wise.
     """
-    prefixes = [compose_pose(p, a.pose()) for a, p in zip(actions, object_poses)]
-    prefix_t = np.stack([p.t for p in prefixes])[:, None, :]
-    prefix_r = np.stack([p.r for p in prefixes])[:, None, :]
-    t = prefix_t + quat_rotate(prefix_r, demo.pose_t)
-    r = quat_normalize(quat_mul(prefix_r, demo.pose_r))
+    actions = np.asarray(actions, dtype=float)
+    dr = normalize_rows(axis_angle_to_quat(actions[:, 3:6]))
+    prefix_t, prefix_r = compose_pose_rows(pose_t, pose_r, actions[:, :3], dr)
+    t = prefix_t[:, None, :] + quat_rotate(prefix_r[:, None, :], demo.pose_t)
+    r = quat_normalize(quat_mul(prefix_r[:, None, :], demo.pose_r))
     return t, r
 
 

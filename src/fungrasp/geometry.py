@@ -26,6 +26,8 @@ __all__ = [
     "quat_conjugate",
     "quat_rotate",
     "quat_normalize",
+    "normalize_rows",
+    "compose_pose_rows",
     "quat_to_matrix",
     "quat_from_matrix",
     "quat_distance",
@@ -48,6 +50,15 @@ def quat_normalize(q) -> np.ndarray:
     if np.any(n < 1e-12):
         raise ValueError("cannot normalize a zero quaternion")
     return q / n
+
+
+def normalize_rows(x) -> np.ndarray:
+    """Each row of an (N, D) stack divided by its norm, with the bits
+    Pose's renormalization gives that row alone: np.linalg.norm of one
+    vector is sqrt(dot), which a (1, D) @ (D, 1) product per row
+    reproduces and an axis=-1 norm does not."""
+    x = np.asarray(x, dtype=float)
+    return x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
 
 
 def quat_mul(a, b) -> np.ndarray:
@@ -183,6 +194,13 @@ def compose_pose(a: Pose, b: Pose) -> Pose:
     return Pose(t=a.t + quat_rotate(a.r, b.t), r=quat_normalize(quat_mul(a.r, b.r)))
 
 
+def compose_pose_rows(t_a, r_a, t_b, r_b):
+    """compose_pose over N rows: (N, 3) translations and (N, 4) quats on
+    either side (or one pose, broadcast) give the (t, r) arrays of the N
+    composed poses, each row with the bits compose_pose gives it."""
+    return t_a + quat_rotate(r_a, t_b), normalize_rows(quat_normalize(quat_mul(r_a, r_b)))
+
+
 def invert_pose(p: Pose) -> Pose:
     r_inv = quat_conjugate(p.r)
     return Pose(t=-quat_rotate(r_inv, p.t), r=r_inv)
@@ -194,20 +212,25 @@ def transform_point(p: Pose, x) -> np.ndarray:
 
 
 def axis_angle_to_quat(v) -> np.ndarray:
-    """Unit quaternion of an axis-angle vector.
+    """Unit quaternion of an axis-angle vector; an (N, 3) stack gives
+    (N, 4), each row with the bits it gets alone.
 
-    Below |v| = 1e-8 the first-order form (1, v/2) is used (normalized)
-    to avoid dividing by a vanishing angle.
+    The angle is sqrt(v . v) taken as a (1, 3) @ (3, 1) product, which
+    is what np.linalg.norm gives one vector. Below an angle of 1e-8 the
+    first-order form (1, v/2) is used (normalized) to avoid dividing by
+    a vanishing angle.
     """
     if isinstance(v, AxisAngle):
         v = v.v
     v = np.asarray(v, dtype=float)
-    angle = float(np.linalg.norm(v))
-    if angle < 1e-8:
-        return quat_normalize(np.concatenate(([1.0], 0.5 * v)))
-    axis = v / angle
+    rows = v.reshape(-1, 3)
+    angle = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+    small = angle < 1e-8
     half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+    q = np.concatenate([np.cos(half), np.sin(half) * (rows / np.where(small, 1.0, angle))], axis=1)
+    if small.any():
+        q = np.where(small, quat_normalize(np.concatenate([np.ones_like(angle), 0.5 * rows], axis=1)), q)
+    return q.reshape(v.shape[:-1] + (4,))
 
 
 def quat_to_axis_angle(q) -> np.ndarray:

@@ -217,6 +217,12 @@ def load_styles(path, spec: HandSpec) -> list[Style]:
             raise HandError(f"{path}: styles[{i}]: contact_mask must name 1..{spec.finger_count} fingers")
         if any(not (0 <= m < spec.finger_count) for m in mask):
             raise HandError(f"{path}: styles[{i}]: contact_mask finger out of range")
+        if len(set(mask)) < 2:
+            # a grasp needs two distinct mask fingers in contact (sim.grasp_success_batch)
+            raise HandError(
+                f"{path}: styles[{i}] ({sd.get('id', i)!r}): contact_mask {list(mask)} names fewer than two "
+                "distinct fingers, so no grasp of the style could succeed"
+            )
         q.setflags(write=False)
         styles.append(Style(id=str(sd.get("id", i)), index=i, q_canonical=q, contact_mask=mask))
     if not styles:

@@ -9,7 +9,7 @@ transforms the sampled point, not the distribution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -211,8 +211,16 @@ class AffordanceParams:
 
 @dataclass(frozen=True)
 class AffordanceDistribution:
+    """A categorical distribution over a cloud's points, with its CDF."""
+
     weights: np.ndarray      # (N,), non-negative, sums to 1
     params: AffordanceParams
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)   # cumsum of weights
+
+    def __post_init__(self):
+        cdf = np.cumsum(self.weights)
+        cdf.setflags(write=False)
+        object.__setattr__(self, "cdf", cdf)
 
 
 def affordance_distribution(obj: ObjectModel, params: AffordanceParams = AffordanceParams()) -> AffordanceDistribution:
@@ -251,8 +259,7 @@ def affordance_distribution(obj: ObjectModel, params: AffordanceParams = Afforda
 
 def sample_affordance_index(dist: AffordanceDistribution, rng: np.random.Generator) -> int:
     """Categorical draw of a point index (inverse-CDF on one uniform)."""
-    cdf = np.cumsum(dist.weights)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+    idx = int(np.searchsorted(dist.cdf, rng.random(), side="right"))
     return min(idx, len(dist.weights) - 1)
 
 

@@ -7,17 +7,19 @@ head (state-independent log-std), and a separate value path shares no
 trunk parameters with the actor. Reverse-mode gradients are written out
 by hand and gated against finite differences by the trainer.
 
-Observations only exist as an ObsBatch: an episode encodes a batch of
-one, collection concatenates them, and the update indexes minibatch rows
-out of the result. Log-probabilities are always taken of the stored raw
+Observations only exist as an ObsBatch: a chunk of episodes encodes
+one batch, each episode keeps its row as a batch of one, collection
+concatenates those, and the update indexes minibatch rows out of the
+result. Log-probabilities are always taken of the stored raw
 (pre-squash) samples, so no squashed action is ever inverted.
 
 The observed cloud depends only on (object, M, FPS seed), so a batch
 holds a table of its U distinct encoded clouds, clouds (U, M, 6), and
 each row's entry in it, cloud_index (B,). Every entry is used by some
-row: an episode's batch of one has a table of one (the entry cached for
-its object), concat keeps each distinct cloud once, and indexing rows
-keeps only the entries they use. The point branch runs once per table
+row: a chunk's batch holds the entry cached for each of its objects
+once, an episode's batch of one has a table of one (that cached entry
+itself), concat keeps each distinct cloud once, and indexing rows keeps
+only the entries they use. The point branch runs once per table
 entry in both passes; the pooled feature is gathered per row, and its
 gradient summed per entry before it is routed back through the pool.
 
@@ -26,6 +28,15 @@ as param_shapes lists the 17 arrays, each stored C-order. Each named
 array (params.pb_w1 ... params.v_b3) is a read-only view into flat, so
 an update builds a new vector; policy_backward's gradient and Adam's
 moments are vectors in the same layout.
+
+A batch of one and the rows of a batch round differently in the trunk:
+numpy gives a one-row product to gemv and a many-row one to gemm. The
+episodes of a chunk run one row-alone forward (policy_forward with
+row_alone=True), whose trunk products are stacked (B, 1, D) @ (D, H)
+products, one gemv per row, so each row has the bits of its batch of
+one; the update keeps its gemm. The finiteness checks come in two
+forms: policy_forward raises the first that any row fails, and
+row_errors gives each row the message a batch of one of it would raise.
 """
 
 from __future__ import annotations
@@ -35,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demo import EditAction, EditBounds
-from .geometry import compose_pose
+from .demo import EditBounds
+from .geometry import compose_pose_rows
 from .hand import Style
-from .objects import farthest_point_sample
+from .objects import ObjectModel, farthest_point_sample
 from .sim import EnvState
 
 __all__ = [
@@ -46,7 +57,11 @@ __all__ = [
     "ObsBatch",
     "PolicyParams",
     "ActionSample",
+    "cloud_entry",
     "encode_observation",
+    "observation_checks",
+    "activation_checks",
+    "row_errors",
     "random_obs",
     "init_params",
     "policy_forward",
@@ -115,6 +130,13 @@ class ObsBatch:
         clouds = np.stack([cloud for _, cloud in entries.values()])
         return cls(**rows, cloud_index=np.concatenate(index), clouds=clouds)
 
+    def row(self, i: int, table: np.ndarray) -> "ObsBatch":
+        """Row i as a batch of one over `table`, the (1, M, 6) table of
+        one that holds the row's cloud: an episode keeps its observation
+        this way, sharing its object's cached entry (cloud_entry)."""
+        rows = {name: getattr(self, name)[i : i + 1] for name in _ROW_FIELDS}
+        return ObsBatch(**rows, cloud_index=_FIRST_ENTRY, clouds=table)
+
 
 # every batch of one indexes entry 0 of its table of one; sharing one
 # read-only array lets a chunk's pickled results hold it once
@@ -122,50 +144,95 @@ _FIRST_ENTRY = np.zeros(1, dtype=np.intp)
 _FIRST_ENTRY.flags.writeable = False
 
 
+def cloud_entry(obj: ObjectModel, m_points: int, fps_seed: int, cloud_cache: dict) -> np.ndarray:
+    """obj's encoded observation cloud as a read-only table of one,
+    (1, M, 6): FPS-subsampled, centered on the centroid and scaled by
+    1/obj_bb, so the encoding is invariant to uniform object scaling.
+    It is encoded once per (object, M, seed) into cloud_cache, and every
+    observation of the object shares the cached array."""
+    key = (obj.name, m_points, fps_seed)
+    clouds = cloud_cache.get(key)
+    if clouds is None:
+        idx = farthest_point_sample(obj.points, m_points, fps_seed)
+        scale = 1.0 / obj.obj_bb
+        clouds = np.concatenate([(obj.points[idx] - obj.centroid) * scale, obj.normals[idx]], axis=1)[None]
+        clouds.flags.writeable = False
+        cloud_cache[key] = clouds
+    return clouds
+
+
 def encode_observation(
-    env: EnvState,
+    envs: list[EnvState],
     demo,
     styles: list[Style],
     m_points: int,
     fps_seed: int,
     cloud_cache: dict,
 ) -> ObsBatch:
-    """Deterministic observation encoding for one reset environment, as a
-    batch of one.
+    """Deterministic observation encoding of a chunk of reset
+    environments: one batch, row i for envs[i].
 
-    The cloud is FPS-subsampled, centered on the centroid, and scaled by
-    1/obj_bb, so the encoding is invariant to uniform object scaling; it
-    is encoded once per (object, M, seed) into cloud_cache, as a
-    read-only table of one that every batch of that object shares. s_r
-    is the would-be initial end-effector pose of the unedited replay.
+    The cloud table holds each distinct object's cached entry
+    (cloud_entry) once, first seen first. s_r is the would-be initial
+    end-effector pose of the unedited replay, composed over the rows as
+    compose_pose composes one pose. Every row expression is element-wise
+    or renormalizes its own quaternion, so each row has the bits it gets
+    in a chunk of one. Nothing is checked here: observation_checks names
+    the rows with non-finite fields.
     """
-    obj = env.obj
-    scale = 1.0 / obj.obj_bb
-    key = (obj.name, m_points, fps_seed)
-    clouds = cloud_cache.get(key)
-    if clouds is None:
-        idx = farthest_point_sample(obj.points, m_points, fps_seed)
-        clouds = np.concatenate([(obj.points[idx] - obj.centroid) * scale, obj.normals[idx]], axis=1)[None]
-        if not np.all(np.isfinite(clouds)):
-            raise PolicyError("non-finite observation field clouds")
-        clouds.flags.writeable = False
-        cloud_cache[key] = clouds
-    ee0 = compose_pose(env.object_pose, demo.poses[0])
-    one_hot = np.zeros(len(styles))
-    one_hot[env.condition.style_index] = 1.0
-    obs = ObsBatch(
-        s_r=np.concatenate([ee0.t, ee0.r])[None],
-        s_o=np.concatenate([env.object_pose.t, env.object_pose.r])[None],
-        p_afford_rel=((env.condition.p_afford - obj.centroid) * scale)[None],
-        l_style=one_hot[None],
-        obj_bb=np.array([[obj.obj_bb]], dtype=float),
-        cloud_index=_FIRST_ENTRY,
-        clouds=clouds,
+    entry_of: dict[str, int] = {}
+    objs = []
+    for env in envs:
+        if env.obj.name not in entry_of:
+            entry_of[env.obj.name] = len(objs)
+            objs.append(env.obj)
+    pose_t = np.stack([env.object_pose.t for env in envs])
+    pose_r = np.stack([env.object_pose.r for env in envs])
+    ee0_t, ee0_r = compose_pose_rows(pose_t, pose_r, demo.pose_t[0], demo.pose_r[0])
+    centroid = np.stack([env.obj.centroid for env in envs])
+    obj_bb = np.array([[env.obj.obj_bb] for env in envs], dtype=float)
+    return ObsBatch(
+        s_r=np.concatenate([ee0_t, ee0_r], axis=1),
+        s_o=np.concatenate([pose_t, pose_r], axis=1),
+        p_afford_rel=(np.stack([env.condition.p_afford for env in envs]) - centroid) * (1.0 / obj_bb),
+        l_style=np.eye(len(styles))[[env.condition.style_index for env in envs]],
+        obj_bb=obj_bb,
+        cloud_index=np.array([entry_of[env.obj.name] for env in envs], dtype=np.intp),
+        clouds=np.concatenate([cloud_entry(obj, m_points, fps_seed, cloud_cache) for obj in objs]),
     )
-    for name in ("s_r", "s_o", "p_afford_rel", "l_style"):
-        if not np.all(np.isfinite(getattr(obs, name))):
-            raise PolicyError(f"non-finite observation field {name}")
-    return obs
+
+
+def observation_checks(batch: ObsBatch) -> list[tuple[str, np.ndarray]]:
+    """(message, (B,) bool ok) of each observation check, in the order a
+    batch of one meets them: the row's cloud entry, s_r, s_o,
+    p_afford_rel and l_style must be finite."""
+    clouds_ok = np.isfinite(batch.clouds).all(axis=(1, 2))[batch.cloud_index]
+    return [("non-finite observation field clouds", clouds_ok)] + [
+        (f"non-finite observation field {name}", np.isfinite(getattr(batch, name)).all(axis=1))
+        for name in ("s_r", "s_o", "p_afford_rel", "l_style")
+    ]
+
+
+def activation_checks(mean: np.ndarray, value: np.ndarray, cache: ForwardCache) -> list[tuple[str, np.ndarray]]:
+    """(message, (B,) bool ok) of each activation check of a forward
+    pass, in order: each row's pooled cloud feature (a NaN or inf in a2
+    reaches its column's max), the actor trunk, the action head and the
+    value head must be finite."""
+    return [
+        ("non-finite activations in point_branch", np.isfinite(cache.feat[:, 14 : 14 + CLOUD_FEAT_DIM]).all(axis=1)),
+        ("non-finite activations in actor_trunk", np.isfinite(cache.aa2).all(axis=1)),
+        ("non-finite activations in action_head", np.isfinite(mean).all(axis=1)),
+        ("non-finite activations in value_head", np.isfinite(value)),
+    ]
+
+
+def row_errors(checks: list[tuple[str, np.ndarray]], size: int) -> list[str | None]:
+    """Per row of `size`, the message of the first of `checks` the row
+    fails, or None when it passes them all."""
+    errors = np.full(size, None, dtype=object)
+    for message, ok in reversed(checks):
+        errors[~ok] = message
+    return errors.tolist()
 
 
 def random_obs(rng: np.random.Generator, size: int, m_points: int, style_count: int) -> ObsBatch:
@@ -286,12 +353,13 @@ class ForwardCache:
     va2: np.ndarray
 
 
-def _check_finite(name: str, arr: np.ndarray):
-    if not np.all(np.isfinite(arr)):
-        raise PolicyError(f"non-finite activations in {name}")
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, row_alone: bool) -> np.ndarray:
+    # row-alone: one stacked (1, D) @ (D, H) product per row, which numpy
+    # runs as one gemv each, the bits of a batch of one
+    return ((x[:, None, :] @ w)[:, 0] if row_alone else x @ w) + b
 
 
-def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True):
+def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True, *, row_alone: bool = False):
     """Batched forward pass.
 
     Returns (mean (B, A), log_std (A,), value (B,), cache). The point
@@ -301,6 +369,12 @@ def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True):
     pool over points makes the cloud branch permutation-invariant; the
     backward pass routes a pooling tie to the lowest point index (argmax
     convention).
+
+    With row_alone every trunk and head product is taken row by row, so
+    each output row has the bits of the batch of one of its row (see the
+    module docstring); without it they are gemm products, which the
+    update uses. check raises the first activation_checks message any
+    row fails; shape mismatches always raise.
     """
     if batch.clouds.shape[1] != params.m_points or batch.clouds.shape[2] != POINT_FEATURES:
         raise PolicyError(
@@ -320,26 +394,25 @@ def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True):
          batch.l_style, batch.obj_bb],
         axis=1,
     )
-    az1 = feat @ params.a_w1 + params.a_b1
+    az1 = _dense(feat, params.a_w1, params.a_b1, row_alone)
     aa1 = np.maximum(az1, 0.0)
-    az2 = aa1 @ params.a_w2 + params.a_b2
+    az2 = _dense(aa1, params.a_w2, params.a_b2, row_alone)
     aa2 = np.maximum(az2, 0.0)
-    mean = aa2 @ params.mean_w + params.mean_b
-    vz1 = feat @ params.v_w1 + params.v_b1
+    mean = _dense(aa2, params.mean_w, params.mean_b, row_alone)
+    vz1 = _dense(feat, params.v_w1, params.v_b1, row_alone)
     va1 = np.maximum(vz1, 0.0)
-    vz2 = va1 @ params.v_w2 + params.v_b2
+    vz2 = _dense(va1, params.v_w2, params.v_b2, row_alone)
     va2 = np.maximum(vz2, 0.0)
-    value = (va2 @ params.v_w3 + params.v_b3)[:, 0]
-    if check:
-        _check_finite("point_branch", pooled)   # a NaN or inf in a2 reaches its column's max
-        _check_finite("actor_trunk", aa2)
-        _check_finite("action_head", mean)
-        _check_finite("value_head", value)
+    value = _dense(va2, params.v_w3, params.v_b3, row_alone)[:, 0]
     log_std = np.clip(params.log_std, LOG_STD_MIN, LOG_STD_MAX)
     cache = ForwardCache(
         batch=batch, z1=z1, a1=a1, z2=z2, a2=a2, feat=feat,
         az1=az1, aa1=aa1, az2=az2, aa2=aa2, vz1=vz1, va1=va1, vz2=vz2, va2=va2,
     )
+    if check:
+        for message, ok in activation_checks(mean, value, cache):
+            if not ok.all():
+                raise PolicyError(message)
     return mean, log_std, value, cache
 
 
@@ -447,9 +520,9 @@ def squash_correction(raw, lo, hi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ActionSample:
-    raw: np.ndarray
-    action: EditAction
-    log_prob: float
+    raw: np.ndarray            # (B, A)
+    action: np.ndarray         # (B, A) squashed action vectors
+    log_prob: np.ndarray       # (B,)
 
 
 def sample_action(
@@ -457,16 +530,16 @@ def sample_action(
     log_std: np.ndarray,
     bounds: EditBounds,
     joint_count: int,
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> ActionSample:
-    """Draw raw ~ N(mean, exp(log_std)), squash into bounds, log-prob
-    includes the tanh Jacobian correction."""
+    """raw = mean + exp(log_std) * noise for B rows of standard-normal
+    noise, squashed into bounds; the log-prob includes the tanh Jacobian
+    correction. Element-wise with per-row sums, so a row has the bits it
+    gets alone."""
     lo, hi = bounds.intervals(joint_count)
-    raw = mean + np.exp(log_std) * rng.standard_normal(mean.shape[0])
-    vec = squash(raw, lo, hi)
-    logp, _, _ = gaussian_log_prob(mean, log_std, raw)
-    logp = float(logp - squash_correction(raw, lo, hi))
-    return ActionSample(raw=raw, action=EditAction.from_vector(vec, joint_count), log_prob=logp)
+    raw = mean + np.exp(log_std) * noise
+    logp, _, _ = log_prob_of_raw(mean, log_std, raw, bounds, joint_count)
+    return ActionSample(raw=raw, action=squash(raw, lo, hi), log_prob=logp)
 
 
 def log_prob_of_raw(mean, log_std, raw, bounds: EditBounds, joint_count: int):

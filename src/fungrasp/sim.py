@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demo import Demonstration, EditAction, edited_joint_trajectory, disturb_style, target_joint_config
+from .demo import Demonstration, edited_joint_trajectory, disturb_style, target_joint_config
 from .geometry import Pose, axis_angle_to_quat, quat_conjugate, quat_rotate
 from .hand import HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
@@ -425,12 +425,13 @@ def grasp_success_batch(
 def rollout_batch(
     envs: list[EnvState],
     demo: Demonstration,
-    actions: list[EditAction],
+    actions: np.ndarray,
     spec: HandSpec,
     styles: list[Style],
     params: SimParams = SimParams(),
 ) -> list[RolloutRecord]:
-    """Execute E edited trajectories; record i is a pure function of
+    """Execute E edited trajectories, given as (E, 7 + J) action vectors
+    (the EditAction.to_vector layout); record i is a pure function of
     (envs[i], actions[i]), bit for bit whatever else is in the batch.
 
     Target joints, joint trajectories, wrist edits and FK run once over
@@ -446,18 +447,18 @@ def rollout_batch(
     """
     from .demo import edit_wrist_arrays
 
-    mask = np.array([np.isin(np.arange(spec.finger_count), env.condition.contact_mask) for env in envs])
+    mask = np.zeros((len(envs), spec.finger_count), dtype=bool)
+    for i, env in enumerate(envs):
+        mask[i, list(env.condition.contact_mask)] = True
     pose_t = np.stack([env.object_pose.t for env in envs])
     pose_r = np.stack([env.object_pose.r for env in envs])
     p_afford = quat_rotate(pose_r, np.stack([env.condition.p_afford for env in envs])) + pose_t
+    actions = np.asarray(actions, dtype=float)
     q_star = target_joint_config(
-        np.stack([env.condition.q_style_used for env in envs]),
-        np.array([[a.k] for a in actions]),
-        np.stack([a.dq for a in actions]),
-        spec,
+        np.stack([env.condition.q_style_used for env in envs]), actions[:, -1:], actions[:, 6:-1], spec
     )
     joints = edited_joint_trajectory(demo, q_star, spec)
-    wrist_t, wrist_r = edit_wrist_arrays(demo, actions, [env.object_pose for env in envs])
+    wrist_t, wrist_r = edit_wrist_arrays(demo, actions, pose_t, pose_r)
     e_count, t_count = joints.shape[:2]
     centers, tips = forward_kinematics_batch(
         spec, wrist_t.reshape(-1, 3), wrist_r.reshape(-1, 4), joints.reshape(e_count * t_count, -1)

@@ -11,12 +11,15 @@ The episode engine (run_episodes) takes a chunk of episodes — all of
 them with one worker, every workers-th index in each pool worker —
 through three phases:
 
-1. Per episode: the episode rng, the object draw, reset_env,
-   encode_observation, a B=1 policy_forward and the action draw, which
-   build the episode's EpisodeResult. The rng draws keep their order
-   (object, reset, action), and the forward pass stays B=1 because a
-   stacked forward is a matrix-matrix product whose rows round
-   differently from the single-row product.
+1. The chunk as arrays. Only the rng draws run per episode, in the
+   contract order: the episode rng, the object, reset_env's draws, then
+   the action draw (standard_normal noise in policy mode, uniform
+   actions in random mode), which does not depend on the forward pass.
+   Then one encode_observation over the chunk's envs, one row-alone
+   policy_forward (each trunk product a stacked (1, D) @ (D, H) gemv per
+   row, so every row has the bits of a batch of one), one sample_action
+   (or the mean, random or identity action) over the rows, and the
+   episodes' EpisodeResults.
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
    wrist edits and FK at once; one contact phase in the object frame,
    with one nearest-point query per object for every episode of the
@@ -28,17 +31,21 @@ through three phases:
    result.
 
 Every batched step is element-wise or independent per episode or per
-query row (the nearest-point product runs in fixed row blocks and never
-as a one-row product), so an episode's result does not depend on which
-chunk it ran in, nor on which episodes share its object; one episode is
+query row (the forward pass takes its trunk products row by row; the
+nearest-point product runs in fixed row blocks and never as a one-row
+product), so an episode's result does not depend on which chunk it ran
+in, nor on which episodes share its object; one episode is
 a chunk of one. metrics.jsonl stays byte-identical across worker
 counts: its lines, outcome counts included, depend only on the
 episodes' results.
 
 One error rule: a PolicyError in phase 1 (a non-finite observation or
 activation) ends that episode alone as an error that keeps the type in
-its text; the result keeps the episode's object, pose, affordance point
-and style, and gets zero reward and no sample in the PPO batch.
+its text. The checks run per row, in the order a batch of one meets
+them (policy.row_errors), so each errored row gets the message it gets
+alone and every other row keeps its bits. The result keeps the
+episode's object, pose, affordance point and style, and gets zero
+reward and no sample in the PPO batch.
 Degenerate contact geometry is the rollout's own "degenerate" outcome,
 not an error. Any other exception propagates, and a run in which every
 episode errors raises PolicyError.
@@ -59,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .demo import Demonstration, EditAction, EditBounds, load_demo
-from .geometry import Pose, transform_point
+from .geometry import Pose, quat_rotate
 from .hand import HandSpec, Style, load_hand_spec, load_styles
 from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object, toy_suite
 from .policy import (
@@ -68,12 +75,16 @@ from .policy import (
     ObsBatch,
     PolicyError,
     PolicyParams,
+    activation_checks,
+    cloud_entry,
     encode_observation,
     entropy,
     init_params,
     log_prob_of_raw,
+    observation_checks,
     policy_backward,
     policy_forward,
+    row_errors,
     sample_action,
     squash,
 )
@@ -254,7 +265,7 @@ class EpisodeResult:
     object_pose: Pose
     p_afford_world: np.ndarray
     conditioned_style: int
-    obs: ObsBatch | None = None    # B = 1
+    obs: ObsBatch | None = None    # B = 1, over its object's cached cloud entry
     raw: np.ndarray | None = None
     action_vec: np.ndarray | None = None
     log_prob: float = 0.0
@@ -285,63 +296,7 @@ class Batch:
     episode_errors: int
 
 
-def _act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style):
-    """Phase 1 of one episode: reset, observe, a B=1 forward pass, act.
-    Returns the episode's result, its env and its action; a PolicyError
-    makes the result an errored one, with no action."""
-    rng = episode_rng(seed, *stream_key, index)
-    joint_count = assets.spec.joint_count
-    obj = assets.objects[int(rng.integers(len(assets.objects)))]
-    env = reset_env(
-        obj,
-        assets.afford_dists[obj.name],
-        assets.styles,
-        rng,
-        train_mode,
-        spec=assets.spec,
-        square_half=cfg.square_half,
-        sigma_style=cfg.sigma_style if train_mode else 0.0,
-    )
-    if force_style is not None:
-        style = assets.styles[force_style]
-        env.condition = dataclasses.replace(
-            env.condition,
-            style_index=force_style,
-            q_style_used=style.q_canonical.copy(),
-            contact_mask=style.contact_mask,
-        )
-    pose, cond = env.object_pose, env.condition
-    result = EpisodeResult(index, obj.name, pose, transform_point(pose, cond.p_afford), cond.style_index)
-    try:
-        obs = encode_observation(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache)
-        mean, log_std, value, _ = policy_forward(params, obs)
-    except PolicyError as exc:
-        log.warning("episode %d failed (%s); scored as zero reward", index, exc)
-        result.error = f"{type(exc).__name__}: {exc}"
-        return result, env, None
-    lo, hi = cfg.bounds.intervals(joint_count)
-    if mode == "policy":
-        sample = sample_action(mean[0], log_std, cfg.bounds, joint_count, rng)
-        raw, action, logp = sample.raw, sample.action, sample.log_prob
-    elif mode == "mean":
-        raw = mean[0]
-        vec = squash(raw, lo, hi)
-        action = EditAction.from_vector(vec, joint_count)
-        logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
-    elif mode == "random":
-        vec = rng.uniform(lo, hi)
-        action = EditAction.from_vector(vec, joint_count)
-        raw = np.zeros_like(vec)
-        logp = 0.0
-    elif mode == "identity":
-        action = EditAction.identity(joint_count)
-        raw = np.zeros(7 + joint_count)
-        logp = 0.0
-    else:
-        raise ValueError(f"unknown action mode {mode!r}")
-    result.obs, result.raw, result.action_vec = obs, np.asarray(raw, dtype=float), action.to_vector()
-    result.log_prob, result.value = float(logp), float(value[0])
-    return result, env, action
+ACTION_MODES = ("policy", "mean", "random", "identity")
 
 
 def run_episodes(
@@ -353,28 +308,102 @@ def run_episodes(
     indices,
     *,
     train_mode: bool,
-    mode: str = "policy",          # policy | mean | random | identity
+    mode: str = "policy",          # one of ACTION_MODES
     force_style: int | None = None,
 ) -> list[EpisodeResult]:
-    """Full conditioned episodes, in the order of `indices`, through the
-    engine's three phases and its error rule (see the module docstring).
+    """Full conditioned episodes, in the order of `indices`, as one chunk
+    through the engine's three phases and its error rule (see the module
+    docstring). Each result is bit for bit what the episode gets in a
+    chunk of its own.
 
     force_style overrides the sampled style *after* the reset draws, so
     the environment (object, pose, affordance) is identical across the
     forced candidates of a best-style sweep.
     """
-    acted = [_act(params, cfg, assets, seed, stream_key, i, train_mode, mode, force_style) for i in indices]
-    live = [(res, env, action) for res, env, action in acted if res.error is None]
-    if live:
-        records = rollout_batch(
-            [env for _, env, _ in live], assets.demo, [action for _, _, action in live],
-            assets.spec, assets.styles, cfg.sim,
+    if mode not in ACTION_MODES:
+        raise ValueError(f"unknown action mode {mode!r}")
+    joint_count = assets.spec.joint_count
+    lo, hi = cfg.bounds.intervals(joint_count)
+    envs, draws = [], []
+    for i in indices:
+        rng = episode_rng(seed, *stream_key, i)
+        obj = assets.objects[int(rng.integers(len(assets.objects)))]
+        env = reset_env(
+            obj,
+            assets.afford_dists[obj.name],
+            assets.styles,
+            rng,
+            train_mode,
+            spec=assets.spec,
+            square_half=cfg.square_half,
+            sigma_style=cfg.sigma_style if train_mode else 0.0,
         )
-        for (res, env, _), record in zip(live, records):
-            q_style = assets.styles[res.conditioned_style].q_canonical
-            res.record = record
-            res.terms = total_reward(record, env.obj.obj_bb, q_style, cfg.reward)
-    return [res for res, _, _ in acted]
+        if force_style is not None:
+            style = assets.styles[force_style]
+            env.condition = dataclasses.replace(
+                env.condition,
+                style_index=force_style,
+                q_style_used=style.q_canonical.copy(),
+                contact_mask=style.contact_mask,
+            )
+        envs.append(env)
+        if mode == "policy":
+            draws.append(rng.standard_normal(params.action_dim))
+        elif mode == "random":
+            draws.append(rng.uniform(lo, hi))
+    if not envs:
+        return []
+
+    pose_t = np.stack([env.object_pose.t for env in envs])
+    pose_r = np.stack([env.object_pose.r for env in envs])
+    p_afford_world = quat_rotate(pose_r, np.stack([env.condition.p_afford for env in envs])) + pose_t
+    results = [
+        EpisodeResult(i, env.obj.name, env.object_pose, p, env.condition.style_index)
+        for i, env, p in zip(indices, envs, p_afford_world)
+    ]
+    obs = encode_observation(envs, assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache)
+    checks = observation_checks(obs)
+    try:
+        mean, log_std, value, cache = policy_forward(params, obs, check=False, row_alone=True)
+        checks += activation_checks(mean, value, cache)
+    except PolicyError as exc:      # the batch does not fit params: every row
+        checks.append((str(exc), np.zeros(len(envs), dtype=bool)))
+    errors = row_errors(checks, len(envs))
+    for res, error in zip(results, errors):
+        if error is not None:
+            log.warning("episode %d failed (%s); scored as zero reward", res.index, error)
+            res.error = f"PolicyError: {error}"
+    live = [k for k, error in enumerate(errors) if error is None]
+    if not live:
+        return results
+
+    if mode == "policy":
+        sample = sample_action(mean[live], log_std, cfg.bounds, joint_count, np.stack(draws)[live])
+        raw, actions, logp = sample.raw, sample.action, sample.log_prob
+    elif mode == "mean":
+        raw = mean[live]
+        actions = squash(raw, lo, hi)
+        logp, _, _ = log_prob_of_raw(raw, log_std, raw, cfg.bounds, joint_count)
+    else:
+        if mode == "random":
+            actions = np.stack(draws)[live]
+        else:
+            actions = np.tile(EditAction.identity(joint_count).to_vector(), (len(live), 1))
+        raw = np.zeros_like(actions)
+        logp = np.zeros(len(live))
+    for k, row_raw, action, row_logp in zip(live, raw, actions, logp):
+        res = results[k]
+        res.obs = obs.row(k, cloud_entry(envs[k].obj, cfg.m_points, cfg.seed, assets.cloud_cache))
+        res.raw, res.action_vec = row_raw, action
+        res.log_prob, res.value = float(row_logp), float(value[k])
+
+    live_envs = [envs[k] for k in live]
+    records = rollout_batch(live_envs, assets.demo, actions, assets.spec, assets.styles, cfg.sim)
+    for k, env, record in zip(live, live_envs, records):
+        res = results[k]
+        res.record = record
+        res.terms = total_reward(record, env.obj.obj_bb, assets.styles[res.conditioned_style].q_canonical, cfg.reward)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,10 @@ def hand_assets(hand):
 
 
 def seeded_rollout_inputs(assets, n, seed):
-    """n seeded (env, action) pairs: every fourth action uniform within
-    the bounds, the rest small edits of the replay, which often grasp."""
-    from fungrasp.demo import EditAction, EditBounds
+    """n seeded envs and their (n, 7 + J) action vectors: every fourth
+    action uniform within the bounds, the rest small edits of the replay,
+    which often grasp."""
+    from fungrasp.demo import EditBounds
     from fungrasp.sim import reset_env
 
     spec = assets.spec
@@ -104,5 +105,5 @@ def seeded_rollout_inputs(assets, n, seed):
             vec = rng.uniform(lo, hi)
         else:
             vec = np.clip(np.r_[np.zeros(6 + spec.joint_count), 1.0] + rng.normal(0.0, 0.01, lo.shape), lo, hi)
-        actions.append(EditAction.from_vector(vec, spec.joint_count))
-    return envs, actions
+        actions.append(vec)
+    return envs, np.stack(actions)

@@ -1,0 +1,171 @@
+"""Reference phase 1: the per-episode engine that training.run_episodes
+replaced, kept as an oracle.
+
+Each episode draws its rng, object and reset, encodes its own
+observation as a batch of one, runs a B=1 policy_forward (whose one-row
+products numpy hands to gemv) that raises its own PolicyError, and draws
+and squashes its action one vector at a time. Phase 2 runs through
+sim.rollout_batch with the per-episode wrist composition of compose_pose
+and Pose (reference_edit_wrist_arrays) in place of
+demo.edit_wrist_arrays. reference_run_episodes has run_episodes'
+signature and returns its results, so a test can compare every field of
+every result by bytes.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from fungrasp import demo as demo_module
+from fungrasp.demo import EditAction
+from fungrasp.geometry import Pose, compose_pose, quat_mul, quat_normalize, quat_rotate, transform_point
+from fungrasp.objects import farthest_point_sample
+from fungrasp.policy import (
+    ObsBatch,
+    PolicyError,
+    gaussian_log_prob,
+    log_prob_of_raw,
+    policy_forward,
+    squash,
+    squash_correction,
+)
+from fungrasp.rewards import total_reward
+from fungrasp.sim import reset_env, rollout_batch
+from fungrasp.training import EpisodeResult, episode_rng
+
+
+def reference_axis_angle_to_quat(v):
+    """Unit quaternion of one axis-angle vector, its angle the 1-D norm."""
+    v = np.asarray(v, dtype=float)
+    angle = float(np.linalg.norm(v))
+    if angle < 1e-8:
+        return quat_normalize(np.concatenate(([1.0], 0.5 * v)))
+    axis = v / angle
+    half = 0.5 * angle
+    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+
+
+def reference_edit_wrist_arrays(demo, actions, pose_t, pose_r):
+    """edit_wrist_arrays with each episode's prefix pose composed on its
+    own: the offset as a Pose, then compose_pose's body on the object
+    pose."""
+    prefixes = []
+    for a, t, r in zip(actions, pose_t, pose_r):
+        offset = Pose(t=a[:3], r=reference_axis_angle_to_quat(a[3:6]))
+        prefixes.append(Pose(t=t + quat_rotate(r, offset.t), r=quat_normalize(quat_mul(r, offset.r))))
+    prefix_t = np.stack([p.t for p in prefixes])[:, None, :]
+    prefix_r = np.stack([p.r for p in prefixes])[:, None, :]
+    t = prefix_t + quat_rotate(prefix_r, demo.pose_t)
+    r = quat_normalize(quat_mul(prefix_r, demo.pose_r))
+    return t, r
+
+
+def reference_encode(env, demo, styles, m_points, fps_seed, cloud_cache):
+    """One reset environment's observation as a batch of one; raises
+    PolicyError on a non-finite field, the cloud first."""
+    obj = env.obj
+    scale = 1.0 / obj.obj_bb
+    key = (obj.name, m_points, fps_seed)
+    clouds = cloud_cache.get(key)
+    if clouds is None:
+        idx = farthest_point_sample(obj.points, m_points, fps_seed)
+        clouds = np.concatenate([(obj.points[idx] - obj.centroid) * scale, obj.normals[idx]], axis=1)[None]
+        if not np.all(np.isfinite(clouds)):
+            raise PolicyError("non-finite observation field clouds")
+        clouds.flags.writeable = False
+        cloud_cache[key] = clouds
+    ee0 = compose_pose(env.object_pose, demo.poses[0])
+    one_hot = np.zeros(len(styles))
+    one_hot[env.condition.style_index] = 1.0
+    obs = ObsBatch(
+        s_r=np.concatenate([ee0.t, ee0.r])[None],
+        s_o=np.concatenate([env.object_pose.t, env.object_pose.r])[None],
+        p_afford_rel=((env.condition.p_afford - obj.centroid) * scale)[None],
+        l_style=one_hot[None],
+        obj_bb=np.array([[obj.obj_bb]], dtype=float),
+        cloud_index=np.zeros(1, dtype=np.intp),
+        clouds=clouds,
+    )
+    for name in ("s_r", "s_o", "p_afford_rel", "l_style"):
+        if not np.all(np.isfinite(getattr(obs, name))):
+            raise PolicyError(f"non-finite observation field {name}")
+    return obs
+
+
+def reference_sample(mean, log_std, bounds, joint_count, rng):
+    """One action drawn, squashed and scored as a vector: (raw, action,
+    log_prob)."""
+    lo, hi = bounds.intervals(joint_count)
+    raw = mean + np.exp(log_std) * rng.standard_normal(mean.shape[0])
+    vec = squash(raw, lo, hi)
+    logp, _, _ = gaussian_log_prob(mean, log_std, raw)
+    logp = float(logp - squash_correction(raw, lo, hi))
+    return raw, EditAction.from_vector(vec, joint_count), logp
+
+
+def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style, cloud_cache):
+    """Phase 1 of one episode: reset, observe, a B=1 forward pass, act.
+    Returns the episode's result, its env and its action; a PolicyError
+    makes the result an errored one, with no action."""
+    rng = episode_rng(seed, *stream_key, index)
+    joint_count = assets.spec.joint_count
+    obj = assets.objects[int(rng.integers(len(assets.objects)))]
+    env = reset_env(
+        obj, assets.afford_dists[obj.name], assets.styles, rng, train_mode, spec=assets.spec,
+        square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0,
+    )
+    if force_style is not None:
+        style = assets.styles[force_style]
+        env.condition = dataclasses.replace(
+            env.condition, style_index=force_style, q_style_used=style.q_canonical.copy(),
+            contact_mask=style.contact_mask,
+        )
+    pose, cond = env.object_pose, env.condition
+    result = EpisodeResult(index, obj.name, pose, transform_point(pose, cond.p_afford), cond.style_index)
+    try:
+        obs = reference_encode(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, cloud_cache)
+        mean, log_std, value, _ = policy_forward(params, obs)
+    except PolicyError as exc:
+        result.error = f"{type(exc).__name__}: {exc}"
+        return result, env, None
+    lo, hi = cfg.bounds.intervals(joint_count)
+    if mode == "policy":
+        raw, action, logp = reference_sample(mean[0], log_std, cfg.bounds, joint_count, rng)
+    elif mode == "mean":
+        raw = mean[0]
+        action = EditAction.from_vector(squash(raw, lo, hi), joint_count)
+        logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
+    elif mode == "random":
+        vec = rng.uniform(lo, hi)
+        action = EditAction.from_vector(vec, joint_count)
+        raw = np.zeros_like(vec)
+        logp = 0.0
+    else:
+        action = EditAction.identity(joint_count)
+        raw = np.zeros(7 + joint_count)
+        logp = 0.0
+    result.obs, result.raw, result.action_vec = obs, np.asarray(raw, dtype=float), action.to_vector()
+    result.log_prob, result.value = float(logp), float(value[0])
+    return result, env, action
+
+
+def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, train_mode, mode="policy",
+                           force_style=None):
+    """run_episodes with the per-episode phase 1 and wrist composition."""
+    cloud_cache = {}
+    acted = [reference_act(params, cfg, assets, seed, stream_key, i, train_mode, mode, force_style, cloud_cache)
+             for i in indices]
+    live = [(res, env, action) for res, env, action in acted if res.error is None]
+    if live:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(demo_module, "edit_wrist_arrays", reference_edit_wrist_arrays)
+            records = rollout_batch(
+                [env for _, env, _ in live], assets.demo, np.stack([a.to_vector() for _, _, a in live]),
+                assets.spec, assets.styles, cfg.sim,
+            )
+        for (res, env, _), record in zip(live, records):
+            res.record = record
+            res.terms = total_reward(record, env.obj.obj_bb, assets.styles[res.conditioned_style].q_canonical,
+                                     cfg.reward)
+    return [res for res, _, _ in acted]

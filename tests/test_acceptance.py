@@ -89,7 +89,7 @@ def test_criterion_2_replay_identity(assets, demo, spec, styles):
     traj = edited_joint_trajectory(demo, q_star, spec)
     joint_err = float(np.max(np.abs(traj - demo.joints)))
     obj_pose = identity_pose()
-    t, r = edit_wrist_arrays(demo, [EditAction.identity(spec.joint_count)], [obj_pose])
+    t, r = edit_wrist_arrays(demo, [EditAction.identity(spec.joint_count).to_vector()], [obj_pose.t], [obj_pose.r])
     inv = invert_pose(obj_pose)
     pose_err = 0.0
     for p_t, p_r, ref in zip(t[0], r[0], demo.poses):

@@ -257,6 +257,20 @@ def test_non_object_entries_are_user_errors(tmp_path, capsys, argv, data, entry)
     assert f"{path}: {entry}: must be an object, not int" in err and "internal error" not in err
 
 
+def test_style_mask_of_one_finger_is_a_user_error(tmp_path, capsys):
+    from fungrasp.assets import default_styles_path
+
+    data = json.loads(default_styles_path().read_text())
+    data["styles"][0]["contact_mask"] = [0, 0]
+    path = tmp_path / "styles.json"
+    path.write_text(json.dumps(data))
+    code = main(["train", "--styles", str(path), "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "styles[0]" in err and "fewer than two distinct fingers" in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys):
     for train, field in (({"iterations": -3}, "iterations"), ({"workers": 0}, "workers"),
                          ({"sim": {"mu": 0.0}}, "mu"), ({"m_points": 4000}, "m_points")):

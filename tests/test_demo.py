@@ -160,7 +160,7 @@ def test_monotone_scaling_single_joint(spec):
 def test_edit_wrist_identity_replays_object_frame(demo):
     rng = np.random.default_rng(2)
     obj_pose = random_pose(rng)
-    t, r = edit_wrist_arrays(demo, [EditAction.identity(6)], [obj_pose])
+    t, r = edit_wrist_arrays(demo, [EditAction.identity(6).to_vector()], [obj_pose.t], [obj_pose.r])
     inv = invert_pose(obj_pose)
     for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
         back = compose_pose(inv, Pose(t=p_t, r=p_r))
@@ -171,7 +171,7 @@ def test_edit_wrist_identity_replays_object_frame(demo):
 def test_edit_wrist_pure_translation_shift(demo):
     dt = np.array([0.0, 0.0, 0.05])
     action = EditAction(dt=dt, dr=AxisAngle(np.zeros(3)), dq=np.zeros(6), k=1.0)
-    t, _ = edit_wrist_arrays(demo, [action], [identity_pose()])
+    t, _ = edit_wrist_arrays(demo, [action.to_vector()], [identity_pose().t], [identity_pose().r])
     assert np.allclose(t[0], demo.pose_t + dt, atol=1e-12)
 
 
@@ -180,8 +180,8 @@ def test_edit_wrist_object_rotation_equivariance(demo):
     yaw = Pose(t=np.array([0.1, -0.2, 0.0]), r=axis_angle_to_quat(np.array([0, 0, np.pi / 2])))
     action = EditAction(dt=np.array([0.01, 0.02, -0.03]), dr=AxisAngle(np.array([0.1, 0.0, 0.2])),
                         dq=np.zeros(6), k=1.0)
-    t, r = edit_wrist_arrays(demo, [action], [yaw])
-    prefix = compose_pose(yaw, action.pose())
+    t, r = edit_wrist_arrays(demo, [action.to_vector()], [yaw.t], [yaw.r])
+    prefix = compose_pose(yaw, Pose(t=action.dt, r=axis_angle_to_quat(action.dr)))
     for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
         want = compose_pose(prefix, ref)
         assert np.allclose(p_t, want.t, atol=1e-12)

@@ -1,0 +1,190 @@
+"""Phase 1 as arrays against the per-episode engine it replaced
+(episode_reference), and the row independence it rests on."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from conftest import with_arrays
+from contact_reference import hand_assets
+from episode_reference import reference_axis_angle_to_quat, reference_edit_wrist_arrays, reference_run_episodes
+from fungrasp import training as tr
+from fungrasp.demo import EditBounds, edit_wrist_arrays
+from fungrasp.geometry import Pose, axis_angle_to_quat
+from fungrasp.policy import (
+    ObsBatch,
+    PolicyError,
+    activation_checks,
+    init_params,
+    observation_checks,
+    policy_forward,
+    random_obs,
+    row_errors,
+)
+from fungrasp.training import TrainConfig, episode_rng, run_episodes
+
+MODES = ("policy", "mean", "random", "identity")
+
+
+def _bits(x):
+    """x as comparable bytes, through dataclasses, lists and floats."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (float, np.floating)):
+        return np.float64(x).tobytes()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(v) for v in x)
+    return x
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(w):
+            assert _bits(getattr(g, f.name)) == _bits(getattr(w, f.name)), (w.index, f.name)
+
+
+@pytest.fixture(scope="module", params=["inspire_like", "shadow_like"])
+def hand_setup(request):
+    """(assets, cfg, params) of a bundled hand, with action heads scaled
+    up from the near-identity initial policy so that edits vary."""
+    assets = hand_assets(request.param)
+    cfg = TrainConfig(envs_per_iter=96, minibatch=32, m_points=64, seed=23)
+    params = init_params(episode_rng(cfg.seed, 4), cfg.m_points, len(assets.styles), assets.spec.joint_count)
+    params = with_arrays(params, mean_w=params.mean_w * 40.0, mean_b=0.05)
+    return assets, cfg, params
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("force_style", [None, 2], ids=["sampled_style", "forced_style"])
+def test_chunk_matches_the_per_episode_engine(hand_setup, mode, force_style):
+    """Every field of every result, by bytes, against the per-episode
+    engine: a chunk of 96, a strided chunk, and chunks of 2 and 1."""
+    assets, cfg, params = hand_setup
+    train_mode = mode == "policy"
+    kwargs = dict(train_mode=train_mode, mode=mode, force_style=force_style)
+    key = (1, 7)
+    want = reference_run_episodes(params, cfg, assets, cfg.seed, key, range(96), **kwargs)
+    assert all(r.error is None for r in want)
+    if mode != "identity":
+        assert len({r.record.failure_reason for r in want}) > 1
+    _assert_same_results(run_episodes(params, cfg, assets, cfg.seed, key, range(96), **kwargs), want)
+    for chunk in ([5, 90], [41], list(range(3, 96, 7))):
+        got = run_episodes(params, cfg, assets, cfg.seed, key, chunk, **kwargs)
+        _assert_same_results(got, [want[i] for i in chunk])
+
+
+def test_edit_wrist_arrays_matches_the_per_episode_composition(demo):
+    """Identity offsets, offsets under the first-order threshold and
+    ordinary ones, on random object poses."""
+    rng = np.random.default_rng(8)
+    n = 300
+    lo, hi = EditBounds().intervals(6)
+    actions = rng.uniform(lo, hi, size=(n, 13))
+    actions[::5, 3:6] = 0.0
+    actions[1::5, 3:6] *= 1e-9
+    actions[2::5, 3:6] *= rng.uniform(0.5, 2.0, size=(len(actions[2::5]), 1)) * 1e-8 / 0.46
+    poses = [Pose(t=rng.normal(size=3), r=axis_angle_to_quat(rng.normal(size=3))) for _ in range(n)]
+    pose_t = np.stack([p.t for p in poses])
+    pose_r = np.stack([p.r for p in poses])
+    got = edit_wrist_arrays(demo, actions, pose_t, pose_r)
+    want = reference_edit_wrist_arrays(demo, actions, pose_t, pose_r)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # and each row alone
+    for i in (0, 1, 2, 3, n - 1):
+        one = edit_wrist_arrays(demo, actions[i : i + 1], pose_t[i : i + 1], pose_r[i : i + 1])
+        assert np.array_equal(one[0][0], got[0][i]) and np.array_equal(one[1][0], got[1][i])
+
+
+def test_axis_angle_rows_match_one_vector_at_a_time():
+    rng = np.random.default_rng(9)
+    v = rng.uniform(-1.0, 1.0, size=(2000, 3))
+    v[::4] *= 1e-9
+    v[1::4] = 0.0
+    rows = axis_angle_to_quat(v)
+    for x, q in zip(v, rows):
+        assert np.array_equal(reference_axis_angle_to_quat(x), q)
+        assert np.array_equal(axis_angle_to_quat(x), q)
+
+
+# ---------------------------------------------------------------------------
+# the row-alone forward pass
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def forward_setup():
+    params = init_params(np.random.default_rng(1), m_points=16, style_count=4, joint_count=6)
+    params = with_arrays(params, mean_w=params.mean_w * 30.0, v_w3=params.v_w3 * 30.0)
+    base = random_obs(np.random.default_rng(2), 7, 16, 4)
+    rng = np.random.default_rng(3)
+    batch = ObsBatch.concat([base[np.array([i])] for i in rng.integers(7, size=257)])
+    batch = dataclasses.replace(batch, s_r=batch.s_r + rng.normal(scale=0.1, size=batch.s_r.shape))
+    return params, batch
+
+
+def test_row_alone_forward_does_not_depend_on_its_batch(forward_setup):
+    """A row gets the bits of its batch of one (the B=1 policy_forward)
+    alone, in two rows and in 257 rows."""
+    params, batch = forward_setup
+    mean, log_std, value, _ = policy_forward(params, batch, row_alone=True)
+    for row in (0, 1, 63, 64, 255, 256):
+        m1, ls1, v1, _ = policy_forward(params, batch[np.array([row])])
+        m_alone, _, v_alone, _ = policy_forward(params, batch[np.array([row])], row_alone=True)
+        two = batch[np.array([row, (row + 7) % 257])]
+        m2, _, v2, _ = policy_forward(params, two, row_alone=True)
+        assert np.array_equal(m1[0], mean[row]) and np.array_equal(m_alone[0], mean[row])
+        assert np.array_equal(m2[0], mean[row])
+        assert v1[0] == value[row] == v_alone[0] == v2[0]
+        assert np.array_equal(ls1, log_std)
+
+
+def test_nan_row_errors_alone(hand_setup):
+    """A NaN in one row's observation errors that episode alone, with the
+    message it gets in a chunk of one; every other row keeps its bits."""
+    assets, cfg, params = hand_setup
+    key = (1, 3)
+    reference = run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True)
+    real = tr.encode_observation
+
+    def poisoned(envs, *args):
+        obs = real(envs, *args)
+        s_o = obs.s_o.copy()
+        for k, env in enumerate(envs):
+            if np.array_equal(env.object_pose.t, reference[4].object_pose.t):
+                s_o[k, 2] = np.nan
+        return dataclasses.replace(obs, s_o=s_o)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "encode_observation", poisoned)
+        got = run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True)
+        (alone,) = run_episodes(params, cfg, assets, cfg.seed, key, [4], train_mode=True)
+    assert got[4].error == alone.error == "PolicyError: non-finite observation field s_o"
+    assert got[4].record is None and got[4].obs is None and got[4].raw is None
+    _assert_same_results(got[:4] + got[5:], reference[:4] + reference[5:])
+
+
+def test_row_errors_keep_the_batch_of_one_order(forward_setup):
+    """row_errors gives each row the first message a batch of one of it
+    meets: the observation fields first, then the activations, whose
+    message is the one the B=1 policy_forward raises."""
+    params, batch = forward_setup
+    batch = batch[np.arange(6)]
+    s_r, l_style, obj_bb = batch.s_r.copy(), batch.l_style.copy(), batch.obj_bb.copy()
+    s_r[1, 0] = np.inf
+    l_style[1, 0] = np.nan                    # s_r is checked first
+    l_style[3, 0] = np.nan
+    obj_bb[5, 0] = np.inf                     # not an observation check: the trunk meets it
+    batch = dataclasses.replace(batch, s_r=s_r, l_style=l_style, obj_bb=obj_bb)
+    with np.errstate(invalid="ignore"):
+        mean, _, value, cache = policy_forward(params, batch, check=False, row_alone=True)
+        errors = row_errors(observation_checks(batch) + activation_checks(mean, value, cache), batch.size)
+        with pytest.raises(PolicyError) as alone:
+            policy_forward(params, batch[np.array([5])])
+    assert errors == [None, "non-finite observation field s_r", None, "non-finite observation field l_style",
+                      None, str(alone.value)]
+    assert str(alone.value).startswith("non-finite activations in")
+    for i in (0, 2, 4):
+        policy_forward(params, batch[np.array([i])])

@@ -17,6 +17,7 @@ from fungrasp.policy import init_params
 from fungrasp.training import EpisodePool, TrainConfig, collect_batch, episode_rng
 
 import metrics_oracle
+from conftest import poison_cloud_of
 
 
 @pytest.fixture(scope="module")
@@ -214,23 +215,15 @@ def test_report_explains_its_episodes(assets, eval_cfg, eval_params, tmp_path, m
     import json
 
     import fungrasp.training as tr
-    from fungrasp.geometry import transform_point
     from fungrasp.rewards import RewardTerms, total_reward
 
     _, reference = evaluate(eval_params, eval_cfg, assets, 10, seed=4)
     poisoned = reference[3].p_afford_world
-    real = tr.encode_observation
-
-    def fragile(env, *args):
-        if np.array_equal(transform_point(env.object_pose, env.condition.p_afford), poisoned):
-            raise tr.PolicyError("non-finite observation field cloud")
-        return real(env, *args)
-
-    monkeypatch.setattr(tr, "encode_observation", fragile)
+    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, poisoned))
     metrics, results = evaluate(eval_params, eval_cfg, assets, 10, seed=4)
     write_report(metrics, eval_cfg, tmp_path / "episodes.jsonl", tmp_path / "report.json", results)
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["errors"] == {"PolicyError: non-finite observation field cloud": 1}
+    assert report["errors"] == {"PolicyError: non-finite observation field clouds": 1}
     assert report["outcomes"]["error"] == 1 and sum(report["outcomes"].values()) == 10
     objects = {o.name: o for o in assets.objects}
     recount = [
@@ -250,18 +243,10 @@ def test_episode_rows_of_an_errored_episode_are_strict_json(assets, eval_cfg, ev
     import json
 
     import fungrasp.training as tr
-    from fungrasp.geometry import transform_point
 
     _, reference = evaluate(eval_params, eval_cfg, assets, 4, seed=4)
     poisoned = reference[1].p_afford_world
-    real = tr.encode_observation
-
-    def fragile(env, *args):
-        if np.array_equal(transform_point(env.object_pose, env.condition.p_afford), poisoned):
-            raise tr.PolicyError("non-finite observation field cloud")
-        return real(env, *args)
-
-    monkeypatch.setattr(tr, "encode_observation", fragile)
+    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, poisoned))
     metrics, results = evaluate(eval_params, eval_cfg, assets, 4, seed=4)
     assert [r.record is None for r in results] == [False, True, False, False]
     path = tmp_path / "episodes.jsonl"

@@ -206,3 +206,14 @@ def test_style_out_of_limits_rejected(tmp_path, spec):
     p = _write(tmp_path, "styles.json", {"hand": spec.name, "styles": [{"id": "a", "q": q, "contact_mask": [0]}]})
     with pytest.raises(HandError, match="outside limits"):
         load_styles(p, spec)
+
+
+@pytest.mark.parametrize("mask", [[0], [0, 0], [3, 3, 3]])
+def test_style_mask_needs_two_distinct_fingers(tmp_path, spec, styles, mask):
+    """A grasp succeeds only with two distinct mask fingers in contact, so
+    a mask that names fewer is rejected, naming the style."""
+    entries = [{"id": s.id, "q": s.q_canonical.tolist(), "contact_mask": list(s.contact_mask)} for s in styles]
+    entries[1]["contact_mask"] = mask
+    p = _write(tmp_path, "styles.json", {"hand": spec.name, "styles": entries})
+    with pytest.raises(HandError, match=rf"styles\[1\] \('{styles[1].id}'\): contact_mask .* fewer than two"):
+        load_styles(p, spec)

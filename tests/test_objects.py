@@ -120,6 +120,17 @@ def test_sample_one_hot_and_determinism(objects):
     assert np.array_equal(a, b)
 
 
+def test_distribution_holds_its_cdf(objects):
+    """The draw reads the stored CDF, the cumsum of the weights, and
+    picks the index an inverse-CDF on a fresh cumsum picks."""
+    dist = affordance_distribution(objects["mug"])
+    assert np.array_equal(dist.cdf, np.cumsum(dist.weights)) and not dist.cdf.flags.writeable
+    for seed in range(200):
+        u = np.random.default_rng(seed).random()
+        want = min(int(np.searchsorted(np.cumsum(dist.weights), u, side="right")), len(dist.weights) - 1)
+        assert sample_affordance_index(dist, np.random.default_rng(seed)) == want
+
+
 def test_sample_frequencies_match_weights():
     # law-of-large-numbers check against a known 3-point distribution
     pts = np.zeros((64, 3))

@@ -11,6 +11,7 @@ from fungrasp.policy import (
     ObsBatch,
     PolicyError,
     PolicyParams,
+    cloud_entry,
     encode_observation,
     entropy,
     gaussian_log_prob,
@@ -52,7 +53,7 @@ def test_encode_affordance_at_centroid(assets):
                     np.random.default_rng(0), False, spec=assets.spec, square_half=0.0)
     env.condition = dataclasses.replace(env.condition, p_afford=obj.centroid.copy())
     cache = {}
-    obs = encode_observation(env, assets.demo, assets.styles, 32, 0, cache)
+    obs = encode_observation([env], assets.demo, assets.styles, 32, 0, cache)
     assert obs.size == 1
     assert np.allclose(obs.p_afford_rel, 0.0, atol=1e-12)
     assert obs.l_style.sum() == 1.0
@@ -70,8 +71,8 @@ def test_encode_scale_invariance(assets):
     env2 = dataclasses.replace(env, obj=scaled)
     env2.condition = dataclasses.replace(env.condition, p_afford=env.condition.p_afford * 2.0)
     cache = {}
-    a = encode_observation(env, assets.demo, assets.styles, 32, 0, cache)
-    b = encode_observation(env2, assets.demo, assets.styles, 32, 0, cache)
+    a = encode_observation([env], assets.demo, assets.styles, 32, 0, cache)
+    b = encode_observation([env2], assets.demo, assets.styles, 32, 0, cache)
     assert np.allclose(a.clouds, b.clouds, atol=1e-12)
     assert np.allclose(a.p_afford_rel, b.p_afford_rel, atol=1e-12)
     assert b.obj_bb[0, 0] == pytest.approx(2.0 * a.obj_bb[0, 0])
@@ -82,13 +83,37 @@ def test_encode_fps_cache_reused(assets):
     env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
                     np.random.default_rng(2), False, spec=assets.spec)
     cache = {}
-    a = encode_observation(env, assets.demo, assets.styles, 32, 7, cache)
+    a = encode_observation([env, env], assets.demo, assets.styles, 32, 7, cache)
     assert list(cache) == [(obj.name, 32, 7)]
     first = cache[(obj.name, 32, 7)]
-    b = encode_observation(env, assets.demo, assets.styles, 32, 7, cache)
-    # one encoded, read-only table entry that every observation of the object shares
-    assert cache[(obj.name, 32, 7)] is first and a.clouds is first and b.clouds is first
+    b = encode_observation([env], assets.demo, assets.styles, 32, 7, cache)
+    # one encoded, read-only table entry: a chunk's table holds it once,
+    # and an episode's row is a batch of one over the cached array itself
+    assert cache[(obj.name, 32, 7)] is first and cloud_entry(obj, 32, 7, cache) is first
+    assert a.cloud_index.tolist() == [0, 0] and np.array_equal(a.clouds, first) and np.array_equal(b.clouds, first)
+    row = a.row(1, first)
+    assert row.clouds is first and row.size == 1 and np.array_equal(row.s_r, b.s_r)
     assert not first.flags.writeable
+
+
+def test_encode_rows_do_not_depend_on_their_chunk(assets):
+    """A chunk's row has the bits of the env's chunk of one, over a table
+    that holds each object's entry once, first seen first."""
+    rng = np.random.default_rng(3)
+    envs = []
+    for _ in range(9):
+        obj = assets.objects[int(rng.integers(len(assets.objects)))]
+        envs.append(reset_env(obj, assets.afford_dists[obj.name], assets.styles, rng, True, spec=assets.spec))
+    cache = {}
+    chunk = encode_observation(envs, assets.demo, assets.styles, 32, 0, cache)
+    names = list(dict.fromkeys(env.obj.name for env in envs))
+    assert [names[k] for k in chunk.cloud_index] == [env.obj.name for env in envs]
+    for k, env in enumerate(envs):
+        alone = encode_observation([env], assets.demo, assets.styles, 32, 0, cache)
+        for field in dataclasses.fields(ObsBatch):
+            if field.name != "cloud_index":
+                got = getattr(chunk[np.array([k])], field.name)
+                assert np.array_equal(got, getattr(alone, field.name)) and got.dtype == getattr(alone, field.name).dtype
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +213,20 @@ def test_squash_within_bounds_bulk():
 
 def test_sample_action_deterministic_limit(small_params):
     bounds = EditBounds()
-    mean = np.random.default_rng(10).normal(size=13) * 0.3
-    sample = sample_action(mean, np.full(13, -40.0), bounds, 6, np.random.default_rng(0))
+    mean = np.random.default_rng(10).normal(size=(3, 13)) * 0.3
+    sample = sample_action(mean, np.full(13, -40.0), bounds, 6, np.random.default_rng(0).standard_normal((3, 13)))
     lo, hi = bounds.intervals(6)
-    assert np.allclose(sample.action.to_vector(), squash(mean, lo, hi), atol=1e-12)
+    assert np.allclose(sample.action, squash(mean, lo, hi), atol=1e-12)
 
 
 def test_sample_action_empirical_mean():
     bounds = EditBounds()
     rng = np.random.default_rng(11)
-    mean = np.full(13, 0.2)
-    log_std = np.full(13, -1.0)
     n = 100_000
-    raws = mean + np.exp(log_std) * rng.standard_normal((n, 13))
-    err = np.abs(raws.mean(axis=0) - mean)
+    mean = np.full((n, 13), 0.2)
+    log_std = np.full(13, -1.0)
+    raws = sample_action(mean, log_std, bounds, 6, rng.standard_normal((n, 13))).raw
+    err = np.abs(raws.mean(axis=0) - mean[0])
     assert np.all(err < 3 * np.exp(-1.0) / np.sqrt(n))
 
 
@@ -210,13 +235,13 @@ def test_log_prob_self_consistency(small_params, assets):
     rng = np.random.default_rng(12)
     obs = _random_obs(rng)
     mean, log_std, _, _ = policy_forward(small_params, obs)
-    sample = sample_action(mean[0], log_std, bounds, 6, rng)
+    sample = sample_action(mean, log_std, bounds, 6, rng.standard_normal(mean.shape))
     lo, hi = bounds.intervals(6)
-    assert np.array_equal(sample.action.to_vector(), squash(sample.raw, lo, hi))
+    assert np.array_equal(sample.action, squash(sample.raw, lo, hi))
     # the update's batched log-prob of the stored raw sample, from a fresh forward pass
     mean2, log_std2, _, _ = policy_forward(small_params, ObsBatch.concat([obs, obs]))
-    recomputed, _, _ = log_prob_of_raw(mean2, log_std2, np.stack([sample.raw] * 2), bounds, 6)
-    assert recomputed == pytest.approx([sample.log_prob] * 2, abs=1e-9)
+    recomputed, _, _ = log_prob_of_raw(mean2, log_std2, np.concatenate([sample.raw] * 2), bounds, 6)
+    assert recomputed == pytest.approx([sample.log_prob[0]] * 2, abs=1e-9)
 
 
 def test_log_prob_closed_form():

@@ -440,7 +440,7 @@ def _fixture_env(assets, style_index=0):
 
 def test_identity_rollout_succeeds_on_fixture(box_assets, demo, spec, styles):
     env = _fixture_env(box_assets)
-    (rec,) = rollout_batch([env], demo, [EditAction.identity(spec.joint_count)], spec, styles)
+    (rec,) = rollout_batch([env], demo, [EditAction.identity(spec.joint_count).to_vector()], spec, styles)
     assert rec.success
     assert np.all(np.isfinite(rec.d_series))
     assert rec.executed_style == 0
@@ -454,7 +454,7 @@ def test_rollout_far_action_fails(box_assets, demo, spec, styles):
 
     action = EditAction(dt=np.array([0.10, 0.10, 0.10]), dr=AxisAngle(np.zeros(3)),
                         dq=np.zeros(6), k=1.0)
-    (rec,) = rollout_batch([env], demo, [action], spec, styles)
+    (rec,) = rollout_batch([env], demo, [action.to_vector()], spec, styles)
     assert not rec.success
 
 
@@ -463,8 +463,8 @@ def test_rollout_purity(box_assets, demo, spec, styles):
     env2 = _fixture_env(box_assets)
     a = EditAction(dt=np.array([0.01, -0.01, 0.0]), dr=EditAction.identity(6).dr,
                    dq=np.full(6, 0.02), k=1.1)
-    (r1,) = rollout_batch([env1], demo, [a], spec, styles)
-    (r2,) = rollout_batch([env2], demo, [a], spec, styles)
+    (r1,) = rollout_batch([env1], demo, [a.to_vector()], spec, styles)
+    (r2,) = rollout_batch([env2], demo, [a.to_vector()], spec, styles)
     assert r1.success == r2.success
     assert np.array_equal(r1.d_series, r2.d_series)
     assert np.array_equal(r1.q_final, r2.q_final)
@@ -476,7 +476,7 @@ def test_rollout_record_invariants(box_assets, demo, spec, styles):
     envs, actions = [], []
     for i in range(15):
         envs.append(_fixture_env(box_assets, style_index=int(rng.integers(4))))
-        actions.append(EditAction.from_vector(rng.uniform(lo, hi), spec.joint_count))
+        actions.append(rng.uniform(lo, hi))
     for rec in rollout_batch(envs, demo, actions, spec, styles):
         assert rec.d_series.shape == (demo.horizon + 1,)
         assert rec.d_min <= rec.d_final + 1e-15
@@ -505,7 +505,7 @@ def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
     g = Pose(t=np.array([0.12, -0.3, 0.0]), r=axis_angle_to_quat(np.array([0, 0, 1.1])))
     env_b = EnvState(obj=obj, object_pose=g, condition=base_cond)
     (ra, rb), (_, hit, points, normals) = _rollout_with_tables(
-        sim.detect_contacts, [env_a, env_b], demo, [action, action], spec, styles)
+        sim.detect_contacts, [env_a, env_b], demo, [action.to_vector()] * 2, spec, styles)
     assert ra.success == rb.success
     assert np.allclose(ra.d_series, rb.d_series, atol=1e-9)
     assert np.array_equal(hit[0], hit[1]) and hit[0].any()
@@ -525,7 +525,7 @@ def test_crush_rule_triggers(box_assets, spec, styles, demo):
 
     action = EditAction(dt=np.array([-0.06, 0.0, 0.0]), dr=AxisAngle(np.zeros(3)),
                         dq=np.zeros(6), k=1.0)
-    (rec,) = rollout_batch([env], demo, [action], spec, styles)
+    (rec,) = rollout_batch([env], demo, [action.to_vector()], spec, styles)
     assert not rec.success
     assert rec.crushed
     assert rec.failure_reason == "crush"

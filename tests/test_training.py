@@ -25,7 +25,7 @@ from fungrasp.training import (
     train,
 )
 
-from conftest import with_arrays
+from conftest import poison_cloud_of, with_arrays
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +311,6 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
     sample to the PPO batch, and leaves every other episode unchanged bit
     for bit."""
     import fungrasp.training as tr
-    from fungrasp.geometry import transform_point
 
     def run(indices):
         return tr.run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True)
@@ -319,17 +318,10 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
     # run() draws the same episodes as the batch of iteration 0 (seed 17, stream 1)
     reference = collect_batch(tiny_params, tiny_cfg, assets, 0)
     poisoned = reference.results[2].p_afford_world
-    real = tr.encode_observation
-
-    def fragile(env, *args):
-        if np.array_equal(transform_point(env.object_pose, env.condition.p_afford), poisoned):
-            raise tr.PolicyError("non-finite observation field cloud")
-        return real(env, *args)
-
-    monkeypatch.setattr(tr, "encode_observation", fragile)
+    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, poisoned))
     got = run(range(6))
     bad = got[2]
-    assert bad.error == "PolicyError: non-finite observation field cloud"
+    assert bad.error == "PolicyError: non-finite observation field clouds"
     assert bad.reward == 0.0 and bad.record is None and bad.terms is None
     assert bad.obs is None and bad.raw is None and bad.action_vec is None
     ref = reference.results[2]

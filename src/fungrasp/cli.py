@@ -131,7 +131,10 @@ def _build_train_config(args, cfg_file) -> TrainConfig:
 
 def _out_dir(args, cfg_file, default="runs/out") -> Path:
     out = Path(_resolve(args, cfg_file, "out", default))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:        # exist_ok: the path exists and is no directory
+        raise NotADirectoryError(f"output path exists and is not a directory: {out}") from None
     return out
 
 

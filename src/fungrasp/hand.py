@@ -304,14 +304,18 @@ def normalize_joints(spec: HandSpec, q) -> np.ndarray:
     return (q - spec.limits_lo) / (spec.limits_hi - spec.limits_lo)
 
 
-def classify_style(spec: HandSpec, q_final, styles: Sequence[Style]) -> int:
-    """Nearest canonical style in limit-normalized joint space.
+def classify_style(spec: HandSpec, q_final, styles: Sequence[Style]) -> np.ndarray:
+    """Index of the nearest canonical style in limit-normalized joint
+    space, for each joint vector of q_final (..., J).
 
     Normalization keeps wide-range joints from dominating the metric.
-    Ties break toward the lowest index.
+    Ties break toward the lowest index. Each distance is the 1-D norm of
+    one vector's difference to one style, whose bits an axis=-1 norm
+    does not keep, so near-ties break as for one vector alone.
     """
     if not styles:
         raise HandError("classify_style needs at least one style")
     qn = normalize_joints(spec, q_final)
-    dists = [float(np.linalg.norm(qn - normalize_joints(spec, s.q_canonical))) for s in styles]
-    return int(np.argmin(dists))
+    diff = qn[..., None, :] - normalize_joints(spec, np.stack([s.q_canonical for s in styles]))
+    dists = np.array([np.linalg.norm(d) for d in diff.reshape(-1, spec.joint_count)])
+    return np.argmin(dists.reshape(diff.shape[:-1]), axis=-1)

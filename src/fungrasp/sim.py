@@ -476,6 +476,7 @@ def rollout_batch(
         hit, points, normals, mask, envs, params.mu, params.eta, table_collision=table | crushed,
     )
 
+    executed_style = classify_style(spec, joints[:, -1], styles).tolist()
     records = []
     for i in range(e_count):
         failure_reason = None
@@ -486,12 +487,11 @@ def rollout_batch(
             log.warning("episode failed: non-finite contact geometry")
         elif not success[i]:
             failure_reason = "table_collision" if table[i] else "no_closure"
-        q_final = joints[i, -1]
         records.append(RolloutRecord(
             d_series=d_series[i],
-            q_final=q_final,
+            q_final=joints[i, -1],
             q_star=q_star[i],
-            executed_style=classify_style(spec, q_final, styles),
+            executed_style=executed_style[i],
             table_collision=bool(table[i]),
             failure_reason=failure_reason,
         ))

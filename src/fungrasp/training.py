@@ -49,6 +49,14 @@ reward and no sample in the PPO batch.
 Degenerate contact geometry is the rollout's own "degenerate" outcome,
 not an error. Any other exception propagates, and a run in which every
 episode errors raises PolicyError.
+
+BLAS threads: each pool worker runs OpenBLAS on one thread, since the
+workers already share the cores between them. While a process pool
+(workers > 1) is open, the main process runs on one thread too, so that
+no idle BLAS helper of the update spins on a core a worker needs; close
+restores the count that was in force when the pool opened. With
+workers == 1 there is no pool process, and the caller's setting is left
+alone.
 """
 
 from __future__ import annotations
@@ -413,10 +421,17 @@ def run_episodes(
 _WORKER_ASSETS: Assets | None = None
 
 
-def _pin_blas_threads(n: int) -> None:
-    """Set the thread count of the OpenBLAS that numpy loaded, through
-    its own set-num-threads entry point. Logs at debug level and does
-    nothing when no such library or symbol is mapped in this process."""
+# (prefix, suffix) of the OpenBLAS builds' get/set_num_threads entry points
+_OPENBLAS_NAMINGS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+def _pin_blas_threads(n: int) -> int | None:
+    """Run the OpenBLAS that numpy loaded on n threads, through its own
+    get/set-num-threads entry points, and return the count it had. The
+    set runs only when that count differs from n: setting the count
+    restarts OpenBLAS's thread server. Returns None, and logs at debug
+    level, when no such library or entry point is mapped in this
+    process."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
@@ -424,20 +439,25 @@ def _pin_blas_threads(n: int) -> None:
         libs = []
     for path in libs:
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                fn(n)
-                return
-    log.debug("no OpenBLAS set-num-threads entry point found; BLAS threads left as they are")
+        for prefix, suffix in _OPENBLAS_NAMINGS:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            previous = get()
+            if previous != n:
+                set_(n)
+            return previous
+    log.debug("no OpenBLAS get/set-num-threads entry points found; BLAS threads left as they are")
+    return None
 
 
 def _pool_init(assets: Assets):
     """Worker set-up: the shared assets (and with them the worker's cloud
-    cache), and one BLAS thread, since the workers already share the
-    cores between them."""
+    cache), and one BLAS thread. A worker forked from the pinned main
+    process already has one; a spawned one sets it here."""
     global _WORKER_ASSETS
     _WORKER_ASSETS = assets
     _pin_blas_threads(1)
@@ -453,13 +473,21 @@ def _pool_chunk(args):
 
 class EpisodePool:
     """Bulk-synchronous episode runner; workers share read-only assets.
-    Every episode of training and evaluation runs through `run`."""
+    Every episode of training and evaluation runs through `run`.
+
+    With workers > 1 the episodes run in a process pool. Each worker runs
+    OpenBLAS on one thread, and so does the main process from here until
+    `close`, which restores the count in force when the pool opened.
+    With workers == 1 the episodes run in the calling process, and its
+    BLAS threads are left as the caller set them."""
 
     def __init__(self, workers: int, assets: Assets):
         self.workers = max(1, int(workers))
         self.assets = assets
         self._ex = None
+        self._blas_threads = None      # the main process's count before the pin
         if self.workers > 1:
+            self._blas_threads = _pin_blas_threads(1)
             self._ex = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_pool_init, initargs=(assets,)
             )
@@ -490,6 +518,9 @@ class EpisodePool:
         if self._ex is not None:
             self._ex.shutdown()
             self._ex = None
+        if self._blas_threads is not None:
+            _pin_blas_threads(self._blas_threads)
+            self._blas_threads = None
 
     def __enter__(self):
         return self

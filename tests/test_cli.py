@@ -27,6 +27,13 @@ def test_missing_config_exits_1(capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
+def test_out_path_that_is_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["train", "--seed", "1", "--out", str(out)]) == 1
+    assert f"output path exists and is not a directory: {out}" in capsys.readouterr().err
+
+
 def test_train_requires_seed(capsys):
     assert main(["train"]) == 1
     assert "seed" in capsys.readouterr().err

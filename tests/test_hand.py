@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fungrasp.assets import default_hand_path, default_styles_path
 from fungrasp.geometry import Pose, compose_pose, identity_pose, transform_point
 from fungrasp.hand import (
     HandError,
@@ -183,6 +184,35 @@ def test_classify_perturbation_below_half_gap(spec, styles):
             step = step / np.linalg.norm(step) * (0.9 * half_gap)
             q = s.q_canonical + step * span  # step is in normalized units
             assert classify_style(spec, q, styles) == s.index
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_classify_matches_per_style_formula(hand):
+    """classify_style picks what the per-style formula picks, on random
+    joint vectors and on points of the bisector of every pair of styles,
+    where a distance that lost a bit flips the near-tie (an axis=-1 or
+    einsum norm fails here); a vector gets the same style alone and among
+    the others."""
+    spec = load_hand_spec(default_hand_path(hand))
+    styles = load_styles(default_styles_path(hand), spec)
+
+    def per_style(q):
+        qn = normalize_joints(spec, q)
+        return int(np.argmin([float(np.linalg.norm(qn - normalize_joints(spec, s.q_canonical))) for s in styles]))
+
+    rng = np.random.default_rng(11)
+    span = spec.limits_hi - spec.limits_lo
+    qs = list(rng.uniform(spec.limits_lo - 0.1 * span, spec.limits_hi + 0.1 * span, (200, spec.joint_count)))
+    canon = [normalize_joints(spec, s.q_canonical) for s in styles]
+    for i, a in enumerate(canon):
+        for b in canon[i + 1 :]:
+            u = (b - a) / np.linalg.norm(b - a)
+            for _ in range(20):
+                v = 0.1 * rng.normal(size=spec.joint_count)
+                qs.append(spec.limits_lo + (0.5 * (a + b) + v - v.dot(u) * u) * span)
+    expected = [per_style(q) for q in qs]
+    assert [classify_style(spec, q, styles) for q in qs] == expected
+    assert classify_style(spec, np.stack(qs), styles).tolist() == expected
 
 
 def test_classify_permutation_invariant_value(spec, styles):

@@ -425,28 +425,91 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
     assert [r.reward for r in third] == [r.reward for r in first]
 
 
-def test_pin_blas_threads_sets_one_thread():
+# Run in a fresh interpreter with OPENBLAS_NUM_THREADS=2, after numpy has
+# loaded OpenBLAS: blas_threads() reads its thread count (None when no
+# OpenBLAS is mapped), and the script prints one JSON object.
+_BLAS_PRELUDE = (
+    "import ctypes, json\n"
+    "import fungrasp.training as tr\n"
+    "libs = {l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l.lower() and '/' in l}\n"
+    "gets = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads64_', None) for p in libs]\n"
+    "gets = [g for g in gets if g is not None]\n"
+    "def blas_threads():\n"
+    "    return gets[0]() if gets else None\n"
+)
+
+
+def _run_with_two_blas_threads(code: str) -> dict:
+    import os
     import subprocess
     import sys
-
-    code = (
-        "import ctypes, logging\n"
-        "logging.basicConfig(level=logging.DEBUG)\n"
-        "from fungrasp.training import _pin_blas_threads\n"
-        "_pin_blas_threads(1)\n"
-        "libs = {l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l.lower() and '/' in l}\n"
-        "get = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads64_', None) for p in libs]\n"
-        "get = [g for g in get if g is not None]\n"
-        "print(get[0]() if get else 'absent')\n"
-    )
-    import os
     from pathlib import Path
 
     import fungrasp
 
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(Path(fungrasp.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() in ("1", "absent"), out.stderr
+    out = subprocess.run(
+        [sys.executable, "-c", _BLAS_PRELUDE + code], capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    seen = json.loads(out.stdout.strip().splitlines()[-1])
+    if seen.pop("absent"):
+        pytest.skip("no OpenBLAS get-num-threads entry point mapped")
+    return seen
+
+
+def test_pin_blas_threads_sets_one_thread():
+    """The helper returns the count it found and sets n only when that
+    count differs: a second call with the same n calls no set."""
+    seen = _run_with_two_blas_threads(
+        "sets = []\n"
+        "real_cdll = ctypes.CDLL\n"
+        "class SpyCDLL:\n"
+        "    def __init__(self, path):\n"
+        "        self.lib = real_cdll(path)\n"
+        "    def __getattr__(self, name):\n"
+        "        fn = getattr(self.lib, name)\n"
+        "        if 'set_num_threads' not in name:\n"
+        "            return fn\n"
+        "        def spy(n):\n"
+        "            sets.append(n)\n"
+        "            return fn(n)\n"
+        "        return spy\n"
+        "ctypes.CDLL = SpyCDLL\n"
+        "first = tr._pin_blas_threads(1)\n"
+        "after_first = blas_threads()\n"
+        "second = tr._pin_blas_threads(1)\n"
+        "print(json.dumps({'absent': not gets, 'first': first, 'after_first': after_first,\n"
+        "                  'second': second, 'now': blas_threads(), 'sets': sets}))\n"
+    )
+    assert seen == {"first": 2, "after_first": 1, "second": 1, "now": 1, "sets": [1]}
+
+
+def test_process_pool_pins_the_main_process_to_one_blas_thread():
+    """While a process pool is open the main process and each worker run
+    OpenBLAS on one thread; close restores the caller's count, also when
+    the with-block raised; a one-worker pool leaves the count alone."""
+    seen = _run_with_two_blas_threads(
+        "from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path\n"
+        "assets = tr.load_assets(default_hand_path(), default_styles_path(), default_demo_path())\n"
+        "seen = {'absent': not gets, 'before': blas_threads()}\n"
+        "with tr.EpisodePool(2, assets) as pool:\n"
+        "    seen['open'] = blas_threads()\n"
+        "    seen['worker'] = pool._ex.submit(tr._pin_blas_threads, 1).result()\n"
+        "seen['closed'] = blas_threads()\n"
+        "try:\n"
+        "    with tr.EpisodePool(2, assets):\n"
+        "        seen['open_again'] = blas_threads()\n"
+        "        raise RuntimeError('inside the pool')\n"
+        "except RuntimeError:\n"
+        "    pass\n"
+        "seen['after_raise'] = blas_threads()\n"
+        "with tr.EpisodePool(1, assets):\n"
+        "    seen['one_worker'] = blas_threads()\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert seen == {
+        "before": 2, "open": 1, "worker": 1, "closed": 2, "open_again": 1, "after_raise": 2, "one_worker": 2,
+    }
 
 
 def test_bandit_learns_fast():

@@ -136,7 +136,10 @@ def _read_ply(path: Path):
         elif tok[0] == "element":
             in_vertex = tok[1] == "vertex"
             if in_vertex:
-                n_vertex = int(tok[2])
+                count = tok[2] if len(tok) > 2 else ""
+                if not (count.isascii() and count.isdigit()):
+                    raise ObjectError(f"{path}:{i}: vertex count must be a non-negative integer, got {count!r}")
+                n_vertex = int(count)
         elif tok[0] == "property" and in_vertex:
             props.append(tok[-1])
         elif tok[0] == "end_header":
@@ -159,7 +162,7 @@ def _read_ply(path: Path):
             rows.append([float(v) for v in vals[: len(props)]])
         except ValueError as e:
             raise ObjectError(f"{path}:{i + ln + 1}: {e}") from e
-    arr = np.array(rows)
+    arr = np.array(rows, dtype=float).reshape(n_vertex, len(props))
     cols = {p: arr[:, j] for j, p in enumerate(props)}
     points = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
     normals = None

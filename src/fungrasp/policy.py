@@ -26,8 +26,11 @@ gradient summed per entry before it is routed back through the pool.
 The parameters live in one float64 vector, PolicyParams.flat, laid out
 as param_shapes lists the 17 arrays, each stored C-order. Each named
 array (params.pb_w1 ... params.v_b3) is a read-only view into flat, so
-an update builds a new vector; policy_backward's gradient and Adam's
-moments are vectors in the same layout.
+no reader can write through a PolicyParams. The PPO update builds one
+over its private copy of the vector, which only it steps in place (see
+training.ppo_update). policy_backward's gradient and Adam's moments are
+vectors in the same layout; policy_backward can fill a caller's vector
+through views the caller builds once.
 
 A batch of one and the rows of a batch round differently in the trunk:
 numpy gives a one-row product to gemv and a many-row one to gemm. The
@@ -422,9 +425,13 @@ def policy_backward(
     d_mean: np.ndarray,
     d_value: np.ndarray,
     d_log_std: np.ndarray,
-) -> np.ndarray:
+    out: dict[str, np.ndarray] | None = None,
+) -> np.ndarray | None:
     """Exact reverse-mode gradients, summed over the batch, as one vector
-    in the layout of params.flat.
+    in the layout of params.flat: a new vector, which is returned, or,
+    with out, the caller's vector whose param_views out holds (None is
+    returned). Every slot of the vector is assigned, so a reused one
+    needs no zeroing, and its views are built once by its owner.
 
     Upstream gradients are per-sample (B, A) / (B,); a duplicated batch
     row therefore contributes its gradient twice, and the rows that
@@ -433,8 +440,11 @@ def policy_backward(
     sigma-derivatives, entropy bonus) and is masked by the [-5, 1]
     clamp.
     """
-    flat = np.zeros_like(params.flat)
-    g = param_views(flat, params.style_count, params.joint_count)
+    flat = None
+    if out is None:
+        flat = np.empty_like(params.flat)
+        out = param_views(flat, params.style_count, params.joint_count)
+    g = out
     # actor head and trunk
     g["mean_w"][...] = cache.aa2.T @ d_mean
     g["mean_b"][...] = d_mean.sum(axis=0)

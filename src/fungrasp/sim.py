@@ -10,12 +10,14 @@ rollout_batch scores E episodes at once; one episode is a batch of
 one. Joint targets, joint trajectories, wrist edits and FK run once over
 all E x (T_D + 1) frames. The contact phase (detect_contacts) then works
 in each episode's object frame: one inverse rotation maps the sphere
-centers of frames 0..T_l (nothing reads later frames) into it, a
-bounding-box test drops spheres too far from the cloud to matter, and
-one _nearest call per object answers the kept spheres of every episode
-on that object. What comes out is one contact table of fixed shape:
-hit (E, F), points and normals (E, F, 3), each finger's deepest hit in
-the world frame and a zero row where it has none. Everything after it
+centers of frames 0..T_l (nothing reads later frames) into it, and a
+bounding-box test drops spheres too far from the cloud to matter. Per
+object, one _nearest call answers the kept spheres of the grasp frame
+and the last approach frame of every episode on that object, and a
+second one the earlier approach frames of only the episodes that the
+last approach frame did not crush. What comes out is one contact table
+of fixed shape: hit (E, F), points and normals (E, F, 3), each finger's
+deepest hit in the world frame and a zero row where it has none. Everything after it
 is an array expression over the chunk, with (E, F) bool contact masks
 in place of finger lists: the style contact point and d_series, the
 contact centroid, the gravity wrench and the friction-pyramid
@@ -208,6 +210,13 @@ def _nearest(centers: np.ndarray, pts: np.ndarray):
     return idx, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+def _crushing(obj: ObjectModel, rows: np.ndarray, found: np.ndarray, crush_gap: np.ndarray) -> np.ndarray:
+    """Which query rows (object-frame sphere centers, their matched cloud
+    indices and each one's crush_gap) sit deeper below the matched
+    point's surface than their crush_gap allows."""
+    return np.einsum("ij,ij->i", rows - obj.points[found], obj.normals[found]) < crush_gap
+
+
 def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_index, tl: int, params: SimParams):
     """Crush test over frames 0..tl-1 and sphere-vs-cloud contacts at
     frame tl, for the (E, > tl, K, 3) world-frame sphere centers of E
@@ -218,16 +227,26 @@ def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_ind
     outward normal of its deepest sphere within the shell radius +
     params.delta_c, in the world frame, and a zero row where the finger
     has no hit.
+
+    Per object, a first _nearest call takes frame tl and the last
+    approach frame, tl-1, of every episode on it, the frame where a
+    crushing approach shows most often. A second call takes frames
+    0..tl-2 of only the episodes that frame left uncrushed. A query
+    row's answer does not depend on the other rows, so the table is the
+    one a single query of every frame gives.
     """
     e_count = len(envs)
+    k_count = centers.shape[2]
     pose_t = np.stack([env.object_pose.t for env in envs])
     pose_r = np.stack([env.object_pose.r for env in envs])
     local = quat_rotate(quat_conjugate(pose_r)[:, None, None], centers[:, : tl + 1] - pose_t[:, None, None])
-    dist = np.full(local.shape[:3], np.inf)
-    gap = np.full(local.shape[:3], np.inf)
-    idx = np.zeros(local.shape[:3], dtype=np.intp)
-    grasp_pts = np.empty((e_count, local.shape[2], 3))  # each grasp-frame sphere's cloud point
-    grasp_nrm = np.empty((e_count, local.shape[2], 3))  # and its normal, object frame
+    crushed = np.zeros(e_count, dtype=bool)
+    dist_tl = np.empty((e_count, k_count))           # each grasp-frame sphere's distance,
+    grasp_pts = np.empty((e_count, k_count, 3))      # its cloud point
+    grasp_nrm = np.empty((e_count, k_count, 3))      # and that point's normal, object frame
+    # crush: a sphere center driven past the surface by more than
+    # (crush_factor - 1) x radius during the approach
+    crush_gap = radii * (1.0 - params.crush_factor)
     # crush and contacts only need spheres near the cloud: quick-reject
     # everything outside its bounding box grown by radius + shell
     margin = radii.max() + params.delta_c + 1e-9
@@ -236,24 +255,34 @@ def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_ind
         groups.setdefault(id(env.obj), []).append(i)
     for members in groups.values():
         obj = envs[members[0]].obj
-        sph = local[members]
-        near = np.all((sph >= obj.points.min(axis=0) - margin) & (sph <= obj.points.max(axis=0) + margin), axis=-1)
-        near[:, tl] = True  # the grasp frame always gets exact contacts
+        members = np.asarray(members)
+        lo, hi = obj.points.min(axis=0) - margin, obj.points.max(axis=0) + margin
+        first = max(tl - 1, 0)
+        sph = local[members, first:]                   # frames tl-1 (if any) and tl
+        near = np.all((sph >= lo) & (sph <= hi), axis=-1)
+        near[:, -1] = True  # the grasp frame always gets exact contacts
         rows = sph[near]
         found, d = _nearest(rows, obj.points)
         a, t, k = np.nonzero(near)
-        at = (np.asarray(members)[a], t, k)
-        dist[at] = d
-        gap[at] = np.einsum("ij,ij->i", rows - obj.points[found], obj.normals[found])
-        idx[at] = found
-        grasp_pts[members] = obj.points[idx[members, tl]]
-        grasp_nrm[members] = obj.normals[idx[members, tl]]
-    # crush: a sphere center driven past the surface by more than
-    # (crush_factor - 1) x radius during the approach
-    crushed = np.any(gap[:, :tl] < radii * (1.0 - params.crush_factor), axis=(1, 2))
+        grasp = t == tl - first
+        dist_tl[members] = d[grasp].reshape(-1, k_count)
+        grasp_pts[members] = obj.points[found[grasp]].reshape(-1, k_count, 3)
+        grasp_nrm[members] = obj.normals[found[grasp]].reshape(-1, k_count, 3)
+        app = ~grasp
+        crushed[members[a[app][_crushing(obj, rows[app], found[app], crush_gap[k[app]])]]] = True
+        rest = members[~crushed[members]]
+        if tl < 2 or not rest.size:
+            continue
+        sph = local[rest, : tl - 1]
+        near = np.all((sph >= lo) & (sph <= hi), axis=-1)
+        if near.any():
+            rows = sph[near]
+            found, _ = _nearest(rows, obj.points)
+            a, _, k = np.nonzero(near)
+            crushed[rest[a[_crushing(obj, rows, found, crush_gap[k])]]] = True
 
     # per finger, its deepest in-shell sphere; ties go to the lowest sphere
-    dist_tl = dist[:, tl, None]
+    dist_tl = dist_tl[:, None]
     own = finger_index == np.arange(finger_index.max() + 1)[:, None]  # (F, K)
     cand = own & (dist_tl <= radii + params.delta_c)  # (E, F, K)
     best = np.where(cand, radii - dist_tl, -np.inf).argmax(axis=2)
@@ -439,8 +468,9 @@ def rollout_batch(
     contact phase (detect_contacts) maps the sphere centers of frames
     0..T_l into each episode's object frame with one inverse rotation,
     keeps those inside the cloud's grown bounding box (and every
-    grasp-frame sphere), makes one _nearest call per object for all its
-    episodes, takes the crush gap in the object frame, and returns the
+    grasp-frame sphere), queries per object the grasp and last approach
+    frames of all its episodes and then the earlier frames of those not
+    yet crushed, takes the crush gap in the object frame, and returns the
     (E, F) contact table of each finger's deepest hit, rotated back to
     the world frame. The closure LPs of every grasp that gets that far
     run as one stacked simplex (grasp_success_batch).

@@ -22,11 +22,12 @@ through three phases:
    episodes' EpisodeResults.
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
    wrist edits and FK at once; one contact phase in the object frame,
-   with one nearest-point query per object for every episode of the
-   chunk on it, that yields one (E, F) contact table (each finger's
-   deepest hit, or a zero row); the wrenches, gravity loads and
-   d_series as array expressions over that table; one stacked closure
-   LP (see sim).
+   with per object one nearest-point query of the grasp frame and the
+   last approach frame for every episode of the chunk on it, and one of
+   the earlier approach frames for the episodes that frame did not
+   crush, that yields one (E, F) contact table (each finger's deepest
+   hit, or a zero row); the wrenches, gravity loads and d_series as
+   array expressions over that table; one stacked closure LP (see sim).
 3. Per episode: the rollout's record and its reward terms complete the
    result.
 
@@ -50,11 +51,19 @@ Degenerate contact geometry is the rollout's own "degenerate" outcome,
 not an error. Any other exception propagates, and a run in which every
 episode errors raises PolicyError.
 
+The update (ppo_update) owns its buffers. It copies the incoming
+parameter vector and Adam moments once, steps those copies in place
+minibatch by minibatch (adam_step) and hands them back as a new
+PolicyParams and AdamState; policy_backward fills one gradient vector
+that the update allocates once. The caller's params and state are never
+written, so an aborted update simply returns them.
+
 BLAS threads: each pool worker runs OpenBLAS on one thread, since the
 workers already share the cores between them. While a process pool
 (workers > 1) is open, the main process runs on one thread too, so that
 no idle BLAS helper of the update spins on a core a worker needs; close
-restores the count that was in force when the pool opened. With
+restores the count that was in force when the pool opened. run_bandit
+runs on one thread for the length of the call in the same way. With
 workers == 1 there is no pool process, and the caller's setting is left
 alone.
 """
@@ -67,7 +76,7 @@ import json
 import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,6 +99,7 @@ from .policy import (
     init_params,
     log_prob_of_raw,
     observation_checks,
+    param_views,
     policy_backward,
     policy_forward,
     row_errors,
@@ -454,6 +464,18 @@ def _pin_blas_threads(n: int) -> int | None:
     return None
 
 
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside the block; on leaving it, also by an
+    exception, the count that was in force when it was entered."""
+    previous = _pin_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _pin_blas_threads(previous)
+
+
 def _pool_init(assets: Assets):
     """Worker set-up: the shared assets (and with them the worker's cloud
     cache), and one BLAS thread. A worker forked from the pinned main
@@ -485,12 +507,12 @@ class EpisodePool:
         self.workers = max(1, int(workers))
         self.assets = assets
         self._ex = None
-        self._blas_threads = None      # the main process's count before the pin
+        self._open = ExitStack()       # closed in reverse: the executor, then the pin
         if self.workers > 1:
-            self._blas_threads = _pin_blas_threads(1)
-            self._ex = ProcessPoolExecutor(
+            self._open.enter_context(_one_blas_thread())
+            self._ex = self._open.enter_context(ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_pool_init, initargs=(assets,)
-            )
+            ))
 
     def run(
         self, params, cfg, seed, stream_key, n_episodes, *, train_mode, mode="policy", force_style=None,
@@ -515,12 +537,8 @@ class EpisodePool:
         return out
 
     def close(self):
-        if self._ex is not None:
-            self._ex.shutdown()
-            self._ex = None
-        if self._blas_threads is not None:
-            _pin_blas_threads(self._blas_threads)
-            self._blas_threads = None
+        self._ex = None
+        self._open.close()
 
     def __enter__(self):
         return self
@@ -570,7 +588,12 @@ def _assemble_batch(results: list[EpisodeResult]) -> Batch:
 
 @dataclass
 class AdamState:
-    m: np.ndarray                  # moments, in the layout of PolicyParams.flat
+    """Adam's moments, in the layout of PolicyParams.flat, and its step
+    count. adam_step updates a state in place; ppo_update works on its
+    own copy of the moments and hands back that copy, so the state a
+    caller passes in is never written."""
+
+    m: np.ndarray
     v: np.ndarray
     step: int = 0
 
@@ -581,18 +604,34 @@ class AdamState:
 
 
 def adam_step(
-    params: PolicyParams, grads: np.ndarray, state: AdamState, lr: float,
+    flat: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
+    scratch: tuple[np.ndarray, np.ndarray],
     beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-) -> tuple[PolicyParams, AdamState]:
-    """One Adam step on params.flat; grads is a gradient vector in the
-    same layout (policy_backward's)."""
-    step = state.step + 1
-    m = beta1 * state.m + (1 - beta1) * grads
-    v = beta2 * state.v + (1 - beta2) * grads * grads
-    m_hat = m / (1 - beta1**step)
-    v_hat = v / (1 - beta2**step)
-    flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return dataclasses.replace(params, flat=flat), AdamState(m=m, v=v, step=step)
+) -> None:
+    """One Adam step in place: flat (a parameter vector), state.m and
+    state.v are updated and state.step is counted up; grads is a gradient
+    vector in the same layout (policy_backward's), and scratch a pair of
+    vectors of that size for the temporaries. The operations run in this
+    order, each rounded once:
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, m^ = m/(1-b1^t),
+    v^ = v/(1-b2^t), flat -= (lr*m^) / (sqrt(v^) + eps)."""
+    s0, s1 = scratch
+    state.step += 1
+    m, v = state.m, state.v
+    np.multiply(m, beta1, out=m)
+    np.multiply(grads, 1 - beta1, out=s0)
+    np.add(m, s0, out=m)
+    np.multiply(grads, 1 - beta2, out=s0)
+    np.multiply(s0, grads, out=s0)
+    np.multiply(v, beta2, out=v)
+    np.add(v, s0, out=v)
+    np.divide(m, 1 - beta1**state.step, out=s0)
+    np.divide(v, 1 - beta2**state.step, out=s1)
+    np.sqrt(s1, out=s1)
+    np.add(s1, eps, out=s1)
+    np.multiply(s0, lr, out=s0)
+    np.divide(s0, s1, out=s0)
+    np.subtract(flat, s0, out=flat)
 
 
 def clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, clip_eps: float):
@@ -616,12 +655,25 @@ def ppo_update(
 ) -> tuple[PolicyParams, AdamState, dict]:
     """Epochs of shuffled-minibatch clipped-surrogate steps.
 
+    The update owns its buffers: one private copy of params.flat, which
+    the minibatches read through the views of one PolicyParams and Adam
+    steps in place; private copies of adam's moments; one gradient
+    vector that every policy_backward call fills; and adam_step's two
+    scratch vectors. It returns that PolicyParams (its flat read-only)
+    and that AdamState; the params and state passed in are never
+    written.
+
     A non-finite loss or non-finite activations abort the iteration and
-    restore the incoming parameters (the batch is discarded).
+    return the incoming params and state (the batch is discarded).
     """
-    snapshot_params, snapshot_adam = params, adam
     e = batch.raw.shape[0]
     joint_count = params.joint_count
+    work = params.flat.copy()
+    current = PolicyParams(work, params.m_points, params.style_count, joint_count)
+    state = AdamState(m=adam.m.copy(), v=adam.v.copy(), step=adam.step)
+    grads = np.empty_like(work)
+    grad_views = param_views(grads, params.style_count, joint_count)
+    scratch = (np.empty_like(work), np.empty_like(work))
     order = np.arange(e)
     clip_hits = 0
     clip_total = 0
@@ -631,7 +683,7 @@ def ppo_update(
             rng.shuffle(order)
             for start in range(0, e, cfg.minibatch):
                 sel = order[start : start + cfg.minibatch]
-                mean, log_std, value, cache = policy_forward(params, batch.obs[sel])
+                mean, log_std, value, cache = policy_forward(current, batch.obs[sel])
                 logp_new, d_mean_lp, d_logstd_lp = log_prob_of_raw(
                     mean, log_std, batch.raw[sel], cfg.bounds, joint_count
                 )
@@ -651,22 +703,22 @@ def ppo_update(
                 d_mean = d_logp[:, None] * d_mean_lp
                 d_value = 2.0 * cfg.value_coef * value_err / n_mb
                 d_log_std = (d_logp[:, None] * d_logstd_lp).sum(axis=0) - cfg.entropy_coef
-                grads = policy_backward(params, cache, d_mean, d_value, d_log_std)
-                params, adam = adam_step(params, grads, adam, cfg.learning_rate)
+                policy_backward(current, cache, d_mean, d_value, d_log_std, out=grad_views)
+                adam_step(work, grads, state, cfg.learning_rate, scratch)
                 clip_hits += int(np.sum(np.abs(ratio - 1.0) > cfg.clip_eps))
                 clip_total += n_mb
                 value_loss_last = float(np.mean(value_err**2))
     except (FloatingPointError, PolicyError) as exc:
         log.error("ppo_update aborted, restoring previous parameters: %s", exc)
-        return snapshot_params, snapshot_adam, {"aborted": str(exc)}
-    log_std = np.clip(params.log_std, LOG_STD_MIN, LOG_STD_MAX)
+        return params, adam, {"aborted": str(exc)}
+    log_std = np.clip(current.log_std, LOG_STD_MIN, LOG_STD_MAX)
     stats = _batch_stats(batch, log_std)
     stats.update(
         clip_fraction=clip_hits / max(1, clip_total),
         entropy=entropy(log_std),
         value_loss=value_loss_last,
     )
-    return params, adam, stats
+    return current, state, stats
 
 
 # episode outcomes, in the order metrics.jsonl and the eval report list them
@@ -836,7 +888,8 @@ def run_bandit(
     """Quadratic one-step task: reward = -|tanh(raw) - a*|^2, optimum 0.
 
     The target a* is a fixed interior point in normalized action space.
-    Re-uses the real ppo_update; returns per-iteration batch mean rewards.
+    Re-uses the real ppo_update, with OpenBLAS on one thread for the
+    length of the call; returns per-iteration batch mean rewards.
     """
     cfg = TrainConfig(
         envs_per_iter=envs,
@@ -864,19 +917,20 @@ def run_bandit(
     )
     adam = AdamState.init(params)
     history = []
-    for it in range(iterations):
-        mean, log_std, value, _ = policy_forward(params, obs_batch)
-        rng_it = episode_rng(seed, STREAM_BANDIT, 2, it)
-        raw = mean + np.exp(log_std) * rng_it.standard_normal(mean.shape)
-        a_norm = np.tanh(raw)
-        rewards = -np.sum((a_norm - a_star) ** 2, axis=1)
-        logp, _, _ = log_prob_of_raw(mean, log_std, raw, cfg.bounds, joint_count)
-        adv = rewards - value
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        batch = Batch(
-            obs=obs_batch, raw=raw, log_prob_old=logp, rewards=rewards,
-            values_old=value, advantages=adv, results=[], episode_errors=0,
-        )
-        params, adam, _ = ppo_update(params, batch, cfg, adam, episode_rng(seed, STREAM_UPDATE, it))
-        history.append(float(rewards.mean()))
+    with _one_blas_thread():
+        for it in range(iterations):
+            mean, log_std, value, _ = policy_forward(params, obs_batch)
+            rng_it = episode_rng(seed, STREAM_BANDIT, 2, it)
+            raw = mean + np.exp(log_std) * rng_it.standard_normal(mean.shape)
+            a_norm = np.tanh(raw)
+            rewards = -np.sum((a_norm - a_star) ** 2, axis=1)
+            logp, _, _ = log_prob_of_raw(mean, log_std, raw, cfg.bounds, joint_count)
+            adv = rewards - value
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+            batch = Batch(
+                obs=obs_batch, raw=raw, log_prob_old=logp, rewards=rewards,
+                values_old=value, advantages=adv, results=[], episode_errors=0,
+            )
+            params, adam, _ = ppo_update(params, batch, cfg, adam, episode_rng(seed, STREAM_UPDATE, it))
+            history.append(float(rewards.mean()))
     return history

@@ -170,6 +170,12 @@ def test_sample_affordance_reads_an_objects_directory(tmp_path, capsys):
     empty.mkdir()
     assert main(["sample-affordance", "--seed", "3", "--objects", str(empty)]) == 1
     assert "no .ply objects" in capsys.readouterr().err
+    (empty / "hollow.ply").write_text(
+        "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+    )
+    assert main(["sample-affordance", "--seed", "3", "--objects", str(empty)]) == 1
+    err = capsys.readouterr().err
+    assert "error: hollow: needs at least" in err and "internal error" not in err
 
 
 def test_flags_override_config(tmp_path, capsys):

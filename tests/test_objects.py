@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,23 @@ def test_ply_parse_errors(tmp_path):
     trunc.write_text("ply\nformat ascii 1.0\nelement vertex 100\nproperty float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n")
     with pytest.raises(ObjectError, match="file ends"):
         load_object(trunc)
+
+
+_XYZ_HEADER = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+
+
+def test_ply_vertex_count_is_checked(tmp_path):
+    """An empty cloud parses and is refused as too small; a count that is
+    not a non-negative integer is an ObjectError that names the file."""
+    empty = tmp_path / "empty.ply"
+    empty.write_text(_XYZ_HEADER.format(0))
+    with pytest.raises(ObjectError, match="needs at least"):
+        load_object(empty)
+    for count in ("-1", "2.5", "many", ""):
+        bad = tmp_path / "count.ply"
+        bad.write_text(_XYZ_HEADER.format(count) + "0 0 0\n0 0 1\n")
+        with pytest.raises(ObjectError, match=re.escape(f"{bad}:3: vertex count must be a non-negative integer")):
+            load_object(bad)
 
 
 def test_toy_suite_contents(objects):

@@ -353,6 +353,23 @@ def test_backward_matches_the_per_row_reference(small_params):
                 assert np.array_equal(got[name], w), name
 
 
+def test_backward_into_a_reused_vector_assigns_every_slot(small_params):
+    """Into the views of a NaN-filled vector, and again into the same
+    vector for another batch, the gradient has the bytes of a fresh
+    call's: every slot is assigned, none is accumulated."""
+    rng = np.random.default_rng(21)
+    out = np.full_like(small_params.flat, np.nan)
+    views = param_views(out, 4, 6)
+    for batch in _reference_batches(rng):
+        _, _, _, cache = policy_forward(small_params, batch)
+        d_mean = rng.normal(size=(batch.size, 13))
+        d_value = rng.normal(size=batch.size)
+        d_ls = rng.normal(size=13)
+        fresh = policy_backward(small_params, cache, d_mean, d_value, d_ls)
+        assert policy_backward(small_params, cache, d_mean, d_value, d_ls, out=views) is None
+        assert out.tobytes() == fresh.tobytes()
+
+
 def test_log_std_clamp_masks_gradient(small_params):
     p = with_arrays(small_params, log_std=LOG_STD_MIN - 1.0)
     rng = np.random.default_rng(17)

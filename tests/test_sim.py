@@ -651,6 +651,39 @@ def test_contact_phase_matches_per_episode_world_frame_reference(hand):
     assert want_tables[1].sum() > 640
 
 
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_crushed_episodes_skip_their_early_approach_frames(hand):
+    """Episodes that crush at the last approach frame send no earlier
+    frame to _nearest, so a chunk with crushed episodes sends fewer rows
+    than it does when nothing can crush; the contact tables and records
+    stay those of the per-episode reference."""
+    assets = hand_assets(hand)
+    envs, actions = seeded_rollout_inputs(assets, 96, seed=31)
+    rows = []
+    real = sim._nearest
+
+    def counted(centers, pts):
+        rows.append(len(centers))
+        return real(centers, pts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_nearest", counted)
+        got, got_tables = _rollout_with_tables(sim.detect_contacts, envs, assets.demo, actions, assets.spec,
+                                               assets.styles)
+        sent = sum(rows)
+        rows.clear()
+        rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, SimParams(crush_factor=np.inf))
+        every_frame = sum(rows)
+    want, want_tables = _rollout_with_tables(reference_contact_phase, envs, assets.demo, actions, assets.spec,
+                                             assets.styles)
+    for g, w in zip(got, want):
+        _assert_same_record(g, w)
+    for g, w in zip(got_tables, want_tables):
+        assert np.array_equal(g, w)
+    assert want_tables[0].sum() >= 5
+    assert sent < every_frame
+
+
 def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
     obj = objects["mug"]
     pose = Pose(t=np.array([0.1, -0.05, 0.0]), r=axis_angle_to_quat(np.array([0.0, 0.0, 0.7])))

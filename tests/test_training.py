@@ -26,6 +26,7 @@ from fungrasp.training import (
 )
 
 from conftest import poison_cloud_of, with_arrays
+from update_reference import reference_adam_step, reference_ppo_update
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +172,82 @@ def test_ppo_update_restores_on_nonfinite_activations(assets, tiny_cfg, tiny_par
 
 
 def test_adam_zero_gradient_is_noop(tiny_params):
+    flat = tiny_params.flat.copy()
     state = AdamState.init(tiny_params)
-    new, state2 = adam_step(tiny_params, np.zeros_like(tiny_params.flat), state, 1e-3)
-    assert np.array_equal(new.flat, tiny_params.flat)
-    assert state2.step == 1
+    adam_step(flat, np.zeros_like(flat), state, 1e-3, (np.empty_like(flat), np.empty_like(flat)))
+    assert np.array_equal(flat, tiny_params.flat)
+    assert state.step == 1 and not state.m.any() and not state.v.any()
+
+
+def test_adam_step_matches_the_allocating_reference(tiny_params):
+    """Five in-place steps, into NaN-filled scratch, give the bytes of
+    the allocating step's params and moments."""
+    rng = np.random.default_rng(5)
+    want_params, want = tiny_params, AdamState.init(tiny_params)
+    flat, state = tiny_params.flat.copy(), AdamState.init(tiny_params)
+    scratch = (np.full_like(flat, np.nan), np.full_like(flat, np.nan))
+    for k in range(5):
+        grads = rng.normal(size=flat.size) * 10.0 ** rng.integers(-6, 2, flat.size)
+        want_params, want = reference_adam_step(want_params, grads, want, 3e-4)
+        adam_step(flat, grads, state, 3e-4, scratch)
+        assert flat.tobytes() == want_params.flat.tobytes()
+        assert state.m.tobytes() == want.m.tobytes() and state.v.tobytes() == want.v.tobytes()
+        assert state.step == want.step == k + 1
+
+
+@pytest.mark.parametrize("size", ["tiny", "96"])
+def test_ppo_update_matches_the_allocating_reference(assets, tiny_cfg, tiny_params, size):
+    """Two consecutive updates give the reference's params, moments,
+    step and stats; the params and state passed in are never written,
+    and the returned vector is read-only."""
+    cfg, params = tiny_cfg, tiny_params
+    if size == "96":
+        cfg = TrainConfig(envs_per_iter=96, minibatch=32, epochs=6, learning_rate=1e-3, entropy_coef=5e-4,
+                          m_points=64, seed=2026, init_log_std=-2.0)
+        params = init_params(episode_rng(cfg.seed, 4), cfg.m_points, len(assets.styles),
+                             assets.spec.joint_count, cfg.init_log_std)
+    adam = want_adam = AdamState.init(params)
+    want_params = params
+    for it in range(2):
+        batch = collect_batch(params, cfg, assets, it)
+        incoming = (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step)
+        got = ppo_update(params, batch, cfg, adam, episode_rng(cfg.seed, 3, it))
+        want = reference_ppo_update(want_params, batch, cfg, want_adam, episode_rng(cfg.seed, 3, it))
+        assert "aborted" not in got[2] and got[2] == want[2]
+        assert got[0].flat.tobytes() == want[0].flat.tobytes()
+        assert got[1].m.tobytes() == want[1].m.tobytes() and got[1].v.tobytes() == want[1].v.tobytes()
+        assert got[1].step == want[1].step == adam.step + cfg.epochs * -(-len(batch.raw) // cfg.minibatch)
+        assert (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step) == incoming
+        assert got[0] is not params and got[1] is not adam
+        assert not got[0].flat.flags.writeable
+        with pytest.raises(ValueError):
+            got[0].flat[0] = 0.0
+        params, adam, _ = got
+        want_params, want_adam, _ = want
+
+
+def test_ppo_update_abort_after_in_place_steps_returns_the_incoming_state(assets, tiny_cfg, tiny_params,
+                                                                         monkeypatch):
+    """A non-finite loss in the last minibatch of the first epoch aborts
+    after Adam has stepped the private buffers in place: the incoming
+    params and state come back unwritten, as the reference returns them."""
+    import fungrasp.training as tr
+
+    params, adam, _ = ppo_update(tiny_params, collect_batch(tiny_params, tiny_cfg, assets, 0), tiny_cfg,
+                                 AdamState.init(tiny_params), episode_rng(0, 3, 0))
+    batch = collect_batch(params, tiny_cfg, assets, 1)
+    order = np.arange(len(batch.raw))
+    episode_rng(0, 3, 1).shuffle(order)
+    batch.advantages[order[-1]] = np.nan        # in the first epoch's last minibatch
+    steps = []
+    monkeypatch.setattr(tr, "adam_step", lambda *a, **k: steps.append(a[2].step) or adam_step(*a, **k))
+    incoming = (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step)
+    got = ppo_update(params, batch, tiny_cfg, adam, episode_rng(0, 3, 1))
+    want = reference_ppo_update(params, batch, tiny_cfg, adam, episode_rng(0, 3, 1))
+    assert steps == [adam.step]                 # one in-place step ran before the abort
+    assert got[0] is params and got[1] is adam
+    assert got[2] == want[2] and "non-finite loss" in got[2]["aborted"]
+    assert (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step) == incoming
 
 
 @pytest.mark.parametrize("periodic", [{}, {"eval_every": 2, "checkpoint_every": 2, "eval_episodes": 6}],
@@ -510,6 +583,32 @@ def test_process_pool_pins_the_main_process_to_one_blas_thread():
     assert seen == {
         "before": 2, "open": 1, "worker": 1, "closed": 2, "open_again": 1, "after_raise": 2, "one_worker": 2,
     }
+
+
+def test_bandit_runs_on_one_blas_thread():
+    """run_bandit's updates run OpenBLAS on one thread; the caller's
+    count is back after the call, also when the call raised."""
+    seen = _run_with_two_blas_threads(
+        "inside = []\n"
+        "real_update = tr.ppo_update\n"
+        "def update(*args):\n"
+        "    inside.append(blas_threads())\n"
+        "    return real_update(*args)\n"
+        "tr.ppo_update = update\n"
+        "seen = {'absent': not gets, 'before': blas_threads()}\n"
+        "tr.run_bandit(3, iterations=2, envs=16, minibatch=8, epochs=1)\n"
+        "seen.update(inside=inside, after=blas_threads())\n"
+        "def fail(*args):\n"
+        "    raise RuntimeError('inside the bandit')\n"
+        "tr.ppo_update = fail\n"
+        "try:\n"
+        "    tr.run_bandit(3, iterations=1, envs=16, minibatch=8)\n"
+        "except RuntimeError:\n"
+        "    pass\n"
+        "seen['after_raise'] = blas_threads()\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert seen == {"before": 2, "inside": [1, 1], "after": 2, "after_raise": 2}
 
 
 def test_bandit_learns_fast():

@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import assets as bundled
-from .dataio import CheckpointError, default_cameras, export_rollouts, load_checkpoint
+from .dataio import CheckpointError, ExportError, default_cameras, export_rollouts, load_checkpoint
 from .demo import DemoError, load_demo
 from .hand import HandError, load_hand_spec
 from .objects import ObjectError, affordance_distribution, sample_affordance_index
@@ -46,6 +46,7 @@ USER_ERRORS = (
     DemoError,
     ObjectError,
     CheckpointError,
+    ExportError,
     ValueError,
     KeyError,
 )

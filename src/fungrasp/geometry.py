@@ -5,6 +5,11 @@ quaternions are (w, x, y, z), unit norm, right-handed, and act as active
 rotations. A pose rotates first, then translates. Compositions renormalize
 the quaternion every time; that is cheap and removes a whole class of
 drift bugs.
+
+The Hamilton product (hamilton) and the rotation (rotate) are written
+once, over component arrays; quat_mul, quat_rotate and the FK chain all
+run them in that operation order, so a row's bits do not depend on the
+layout it arrives in.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ __all__ = [
     "axis_angle_to_quat",
     "quat_to_axis_angle",
     "quat_mul",
+    "hamilton",
+    "rotate",
+    "row_norms",
     "quat_conjugate",
     "quat_rotate",
     "quat_normalize",
@@ -52,30 +60,49 @@ def quat_normalize(q) -> np.ndarray:
     return q / n
 
 
+def row_norms(x) -> np.ndarray:
+    """The (N,) norms of an (N, D) stack's rows, each with the bits
+    np.linalg.norm gives that row alone: a 1-D norm is sqrt(dot), which
+    a (1, D) @ (D, 1) product per row reproduces and an axis=-1 norm
+    does not."""
+    x = np.ascontiguousarray(x, dtype=float)
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def normalize_rows(x) -> np.ndarray:
-    """Each row of an (N, D) stack divided by its norm, with the bits
-    Pose's renormalization gives that row alone: np.linalg.norm of one
-    vector is sqrt(dot), which a (1, D) @ (D, 1) product per row
-    reproduces and an axis=-1 norm does not."""
+    """Each row of an (N, D) stack divided by its norm (row_norms), with
+    the bits Pose's renormalization gives that row alone."""
     x = np.asarray(x, dtype=float)
-    return x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    return x / row_norms(x)[:, None]
+
+
+def hamilton(aw, ax, ay, az, bw, bx, by, bz):
+    """Hamilton product a*b over components: (w, x, y, z) of the result."""
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _cross(ax, ay, az, bx, by, bz):
+    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+
+
+def rotate(w, ux, uy, uz, vx, vy, vz):
+    """v rotated by the unit quaternion (w, u) over components:
+    v + 2(w (u x v) + u x (u x v)), with no rotation matrix."""
+    cx, cy, cz = _cross(ux, uy, uz, vx, vy, vz)
+    dx, dy, dz = _cross(ux, uy, uz, cx, cy, cz)
+    return vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)
 
 
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a*b; broadcasts over leading axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    return np.stack(hamilton(*np.moveaxis(a, -1, 0), *np.moveaxis(b, -1, 0)), axis=-1)
 
 
 def quat_conjugate(q) -> np.ndarray:
@@ -83,32 +110,12 @@ def quat_conjugate(q) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _cross(a, b) -> np.ndarray:
-    # explicit components: np.cross's axis shuffling dominates small-input cost
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
-
-
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector(s) v by unit quaternion(s) q.
-
-    Uses v' = v + 2w(u x v) + 2 u x (u x v) with u = q_xyz, which avoids
-    building rotation matrices and broadcasts over leading axes.
-    """
+    """Rotate vector(s) v by unit quaternion(s) q with rotate; broadcasts
+    over leading axes."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    u = np.broadcast_to(q[..., 1:], np.broadcast_shapes(q[..., 1:].shape, v.shape))
-    v = np.broadcast_to(v, u.shape)
-    w = q[..., :1]
-    uv = _cross(u, v)
-    uuv = _cross(u, uv)
-    return v + 2.0 * (w * uv + uuv)
+    return np.stack(rotate(*np.moveaxis(q, -1, 0), *np.moveaxis(v, -1, 0)), axis=-1)
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -215,16 +222,15 @@ def axis_angle_to_quat(v) -> np.ndarray:
     """Unit quaternion of an axis-angle vector; an (N, 3) stack gives
     (N, 4), each row with the bits it gets alone.
 
-    The angle is sqrt(v . v) taken as a (1, 3) @ (3, 1) product, which
-    is what np.linalg.norm gives one vector. Below an angle of 1e-8 the
-    first-order form (1, v/2) is used (normalized) to avoid dividing by
-    a vanishing angle.
+    The angle is the row's row_norms, the bits np.linalg.norm gives one
+    vector. Below an angle of 1e-8 the first-order form (1, v/2) is used
+    (normalized) to avoid dividing by a vanishing angle.
     """
     if isinstance(v, AxisAngle):
         v = v.v
     v = np.asarray(v, dtype=float)
     rows = v.reshape(-1, 3)
-    angle = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+    angle = row_norms(rows)[:, None]
     small = angle < 1e-8
     half = 0.5 * angle
     q = np.concatenate([np.cos(half), np.sin(half) * (rows / np.where(small, 1.0, angle))], axis=1)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .assets import json_object_list, read_json_object
-from .geometry import Pose, quat_mul, quat_rotate
+from .geometry import Pose, hamilton, rotate, row_norms
 
 __all__ = [
     "HandError",
@@ -238,54 +238,51 @@ def clamp_to_limits(spec: HandSpec, q) -> np.ndarray:
     return np.clip(q, spec.limits_lo, spec.limits_hi)
 
 
-def _segment_angles(spec: HandSpec, q: np.ndarray) -> list[np.ndarray]:
-    """Per-finger (B, n_segments) arrays of segment angles, coupling applied."""
-    coupled = {(c.finger, c.segment): c for c in spec.couplings}
-    out = []
-    for fi, finger in enumerate(spec.fingers):
-        cols = []
-        for si in range(len(finger.segments)):
-            idx = spec.joint_index[fi][si]
-            if idx is None:
-                c = coupled[(fi, si)]
-                cols.append(c.scale * q[:, c.source])
-            else:
-                cols.append(q[:, idx])
-        out.append(np.stack(cols, axis=1))
-    return out
-
-
 def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
     """Evaluate FK for a batch of wrist poses and joint vectors.
 
     wrist_t: (B, 3), wrist_r: (B, 4) unit quats, q: (B, J).
     Returns (centers (B, K, 3), fingertips (B, F, 3)); sphere metadata is
     constant per spec and available via sphere_metadata().
+
+    Each finger's chain runs on contiguous (B,) component arrays through
+    geometry.hamilton and geometry.rotate, the only copies of those
+    formulas, in the operation order of quat_mul and quat_rotate (every
+    multiply by a segment vector's zero entries included), so each row
+    keeps the bits it gets alone. The centers are a view of one
+    (3, K, B) buffer; the fingertips are a C-order copy, the layout the
+    masked finger sums downstream have always read.
     """
     wrist_t = np.asarray(wrist_t, dtype=float)
     wrist_r = np.asarray(wrist_r, dtype=float)
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != spec.joint_count:
         raise HandError(f"joint vector has dim {q.shape[-1]}, hand has J={spec.joint_count}")
-    n = wrist_t.shape[0]
-    angles = _segment_angles(spec, q)
-    centers = np.empty((n, spec.sphere_count, 3))
-    fingertips = np.empty((n, spec.finger_count, 3))
+    wrist = tuple(wrist_r.T.copy())
+    joints = q.T.copy()
+    coupled = {(c.finger, c.segment): c for c in spec.couplings}
+    out = np.empty((3, spec.sphere_count, len(q)))
+    tip_k = []
     k = 0
     for fi, finger in enumerate(spec.fingers):
-        cur_r = quat_mul(wrist_r, finger.base.r)
-        cur_t = wrist_t + quat_rotate(wrist_r, finger.base.t)
+        cur_r = hamilton(*wrist, *finger.base.r)
+        cur_t = tuple(wt + bt for wt, bt in zip(wrist_t.T, rotate(*wrist, *finger.base.t)))
         for si, seg in enumerate(finger.segments):
-            half = 0.5 * angles[fi][:, si]
-            joint_q = np.empty((n, 4))
-            joint_q[:, 0] = np.cos(half)
-            joint_q[:, 1:] = np.sin(half)[:, None] * seg.axis
-            cur_r = quat_mul(cur_r, joint_q)
-            cur_t = cur_t + quat_rotate(cur_r, np.array([seg.length, 0.0, 0.0]))
-            centers[:, k] = cur_t
+            idx = spec.joint_index[fi][si]
+            if idx is None:
+                c = coupled[(fi, si)]
+                half = 0.5 * (c.scale * joints[c.source])
+            else:
+                half = 0.5 * joints[idx]
+            s = np.sin(half)
+            cur_r = hamilton(*cur_r, np.cos(half), s * seg.axis[0], s * seg.axis[1], s * seg.axis[2])
+            step = rotate(*cur_r, seg.length, 0.0, 0.0)
+            for a in range(3):
+                np.add(cur_t[a], step[a], out=out[a, k])
+            cur_t = tuple(out[:, k])
             k += 1
-        fingertips[:, fi] = cur_t
-    return centers, fingertips
+        tip_k.append(k - 1)
+    return out.transpose(2, 1, 0), out[:, tip_k].transpose(2, 1, 0).copy()
 
 
 def sphere_metadata(spec: HandSpec):
@@ -309,13 +306,14 @@ def classify_style(spec: HandSpec, q_final, styles: Sequence[Style]) -> np.ndarr
     space, for each joint vector of q_final (..., J).
 
     Normalization keeps wide-range joints from dominating the metric.
-    Ties break toward the lowest index. Each distance is the 1-D norm of
-    one vector's difference to one style, whose bits an axis=-1 norm
-    does not keep, so near-ties break as for one vector alone.
+    Ties break toward the lowest index. Each distance is the row_norms
+    of one vector's difference to one style, the bits the 1-D norm
+    gives it and an axis=-1 norm does not, so near-ties break as for
+    one vector alone.
     """
     if not styles:
         raise HandError("classify_style needs at least one style")
     qn = normalize_joints(spec, q_final)
     diff = qn[..., None, :] - normalize_joints(spec, np.stack([s.q_canonical for s in styles]))
-    dists = np.array([np.linalg.norm(d) for d in diff.reshape(-1, spec.joint_count)])
+    dists = row_norms(diff.reshape(-1, spec.joint_count))
     return np.argmin(dists.reshape(diff.shape[:-1]), axis=-1)

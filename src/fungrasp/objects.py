@@ -175,11 +175,10 @@ def load_object(path, name: str | None = None) -> ObjectModel:
     """Load an ascii PLY cloud; estimates normals (and says so) if absent."""
     path = Path(path)
     points, normals = _read_ply(path)
+    obj = ObjectModel.from_points(name or path.stem, points, normals, normals_estimated=normals is None)
     if normals is None:
         log.warning("%s: no normals in file, estimating from 8-NN plane fits", path)
-    return ObjectModel.from_points(
-        name or path.stem, points, normals, normals_estimated=normals is None
-    )
+    return obj
 
 
 def save_object_ply(obj: ObjectModel, path) -> None:

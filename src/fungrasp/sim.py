@@ -27,10 +27,11 @@ two-mask-finger gates run as one stacked simplex (grasp_success_batch,
 feasible_combination_batch).
 
 Determinism: every batched step is element-wise or keeps each row's or
-episode's own reductions (each query row's own argmin, the 1-D norm of
-each tangent, each tableau's own pivots), and a masked mean adds the
-left-out fingers as exact zeros in the order np.mean adds, so every
-record is bit for bit what the episode gets alone. _nearest takes its
+episode's own reductions (each query row's own argmin, each tableau's
+own pivots, and the 1-D norm, geometry.row_norms, of each tangent and
+of each final joint vector's distance to each style), and a masked mean
+adds the left-out fingers as exact zeros in the order np.mean adds, so
+every record is bit for bit what the episode gets alone. _nearest takes its
 product in fixed row blocks and never sends a single row to the matrix
 product, which numpy would hand to gemv and round differently.
 """
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demo import Demonstration, edited_joint_trajectory, disturb_style, target_joint_config
-from .geometry import Pose, axis_angle_to_quat, quat_conjugate, quat_rotate
+from .geometry import Pose, axis_angle_to_quat, quat_conjugate, quat_rotate, row_norms
 from .hand import HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
 
@@ -348,12 +349,12 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: f
     for _ in range(1000):
         cand = tab[:, m, : n + m] < -tol
         done = ~cand.any(axis=1)
-        feasible[ids[done]] = tab[done, m, -1] >= -tol
+        if done.any():
+            feasible[ids[done]] = tab[done, m, -1] >= -tol
         enter = cand.argmax(axis=1)
         col = tab[np.arange(len(ids)), :m, enter]
         ratios = np.full(col.shape, np.inf)
-        pos = col > 1e-11
-        ratios[pos] = tab[:, :m, -1][pos] / col[pos]
+        np.divide(tab[:, :m, -1], col, out=ratios, where=col > 1e-11)
         finite = np.isfinite(ratios)
         # finished tableaus leave the stack; unbounded ones are infeasible
         keep = ~done & finite.any(axis=1)
@@ -372,7 +373,7 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: f
         factor = tab[rows, :, enter]
         update = factor != 0.0
         update[rows, leave] = False
-        tab = np.where(update[:, :, None], tab - factor[:, :, None] * pivot[:, None, :], tab)
+        np.subtract(tab, factor[:, :, None] * pivot[:, None, :], out=tab, where=update[:, :, None])
         basis[rows, leave] = enter
     feasible[ids] = tab[:, m, -1] >= -tol
     return feasible
@@ -386,15 +387,16 @@ def wrench_generators(hit: np.ndarray, points: np.ndarray, normals: np.ndarray, 
     about the contact centroid and divided by scale (obj_bb / 2) so force
     and torque rows share a scale. Columns go finger by finger, edges
     t1, -t1, t2, -t2; a finger without a hit gives four zero columns.
-    Each tangent is normalized with its own 1-D norm: an axis-wise norm
-    rounds differently and would move low bits.
+    Each tangent is normalized with its row_norms, the bits its own 1-D
+    norm gives: an axis-wise norm rounds differently and would move low
+    bits.
     """
     center = style_contact_point(points, hit)
     owner = np.nonzero(hit)[0]
     n_in = -normals[hit]
     ref = np.where((np.abs(n_in[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     t1 = np.cross(n_in, ref)
-    t1 /= np.array([np.linalg.norm(t) for t in t1])[:, None]
+    t1 /= row_norms(t1)[:, None]
     t2 = np.cross(n_in, t1)
     f = n_in[:, None, :] + mu * np.stack([t1, -t1, t2, -t2], axis=1)
     tq = np.cross((points[hit] - center[owner])[:, None, :], f) / scale[owner][:, None, None]

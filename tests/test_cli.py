@@ -160,6 +160,22 @@ def test_invalid_checkpoint_arrays_are_user_errors(tmp_path, capsys, command, de
     assert named in err and "internal error" not in err
 
 
+def test_collect_into_an_unwritable_rollouts_path_is_a_user_error(tmp_path, capsys):
+    from fungrasp.dataio import save_checkpoint
+    from fungrasp.policy import init_params
+
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(np.random.default_rng(0), 32, 4, 6), {"hand": "inspire_like"}, ckpt)
+    out = tmp_path / "coll"
+    (out / "rollouts.jsonl").mkdir(parents=True)
+    code = main(["collect", "--config", str(_write_config(tmp_path)), "--checkpoint", str(ckpt),
+                 "--episodes", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"export to {out / 'rollouts.jsonl'} failed" in err and "internal error" not in err
+    assert not list(out.glob("*.tmp"))
+
+
 def test_sample_affordance_reads_an_objects_directory(tmp_path, capsys):
     from fungrasp.objects import make_sphere, save_object_ply
 

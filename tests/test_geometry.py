@@ -13,12 +13,15 @@ from fungrasp.geometry import (
     quat_from_matrix,
     quat_mul,
     quat_normalize,
+    quat_rotate,
     quat_to_axis_angle,
     quat_to_matrix,
+    row_norms,
     transform_point,
 )
 
 from conftest import poses, random_pose, unit_quaternions
+from kernel_reference import stacked_quat_mul, stacked_quat_rotate
 
 
 def test_identity_compose_is_noop():
@@ -150,3 +153,25 @@ def test_quat_mul_matches_matrix_product():
         lhs = quat_to_matrix(quat_normalize(quat_mul(qa, qb)))
         rhs = quat_to_matrix(qa) @ quat_to_matrix(qb)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [3, 6, 22])
+def test_row_norms_match_each_rows_own_norm(width):
+    """Each row gets the bits np.linalg.norm gives it alone, also from a
+    strided stack and with rows of very different scales."""
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(300, width)) * np.exp(rng.uniform(-20.0, 20.0, (300, 1)))
+    want = np.array([np.linalg.norm(row) for row in x])
+    assert row_norms(x).tobytes() == want.tobytes()
+    assert row_norms(x[::2]).tobytes() == want[::2].tobytes()
+
+
+def test_component_formulas_match_the_stacked_ones():
+    """quat_mul and quat_rotate give the bytes of the (..., 4) stacked
+    formulas, broadcasting one quaternion or vector against many."""
+    rng = np.random.default_rng(21)
+    a, b, v = rng.normal(size=(64, 4)), rng.normal(size=(64, 4)), rng.normal(size=(64, 3))
+    for lhs, rhs in ((a, b), (a[0], b), (a, b[0]), (a[0], b[0]), (a[:, None], b[None, :8])):
+        assert quat_mul(lhs, rhs).tobytes() == stacked_quat_mul(lhs, rhs).tobytes()
+    for q, x in ((a, v), (a[0], v), (a, v[0]), (a[0], v[0]), (a[:8, None], v[None])):
+        assert quat_rotate(q, x).tobytes() == stacked_quat_rotate(q, x).tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fungrasp.assets import default_hand_path, default_styles_path
-from fungrasp.geometry import Pose, compose_pose, identity_pose, transform_point
+from fungrasp.geometry import Pose, axis_angle_to_quat, compose_pose, identity_pose, transform_point
 from fungrasp.hand import (
     HandError,
     clamp_to_limits,
@@ -18,6 +18,8 @@ from fungrasp.hand import (
 )
 
 from conftest import poses
+from contact_reference import hand_assets, seeded_rollout_inputs
+from kernel_reference import reference_forward_kinematics
 
 
 def _write(tmp_path, name, payload):
@@ -130,6 +132,42 @@ def test_fk_wrist_equivariance_property(spec, shadow_spec, moves, seed):
         for lhs, rhs in zip(moved, base):
             for (g, _), lhs_b, rhs_b in zip(moves, lhs, rhs):
                 assert np.allclose(lhs_b, transform_point(g, rhs_b), atol=1e-9)
+
+
+def _same_fk_bytes(hand, wrist_t, wrist_r, q):
+    got = forward_kinematics_batch(hand, wrist_t, wrist_r, q)
+    want = reference_forward_kinematics(hand, wrist_t, wrist_r, q)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.ascontiguousarray(g).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+@pytest.mark.parametrize("rows", [1, 2, 96 * 41])
+def test_fk_matches_the_per_finger_reference_bytes(hand, rows):
+    """Component-plane FK gives the bytes of the (n, 4)-slice chain on
+    random wrist poses, with joints inside and well outside the limits."""
+    spec = load_hand_spec(default_hand_path(hand))
+    rng = np.random.default_rng(rows)
+    axis_angle = rng.normal(size=(rows, 3)) * rng.uniform(0.0, 3.0, (rows, 1))
+    wrist_r = axis_angle_to_quat(axis_angle)
+    wrist_t = rng.normal(size=(rows, 3))
+    span = spec.limits_hi - spec.limits_lo
+    q = rng.uniform(spec.limits_lo - span, spec.limits_hi + span, (rows, spec.joint_count))
+    _same_fk_bytes(spec, wrist_t, wrist_r, q)
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_fk_matches_the_reference_on_seeded_rollout_inputs(hand, monkeypatch):
+    """The FK inputs a seeded rollout_batch builds get the reference's bytes."""
+    from fungrasp import sim
+
+    assets = hand_assets(hand)
+    envs, actions = seeded_rollout_inputs(assets, 32, seed=31)
+    captured = []
+    monkeypatch.setattr(sim, "forward_kinematics_batch", lambda *a: captured.append(a) or forward_kinematics_batch(*a))
+    sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
+    (args,) = captured
+    _same_fk_bytes(*args)
 
 
 def test_fk_dimension_mismatch(spec):

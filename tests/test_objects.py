@@ -1,3 +1,4 @@
+import logging
 import re
 
 import numpy as np
@@ -250,6 +251,23 @@ def test_ply_vertex_count_is_checked(tmp_path):
         bad.write_text(_XYZ_HEADER.format(count) + "0 0 0\n0 0 1\n")
         with pytest.raises(ObjectError, match=re.escape(f"{bad}:3: vertex count must be a non-negative integer")):
             load_object(bad)
+
+
+def test_only_an_accepted_cloud_warns_of_estimated_normals(tmp_path, caplog):
+    empty = tmp_path / "empty.ply"
+    empty.write_text(_XYZ_HEADER.format(0))
+    with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
+        with pytest.raises(ObjectError, match="needs at least"):
+            load_object(empty)
+    assert caplog.records == []
+    plain = tmp_path / "plain.ply"
+    points = make_sphere(radius=0.05, n=100).points
+    plain.write_text(_XYZ_HEADER.format(len(points)) + "".join(f"{x} {y} {z}\n" for x, y, z in points))
+    with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
+        assert load_object(plain).normals_estimated
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{plain}: no normals in file, estimating from 8-NN plane fits"
+    ]
 
 
 def test_toy_suite_contents(objects):

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from contact_reference import dense_nearest, hand_assets, reference_contact_phase, seeded_rollout_inputs
+from kernel_reference import reference_feasible_combination
 from fungrasp import sim
 from fungrasp.demo import EditAction, EditBounds
 from fungrasp.geometry import (
@@ -297,7 +298,8 @@ def _random_wrench_set(rng, n_contacts, feasible):
 def test_stacked_feasibility_matches_single_and_scipy(seed, shapes, layout):
     """One stacked simplex over ragged wrench sets, with zero columns
     anywhere (between real columns, or after them all), gives each
-    problem its own unpadded answer, and scipy's."""
+    problem its own unpadded answer, and scipy's, and the bytes of the
+    np.where-pivot reference on the same stack."""
     rng = np.random.default_rng(seed)
     problems = [_random_wrench_set(rng, n, feasible) for n, feasible in shapes]
     layout_seed, extra, trailing = layout
@@ -308,7 +310,9 @@ def test_stacked_feasibility_matches_single_and_scipy(seed, shapes, layout):
         # the real columns keep their order; zero columns fill the rest
         cols = np.arange(w.shape[1]) if trailing else np.sort(place.choice(width, w.shape[1], replace=False))
         padded[i][:, cols] = w
-    stacked = feasible_combination_batch(padded, np.array([b for _, b in problems]))
+    loads = np.array([b for _, b in problems])
+    stacked = feasible_combination_batch(padded, loads)
+    assert stacked.tobytes() == reference_feasible_combination(padded, loads).tobytes()
     alone = [feasible_combination_batch(w[None], b[None])[0] for w, b in problems]
     ref = [
         linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],

@@ -168,16 +168,15 @@ def _checkpoint_run(args):
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import evaluate, write_episode_rows, write_report, _row_from_result
+    from .evaluation import evaluate, write_episode_rows, write_report
 
     cfg, assets, out, params, n = _checkpoint_run(args)
     metrics, results = evaluate(
         params, cfg, assets, n, seed=cfg.seed,
         strict=bool(args.strict_success), exhaustive_styles=bool(args.exhaustive_styles),
     )
-    rows = [_row_from_result(r) for r in results]
     rows_path = out / "episodes.jsonl"
-    write_episode_rows(rows, rows_path)
+    write_episode_rows(results, rows_path)
     write_report(metrics, cfg, rows_path, out / "report.json", results)
     print(json.dumps(metrics.as_dict()))
     return 0

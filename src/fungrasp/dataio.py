@@ -19,7 +19,7 @@ import numpy as np
 
 from .assets import read_json_object
 from .demo import Demonstration, edit_wrist_arrays, edited_joint_trajectory
-from .geometry import Pose, invert_pose, quat_from_matrix, transform_point
+from .geometry import Pose, invert_pose, quat_from_matrix, quat_rotate, transform_point
 from .hand import HandSpec
 from .policy import PolicyParams, param_shapes, param_views
 
@@ -150,7 +150,9 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
     exported episode's trajectory is rebuilt from its action, object
     pose and the record's edited target q*, with the rollout's own
     element-wise edit_wrist_arrays and edited_joint_trajectory, so its
-    frames carry the bits the rollout ran. Errored episodes (no record)
+    frames carry the bits the rollout ran; its world affordance point is
+    the object-frame one under the object pose, as the rollout's
+    d_series measures to it. Errored episodes (no record)
     are skipped and counted as `n_errored` in the manifest. Action
     targets are absolute next-frame (t, r, q); the last frame targets
     itself.
@@ -160,10 +162,10 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
     completed = [e for e in episodes if e.record is not None]
     selected = [e for e in completed if (e.record.success or not success_only)]
     if selected:
-        wrist_t, wrist_r = edit_wrist_arrays(
-            demo, np.stack([e.action_vec for e in selected]),
-            np.stack([e.object_pose.t for e in selected]), np.stack([e.object_pose.r for e in selected]),
-        )
+        pose_t = np.stack([e.object_pose.t for e in selected])
+        pose_r = np.stack([e.object_pose.r for e in selected])
+        wrist_t, wrist_r = edit_wrist_arrays(demo, np.stack([e.action_vec for e in selected]), pose_t, pose_r)
+        p_afford_world = quat_rotate(pose_r, np.stack([e.p_afford for e in selected])) + pose_t
         joints = edited_joint_trajectory(demo, np.stack([e.record.q_star for e in selected]), spec)
     n_frames = 0
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -176,7 +178,7 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
                 horizon = len(poses) - 1
                 cam_views = {}
                 for name, cam in cameras.items():
-                    proj = project_affordance(cam, ep.p_afford_world)
+                    proj = project_affordance(cam, p_afford_world[i])
                     if proj is None:
                         cam_views[name] = None
                     else:
@@ -197,7 +199,7 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
                             "q": [float(v) for v in joints[i, nxt]],
                         },
                         "condition": {
-                            "p_afford_world": [float(v) for v in ep.p_afford_world],
+                            "p_afford_world": [float(v) for v in p_afford_world[i]],
                             "style": ep.conditioned_style,
                         },
                         "cameras": cam_views,

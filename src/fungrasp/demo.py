@@ -27,7 +27,7 @@ from .geometry import (
     quat_normalize,
     quat_rotate,
 )
-from .hand import HandSpec, clamp_to_limits
+from .hand import HandSpec, clamp_to_limits, json_number
 
 log = logging.getLogger(__name__)
 
@@ -154,11 +154,13 @@ def load_demo(path, spec: HandSpec) -> Demonstration:
         raise DemoError(f"{path}: needs at least 3 frames (T_D >= 2), got {len(frames)}")
     poses, joints = [], []
     for i, fr in enumerate(frames):
+        pose = fr.get("p") if isinstance(fr.get("p"), dict) else {}
+        t, r = (json_number(pose.get(k), DemoError, f"{path}: frames[{i}].p.{k}", vector=True) for k in "tr")
         try:
-            poses.append(Pose(t=np.array(fr["p"]["t"], float), r=np.array(fr["p"]["r"], float)))
-        except (KeyError, TypeError, ValueError) as e:
+            poses.append(Pose(t=t, r=r))
+        except ValueError as e:
             raise DemoError(f"{path}: frames[{i}].p: {e}") from e
-        q = np.array(fr.get("q", []), float)
+        q = json_number(fr.get("q", []), DemoError, f"{path}: frames[{i}].q", vector=True)
         if q.shape != (spec.joint_count,):
             raise DemoError(
                 f"{path}: frames[{i}].q has dim {q.shape[0] if q.ndim == 1 else q.shape}, "
@@ -172,7 +174,8 @@ def load_demo(path, spec: HandSpec) -> Demonstration:
     if over > 0:
         log.warning("%s: joints marginally out of limits (%.2e), clamping", path, over)
         joints = clamp_to_limits(spec, joints)
-    return Demonstration(poses=tuple(poses), joints=joints, grasp_index=int(data["T_l"]))
+    grasp_index = json_number(data.get("T_l"), DemoError, f"{path}: T_l", integer=True)
+    return Demonstration(poses=tuple(poses), joints=joints, grasp_index=grasp_index)
 
 
 def save_demo(demo: Demonstration, hand_name: str, path) -> None:

@@ -34,7 +34,6 @@ from .training import (
 
 __all__ = [
     "Metrics",
-    "EpisodeRow",
     "evaluate",
     "pairwise_style_diversity",
     "compute_metrics",
@@ -65,64 +64,11 @@ class Metrics:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class EpisodeRow:
-    """The per-episode facts every metric is a function of."""
-
-    episode: int
-    object_name: str
-    success: bool
-    d_final: float | None        # None for an errored episode
-    d_min: float | None
-    q_final: list
-    conditioned_style: int
-    executed_style: int
-    reward_total: float
-
-    def to_json(self) -> dict:
-        return {
-            "episode": self.episode,
-            "object": self.object_name,
-            "success": self.success,
-            "d_final": self.d_final,
-            "d_min": self.d_min,
-            "q_final": self.q_final,
-            "conditioned_style": self.conditioned_style,
-            "executed_style": self.executed_style,
-            "reward_total": self.reward_total,
-        }
-
-
-def _row_from_result(res: EpisodeResult) -> EpisodeRow:
+def _effective_success(res: EpisodeResult, strict: bool) -> bool:
     rec = res.record
-    if rec is None:
-        return EpisodeRow(
-            episode=res.index, object_name=res.object_name, success=False,
-            d_final=None, d_min=None, q_final=[],
-            conditioned_style=res.conditioned_style, executed_style=-1,
-            reward_total=0.0,
-        )
-    return EpisodeRow(
-        episode=res.index,
-        object_name=res.object_name,
-        success=bool(rec.success),
-        d_final=float(rec.d_final),
-        d_min=float(rec.d_min),
-        q_final=[float(v) for v in rec.q_final],
-        conditioned_style=res.conditioned_style,
-        executed_style=int(rec.executed_style),
-        reward_total=float(res.reward),
-    )
-
-
-def _effective_success(row: EpisodeRow, strict: bool) -> bool:
-    if not strict:
-        return row.success
-    return (
-        row.success
-        and row.d_final < STRICT_AFFORD_RADIUS
-        and row.executed_style == row.conditioned_style
-    )
+    if rec is None or not rec.success:
+        return False
+    return not strict or (rec.d_final < STRICT_AFFORD_RADIUS and rec.executed_style == res.conditioned_style)
 
 
 def pairwise_style_diversity(q_list) -> float:
@@ -137,29 +83,23 @@ def pairwise_style_diversity(q_list) -> float:
     return float(d[iu].mean())
 
 
-def compute_metrics(rows: list[EpisodeRow], spec=None, strict: bool = False,
+def compute_metrics(results: list[EpisodeResult], spec=None, strict: bool = False,
                     baseline_sd: float | None = None) -> Metrics:
-    """Aggregate per-episode rows into the four headline numbers.
+    """Aggregate episode results into the four headline numbers; an
+    errored episode counts as a failure.
 
     SD is reported both raw (mixed joint units) and in limit-normalized
     joint coordinates when a hand spec is given; sd_ratio divides raw SD
     by a supplied baseline.
     """
-    n = len(rows)
-    succ = [r for r in rows if _effective_success(r, strict)]
+    n = len(results)
+    succ = [r for r in results if _effective_success(r, strict)]
     gsr = len(succ) / n if n else 0.0
-    sad = float(np.mean([r.d_final for r in succ])) if succ else None
-    q_succ = [r.q_final for r in succ if r.q_final]
-    sd = pairwise_style_diversity(q_succ) if q_succ else 0.0
-    if spec is not None and q_succ:
-        sd_norm = pairwise_style_diversity([normalize_joints(spec, q) for q in q_succ])
-    else:
-        sd_norm = 0.0
-    sa = (
-        sum(1 for r in succ if r.executed_style == r.conditioned_style) / len(succ)
-        if succ
-        else None
-    )
+    sad = float(np.mean([r.record.d_final for r in succ])) if succ else None
+    q_succ = [r.record.q_final for r in succ]
+    sd = pairwise_style_diversity(q_succ)
+    sd_norm = pairwise_style_diversity([normalize_joints(spec, q) for q in q_succ]) if spec is not None else 0.0
+    sa = sum(1 for r in succ if r.record.executed_style == r.conditioned_style) / len(succ) if succ else None
     return Metrics(
         gsr=gsr,
         sad=sad,
@@ -187,7 +127,7 @@ def evaluate(
     *,
     strict: bool = False,
     exhaustive_styles: bool = False,
-    mode: str | None = None,
+    mode: str = "mean",
     pool: EpisodePool | None = None,
     baseline_sd: float | None = None,
 ) -> tuple[Metrics, list[EpisodeResult]]:
@@ -209,13 +149,12 @@ def evaluate(
         by_style = [
             pool.run(
                 params, cfg, seed, (STREAM_EVAL,), n_episodes,
-                train_mode=False, mode=mode or "mean", force_style=s,
+                train_mode=False, mode=mode, force_style=s,
             )
             for s in forced
         ]
     results = [_best_of_styles(list(per_style)) for per_style in zip(*by_style)]
-    rows = [_row_from_result(r) for r in results]
-    return compute_metrics(rows, assets.spec, strict, baseline_sd), results
+    return compute_metrics(results, assets.spec, strict, baseline_sd), results
 
 
 @dataclass(frozen=True)
@@ -262,13 +201,25 @@ def ablation_run(
     return AblationResult(component=component, full=m_full, ablated=m_abl)
 
 
-def write_episode_rows(rows: list[EpisodeRow], path) -> None:
-    """Per-episode JSONL used by the metric-oracle round trip; strict
-    JSON, so an errored episode's distances are null."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row.to_json(), allow_nan=False) + "\n")
+def write_episode_rows(results: list[EpisodeResult], path) -> None:
+    """Per-episode JSONL, the facts every metric is a function of, used
+    by the metric-oracle round trip. Strict JSON: an errored episode's
+    distances are null, its q_final empty and its executed style -1."""
+    with Path(path).open("w") as fh:
+        for res in results:
+            rec = res.record
+            row = {
+                "episode": res.index,
+                "object": res.object_name,
+                "success": rec is not None and rec.success,
+                "d_final": None if rec is None else rec.d_final,
+                "d_min": None if rec is None else rec.d_min,
+                "q_final": [] if rec is None else [float(v) for v in rec.q_final],
+                "conditioned_style": res.conditioned_style,
+                "executed_style": -1 if rec is None else int(rec.executed_style),
+                "reward_total": res.reward,
+            }
+            fh.write(json.dumps(row, allow_nan=False) + "\n")
 
 
 def write_report(metrics: Metrics, cfg: TrainConfig, rows_path, path, results: list[EpisodeResult]) -> None:

@@ -26,7 +26,6 @@ __all__ = [
     "invert_pose",
     "transform_point",
     "axis_angle_to_quat",
-    "quat_to_axis_angle",
     "quat_mul",
     "hamilton",
     "rotate",
@@ -36,7 +35,6 @@ __all__ = [
     "quat_normalize",
     "normalize_rows",
     "compose_pose_rows",
-    "quat_to_matrix",
     "quat_from_matrix",
     "quat_distance",
 ]
@@ -116,18 +114,6 @@ def quat_rotate(q, v) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     return np.stack(rotate(*np.moveaxis(q, -1, 0), *np.moveaxis(v, -1, 0)), axis=-1)
-
-
-def quat_to_matrix(q) -> np.ndarray:
-    """3x3 rotation matrix of a unit quaternion."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 def quat_distance(a, b) -> float:
@@ -237,15 +223,3 @@ def axis_angle_to_quat(v) -> np.ndarray:
     if small.any():
         q = np.where(small, quat_normalize(np.concatenate([np.ones_like(angle), 0.5 * rows], axis=1)), q)
     return q.reshape(v.shape[:-1] + (4,))
-
-
-def quat_to_axis_angle(q) -> np.ndarray:
-    """Axis-angle vector of a unit quaternion, with |result| in [0, pi]."""
-    q = np.asarray(q, dtype=float)
-    if q[0] < 0.0:
-        q = -q
-    s = float(np.linalg.norm(q[1:]))
-    if s < 1e-12:
-        return 2.0 * q[1:]
-    angle = 2.0 * np.arctan2(s, q[0])
-    return q[1:] * (angle / s)

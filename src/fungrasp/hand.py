@@ -10,6 +10,7 @@ linear function (``scale * q[source]``) of an active joint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,7 @@ from .geometry import Pose, hamilton, rotate, row_norms
 
 __all__ = [
     "HandError",
+    "json_number",
     "Segment",
     "Finger",
     "Coupling",
@@ -36,6 +38,25 @@ __all__ = [
 
 class HandError(ValueError):
     """Raised for malformed hand/style files and dimension mismatches."""
+
+
+def json_number(value, error: type[Exception], where: str, *, integer: bool = False, vector: bool = False):
+    """A numeric field of a JSON input file: a finite number (with
+    integer, a JSON integer), returned as a float (an int), or with
+    vector a list of them, returned as a float array (a tuple of ints).
+    A bool, a string, null, an object or a nested list is no number.
+    Raises `error`, naming `where` and the value, for anything else."""
+    kind = int if integer else (int, float)
+    items = value if vector and isinstance(value, list) else [value]
+    if (vector and not isinstance(value, list)) or not all(
+        isinstance(v, kind) and not isinstance(v, bool) and (isinstance(v, int) or math.isfinite(v)) for v in items
+    ):
+        noun = "integer" if integer else "finite number"
+        want = f"a list of {noun}s" if vector else f"an {noun}" if integer else f"a {noun}"
+        raise error(f"{where}: must be {want}, got {value!r}")
+    if vector:
+        return tuple(value) if integer else np.array(value, dtype=float)
+    return value if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -141,31 +162,33 @@ def load_hand_spec(path) -> HandSpec:
     fingers = []
     for fi, fd in enumerate(json_object_list(data, "fingers", HandError, f"{path}: ")):
         where = f"fingers[{fi}]"
+        base = fd.get("base") if isinstance(fd.get("base"), dict) else {}
+        t, r = (json_number(base.get(k), HandError, f"{path}: {where}.base.{k}", vector=True) for k in "tr")
         try:
-            base = Pose(t=np.array(fd["base"]["t"], float), r=np.array(fd["base"]["r"], float))
-        except (KeyError, TypeError, ValueError) as e:
+            base = Pose(t=t, r=r)
+        except ValueError as e:
             fail(where + ".base", str(e))
-        tip_radius = float(fd.get("tip_radius", 0.0))
+        tip_radius = json_number(fd.get("tip_radius", 0.0), HandError, f"{path}: {where}.tip_radius")
         if tip_radius <= 0:
             fail(where + ".tip_radius", "must be > 0")
         segments = []
         for si, sd in enumerate(json_object_list(fd, "segments", HandError, f"{path}: {where}.")):
             sw = f"{where}.segments[{si}]"
-            length = float(sd.get("length", 0.0))
+            length = json_number(sd.get("length", 0.0), HandError, f"{path}: {sw}.length")
             if length <= 0:
                 fail(sw + ".length", f"must be > 0, got {length}")
-            axis = np.array(sd.get("axis", []), float)
+            axis = json_number(sd.get("axis", []), HandError, f"{path}: {sw}.axis", vector=True)
             if axis.shape != (3,) or np.linalg.norm(axis) < 1e-9:
                 fail(sw + ".axis", "must be a nonzero 3-vector")
             axis = axis / np.linalg.norm(axis)
             axis.setflags(write=False)
-            lim = sd.get("limits", [])
+            lim = json_number(sd.get("limits", []), HandError, f"{path}: {sw}.limits", vector=True)
             if len(lim) != 2:
                 fail(sw + ".limits", "must be [lo, hi]")
             lo_, hi_ = float(lim[0]), float(lim[1])
             if not lo_ < hi_:
                 fail(sw + ".limits", f"joint '{fd.get('name', fi)}[{si}]' has lo >= hi ({lo_} >= {hi_})")
-            radius = float(sd.get("radius", tip_radius))
+            radius = json_number(sd.get("radius", tip_radius), HandError, f"{path}: {sw}.radius")
             if radius <= 0:
                 fail(sw + ".radius", "must be > 0")
             segments.append(Segment(length=length, axis=axis, limits=(lo_, hi_), radius=radius))
@@ -185,17 +208,10 @@ def load_hand_spec(path) -> HandSpec:
         fail("fingers", "hand has no fingers")
     couplings = []
     for ci, cd in enumerate(json_object_list(data, "coupling", HandError, f"{path}: ")):
-        try:
-            couplings.append(
-                Coupling(
-                    finger=int(cd["finger"]),
-                    segment=int(cd["segment"]),
-                    source=int(cd["source"]),
-                    scale=float(cd.get("scale", 1.0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            fail(f"coupling[{ci}]", str(e))
+        where = f"{path}: coupling[{ci}]"
+        fields = {k: json_number(cd.get(k), HandError, f"{where}.{k}", integer=True)
+                  for k in ("finger", "segment", "source")}
+        couplings.append(Coupling(**fields, scale=json_number(cd.get("scale", 1.0), HandError, f"{where}.scale")))
     return _build_spec(name, fingers, couplings)
 
 
@@ -206,13 +222,14 @@ def load_styles(path, spec: HandSpec) -> list[Style]:
         raise HandError(f"{path}: styles are for hand {data.get('hand')!r}, spec is {spec.name!r}")
     styles = []
     for i, sd in enumerate(json_object_list(data, "styles", HandError, f"{path}: ")):
-        q = np.array(sd.get("q", []), float)
+        q = json_number(sd.get("q", []), HandError, f"{path}: styles[{i}].q", vector=True)
         if q.shape != (spec.joint_count,):
             raise HandError(f"{path}: styles[{i}]: q has shape {q.shape}, hand has J={spec.joint_count}")
         if np.any(q < spec.limits_lo - 1e-9) or np.any(q > spec.limits_hi + 1e-9):
             j = int(np.argmax((q < spec.limits_lo - 1e-9) | (q > spec.limits_hi + 1e-9)))
             raise HandError(f"{path}: styles[{i}]: q[{j}]={q[j]} outside limits")
-        mask = tuple(int(m) for m in sd.get("contact_mask", []))
+        mask = json_number(sd.get("contact_mask", []), HandError, f"{path}: styles[{i}].contact_mask",
+                           integer=True, vector=True)
         if not mask or len(mask) > spec.finger_count:
             raise HandError(f"{path}: styles[{i}]: contact_mask must name 1..{spec.finger_count} fingers")
         if any(not (0 <= m < spec.finger_count) for m in mask):

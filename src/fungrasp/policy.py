@@ -7,21 +7,23 @@ head (state-independent log-std), and a separate value path shares no
 trunk parameters with the actor. Reverse-mode gradients are written out
 by hand and gated against finite differences by the trainer.
 
-Observations only exist as an ObsBatch: a chunk of episodes encodes
-one batch, each episode keeps its row as a batch of one, collection
-concatenates those, and the update indexes minibatch rows out of the
-result. Log-probabilities are always taken of the stored raw
-(pre-squash) samples, so no squashed action is ever inverted.
+Observations only exist as an ObsBatch, and only encode_observation
+makes one, over many episodes at once: a chunk of episodes encodes its
+batch for its forward pass, collection encodes the PPO batch once from
+the results of the episodes that ran, and the update indexes minibatch
+rows out of that. An episode's result carries no observation. The
+encoding is row-wise, so the PPO batch's rows have the bits the chunks
+saw. Log-probabilities are always taken of the stored raw (pre-squash)
+samples, so no squashed action is ever inverted.
 
 The observed cloud depends only on (object, M, FPS seed), so a batch
 holds a table of its U distinct encoded clouds, clouds (U, M, 6), and
 each row's entry in it, cloud_index (B,). Every entry is used by some
-row: a chunk's batch holds the entry cached for each of its objects
-once, an episode's batch of one has a table of one (that cached entry
-itself), concat keeps each distinct cloud once, and indexing rows keeps
-only the entries they use. The point branch runs once per table
-entry in both passes; the pooled feature is gathered per row, and its
-gradient summed per entry before it is routed back through the pool.
+row: an encoded batch holds the cached cloud of each of its objects
+once, first seen first, and indexing rows keeps only the entries they
+use. The point branch runs once per table entry in both passes; the
+pooled feature is gathered per row, and its gradient summed per entry
+before it is routed back through the pool.
 
 The parameters live in one float64 vector, PolicyParams.flat, laid out
 as param_shapes lists the 17 arrays, each stored C-order. Each named
@@ -53,14 +55,12 @@ from .demo import EditBounds
 from .geometry import compose_pose_rows
 from .hand import Style
 from .objects import ObjectModel, farthest_point_sample
-from .sim import EnvState
 
 __all__ = [
     "PolicyError",
     "ObsBatch",
     "PolicyParams",
     "ActionSample",
-    "cloud_entry",
     "encode_observation",
     "observation_checks",
     "activation_checks",
@@ -98,8 +98,7 @@ _ROW_FIELDS = ("s_r", "s_o", "p_afford_rel", "l_style", "obj_bb")
 
 @dataclass(frozen=True)
 class ObsBatch:
-    """B observations over a table of U distinct clouds; one episode's
-    observation is a batch of one over a table of one."""
+    """B observations over a table of U distinct clouds."""
 
     s_r: np.ndarray            # (B, 7) initial end-effector pose (t, quat)
     s_o: np.ndarray            # (B, 7) object pose
@@ -120,88 +119,59 @@ class ObsBatch:
         rows = {name: getattr(self, name)[sel] for name in _ROW_FIELDS}
         return ObsBatch(**rows, cloud_index=index, clouds=self.clouds[used])
 
-    @classmethod
-    def concat(cls, batches) -> "ObsBatch":
-        """The batches' rows in order, over one table that holds each
-        distinct cloud once (clouds with equal bytes share an entry)."""
-        entries: dict[bytes, tuple[int, np.ndarray]] = {}   # first seen first
-        index = []
-        for b in batches:
-            remap = [entries.setdefault(cloud.tobytes(), (len(entries), cloud))[0] for cloud in b.clouds]
-            index.append(np.array(remap)[b.cloud_index])
-        rows = {name: np.concatenate([getattr(b, name) for b in batches]) for name in _ROW_FIELDS}
-        clouds = np.stack([cloud for _, cloud in entries.values()])
-        return cls(**rows, cloud_index=np.concatenate(index), clouds=clouds)
-
-    def row(self, i: int, table: np.ndarray) -> "ObsBatch":
-        """Row i as a batch of one over `table`, the (1, M, 6) table of
-        one that holds the row's cloud: an episode keeps its observation
-        this way, sharing its object's cached entry (cloud_entry)."""
-        rows = {name: getattr(self, name)[i : i + 1] for name in _ROW_FIELDS}
-        return ObsBatch(**rows, cloud_index=_FIRST_ENTRY, clouds=table)
-
-
-# every batch of one indexes entry 0 of its table of one; sharing one
-# read-only array lets a chunk's pickled results hold it once
-_FIRST_ENTRY = np.zeros(1, dtype=np.intp)
-_FIRST_ENTRY.flags.writeable = False
-
-
-def cloud_entry(obj: ObjectModel, m_points: int, fps_seed: int, cloud_cache: dict) -> np.ndarray:
-    """obj's encoded observation cloud as a read-only table of one,
-    (1, M, 6): FPS-subsampled, centered on the centroid and scaled by
-    1/obj_bb, so the encoding is invariant to uniform object scaling.
-    It is encoded once per (object, M, seed) into cloud_cache, and every
-    observation of the object shares the cached array."""
-    key = (obj.name, m_points, fps_seed)
-    clouds = cloud_cache.get(key)
-    if clouds is None:
-        idx = farthest_point_sample(obj.points, m_points, fps_seed)
-        scale = 1.0 / obj.obj_bb
-        clouds = np.concatenate([(obj.points[idx] - obj.centroid) * scale, obj.normals[idx]], axis=1)[None]
-        clouds.flags.writeable = False
-        cloud_cache[key] = clouds
-    return clouds
-
 
 def encode_observation(
-    envs: list[EnvState],
+    objs: list[ObjectModel],
+    pose_t: np.ndarray,
+    pose_r: np.ndarray,
+    p_afford: np.ndarray,
+    style_index,
     demo,
     styles: list[Style],
     m_points: int,
     fps_seed: int,
     cloud_cache: dict,
 ) -> ObsBatch:
-    """Deterministic observation encoding of a chunk of reset
-    environments: one batch, row i for envs[i].
+    """Deterministic observation encoding of E episodes: one batch, row i
+    for the episode on objs[i] at object pose (pose_t[i], pose_r[i]),
+    with affordance point p_afford[i] (object frame) and conditioned
+    style style_index[i].
 
-    The cloud table holds each distinct object's cached entry
-    (cloud_entry) once, first seen first. s_r is the would-be initial
-    end-effector pose of the unedited replay, composed over the rows as
-    compose_pose composes one pose. Every row expression is element-wise
-    or renormalizes its own quaternion, so each row has the bits it gets
-    in a chunk of one. Nothing is checked here: observation_checks names
-    the rows with non-finite fields.
+    An object's cloud is FPS-subsampled, centered on the centroid and
+    scaled by 1/obj_bb, so the encoding is invariant to uniform object
+    scaling. It is encoded once per (object, M, FPS seed) into
+    cloud_cache as a read-only array, and the table holds each distinct
+    object's cached cloud once, first seen first. s_r is the would-be
+    initial end-effector pose of the unedited replay, composed over the
+    rows as compose_pose composes one pose. Every row expression is
+    element-wise or renormalizes its own quaternion, so each row has the
+    bits it gets in a batch of one. Nothing is checked here:
+    observation_checks names the rows with non-finite fields.
     """
     entry_of: dict[str, int] = {}
-    objs = []
-    for env in envs:
-        if env.obj.name not in entry_of:
-            entry_of[env.obj.name] = len(objs)
-            objs.append(env.obj)
-    pose_t = np.stack([env.object_pose.t for env in envs])
-    pose_r = np.stack([env.object_pose.r for env in envs])
+    clouds = []
+    for obj in objs:
+        if obj.name in entry_of:
+            continue
+        entry_of[obj.name] = len(clouds)
+        key = (obj.name, m_points, fps_seed)
+        if key not in cloud_cache:
+            idx = farthest_point_sample(obj.points, m_points, fps_seed)
+            cloud = np.concatenate([(obj.points[idx] - obj.centroid) * (1.0 / obj.obj_bb), obj.normals[idx]], axis=1)
+            cloud.flags.writeable = False
+            cloud_cache[key] = cloud
+        clouds.append(cloud_cache[key])
     ee0_t, ee0_r = compose_pose_rows(pose_t, pose_r, demo.pose_t[0], demo.pose_r[0])
-    centroid = np.stack([env.obj.centroid for env in envs])
-    obj_bb = np.array([[env.obj.obj_bb] for env in envs], dtype=float)
+    centroid = np.stack([obj.centroid for obj in objs])
+    obj_bb = np.array([[obj.obj_bb] for obj in objs], dtype=float)
     return ObsBatch(
         s_r=np.concatenate([ee0_t, ee0_r], axis=1),
         s_o=np.concatenate([pose_t, pose_r], axis=1),
-        p_afford_rel=(np.stack([env.condition.p_afford for env in envs]) - centroid) * (1.0 / obj_bb),
-        l_style=np.eye(len(styles))[[env.condition.style_index for env in envs]],
+        p_afford_rel=(p_afford - centroid) * (1.0 / obj_bb),
+        l_style=np.eye(len(styles))[list(style_index)],
         obj_bb=obj_bb,
-        cloud_index=np.array([entry_of[env.obj.name] for env in envs], dtype=np.intp),
-        clouds=np.concatenate([cloud_entry(obj, m_points, fps_seed, cloud_cache) for obj in objs]),
+        cloud_index=np.array([entry_of[obj.name] for obj in objs], dtype=np.intp),
+        clouds=np.stack(clouds),
     )
 
 

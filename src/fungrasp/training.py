@@ -15,11 +15,11 @@ through three phases:
    contract order: the episode rng, the object, reset_env's draws, then
    the action draw (standard_normal noise in policy mode, uniform
    actions in random mode), which does not depend on the forward pass.
-   Then one encode_observation over the chunk's envs, one row-alone
-   policy_forward (each trunk product a stacked (1, D) @ (D, H) gemv per
-   row, so every row has the bits of a batch of one), one sample_action
-   (or the mean, random or identity action) over the rows, and the
-   episodes' EpisodeResults.
+   Then the episodes' EpisodeResults, one encode_observation over them
+   (observe), one row-alone policy_forward (each trunk product a stacked
+   (1, D) @ (D, H) gemv per row, so every row has the bits of a batch of
+   one) and one sample_action (or the mean, random or identity action)
+   over the rows.
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
    wrist edits and FK at once; one contact phase in the object frame,
    with per object one nearest-point query of the grasp frame and the
@@ -39,6 +39,12 @@ in, nor on which episodes share its object; one episode is
 a chunk of one. metrics.jsonl stays byte-identical across worker
 counts: its lines, outcome counts included, depend only on the
 episodes' results.
+
+A result carries no observation. collect_batch encodes the PPO batch's
+from the results that ran, by one observe call in the main process; the
+encoding is row-wise and orders its cloud table by first appearance, so
+that batch has the bits of the rows the chunks saw, whichever workers
+ran them.
 
 One error rule: a PolicyError in phase 1 (a non-finite observation or
 activation) ends that episode alone as an error that keeps the type in
@@ -83,7 +89,7 @@ from pathlib import Path
 import numpy as np
 
 from .demo import Demonstration, EditAction, EditBounds, load_demo
-from .geometry import Pose, quat_rotate
+from .geometry import Pose
 from .hand import HandSpec, Style, load_hand_spec, load_styles
 from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object, toy_suite
 from .policy import (
@@ -93,7 +99,6 @@ from .policy import (
     PolicyError,
     PolicyParams,
     activation_checks,
-    cloud_entry,
     encode_observation,
     entropy,
     init_params,
@@ -119,6 +124,7 @@ __all__ = [
     "AdamState",
     "load_assets",
     "load_objects",
+    "observe",
     "run_episodes",
     "collect_batch",
     "ppo_update",
@@ -276,14 +282,13 @@ def episode_rng(seed: int, stream: int, *key) -> np.random.Generator:
 class EpisodeResult:
     """One episode: phase 1 builds it, phase 3 adds the rollout's record
     and reward terms. An errored episode keeps the facts of its reset
-    and has no obs, raw, action_vec, record or terms."""
+    and has no raw, action_vec, record or terms."""
 
     index: int
     object_name: str
     object_pose: Pose
-    p_afford_world: np.ndarray
+    p_afford: np.ndarray           # (3,) affordance point, object frame
     conditioned_style: int
-    obs: ObsBatch | None = None    # B = 1, over its object's cached cloud entry
     raw: np.ndarray | None = None
     action_vec: np.ndarray | None = None
     log_prob: float = 0.0
@@ -315,6 +320,21 @@ class Batch:
 
 
 ACTION_MODES = ("policy", "mean", "random", "identity")
+
+
+def observe(results: list[EpisodeResult], cfg: TrainConfig, assets: Assets) -> ObsBatch:
+    """The observations of the results' episodes, row i for results[i],
+    by one encode_observation call over their objects, poses,
+    affordance points and conditioned styles."""
+    objects = {obj.name: obj for obj in assets.objects}
+    return encode_observation(
+        [objects[r.object_name] for r in results],
+        np.stack([r.object_pose.t for r in results]),
+        np.stack([r.object_pose.r for r in results]),
+        np.stack([r.p_afford for r in results]),
+        [r.conditioned_style for r in results],
+        assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache,
+    )
 
 
 def run_episodes(
@@ -372,14 +392,11 @@ def run_episodes(
     if not envs:
         return []
 
-    pose_t = np.stack([env.object_pose.t for env in envs])
-    pose_r = np.stack([env.object_pose.r for env in envs])
-    p_afford_world = quat_rotate(pose_r, np.stack([env.condition.p_afford for env in envs])) + pose_t
     results = [
-        EpisodeResult(i, env.obj.name, env.object_pose, p, env.condition.style_index)
-        for i, env, p in zip(indices, envs, p_afford_world)
+        EpisodeResult(i, env.obj.name, env.object_pose, env.condition.p_afford, env.condition.style_index)
+        for i, env in zip(indices, envs)
     ]
-    obs = encode_observation(envs, assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache)
+    obs = observe(results, cfg, assets)
     checks = observation_checks(obs)
     try:
         mean, log_std, value, cache = policy_forward(params, obs, check=False, row_alone=True)
@@ -411,7 +428,6 @@ def run_episodes(
         logp = np.zeros(len(live))
     for k, row_raw, action, row_logp in zip(live, raw, actions, logp):
         res = results[k]
-        res.obs = obs.row(k, cloud_entry(envs[k].obj, cfg.m_points, cfg.seed, assets.cloud_cache))
         res.raw, res.action_vec = row_raw, action
         res.log_prob, res.value = float(row_logp), float(value[k])
 
@@ -554,24 +570,21 @@ def collect_batch(
     iteration: int,
     pool: EpisodePool | None = None,
 ) -> Batch:
-    """E independent training episodes assembled in episode-index order."""
+    """E independent training episodes in episode-index order. The PPO
+    batch stacks the episodes that ran, with their observations encoded
+    here (observe); errored ones stay in results only."""
     with nullcontext(pool) if pool else EpisodePool(cfg.workers, assets) as pool:
         results = pool.run(
             params, cfg, cfg.seed, (STREAM_TRAIN, iteration), cfg.envs_per_iter,
             train_mode=True, mode="policy",
         )
-    return _assemble_batch(results)
-
-
-def _assemble_batch(results: list[EpisodeResult]) -> Batch:
-    """Stack the episodes that ran; errored ones stay in results only."""
     ran = [r for r in results if r.error is None]
     rewards = np.array([r.reward for r in ran])
     values = np.array([r.value for r in ran])
     adv = rewards - values
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     return Batch(
-        obs=ObsBatch.concat([r.obs for r in ran]),
+        obs=observe(ran, cfg, assets),
         raw=np.stack([r.raw for r in ran]),
         log_prob_old=np.array([r.log_prob for r in ran]),
         rewards=rewards,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
 from fungrasp.demo import load_demo
-from fungrasp.geometry import Pose, transform_point
+from fungrasp.geometry import Pose
 from fungrasp.hand import load_hand_spec, load_styles
 from fungrasp.objects import toy_suite
 from fungrasp.policy import param_views
@@ -79,16 +79,16 @@ def with_arrays(params, **arrays):
     return dataclasses.replace(params, flat=flat)
 
 
-def poison_cloud_of(encode, p_afford_world):
-    """A chunk encoder that wraps `encode` and gives the row of the episode
-    whose affordance point lands at p_afford_world a cloud entry of its
-    own with one NaN in it: that episode alone errors, with the message a
+def poison_cloud_of(encode, episode):
+    """A wrapper of encode_observation that gives the row of `episode`
+    (an EpisodeResult, found by its object pose) a cloud entry of its own
+    with one NaN in it: that episode alone errors, with the message a
     non-finite cloud gets."""
 
-    def poisoned(envs, *args):
-        obs = encode(envs, *args)
-        for k, env in enumerate(envs):
-            if np.array_equal(transform_point(env.object_pose, env.condition.p_afford), p_afford_world):
+    def poisoned(objs, pose_t, *args):
+        obs = encode(objs, pose_t, *args)
+        for k, t in enumerate(pose_t):
+            if np.array_equal(t, episode.object_pose.t):
                 bad = obs.clouds[obs.cloud_index[k]].copy()
                 bad[0, 0] = np.nan
                 index = obs.cloud_index.copy()

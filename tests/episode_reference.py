@@ -10,6 +10,10 @@ and Pose (reference_edit_wrist_arrays) in place of
 demo.edit_wrist_arrays. reference_run_episodes has run_episodes'
 signature and returns its results, so a test can compare every field of
 every result by bytes.
+
+The PPO batch's observations have an oracle too: the batches of one of
+the episodes that ran, glued by concat_obs, the ObsBatch.concat that
+collect_batch once used (reference_batch_obs).
 """
 
 import dataclasses
@@ -19,7 +23,7 @@ import pytest
 
 from fungrasp import demo as demo_module
 from fungrasp.demo import EditAction
-from fungrasp.geometry import Pose, compose_pose, quat_mul, quat_normalize, quat_rotate, transform_point
+from fungrasp.geometry import Pose, compose_pose, quat_mul, quat_normalize, quat_rotate
 from fungrasp.objects import farthest_point_sample
 from fungrasp.policy import (
     ObsBatch,
@@ -32,7 +36,7 @@ from fungrasp.policy import (
 )
 from fungrasp.rewards import total_reward
 from fungrasp.sim import reset_env, rollout_batch
-from fungrasp.training import EpisodeResult, episode_rng
+from fungrasp.training import STREAM_TRAIN, EpisodeResult, episode_rng
 
 
 def reference_axis_angle_to_quat(v):
@@ -93,6 +97,21 @@ def reference_encode(env, demo, styles, m_points, fps_seed, cloud_cache):
     return obs
 
 
+def concat_obs(batches):
+    """The batches' rows in order, over one table that holds each
+    distinct cloud once (clouds with equal bytes share an entry), first
+    seen first."""
+    entries = {}
+    index = []
+    for b in batches:
+        remap = [entries.setdefault(cloud.tobytes(), (len(entries), cloud))[0] for cloud in b.clouds]
+        index.append(np.array(remap)[b.cloud_index])
+    rows = {name: np.concatenate([getattr(b, name) for b in batches])
+            for name in ("s_r", "s_o", "p_afford_rel", "l_style", "obj_bb")}
+    clouds = np.stack([cloud for _, cloud in entries.values()])
+    return ObsBatch(**rows, cloud_index=np.concatenate(index), clouds=clouds)
+
+
 def reference_sample(mean, log_std, bounds, joint_count, rng):
     """One action drawn, squashed and scored as a vector: (raw, action,
     log_prob)."""
@@ -106,8 +125,9 @@ def reference_sample(mean, log_std, bounds, joint_count, rng):
 
 def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style, cloud_cache):
     """Phase 1 of one episode: reset, observe, a B=1 forward pass, act.
-    Returns the episode's result, its env and its action; a PolicyError
-    makes the result an errored one, with no action."""
+    Returns the episode's result, its env, its action and its
+    observation; a PolicyError makes the result an errored one, with no
+    action or observation."""
     rng = episode_rng(seed, *stream_key, index)
     joint_count = assets.spec.joint_count
     obj = assets.objects[int(rng.integers(len(assets.objects)))]
@@ -122,13 +142,13 @@ def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode
             contact_mask=style.contact_mask,
         )
     pose, cond = env.object_pose, env.condition
-    result = EpisodeResult(index, obj.name, pose, transform_point(pose, cond.p_afford), cond.style_index)
+    result = EpisodeResult(index, obj.name, pose, cond.p_afford, cond.style_index)
     try:
         obs = reference_encode(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, cloud_cache)
         mean, log_std, value, _ = policy_forward(params, obs)
     except PolicyError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
-        return result, env, None
+        return result, env, None, None
     lo, hi = cfg.bounds.intervals(joint_count)
     if mode == "policy":
         raw, action, logp = reference_sample(mean[0], log_std, cfg.bounds, joint_count, rng)
@@ -145,9 +165,9 @@ def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode
         action = EditAction.identity(joint_count)
         raw = np.zeros(7 + joint_count)
         logp = 0.0
-    result.obs, result.raw, result.action_vec = obs, np.asarray(raw, dtype=float), action.to_vector()
+    result.raw, result.action_vec = np.asarray(raw, dtype=float), action.to_vector()
     result.log_prob, result.value = float(logp), float(value[0])
-    return result, env, action
+    return result, env, action, obs
 
 
 def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, train_mode, mode="policy",
@@ -156,7 +176,7 @@ def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, tr
     cloud_cache = {}
     acted = [reference_act(params, cfg, assets, seed, stream_key, i, train_mode, mode, force_style, cloud_cache)
              for i in indices]
-    live = [(res, env, action) for res, env, action in acted if res.error is None]
+    live = [(res, env, action) for res, env, action, _ in acted if res.error is None]
     if live:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(demo_module, "edit_wrist_arrays", reference_edit_wrist_arrays)
@@ -168,4 +188,14 @@ def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, tr
             res.record = record
             res.terms = total_reward(record, env.obj.obj_bb, assets.styles[res.conditioned_style].q_canonical,
                                      cfg.reward)
-    return [res for res, _, _ in acted]
+    return [res for res, _, _, _ in acted]
+
+
+def reference_batch_obs(params, cfg, assets, iteration, skip=()):
+    """The observations of collect_batch's PPO batch of `iteration`:
+    concat_obs over the batch of one of each episode that ran, with the
+    episodes in `skip` left out as errored ones."""
+    cloud_cache = {}
+    acted = [reference_act(params, cfg, assets, cfg.seed, (STREAM_TRAIN, iteration), i, True, "policy", None,
+                           cloud_cache) for i in range(cfg.envs_per_iter) if i not in skip]
+    return concat_obs([obs for res, _, _, obs in acted if res.error is None])

@@ -14,7 +14,7 @@ import pytest
 import metrics_oracle
 from fungrasp.dataio import default_cameras
 from fungrasp.demo import EditAction
-from fungrasp.evaluation import _ablate_config, _row_from_result, evaluate, write_episode_rows
+from fungrasp.evaluation import _ablate_config, evaluate, write_episode_rows
 from fungrasp.objects import make_sphere
 from fungrasp.policy import init_params, random_obs
 from fungrasp.rewards import RewardConfig, afford_reward, total_reward
@@ -208,7 +208,7 @@ def test_criterion_8_metric_oracle_equivalence(assets, tmp_path):
     params = init_params(episode_rng(808, 4), 32, len(assets.styles), assets.spec.joint_count)
     metrics, results = evaluate(params, cfg, assets, 120, seed=808, mode="policy")
     rows_path = tmp_path / "episodes.jsonl"
-    write_episode_rows([_row_from_result(r) for r in results], rows_path)
+    write_episode_rows(results, rows_path)
     ref = metrics_oracle.recompute(metrics_oracle.read_rows(rows_path))
     diffs = {}
     for key in ("gsr", "sad", "sd", "sa"):

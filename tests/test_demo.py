@@ -230,3 +230,23 @@ def test_action_vector_round_trip():
     vec[-1] = 1.1
     a = EditAction.from_vector(vec, 6)
     assert np.allclose(a.to_vector(), vec)
+
+
+@pytest.mark.parametrize("t_l", [[3], None, 2.7, True, "3", "missing"])
+def test_grasp_index_must_be_a_json_integer(tmp_path, spec, t_l):
+    """T_l is a JSON integer (not a bool); anything else is a DemoError
+    that names the file and T_l, not a silent int() of it."""
+    from fungrasp.assets import default_demo_path
+
+    payload = json.loads(default_demo_path().read_text())
+    if t_l == "missing":
+        del payload["T_l"]
+    else:
+        payload["T_l"] = t_l
+    p = tmp_path / "demo.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(DemoError, match=rf"demo\.json: T_l: must be an integer"):
+        load_demo(p, spec)
+    payload["T_l"] = 3
+    p.write_text(json.dumps(payload))
+    assert load_demo(p, spec).grasp_index == 3

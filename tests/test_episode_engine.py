@@ -6,9 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import with_arrays
+from conftest import poison_cloud_of, with_arrays
 from contact_reference import hand_assets
-from episode_reference import reference_axis_angle_to_quat, reference_edit_wrist_arrays, reference_run_episodes
+from episode_reference import (
+    reference_axis_angle_to_quat,
+    reference_batch_obs,
+    reference_edit_wrist_arrays,
+    reference_run_episodes,
+)
 from fungrasp import training as tr
 from fungrasp.demo import EditBounds, edit_wrist_arrays
 from fungrasp.geometry import Pose, axis_angle_to_quat
@@ -22,7 +27,7 @@ from fungrasp.policy import (
     random_obs,
     row_errors,
 )
-from fungrasp.training import TrainConfig, episode_rng, run_episodes
+from fungrasp.training import EpisodePool, TrainConfig, collect_batch, episode_rng, run_episodes
 
 MODES = ("policy", "mean", "random", "identity")
 
@@ -77,6 +82,27 @@ def test_chunk_matches_the_per_episode_engine(hand_setup, mode, force_style):
         _assert_same_results(got, [want[i] for i in chunk])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ppo_batch_obs_matches_the_batches_of_one(hand_setup, workers):
+    """collect_batch's observations, all 7 fields by bytes, against the
+    episodes' batches of one glued by concat_obs, with a fresh cloud
+    cache in the main process; and with the first episode, the first on
+    its object, errored, so that the cloud table starts elsewhere."""
+    assets, cfg, params = hand_setup
+    first = run_episodes(params, cfg, assets, cfg.seed, (tr.STREAM_TRAIN, 0), [0], train_mode=True)[0]
+    for skip in ((), (0,)):
+        with pytest.MonkeyPatch.context() as mp:
+            if skip:
+                mp.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, first))
+            fresh = dataclasses.replace(assets)
+            with EpisodePool(workers, fresh) as pool:
+                batch = collect_batch(params, cfg, fresh, 0, pool)
+        assert [i for i, r in enumerate(batch.results) if r.error is not None] == list(skip)
+        want = reference_batch_obs(params, cfg, assets, 0, skip)
+        for f in dataclasses.fields(ObsBatch):
+            assert _bits(getattr(batch.obs, f.name)) == _bits(getattr(want, f.name)), (skip, f.name)
+
+
 def test_edit_wrist_arrays_matches_the_per_episode_composition(demo):
     """Identity offsets, offsets under the first-order threshold and
     ordinary ones, on random object poses."""
@@ -120,7 +146,7 @@ def forward_setup():
     params = with_arrays(params, mean_w=params.mean_w * 30.0, v_w3=params.v_w3 * 30.0)
     base = random_obs(np.random.default_rng(2), 7, 16, 4)
     rng = np.random.default_rng(3)
-    batch = ObsBatch.concat([base[np.array([i])] for i in rng.integers(7, size=257)])
+    batch = base[rng.integers(7, size=257)]
     batch = dataclasses.replace(batch, s_r=batch.s_r + rng.normal(scale=0.1, size=batch.s_r.shape))
     return params, batch
 
@@ -149,11 +175,11 @@ def test_nan_row_errors_alone(hand_setup):
     reference = run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True)
     real = tr.encode_observation
 
-    def poisoned(envs, *args):
-        obs = real(envs, *args)
+    def poisoned(objs, pose_t, *args):
+        obs = real(objs, pose_t, *args)
         s_o = obs.s_o.copy()
-        for k, env in enumerate(envs):
-            if np.array_equal(env.object_pose.t, reference[4].object_pose.t):
+        for k, t in enumerate(pose_t):
+            if np.array_equal(t, reference[4].object_pose.t):
                 s_o[k, 2] = np.nan
         return dataclasses.replace(obs, s_o=s_o)
 
@@ -162,7 +188,7 @@ def test_nan_row_errors_alone(hand_setup):
         got = run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True)
         (alone,) = run_episodes(params, cfg, assets, cfg.seed, key, [4], train_mode=True)
     assert got[4].error == alone.error == "PolicyError: non-finite observation field s_o"
-    assert got[4].record is None and got[4].obs is None and got[4].raw is None
+    assert got[4].record is None and got[4].raw is None
     _assert_same_results(got[:4] + got[5:], reference[:4] + reference[5:])
 
 

@@ -4,17 +4,17 @@ import pytest
 from fungrasp.demo import EditBounds
 from fungrasp.evaluation import (
     ABLATION_COMPONENTS,
-    EpisodeRow,
     _ablate_config,
-    _row_from_result,
     compute_metrics,
     evaluate,
     pairwise_style_diversity,
     write_episode_rows,
     write_report,
 )
+from fungrasp.geometry import identity_pose
 from fungrasp.policy import init_params
-from fungrasp.training import EpisodePool, TrainConfig, collect_batch, episode_rng
+from fungrasp.sim import RolloutRecord
+from fungrasp.training import EpisodePool, EpisodeResult, TrainConfig, collect_batch, episode_rng
 
 import metrics_oracle
 from conftest import poison_cloud_of
@@ -32,9 +32,11 @@ def eval_params(assets, eval_cfg):
 
 
 def _row(success, d_final=0.02, q=None, cond=0, exe=0):
-    return EpisodeRow(episode=0, object_name="box", success=success, d_final=d_final,
-                      d_min=d_final, q_final=list(q if q is not None else [0.0] * 3),
-                      conditioned_style=cond, executed_style=exe, reward_total=1.0)
+    """An episode result whose record measured d_final at every frame."""
+    q = np.array(q if q is not None else [0.0] * 3, dtype=float)
+    record = RolloutRecord(d_series=np.full(3, d_final), q_final=q, q_star=q, executed_style=exe,
+                           table_collision=False, failure_reason=None if success else "no_closure")
+    return EpisodeResult(0, "box", identity_pose(), np.zeros(3), cond, record=record)
 
 
 def test_pairwise_diversity_cases():
@@ -121,9 +123,8 @@ def test_identity_policy_on_box_fixture(box_assets, eval_cfg, eval_params):
 
 def test_metrics_match_independent_oracle(assets, eval_cfg, eval_params, tmp_path):
     m, results = evaluate(eval_params, eval_cfg, assets, 40, seed=13, mode="policy")
-    rows = [_row_from_result(r) for r in results]
     path = tmp_path / "rows.jsonl"
-    write_episode_rows(rows, path)
+    write_episode_rows(results, path)
     ref = metrics_oracle.recompute(metrics_oracle.read_rows(path))
     assert ref["gsr"] == pytest.approx(m.gsr, abs=1e-9)
     assert ref["n_success"] == m.n_success
@@ -143,13 +144,15 @@ def test_exhaustive_styles_at_least_as_good(box_assets, eval_cfg, eval_params):
     assert best.gsr >= base.gsr - 1e-12
 
 
-def test_exhaustive_styles_run_on_the_pool(box_assets, eval_cfg, eval_params):
+def test_exhaustive_styles_run_on_the_pool(box_assets, eval_cfg, eval_params, tmp_path):
     serial_m, serial = evaluate(eval_params, eval_cfg, box_assets, 9, seed=5, exhaustive_styles=True)
     with EpisodePool(2, box_assets) as pool:
         pooled_m, pooled = evaluate(eval_params, eval_cfg, box_assets, 9, seed=5, exhaustive_styles=True,
                                     pool=pool)
     assert pooled_m == serial_m
-    assert [_row_from_result(r) for r in pooled] == [_row_from_result(r) for r in serial]
+    write_episode_rows(serial, tmp_path / "serial.jsonl")
+    write_episode_rows(pooled, tmp_path / "pooled.jsonl")
+    assert (tmp_path / "pooled.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
 
 def test_random_baseline_determinism(assets, eval_cfg, eval_params):
@@ -218,8 +221,7 @@ def test_report_explains_its_episodes(assets, eval_cfg, eval_params, tmp_path, m
     from fungrasp.rewards import RewardTerms, total_reward
 
     _, reference = evaluate(eval_params, eval_cfg, assets, 10, seed=4)
-    poisoned = reference[3].p_afford_world
-    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, poisoned))
+    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, reference[3]))
     metrics, results = evaluate(eval_params, eval_cfg, assets, 10, seed=4)
     write_report(metrics, eval_cfg, tmp_path / "episodes.jsonl", tmp_path / "report.json", results)
     report = json.loads((tmp_path / "report.json").read_text())
@@ -245,12 +247,11 @@ def test_episode_rows_of_an_errored_episode_are_strict_json(assets, eval_cfg, ev
     import fungrasp.training as tr
 
     _, reference = evaluate(eval_params, eval_cfg, assets, 4, seed=4)
-    poisoned = reference[1].p_afford_world
-    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, poisoned))
+    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, reference[1]))
     metrics, results = evaluate(eval_params, eval_cfg, assets, 4, seed=4)
     assert [r.record is None for r in results] == [False, True, False, False]
     path = tmp_path / "episodes.jsonl"
-    write_episode_rows([_row_from_result(r) for r in results], path)
+    write_episode_rows(results, path)
 
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")

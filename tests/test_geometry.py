@@ -14,14 +14,37 @@ from fungrasp.geometry import (
     quat_mul,
     quat_normalize,
     quat_rotate,
-    quat_to_axis_angle,
-    quat_to_matrix,
     row_norms,
     transform_point,
 )
 
 from conftest import poses, random_pose, unit_quaternions
 from kernel_reference import stacked_quat_mul, stacked_quat_rotate
+
+
+# oracles of the rotation algebra, not used by the package itself
+def quat_to_matrix(q) -> np.ndarray:
+    """3x3 rotation matrix of a unit quaternion."""
+    w, x, y, z = np.asarray(q, dtype=float)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def quat_to_axis_angle(q) -> np.ndarray:
+    """Axis-angle vector of a unit quaternion, with |result| in [0, pi]."""
+    q = np.asarray(q, dtype=float)
+    if q[0] < 0.0:
+        q = -q
+    s = float(np.linalg.norm(q[1:]))
+    if s < 1e-12:
+        return 2.0 * q[1:]
+    angle = 2.0 * np.arctan2(s, q[0])
+    return q[1:] * (angle / s)
 
 
 def test_identity_compose_is_noop():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -284,4 +285,33 @@ def test_style_mask_needs_two_distinct_fingers(tmp_path, spec, styles, mask):
     entries[1]["contact_mask"] = mask
     p = _write(tmp_path, "styles.json", {"hand": spec.name, "styles": entries})
     with pytest.raises(HandError, match=rf"styles\[1\] \('{styles[1].id}'\): contact_mask .* fewer than two"):
+        load_styles(p, spec)
+
+
+@pytest.mark.parametrize("where, value", [
+    (("tip_radius",), [1]),
+    (("segments", 0, "length"), None),
+    (("segments", 0, "limits"), 5),
+    (("segments", 1, "axis"), {}),
+    (("segments", 1, "radius"), True),
+])
+def test_hand_numeric_fields_are_type_checked(tmp_path, where, value):
+    """A numeric hand field of the wrong JSON type is a HandError that
+    names the file and the field's path."""
+    payload = json.loads(default_hand_path().read_text())
+    node = payload["fingers"][0]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = "fingers[0]" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)
+    with pytest.raises(HandError, match=re.escape(f"hand.json: {path}: must be")):
+        load_hand_spec(_write(tmp_path, "hand.json", payload))
+
+
+@pytest.mark.parametrize("field, value", [("contact_mask", [[0], [1]]), ("contact_mask", [0, 1.0]), ("q", {})])
+def test_style_numeric_fields_are_type_checked(tmp_path, spec, styles, field, value):
+    entries = [{"id": s.id, "q": s.q_canonical.tolist(), "contact_mask": list(s.contact_mask)} for s in styles]
+    entries[2][field] = value
+    p = _write(tmp_path, "styles.json", {"hand": spec.name, "styles": entries})
+    with pytest.raises(HandError, match=re.escape(f"styles.json: styles[2].{field}: must be a list of")):
         load_styles(p, spec)

@@ -1,0 +1,80 @@
+"""The CLI on the bundled hand, styles and demo JSON with one field, at
+any depth, retyped: every run succeeds or ends in a named user error
+(exit 0 or 1), never in an internal error (exit 2)."""
+
+import copy
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fungrasp import cli
+from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
+
+RETYPED = (None, [], [1], "x", True, {}, 2.5, -1)
+TRAIN = {"train": {"iterations": 0, "envs_per_iter": 8, "minibatch": 8, "m_points": 32}}
+FUZZ = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _paths(node, prefix=()):
+    """Every key and index path into a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _bundled(path):
+    doc = json.loads(path.read_text())
+    return doc, list(_paths(doc))
+
+
+HAND, HAND_PATHS = _bundled(default_hand_path())
+DEMO, DEMO_PATHS = _bundled(default_demo_path())
+STYLES, STYLES_PATHS = _bundled(default_styles_path())
+
+
+def _exit_code(tmp_path_factory, doc, path, value, command):
+    """cli.main's exit code for `command` (with {file} standing for the
+    file) run on doc with the field at path set to value."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "doc.json").write_text(json.dumps(doc))
+    (out / "config.json").write_text(json.dumps(TRAIN))
+    argv = [arg.format(dir=out) for arg in command]
+    return cli.main(argv)
+
+
+@FUZZ
+@given(path=st.sampled_from(HAND_PATHS), value=st.sampled_from(RETYPED))
+@example(path=("fingers", 0, "tip_radius"), value=[1])
+@example(path=("fingers", 0, "segments", 0, "length"), value=None)
+@example(path=("fingers", 0, "segments", 0, "limits"), value=-1)
+def test_retyped_hand_field_is_never_an_internal_error(tmp_path_factory, path, value):
+    code = _exit_code(tmp_path_factory, HAND, path, value, ["demo", "inspect", "--hand", "{dir}/doc.json"])
+    assert code in (0, 1)
+
+
+@FUZZ
+@given(path=st.sampled_from(DEMO_PATHS), value=st.sampled_from(RETYPED))
+@example(path=("T_l",), value=[1])
+@example(path=("T_l",), value=None)
+@example(path=("frames", 0, "q"), value={})
+def test_retyped_demo_field_is_never_an_internal_error(tmp_path_factory, path, value):
+    code = _exit_code(tmp_path_factory, DEMO, path, value, ["demo", "inspect", "--demo", "{dir}/doc.json"])
+    assert code in (0, 1)
+
+
+@FUZZ
+@given(path=st.sampled_from(STYLES_PATHS), value=st.sampled_from(RETYPED))
+@example(path=("styles", 0, "contact_mask", 0), value=[1])
+@example(path=("styles", 0, "q"), value={})
+def test_retyped_styles_field_is_never_an_internal_error(tmp_path_factory, path, value):
+    command = ["train", "--seed", "1", "--config", "{dir}/config.json", "--styles", "{dir}/doc.json",
+               "--out", "{dir}/run"]
+    assert _exit_code(tmp_path_factory, STYLES, path, value, command) in (0, 1)
+

@@ -11,7 +11,6 @@ from fungrasp.policy import (
     ObsBatch,
     PolicyError,
     PolicyParams,
-    cloud_entry,
     encode_observation,
     entropy,
     gaussian_log_prob,
@@ -30,12 +29,22 @@ from fungrasp.sim import reset_env
 from fungrasp.training import episode_rng, finite_diff_check
 
 from conftest import with_arrays
+from episode_reference import concat_obs
 from policy_reference import reference_backward, reference_forward
 
 
 def _random_obs(rng, m=16, s=4):
     """One random observation, as a batch of one."""
     return random_obs(rng, 1, m, s)
+
+
+def _encode(envs, assets, m_points, fps_seed, cache):
+    """encode_observation over reset environments, row i for envs[i]."""
+    return encode_observation(
+        [env.obj for env in envs], np.stack([env.object_pose.t for env in envs]),
+        np.stack([env.object_pose.r for env in envs]), np.stack([env.condition.p_afford for env in envs]),
+        [env.condition.style_index for env in envs], assets.demo, assets.styles, m_points, fps_seed, cache,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +62,7 @@ def test_encode_affordance_at_centroid(assets):
                     np.random.default_rng(0), False, spec=assets.spec, square_half=0.0)
     env.condition = dataclasses.replace(env.condition, p_afford=obj.centroid.copy())
     cache = {}
-    obs = encode_observation([env], assets.demo, assets.styles, 32, 0, cache)
+    obs = _encode([env], assets, 32, 0, cache)
     assert obs.size == 1
     assert np.allclose(obs.p_afford_rel, 0.0, atol=1e-12)
     assert obs.l_style.sum() == 1.0
@@ -71,8 +80,8 @@ def test_encode_scale_invariance(assets):
     env2 = dataclasses.replace(env, obj=scaled)
     env2.condition = dataclasses.replace(env.condition, p_afford=env.condition.p_afford * 2.0)
     cache = {}
-    a = encode_observation([env], assets.demo, assets.styles, 32, 0, cache)
-    b = encode_observation([env2], assets.demo, assets.styles, 32, 0, cache)
+    a = _encode([env], assets, 32, 0, cache)
+    b = _encode([env2], assets, 32, 0, cache)
     assert np.allclose(a.clouds, b.clouds, atol=1e-12)
     assert np.allclose(a.p_afford_rel, b.p_afford_rel, atol=1e-12)
     assert b.obj_bb[0, 0] == pytest.approx(2.0 * a.obj_bb[0, 0])
@@ -83,16 +92,14 @@ def test_encode_fps_cache_reused(assets):
     env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
                     np.random.default_rng(2), False, spec=assets.spec)
     cache = {}
-    a = encode_observation([env, env], assets.demo, assets.styles, 32, 7, cache)
+    a = _encode([env, env], assets, 32, 7, cache)
     assert list(cache) == [(obj.name, 32, 7)]
     first = cache[(obj.name, 32, 7)]
-    b = encode_observation([env], assets.demo, assets.styles, 32, 7, cache)
-    # one encoded, read-only table entry: a chunk's table holds it once,
-    # and an episode's row is a batch of one over the cached array itself
-    assert cache[(obj.name, 32, 7)] is first and cloud_entry(obj, 32, 7, cache) is first
-    assert a.cloud_index.tolist() == [0, 0] and np.array_equal(a.clouds, first) and np.array_equal(b.clouds, first)
-    row = a.row(1, first)
-    assert row.clouds is first and row.size == 1 and np.array_equal(row.s_r, b.s_r)
+    b = _encode([env], assets, 32, 7, cache)
+    # one encoded, read-only cloud, which every batch's table holds once
+    assert list(cache) == [(obj.name, 32, 7)] and cache[(obj.name, 32, 7)] is first
+    assert a.cloud_index.tolist() == [0, 0] and np.array_equal(a.clouds, first[None])
+    assert np.array_equal(b.clouds, first[None]) and np.array_equal(a.s_r[1:], b.s_r)
     assert not first.flags.writeable
 
 
@@ -105,11 +112,11 @@ def test_encode_rows_do_not_depend_on_their_chunk(assets):
         obj = assets.objects[int(rng.integers(len(assets.objects)))]
         envs.append(reset_env(obj, assets.afford_dists[obj.name], assets.styles, rng, True, spec=assets.spec))
     cache = {}
-    chunk = encode_observation(envs, assets.demo, assets.styles, 32, 0, cache)
+    chunk = _encode(envs, assets, 32, 0, cache)
     names = list(dict.fromkeys(env.obj.name for env in envs))
     assert [names[k] for k in chunk.cloud_index] == [env.obj.name for env in envs]
     for k, env in enumerate(envs):
-        alone = encode_observation([env], assets.demo, assets.styles, 32, 0, cache)
+        alone = _encode([env], assets, 32, 0, cache)
         for field in dataclasses.fields(ObsBatch):
             if field.name != "cloud_index":
                 got = getattr(chunk[np.array([k])], field.name)
@@ -123,7 +130,7 @@ def test_encode_rows_do_not_depend_on_their_chunk(assets):
 def test_zero_heads_give_zero_outputs(small_params):
     p = with_arrays(small_params, mean_w=0.0, mean_b=0.0, v_w3=0.0, v_b3=0.0)
     rng = np.random.default_rng(3)
-    batch = ObsBatch.concat([_random_obs(rng) for _ in range(5)])
+    batch = random_obs(rng, 5, 16, 4)
     mean, _, value, _ = policy_forward(p, batch)
     assert np.all(mean == 0.0)
     assert np.all(value == 0.0)
@@ -133,7 +140,7 @@ def _five_cloud_batch(rng, rows=32):
     """`rows` observations over 5 distinct clouds, the shape of a training
     minibatch: each row repeats one of 5 random observations."""
     base = random_obs(rng, 5, 16, 4)
-    return ObsBatch.concat([base[np.array([i])] for i in rng.permutation(np.arange(rows) % 5)])
+    return base[rng.permutation(np.arange(rows) % 5)]
 
 
 def _permute_points(rng, batch):
@@ -239,7 +246,7 @@ def test_log_prob_self_consistency(small_params, assets):
     lo, hi = bounds.intervals(6)
     assert np.array_equal(sample.action, squash(sample.raw, lo, hi))
     # the update's batched log-prob of the stored raw sample, from a fresh forward pass
-    mean2, log_std2, _, _ = policy_forward(small_params, ObsBatch.concat([obs, obs]))
+    mean2, log_std2, _, _ = policy_forward(small_params, obs[np.array([0, 0])])
     recomputed, _, _ = log_prob_of_raw(mean2, log_std2, np.concatenate([sample.raw] * 2), bounds, 6)
     assert recomputed == pytest.approx([sample.log_prob[0]] * 2, abs=1e-9)
 
@@ -296,7 +303,7 @@ def test_entropy_formula():
 
 def test_zero_upstream_grad_gives_zero_params(small_params):
     rng = np.random.default_rng(15)
-    batch = ObsBatch.concat([_random_obs(rng) for _ in range(3)])
+    batch = random_obs(rng, 3, 16, 4)
     _, _, _, cache = policy_forward(small_params, batch)
     g = policy_backward(small_params, cache, np.zeros((3, 13)), np.zeros(3), np.zeros(13))
     assert np.all(g == 0.0)
@@ -309,7 +316,7 @@ def test_duplicated_row_doubles_gradient(small_params):
     d_value = rng.normal(size=1)
     _, _, _, c1 = policy_forward(small_params, obs)
     g1 = policy_backward(small_params, c1, d_mean, d_value, np.zeros(13))
-    _, _, _, c2 = policy_forward(small_params, ObsBatch.concat([obs, obs]))
+    _, _, _, c2 = policy_forward(small_params, obs[np.array([0, 0])])
     # the two rows share one table entry, so the point branch runs once
     assert c2.a2.shape[0] == 1
     g2 = policy_backward(small_params, c2, np.repeat(d_mean, 2, axis=0), np.repeat(d_value, 2), np.zeros(13))
@@ -400,9 +407,12 @@ def test_finite_difference_zero_obs(small_params):
 
 
 def test_obs_batch_rows_and_concat():
+    """Indexing rows keeps only the table entries they use, remapped;
+    the oracle concat (concat_obs) keeps each distinct cloud once, first
+    seen first."""
     rng = np.random.default_rng(18)
     rows = [_random_obs(rng) for _ in range(4)]
-    batch = ObsBatch.concat(rows + [rows[1], rows[3]])
+    batch = concat_obs(rows + [rows[1], rows[3]])
     # six rows over the four distinct clouds, each held once, in first-seen order
     assert batch.size == 6 and batch.clouds.shape == (4, 16, 6) and batch.obj_bb.shape == (6, 1)
     assert batch.cloud_index.tolist() == [0, 1, 2, 3, 1, 3]
@@ -417,8 +427,8 @@ def test_obs_batch_rows_and_concat():
     assert np.array_equal(picked.clouds[picked.cloud_index], np.concatenate([r.clouds for r in expected]))
     one = batch[4:5]
     assert one.cloud_index.tolist() == [0] and np.array_equal(one.clouds, rows[1].clouds)
-    # concatenating batches that already share clouds does not grow the table
-    twice = ObsBatch.concat([batch, picked])
+    # glueing batches that already share clouds does not grow the table
+    twice = concat_obs([batch, picked])
     assert twice.clouds.shape == (4, 16, 6)
     assert np.array_equal(twice.clouds[twice.cloud_index][6:], picked.clouds[picked.cloud_index])
 

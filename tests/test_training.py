@@ -26,6 +26,7 @@ from fungrasp.training import (
 )
 
 from conftest import poison_cloud_of, with_arrays
+from contact_reference import hand_assets
 from update_reference import reference_adam_step, reference_ppo_update
 
 
@@ -81,28 +82,27 @@ def test_collect_worker_determinism(assets, tiny_cfg, tiny_params):
     assert np.array_equal(serial.rewards, parallel.rewards)
     assert np.array_equal(serial.log_prob_old, parallel.log_prob_old)
     assert np.array_equal(serial.advantages, parallel.advantages)
-    # each worker's episodes bring their own copy of a cloud; the batch keeps one per object
+    # the batch is encoded once in the main process: one cloud per object
     objects = sorted({r.object_name for r in serial.results})
     for batch in (serial, parallel):
         assert len(batch.obs.clouds) == len(objects)
         assert np.array_equal(batch.obs.clouds[batch.obs.cloud_index], serial.obs.clouds[serial.obs.cloud_index])
 
 
-def test_chunk_pickle_carries_each_cloud_once(assets):
-    """A pool chunk's results share the cached cloud of each object, so
-    pickling them (as a worker returns them) stores each cloud once."""
+def test_chunk_pickle_carries_no_observation():
+    """A pool chunk's results, pickled as a worker returns them, hold no
+    cloud: a 48-episode inspire_like chunk (the share of one of two
+    workers of a 96-episode batch) stays under 1,200 B per episode."""
     import pickle
 
+    assets = hand_assets("inspire_like")
     cfg = TrainConfig(envs_per_iter=96, minibatch=32, m_points=64, seed=2026)
     params = init_params(episode_rng(cfg.seed, 4), cfg.m_points, len(assets.styles), assets.spec.joint_count)
-    results = run_episodes(params, cfg, assets, cfg.seed, (1, 0), range(96), train_mode=True)
+    results = run_episodes(params, cfg, assets, cfg.seed, (1, 0), range(0, 96, 2), train_mode=True)
+    assert all(r.error is None for r in results)
     blob = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
-    clouds = {r.object_name: r.obs.clouds for r in results}
-    assert len(clouds) == len(assets.objects)
-    assert all(blob.count(c.tobytes()) == 1 for c in clouds.values())
-    # 10.2 KB per episode when every observation held its own copy of its
-    # cloud, 6.2 KB while each record carried its edited trajectory
-    assert len(blob) / 96 <= 2_500
+    assert not any(c.tobytes() in blob for c in assets.cloud_cache.values())
+    assert len(blob) / len(results) <= 1_200
 
 
 def test_clipped_surrogate_hand_computed():
@@ -390,16 +390,15 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
 
     # run() draws the same episodes as the batch of iteration 0 (seed 17, stream 1)
     reference = collect_batch(tiny_params, tiny_cfg, assets, 0)
-    poisoned = reference.results[2].p_afford_world
-    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, poisoned))
+    monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, reference.results[2]))
     got = run(range(6))
     bad = got[2]
     assert bad.error == "PolicyError: non-finite observation field clouds"
     assert bad.reward == 0.0 and bad.record is None and bad.terms is None
-    assert bad.obs is None and bad.raw is None and bad.action_vec is None
+    assert bad.raw is None and bad.action_vec is None
     ref = reference.results[2]
     assert bad.object_name == ref.object_name and bad.conditioned_style == ref.conditioned_style
-    assert np.array_equal(bad.p_afford_world, ref.p_afford_world)
+    assert np.array_equal(bad.p_afford, ref.p_afford)
     assert np.array_equal(bad.object_pose.t, ref.object_pose.t)
     assert np.array_equal(bad.object_pose.r, ref.object_pose.r)
     for want, res in zip(reference.results[:2] + reference.results[3:6], got[:2] + got[3:]):
@@ -413,6 +412,8 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
     assert np.array_equal(batch.raw, np.delete(reference.raw, 2, axis=0))
     assert np.array_equal(batch.rewards, np.delete(reference.rewards, 2))
     assert batch.obs.size == tiny_cfg.envs_per_iter - 1
+    keep = np.arange(tiny_cfg.envs_per_iter) != 2
+    assert np.array_equal(batch.obs.s_o, reference.obs.s_o[keep])
 
 
 def test_batched_rollout_failure_is_contained(assets, tiny_cfg, tiny_params, monkeypatch):
@@ -490,8 +491,7 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
     assert [r.reward for r in first] == [r.reward for r in second]
     cache = tr._WORKER_ASSETS.cloud_cache
     assert sorted(cache) == sorted((name, 32, tiny_cfg.seed) for name in {r.object_name for r in first})
-    # every observation of an object holds its cached entry, not a copy
-    assert all(r.obs.clouds is cache[(r.object_name, 32, tiny_cfg.seed)] for r in first + second)
+    assert all(not c.flags.writeable for c in cache.values())
     # another Assets bundle starts with an empty cache
     third = tr.run_episodes(tiny_params, tiny_cfg, dataclasses.replace(assets), 17, (1, 0), range(8), train_mode=True)
     assert len(calls) == 2 * n_first

@@ -22,11 +22,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fungrasp.demo import Demonstration, EditAction, save_demo, load_demo
+from fungrasp.demo import Demonstration, save_demo, load_demo
 from fungrasp.geometry import Pose, identity_pose
 from fungrasp.hand import forward_kinematics_batch, load_hand_spec, load_styles
 from fungrasp.objects import save_object_ply, toy_suite
-from fungrasp.sim import EnvCondition, EnvState, SimParams, rollout_batch
+from fungrasp.sim import EnvBatch, SimParams, rollout_batch
 
 RY90 = [np.cos(np.pi / 4), 0.0, np.sin(np.pi / 4), 0.0]  # R_y(90 deg): local +x -> world -z
 
@@ -294,17 +294,18 @@ def build_demo(spec, style0_q, q_open, contact_z_finger=0.034) -> Demonstration:
 
 def replay_success(spec, styles, demo, obj, style_index=0) -> tuple[bool, str]:
     style = styles[style_index]
-    env = EnvState(
-        obj=obj,
-        object_pose=identity_pose(),
-        condition=EnvCondition(
-            p_afford=obj.points[len(obj.points) // 2].copy(),
-            style_index=style_index,
-            q_style_used=style.q_canonical.copy(),
-            contact_mask=style.contact_mask,
-        ),
+    # one environment: obj at the identity pose, conditioned on the style
+    env = EnvBatch(
+        objs=[obj],
+        pose_t=np.zeros((1, 3)),
+        pose_r=np.array([[1.0, 0.0, 0.0, 0.0]]),
+        p_afford=obj.points[None, len(obj.points) // 2],
+        style=np.array([style_index]),
+        q_style=style.q_canonical[None],
+        mask=np.isin(np.arange(spec.finger_count), style.contact_mask)[None],
     )
-    (rec,) = rollout_batch([env], demo, [EditAction.identity(spec.joint_count).to_vector()], spec, styles, SimParams())
+    identity = np.r_[np.zeros(6 + spec.joint_count), 1.0]  # no wrist offset, no residual, scale 1
+    (rec,) = rollout_batch(env, demo, [identity], spec, styles, SimParams())
     return rec.success, rec.failure_reason or "ok"
 
 

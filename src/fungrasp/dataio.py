@@ -22,6 +22,7 @@ from .demo import Demonstration, edit_wrist_arrays, edited_joint_trajectory
 from .geometry import Pose, invert_pose, quat_from_matrix, quat_rotate, transform_point
 from .hand import HandSpec
 from .policy import PolicyParams, param_shapes, param_views
+from .rewards import TERMS
 
 __all__ = [
     "CameraModel",
@@ -162,8 +163,8 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
     completed = [e for e in episodes if e.record is not None]
     selected = [e for e in completed if (e.record.success or not success_only)]
     if selected:
-        pose_t = np.stack([e.object_pose.t for e in selected])
-        pose_r = np.stack([e.object_pose.r for e in selected])
+        pose_t = np.stack([e.pose_t for e in selected])
+        pose_r = np.stack([e.pose_r for e in selected])
         wrist_t, wrist_r = edit_wrist_arrays(demo, np.stack([e.action_vec for e in selected]), pose_t, pose_r)
         p_afford_world = quat_rotate(pose_r, np.stack([e.p_afford for e in selected])) + pose_t
         joints = edited_joint_trajectory(demo, np.stack([e.record.q_star for e in selected]), spec)
@@ -204,7 +205,7 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
                         },
                         "cameras": cam_views,
                         "success": bool(ep.record.success),
-                        "reward": ep.terms.as_dict(),
+                        "reward": dict(zip(TERMS, ep.terms)),
                     }
                     fh.write(json.dumps(line) + "\n")
                     n_frames += 1

@@ -2,9 +2,10 @@
 
 A demonstration stores the end-effector trajectory in the *object* frame
 plus the reference hand joints, so randomizing the object pose moves the
-whole trajectory rigidly with the object. An edit is a single action:
-a rigid wrist offset applied in the object frame, a joint residual, and
-a scale on the conditioned style's canonical joints.
+whole trajectory rigidly with the object. An edit is a single (7 + J,)
+action vector [dt(3), dr(3), dq(J), k] (EditBounds.intervals): a rigid
+wrist offset applied in the object frame, a joint residual, and a scale
+on the conditioned style's canonical joints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .assets import json_object_list, read_json_object
 from .geometry import (
-    AxisAngle,
     Pose,
     axis_angle_to_quat,
     compose_pose_rows,
@@ -35,7 +35,6 @@ __all__ = [
     "DemoError",
     "Demonstration",
     "EditBounds",
-    "EditAction",
     "load_demo",
     "save_demo",
     "target_joint_config",
@@ -116,34 +115,6 @@ class EditBounds:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class EditAction:
-    """One demonstration edit: wrist offset (dt, dr), joint residual, scale."""
-
-    dt: np.ndarray             # (3,) meters
-    dr: AxisAngle
-    dq: np.ndarray             # (J,) radians
-    k: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dt", np.asarray(self.dt, dtype=float))
-        object.__setattr__(self, "dq", np.asarray(self.dq, dtype=float))
-
-    @classmethod
-    def identity(cls, joint_count: int) -> "EditAction":
-        return cls(dt=np.zeros(3), dr=AxisAngle(np.zeros(3)), dq=np.zeros(joint_count), k=1.0)
-
-    @classmethod
-    def from_vector(cls, a, joint_count: int) -> "EditAction":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (7 + joint_count,):
-            raise DemoError(f"action vector must have dim {7 + joint_count}, got {a.shape}")
-        return cls(dt=a[:3], dr=AxisAngle(a[3:6]), dq=a[6:6 + joint_count], k=float(a[-1]))
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.dt, self.dr.v, self.dq, [self.k]])
-
-
 def load_demo(path, spec: HandSpec) -> Demonstration:
     """Parse a demo JSON file for a given hand."""
     data = read_json_object(path, DemoError)
@@ -175,6 +146,8 @@ def load_demo(path, spec: HandSpec) -> Demonstration:
         log.warning("%s: joints marginally out of limits (%.2e), clamping", path, over)
         joints = clamp_to_limits(spec, joints)
     grasp_index = json_number(data.get("T_l"), DemoError, f"{path}: T_l", integer=True)
+    if not 0 < grasp_index < len(frames):
+        raise DemoError(f"{path}: T_l: grasp index {grasp_index} outside (0, {len(frames) - 1}]")
     return Demonstration(poses=tuple(poses), joints=joints, grasp_index=grasp_index)
 
 

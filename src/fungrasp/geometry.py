@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Pose",
-    "AxisAngle",
     "identity_pose",
     "compose_pose",
     "invert_pose",
@@ -162,22 +161,6 @@ class Pose:
         object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class AxisAngle:
-    """Rotation as axis * angle (radians); the zero vector is identity."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = _vec(self.v, 3, "v")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def angle(self) -> float:
-        return float(np.linalg.norm(self.v))
-
-
 def identity_pose() -> Pose:
     return Pose(t=np.zeros(3), r=np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -212,8 +195,6 @@ def axis_angle_to_quat(v) -> np.ndarray:
     vector. Below an angle of 1e-8 the first-order form (1, v/2) is used
     (normalized) to avoid dividing by a vanishing angle.
     """
-    if isinstance(v, AxisAngle):
-        v = v.v
     v = np.asarray(v, dtype=float)
     rows = v.reshape(-1, 3)
     angle = row_norms(rows)[:, None]

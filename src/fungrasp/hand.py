@@ -201,9 +201,10 @@ def load_hand_spec(path) -> HandSpec:
             limits=segments[-1].limits,
             radius=tip_radius,
         )
-        fingers.append(
-            Finger(name=str(fd.get("name", f"finger{fi}")), base=base, segments=tuple(segments), tip_radius=tip_radius)
-        )
+        finger_name = fd.get("name", f"finger{fi}")
+        if not isinstance(finger_name, str) or not finger_name:
+            fail(where + ".name", f"must be a non-empty string, got {finger_name!r}")
+        fingers.append(Finger(name=finger_name, base=base, segments=tuple(segments), tip_radius=tip_radius))
     if not fingers:
         fail("fingers", "hand has no fingers")
     couplings = []
@@ -222,6 +223,9 @@ def load_styles(path, spec: HandSpec) -> list[Style]:
         raise HandError(f"{path}: styles are for hand {data.get('hand')!r}, spec is {spec.name!r}")
     styles = []
     for i, sd in enumerate(json_object_list(data, "styles", HandError, f"{path}: ")):
+        style_id = sd.get("id", str(i))
+        if not isinstance(style_id, str) or not style_id:
+            raise HandError(f"{path}: styles[{i}].id: must be a non-empty string, got {style_id!r}")
         q = json_number(sd.get("q", []), HandError, f"{path}: styles[{i}].q", vector=True)
         if q.shape != (spec.joint_count,):
             raise HandError(f"{path}: styles[{i}]: q has shape {q.shape}, hand has J={spec.joint_count}")
@@ -237,11 +241,11 @@ def load_styles(path, spec: HandSpec) -> list[Style]:
         if len(set(mask)) < 2:
             # a grasp needs two distinct mask fingers in contact (sim.grasp_success_batch)
             raise HandError(
-                f"{path}: styles[{i}] ({sd.get('id', i)!r}): contact_mask {list(mask)} names fewer than two "
+                f"{path}: styles[{i}] ({style_id!r}): contact_mask {list(mask)} names fewer than two "
                 "distinct fingers, so no grasp of the style could succeed"
             )
         q.setflags(write=False)
-        styles.append(Style(id=str(sd.get("id", i)), index=i, q_canonical=q, contact_mask=mask))
+        styles.append(Style(id=style_id, index=i, q_canonical=q, contact_mask=mask))
     if not styles:
         raise HandError(f"{path}: no styles defined")
     return styles

@@ -1,4 +1,4 @@
-"""Reward stack for one-shot grasp edits.
+"""Reward stack for one-shot grasp edits, one row per episode.
 
 total = lambda_afford * r_afford + lambda_close * r_close
       + lambda_qpos * r_qpos + r_success
@@ -6,16 +6,25 @@ total = lambda_afford * r_afford + lambda_close * r_close
 r_afford is sparse (needs success and a final affordance distance inside
 an object-size-scaled radius), r_close is a dense trajectory-minimum
 indicator independent of success, r_qpos keeps the executed joints near
-the edited style target. Ablation flags zero individual terms.
+the conditioned style's canonical joints. Ablation flags zero individual
+terms. total_reward computes the terms of E episodes as one (E, 5)
+table, its columns in the order of TERMS; every expression is
+element-wise or a row's own norm, so each row has the bits the episode
+gets alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RewardConfig", "RewardTerms", "qpos_reward", "afford_reward", "close_reward", "total_reward"]
+from .geometry import row_norms
+
+__all__ = ["RewardConfig", "TERMS", "total_reward"]
+
+# the columns of total_reward's table
+TERMS = ("r_afford", "r_close", "r_qpos", "r_success", "total")
 
 
 @dataclass(frozen=True)
@@ -41,71 +50,37 @@ class RewardConfig:
             raise ValueError(f"fixed_clip_radius must be > 0, got {self.fixed_clip_radius}")
 
 
-@dataclass(frozen=True)
-class RewardTerms:
-    r_afford: float
-    r_close: float
-    r_qpos: float
-    r_success: float
-    total: float
+def total_reward(success, d_final, d_min, q_final, q_style, obj_bb, cfg: RewardConfig) -> np.ndarray:
+    """The (E, 5) table of reward terms (columns TERMS) of E finished
+    rollouts: their success flags, final and minimum affordance
+    distances, final joints (E, J), the canonical joints (E, J) of the
+    style each was conditioned on, and their objects' sizes.
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def qpos_reward(q_final, q_star) -> float:
-    """exp(-||q_final - q*||2), in (0, 1]."""
-    q_final = np.asarray(q_final, dtype=float)
-    q_star = np.asarray(q_star, dtype=float)
-    if q_final.shape != q_star.shape:
-        raise ValueError(f"shape mismatch: {q_final.shape} vs {q_star.shape}")
-    return float(np.exp(-np.linalg.norm(q_final - q_star)))
-
-
-def afford_reward(success: bool, d_final: float, obj_bb: float, cfg: RewardConfig) -> float:
-    """Sparse proximity term, gated on success and a scaled radius.
-
-    Both indicators use a strict '<'; with clip_on the radius is
-    obj_bb / gamma, otherwise the fixed ablation radius.
+    r_afford uses a strict '<' on a radius of obj_bb / gamma (with
+    clip_on; otherwise the fixed ablation radius); r_close is 1 where
+    d_min < close_threshold; r_qpos is exp(-||q_final - q_style||), each
+    row's norm its own 1-D norm (row_norms). Disabled terms are reported
+    as 0 and still enter the total, so the linear-combination identity
+    holds exactly whatever the flags.
     """
-    if d_final < 0:
-        raise ValueError(f"d_final must be >= 0, got {d_final}")
-    if obj_bb <= 0:
-        raise ValueError(f"obj_bb must be > 0, got {obj_bb}")
-    if not success:
-        return 0.0
+    success = np.asarray(success, dtype=bool)
+    d_final, d_min, obj_bb = (np.asarray(x, dtype=float) for x in (d_final, d_min, obj_bb))
+    q_final, q_style = np.asarray(q_final, dtype=float), np.asarray(q_style, dtype=float)
+    if q_final.shape != q_style.shape:
+        raise ValueError(f"shape mismatch: {q_final.shape} vs {q_style.shape}")
+    if (d_final < 0).any() or (d_min < 0).any():
+        raise ValueError(f"distances must be >= 0, got d_final {d_final.min()}, d_min {d_min.min()}")
+    if (obj_bb <= 0).any():
+        raise ValueError(f"obj_bb must be > 0, got {obj_bb.min()}")
     radius = obj_bb / cfg.gamma if cfg.clip_on else cfg.fixed_clip_radius
-    if not d_final < radius:
-        return 0.0
-    return float(np.exp(-d_final))
-
-
-def close_reward(d_min: float, cfg: RewardConfig) -> float:
-    """Dense alignment indicator: 1 iff d_min < threshold (success-independent)."""
-    if d_min < 0:
-        raise ValueError(f"d_min must be >= 0, got {d_min}")
-    return 1.0 if d_min < cfg.close_threshold else 0.0
-
-
-def total_reward(record, obj_bb: float, q_style, cfg: RewardConfig) -> RewardTerms:
-    """The terms of a finished rollout on an object of size obj_bb,
-    conditioned on a style whose canonical joints are q_style; the
-    record is only read.
-
-    Disabled terms are reported as 0 and excluded from the total, so the
-    linear-combination identity holds exactly whatever the flags. The
-    style term compares the executed joints against the conditioned
-    style's *canonical* configuration: it is the pressure that keeps
-    edits from drifting away from the intended style.
-    """
-    r_afford = afford_reward(record.success, record.d_final, obj_bb, cfg) if cfg.afford_on else 0.0
-    r_close = close_reward(record.d_min, cfg) if cfg.close_on else 0.0
-    r_qpos = qpos_reward(record.q_final, q_style) if cfg.qpos_on else 0.0
-    r_success = cfg.success_reward if record.success else 0.0
-    total = (
-        cfg.lambda_afford * r_afford
-        + cfg.lambda_close * r_close
-        + cfg.lambda_qpos * r_qpos
-        + r_success
-    )
-    return RewardTerms(r_afford=r_afford, r_close=r_close, r_qpos=r_qpos, r_success=r_success, total=total)
+    table = np.zeros((len(success), len(TERMS)))
+    if cfg.afford_on:
+        table[:, 0] = np.where(success & (d_final < radius), np.exp(-d_final), 0.0)
+    if cfg.close_on:
+        table[:, 1] = d_min < cfg.close_threshold
+    if cfg.qpos_on:
+        table[:, 2] = np.exp(-row_norms(q_final - q_style))
+    table[:, 3] = np.where(success, cfg.success_reward, 0.0)
+    r_afford, r_close, r_qpos, r_success = table[:, :4].T
+    table[:, 4] = cfg.lambda_afford * r_afford + cfg.lambda_close * r_close + cfg.lambda_qpos * r_qpos + r_success
+    return table

@@ -6,45 +6,48 @@ epsilon-perturbed force-closure feasibility check at the grasp frame.
 That trades the lift test a physics engine would run for something
 deterministic, fast, and checkable against analytic grasps.
 
-rollout_batch scores E episodes at once; one episode is a batch of
-one. Joint targets, joint trajectories, wrist edits and FK run once over
-all E x (T_D + 1) frames. The contact phase (detect_contacts) then works
-in each episode's object frame: one inverse rotation maps the sphere
-centers of frames 0..T_l (nothing reads later frames) into it, and a
-bounding-box test drops spheres too far from the cloud to matter. Per
-object, one _nearest call answers the kept spheres of the grasp frame
-and the last approach frame of every episode on that object, and a
-second one the earlier approach frames of only the episodes that the
-last approach frame did not crush. What comes out is one contact table
-of fixed shape: hit (E, F), points and normals (E, F, 3), each finger's
-deepest hit in the world frame and a zero row where it has none. Everything after it
-is an array expression over the chunk, with (E, F) bool contact masks
-in place of finger lists: the style contact point and d_series, the
-contact centroid, the gravity wrench and the friction-pyramid
-generators (four zero columns per finger without a hit). The seven
-closure LPs of every grasp that passes the crush, table and
-two-mask-finger gates run as one stacked simplex (grasp_success_batch,
-feasible_combination_batch).
+reset_env resets E episodes as one EnvBatch, a column per fact from the
+object and its pose to the contact mask, and rollout_batch scores them
+at once; one episode is a batch of one. Joint targets, joint
+trajectories, wrist edits and FK run once over all E x (T_D + 1)
+frames. The contact phase (detect_contacts) then works in each
+episode's object frame: one inverse rotation maps the sphere centers of
+frames 0..T_l (nothing reads later frames) into it, and a bounding-box
+test drops spheres too far from the cloud to matter. Per object, one
+_nearest call answers the kept spheres of the grasp frame and the last
+approach frame of every episode on that object, and a second one the
+earlier approach frames of only the episodes that the last approach
+frame did not crush. What comes out is one contact table of fixed
+shape: hit (E, F), points and normals (E, F, 3), each finger's deepest
+hit in the world frame and a zero row where it has none. Everything
+after it is an array expression over the chunk, with the (E, F) bool
+contact masks in place of finger lists: the style contact point and
+d_series, the contact centroid, the gravity wrench and the
+friction-pyramid generators (four zero columns per finger without a
+hit). The seven closure LPs of every grasp that passes the crush, table
+and two-mask-finger gates run as one stacked simplex
+(grasp_success_batch, feasible_combination_batch).
 
 Determinism: every batched step is element-wise or keeps each row's or
 episode's own reductions (each query row's own argmin, each tableau's
-own pivots, and the 1-D norm, geometry.row_norms, of each tangent and
-of each final joint vector's distance to each style), and a masked mean
-adds the left-out fingers as exact zeros in the order np.mean adds, so
-every record is bit for bit what the episode gets alone. _nearest takes its
-product in fixed row blocks and never sends a single row to the matrix
-product, which numpy would hand to gemv and round differently.
+own pivots, and the 1-D norm, geometry.row_norms, of each tangent, of
+each reset pose's quaternion and of each final joint vector's distance
+to each style), and a masked mean adds the left-out fingers as exact
+zeros in the order np.mean adds, so every environment and record is bit
+for bit what the episode gets alone. _nearest takes its product in fixed
+row blocks and never sends a single row to the matrix product, which
+numpy would hand to gemv and round differently.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .demo import Demonstration, edited_joint_trajectory, disturb_style, target_joint_config
-from .geometry import Pose, axis_angle_to_quat, quat_conjugate, quat_rotate, row_norms
+from .geometry import axis_angle_to_quat, normalize_rows, quat_conjugate, quat_rotate, row_norms
 from .hand import HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
 
@@ -52,8 +55,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "SimParams",
-    "EnvCondition",
-    "EnvState",
+    "EnvBatch",
     "RolloutRecord",
     "reset_env",
     "detect_contacts",
@@ -83,20 +85,32 @@ class SimParams:
 
 
 @dataclass(frozen=True)
-class EnvCondition:
-    """What the episode asks for: where to grasp and in which style."""
+class EnvBatch:
+    """E reset environments as columns, row i for episode i: its object,
+    its object pose in the world frame, its affordance point in the
+    object frame, its conditioned style, that style's joints (disturbed
+    during training) and its contact mask."""
 
-    p_afford: np.ndarray          # (3,), object frame
-    style_index: int
-    q_style_used: np.ndarray      # (J,), disturbed during training
-    contact_mask: tuple[int, ...]
+    objs: list[ObjectModel]
+    pose_t: np.ndarray            # (E, 3)
+    pose_r: np.ndarray            # (E, 4)
+    p_afford: np.ndarray          # (E, 3), object frame
+    style: np.ndarray             # (E,)
+    q_style: np.ndarray           # (E, J)
+    mask: np.ndarray              # (E, F) bool
 
+    def __len__(self) -> int:
+        return len(self.objs)
 
-@dataclass
-class EnvState:
-    obj: ObjectModel
-    object_pose: Pose
-    condition: EnvCondition
+    def __getitem__(self, rows) -> "EnvBatch":
+        """The environments of the given rows (a list or array of row
+        indices), as a batch."""
+        columns = (getattr(self, f.name)[rows] for f in fields(self)[1:])
+        return EnvBatch([self.objs[i] for i in rows], *columns)
+
+    @property
+    def obj_bb(self) -> np.ndarray:
+        return np.array([obj.obj_bb for obj in self.objs])
 
 
 @dataclass(frozen=True)
@@ -141,44 +155,48 @@ class RolloutRecord:
 
 
 def reset_env(
-    obj: ObjectModel,
-    dist: AffordanceDistribution,
+    objects: list[ObjectModel],
+    dists: dict[str, AffordanceDistribution],
     styles: list[Style],
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     train_mode: bool,
     *,
     spec: HandSpec,
     square_half: float = 0.25,
     sigma_style: float = 0.05,
-) -> EnvState:
-    """Randomize object pose and sample the episode's conditioning.
+    force_style: int | None = None,
+) -> EnvBatch:
+    """Reset one environment per rng: draw its object and its pose on the
+    table, and sample the episode's conditioning.
 
-    The rng call order below is part of the determinism contract:
-    x, y, yaw, affordance index, style index, then (training only) the
-    style disturbance.
+    The call order on each episode's rng is part of the determinism
+    contract: object, x, y, yaw, affordance index, style index, then
+    (training only) the style disturbance. force_style replaces the
+    style after these draws, so the environment (object, pose,
+    affordance) is the same for every forced style. The poses are built
+    over the batch; each row has the bits of the episode's own Pose.
     """
-    x = rng.uniform(-1.0, 1.0) * square_half
-    y = rng.uniform(-1.0, 1.0) * square_half
-    yaw_draw = rng.uniform(0.0, 2.0 * np.pi)
-    yaw = yaw_draw if square_half > 0 else 0.0
-    pose = Pose(t=np.array([x, y, 0.0]), r=axis_angle_to_quat(np.array([0.0, 0.0, yaw])))
-    p_afford = obj.points[sample_affordance_index(dist, rng)].copy()
-    style_index = int(rng.integers(len(styles)))
-    style = styles[style_index]
-    if train_mode and sigma_style > 0:
-        q_used = disturb_style(style.q_canonical, sigma_style, rng, spec)
-    else:
-        q_used = style.q_canonical.copy()
-    return EnvState(
-        obj=obj,
-        object_pose=pose,
-        condition=EnvCondition(
-            p_afford=p_afford,
-            style_index=style_index,
-            q_style_used=q_used,
-            contact_mask=style.contact_mask,
-        ),
-    )
+    e_count = len(rngs)
+    objs, draws = [], np.empty((e_count, 3))      # x and y in [-1, 1), yaw
+    p_afford, style = np.empty((e_count, 3)), np.empty(e_count, dtype=np.intp)
+    q_style = np.empty((e_count, spec.joint_count))
+    for i, rng in enumerate(rngs):
+        obj = objects[int(rng.integers(len(objects)))]
+        objs.append(obj)
+        draws[i] = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * np.pi)
+        p_afford[i] = obj.points[sample_affordance_index(dists[obj.name], rng)]
+        style[i] = rng.integers(len(styles))
+        q_style[i] = styles[style[i]].q_canonical
+        if train_mode and sigma_style > 0:
+            q_style[i] = disturb_style(q_style[i], sigma_style, rng, spec)
+    if force_style is not None:
+        style[:] = force_style
+        q_style[:] = styles[force_style].q_canonical
+    axis_angle = np.zeros((e_count, 3))
+    axis_angle[:, 2] = draws[:, 2] if square_half > 0 else 0.0
+    pose_r = normalize_rows(axis_angle_to_quat(axis_angle))
+    masks = np.array([np.isin(np.arange(spec.finger_count), st.contact_mask) for st in styles])
+    return EnvBatch(objs, draws * [square_half, square_half, 0.0], pose_r, p_afford, style, q_style, masks[style])
 
 
 # rows per block of _nearest's product: the (block, N) scratch stays small
@@ -218,7 +236,7 @@ def _crushing(obj: ObjectModel, rows: np.ndarray, found: np.ndarray, crush_gap: 
     return np.einsum("ij,ij->i", rows - obj.points[found], obj.normals[found]) < crush_gap
 
 
-def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_index, tl: int, params: SimParams):
+def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl: int, params: SimParams):
     """Crush test over frames 0..tl-1 and sphere-vs-cloud contacts at
     frame tl, for the (E, > tl, K, 3) world-frame sphere centers of E
     episodes.
@@ -236,10 +254,9 @@ def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_ind
     row's answer does not depend on the other rows, so the table is the
     one a single query of every frame gives.
     """
-    e_count = len(envs)
+    e_count = len(env)
     k_count = centers.shape[2]
-    pose_t = np.stack([env.object_pose.t for env in envs])
-    pose_r = np.stack([env.object_pose.r for env in envs])
+    pose_t, pose_r = env.pose_t, env.pose_r
     local = quat_rotate(quat_conjugate(pose_r)[:, None, None], centers[:, : tl + 1] - pose_t[:, None, None])
     crushed = np.zeros(e_count, dtype=bool)
     dist_tl = np.empty((e_count, k_count))           # each grasp-frame sphere's distance,
@@ -252,10 +269,10 @@ def detect_contacts(envs: list[EnvState], centers: np.ndarray, radii, finger_ind
     # everything outside its bounding box grown by radius + shell
     margin = radii.max() + params.delta_c + 1e-9
     groups: dict[int, list[int]] = {}
-    for i, env in enumerate(envs):
-        groups.setdefault(id(env.obj), []).append(i)
+    for i, obj in enumerate(env.objs):
+        groups.setdefault(id(obj), []).append(i)
     for members in groups.values():
-        obj = envs[members[0]].obj
+        obj = env.objs[members[0]]
         members = np.asarray(members)
         lo, hi = obj.points.min(axis=0) - margin, obj.points.max(axis=0) + margin
         first = max(tl - 1, 0)
@@ -409,15 +426,14 @@ def grasp_success_batch(
     hit: np.ndarray,
     points: np.ndarray,
     normals: np.ndarray,
-    mask: np.ndarray,
-    envs: list[EnvState],
+    env: EnvBatch,
     mu: float = 0.5,
     eta: float = 0.2,
     *,
     table_collision: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-static grasp test at the grasp frame of E grasps, given their
-    contact tables (detect_contacts) and (E, F) bool contact masks.
+    contact tables (detect_contacts) and their environments' columns.
 
     A grasp succeeds with (a) at least two distinct contact-mask fingers
     in contact, (b) friction-pyramid feasibility of the gravity load and
@@ -428,7 +444,7 @@ def grasp_success_batch(
     degenerate marks the grasps past (a) and (c) whose contact points or
     normals are not finite; they are not scored.
     """
-    gated = ~np.asarray(table_collision, dtype=bool) & ((hit & mask).sum(axis=1) >= 2)
+    gated = ~np.asarray(table_collision, dtype=bool) & ((hit & env.mask).sum(axis=1) >= 2)
     finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(normals).all(axis=(1, 2))
     degenerate = gated & ~finite
     scored = np.flatnonzero(gated & finite)
@@ -436,10 +452,9 @@ def grasp_success_batch(
     if not len(scored):
         return success, degenerate
     hit, points = hit[scored], points[scored]
-    scale = np.array([envs[i].obj.obj_bb for i in scored]) / 2.0
-    pose_t = np.stack([envs[i].object_pose.t for i in scored])
-    pose_r = np.stack([envs[i].object_pose.r for i in scored])
-    obj_center = quat_rotate(pose_r, np.stack([envs[i].obj.centroid for i in scored])) + pose_t
+    scale = env.obj_bb[scored] / 2.0
+    centroid = np.stack([env.objs[i].centroid for i in scored])
+    obj_center = quat_rotate(env.pose_r[scored], centroid) + env.pose_t[scored]
     g_dir = np.array([0.0, 0.0, -1.0])
     torque = np.cross(obj_center - style_contact_point(points, hit), g_dir) / scale[:, None]
     w = np.concatenate([np.broadcast_to(g_dir, torque.shape), torque], axis=1)[:, None, :]
@@ -454,7 +469,7 @@ def grasp_success_batch(
 
 
 def rollout_batch(
-    envs: list[EnvState],
+    env: EnvBatch,
     demo: Demonstration,
     actions: np.ndarray,
     spec: HandSpec,
@@ -462,8 +477,9 @@ def rollout_batch(
     params: SimParams = SimParams(),
 ) -> list[RolloutRecord]:
     """Execute E edited trajectories, given as (E, 7 + J) action vectors
-    (the EditAction.to_vector layout); record i is a pure function of
-    (envs[i], actions[i]), bit for bit whatever else is in the batch.
+    laid out [dt(3), dr(3), dq(J), k] (EditBounds.intervals); record i
+    is a pure function of (row i of env, actions[i]), bit for bit
+    whatever else is in the batch.
 
     Target joints, joint trajectories, wrist edits and FK run once over
     all E x (T_D + 1) frames, and d_series once over all of them. The
@@ -479,16 +495,10 @@ def rollout_batch(
     """
     from .demo import edit_wrist_arrays
 
-    mask = np.zeros((len(envs), spec.finger_count), dtype=bool)
-    for i, env in enumerate(envs):
-        mask[i, list(env.condition.contact_mask)] = True
-    pose_t = np.stack([env.object_pose.t for env in envs])
-    pose_r = np.stack([env.object_pose.r for env in envs])
-    p_afford = quat_rotate(pose_r, np.stack([env.condition.p_afford for env in envs])) + pose_t
+    pose_t, pose_r = env.pose_t, env.pose_r
+    p_afford = quat_rotate(pose_r, env.p_afford) + pose_t
     actions = np.asarray(actions, dtype=float)
-    q_star = target_joint_config(
-        np.stack([env.condition.q_style_used for env in envs]), actions[:, -1:], actions[:, 6:-1], spec
-    )
+    q_star = target_joint_config(env.q_style, actions[:, -1:], actions[:, 6:-1], spec)
     joints = edited_joint_trajectory(demo, q_star, spec)
     wrist_t, wrist_r = edit_wrist_arrays(demo, actions, pose_t, pose_r)
     e_count, t_count = joints.shape[:2]
@@ -500,12 +510,12 @@ def rollout_batch(
     radii, finger_index = sphere_metadata(spec)
     tl = demo.grasp_index
 
-    d_series = np.linalg.norm(style_contact_point(tips, mask[:, None]) - p_afford[:, None], axis=-1)
-    crushed, hit, points, normals = detect_contacts(envs, centers, radii, finger_index, tl, params)
+    d_series = np.linalg.norm(style_contact_point(tips, env.mask[:, None]) - p_afford[:, None], axis=-1)
+    crushed, hit, points, normals = detect_contacts(env, centers, radii, finger_index, tl, params)
     table = check_table_collision(centers[:, tl], radii, params.table_tol)
     # a crushed grasp skips the closure test as a table collision does
     success, degenerate = grasp_success_batch(
-        hit, points, normals, mask, envs, params.mu, params.eta, table_collision=table | crushed,
+        hit, points, normals, env, params.mu, params.eta, table_collision=table | crushed,
     )
 
     executed_style = classify_style(spec, joints[:, -1], styles).tolist()

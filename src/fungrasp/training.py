@@ -11,15 +11,16 @@ The episode engine (run_episodes) takes a chunk of episodes — all of
 them with one worker, every workers-th index in each pool worker —
 through three phases:
 
-1. The chunk as arrays. Only the rng draws run per episode, in the
-   contract order: the episode rng, the object, reset_env's draws, then
-   the action draw (standard_normal noise in policy mode, uniform
-   actions in random mode), which does not depend on the forward pass.
-   Then the episodes' EpisodeResults, one encode_observation over them
-   (observe), one row-alone policy_forward (each trunk product a stacked
-   (1, D) @ (D, H) gemv per row, so every row has the bits of a batch of
-   one) and one sample_action (or the mean, random or identity action)
-   over the rows.
+1. The chunk as arrays. One reset_env over the episodes' rngs gives
+   the chunk's EnvBatch. Only the rng draws run per episode, each on
+   the episode's own rng in the contract order: the object and the
+   reset's draws, then the action draw (standard_normal noise in policy
+   mode, uniform actions in random mode), which does not depend on the
+   forward pass. Then one encode_observation over the batch's columns,
+   one row-alone policy_forward (each trunk product a stacked (1, D) @
+   (D, H) gemv per row, so every row has the bits of a batch of one)
+   and one sample_action (or the mean, random or identity action) over
+   the rows.
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
    wrist edits and FK at once; one contact phase in the object frame,
    with per object one nearest-point query of the grasp frame and the
@@ -28,8 +29,8 @@ through three phases:
    crush, that yields one (E, F) contact table (each finger's deepest
    hit, or a zero row); the wrenches, gravity loads and d_series as
    array expressions over that table; one stacked closure LP (see sim).
-3. Per episode: the rollout's record and its reward terms complete the
-   result.
+3. One rewards.total_reward over the chunk's records gives its (E, 5)
+   table of reward terms; each result gets its record and its row.
 
 Every batched step is element-wise or independent per episode or per
 query row (the forward pass takes its trunk products row by row; the
@@ -88,8 +89,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .demo import Demonstration, EditAction, EditBounds, load_demo
-from .geometry import Pose
+from .demo import Demonstration, EditBounds, load_demo
 from .hand import HandSpec, Style, load_hand_spec, load_styles
 from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object, toy_suite
 from .policy import (
@@ -111,7 +111,7 @@ from .policy import (
     sample_action,
     squash,
 )
-from .rewards import RewardConfig, RewardTerms, total_reward
+from .rewards import TERMS, RewardConfig, total_reward
 from .sim import RolloutRecord, SimParams, reset_env, rollout_batch
 
 log = logging.getLogger(__name__)
@@ -280,13 +280,15 @@ def episode_rng(seed: int, stream: int, *key) -> np.random.Generator:
 
 @dataclass
 class EpisodeResult:
-    """One episode: phase 1 builds it, phase 3 adds the rollout's record
-    and reward terms. An errored episode keeps the facts of its reset
-    and has no raw, action_vec, record or terms."""
+    """One episode: phase 1 builds it from its row of the reset, phase 3
+    adds the rollout's record and its row of the reward table. An
+    errored episode keeps the facts of its reset and has no raw,
+    action_vec, record or terms."""
 
     index: int
     object_name: str
-    object_pose: Pose
+    pose_t: np.ndarray             # (3,) object pose, world frame
+    pose_r: np.ndarray             # (4,)
     p_afford: np.ndarray           # (3,) affordance point, object frame
     conditioned_style: int
     raw: np.ndarray | None = None
@@ -294,13 +296,13 @@ class EpisodeResult:
     log_prob: float = 0.0
     value: float = 0.0
     record: RolloutRecord | None = None
-    terms: RewardTerms | None = None
+    terms: np.ndarray | None = None    # (5,), the columns of rewards.TERMS
     error: str | None = None
 
     @property
     def reward(self) -> float:
         """The reward terms' total; 0.0 for an errored episode."""
-        return 0.0 if self.terms is None else float(self.terms.total)
+        return 0.0 if self.terms is None else float(self.terms[-1])
 
 
 @dataclass
@@ -329,8 +331,8 @@ def observe(results: list[EpisodeResult], cfg: TrainConfig, assets: Assets) -> O
     objects = {obj.name: obj for obj in assets.objects}
     return encode_observation(
         [objects[r.object_name] for r in results],
-        np.stack([r.object_pose.t for r in results]),
-        np.stack([r.object_pose.r for r in results]),
+        np.stack([r.pose_t for r in results]),
+        np.stack([r.pose_r for r in results]),
         np.stack([r.p_afford for r in results]),
         [r.conditioned_style for r in results],
         assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache,
@@ -360,50 +362,35 @@ def run_episodes(
     """
     if mode not in ACTION_MODES:
         raise ValueError(f"unknown action mode {mode!r}")
+    if not len(indices):
+        return []
     joint_count = assets.spec.joint_count
     lo, hi = cfg.bounds.intervals(joint_count)
-    envs, draws = [], []
-    for i in indices:
-        rng = episode_rng(seed, *stream_key, i)
-        obj = assets.objects[int(rng.integers(len(assets.objects)))]
-        env = reset_env(
-            obj,
-            assets.afford_dists[obj.name],
-            assets.styles,
-            rng,
-            train_mode,
-            spec=assets.spec,
-            square_half=cfg.square_half,
-            sigma_style=cfg.sigma_style if train_mode else 0.0,
-        )
-        if force_style is not None:
-            style = assets.styles[force_style]
-            env.condition = dataclasses.replace(
-                env.condition,
-                style_index=force_style,
-                q_style_used=style.q_canonical.copy(),
-                contact_mask=style.contact_mask,
-            )
-        envs.append(env)
-        if mode == "policy":
-            draws.append(rng.standard_normal(params.action_dim))
-        elif mode == "random":
-            draws.append(rng.uniform(lo, hi))
-    if not envs:
-        return []
+    rngs = [episode_rng(seed, *stream_key, i) for i in indices]
+    env = reset_env(
+        assets.objects, assets.afford_dists, assets.styles, rngs, train_mode, spec=assets.spec,
+        square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0, force_style=force_style,
+    )
+    if mode == "policy":
+        draws = np.stack([rng.standard_normal(params.action_dim) for rng in rngs])
+    elif mode == "random":
+        draws = np.stack([rng.uniform(lo, hi) for rng in rngs])
 
     results = [
-        EpisodeResult(i, env.obj.name, env.object_pose, env.condition.p_afford, env.condition.style_index)
-        for i, env in zip(indices, envs)
+        EpisodeResult(i, obj.name, t, r, p, int(style))
+        for i, obj, t, r, p, style in zip(indices, env.objs, env.pose_t, env.pose_r, env.p_afford, env.style)
     ]
-    obs = observe(results, cfg, assets)
+    obs = encode_observation(
+        env.objs, env.pose_t, env.pose_r, env.p_afford, env.style,
+        assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache,
+    )
     checks = observation_checks(obs)
     try:
         mean, log_std, value, cache = policy_forward(params, obs, check=False, row_alone=True)
         checks += activation_checks(mean, value, cache)
     except PolicyError as exc:      # the batch does not fit params: every row
-        checks.append((str(exc), np.zeros(len(envs), dtype=bool)))
-    errors = row_errors(checks, len(envs))
+        checks.append((str(exc), np.zeros(len(env), dtype=bool)))
+    errors = row_errors(checks, len(env))
     for res, error in zip(results, errors):
         if error is not None:
             log.warning("episode %d failed (%s); scored as zero reward", res.index, error)
@@ -413,7 +400,7 @@ def run_episodes(
         return results
 
     if mode == "policy":
-        sample = sample_action(mean[live], log_std, cfg.bounds, joint_count, np.stack(draws)[live])
+        sample = sample_action(mean[live], log_std, cfg.bounds, joint_count, draws[live])
         raw, actions, logp = sample.raw, sample.action, sample.log_prob
     elif mode == "mean":
         raw = mean[live]
@@ -421,9 +408,9 @@ def run_episodes(
         logp, _, _ = log_prob_of_raw(raw, log_std, raw, cfg.bounds, joint_count)
     else:
         if mode == "random":
-            actions = np.stack(draws)[live]
-        else:
-            actions = np.tile(EditAction.identity(joint_count).to_vector(), (len(live), 1))
+            actions = draws[live]
+        else:   # the identity edit: no wrist offset, no joint residual, scale 1
+            actions = np.tile(np.r_[np.zeros(6 + joint_count), 1.0], (len(live), 1))
         raw = np.zeros_like(actions)
         logp = np.zeros(len(live))
     for k, row_raw, action, row_logp in zip(live, raw, actions, logp):
@@ -431,12 +418,16 @@ def run_episodes(
         res.raw, res.action_vec = row_raw, action
         res.log_prob, res.value = float(row_logp), float(value[k])
 
-    live_envs = [envs[k] for k in live]
-    records = rollout_batch(live_envs, assets.demo, actions, assets.spec, assets.styles, cfg.sim)
-    for k, env, record in zip(live, live_envs, records):
-        res = results[k]
-        res.record = record
-        res.terms = total_reward(record, env.obj.obj_bb, assets.styles[res.conditioned_style].q_canonical, cfg.reward)
+    env = env[live]
+    records = rollout_batch(env, assets.demo, actions, assets.spec, assets.styles, cfg.sim)
+    d_series = np.stack([record.d_series for record in records])
+    canonical = np.stack([style.q_canonical for style in assets.styles])
+    terms = total_reward(
+        [record.success for record in records], d_series[:, -1], d_series.min(axis=1),
+        np.stack([record.q_final for record in records]), canonical[env.style], env.obj_bb, cfg.reward,
+    )
+    for k, record, row in zip(live, records, terms):
+        results[k].record, results[k].terms = record, row
     return results
 
 
@@ -753,11 +744,11 @@ def episode_summary(results: list[EpisodeResult]) -> dict:
     that ran (None when none did) and how often each error message came
     up."""
     terms = [r.terms for r in results if r.terms is not None]
+    table = np.stack(terms) if terms else None
     return {
         "outcomes": outcome_counts(results),
         "reward_terms": {
-            f.name: float(np.mean([getattr(t, f.name) for t in terms])) if terms else None
-            for f in dataclasses.fields(RewardTerms)
+            name: float(np.mean(table[:, j])) if terms else None for j, name in enumerate(TERMS)
         },
         "errors": dict(Counter(r.error for r in results if r.error is not None)),
     }

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
 from fungrasp.demo import load_demo
-from fungrasp.geometry import Pose
+from fungrasp.geometry import Pose, identity_pose
 from fungrasp.hand import load_hand_spec, load_styles
 from fungrasp.objects import toy_suite
 from fungrasp.policy import param_views
+from fungrasp.sim import EnvBatch
 from fungrasp.training import Assets
 
 
@@ -69,6 +70,22 @@ def poses():
     return st.builds(lambda t, r: Pose(t=np.array(t), r=r), st.tuples(*[st.floats(-2.0, 2.0)] * 3), unit_quaternions())
 
 
+def env_of(obj, p_afford, q_style, mask, style=0, pose=None):
+    """An EnvBatch of one: obj at pose (the identity by default), its
+    affordance point p_afford (object frame), conditioned on style with
+    joints q_style and the (F,) bool contact mask."""
+    pose = pose or identity_pose()
+    return EnvBatch([obj], pose.t[None], pose.r[None], np.asarray(p_afford, dtype=float)[None], np.array([style]),
+                    np.asarray(q_style, dtype=float)[None], np.asarray(mask, dtype=bool)[None])
+
+
+def concat_envs(envs):
+    """The rows of a list of EnvBatches, in order, as one batch."""
+    columns = [f.name for f in dataclasses.fields(EnvBatch)[1:]]
+    return EnvBatch([obj for env in envs for obj in env.objs],
+                    *(np.concatenate([getattr(env, name) for env in envs]) for name in columns))
+
+
 def with_arrays(params, **arrays):
     """A copy of params with the named arrays replaced, written through
     the flat layout."""
@@ -81,14 +98,14 @@ def with_arrays(params, **arrays):
 
 def poison_cloud_of(encode, episode):
     """A wrapper of encode_observation that gives the row of `episode`
-    (an EpisodeResult, found by its object pose) a cloud entry of its own
+    (an EpisodeResult, found by its object position) a cloud entry of its own
     with one NaN in it: that episode alone errors, with the message a
     non-finite cloud gets."""
 
     def poisoned(objs, pose_t, *args):
         obs = encode(objs, pose_t, *args)
         for k, t in enumerate(pose_t):
-            if np.array_equal(t, episode.object_pose.t):
+            if np.array_equal(t, episode.pose_t):
                 bad = obs.clouds[obs.cloud_index[k]].copy()
                 bad[0, 0] = np.nan
                 index = obs.cloud_index.copy()

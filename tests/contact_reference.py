@@ -11,7 +11,7 @@ records.
 
 import numpy as np
 
-from fungrasp.geometry import quat_rotate, transform_point
+from fungrasp.geometry import quat_rotate
 
 
 def dense_nearest(centers, pts):
@@ -44,11 +44,12 @@ def _select_contacts(dist, nearest_idx, pts, nrm, radii, finger_index, delta_c):
     return hit, points, normals
 
 
-def approach_contacts(env, centers, radii, finger_index, tl, params):
+def approach_contacts(obj, pose_t, pose_r, centers, radii, finger_index, tl, params):
     """Crush test over the approach and contacts at the grasp frame, for
-    one episode's (T + 1, K, 3) sphere centers."""
-    pts = transform_point(env.object_pose, env.obj.points)
-    nrm = quat_rotate(env.object_pose.r, env.obj.normals)
+    one episode's (T + 1, K, 3) sphere centers, on obj at the pose
+    (pose_t, pose_r)."""
+    pts = quat_rotate(pose_r, obj.points) + pose_t
+    nrm = quat_rotate(pose_r, obj.normals)
     t_count, k_count = centers.shape[0], centers.shape[1]
     flat = centers.reshape(-1, 3)
     margin = radii.max() + params.delta_c + 1e-9
@@ -71,10 +72,10 @@ def approach_contacts(env, centers, radii, finger_index, tl, params):
     return (crushed, *_select_contacts(dist[tl], idx[tl], pts, nrm, radii, finger_index, params.delta_c))
 
 
-def reference_contact_phase(envs, centers, radii, finger_index, tl, params):
+def reference_contact_phase(env, centers, radii, finger_index, tl, params):
     """The contact phase one episode at a time, over all its frames."""
-    out = [approach_contacts(env, c, radii, finger_index, tl, params)
-           for env, c in zip(envs, centers)]
+    out = [approach_contacts(obj, t, r, c, radii, finger_index, tl, params)
+           for obj, t, r, c in zip(env.objs, env.pose_t, env.pose_r, centers)]
     return tuple(np.array(column) for column in zip(*out))
 
 
@@ -88,9 +89,11 @@ def hand_assets(hand):
 
 
 def seeded_rollout_inputs(assets, n, seed):
-    """n seeded envs and their (n, 7 + J) action vectors: every fourth
-    action uniform within the bounds, the rest small edits of the replay,
-    which often grasp."""
+    """An EnvBatch of n seeded environments, each reset on one shared rng
+    in turn, and their (n, 7 + J) action vectors: every fourth action
+    uniform within the bounds, the rest small edits of the replay, which
+    often grasp."""
+    from conftest import concat_envs
     from fungrasp.demo import EditBounds
     from fungrasp.sim import reset_env
 
@@ -99,11 +102,10 @@ def seeded_rollout_inputs(assets, n, seed):
     rng = np.random.default_rng(seed)
     envs, actions = [], []
     for i in range(n):
-        obj = assets.objects[int(rng.integers(len(assets.objects)))]
-        envs.append(reset_env(obj, assets.afford_dists[obj.name], assets.styles, rng, bool(i % 2), spec=spec))
+        envs.append(reset_env(assets.objects, assets.afford_dists, assets.styles, [rng], bool(i % 2), spec=spec))
         if i % 4 == 0:
             vec = rng.uniform(lo, hi)
         else:
             vec = np.clip(np.r_[np.zeros(6 + spec.joint_count), 1.0] + rng.normal(0.0, 0.01, lo.shape), lo, hi)
         actions.append(vec)
-    return envs, np.stack(actions)
+    return concat_envs(envs), np.stack(actions)

@@ -1,30 +1,30 @@
-"""Reference phase 1: the per-episode engine that training.run_episodes
-replaced, kept as an oracle.
+"""Reference engine: the per-episode code that training.run_episodes,
+sim.reset_env and rewards.total_reward replaced, kept as an oracle.
 
-Each episode draws its rng, object and reset, encodes its own
-observation as a batch of one, runs a B=1 policy_forward (whose one-row
-products numpy hands to gemv) that raises its own PolicyError, and draws
-and squashes its action one vector at a time. Phase 2 runs through
-sim.rollout_batch with the per-episode wrist composition of compose_pose
-and Pose (reference_edit_wrist_arrays) in place of
-demo.edit_wrist_arrays. reference_run_episodes has run_episodes'
-signature and returns its results, so a test can compare every field of
-every result by bytes.
+Each episode draws its rng and resets on its own, its object pose a Pose
+(reference_reset), encodes its own observation as a batch of one, runs a
+B=1 policy_forward (whose one-row products numpy hands to gemv) that
+raises its own PolicyError, and draws and squashes its action one vector
+at a time. Phase 2 runs through sim.rollout_batch with the per-episode
+wrist composition of compose_pose and Pose (reference_edit_wrist_arrays)
+in place of demo.edit_wrist_arrays. Phase 3 scores each record on its
+own with scalar reward terms (reference_reward_terms).
+reference_run_episodes has run_episodes' signature and returns its
+results, so a test can compare every field of every result by bytes.
 
 The PPO batch's observations have an oracle too: the batches of one of
 the episodes that ran, glued by concat_obs, the ObsBatch.concat that
 collect_batch once used (reference_batch_obs).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from conftest import concat_envs, env_of
 from fungrasp import demo as demo_module
-from fungrasp.demo import EditAction
+from fungrasp.demo import disturb_style
 from fungrasp.geometry import Pose, compose_pose, quat_mul, quat_normalize, quat_rotate
-from fungrasp.objects import farthest_point_sample
+from fungrasp.objects import farthest_point_sample, sample_affordance_index
 from fungrasp.policy import (
     ObsBatch,
     PolicyError,
@@ -34,8 +34,7 @@ from fungrasp.policy import (
     squash,
     squash_correction,
 )
-from fungrasp.rewards import total_reward
-from fungrasp.sim import reset_env, rollout_batch
+from fungrasp.sim import rollout_batch
 from fungrasp.training import STREAM_TRAIN, EpisodeResult, episode_rng
 
 
@@ -65,10 +64,50 @@ def reference_edit_wrist_arrays(demo, actions, pose_t, pose_r):
     return t, r
 
 
-def reference_encode(env, demo, styles, m_points, fps_seed, cloud_cache):
-    """One reset environment's observation as a batch of one; raises
-    PolicyError on a non-finite field, the cloud first."""
-    obj = env.obj
+def reference_reset(objects, dists, styles, rng, train_mode, *, spec, square_half=0.25, sigma_style=0.05,
+                    force_style=None):
+    """One episode's reset on its own rng, in the contract order: object,
+    x, y, yaw, affordance index, style index, then (training only) the
+    style disturbance; force_style replaces the style after the draws.
+    Returns the episode's EnvBatch of one and its object pose as a
+    Pose."""
+    obj = objects[int(rng.integers(len(objects)))]
+    x = rng.uniform(-1.0, 1.0) * square_half
+    y = rng.uniform(-1.0, 1.0) * square_half
+    yaw_draw = rng.uniform(0.0, 2.0 * np.pi)
+    yaw = yaw_draw if square_half > 0 else 0.0
+    pose = Pose(t=np.array([x, y, 0.0]), r=reference_axis_angle_to_quat(np.array([0.0, 0.0, yaw])))
+    p_afford = obj.points[sample_affordance_index(dists[obj.name], rng)].copy()
+    style_index = int(rng.integers(len(styles)))
+    if train_mode and sigma_style > 0:
+        q_used = disturb_style(styles[style_index].q_canonical, sigma_style, rng, spec)
+    else:
+        q_used = styles[style_index].q_canonical.copy()
+    if force_style is not None:
+        style_index, q_used = force_style, styles[force_style].q_canonical.copy()
+    mask = np.isin(np.arange(spec.finger_count), styles[style_index].contact_mask)
+    return env_of(obj, p_afford, q_used, mask, style_index, pose), pose
+
+
+def reference_reward_terms(record, obj_bb, q_style, cfg):
+    """One episode's reward terms, in the order of rewards.TERMS, each a
+    scalar of its own: the sparse affordance term (strict radius), the
+    closeness indicator, the style term with the 1-D norm, the success
+    term and their weighted sum."""
+    radius = obj_bb / cfg.gamma if cfg.clip_on else cfg.fixed_clip_radius
+    r_afford = float(np.exp(-record.d_final)) if cfg.afford_on and record.success and record.d_final < radius else 0.0
+    r_close = 1.0 if cfg.close_on and record.d_min < cfg.close_threshold else 0.0
+    r_qpos = float(np.exp(-np.linalg.norm(record.q_final - q_style))) if cfg.qpos_on else 0.0
+    r_success = cfg.success_reward if record.success else 0.0
+    total = cfg.lambda_afford * r_afford + cfg.lambda_close * r_close + cfg.lambda_qpos * r_qpos + r_success
+    return np.array([r_afford, r_close, r_qpos, r_success, total])
+
+
+def reference_encode(env, pose, demo, styles, m_points, fps_seed, cloud_cache):
+    """One reset environment's observation as a batch of one, from its
+    EnvBatch of one and its pose; raises PolicyError on a non-finite
+    field, the cloud first."""
+    obj = env.objs[0]
     scale = 1.0 / obj.obj_bb
     key = (obj.name, m_points, fps_seed)
     clouds = cloud_cache.get(key)
@@ -79,13 +118,13 @@ def reference_encode(env, demo, styles, m_points, fps_seed, cloud_cache):
             raise PolicyError("non-finite observation field clouds")
         clouds.flags.writeable = False
         cloud_cache[key] = clouds
-    ee0 = compose_pose(env.object_pose, demo.poses[0])
+    ee0 = compose_pose(pose, demo.poses[0])
     one_hot = np.zeros(len(styles))
-    one_hot[env.condition.style_index] = 1.0
+    one_hot[env.style[0]] = 1.0
     obs = ObsBatch(
         s_r=np.concatenate([ee0.t, ee0.r])[None],
-        s_o=np.concatenate([env.object_pose.t, env.object_pose.r])[None],
-        p_afford_rel=((env.condition.p_afford - obj.centroid) * scale)[None],
+        s_o=np.concatenate([pose.t, pose.r])[None],
+        p_afford_rel=((env.p_afford[0] - obj.centroid) * scale)[None],
         l_style=one_hot[None],
         obj_bb=np.array([[obj.obj_bb]], dtype=float),
         cloud_index=np.zeros(1, dtype=np.intp),
@@ -117,34 +156,25 @@ def reference_sample(mean, log_std, bounds, joint_count, rng):
     log_prob)."""
     lo, hi = bounds.intervals(joint_count)
     raw = mean + np.exp(log_std) * rng.standard_normal(mean.shape[0])
-    vec = squash(raw, lo, hi)
     logp, _, _ = gaussian_log_prob(mean, log_std, raw)
     logp = float(logp - squash_correction(raw, lo, hi))
-    return raw, EditAction.from_vector(vec, joint_count), logp
+    return raw, squash(raw, lo, hi), logp
 
 
 def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style, cloud_cache):
     """Phase 1 of one episode: reset, observe, a B=1 forward pass, act.
-    Returns the episode's result, its env, its action and its
-    observation; a PolicyError makes the result an errored one, with no
-    action or observation."""
+    Returns the episode's result, its EnvBatch of one, its action vector
+    and its observation; a PolicyError makes the result an errored one,
+    with no action or observation."""
     rng = episode_rng(seed, *stream_key, index)
     joint_count = assets.spec.joint_count
-    obj = assets.objects[int(rng.integers(len(assets.objects)))]
-    env = reset_env(
-        obj, assets.afford_dists[obj.name], assets.styles, rng, train_mode, spec=assets.spec,
-        square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0,
+    env, pose = reference_reset(
+        assets.objects, assets.afford_dists, assets.styles, rng, train_mode, spec=assets.spec,
+        square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0, force_style=force_style,
     )
-    if force_style is not None:
-        style = assets.styles[force_style]
-        env.condition = dataclasses.replace(
-            env.condition, style_index=force_style, q_style_used=style.q_canonical.copy(),
-            contact_mask=style.contact_mask,
-        )
-    pose, cond = env.object_pose, env.condition
-    result = EpisodeResult(index, obj.name, pose, cond.p_afford, cond.style_index)
+    result = EpisodeResult(index, env.objs[0].name, pose.t, pose.r, env.p_afford[0], int(env.style[0]))
     try:
-        obs = reference_encode(env, assets.demo, assets.styles, cfg.m_points, cfg.seed, cloud_cache)
+        obs = reference_encode(env, pose, assets.demo, assets.styles, cfg.m_points, cfg.seed, cloud_cache)
         mean, log_std, value, _ = policy_forward(params, obs)
     except PolicyError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
@@ -154,25 +184,25 @@ def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode
         raw, action, logp = reference_sample(mean[0], log_std, cfg.bounds, joint_count, rng)
     elif mode == "mean":
         raw = mean[0]
-        action = EditAction.from_vector(squash(raw, lo, hi), joint_count)
+        action = squash(raw, lo, hi)
         logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
     elif mode == "random":
-        vec = rng.uniform(lo, hi)
-        action = EditAction.from_vector(vec, joint_count)
-        raw = np.zeros_like(vec)
+        action = rng.uniform(lo, hi)
+        raw = np.zeros_like(action)
         logp = 0.0
     else:
-        action = EditAction.identity(joint_count)
+        action = np.concatenate([np.zeros(6 + joint_count), [1.0]])
         raw = np.zeros(7 + joint_count)
         logp = 0.0
-    result.raw, result.action_vec = np.asarray(raw, dtype=float), action.to_vector()
+    result.raw, result.action_vec = np.asarray(raw, dtype=float), action
     result.log_prob, result.value = float(logp), float(value[0])
     return result, env, action, obs
 
 
 def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, train_mode, mode="policy",
                            force_style=None):
-    """run_episodes with the per-episode phase 1 and wrist composition."""
+    """run_episodes with the per-episode phases 1 and 3 and wrist
+    composition."""
     cloud_cache = {}
     acted = [reference_act(params, cfg, assets, seed, stream_key, i, train_mode, mode, force_style, cloud_cache)
              for i in indices]
@@ -181,13 +211,13 @@ def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, tr
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(demo_module, "edit_wrist_arrays", reference_edit_wrist_arrays)
             records = rollout_batch(
-                [env for _, env, _ in live], assets.demo, np.stack([a.to_vector() for _, _, a in live]),
+                concat_envs([env for _, env, _ in live]), assets.demo, np.stack([a for _, _, a in live]),
                 assets.spec, assets.styles, cfg.sim,
             )
         for (res, env, _), record in zip(live, records):
             res.record = record
-            res.terms = total_reward(record, env.obj.obj_bb, assets.styles[res.conditioned_style].q_canonical,
-                                     cfg.reward)
+            res.terms = reference_reward_terms(record, env.objs[0].obj_bb,
+                                               assets.styles[res.conditioned_style].q_canonical, cfg.reward)
     return [res for res, _, _, _ in acted]
 
 

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import metrics_oracle
+from conftest import env_of
 from fungrasp.dataio import default_cameras
-from fungrasp.demo import EditAction
 from fungrasp.evaluation import _ablate_config, evaluate, write_episode_rows
 from fungrasp.objects import make_sphere
 from fungrasp.policy import init_params, random_obs
-from fungrasp.rewards import RewardConfig, afford_reward, total_reward
-from fungrasp.sim import EnvCondition, EnvState, grasp_success_batch
+from fungrasp.rewards import TERMS, RewardConfig, total_reward
+from fungrasp.sim import grasp_success_batch
 from fungrasp.geometry import identity_pose
 from fungrasp.training import (
     AdamState,
@@ -89,7 +89,8 @@ def test_criterion_2_replay_identity(assets, demo, spec, styles):
     traj = edited_joint_trajectory(demo, q_star, spec)
     joint_err = float(np.max(np.abs(traj - demo.joints)))
     obj_pose = identity_pose()
-    t, r = edit_wrist_arrays(demo, [EditAction.identity(spec.joint_count).to_vector()], [obj_pose.t], [obj_pose.r])
+    identity = np.r_[np.zeros(6 + spec.joint_count), 1.0]
+    t, r = edit_wrist_arrays(demo, [identity], [obj_pose.t], [obj_pose.r])
     inv = invert_pose(obj_pose)
     pose_err = 0.0
     for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
@@ -124,18 +125,16 @@ def test_criterion_3_interpolation_endpoint(assets, demo, spec, styles):
 def test_criterion_4_force_closure_oracle():
     t0 = time.time()
     obj = make_sphere(radius=0.032)
-    env = EnvState(obj=obj, object_pose=identity_pose(),
-                   condition=EnvCondition(p_afford=obj.points[0].copy(), style_index=0,
-                                          q_style_used=np.zeros(6), contact_mask=(0, 1)))
+    env = env_of(obj, obj.points[0], np.zeros(6), [True, True])
     # contact tables of two fingers at opposite poles: antipodal, the
     # same with only finger 0 in contact, and both normals pointing one way
     points = np.array([obj.centroid + [-0.032, 0, 0], obj.centroid + [0.032, 0, 0]])
     hit = np.array([[True, True], [True, False], [True, True]])
     normals = np.array([[[-1.0, 0, 0], [1.0, 0, 0]], [[-1.0, 0, 0], [0, 0, 0]], [[1.0, 0, 0], [1.0, 0, 0]]])
-    tables = (hit, np.where(hit[..., None], points, 0.0), normals, np.ones((3, 2), dtype=bool))
+    tables = (hit, np.where(hit[..., None], points, 0.0), normals)
 
     def success(rows, mu, eta=0.2):
-        return grasp_success_batch(*(t[rows] for t in tables), [env] * len(rows), mu=mu, eta=eta,
+        return grasp_success_batch(*(t[rows] for t in tables), env[[0] * len(rows)], mu=mu, eta=eta,
                                    table_collision=np.zeros(len(rows), dtype=bool))[0]
 
     ok_anti, single = success([0, 1], mu=0.5)
@@ -231,12 +230,11 @@ def test_criterion_9_reward_algebra():
         gamma = float(rng.uniform(1.0, 10.0))
         cfg = RewardConfig(gamma=gamma)
         radius = obj_bb / gamma
-        inside = afford_reward(True, np.nextafter(radius, 0), obj_bb, cfg) > 0
-        outside = afford_reward(True, radius, obj_bb, cfg) == 0
-        radius_exact &= inside and outside
+        # the same rollout finishing just inside, then exactly on, the radius
+        r_afford = total_reward([True, True], [np.nextafter(radius, 0), radius], [0.0, 0.0], np.zeros((2, 4)),
+                                np.zeros((2, 4)), [obj_bb, obj_bb], cfg)[:, TERMS.index("r_afford")]
+        radius_exact &= r_afford[0] > 0 and r_afford[1] == 0
     sum_exact = True
-    from fungrasp.sim import RolloutRecord
-
     for _ in range(10_000):
         cfg = RewardConfig(
             lambda_afford=float(rng.uniform(0, 5)), lambda_close=float(rng.uniform(0, 5)),
@@ -244,15 +242,13 @@ def test_criterion_9_reward_algebra():
             gamma=float(rng.uniform(1, 8)), close_threshold=float(rng.uniform(0.005, 0.1)),
         )
         success = bool(rng.integers(2))
-        rec = RolloutRecord(
-            d_series=rng.uniform(0, 0.2, 2), q_final=rng.normal(size=4), q_star=np.zeros(4),
-            executed_style=0, table_collision=False,
-            failure_reason=None if success else "no_closure",
-        )
-        t = total_reward(rec, float(rng.uniform(0.02, 0.5)), rng.normal(size=4), cfg)
-        expected = (cfg.lambda_afford * t.r_afford + cfg.lambda_close * t.r_close
-                    + cfg.lambda_qpos * t.r_qpos + t.r_success)
-        sum_exact &= t.total == expected
+        d_series, q_final = rng.uniform(0, 0.2, 2), rng.normal(size=4)
+        obj_bb, q_style = float(rng.uniform(0.02, 0.5)), rng.normal(size=4)
+        (row,) = total_reward([success], d_series[-1:], [d_series.min()], [q_final], [q_style], [obj_bb], cfg)
+        r_afford, r_close, r_qpos, r_success, total = row
+        expected = (cfg.lambda_afford * r_afford + cfg.lambda_close * r_close
+                    + cfg.lambda_qpos * r_qpos + r_success)
+        sum_exact &= total == expected
     ok = radius_exact and sum_exact
     assert _report(9, ok, f"reward algebra: indicator radius = obj_bb/gamma exactly ({radius_exact}), "
                           f"total = weighted sum exactly over 1e4 draws ({sum_exact})")

@@ -18,6 +18,7 @@ from fungrasp.dataio import (
 from fungrasp.demo import edited_joint_trajectory
 from fungrasp.geometry import Pose, axis_angle_to_quat, compose_pose, identity_pose, invert_pose
 from fungrasp.policy import init_params
+from fungrasp.rewards import TERMS
 from fungrasp.training import TrainConfig, episode_rng, run_episodes
 from fungrasp.evaluation import evaluate
 
@@ -151,7 +152,7 @@ def test_export_round_trip_schema(tmp_path, box_assets):
     rec = results[0].record
     assert np.array_equal(got, edited_joint_trajectory(box_assets.demo, rec.q_star, box_assets.spec))
     assert np.array_equal(got[-1], rec.q_final)
-    assert ep0[0]["reward"] == results[0].terms.as_dict() and ep0[0]["success"] == rec.success
+    assert ep0[0]["reward"] == dict(zip(TERMS, results[0].terms)) and ep0[0]["success"] == rec.success
     # target at frame t equals state at frame t+1 (absolute convention)
     assert ep0[0]["target"]["q"] == ep0[1]["q"]
     assert ep0[-1]["target"]["q"] == ep0[-1]["q"]

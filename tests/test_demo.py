@@ -6,7 +6,6 @@ import pytest
 from fungrasp.demo import (
     DemoError,
     Demonstration,
-    EditAction,
     EditBounds,
     disturb_style,
     edit_wrist_arrays,
@@ -16,7 +15,7 @@ from fungrasp.demo import (
     save_demo,
     target_joint_config,
 )
-from fungrasp.geometry import AxisAngle, Pose, compose_pose, identity_pose, invert_pose, quat_distance, axis_angle_to_quat
+from fungrasp.geometry import Pose, compose_pose, identity_pose, invert_pose, quat_distance, axis_angle_to_quat
 from fungrasp.hand import load_hand_spec
 
 from conftest import random_pose
@@ -160,7 +159,7 @@ def test_monotone_scaling_single_joint(spec):
 def test_edit_wrist_identity_replays_object_frame(demo):
     rng = np.random.default_rng(2)
     obj_pose = random_pose(rng)
-    t, r = edit_wrist_arrays(demo, [EditAction.identity(6).to_vector()], [obj_pose.t], [obj_pose.r])
+    t, r = edit_wrist_arrays(demo, [np.r_[np.zeros(12), 1.0]], [obj_pose.t], [obj_pose.r])
     inv = invert_pose(obj_pose)
     for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
         back = compose_pose(inv, Pose(t=p_t, r=p_r))
@@ -170,18 +169,17 @@ def test_edit_wrist_identity_replays_object_frame(demo):
 
 def test_edit_wrist_pure_translation_shift(demo):
     dt = np.array([0.0, 0.0, 0.05])
-    action = EditAction(dt=dt, dr=AxisAngle(np.zeros(3)), dq=np.zeros(6), k=1.0)
-    t, _ = edit_wrist_arrays(demo, [action.to_vector()], [identity_pose().t], [identity_pose().r])
+    action = np.r_[dt, np.zeros(9), 1.0]
+    t, _ = edit_wrist_arrays(demo, [action], [identity_pose().t], [identity_pose().r])
     assert np.allclose(t[0], demo.pose_t + dt, atol=1e-12)
 
 
 def test_edit_wrist_object_rotation_equivariance(demo):
     # oracle: compose poses one frame at a time with compose_pose
     yaw = Pose(t=np.array([0.1, -0.2, 0.0]), r=axis_angle_to_quat(np.array([0, 0, np.pi / 2])))
-    action = EditAction(dt=np.array([0.01, 0.02, -0.03]), dr=AxisAngle(np.array([0.1, 0.0, 0.2])),
-                        dq=np.zeros(6), k=1.0)
-    t, r = edit_wrist_arrays(demo, [action.to_vector()], [yaw.t], [yaw.r])
-    prefix = compose_pose(yaw, Pose(t=action.dt, r=axis_angle_to_quat(action.dr)))
+    dt, dr = np.array([0.01, 0.02, -0.03]), np.array([0.1, 0.0, 0.2])
+    t, r = edit_wrist_arrays(demo, [np.r_[dt, dr, np.zeros(6), 1.0]], [yaw.t], [yaw.r])
+    prefix = compose_pose(yaw, Pose(t=dt, r=axis_angle_to_quat(dr)))
     for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
         want = compose_pose(prefix, ref)
         assert np.allclose(p_t, want.t, atol=1e-12)
@@ -224,14 +222,6 @@ def test_bounds_intervals_norm_guarantee():
     assert hi[-1] == b.k_max and lo[-1] == b.k_min
 
 
-def test_action_vector_round_trip():
-    rng = np.random.default_rng(3)
-    vec = rng.normal(size=13) * 0.05
-    vec[-1] = 1.1
-    a = EditAction.from_vector(vec, 6)
-    assert np.allclose(a.to_vector(), vec)
-
-
 @pytest.mark.parametrize("t_l", [[3], None, 2.7, True, "3", "missing"])
 def test_grasp_index_must_be_a_json_integer(tmp_path, spec, t_l):
     """T_l is a JSON integer (not a bool); anything else is a DemoError
@@ -250,3 +240,21 @@ def test_grasp_index_must_be_a_json_integer(tmp_path, spec, t_l):
     payload["T_l"] = 3
     p.write_text(json.dumps(payload))
     assert load_demo(p, spec).grasp_index == 3
+
+
+@pytest.mark.parametrize("t_l", [-1, 0, 41])
+def test_grasp_index_out_of_range_names_the_file(tmp_path, spec, t_l):
+    """A T_l outside (0, T_D] of the 41-frame bundled demo is a DemoError
+    that names the file and T_l; the in-code check stays for demos built
+    in code."""
+    from fungrasp.assets import default_demo_path
+
+    payload = json.loads(default_demo_path().read_text())
+    payload["T_l"] = t_l
+    p = tmp_path / "demo.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(DemoError, match=rf"demo\.json: T_l: grasp index {t_l} outside \(0, 40\]"):
+        load_demo(p, spec)
+    demo = load_demo(default_demo_path(), spec)
+    with pytest.raises(DemoError, match=rf"^grasp index {t_l} outside \(0, 40\]"):
+        Demonstration(poses=demo.poses, joints=demo.joints, grasp_index=t_l)

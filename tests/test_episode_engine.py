@@ -179,7 +179,7 @@ def test_nan_row_errors_alone(hand_setup):
         obs = real(objs, pose_t, *args)
         s_o = obs.s_o.copy()
         for k, t in enumerate(pose_t):
-            if np.array_equal(t, reference[4].object_pose.t):
+            if np.array_equal(t, reference[4].pose_t):
                 s_o[k, 2] = np.nan
         return dataclasses.replace(obs, s_o=s_o)
 

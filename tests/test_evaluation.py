@@ -13,6 +13,7 @@ from fungrasp.evaluation import (
 )
 from fungrasp.geometry import identity_pose
 from fungrasp.policy import init_params
+from fungrasp.rewards import TERMS
 from fungrasp.sim import RolloutRecord
 from fungrasp.training import EpisodePool, EpisodeResult, TrainConfig, collect_batch, episode_rng
 
@@ -36,7 +37,8 @@ def _row(success, d_final=0.02, q=None, cond=0, exe=0):
     q = np.array(q if q is not None else [0.0] * 3, dtype=float)
     record = RolloutRecord(d_series=np.full(3, d_final), q_final=q, q_star=q, executed_style=exe,
                            table_collision=False, failure_reason=None if success else "no_closure")
-    return EpisodeResult(0, "box", identity_pose(), np.zeros(3), cond, record=record)
+    pose = identity_pose()
+    return EpisodeResult(0, "box", pose.t, pose.r, np.zeros(3), cond, record=record)
 
 
 def test_pairwise_diversity_cases():
@@ -194,7 +196,7 @@ def test_qpos_ablation_zeroes_term_in_batches(assets, eval_cfg, eval_params):
     assert any(res.terms is not None for res in batch.results)
     for res in batch.results:
         if res.terms is not None:
-            assert res.terms.r_qpos == 0.0
+            assert res.terms[TERMS.index("r_qpos")] == 0.0
 
 
 def test_disturbance_ablation_uses_canonical_styles(assets, eval_cfg, eval_params):
@@ -214,11 +216,10 @@ def test_disturbance_ablation_uses_canonical_styles(assets, eval_cfg, eval_param
 def test_report_explains_its_episodes(assets, eval_cfg, eval_params, tmp_path, monkeypatch):
     """report.json counts the outcomes, averages each reward term over the
     episodes that ran and groups the errors by message."""
-    import dataclasses
     import json
 
     import fungrasp.training as tr
-    from fungrasp.rewards import RewardTerms, total_reward
+    from fungrasp.rewards import total_reward
 
     _, reference = evaluate(eval_params, eval_cfg, assets, 10, seed=4)
     monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, reference[3]))
@@ -228,14 +229,15 @@ def test_report_explains_its_episodes(assets, eval_cfg, eval_params, tmp_path, m
     assert report["errors"] == {"PolicyError: non-finite observation field clouds": 1}
     assert report["outcomes"]["error"] == 1 and sum(report["outcomes"].values()) == 10
     objects = {o.name: o for o in assets.objects}
-    recount = [
-        total_reward(r.record, objects[r.object_name].obj_bb, assets.styles[r.conditioned_style].q_canonical,
-                     eval_cfg.reward)
-        for r in results if r.record is not None
-    ]
+    ran = [r for r in results if r.record is not None]
+    recount = total_reward(
+        [r.record.success for r in ran], [r.record.d_final for r in ran], [r.record.d_min for r in ran],
+        [r.record.q_final for r in ran], [assets.styles[r.conditioned_style].q_canonical for r in ran],
+        [objects[r.object_name].obj_bb for r in ran], eval_cfg.reward,
+    )
     assert len(recount) == 9
-    for f in dataclasses.fields(RewardTerms):
-        assert report["reward_terms"][f.name] == np.mean([getattr(t, f.name) for t in recount])
+    for j, name in enumerate(TERMS):
+        assert report["reward_terms"][name] == np.mean([row[j] for row in recount])
 
 
 def test_episode_rows_of_an_errored_episode_are_strict_json(assets, eval_cfg, eval_params, tmp_path, monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 
 from fungrasp.geometry import (
-    AxisAngle,
     Pose,
     axis_angle_to_quat,
     compose_pose,
@@ -122,7 +121,7 @@ def test_transform_points_matches_single():
 
 def test_axis_angle_to_quat_zero_and_closed_form():
     assert np.allclose(axis_angle_to_quat(np.zeros(3)), [1.0, 0, 0, 0])
-    q = axis_angle_to_quat(AxisAngle(np.array([0.0, 0.0, np.pi / 2])))
+    q = axis_angle_to_quat(np.array([0.0, 0.0, np.pi / 2]))
     assert np.allclose(q, [np.cos(np.pi / 4), 0, 0, np.sin(np.pi / 4)], atol=1e-15)
 
 

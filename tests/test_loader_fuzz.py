@@ -5,6 +5,7 @@ any depth, retyped: every run succeeds or ends in a named user error
 import copy
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,9 @@ def _exit_code(tmp_path_factory, doc, path, value, command):
 @example(path=("fingers", 0, "tip_radius"), value=[1])
 @example(path=("fingers", 0, "segments", 0, "length"), value=None)
 @example(path=("fingers", 0, "segments", 0, "limits"), value=-1)
+@example(path=("fingers", 0, "name"), value=None)
+@example(path=("fingers", 1, "name"), value={})
+@example(path=("fingers", 2, "name"), value=2.5)
 def test_retyped_hand_field_is_never_an_internal_error(tmp_path_factory, path, value):
     code = _exit_code(tmp_path_factory, HAND, path, value, ["demo", "inspect", "--hand", "{dir}/doc.json"])
     assert code in (0, 1)
@@ -64,6 +68,7 @@ def test_retyped_hand_field_is_never_an_internal_error(tmp_path_factory, path, v
 @example(path=("T_l",), value=[1])
 @example(path=("T_l",), value=None)
 @example(path=("frames", 0, "q"), value={})
+@example(path=("T_l",), value=-1)
 def test_retyped_demo_field_is_never_an_internal_error(tmp_path_factory, path, value):
     code = _exit_code(tmp_path_factory, DEMO, path, value, ["demo", "inspect", "--demo", "{dir}/doc.json"])
     assert code in (0, 1)
@@ -73,8 +78,32 @@ def test_retyped_demo_field_is_never_an_internal_error(tmp_path_factory, path, v
 @given(path=st.sampled_from(STYLES_PATHS), value=st.sampled_from(RETYPED))
 @example(path=("styles", 0, "contact_mask", 0), value=[1])
 @example(path=("styles", 0, "q"), value={})
+@example(path=("styles", 0, "id"), value=None)
+@example(path=("styles", 1, "id"), value={})
+@example(path=("styles", 2, "id"), value=2.5)
 def test_retyped_styles_field_is_never_an_internal_error(tmp_path_factory, path, value):
     command = ["train", "--seed", "1", "--config", "{dir}/config.json", "--styles", "{dir}/doc.json",
                "--out", "{dir}/run"]
     assert _exit_code(tmp_path_factory, STYLES, path, value, command) in (0, 1)
 
+
+
+DEMO_INSPECT = ["demo", "inspect"]
+TRAIN_STYLES = ["train", "--seed", "1", "--config", "{dir}/config.json", "--styles", "{dir}/doc.json",
+                "--out", "{dir}/run"]
+
+
+@pytest.mark.parametrize("doc, command, path, value, field", [
+    *((HAND, [*DEMO_INSPECT, "--hand", "{dir}/doc.json"], ("fingers", 1, "name"), v, "fingers[1].name")
+      for v in (None, {}, 2.5, "")),
+    *((STYLES, TRAIN_STYLES, ("styles", 2, "id"), v, "styles[2].id") for v in (None, {}, 2.5, "")),
+    *((DEMO, [*DEMO_INSPECT, "--demo", "{dir}/doc.json"], ("T_l",), v, "T_l") for v in (-1, 0, 41)),
+])
+def test_names_and_grasp_index_fail_as_named_user_errors(tmp_path_factory, capsys, doc, command, path, value,
+                                                         field):
+    """A finger name or style id that is no non-empty string, and a T_l
+    outside (0, T_D], exit 1 with an error naming the file and the
+    field."""
+    assert _exit_code(tmp_path_factory, doc, path, value, command) == 1
+    err = capsys.readouterr().err
+    assert f"doc.json: {field}: " in err and "internal error" not in err

@@ -38,13 +38,14 @@ def _random_obs(rng, m=16, s=4):
     return random_obs(rng, 1, m, s)
 
 
-def _encode(envs, assets, m_points, fps_seed, cache):
-    """encode_observation over reset environments, row i for envs[i]."""
-    return encode_observation(
-        [env.obj for env in envs], np.stack([env.object_pose.t for env in envs]),
-        np.stack([env.object_pose.r for env in envs]), np.stack([env.condition.p_afford for env in envs]),
-        [env.condition.style_index for env in envs], assets.demo, assets.styles, m_points, fps_seed, cache,
-    )
+def _encode(env, assets, m_points, fps_seed, cache):
+    """encode_observation over an EnvBatch of reset environments."""
+    return encode_observation(env.objs, env.pose_t, env.pose_r, env.p_afford, env.style, assets.demo, assets.styles,
+                              m_points, fps_seed, cache)
+
+
+def _reset(assets, objects, rngs, **kwargs):
+    return reset_env(objects, assets.afford_dists, assets.styles, rngs, False, spec=assets.spec, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +59,14 @@ def small_params():
 
 def test_encode_affordance_at_centroid(assets):
     obj = assets.objects[0]
-    env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
-                    np.random.default_rng(0), False, spec=assets.spec, square_half=0.0)
-    env.condition = dataclasses.replace(env.condition, p_afford=obj.centroid.copy())
+    env = _reset(assets, [obj], [np.random.default_rng(0)], square_half=0.0)
+    env = dataclasses.replace(env, p_afford=obj.centroid[None].copy())
     cache = {}
-    obs = _encode([env], assets, 32, 0, cache)
+    obs = _encode(env, assets, 32, 0, cache)
     assert obs.size == 1
     assert np.allclose(obs.p_afford_rel, 0.0, atol=1e-12)
     assert obs.l_style.sum() == 1.0
-    assert obs.l_style[0, env.condition.style_index] == 1.0
+    assert obs.l_style[0, env.style[0]] == 1.0
     assert obs.clouds.shape == (1, 32, 6) and obs.cloud_index.tolist() == [0]
 
 
@@ -75,13 +75,11 @@ def test_encode_scale_invariance(assets):
     # the regular box grid resolves identically on both clones
     obj = assets.objects[0]
     scaled = ObjectModel.from_points("scaled", obj.points * 2.0, obj.normals)
-    env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
-                    np.random.default_rng(1), False, spec=assets.spec, square_half=0.0)
-    env2 = dataclasses.replace(env, obj=scaled)
-    env2.condition = dataclasses.replace(env.condition, p_afford=env.condition.p_afford * 2.0)
+    env = _reset(assets, [obj], [np.random.default_rng(1)], square_half=0.0)
+    env2 = dataclasses.replace(env, objs=[scaled], p_afford=env.p_afford * 2.0)
     cache = {}
-    a = _encode([env], assets, 32, 0, cache)
-    b = _encode([env2], assets, 32, 0, cache)
+    a = _encode(env, assets, 32, 0, cache)
+    b = _encode(env2, assets, 32, 0, cache)
     assert np.allclose(a.clouds, b.clouds, atol=1e-12)
     assert np.allclose(a.p_afford_rel, b.p_afford_rel, atol=1e-12)
     assert b.obj_bb[0, 0] == pytest.approx(2.0 * a.obj_bb[0, 0])
@@ -89,13 +87,12 @@ def test_encode_scale_invariance(assets):
 
 def test_encode_fps_cache_reused(assets):
     obj = assets.objects[0]
-    env = reset_env(obj, assets.afford_dists[obj.name], assets.styles,
-                    np.random.default_rng(2), False, spec=assets.spec)
+    env = _reset(assets, [obj], [np.random.default_rng(2)])
     cache = {}
-    a = _encode([env, env], assets, 32, 7, cache)
+    a = _encode(env[[0, 0]], assets, 32, 7, cache)
     assert list(cache) == [(obj.name, 32, 7)]
     first = cache[(obj.name, 32, 7)]
-    b = _encode([env], assets, 32, 7, cache)
+    b = _encode(env, assets, 32, 7, cache)
     # one encoded, read-only cloud, which every batch's table holds once
     assert list(cache) == [(obj.name, 32, 7)] and cache[(obj.name, 32, 7)] is first
     assert a.cloud_index.tolist() == [0, 0] and np.array_equal(a.clouds, first[None])
@@ -107,16 +104,14 @@ def test_encode_rows_do_not_depend_on_their_chunk(assets):
     """A chunk's row has the bits of the env's chunk of one, over a table
     that holds each object's entry once, first seen first."""
     rng = np.random.default_rng(3)
-    envs = []
-    for _ in range(9):
-        obj = assets.objects[int(rng.integers(len(assets.objects)))]
-        envs.append(reset_env(obj, assets.afford_dists[obj.name], assets.styles, rng, True, spec=assets.spec))
+    # one rng shared by the nine episodes: each draws from it in turn
+    env = reset_env(assets.objects, assets.afford_dists, assets.styles, [rng] * 9, True, spec=assets.spec)
     cache = {}
-    chunk = _encode(envs, assets, 32, 0, cache)
-    names = list(dict.fromkeys(env.obj.name for env in envs))
-    assert [names[k] for k in chunk.cloud_index] == [env.obj.name for env in envs]
-    for k, env in enumerate(envs):
-        alone = _encode([env], assets, 32, 0, cache)
+    chunk = _encode(env, assets, 32, 0, cache)
+    names = list(dict.fromkeys(obj.name for obj in env.objs))
+    assert [names[k] for k in chunk.cloud_index] == [obj.name for obj in env.objs]
+    for k in range(len(env)):
+        alone = _encode(env[[k]], assets, 32, 0, cache)
         for field in dataclasses.fields(ObsBatch):
             if field.name != "cloud_index":
                 got = getattr(chunk[np.array([k])], field.name)

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
+from conftest import concat_envs, env_of
 from contact_reference import dense_nearest, hand_assets, reference_contact_phase, seeded_rollout_inputs
+from episode_reference import reference_reset
 from kernel_reference import reference_feasible_combination
 from fungrasp import sim
-from fungrasp.demo import EditAction, EditBounds
+from fungrasp.demo import EditBounds
 from fungrasp.geometry import (
     Pose,
     axis_angle_to_quat,
     compose_pose,
-    identity_pose,
     invert_pose,
     quat_rotate,
     transform_point,
@@ -23,8 +24,6 @@ from fungrasp.geometry import (
 from fungrasp.objects import make_cylinder, make_sphere
 from fungrasp.rewards import RewardConfig
 from fungrasp.sim import (
-    EnvCondition,
-    EnvState,
     SimParams,
     check_table_collision,
     detect_contacts,
@@ -38,17 +37,16 @@ from fungrasp.sim import (
 from fungrasp.training import OUTCOMES
 
 
-def _env_for(obj, mask=(0, 1), pose=None):
-    return EnvState(
-        obj=obj,
-        object_pose=pose or identity_pose(),
-        condition=EnvCondition(
-            p_afford=obj.points[0].copy(),
-            style_index=0,
-            q_style_used=np.zeros(6),
-            contact_mask=tuple(mask),
-        ),
-    )
+def _env_for(obj, mask=(0, 1), pose=None, f_count=4):
+    """An EnvBatch of one on obj whose contact mask names the given
+    fingers of f_count."""
+    return env_of(obj, obj.points[0], np.zeros(6), np.isin(np.arange(f_count), mask), pose=pose)
+
+
+def _action(dt=(0.0, 0.0, 0.0), dr=(0.0, 0.0, 0.0), dq=0.0, k=1.0, joint_count=6):
+    """The (7 + J,) action vector [dt, dr, dq, k]; the default is the
+    identity edit."""
+    return np.r_[dt, dr, np.broadcast_to(dq, joint_count), k]
 
 
 def _spheres(centers, radii=None, fingers=None):
@@ -65,47 +63,59 @@ def _spheres(centers, radii=None, fingers=None):
 # reset_env
 # ---------------------------------------------------------------------------
 
+def _reset(assets, objects, rngs, train_mode, **kwargs):
+    return reset_env(objects, assets.afford_dists, assets.styles, rngs, train_mode, spec=assets.spec, **kwargs)
+
+
+def _columns(env):
+    return [(f.name, getattr(env, f.name)) for f in dataclasses.fields(env)]
+
+
 def test_reset_deterministic(assets):
-    obj = assets.objects[0]
-    dist = assets.afford_dists[obj.name]
-    a = reset_env(obj, dist, assets.styles, np.random.default_rng(9), True, spec=assets.spec)
-    b = reset_env(obj, dist, assets.styles, np.random.default_rng(9), True, spec=assets.spec)
-    assert np.array_equal(a.object_pose.t, b.object_pose.t)
-    assert np.array_equal(a.object_pose.r, b.object_pose.r)
-    assert np.array_equal(a.condition.p_afford, b.condition.p_afford)
-    assert a.condition.style_index == b.condition.style_index
-    assert np.array_equal(a.condition.q_style_used, b.condition.q_style_used)
+    a = _reset(assets, assets.objects, [np.random.default_rng(9)], True)
+    b = _reset(assets, assets.objects, [np.random.default_rng(9)], True)
+    assert a.objs == b.objs
+    for (name, x), (_, y) in zip(_columns(a)[1:], _columns(b)[1:]):
+        assert np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("train_mode, force_style", [(True, None), (False, None), (True, 2), (False, 1)])
+def test_reset_rows_match_the_per_episode_reset(assets, train_mode, force_style):
+    """Every column of a batched reset, by bytes, against each episode's
+    own reset on its own rng, with its pose built as a Pose."""
+    seeds = range(40)
+    env = _reset(assets, assets.objects, [np.random.default_rng(s) for s in seeds], train_mode,
+                 force_style=force_style)
+    for i, seed in enumerate(seeds):
+        want, pose = reference_reset(assets.objects, assets.afford_dists, assets.styles, np.random.default_rng(seed),
+                                     train_mode, spec=assets.spec, force_style=force_style)
+        assert env.objs[i] is want.objs[0]
+        assert env.pose_t[i].tobytes() == pose.t.tobytes() and env.pose_r[i].tobytes() == pose.r.tobytes()
+        for name, column in _columns(env)[1:]:
+            assert column[i].tobytes() == getattr(want, name)[0].tobytes(), (i, name)
+    assert len({o.name for o in env.objs}) > 1 and len(set(env.style.tolist())) == (1 if force_style else 4)
 
 
 def test_reset_zero_square_pins_pose(assets):
-    obj = assets.objects[0]
-    dist = assets.afford_dists[obj.name]
-    env = reset_env(obj, dist, assets.styles, np.random.default_rng(1), False,
-                    spec=assets.spec, square_half=0.0)
-    assert np.allclose(env.object_pose.t, 0.0)
-    assert np.allclose(env.object_pose.r, [1, 0, 0, 0])
+    env = _reset(assets, assets.objects[:1], [np.random.default_rng(1)], False, square_half=0.0)
+    assert np.allclose(env.pose_t, 0.0)
+    assert np.allclose(env.pose_r, [1, 0, 0, 0])
 
 
 def test_reset_object_rests_on_table(assets):
     obj = assets.objects[0]
-    dist = assets.afford_dists[obj.name]
-    for seed in range(10):
-        env = reset_env(obj, dist, assets.styles, np.random.default_rng(seed), True, spec=assets.spec)
-        pts = transform_point(env.object_pose, obj.points)
+    env = _reset(assets, [obj], [np.random.default_rng(seed) for seed in range(10)], True)
+    for t, r in zip(env.pose_t, env.pose_r):
+        pts = quat_rotate(r, obj.points) + t
         assert pts[:, 2].min() >= -1e-6
 
 
 def test_reset_xy_uniform_ks(assets):
-    obj = assets.objects[0]
-    dist = assets.afford_dists[obj.name]
     n = 10_000
     rng = np.random.default_rng(123)
-    xs = np.empty(n)
-    ys = np.empty(n)
-    for i in range(n):
-        env = reset_env(obj, dist, assets.styles, rng, False, spec=assets.spec, square_half=0.25)
-        xs[i], ys[i] = env.object_pose.t[0], env.object_pose.t[1]
-    for vals in (xs, ys):
+    # one rng shared by all episodes: each episode draws from it in turn
+    env = _reset(assets, assets.objects[:1], [rng] * n, False, square_half=0.25)
+    for vals in env.pose_t[:, :2].T:
         u = np.sort((vals + 0.25) / 0.5)
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(np.abs(u - grid)), np.max(np.abs(u - (grid - 1.0 / n))))
@@ -118,7 +128,7 @@ def test_reset_xy_uniform_ks(assets):
 
 def test_contacts_far_away_empty(objects):
     env = _env_for(objects["box"])
-    crushed, hit, points, normals = detect_contacts([env], *_spheres([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]), 0,
+    crushed, hit, points, normals = detect_contacts(env, *_spheres([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]), 0,
                                                     SimParams())
     assert hit.tolist() == [[False, False]] and crushed.tolist() == [False]
     assert not points.any() and not normals.any()
@@ -128,7 +138,7 @@ def test_contact_center_on_cloud_point(objects):
     obj = objects["box"]
     env = _env_for(obj)
     target = obj.points[100]
-    _, hit, points, normals = detect_contacts([env], *_spheres([target]), 0, SimParams())
+    _, hit, points, normals = detect_contacts(env, *_spheres([target]), 0, SimParams())
     assert hit.tolist() == [[True]]
     assert np.allclose(points[0, 0], target)
     assert np.allclose(normals[0, 0], obj.normals[100])
@@ -138,7 +148,7 @@ def test_contacts_straddling_cylinder_oppose():
     obj = make_cylinder(radius=0.03, height=0.08)
     env = _env_for(obj)
     spheres = _spheres([[0.038, 0.0, 0.04], [-0.038, 0.0, 0.04]], fingers=[0, 1])
-    _, hit, _, normals = detect_contacts([env], *spheres, 0, SimParams())
+    _, hit, _, normals = detect_contacts(env, *spheres, 0, SimParams())
     assert hit.tolist() == [[True, True]]
     assert float(normals[0, 0] @ normals[0, 1]) < -0.9
 
@@ -148,7 +158,7 @@ def test_deepest_contact_per_finger(objects):
     env = _env_for(obj)
     shallow = obj.points[10] + obj.normals[10] * 0.008
     deep = obj.points[50] + obj.normals[50] * 0.001
-    _, hit, points, _ = detect_contacts([env], *_spheres([shallow, deep], fingers=[0, 0]), 0, SimParams())
+    _, hit, points, _ = detect_contacts(env, *_spheres([shallow, deep], fingers=[0, 0]), 0, SimParams())
     assert hit.tolist() == [[True]]
     assert np.allclose(points[0, 0], obj.points[50])
 
@@ -192,11 +202,10 @@ def _table(fingers, points, normals, f_count=4):
 
 def _scores(tables, envs, mu=0.5, eta=0.2, table_collision=None):
     """grasp_success_batch over stacked one-grasp tables, each with its
-    env's contact mask: (success (G,), degenerate (G,))."""
+    env (an EnvBatch of one): (success (G,), degenerate (G,))."""
     hit, pts, nrm = (np.concatenate(column) for column in zip(*tables))
-    mask = np.array([np.isin(np.arange(hit.shape[1]), env.condition.contact_mask) for env in envs])
     table = np.zeros(len(envs), dtype=bool) if table_collision is None else np.array(table_collision)
-    return grasp_success_batch(hit, pts, nrm, mask, envs, mu, eta, table_collision=table)
+    return grasp_success_batch(hit, pts, nrm, concat_envs(envs), mu, eta, table_collision=table)
 
 
 def _antipodal_sphere_table(obj, fingers=(0, 1)):
@@ -374,10 +383,10 @@ def test_grasp_success_batch_matches_one_grasp_calls(objects):
         obj = list(objects.values())[i % len(objects)]
         pose = Pose(t=np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
                     r=axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
-        env = _env_for(obj, mask=tuple(rng.choice(5, size=int(rng.integers(1, 4)), replace=False)), pose=pose)
+        env = _env_for(obj, mask=rng.choice(5, size=int(rng.integers(1, 4)), replace=False), pose=pose, f_count=5)
         pick = rng.choice(len(obj.points), size=int(rng.integers(1, 6)), replace=False)
-        pts = transform_point(env.object_pose, obj.points[pick])
-        nrm = quat_rotate(env.object_pose.r, obj.normals[pick])
+        pts = transform_point(pose, obj.points[pick])
+        nrm = quat_rotate(pose.r, obj.normals[pick])
         tables.append(_table(rng.permutation(5)[: len(pick)], pts, nrm, f_count=5))
         envs.append(env)
     table = rng.random(len(envs)) < 0.1
@@ -427,24 +436,16 @@ def _rollout_with_tables(phase, *args):
     return records, tables[0]
 
 
-def _fixture_env(assets, style_index=0):
+def _fixture_env(assets, style_index=0, pose=None, point=42):
     obj = assets.objects[0]  # box (single-object bundle sorts to box)
     style = assets.styles[style_index]
-    return EnvState(
-        obj=obj,
-        object_pose=identity_pose(),
-        condition=EnvCondition(
-            p_afford=obj.points[42].copy(),
-            style_index=style_index,
-            q_style_used=style.q_canonical.copy(),
-            contact_mask=style.contact_mask,
-        ),
-    )
+    mask = np.isin(np.arange(assets.spec.finger_count), style.contact_mask)
+    return env_of(obj, obj.points[point], style.q_canonical, mask, style_index, pose)
 
 
 def test_identity_rollout_succeeds_on_fixture(box_assets, demo, spec, styles):
     env = _fixture_env(box_assets)
-    (rec,) = rollout_batch([env], demo, [EditAction.identity(spec.joint_count).to_vector()], spec, styles)
+    (rec,) = rollout_batch(env, demo, [_action()], spec, styles)
     assert rec.success
     assert np.all(np.isfinite(rec.d_series))
     assert rec.executed_style == 0
@@ -454,21 +455,16 @@ def test_identity_rollout_succeeds_on_fixture(box_assets, demo, spec, styles):
 def test_rollout_far_action_fails(box_assets, demo, spec, styles):
     env = _fixture_env(box_assets)
     # largest allowed offset pushes the approach off the object
-    from fungrasp.geometry import AxisAngle
-
-    action = EditAction(dt=np.array([0.10, 0.10, 0.10]), dr=AxisAngle(np.zeros(3)),
-                        dq=np.zeros(6), k=1.0)
-    (rec,) = rollout_batch([env], demo, [action.to_vector()], spec, styles)
+    (rec,) = rollout_batch(env, demo, [_action(dt=(0.10, 0.10, 0.10))], spec, styles)
     assert not rec.success
 
 
 def test_rollout_purity(box_assets, demo, spec, styles):
     env1 = _fixture_env(box_assets)
     env2 = _fixture_env(box_assets)
-    a = EditAction(dt=np.array([0.01, -0.01, 0.0]), dr=EditAction.identity(6).dr,
-                   dq=np.full(6, 0.02), k=1.1)
-    (r1,) = rollout_batch([env1], demo, [a.to_vector()], spec, styles)
-    (r2,) = rollout_batch([env2], demo, [a.to_vector()], spec, styles)
+    a = _action(dt=(0.01, -0.01, 0.0), dq=0.02, k=1.1)
+    (r1,) = rollout_batch(env1, demo, [a], spec, styles)
+    (r2,) = rollout_batch(env2, demo, [a], spec, styles)
     assert r1.success == r2.success
     assert np.array_equal(r1.d_series, r2.d_series)
     assert np.array_equal(r1.q_final, r2.q_final)
@@ -481,7 +477,7 @@ def test_rollout_record_invariants(box_assets, demo, spec, styles):
     for i in range(15):
         envs.append(_fixture_env(box_assets, style_index=int(rng.integers(4))))
         actions.append(rng.uniform(lo, hi))
-    for rec in rollout_batch(envs, demo, actions, spec, styles):
+    for rec in rollout_batch(concat_envs(envs), demo, actions, spec, styles):
         assert rec.d_series.shape == (demo.horizon + 1,)
         assert rec.d_min <= rec.d_final + 1e-15
         assert np.all(rec.d_series >= 0.0)
@@ -497,19 +493,11 @@ def test_rollout_record_invariants(box_assets, demo, spec, styles):
 def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
     """Rigidly transforming the object pose (table-preserving yaw + xy)
     leaves success, d_series, and object-frame contacts unchanged."""
-    obj = box_assets.objects[0]
-    style = styles[1]
-    base_cond = EnvCondition(
-        p_afford=obj.points[77].copy(), style_index=1,
-        q_style_used=style.q_canonical.copy(), contact_mask=style.contact_mask,
-    )
-    action = EditAction(dt=np.array([0.01, 0.0, -0.005]),
-                        dr=EditAction.identity(6).dr, dq=np.full(6, -0.01), k=0.95)
-    env_a = EnvState(obj=obj, object_pose=identity_pose(), condition=base_cond)
+    action = _action(dt=(0.01, 0.0, -0.005), dq=-0.01, k=0.95)
     g = Pose(t=np.array([0.12, -0.3, 0.0]), r=axis_angle_to_quat(np.array([0, 0, 1.1])))
-    env_b = EnvState(obj=obj, object_pose=g, condition=base_cond)
+    env = concat_envs([_fixture_env(box_assets, 1, point=77), _fixture_env(box_assets, 1, pose=g, point=77)])
     (ra, rb), (_, hit, points, normals) = _rollout_with_tables(
-        sim.detect_contacts, [env_a, env_b], demo, [action.to_vector()] * 2, spec, styles)
+        sim.detect_contacts, env, demo, [action] * 2, spec, styles)
     assert ra.success == rb.success
     assert np.allclose(ra.d_series, rb.d_series, atol=1e-9)
     assert np.array_equal(hit[0], hit[1]) and hit[0].any()
@@ -525,11 +513,7 @@ def test_crush_rule_triggers(box_assets, spec, styles, demo):
     env = _fixture_env(box_assets)
     # shift the finger approach line over the box center: the descending
     # fingertips sink through the top face before the grasp frame
-    from fungrasp.geometry import AxisAngle
-
-    action = EditAction(dt=np.array([-0.06, 0.0, 0.0]), dr=AxisAngle(np.zeros(3)),
-                        dq=np.zeros(6), k=1.0)
-    (rec,) = rollout_batch([env], demo, [action.to_vector()], spec, styles)
+    (rec,) = rollout_batch(env, demo, [_action(dt=(-0.06, 0.0, 0.0))], spec, styles)
     assert not rec.success
     assert rec.crushed
     assert rec.failure_reason == "crush"
@@ -544,8 +528,8 @@ def test_rollout_batch_matches_one_item_rollouts(hand):
     batch, tables = _rollout_with_tables(sim.detect_contacts, envs, assets.demo, actions, spec,
                                          assets.styles)
     reasons = set()
-    for i, (env, action, got) in enumerate(zip(envs, actions, batch)):
-        (want,), want_tables = _rollout_with_tables(sim.detect_contacts, [env], assets.demo,
+    for i, (action, got) in enumerate(zip(actions, batch)):
+        (want,), want_tables = _rollout_with_tables(sim.detect_contacts, envs[[i]], assets.demo,
                                                     [action], spec, assets.styles)
         _assert_same_record(got, want)
         for column, want_column in zip(tables, want_tables):
@@ -616,7 +600,7 @@ def test_contacts_invariant_under_a_rigid_move(seed, axis_angle, shift):
     fingers = np.repeat(np.arange(4), 3)
     poses = [pose, compose_pose(move, pose)]
     centers = np.stack([transform_point(p, local) for p in poses])[:, None]
-    _, hit, points, _ = detect_contacts([_env_for(obj, pose=p) for p in poses], centers, radii, fingers, 0,
+    _, hit, points, _ = detect_contacts(concat_envs([_env_for(obj, pose=p) for p in poses]), centers, radii, fingers, 0,
                                         SimParams())
     assert np.array_equal(hit[0], hit[1])
     assert hit.any(), "the shell puts some sphere in contact"
@@ -696,8 +680,8 @@ def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
     pick = rng.choice(len(obj.points), size=8, replace=False)
     local = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.01, (8, 1))
     spheres = _spheres(transform_point(pose, local), fingers=np.repeat(np.arange(4), 2))
-    want = reference_contact_phase([env], *spheres, 0, SimParams())
-    got = detect_contacts([env], *spheres, 0, SimParams())
+    want = reference_contact_phase(env, *spheres, 0, SimParams())
+    got = detect_contacts(env, *spheres, 0, SimParams())
     assert want[1].any()
     for g, w in zip(got, want):
         assert np.array_equal(g, w)

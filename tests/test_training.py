@@ -6,6 +6,7 @@ import pytest
 
 from fungrasp.policy import PolicyError, init_params
 from fungrasp.rewards import total_reward
+from episode_reference import reference_reward_terms
 from fungrasp.training import (
     OUTCOMES,
     AdamState,
@@ -53,14 +54,19 @@ def test_single_episode_deterministic(assets, tiny_cfg, tiny_params):
 
 
 def test_batch_reward_matches_reward_engine(assets, tiny_cfg, tiny_params):
+    """Each result's terms are its row of total_reward over the batch's
+    records, and the per-episode reference terms, by bytes."""
     batch = collect_batch(tiny_params, tiny_cfg, assets, 0)
     objects = {o.name: o for o in assets.objects}
-    for res in batch.results:
-        if res.record is None:
-            continue
-        q_style = assets.styles[res.conditioned_style].q_canonical
-        terms = total_reward(res.record, objects[res.object_name].obj_bb, q_style, tiny_cfg.reward)
-        assert res.terms == terms and res.reward == terms.total
+    ran = [res for res in batch.results if res.record is not None]
+    q_style = np.stack([assets.styles[res.conditioned_style].q_canonical for res in ran])
+    obj_bb = [objects[res.object_name].obj_bb for res in ran]
+    table = total_reward([r.record.success for r in ran], [r.record.d_final for r in ran],
+                         [r.record.d_min for r in ran], [r.record.q_final for r in ran], q_style, obj_bb,
+                         tiny_cfg.reward)
+    for res, row, q, bb in zip(ran, table, q_style, obj_bb):
+        assert res.terms.tobytes() == row.tobytes() == reference_reward_terms(res.record, bb, q, tiny_cfg.reward).tobytes()
+        assert res.reward == row[-1]
 
 
 def test_advantage_normalization(assets, tiny_cfg, tiny_params):
@@ -399,8 +405,8 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
     ref = reference.results[2]
     assert bad.object_name == ref.object_name and bad.conditioned_style == ref.conditioned_style
     assert np.array_equal(bad.p_afford, ref.p_afford)
-    assert np.array_equal(bad.object_pose.t, ref.object_pose.t)
-    assert np.array_equal(bad.object_pose.r, ref.object_pose.r)
+    assert np.array_equal(bad.pose_t, ref.pose_t)
+    assert np.array_equal(bad.pose_r, ref.pose_r)
     for want, res in zip(reference.results[:2] + reference.results[3:6], got[:2] + got[3:]):
         assert res.error is None
         assert res.reward == want.reward and res.log_prob == want.log_prob

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assets import read_json_object
 from .demo import Demonstration, edit_wrist_arrays, edited_joint_trajectory
-from .geometry import Pose, invert_pose, quat_from_matrix, quat_rotate, transform_point
+from .geometry import Pose, invert_pose, quat_from_matrix, quat_rotate, row_norms, transform_point
 from .hand import HandSpec
 from .policy import PolicyParams, param_shapes, param_views
 from .rewards import TERMS
@@ -139,10 +139,6 @@ def config_digest(config_dict: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _pose_dict(p: Pose) -> dict:
-    return {"t": [float(v) for v in p.t], "r": [float(v) for v in p.r]}
-
-
 def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demonstration, spec: HandSpec,
                     success_only: bool = False, config: dict | None = None) -> dict:
     """Write per-frame JSONL plus a manifest JSON next to it.
@@ -153,7 +149,9 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
     element-wise edit_wrist_arrays and edited_joint_trajectory, so its
     frames carry the bits the rollout ran; its world affordance point is
     the object-frame one under the object pose, as the rollout's
-    d_series measures to it. Errored episodes (no record)
+    d_series measures to it. Each wrist quaternion is written as Pose
+    stores it: a norm more than 1e-6 from 1 raises ValueError, and the
+    rest are divided by their own norm. Errored episodes (no record)
     are skipped and counted as `n_errored` in the manifest. Action
     targets are absolute next-frame (t, r, q); the last frame targets
     itself.
@@ -166,6 +164,13 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
         pose_t = np.stack([e.pose_t for e in selected])
         pose_r = np.stack([e.pose_r for e in selected])
         wrist_t, wrist_r = edit_wrist_arrays(demo, np.stack([e.action_vec for e in selected]), pose_t, pose_r)
+        # each wrist quaternion as Pose stores it: checked, then divided
+        # by its own 1-D norm (normalize_rows' bits)
+        norms = row_norms(wrist_r.reshape(-1, 4))
+        off = np.abs(norms - 1.0) > 1e-6
+        if off.any():
+            raise ValueError(f"quaternion norm {norms[off][0]:.3e} too far from 1")
+        wrist_r = (wrist_r.reshape(-1, 4) / norms[:, None]).reshape(wrist_r.shape)
         p_afford_world = quat_rotate(pose_r, np.stack([e.p_afford for e in selected])) + pose_t
         joints = edited_joint_trajectory(demo, np.stack([e.record.q_star for e in selected]), spec)
     n_frames = 0
@@ -175,8 +180,8 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
             header = {"schema_version": SCHEMA_VERSION, "kind": "fungrasp-rollout-frames"}
             fh.write(json.dumps(header) + "\n")
             for i, ep in enumerate(selected):
-                poses = [Pose(t=t, r=r) for t, r in zip(wrist_t[i], wrist_r[i])]
-                horizon = len(poses) - 1
+                ts, rs, qs = wrist_t[i].tolist(), wrist_r[i].tolist(), joints[i].tolist()
+                horizon = len(ts) - 1
                 cam_views = {}
                 for name, cam in cameras.items():
                     proj = project_affordance(cam, p_afford_world[i])
@@ -187,22 +192,17 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
                         cam_views[name] = {
                             "u": u, "v": v, "depth": depth, "in_frame": in_frame(cam, u, v)
                         }
+                condition = {"p_afford_world": p_afford_world[i].tolist(), "style": ep.conditioned_style}
                 for t in range(horizon + 1):
                     nxt = min(t + 1, horizon)
                     line = {
                         "episode": ep.index,
                         "frame": t,
                         "object": ep.object_name,
-                        "s_r": _pose_dict(poses[t]),
-                        "q": [float(v) for v in joints[i, t]],
-                        "target": {
-                            **_pose_dict(poses[nxt]),
-                            "q": [float(v) for v in joints[i, nxt]],
-                        },
-                        "condition": {
-                            "p_afford_world": [float(v) for v in p_afford_world[i]],
-                            "style": ep.conditioned_style,
-                        },
+                        "s_r": {"t": ts[t], "r": rs[t]},
+                        "q": qs[t],
+                        "target": {"t": ts[nxt], "r": rs[nxt], "q": qs[nxt]},
+                        "condition": condition,
                         "cameras": cam_views,
                         "success": bool(ep.record.success),
                         "reward": dict(zip(TERMS, ep.terms)),

@@ -13,20 +13,25 @@ trajectories, wrist edits and FK run once over all E x (T_D + 1)
 frames. The contact phase (detect_contacts) then works in each
 episode's object frame: one inverse rotation maps the sphere centers of
 frames 0..T_l (nothing reads later frames) into it, and a bounding-box
-test drops spheres too far from the cloud to matter. Per object, one
-_nearest call answers the kept spheres of the grasp frame and the last
-approach frame of every episode on that object, and a second one the
-earlier approach frames of only the episodes that the last approach
-frame did not crush. What comes out is one contact table of fixed
-shape: hit (E, F), points and normals (E, F, 3), each finger's deepest
-hit in the world frame and a zero row where it has none. Everything
-after it is an array expression over the chunk, with the (E, F) bool
-contact masks in place of finger lists: the style contact point and
-d_series, the contact centroid, the gravity wrench and the
-friction-pyramid generators (four zero columns per finger without a
-hit). The seven closure LPs of every grasp that passes the crush, table
-and two-mask-finger gates run as one stacked simplex
-(grasp_success_batch, feasible_combination_batch).
+test drops spheres too far from the cloud to matter, at the grasp frame
+as on the approach. Per object, one _nearest call answers the kept
+spheres of the grasp frame and the last approach frame of every episode
+on that object, and a second one the earlier approach frames of only
+the episodes that the last approach frame did not crush. What comes out
+is one contact table of fixed shape: hit (E, F), points and normals
+(E, F, 3), each finger's deepest hit in the world frame and a zero row
+where it has none. Everything after it is an array expression over the
+chunk, with the (E, F) bool contact masks in place of finger lists: the
+style contact point and d_series, the contact centroid, the gravity
+wrench and the friction-pyramid generators (four zero columns per
+finger without a hit). A grasp that passes the crush, table and
+two-mask-finger gates must be feasible at seven loads: gravity, and
+gravity perturbed along each force axis. One stacked simplex solves the
+gravity load of every such grasp (grasp_success_batch,
+feasible_combination_batch). The final basis of a feasible gravity
+tableau certifies most perturbed loads with one (6, 6) product each,
+and only the loads it leaves open go through the simplex again; the
+verdicts are those of solving all seven.
 
 Determinism: every batched step is element-wise or keeps each row's or
 episode's own reductions (each query row's own argmin, each tableau's
@@ -195,9 +200,15 @@ def reset_env(
     axis_angle = np.zeros((e_count, 3))
     axis_angle[:, 2] = draws[:, 2] if square_half > 0 else 0.0
     pose_r = normalize_rows(axis_angle_to_quat(axis_angle))
-    masks = np.array([np.isin(np.arange(spec.finger_count), st.contact_mask) for st in styles])
+    masks = np.zeros((len(styles), spec.finger_count), dtype=bool)
+    for row, st in enumerate(styles):
+        masks[row, list(st.contact_mask)] = True
     return EnvBatch(objs, draws * [square_half, square_half, 0.0], pose_r, p_afford, style, q_style, masks[style])
 
+
+# the closure LP's tolerance: reduced costs, the phase-1 objective and
+# the gravity basis's certificate all compare against it
+_LP_TOL = 1e-9
 
 # rows per block of _nearest's product: the (block, N) scratch stays small
 _ROW_BLOCK = 64
@@ -247,21 +258,26 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
     params.delta_c, in the world frame, and a zero row where the finger
     has no hit.
 
-    Per object, a first _nearest call takes frame tl and the last
-    approach frame, tl-1, of every episode on it, the frame where a
-    crushing approach shows most often. A second call takes frames
-    0..tl-2 of only the episodes that frame left uncrushed. A query
-    row's answer does not depend on the other rows, so the table is the
-    one a single query of every frame gives.
+    Only spheres inside the cloud's bounding box grown by the largest
+    radius + params.delta_c are queried: one outside it is farther than
+    its own radius + delta_c from every point, so it can neither crush
+    nor touch. Per object, a first _nearest call takes the kept spheres
+    of frame tl and of the last approach frame, tl-1, of every episode
+    on it, the frame where a crushing approach shows most often. A
+    second call takes frames 0..tl-2 of only the episodes that frame
+    left uncrushed. A query row's answer does not depend on the other
+    rows, so the table is the one a single query of every frame gives.
     """
     e_count = len(env)
     k_count = centers.shape[2]
     pose_t, pose_r = env.pose_t, env.pose_r
     local = quat_rotate(quat_conjugate(pose_r)[:, None, None], centers[:, : tl + 1] - pose_t[:, None, None])
     crushed = np.zeros(e_count, dtype=bool)
-    dist_tl = np.empty((e_count, k_count))           # each grasp-frame sphere's distance,
-    grasp_pts = np.empty((e_count, k_count, 3))      # its cloud point
-    grasp_nrm = np.empty((e_count, k_count, 3))      # and that point's normal, object frame
+    # each grasp-frame sphere's distance, its cloud point and that point's
+    # normal, object frame; a sphere the box test drops keeps inf and zeros
+    dist_tl = np.full((e_count, k_count), np.inf)
+    grasp_pts = np.zeros((e_count, k_count, 3))
+    grasp_nrm = np.zeros((e_count, k_count, 3))
     # crush: a sphere center driven past the surface by more than
     # (crush_factor - 1) x radius during the approach
     crush_gap = radii * (1.0 - params.crush_factor)
@@ -278,14 +294,14 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
         first = max(tl - 1, 0)
         sph = local[members, first:]                   # frames tl-1 (if any) and tl
         near = np.all((sph >= lo) & (sph <= hi), axis=-1)
-        near[:, -1] = True  # the grasp frame always gets exact contacts
         rows = sph[near]
         found, d = _nearest(rows, obj.points)
         a, t, k = np.nonzero(near)
         grasp = t == tl - first
-        dist_tl[members] = d[grasp].reshape(-1, k_count)
-        grasp_pts[members] = obj.points[found[grasp]].reshape(-1, k_count, 3)
-        grasp_nrm[members] = obj.normals[found[grasp]].reshape(-1, k_count, 3)
+        at = members[a[grasp]], k[grasp]
+        dist_tl[at] = d[grasp]
+        grasp_pts[at] = obj.points[found[grasp]]
+        grasp_nrm[at] = obj.normals[found[grasp]]
         app = ~grasp
         crushed[members[a[app][_crushing(obj, rows[app], found[app], crush_gap[k[app]])]]] = True
         rest = members[~crushed[members]]
@@ -334,9 +350,18 @@ def check_table_collision(centers: np.ndarray, radii, tol: float = 0.002) -> np.
     return np.any(centers[..., 2] < radii + tol, axis=-1)
 
 
-def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def feasible_combination_batch(
+    generators: np.ndarray, loads: np.ndarray, tol: float = _LP_TOL
+) -> tuple[np.ndarray, np.ndarray]:
     """Phase-1 simplex feasibility of  generators[i] @ alpha = loads[i],
-    alpha >= 0, for a (B, m, n) stack of problems; returns (B,) bools.
+    alpha >= 0, for a (B, m, n) stack of problems; returns ((B,) bools,
+    (B, m, m) final basis inverses).
+
+    The inverse of a feasible tableau whose final basis holds only real
+    columns is its artificial block, B^-1 for the rows as the tableau
+    holds them (sign-flipped where the load is negative): the basic
+    solution of another load b' is inverse @ (sign * b'). Every other
+    problem gets NaN, which no certificate accepts.
 
     Small and self-contained (problems here are 6 rows x <= ~30 columns).
     Every tableau pivots on its own by Bland's rule, which prevents
@@ -363,11 +388,15 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: f
     basis = np.tile(np.arange(n, n + m), (count, 1))
     ids = np.arange(count)
     feasible = np.zeros(count, dtype=bool)
+    inverse = np.full((count, m, m), np.nan)
     for _ in range(1000):
         cand = tab[:, m, : n + m] < -tol
         done = ~cand.any(axis=1)
         if done.any():
-            feasible[ids[done]] = tab[done, m, -1] >= -tol
+            fin = np.flatnonzero(done)
+            feasible[ids[fin]] = ok = tab[fin, m, -1] >= -tol
+            fin = fin[ok & (basis[fin] < n).all(axis=1)]
+            inverse[ids[fin]] = tab[fin, :m, n : n + m]
         enter = cand.argmax(axis=1)
         col = tab[np.arange(len(ids)), :m, enter]
         ratios = np.full(col.shape, np.inf)
@@ -380,7 +409,7 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: f
                 x[keep] for x in (tab, basis, ids, enter, ratios, finite)
             )
         if not len(ids):
-            return feasible
+            return feasible, inverse
         rows = np.arange(len(ids))
         best = ratios.min(axis=1)
         ties = finite & (ratios - best[:, None] <= 1e-12)
@@ -393,7 +422,7 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray, tol: f
         np.subtract(tab, factor[:, :, None] * pivot[:, None, :], out=tab, where=update[:, :, None])
         basis[rows, leave] = enter
     feasible[ids] = tab[:, m, -1] >= -tol
-    return feasible
+    return feasible, inverse
 
 
 def wrench_generators(hit: np.ndarray, points: np.ndarray, normals: np.ndarray, scale: np.ndarray, mu: float):
@@ -438,11 +467,14 @@ def grasp_success_batch(
     A grasp succeeds with (a) at least two distinct contact-mask fingers
     in contact, (b) friction-pyramid feasibility of the gravity load and
     of six perturbed loads (+-eta along each force axis), torques about
-    the contact centroid, and (c) no table collision. The seven loads of
-    every grasp that passes (a) and (c) with finite contact geometry run
-    as one stacked simplex. Returns (success (E,), degenerate (E,)):
-    degenerate marks the grasps past (a) and (c) whose contact points or
-    normals are not finite; they are not scored.
+    the contact centroid, and (c) no table collision. The grasps that
+    pass (a) and (c) with finite contact geometry are scored by
+    _closure_batch: one stacked simplex over their gravity loads, the
+    gravity basis's certificate for the perturbed loads of the feasible
+    ones, and a second stacked simplex over the loads it leaves open.
+    Returns (success (E,), degenerate (E,)): degenerate marks the grasps
+    past (a) and (c) whose contact points or normals are not finite;
+    they are not scored.
     """
     gated = ~np.asarray(table_collision, dtype=bool) & ((hit & env.mask).sum(axis=1) >= 2)
     finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(normals).all(axis=(1, 2))
@@ -463,9 +495,35 @@ def grasp_success_batch(
     perts[np.arange(6), np.arange(6) // 2] = [eta, -eta] * 3
     loads = np.concatenate([-w, -(w + perts)], axis=1)
     gens = wrench_generators(hit, points, normals[scored], scale, mu)
-    feasible = feasible_combination_batch(np.repeat(gens, 7, axis=0), loads.reshape(-1, 6))
-    success[scored] = feasible.reshape(-1, 7).all(axis=1)
+    success[scored] = _closure_batch(gens, loads)[0]
     return success, degenerate
+
+
+def _closure_batch(generators: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Force closure of G grasps: (G, 6, n) generators and (G, 7, 6)
+    loads, gravity first. Returns ((G,) closed, (G, 6) certified): closed
+    where all seven loads are feasible, the verdict the seven-load stack
+    of feasible_combination_batch gives; certified marks the perturbed
+    loads the gravity basis settled without a solve.
+
+    The stacked simplex solves the gravity load alone; a grasp it finds
+    infeasible there is not closed. A perturbed load b' whose basic solution in the
+    final gravity basis, inverse @ (sign * b'), has every component above
+    _LP_TOL is a nonnegative combination of that basis's generators, so
+    feasible (sensitivity analysis of an optimal basis). Only the
+    perturbed loads of gravity-feasible grasps that this leaves
+    uncertified go through the simplex again, each with its grasp's
+    generators.
+    """
+    gravity = loads[:, 0]
+    feasible, inverse = feasible_combination_batch(generators, gravity)
+    sign = np.where(gravity < 0, -1.0, 1.0)[:, :, None]
+    certified = (inverse @ (sign * loads[:, 1:].transpose(0, 2, 1)) > _LP_TOL).all(axis=1)
+    g, j = np.nonzero(feasible[:, None] & ~certified)
+    closed = feasible.copy()
+    if len(g):
+        closed[g[~feasible_combination_batch(generators[g], loads[g, j + 1])[0]]] = False
+    return closed, certified
 
 
 def rollout_batch(
@@ -485,13 +543,15 @@ def rollout_batch(
     all E x (T_D + 1) frames, and d_series once over all of them. The
     contact phase (detect_contacts) maps the sphere centers of frames
     0..T_l into each episode's object frame with one inverse rotation,
-    keeps those inside the cloud's grown bounding box (and every
-    grasp-frame sphere), queries per object the grasp and last approach
-    frames of all its episodes and then the earlier frames of those not
-    yet crushed, takes the crush gap in the object frame, and returns the
-    (E, F) contact table of each finger's deepest hit, rotated back to
-    the world frame. The closure LPs of every grasp that gets that far
-    run as one stacked simplex (grasp_success_batch).
+    keeps those inside the cloud's grown bounding box, queries per
+    object the grasp and last approach frames of all its episodes and
+    then the earlier frames of those not yet crushed, takes the crush
+    gap in the object frame, and returns the (E, F) contact table of
+    each finger's deepest hit, rotated back to the world frame. Every
+    grasp that gets that far is scored at once (grasp_success_batch):
+    the gravity load by one stacked simplex, the perturbed loads by the
+    gravity basis where it certifies them and by a second stacked
+    simplex where it does not.
     """
     from .demo import edit_wrist_arrays
 

@@ -1,14 +1,18 @@
-"""Reference rollout kernels: the (n, 4)-slice forward kinematics and the
-np.where simplex pivot that hand.forward_kinematics_batch and
-sim.feasible_combination_batch replaced, kept as oracles.
+"""Reference rollout kernels: the (n, 4)-slice forward kinematics, the
+np.where simplex pivot and the seven-load closure stack that
+hand.forward_kinematics_batch, sim.feasible_combination_batch and the
+gravity-basis certificate of sim._closure_batch replaced, kept as
+oracles.
 
 The FK chains each finger with whole-array quaternion products built by
 np.stack, one (n, 4) joint quaternion per segment, and writes each
 sphere center into a C-order (n, K, 3) array. It carries its own copies
 of the stacked quaternion product and rotation, so it checks geometry's
 component formulas too. The simplex rebuilds its whole tableau with
-np.where at every pivot. Each function has the signature of the one it
-replaced, so a test can compare outputs by bytes.
+np.where at every pivot. The closure stack solves all seven loads of
+every grasp from scratch. Each function has the signature of the one it
+replaced, so a test can compare outputs by bytes; the simplex returns
+only the verdicts, not the basis inverses sim's returns next to them.
 """
 
 import numpy as np
@@ -145,3 +149,11 @@ def reference_feasible_combination(generators, loads, tol=1e-9):
         basis[rows, leave] = enter
     feasible[ids] = tab[:, m, -1] >= -tol
     return feasible
+
+
+def reference_closure(generators, loads):
+    """Force closure of G grasps, (G, 6, n) generators and (G, 7, 6)
+    loads, by one stacked simplex over all seven loads of every grasp;
+    (G,) bools, True where all seven are feasible."""
+    feasible = reference_feasible_combination(np.repeat(generators, 7, axis=0), loads.reshape(-1, 6))
+    return feasible.reshape(-1, 7).all(axis=1)

@@ -134,6 +134,25 @@ def test_export_skips_errored_episodes(tmp_path, box_assets):
     assert {f["episode"] for f in frames} == {r.index for r in results}
 
 
+def test_export_rejects_a_wrist_quaternion_off_unit_norm(tmp_path, box_assets, monkeypatch):
+    """A wrist quaternion whose norm is more than 1e-6 from 1 fails the
+    export as Pose rejects it, and nothing is written."""
+    import fungrasp.dataio as dataio
+
+    real = dataio.edit_wrist_arrays
+
+    def scaled(*args):
+        wrist_t, wrist_r = real(*args)
+        wrist_r[-1, -1] *= 1.0 + 3e-6  # the last frame of the last episode
+        return wrist_t, wrist_r
+
+    monkeypatch.setattr(dataio, "edit_wrist_arrays", scaled)
+    path = tmp_path / "frames.jsonl"
+    with pytest.raises(ValueError, match="quaternion norm 1.000e\\+00 too far from 1"):
+        export_rollouts(_episode_results(box_assets, n=2), default_cameras(), path, box_assets.demo, box_assets.spec)
+    assert not path.exists()
+
+
 def test_export_round_trip_schema(tmp_path, box_assets):
     results = _episode_results(box_assets, n=4)
     path = tmp_path / "frames.jsonl"

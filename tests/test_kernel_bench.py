@@ -1,6 +1,8 @@
 """Micro-benchmarks of the rollout's array kernels against their references:
 FK of one seeded chunk of E episodes, E x (T_D + 1) rows, on each bundled
-hand, and the stacked closure LP of that chunk's gated grasps.
+hand, the stacked simplex over the seven loads of that chunk's scored
+grasps, and their closure verdicts from the gravity basis against that
+seven-load stack.
 
 pytest's addopts pass --benchmark-disable, so the suite runs each case
 once as a plain test. Time them with
@@ -13,7 +15,7 @@ import pytest
 
 from contact_reference import hand_assets, seeded_rollout_inputs
 from fungrasp import hand, sim
-from kernel_reference import reference_feasible_combination, reference_forward_kinematics
+from kernel_reference import reference_closure, reference_feasible_combination, reference_forward_kinematics
 
 EPISODES = 96
 
@@ -33,7 +35,7 @@ def chunk(request):
         return call
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("forward_kinematics_batch", "feasible_combination_batch"):
+        for name in ("forward_kinematics_batch", "_closure_batch"):
             mp.setattr(sim, name, capture(name, getattr(sim, name)))
         sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
     return request.param, captured
@@ -54,8 +56,26 @@ def test_fk_benchmark(benchmark, chunk, fk):
                          ids=["in_place_pivot", "where_pivot_reference"])
 def test_closure_lp_benchmark(benchmark, chunk, lp):
     name, captured = chunk
-    generators, loads = captured["feasible_combination_batch"]
+    grasp_generators, grasp_loads = captured["_closure_batch"]
+    generators, loads = np.repeat(grasp_generators, 7, axis=0), grasp_loads.reshape(-1, 6)
     benchmark.group = f"closure LP, {name}, {generators.shape[0]} stacked problems"
     got = benchmark(lp, generators, loads)
+    got = got[0] if lp is sim.feasible_combination_batch else got
     want = reference_feasible_combination(generators, loads)
     assert got.tobytes() == want.tobytes() and want.any() and not want.all()
+
+
+@pytest.mark.parametrize("closure", [sim._closure_batch, reference_closure],
+                         ids=["gravity_basis_certificate", "seven_load_reference"])
+def test_closure_verdict_benchmark(benchmark, chunk, closure):
+    """The certified path gives each grasp the verdict of its seven-load
+    stack, and settles most perturbed loads of the closed grasps without
+    a solve."""
+    name, captured = chunk
+    generators, loads = captured["_closure_batch"]
+    benchmark.group = f"closure verdicts, {name}, {len(generators)} grasps"
+    got = benchmark(closure, generators, loads)
+    got = got[0] if closure is sim._closure_batch else got
+    want = reference_closure(generators, loads)
+    assert got.tobytes() == want.tobytes() and want.any() and not want.all()
+    assert sim._closure_batch(generators, loads)[1][want].mean() > 0.5

@@ -276,7 +276,7 @@ def test_feasibility_against_scipy_oracle():
             b = w @ np.abs(rng.normal(size=m_gen))  # feasible by construction
         else:
             b = rng.normal(size=6)
-        mine = feasible_combination_batch(w[None], b[None])[0]
+        (mine,), _ = feasible_combination_batch(w[None], b[None])
         ref = linprog(np.zeros(m_gen), A_eq=w, b_eq=b,
                       bounds=[(0, None)] * m_gen, method="highs").status == 0
         assert mine == ref
@@ -320,9 +320,12 @@ def test_stacked_feasibility_matches_single_and_scipy(seed, shapes, layout):
         cols = np.arange(w.shape[1]) if trailing else np.sort(place.choice(width, w.shape[1], replace=False))
         padded[i][:, cols] = w
     loads = np.array([b for _, b in problems])
-    stacked = feasible_combination_batch(padded, loads)
+    stacked, inverse = feasible_combination_batch(padded, loads)
     assert stacked.tobytes() == reference_feasible_combination(padded, loads).tobytes()
-    alone = [feasible_combination_batch(w[None], b[None])[0] for w, b in problems]
+    alone = [feasible_combination_batch(w[None], b[None])[0][0] for w, b in problems]
+    # each tableau's basis inverse is its own, and NaN where it certifies nothing
+    for (w, b), inv in zip(problems, inverse):
+        assert feasible_combination_batch(w[None], b[None])[1][0].tobytes() == inv.tobytes()
     ref = [
         linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],
                 method="highs").status == 0
@@ -331,6 +334,60 @@ def test_stacked_feasibility_matches_single_and_scipy(seed, shapes, layout):
     assert list(stacked) == alone == ref
     for (n, feasible), ok in zip(shapes, alone):
         assert ok or not feasible
+
+
+def _closure_loads(rng, w, gravity_kind, kinds, eta):
+    """Seven loads of one wrench set, gravity first: a load inside the
+    cone, a random one, or one on a face of it (a combination of part of
+    the generators) pushed off by as little as 1e-12 either way; each
+    perturbed load is gravity moved by eta along one axis or by a tiny
+    step, or a fresh face load."""
+    def face():
+        alpha = rng.uniform(0.05, 1.0, w.shape[1]) * (rng.random(w.shape[1]) < 0.5)
+        return w @ alpha + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -6) * rng.normal(size=6)
+
+    gravity = {"inside": lambda: w @ rng.uniform(0.05, 1.0, w.shape[1]), "random": lambda: rng.normal(size=6),
+               "face": face}[gravity_kind]()
+    loads = [gravity]
+    for j, kind in enumerate(kinds):
+        if kind == "axis":
+            loads.append(gravity + np.eye(6)[j // 2] * eta * (1.0 if j % 2 == 0 else -1.0))
+        elif kind == "tiny":
+            loads.append(gravity + 10.0 ** rng.uniform(-12, -3) * rng.normal(size=6))
+        else:
+            loads.append(face())
+    return np.array(loads)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grasps=st.lists(st.tuples(st.integers(2, 7), st.sampled_from(["inside", "random", "face"]),
+                              st.lists(st.sampled_from(["axis", "tiny", "face"]), min_size=6, max_size=6)),
+                    min_size=1, max_size=8),
+    eta=st.floats(0.0, 0.5),
+    extra=st.integers(0, 8),
+)
+def test_certified_closure_matches_the_seven_load_stack(seed, grasps, eta, extra):
+    """Over ragged wrench sets and loads on and near the cone's faces, the
+    gravity-basis certificate gives every grasp the verdict of the full
+    seven-load stack, and every load it certifies is one the stack and
+    scipy find feasible."""
+    rng = np.random.default_rng(seed)
+    sets = [_random_wrench_set(rng, n, True)[0] for n, _, _ in grasps]
+    width = max(w.shape[1] for w in sets) + extra
+    generators = np.zeros((len(sets), 6, width))
+    for g, w in zip(generators, sets):
+        g[:, np.sort(rng.choice(width, w.shape[1], replace=False))] = w
+    loads = np.stack([_closure_loads(rng, w, kind, kinds, eta) for w, (_, kind, kinds) in zip(sets, grasps)])
+    closed, certified = sim._closure_batch(generators, loads)
+    stack = feasible_combination_batch(np.repeat(generators, 7, axis=0), loads.reshape(-1, 6))[0].reshape(-1, 7)
+    assert closed.tolist() == stack.all(axis=1).tolist()
+    assert stack[:, 1:][certified].all() and stack[:, 0][certified.any(axis=1)].all()
+    for g, j in zip(*np.nonzero(certified)):
+        w, b = sets[g], loads[g, j + 1]
+        assert linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],
+                       method="highs").status == 0
 
 
 def _per_contact_generators(hit, points, normals, scale, mu):
@@ -624,11 +681,22 @@ def _assert_same_record(got, want):
 @pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
 def test_contact_phase_matches_per_episode_world_frame_reference(hand):
     """The object-frame contact phase gives the contact tables and the
-    records of the per-episode world-frame one on 640 seeded rollouts."""
+    records of the per-episode world-frame one on 640 seeded rollouts,
+    and sends _nearest no sphere outside the cloud's grown box."""
     assets = hand_assets(hand)
     envs, actions = seeded_rollout_inputs(assets, 640, seed=12)
     args = (envs, assets.demo, actions, assets.spec, assets.styles)
-    got, got_tables = _rollout_with_tables(sim.detect_contacts, *args)
+    margin = sim.sphere_metadata(assets.spec)[0].max() + SimParams().delta_c + 1e-9
+    real, outside = sim._nearest, []
+
+    def boxed(centers, pts):
+        outside.append(np.any((centers < pts.min(axis=0) - margin) | (centers > pts.max(axis=0) + margin)))
+        return real(centers, pts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_nearest", boxed)
+        got, got_tables = _rollout_with_tables(sim.detect_contacts, *args)
+    assert outside and not any(outside), "a sphere outside the grown box reached _nearest"
     want, want_tables = _rollout_with_tables(reference_contact_phase, *args)
     for g, w in zip(got, want):
         _assert_same_record(g, w)
@@ -685,6 +753,41 @@ def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
     assert want[1].any()
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_far_grasp_frame_spheres_skip_the_query(objects, monkeypatch):
+    """A grasp-frame sphere outside the cloud's bounding box grown by the
+    largest radius + delta_c never reaches _nearest, and the contact table
+    stays the reference's; with every sphere that far, _nearest and
+    detect_contacts take zero rows and no finger has a hit."""
+    obj = objects["mug"]
+    pose = Pose(t=np.array([0.1, -0.05, 0.0]), r=axis_angle_to_quat(np.array([0.0, 0.0, 0.7])))
+    env = _env_for(obj, pose=pose)
+    rng = np.random.default_rng(9)
+    pick = rng.choice(len(obj.points), size=8, replace=False)
+    near = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.01, (8, 1))
+    margin = 0.01 + SimParams().delta_c
+    far = obj.points.max(axis=0) + margin + rng.uniform(1e-6, 0.05, (4, 3)) * [1.0, 0.0, 0.0]
+    rows = []
+    real = sim._nearest
+
+    def counted(centers, pts):
+        rows.append(len(centers))
+        return real(centers, pts)
+
+    monkeypatch.setattr(sim, "_nearest", counted)
+    for local, sent in ((np.concatenate([near[:4], far[:2], near[4:], far[2:]]), 8), (far, 0)):
+        rows.clear()
+        spheres = _spheres(transform_point(pose, local), fingers=np.repeat(np.arange(4), len(local) // 4))
+        with np.errstate(all="raise"):
+            got = detect_contacts(env, *spheres, 0, SimParams())
+        assert sum(rows) == sent
+        want = reference_contact_phase(env, *spheres, 0, SimParams())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert got[1].any() == (sent > 0)
+    idx, d = real(np.empty((0, 3)), obj.points)
+    assert idx.shape == d.shape == (0,) and idx.dtype == np.intp
 
 
 @pytest.mark.parametrize("field, value", [

@@ -23,7 +23,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fungrasp.demo import Demonstration, save_demo, load_demo
-from fungrasp.geometry import Pose, identity_pose
 from fungrasp.hand import forward_kinematics_batch, load_hand_spec, load_styles
 from fungrasp.objects import save_object_ply, toy_suite
 from fungrasp.sim import EnvBatch, SimParams, rollout_batch
@@ -142,8 +141,7 @@ def _fingertips(spec, q):
     """(B, F, 3) fingertips of a (B, J) stack of joint vectors, wrist at
     the identity."""
     q = np.asarray(q, dtype=float)
-    wrist = identity_pose()
-    _, tips = forward_kinematics_batch(spec, np.tile(wrist.t, (len(q), 1)), np.tile(wrist.r, (len(q), 1)), q)
+    _, tips = forward_kinematics_batch(spec, np.zeros((len(q), 3)), np.tile([1.0, 0.0, 0.0, 0.0], (len(q), 1)), q)
     return tips
 
 
@@ -278,7 +276,7 @@ def build_demo(spec, style0_q, q_open, contact_z_finger=0.034) -> Demonstration:
     mid = 2
     tip_z_rel = _fingertips(spec, q_grasp[None])[0, mid, 2]
     wrist_z = contact_z_finger - tip_z_rel
-    poses, joints = [], []
+    heights, joints = [], []
     for t in range(T_D + 1):
         if t <= T_L:
             s = t / T_L
@@ -287,9 +285,11 @@ def build_demo(spec, style0_q, q_open, contact_z_finger=0.034) -> Demonstration:
         else:
             z = wrist_z
             q = q_grasp
-        poses.append(Pose(t=np.array([0.0, 0.0, z]), r=np.array([1.0, 0.0, 0.0, 0.0])))
+        heights.append(z)
         joints.append(np.array(q))
-    return Demonstration(poses=tuple(poses), joints=np.array(joints), grasp_index=T_L)
+    pose_t = np.c_[np.zeros((T_D + 1, 2)), heights]
+    pose_r = np.tile([1.0, 0.0, 0.0, 0.0], (T_D + 1, 1))
+    return Demonstration(pose_t, pose_r, np.array(joints), T_L)
 
 
 def replay_success(spec, styles, demo, obj, style_index=0) -> tuple[bool, str]:

@@ -244,7 +244,7 @@ def cmd_demo_inspect(args) -> int:
     spec = load_hand_spec(hand)
     demo = load_demo(demo_path, spec)
     span = demo.joints.max(axis=0) - demo.joints.min(axis=0)
-    ee_z = [float(p.t[2]) for p in demo.poses]
+    ee_z = demo.pose_t[:, 2]
     print(json.dumps({
         "hand": spec.name,
         "T_D": demo.horizon,
@@ -252,7 +252,7 @@ def cmd_demo_inspect(args) -> int:
         "J": demo.joint_count,
         "frames": demo.horizon + 1,
         "joint_excursion": [float(v) for v in span],
-        "ee_z_range": [min(ee_z), max(ee_z)],
+        "ee_z_range": [float(ee_z.min()), float(ee_z.max())],
         "q_at_grasp": [float(v) for v in demo.joints[demo.grasp_index]],
     }, indent=1))
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assets import read_json_object
 from .demo import Demonstration, edit_wrist_arrays, edited_joint_trajectory
-from .geometry import Pose, invert_pose, quat_from_matrix, quat_rotate, row_norms, transform_point
+from .geometry import quat_from_matrix, quat_rotate, row_norms
 from .hand import HandSpec
 from .policy import PolicyParams, param_shapes, param_views
 from .rewards import TERMS
@@ -29,7 +29,6 @@ __all__ = [
     "CheckpointError",
     "ExportError",
     "project_affordance",
-    "unproject",
     "in_frame",
     "look_at_camera",
     "default_cameras",
@@ -54,7 +53,8 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera: intrinsics in pixels, extrinsic maps world->camera.
+    """Pinhole camera: intrinsics in pixels; the extrinsic pose
+    (extrinsic_t, extrinsic_r) maps world->camera.
 
     Camera frame convention: +z forward, +x right, +y down, so
     u = fx * x / z + cx and v = fy * y / z + cy.
@@ -64,7 +64,8 @@ class CameraModel:
     fy: float
     cx: float
     cy: float
-    extrinsic: Pose
+    extrinsic_t: np.ndarray     # (3,)
+    extrinsic_r: np.ndarray     # (4,) unit quaternion
     width: int = 256
     height: int = 256
 
@@ -78,25 +79,19 @@ class CameraModel:
         return {
             "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
             "width": self.width, "height": self.height,
-            "extrinsic": {"t": list(self.extrinsic.t), "r": list(self.extrinsic.r)},
+            "extrinsic": {"t": list(self.extrinsic_t), "r": list(self.extrinsic_r)},
         }
 
 
 def project_affordance(cam: CameraModel, p_world):
     """Project a world point to (u, v, depth); None when behind the camera."""
-    p_cam = transform_point(cam.extrinsic, p_world)
+    p_cam = quat_rotate(cam.extrinsic_r, p_world) + cam.extrinsic_t
     z = float(p_cam[2])
     if z <= BEHIND_CAMERA_Z:
         return None
     u = cam.fx * p_cam[0] / z + cam.cx
     v = cam.fy * p_cam[1] / z + cam.cy
     return float(u), float(v), z
-
-
-def unproject(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarray:
-    """Invert project_affordance at a known depth."""
-    p_cam = np.array([(u - cam.cx) * depth / cam.fx, (v - cam.cy) * depth / cam.fy, depth])
-    return transform_point(invert_pose(cam.extrinsic), p_cam)
 
 
 def in_frame(cam: CameraModel, u: float, v: float) -> bool:
@@ -121,8 +116,8 @@ def look_at_camera(position, target, fx=210.0, fy=210.0, cx=128.0, cy=128.0, **k
     # world->camera rotation: rows are the camera axes
     rot = np.stack([right, down, forward])
     r = quat_from_matrix(rot)
-    t = -rot @ position
-    return CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, extrinsic=Pose(t=t, r=r), **kw)
+    # divided once more by its own 1-D norm: the bits the manifests hold
+    return CameraModel(fx, fy, cx, cy, -rot @ position, r / np.linalg.norm(r), **kw)
 
 
 def default_cameras() -> dict[str, CameraModel]:
@@ -139,6 +134,12 @@ def config_digest(config_dict: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _row_texts(a) -> list[str]:
+    """The text json.dumps writes for each row of a 2-D float array, from
+    one encoding of the whole array split between its rows."""
+    return [f"[{row}]" for row in json.dumps(a.tolist())[2:-2].split("], [")]
+
+
 def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demonstration, spec: HandSpec,
                     success_only: bool = False, config: dict | None = None) -> dict:
     """Write per-frame JSONL plus a manifest JSON next to it.
@@ -149,9 +150,9 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
     element-wise edit_wrist_arrays and edited_joint_trajectory, so its
     frames carry the bits the rollout ran; its world affordance point is
     the object-frame one under the object pose, as the rollout's
-    d_series measures to it. Each wrist quaternion is written as Pose
-    stores it: a norm more than 1e-6 from 1 raises ValueError, and the
-    rest are divided by their own norm. Errored episodes (no record)
+    d_series measures to it. Each wrist quaternion r is written as
+    r / np.linalg.norm(r), the loaders' division: a norm more than 1e-6
+    from 1 raises ValueError. Errored episodes (no record)
     are skipped and counted as `n_errored` in the manifest. Action
     targets are absolute next-frame (t, r, q); the last frame targets
     itself.
@@ -164,8 +165,8 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
         pose_t = np.stack([e.pose_t for e in selected])
         pose_r = np.stack([e.pose_r for e in selected])
         wrist_t, wrist_r = edit_wrist_arrays(demo, np.stack([e.action_vec for e in selected]), pose_t, pose_r)
-        # each wrist quaternion as Pose stores it: checked, then divided
-        # by its own 1-D norm (normalize_rows' bits)
+        # each wrist quaternion checked, then divided by its own 1-D
+        # norm: r / np.linalg.norm(r), as normalize_rows divides
         norms = row_norms(wrist_r.reshape(-1, 4))
         off = np.abs(norms - 1.0) > 1e-6
         if off.any():
@@ -180,7 +181,9 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
             header = {"schema_version": SCHEMA_VERSION, "kind": "fungrasp-rollout-frames"}
             fh.write(json.dumps(header) + "\n")
             for i, ep in enumerate(selected):
-                ts, rs, qs = wrist_t[i].tolist(), wrist_r[i].tolist(), joints[i].tolist()
+                # each fact is JSON-encoded once and the pieces are joined
+                # into the line json.dumps writes for the frame's dict
+                ts, rs, qs = (_row_texts(a[i]) for a in (wrist_t, wrist_r, joints))
                 horizon = len(ts) - 1
                 cam_views = {}
                 for name, cam in cameras.items():
@@ -193,22 +196,18 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
                             "u": u, "v": v, "depth": depth, "in_frame": in_frame(cam, u, v)
                         }
                 condition = {"p_afford_world": p_afford_world[i].tolist(), "style": ep.conditioned_style}
-                for t in range(horizon + 1):
-                    nxt = min(t + 1, horizon)
-                    line = {
-                        "episode": ep.index,
-                        "frame": t,
-                        "object": ep.object_name,
-                        "s_r": {"t": ts[t], "r": rs[t]},
-                        "q": qs[t],
-                        "target": {"t": ts[nxt], "r": rs[nxt], "q": qs[nxt]},
-                        "condition": condition,
-                        "cameras": cam_views,
-                        "success": bool(ep.record.success),
-                        "reward": dict(zip(TERMS, ep.terms)),
-                    }
-                    fh.write(json.dumps(line) + "\n")
-                    n_frames += 1
+                head = f'{{"episode": {json.dumps(ep.index)}, "frame": '
+                obj = f', "object": {json.dumps(ep.object_name)}, "s_r": {{"t": '
+                tail = "".join(f', "{key}": {json.dumps(value)}' for key, value in (
+                    ("condition", condition), ("cameras", cam_views), ("success", bool(ep.record.success)),
+                    ("reward", dict(zip(TERMS, ep.terms))),
+                )) + "}\n"
+                fh.write("".join(
+                    f'{head}{t}{obj}{ts[t]}, "r": {rs[t]}}}, "q": {qs[t]}, '
+                    f'"target": {{"t": {ts[n]}, "r": {rs[n]}, "q": {qs[n]}}}{tail}'
+                    for t, n in zip(range(horizon + 1), [*range(1, horizon + 1), horizon])
+                ))
+                n_frames += horizon + 1
         tmp.replace(path)
     except OSError as e:
         tmp.unlink(missing_ok=True)

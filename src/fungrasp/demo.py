@@ -18,16 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .assets import json_object_list, read_json_object
-from .geometry import (
-    Pose,
-    axis_angle_to_quat,
-    compose_pose_rows,
-    normalize_rows,
-    quat_mul,
-    quat_normalize,
-    quat_rotate,
-)
-from .hand import HandSpec, clamp_to_limits, json_number
+from .geometry import axis_angle_to_quat, compose_pose_rows, normalize_rows, quat_mul, quat_normalize, quat_rotate
+from .hand import HandSpec, clamp_to_limits, json_number, json_pose
 
 log = logging.getLogger(__name__)
 
@@ -57,25 +49,26 @@ class DemoError(ValueError):
 class Demonstration:
     """End-effector-in-object-frame poses and reference joints, t = 0..T_D."""
 
-    poses: tuple[Pose, ...]
+    pose_t: np.ndarray          # (T_D + 1, 3)
+    pose_r: np.ndarray          # (T_D + 1, 4) unit quaternions
     joints: np.ndarray          # (T_D + 1, J)
     grasp_index: int            # T_l, frame at which the reference grasp closes
 
     def __post_init__(self):
-        if len(self.poses) != self.joints.shape[0]:
+        frames = self.joints.shape[0]
+        if self.pose_t.shape != (frames, 3) or self.pose_r.shape != (frames, 4):
             raise DemoError("pose and joint sequences disagree in length")
         if self.horizon < 2:
             raise DemoError(f"demonstration needs T_D >= 2, got {self.horizon}")
         if not (0 < self.grasp_index <= self.horizon):
             raise DemoError(f"grasp index {self.grasp_index} outside (0, {self.horizon}]")
-        self.joints.setflags(write=False)
-        object.__setattr__(self, "pose_t", np.stack([p.t for p in self.poses]))
-        object.__setattr__(self, "pose_r", np.stack([p.r for p in self.poses]))
+        for a in (self.pose_t, self.pose_r, self.joints):
+            a.setflags(write=False)
 
     @property
     def horizon(self) -> int:
         """T_D: index of the last frame."""
-        return len(self.poses) - 1
+        return self.joints.shape[0] - 1
 
     @property
     def joint_count(self) -> int:
@@ -125,12 +118,7 @@ def load_demo(path, spec: HandSpec) -> Demonstration:
         raise DemoError(f"{path}: needs at least 3 frames (T_D >= 2), got {len(frames)}")
     poses, joints = [], []
     for i, fr in enumerate(frames):
-        pose = fr.get("p") if isinstance(fr.get("p"), dict) else {}
-        t, r = (json_number(pose.get(k), DemoError, f"{path}: frames[{i}].p.{k}", vector=True) for k in "tr")
-        try:
-            poses.append(Pose(t=t, r=r))
-        except ValueError as e:
-            raise DemoError(f"{path}: frames[{i}].p: {e}") from e
+        poses.append(json_pose(fr.get("p"), DemoError, f"{path}: frames[{i}].p"))
         q = json_number(fr.get("q", []), DemoError, f"{path}: frames[{i}].q", vector=True)
         if q.shape != (spec.joint_count,):
             raise DemoError(
@@ -148,7 +136,8 @@ def load_demo(path, spec: HandSpec) -> Demonstration:
     grasp_index = json_number(data.get("T_l"), DemoError, f"{path}: T_l", integer=True)
     if not 0 < grasp_index < len(frames):
         raise DemoError(f"{path}: T_l: grasp index {grasp_index} outside (0, {len(frames) - 1}]")
-    return Demonstration(poses=tuple(poses), joints=joints, grasp_index=grasp_index)
+    pose_t, pose_r = (np.stack(c) for c in zip(*poses))
+    return Demonstration(pose_t, pose_r, joints, grasp_index)
 
 
 def save_demo(demo: Demonstration, hand_name: str, path) -> None:
@@ -157,8 +146,8 @@ def save_demo(demo: Demonstration, hand_name: str, path) -> None:
         "hand": hand_name,
         "T_l": demo.grasp_index,
         "frames": [
-            {"p": {"t": list(p.t), "r": list(p.r)}, "q": list(q)}
-            for p, q in zip(demo.poses, demo.joints)
+            {"p": {"t": list(t), "r": list(r)}, "q": list(q)}
+            for t, r, q in zip(demo.pose_t, demo.pose_r, demo.joints)
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=1))
@@ -232,9 +221,9 @@ def edit_wrist_arrays(demo: Demonstration, actions, pose_t, pose_r):
     whole object-centric trajectory, so the approach shape is preserved.
     Every step is an array expression over the episodes that gives each
     row the bits of one episode: the offset quaternion and the prefix
-    pose object_pose o dT are renormalized as Pose renormalizes one
-    quaternion (normalize_rows), and the per-frame products are
-    element-wise.
+    pose object_pose o dT are each divided by their own norm,
+    r / np.linalg.norm(r) row for row (normalize_rows), and the
+    per-frame products are element-wise.
     """
     actions = np.asarray(actions, dtype=float)
     dr = normalize_rows(axis_angle_to_quat(actions[:, 3:6]))

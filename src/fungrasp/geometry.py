@@ -2,9 +2,10 @@
 
 Conventions, fixed here once because the file formats depend on them:
 quaternions are (w, x, y, z), unit norm, right-handed, and act as active
-rotations. A pose rotates first, then translates. Compositions renormalize
-the quaternion every time; that is cheap and removes a whole class of
-drift bugs.
+rotations. A pose is a translation t and a quaternion r, held as (3,)
+and (4,) arrays or as (N, 3) and (N, 4) rows; it rotates first, then
+translates. Compositions renormalize the quaternion every time; that is
+cheap and removes a whole class of drift bugs.
 
 The Hamilton product (hamilton) and the rotation (rotate) are written
 once, over component arrays; quat_mul, quat_rotate and the FK chain all
@@ -14,16 +15,9 @@ layout it arrives in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Pose",
-    "identity_pose",
-    "compose_pose",
-    "invert_pose",
-    "transform_point",
     "axis_angle_to_quat",
     "quat_mul",
     "hamilton",
@@ -35,17 +29,7 @@ __all__ = [
     "normalize_rows",
     "compose_pose_rows",
     "quat_from_matrix",
-    "quat_distance",
 ]
-
-
-def _vec(x, n: int, name: str) -> np.ndarray:
-    a = np.array(x, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite values")
-    return a
 
 
 def quat_normalize(q) -> np.ndarray:
@@ -67,8 +51,9 @@ def row_norms(x) -> np.ndarray:
 
 
 def normalize_rows(x) -> np.ndarray:
-    """Each row of an (N, D) stack divided by its norm (row_norms), with
-    the bits Pose's renormalization gives that row alone."""
+    """Each row of an (N, D) stack divided by its norm (row_norms): row
+    for row the bits of r / np.linalg.norm(r), the division the loaders
+    apply to one quaternion (hand.json_pose)."""
     x = np.asarray(x, dtype=float)
     return x / row_norms(x)[:, None]
 
@@ -115,13 +100,6 @@ def quat_rotate(q, v) -> np.ndarray:
     return np.stack(rotate(*np.moveaxis(q, -1, 0), *np.moveaxis(v, -1, 0)), axis=-1)
 
 
-def quat_distance(a, b) -> float:
-    """Sign-insensitive quaternion distance: min(|a-b|, |a+b|)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
-
-
 def quat_from_matrix(m) -> np.ndarray:
     """Unit quaternion of a 3x3 rotation matrix (Shepperd's method)."""
     m = np.asarray(m, dtype=float)
@@ -141,50 +119,13 @@ def quat_from_matrix(m) -> np.ndarray:
     return quat_normalize(q)
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Rigid transform: translation ``t`` in meters and unit quaternion ``r``."""
-
-    t: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        t = _vec(self.t, 3, "t")
-        r = _vec(self.r, 4, "r")
-        n = np.linalg.norm(r)
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {n:.3e} too far from 1")
-        r = r / n
-        t.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "r", r)
-
-
-def identity_pose() -> Pose:
-    return Pose(t=np.zeros(3), r=np.array([1.0, 0.0, 0.0, 0.0]))
-
-
-def compose_pose(a: Pose, b: Pose) -> Pose:
-    """Pose applying b first, then a."""
-    return Pose(t=a.t + quat_rotate(a.r, b.t), r=quat_normalize(quat_mul(a.r, b.r)))
-
-
 def compose_pose_rows(t_a, r_a, t_b, r_b):
-    """compose_pose over N rows: (N, 3) translations and (N, 4) quats on
-    either side (or one pose, broadcast) give the (t, r) arrays of the N
-    composed poses, each row with the bits compose_pose gives it."""
+    """The N poses a o b (b first, then a): (N, 3) translations and
+    (N, 4) quats on either side (or one pose, broadcast) give the (t, r)
+    arrays t_a + quat_rotate(r_a, t_b) and quat_normalize(quat_mul(r_a,
+    r_b)), each quaternion row then divided by its own 1-D norm,
+    r / np.linalg.norm(r), as normalize_rows reproduces."""
     return t_a + quat_rotate(r_a, t_b), normalize_rows(quat_normalize(quat_mul(r_a, r_b)))
-
-
-def invert_pose(p: Pose) -> Pose:
-    r_inv = quat_conjugate(p.r)
-    return Pose(t=-quat_rotate(r_inv, p.t), r=r_inv)
-
-
-def transform_point(p: Pose, x) -> np.ndarray:
-    """Apply pose p to a 3-vector or an (N, 3) array of points."""
-    return quat_rotate(p.r, np.asarray(x, dtype=float)) + p.t
 
 
 def axis_angle_to_quat(v) -> np.ndarray:

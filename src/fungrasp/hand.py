@@ -17,11 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .assets import json_object_list, read_json_object
-from .geometry import Pose, hamilton, rotate, row_norms
+from .geometry import hamilton, rotate, row_norms
 
 __all__ = [
     "HandError",
     "json_number",
+    "json_pose",
     "Segment",
     "Finger",
     "Coupling",
@@ -59,6 +60,25 @@ def json_number(value, error: type[Exception], where: str, *, integer: bool = Fa
     return value if integer else float(value)
 
 
+def json_pose(value, error: type[Exception], where: str):
+    """A pose field {"t": [3 numbers], "r": [4 numbers]} of a JSON input
+    file, returned as read-only (t, r) arrays with r / np.linalg.norm(r).
+    Raises `error`, naming `where`, for a field of another shape or a
+    quaternion whose norm is more than 1e-6 from 1."""
+    fields = value if isinstance(value, dict) else {}
+    t, r = (json_number(fields.get(k), error, f"{where}.{k}", vector=True) for k in "tr")
+    for name, a, n in (("t", t, 3), ("r", r, 4)):
+        if a.shape != (n,):
+            raise error(f"{where}: {name} must have shape ({n},), got {a.shape}")
+    norm = np.linalg.norm(r)
+    if abs(norm - 1.0) > 1e-6:
+        raise error(f"{where}: quaternion norm {norm:.3e} too far from 1")
+    r = r / norm
+    t.setflags(write=False)
+    r.setflags(write=False)
+    return t, r
+
+
 @dataclass(frozen=True)
 class Segment:
     length: float
@@ -70,7 +90,8 @@ class Segment:
 @dataclass(frozen=True)
 class Finger:
     name: str
-    base: Pose              # wrist-relative
+    base_t: np.ndarray      # (3,), wrist-relative
+    base_r: np.ndarray      # (4,) unit quaternion, wrist-relative
     segments: tuple[Segment, ...]
     tip_radius: float
 
@@ -162,12 +183,7 @@ def load_hand_spec(path) -> HandSpec:
     fingers = []
     for fi, fd in enumerate(json_object_list(data, "fingers", HandError, f"{path}: ")):
         where = f"fingers[{fi}]"
-        base = fd.get("base") if isinstance(fd.get("base"), dict) else {}
-        t, r = (json_number(base.get(k), HandError, f"{path}: {where}.base.{k}", vector=True) for k in "tr")
-        try:
-            base = Pose(t=t, r=r)
-        except ValueError as e:
-            fail(where + ".base", str(e))
+        base_t, base_r = json_pose(fd.get("base"), HandError, f"{path}: {where}.base")
         tip_radius = json_number(fd.get("tip_radius", 0.0), HandError, f"{path}: {where}.tip_radius")
         if tip_radius <= 0:
             fail(where + ".tip_radius", "must be > 0")
@@ -204,7 +220,7 @@ def load_hand_spec(path) -> HandSpec:
         finger_name = fd.get("name", f"finger{fi}")
         if not isinstance(finger_name, str) or not finger_name:
             fail(where + ".name", f"must be a non-empty string, got {finger_name!r}")
-        fingers.append(Finger(name=finger_name, base=base, segments=tuple(segments), tip_radius=tip_radius))
+        fingers.append(Finger(finger_name, base_t, base_r, tuple(segments), tip_radius))
     if not fingers:
         fail("fingers", "hand has no fingers")
     couplings = []
@@ -286,8 +302,8 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
     tip_k = []
     k = 0
     for fi, finger in enumerate(spec.fingers):
-        cur_r = hamilton(*wrist, *finger.base.r)
-        cur_t = tuple(wt + bt for wt, bt in zip(wrist_t.T, rotate(*wrist, *finger.base.t)))
+        cur_r = hamilton(*wrist, *finger.base_r)
+        cur_t = tuple(wt + bt for wt, bt in zip(wrist_t.T, rotate(*wrist, *finger.base_t)))
         for si, seg in enumerate(finger.segments):
             idx = spec.joint_index[fi][si]
             if idx is None:

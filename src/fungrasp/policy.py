@@ -142,10 +142,10 @@ def encode_observation(
     scaling. It is encoded once per (object, M, FPS seed) into
     cloud_cache as a read-only array, and the table holds each distinct
     object's cached cloud once, first seen first. s_r is the would-be
-    initial end-effector pose of the unedited replay, composed over the
-    rows as compose_pose composes one pose. Every row expression is
-    element-wise or renormalizes its own quaternion, so each row has the
-    bits it gets in a batch of one. Nothing is checked here:
+    initial end-effector pose of the unedited replay, the object pose
+    composed with the demo's frame 0 by compose_pose_rows. Every row
+    expression is element-wise or renormalizes its own quaternion, so
+    each row has the bits it gets in a batch of one. Nothing is checked here:
     observation_checks names the rows with non-finite fields.
     """
     entry_of: dict[str, int] = {}

@@ -179,7 +179,9 @@ def reset_env(
     (training only) the style disturbance. force_style replaces the
     style after these draws, so the environment (object, pose,
     affordance) is the same for every forced style. The poses are built
-    over the batch; each row has the bits of the episode's own Pose.
+    over the batch, each quaternion row divided by its own norm,
+    r / np.linalg.norm(r) (normalize_rows), so each row has the bits of
+    the episode's pose built alone.
     """
     e_count = len(rngs)
     objs, draws = [], np.empty((e_count, 3))      # x and y in [-1, 1), yaw

@@ -69,10 +69,9 @@ BLAS threads: each pool worker runs OpenBLAS on one thread, since the
 workers already share the cores between them. While a process pool
 (workers > 1) is open, the main process runs on one thread too, so that
 no idle BLAS helper of the update spins on a core a worker needs; close
-restores the count that was in force when the pool opened. run_bandit
-runs on one thread for the length of the call in the same way. With
-workers == 1 there is no pool process, and the caller's setting is left
-alone.
+restores the count that was in force when the pool opened
+(_one_blas_thread). With workers == 1 there is no pool process, and the
+caller's setting is left alone.
 """
 
 from __future__ import annotations
@@ -130,7 +129,6 @@ __all__ = [
     "ppo_update",
     "train",
     "finite_diff_check",
-    "run_bandit",
     "episode_rng",
     "check_m_points",
     "outcome_counts",
@@ -145,7 +143,6 @@ STREAM_TRAIN = 1
 STREAM_EVAL = 2
 STREAM_UPDATE = 3
 STREAM_INIT = 4
-STREAM_BANDIT = 5
 
 
 @dataclass(frozen=True)
@@ -874,67 +871,3 @@ def finite_diff_check(
         rel = abs(an - fd) / max(abs(an), abs(fd), 1e-3)
         worst = max(worst, rel)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Synthetic one-step bandit: sanity harness for the PPO machinery
-# ---------------------------------------------------------------------------
-
-def run_bandit(
-    seed: int,
-    iterations: int = 150,
-    envs: int = 256,
-    minibatch: int = 64,
-    epochs: int = 10,
-    learning_rate: float = 1e-2,
-    joint_count: int = 2,
-) -> list[float]:
-    """Quadratic one-step task: reward = -|tanh(raw) - a*|^2, optimum 0.
-
-    The target a* is a fixed interior point in normalized action space.
-    Re-uses the real ppo_update, with OpenBLAS on one thread for the
-    length of the call; returns per-iteration batch mean rewards.
-    """
-    cfg = TrainConfig(
-        envs_per_iter=envs,
-        iterations=iterations,
-        minibatch=minibatch,
-        epochs=epochs,
-        entropy_coef=0.0,
-        learning_rate=learning_rate,
-        seed=seed,
-        m_points=4,
-    )
-    m_points, style_count = 4, 1
-    rng0 = episode_rng(seed, STREAM_BANDIT, 0)
-    params = init_params(rng0, m_points, style_count, joint_count, init_log_std=-0.5)
-    a_dim = params.action_dim
-    a_star = episode_rng(seed, STREAM_BANDIT, 1).uniform(-0.5, 0.5, a_dim)
-    obs_batch = ObsBatch(
-        s_r=np.zeros((envs, 7)),
-        s_o=np.zeros((envs, 7)),
-        p_afford_rel=np.zeros((envs, 3)),
-        l_style=np.ones((envs, 1)),
-        obj_bb=np.ones((envs, 1)),
-        cloud_index=np.zeros(envs, dtype=np.intp),
-        clouds=np.zeros((1, m_points, 6)),
-    )
-    adam = AdamState.init(params)
-    history = []
-    with _one_blas_thread():
-        for it in range(iterations):
-            mean, log_std, value, _ = policy_forward(params, obs_batch)
-            rng_it = episode_rng(seed, STREAM_BANDIT, 2, it)
-            raw = mean + np.exp(log_std) * rng_it.standard_normal(mean.shape)
-            a_norm = np.tanh(raw)
-            rewards = -np.sum((a_norm - a_star) ** 2, axis=1)
-            logp, _, _ = log_prob_of_raw(mean, log_std, raw, cfg.bounds, joint_count)
-            adv = rewards - value
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-            batch = Batch(
-                obs=obs_batch, raw=raw, log_prob_old=logp, rewards=rewards,
-                values_old=value, advantages=adv, results=[], episode_errors=0,
-            )
-            params, adam, _ = ppo_update(params, batch, cfg, adam, episode_rng(seed, STREAM_UPDATE, it))
-            history.append(float(rewards.mean()))
-    return history

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
 from fungrasp.demo import load_demo
-from fungrasp.geometry import Pose, identity_pose
+from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import load_hand_spec, load_styles
 from fungrasp.objects import toy_suite
 from fungrasp.policy import param_views
 from fungrasp.sim import EnvBatch
 from fungrasp.training import Assets
+from pose_reference import IDENTITY, pose
 
 
 @pytest.fixture(scope="session")
@@ -51,11 +52,9 @@ def box_assets(spec, styles, demo, objects):
 
 
 def random_pose(rng):
-    from fungrasp.geometry import axis_angle_to_quat
-
     v = rng.normal(size=3)
     v = v / np.linalg.norm(v) * rng.uniform(0, 3.0)
-    return Pose(t=rng.normal(size=3), r=axis_angle_to_quat(v))
+    return pose(rng.normal(size=3), axis_angle_to_quat(v))
 
 
 def unit_quaternions():
@@ -66,16 +65,16 @@ def unit_quaternions():
 
 
 def poses():
-    """Hypothesis strategy: rigid poses with translations within 2 m."""
-    return st.builds(lambda t, r: Pose(t=np.array(t), r=r), st.tuples(*[st.floats(-2.0, 2.0)] * 3), unit_quaternions())
+    """Hypothesis strategy: rigid (t, r) poses with translations within 2 m."""
+    return st.builds(pose, st.tuples(*[st.floats(-2.0, 2.0)] * 3), unit_quaternions())
 
 
 def env_of(obj, p_afford, q_style, mask, style=0, pose=None):
-    """An EnvBatch of one: obj at pose (the identity by default), its
-    affordance point p_afford (object frame), conditioned on style with
-    joints q_style and the (F,) bool contact mask."""
-    pose = pose or identity_pose()
-    return EnvBatch([obj], pose.t[None], pose.r[None], np.asarray(p_afford, dtype=float)[None], np.array([style]),
+    """An EnvBatch of one: obj at the (t, r) pose (the identity by
+    default), its affordance point p_afford (object frame), conditioned
+    on style with joints q_style and the (F,) bool contact mask."""
+    t, r = pose or IDENTITY
+    return EnvBatch([obj], t[None], r[None], np.asarray(p_afford, dtype=float)[None], np.array([style]),
                     np.asarray(q_style, dtype=float)[None], np.asarray(mask, dtype=bool)[None])
 
 

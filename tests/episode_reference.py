@@ -1,14 +1,15 @@
 """Reference engine: the per-episode code that training.run_episodes,
 sim.reset_env and rewards.total_reward replaced, kept as an oracle.
 
-Each episode draws its rng and resets on its own, its object pose a Pose
-(reference_reset), encodes its own observation as a batch of one, runs a
-B=1 policy_forward (whose one-row products numpy hands to gemv) that
-raises its own PolicyError, and draws and squashes its action one vector
-at a time. Phase 2 runs through sim.rollout_batch with the per-episode
-wrist composition of compose_pose and Pose (reference_edit_wrist_arrays)
-in place of demo.edit_wrist_arrays. Phase 3 scores each record on its
-own with scalar reward terms (reference_reward_terms).
+Each episode draws its rng and resets on its own, its object pose a
+(t, r) pair of pose_reference (reference_reset), encodes its own
+observation as a batch of one, runs a B=1 policy_forward (whose one-row
+products numpy hands to gemv) that raises its own PolicyError, and
+draws and squashes its action one vector at a time. Phase 2 runs
+through sim.rollout_batch with the per-episode wrist composition of
+pose_reference.compose_pose (reference_edit_wrist_arrays) in place of
+demo.edit_wrist_arrays. Phase 3 scores each record on its own with
+scalar reward terms (reference_reward_terms).
 reference_run_episodes has run_episodes' signature and returns its
 results, so a test can compare every field of every result by bytes.
 
@@ -23,7 +24,7 @@ import pytest
 from conftest import concat_envs, env_of
 from fungrasp import demo as demo_module
 from fungrasp.demo import disturb_style
-from fungrasp.geometry import Pose, compose_pose, quat_mul, quat_normalize, quat_rotate
+from fungrasp.geometry import quat_mul, quat_normalize, quat_rotate
 from fungrasp.objects import farthest_point_sample, sample_affordance_index
 from fungrasp.policy import (
     ObsBatch,
@@ -36,6 +37,7 @@ from fungrasp.policy import (
 )
 from fungrasp.sim import rollout_batch
 from fungrasp.training import STREAM_TRAIN, EpisodeResult, episode_rng
+from pose_reference import compose_pose, pose
 
 
 def reference_axis_angle_to_quat(v):
@@ -51,14 +53,10 @@ def reference_axis_angle_to_quat(v):
 
 def reference_edit_wrist_arrays(demo, actions, pose_t, pose_r):
     """edit_wrist_arrays with each episode's prefix pose composed on its
-    own: the offset as a Pose, then compose_pose's body on the object
-    pose."""
-    prefixes = []
-    for a, t, r in zip(actions, pose_t, pose_r):
-        offset = Pose(t=a[:3], r=reference_axis_angle_to_quat(a[3:6]))
-        prefixes.append(Pose(t=t + quat_rotate(r, offset.t), r=quat_normalize(quat_mul(r, offset.r))))
-    prefix_t = np.stack([p.t for p in prefixes])[:, None, :]
-    prefix_r = np.stack([p.r for p in prefixes])[:, None, :]
+    own: the object pose o the offset, by compose_pose."""
+    prefixes = [compose_pose((t, r), pose(a[:3], reference_axis_angle_to_quat(a[3:6])))
+                for a, t, r in zip(actions, pose_t, pose_r)]
+    prefix_t, prefix_r = (np.stack(c)[:, None, :] for c in zip(*prefixes))
     t = prefix_t + quat_rotate(prefix_r, demo.pose_t)
     r = quat_normalize(quat_mul(prefix_r, demo.pose_r))
     return t, r
@@ -69,14 +67,13 @@ def reference_reset(objects, dists, styles, rng, train_mode, *, spec, square_hal
     """One episode's reset on its own rng, in the contract order: object,
     x, y, yaw, affordance index, style index, then (training only) the
     style disturbance; force_style replaces the style after the draws.
-    Returns the episode's EnvBatch of one and its object pose as a
-    Pose."""
+    Returns the episode's EnvBatch of one and its (t, r) object pose."""
     obj = objects[int(rng.integers(len(objects)))]
     x = rng.uniform(-1.0, 1.0) * square_half
     y = rng.uniform(-1.0, 1.0) * square_half
     yaw_draw = rng.uniform(0.0, 2.0 * np.pi)
     yaw = yaw_draw if square_half > 0 else 0.0
-    pose = Pose(t=np.array([x, y, 0.0]), r=reference_axis_angle_to_quat(np.array([0.0, 0.0, yaw])))
+    obj_pose = pose([x, y, 0.0], reference_axis_angle_to_quat(np.array([0.0, 0.0, yaw])))
     p_afford = obj.points[sample_affordance_index(dists[obj.name], rng)].copy()
     style_index = int(rng.integers(len(styles)))
     if train_mode and sigma_style > 0:
@@ -86,7 +83,7 @@ def reference_reset(objects, dists, styles, rng, train_mode, *, spec, square_hal
     if force_style is not None:
         style_index, q_used = force_style, styles[force_style].q_canonical.copy()
     mask = np.isin(np.arange(spec.finger_count), styles[style_index].contact_mask)
-    return env_of(obj, p_afford, q_used, mask, style_index, pose), pose
+    return env_of(obj, p_afford, q_used, mask, style_index, obj_pose), obj_pose
 
 
 def reference_reward_terms(record, obj_bb, q_style, cfg):
@@ -118,12 +115,12 @@ def reference_encode(env, pose, demo, styles, m_points, fps_seed, cloud_cache):
             raise PolicyError("non-finite observation field clouds")
         clouds.flags.writeable = False
         cloud_cache[key] = clouds
-    ee0 = compose_pose(pose, demo.poses[0])
+    ee0_t, ee0_r = compose_pose(pose, (demo.pose_t[0], demo.pose_r[0]))
     one_hot = np.zeros(len(styles))
     one_hot[env.style[0]] = 1.0
     obs = ObsBatch(
-        s_r=np.concatenate([ee0.t, ee0.r])[None],
-        s_o=np.concatenate([pose.t, pose.r])[None],
+        s_r=np.concatenate([ee0_t, ee0_r])[None],
+        s_o=np.concatenate(pose)[None],
         p_afford_rel=((env.p_afford[0] - obj.centroid) * scale)[None],
         l_style=one_hot[None],
         obj_bb=np.array([[obj.obj_bb]], dtype=float),
@@ -172,7 +169,7 @@ def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode
         assets.objects, assets.afford_dists, assets.styles, rng, train_mode, spec=assets.spec,
         square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0, force_style=force_style,
     )
-    result = EpisodeResult(index, env.objs[0].name, pose.t, pose.r, env.p_afford[0], int(env.style[0]))
+    result = EpisodeResult(index, env.objs[0].name, *pose, env.p_afford[0], int(env.style[0]))
     try:
         obs = reference_encode(env, pose, assets.demo, assets.styles, cfg.m_points, cfg.seed, cloud_cache)
         mean, log_std, value, _ = policy_forward(params, obs)

@@ -86,8 +86,8 @@ def reference_forward_kinematics(spec, wrist_t, wrist_r, q):
     fingertips = np.empty((n, spec.finger_count, 3))
     k = 0
     for fi, finger in enumerate(spec.fingers):
-        cur_r = stacked_quat_mul(wrist_r, finger.base.r)
-        cur_t = wrist_t + stacked_quat_rotate(wrist_r, finger.base.t)
+        cur_r = stacked_quat_mul(wrist_r, finger.base_r)
+        cur_t = wrist_t + stacked_quat_rotate(wrist_r, finger.base_t)
         for si, seg in enumerate(finger.segments):
             half = 0.5 * angles[fi][:, si]
             joint_q = np.empty((n, 4))

@@ -13,13 +13,13 @@ import pytest
 
 import metrics_oracle
 from conftest import env_of
-from fungrasp.dataio import default_cameras
+from fungrasp.dataio import CameraModel, default_cameras, project_affordance
+from fungrasp.demo import edit_wrist_arrays, edited_joint_trajectory, interpolation_fraction, target_joint_config
 from fungrasp.evaluation import _ablate_config, evaluate, write_episode_rows
 from fungrasp.objects import make_sphere
 from fungrasp.policy import init_params, random_obs
 from fungrasp.rewards import TERMS, RewardConfig, total_reward
 from fungrasp.sim import grasp_success_batch
-from fungrasp.geometry import identity_pose
 from fungrasp.training import (
     AdamState,
     EpisodePool,
@@ -28,8 +28,10 @@ from fungrasp.training import (
     episode_rng,
     finite_diff_check,
     ppo_update,
-    run_bandit,
+    train,
 )
+from bandit_reference import run_bandit
+from pose_reference import IDENTITY, compose_pose, invert_pose, pose, quat_distance, unproject
 
 pytestmark = pytest.mark.acceptance
 
@@ -81,28 +83,22 @@ def test_criterion_1_gradient_gate(spec, styles):
 
 
 def test_criterion_2_replay_identity(assets, demo, spec, styles):
-    from fungrasp.demo import edit_wrist_arrays, edited_joint_trajectory
-    from fungrasp.geometry import Pose, compose_pose, invert_pose, quat_distance
-
     # conditioned on style 0, whose canonical joints are the demo's grasp row
     q_star = 1.0 * styles[0].q_canonical + np.zeros(spec.joint_count)
     traj = edited_joint_trajectory(demo, q_star, spec)
     joint_err = float(np.max(np.abs(traj - demo.joints)))
-    obj_pose = identity_pose()
     identity = np.r_[np.zeros(6 + spec.joint_count), 1.0]
-    t, r = edit_wrist_arrays(demo, [identity], [obj_pose.t], [obj_pose.r])
-    inv = invert_pose(obj_pose)
+    t, r = edit_wrist_arrays(demo, [identity], [IDENTITY[0]], [IDENTITY[1]])
+    inv = invert_pose(IDENTITY)
     pose_err = 0.0
-    for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
-        back = compose_pose(inv, Pose(t=p_t, r=p_r))
-        pose_err = max(pose_err, float(np.max(np.abs(back.t - ref.t))), quat_distance(back.r, ref.r))
+    for p_t, p_r, ref_t, ref_r in zip(t[0], r[0], demo.pose_t, demo.pose_r):
+        back_t, back_r = compose_pose(inv, pose(p_t, p_r))
+        pose_err = max(pose_err, float(np.max(np.abs(back_t - ref_t))), quat_distance(back_r, ref_r))
     ok = joint_err < 1e-12 and pose_err < 1e-12
     assert _report(2, ok, f"replay identity: joints {joint_err:.2e}, poses {pose_err:.2e} (<1e-12)")
 
 
 def test_criterion_3_interpolation_endpoint(assets, demo, spec, styles):
-    from fungrasp.demo import interpolation_fraction, edited_joint_trajectory, target_joint_config
-
     rng = episode_rng(3, 11)
     worst = 0.0
     tl = demo.grasp_index
@@ -255,8 +251,6 @@ def test_criterion_9_reward_algebra():
 
 
 def test_criterion_10_projection_round_trip():
-    from fungrasp.dataio import project_affordance, unproject
-
     rng = episode_rng(10, 10)
     worst = 0.0
     for name, cam in default_cameras().items():
@@ -267,9 +261,7 @@ def test_criterion_10_projection_round_trip():
             u, v, depth = res
             worst = max(worst, float(np.max(np.abs(unproject(cam, u, v, depth) - p))))
     # principal-point case is exact
-    from fungrasp.dataio import CameraModel
-
-    cam = CameraModel(fx=210.0, fy=210.0, cx=128.0, cy=128.0, extrinsic=identity_pose())
+    cam = CameraModel(210.0, 210.0, 128.0, 128.0, *IDENTITY)
     u, v, depth = project_affordance(cam, np.array([0.0, 0.0, 1.5]))
     exact = (u, v, depth) == (128.0, 128.0, 1.5)
     ok = worst < 1e-9 and exact
@@ -278,8 +270,6 @@ def test_criterion_10_projection_round_trip():
 
 
 def test_criterion_11_worker_determinism(assets, tmp_path):
-    from fungrasp.training import train
-
     logs = []
     for workers in (1, 8):
         cfg = TrainConfig(envs_per_iter=24, minibatch=12, epochs=2, iterations=4,

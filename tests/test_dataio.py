@@ -13,10 +13,9 @@ from fungrasp.dataio import (
     look_at_camera,
     project_affordance,
     save_checkpoint,
-    unproject,
 )
 from fungrasp.demo import edited_joint_trajectory
-from fungrasp.geometry import Pose, axis_angle_to_quat, compose_pose, identity_pose, invert_pose
+from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.policy import init_params
 from fungrasp.rewards import TERMS
 from fungrasp.training import TrainConfig, episode_rng, run_episodes
@@ -24,11 +23,12 @@ from fungrasp.evaluation import evaluate
 
 from conftest import with_arrays
 from contact_reference import hand_assets
+from pose_reference import IDENTITY, compose_pose, invert_pose, pose, transform_point, unproject
 
 
 @pytest.fixture
 def cam():
-    return CameraModel(fx=210.0, fy=200.0, cx=128.0, cy=120.0, extrinsic=identity_pose())
+    return CameraModel(210.0, 200.0, 128.0, 120.0, *IDENTITY)
 
 
 def test_optical_axis_projects_to_principal_point(cam):
@@ -64,14 +64,11 @@ def test_projection_rigid_equivariance(cam):
     # moving the world by g while pre-composing the extrinsic with g^-1
     # leaves pixels unchanged
     rng = np.random.default_rng(1)
-    g = Pose(t=rng.normal(size=3), r=axis_angle_to_quat(rng.normal(size=3) * 0.5))
-    cam2 = CameraModel(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy,
-                       extrinsic=compose_pose(cam.extrinsic, invert_pose(g)))
+    g = pose(rng.normal(size=3), axis_angle_to_quat(rng.normal(size=3) * 0.5))
+    cam2 = CameraModel(cam.fx, cam.fy, cam.cx, cam.cy, *compose_pose((cam.extrinsic_t, cam.extrinsic_r), invert_pose(g)))
     for _ in range(20):
         p = rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 2.0])
         a = project_affordance(cam, p)
-        from fungrasp.geometry import transform_point
-
         b = project_affordance(cam2, transform_point(g, p))
         assert a is not None and b is not None
         assert np.allclose(a, b, atol=1e-9)
@@ -79,9 +76,9 @@ def test_projection_rigid_equivariance(cam):
 
 def test_camera_validation():
     with pytest.raises(ValueError):
-        CameraModel(fx=-1.0, fy=1.0, cx=0, cy=0, extrinsic=identity_pose())
+        CameraModel(-1.0, 1.0, 0, 0, *IDENTITY)
     with pytest.raises(ValueError):
-        CameraModel(fx=1.0, fy=1.0, cx=500, cy=0, extrinsic=identity_pose())
+        CameraModel(1.0, 1.0, 500, 0, *IDENTITY)
 
 
 def test_look_at_camera_points_at_target():
@@ -136,7 +133,7 @@ def test_export_skips_errored_episodes(tmp_path, box_assets):
 
 def test_export_rejects_a_wrist_quaternion_off_unit_norm(tmp_path, box_assets, monkeypatch):
     """A wrist quaternion whose norm is more than 1e-6 from 1 fails the
-    export as Pose rejects it, and nothing is written."""
+    export, and nothing is written."""
     import fungrasp.dataio as dataio
 
     real = dataio.edit_wrist_arrays
@@ -157,7 +154,10 @@ def test_export_round_trip_schema(tmp_path, box_assets):
     results = _episode_results(box_assets, n=4)
     path = tmp_path / "frames.jsonl"
     export_rollouts(results, default_cameras(), path, box_assets.demo, box_assets.spec)
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    text = path.read_text().splitlines()
+    lines = [json.loads(l) for l in text]
+    # each line is the text one json.dumps of its frame's dict writes
+    assert [json.dumps(l) for l in lines] == text
     header, frames = lines[0], lines[1:]
     assert header["kind"] == "fungrasp-rollout-frames"
     horizon = box_assets.demo.horizon + 1

@@ -15,10 +15,12 @@ from fungrasp.demo import (
     save_demo,
     target_joint_config,
 )
-from fungrasp.geometry import Pose, compose_pose, identity_pose, invert_pose, quat_distance, axis_angle_to_quat
+from fungrasp.assets import default_demo_path, default_hand_path
+from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import load_hand_spec
 
 from conftest import random_pose
+from pose_reference import IDENTITY, compose_pose, invert_pose, pose, quat_distance
 
 
 def test_bundled_demo_shape(demo, spec):
@@ -37,8 +39,6 @@ def test_single_frame_demo_rejected(tmp_path, spec):
 
 
 def test_wrong_hand_dimension_rejected(tmp_path, spec, shadow_spec):
-    from fungrasp.assets import default_demo_path
-
     with pytest.raises(DemoError, match="hand"):
         load_demo(default_demo_path("shadow_like"), spec)
     # same hand name, wrong joint dimension
@@ -51,14 +51,15 @@ def test_wrong_hand_dimension_rejected(tmp_path, spec, shadow_spec):
         load_demo(p, spec)
 
 
-def test_demo_round_trip(tmp_path, demo, spec):
-    path = tmp_path / "d.json"
-    save_demo(demo, spec.name, path)
-    back = load_demo(path, spec)
-    assert np.array_equal(back.joints, demo.joints)
-    for a, b in zip(back.poses, demo.poses):
-        assert np.array_equal(a.t, b.t)
-        assert np.array_equal(a.r, b.r)
+def test_demo_round_trip(tmp_path):
+    """For both bundled hands, save_demo writes back the bundled file
+    byte for byte, so loading it again gives the same arrays."""
+    for hand in ("inspire_like", "shadow_like"):
+        spec = load_hand_spec(default_hand_path(hand))
+        demo = load_demo(default_demo_path(hand), spec)
+        path = tmp_path / f"{hand}.json"
+        save_demo(demo, spec.name, path)
+        assert path.read_bytes() == default_demo_path(hand).read_bytes()
 
 
 def test_target_joint_config(spec, styles):
@@ -105,8 +106,8 @@ def _synthetic_demo(spec, with_post_motion=False):
             joints.append(qTl + 0.01 * (t - tl) * np.ones(spec.joint_count))
         else:
             joints.append(qTl.copy())
-    poses = [Pose(t=np.array([0, 0, 0.3 - 0.02 * t]), r=np.array([1.0, 0, 0, 0])) for t in range(td + 1)]
-    return Demonstration(poses=tuple(poses), joints=np.array(joints), grasp_index=tl)
+    pose_t = np.c_[np.zeros((td + 1, 2)), 0.3 - 0.02 * np.arange(td + 1)]
+    return Demonstration(pose_t, np.tile([1.0, 0, 0, 0], (td + 1, 1)), np.array(joints), tl)
 
 
 def test_replay_identity(spec, demo, styles):
@@ -128,7 +129,7 @@ def test_static_joint_linear_ramp(spec):
     # force one joint static in the reference
     joints = np.array(d.joints)
     joints[:, 2] = joints[0, 2]
-    d2 = Demonstration(poses=d.poses, joints=joints, grasp_index=d.grasp_index)
+    d2 = Demonstration(d.pose_t, d.pose_r, joints, d.grasp_index)
     q_star = np.array(joints[d.grasp_index])
     q_star[2] = joints[0, 2] + 0.15
     traj = edited_joint_trajectory(d2, q_star, spec)
@@ -158,32 +159,32 @@ def test_monotone_scaling_single_joint(spec):
 
 def test_edit_wrist_identity_replays_object_frame(demo):
     rng = np.random.default_rng(2)
-    obj_pose = random_pose(rng)
-    t, r = edit_wrist_arrays(demo, [np.r_[np.zeros(12), 1.0]], [obj_pose.t], [obj_pose.r])
-    inv = invert_pose(obj_pose)
-    for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
-        back = compose_pose(inv, Pose(t=p_t, r=p_r))
-        assert np.allclose(back.t, ref.t, atol=1e-12)
-        assert quat_distance(back.r, ref.r) < 1e-12
+    obj_t, obj_r = random_pose(rng)
+    t, r = edit_wrist_arrays(demo, [np.r_[np.zeros(12), 1.0]], [obj_t], [obj_r])
+    inv = invert_pose((obj_t, obj_r))
+    for p_t, p_r, ref_t, ref_r in zip(t[0], r[0], demo.pose_t, demo.pose_r):
+        back_t, back_r = compose_pose(inv, pose(p_t, p_r))
+        assert np.allclose(back_t, ref_t, atol=1e-12)
+        assert quat_distance(back_r, ref_r) < 1e-12
 
 
 def test_edit_wrist_pure_translation_shift(demo):
     dt = np.array([0.0, 0.0, 0.05])
     action = np.r_[dt, np.zeros(9), 1.0]
-    t, _ = edit_wrist_arrays(demo, [action], [identity_pose().t], [identity_pose().r])
+    t, _ = edit_wrist_arrays(demo, [action], [IDENTITY[0]], [IDENTITY[1]])
     assert np.allclose(t[0], demo.pose_t + dt, atol=1e-12)
 
 
 def test_edit_wrist_object_rotation_equivariance(demo):
     # oracle: compose poses one frame at a time with compose_pose
-    yaw = Pose(t=np.array([0.1, -0.2, 0.0]), r=axis_angle_to_quat(np.array([0, 0, np.pi / 2])))
+    yaw = pose([0.1, -0.2, 0.0], axis_angle_to_quat(np.array([0, 0, np.pi / 2])))
     dt, dr = np.array([0.01, 0.02, -0.03]), np.array([0.1, 0.0, 0.2])
-    t, r = edit_wrist_arrays(demo, [np.r_[dt, dr, np.zeros(6), 1.0]], [yaw.t], [yaw.r])
-    prefix = compose_pose(yaw, Pose(t=dt, r=axis_angle_to_quat(dr)))
-    for p_t, p_r, ref in zip(t[0], r[0], demo.poses):
-        want = compose_pose(prefix, ref)
-        assert np.allclose(p_t, want.t, atol=1e-12)
-        assert quat_distance(p_r, want.r) < 1e-12
+    t, r = edit_wrist_arrays(demo, [np.r_[dt, dr, np.zeros(6), 1.0]], [yaw[0]], [yaw[1]])
+    prefix = compose_pose(yaw, pose(dt, axis_angle_to_quat(dr)))
+    for p_t, p_r, ref in zip(t[0], r[0], zip(demo.pose_t, demo.pose_r)):
+        want_t, want_r = compose_pose(prefix, ref)
+        assert np.allclose(p_t, want_t, atol=1e-12)
+        assert quat_distance(p_r, want_r) < 1e-12
 
 
 def test_disturb_style_zero_sigma_and_determinism(spec, styles):
@@ -226,8 +227,6 @@ def test_bounds_intervals_norm_guarantee():
 def test_grasp_index_must_be_a_json_integer(tmp_path, spec, t_l):
     """T_l is a JSON integer (not a bool); anything else is a DemoError
     that names the file and T_l, not a silent int() of it."""
-    from fungrasp.assets import default_demo_path
-
     payload = json.loads(default_demo_path().read_text())
     if t_l == "missing":
         del payload["T_l"]
@@ -247,8 +246,6 @@ def test_grasp_index_out_of_range_names_the_file(tmp_path, spec, t_l):
     """A T_l outside (0, T_D] of the 41-frame bundled demo is a DemoError
     that names the file and T_l; the in-code check stays for demos built
     in code."""
-    from fungrasp.assets import default_demo_path
-
     payload = json.loads(default_demo_path().read_text())
     payload["T_l"] = t_l
     p = tmp_path / "demo.json"
@@ -257,4 +254,4 @@ def test_grasp_index_out_of_range_names_the_file(tmp_path, spec, t_l):
         load_demo(p, spec)
     demo = load_demo(default_demo_path(), spec)
     with pytest.raises(DemoError, match=rf"^grasp index {t_l} outside \(0, 40\]"):
-        Demonstration(poses=demo.poses, joints=demo.joints, grasp_index=t_l)
+        Demonstration(demo.pose_t, demo.pose_r, demo.joints, t_l)

@@ -16,7 +16,7 @@ from episode_reference import (
 )
 from fungrasp import training as tr
 from fungrasp.demo import EditBounds, edit_wrist_arrays
-from fungrasp.geometry import Pose, axis_angle_to_quat
+from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.policy import (
     ObsBatch,
     PolicyError,
@@ -28,6 +28,7 @@ from fungrasp.policy import (
     row_errors,
 )
 from fungrasp.training import EpisodePool, TrainConfig, collect_batch, episode_rng, run_episodes
+from pose_reference import pose
 
 MODES = ("policy", "mean", "random", "identity")
 
@@ -113,9 +114,8 @@ def test_edit_wrist_arrays_matches_the_per_episode_composition(demo):
     actions[::5, 3:6] = 0.0
     actions[1::5, 3:6] *= 1e-9
     actions[2::5, 3:6] *= rng.uniform(0.5, 2.0, size=(len(actions[2::5]), 1)) * 1e-8 / 0.46
-    poses = [Pose(t=rng.normal(size=3), r=axis_angle_to_quat(rng.normal(size=3))) for _ in range(n)]
-    pose_t = np.stack([p.t for p in poses])
-    pose_r = np.stack([p.r for p in poses])
+    poses = [pose(rng.normal(size=3), axis_angle_to_quat(rng.normal(size=3))) for _ in range(n)]
+    pose_t, pose_r = (np.stack(c) for c in zip(*poses))
     got = edit_wrist_arrays(demo, actions, pose_t, pose_r)
     want = reference_edit_wrist_arrays(demo, actions, pose_t, pose_r)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -11,7 +11,6 @@ from fungrasp.evaluation import (
     write_episode_rows,
     write_report,
 )
-from fungrasp.geometry import identity_pose
 from fungrasp.policy import init_params
 from fungrasp.rewards import TERMS
 from fungrasp.sim import RolloutRecord
@@ -37,8 +36,7 @@ def _row(success, d_final=0.02, q=None, cond=0, exe=0):
     q = np.array(q if q is not None else [0.0] * 3, dtype=float)
     record = RolloutRecord(d_series=np.full(3, d_final), q_final=q, q_star=q, executed_style=exe,
                            table_collision=False, failure_reason=None if success else "no_closure")
-    pose = identity_pose()
-    return EpisodeResult(0, "box", pose.t, pose.r, np.zeros(3), cond, record=record)
+    return EpisodeResult(0, "box", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), cond, record=record)
 
 
 def test_pairwise_diversity_cases():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fungrasp.assets import default_hand_path, default_styles_path
-from fungrasp.geometry import Pose, axis_angle_to_quat, compose_pose, identity_pose, transform_point
+from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import (
     HandError,
     clamp_to_limits,
@@ -21,6 +21,7 @@ from fungrasp.hand import (
 from conftest import poses
 from contact_reference import hand_assets, seeded_rollout_inputs
 from kernel_reference import reference_forward_kinematics
+from pose_reference import IDENTITY, compose_pose, transform_point
 
 
 def _write(tmp_path, name, payload):
@@ -59,18 +60,14 @@ def test_bundled_shadow_like_has_22_joints_five_fingers(shadow_spec):
 
 
 def test_bundled_style_counts(spec, styles, shadow_spec):
-    from fungrasp.assets import default_styles_path
-
     assert len(styles) == 4
     assert len(load_styles(default_styles_path("shadow_like"), shadow_spec)) == 9
 
 
 def _fk(spec, wrists, qs):
-    """forward_kinematics_batch over a list of wrist poses and a (B, J)
-    stack of joint vectors: (centers (B, K, 3), fingertips (B, F, 3))."""
-    t = np.stack([w.t for w in wrists])
-    r = np.stack([w.r for w in wrists])
-    return forward_kinematics_batch(spec, t, r, np.asarray(qs, dtype=float))
+    """forward_kinematics_batch over a list of (t, r) wrist poses and a
+    (B, J) stack of joint vectors: (centers (B, K, 3), fingertips (B, F, 3))."""
+    return forward_kinematics_batch(spec, *(np.stack(c) for c in zip(*wrists)), np.asarray(qs, dtype=float))
 
 
 def test_limits_violation_rejected(tmp_path):
@@ -90,18 +87,18 @@ def test_limits_violation_rejected(tmp_path):
 
 def test_fk_zero_config_straight_chain(tmp_path):
     hand = _single_finger_spec(tmp_path)
-    centers, tips = _fk(hand, [identity_pose()], np.zeros((1, 2)))
+    centers, tips = _fk(hand, [IDENTITY], np.zeros((1, 2)))
     # segments extend along +x from an identity base
     assert np.allclose(tips[0, 0], [0.7, 0, 0], atol=1e-12)
     assert np.allclose(centers[0, 0], [0.4, 0, 0], atol=1e-12)
 
 
 def test_fk_bundled_zero_config_matches_summed_lengths(spec):
-    _, tips = _fk(spec, [identity_pose()], np.zeros((1, spec.joint_count)))
+    _, tips = _fk(spec, [IDENTITY], np.zeros((1, spec.joint_count)))
     for fi, finger in enumerate(spec.fingers):
         total = sum(s.length for s in finger.segments)
         # bundled bases point the chains straight down
-        expected = finger.base.t + np.array([0.0, 0.0, -total])
+        expected = finger.base_t + np.array([0.0, 0.0, -total])
         assert np.allclose(tips[0, fi], expected, atol=1e-9)
 
 
@@ -109,13 +106,13 @@ def test_fk_wrist_translation_equivariance(spec):
     rng = np.random.default_rng(0)
     q = rng.uniform(spec.limits_lo, spec.limits_hi)
     d = np.array([0.3, -0.2, 0.5])
-    (base, moved), _ = _fk(spec, [identity_pose(), Pose(t=d, r=np.array([1.0, 0, 0, 0]))], [q, q])
+    (base, moved), _ = _fk(spec, [IDENTITY, (d, np.array([1.0, 0, 0, 0]))], [q, q])
     assert np.allclose(moved, base + d, atol=1e-12)
 
 
 def test_fk_two_link_planar_closed_form(tmp_path):
     hand = _single_finger_spec(tmp_path, axis=(0, 0, 1), lengths=(0.4, 0.3))
-    _, tips = _fk(hand, [identity_pose()] * 2, [[np.pi / 2, 0.0], [np.pi / 2, -np.pi / 2]])
+    _, tips = _fk(hand, [IDENTITY] * 2, [[np.pi / 2, 0.0], [np.pi / 2, -np.pi / 2]])
     assert np.allclose(tips[0, 0], [0.0, 0.7, 0.0], atol=1e-12)
     assert np.allclose(tips[1, 0], [0.3, 0.4, 0.0], atol=1e-12)
 
@@ -173,7 +170,7 @@ def test_fk_matches_the_reference_on_seeded_rollout_inputs(hand, monkeypatch):
 
 def test_fk_dimension_mismatch(spec):
     with pytest.raises(HandError, match="J="):
-        _fk(spec, [identity_pose()], np.zeros((1, spec.joint_count + 1)))
+        _fk(spec, [IDENTITY], np.zeros((1, spec.joint_count + 1)))
 
 
 def test_coupled_segment_follows_source(spec):
@@ -183,7 +180,7 @@ def test_coupled_segment_follows_source(spec):
     # the distal sphere must differ from a configuration where only the
     # proximal rotates; compare against a hand without coupling
     q[1, 3] = 0.35
-    _, (bent, half) = _fk(spec, [identity_pose()] * 2, q)
+    _, (bent, half) = _fk(spec, [IDENTITY] * 2, q)
     assert not np.allclose(bent[1], half[1], atol=1e-6)
 
 

@@ -8,8 +8,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "fungrasp").glob("*.py"))
 SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
-# every file that may use a package module's names
+# every file that may use a package module's names, and those of them
+# that are the program rather than its tests
 READERS = sorted(p for d in ("src/fungrasp", "tests", "perfbench", "scripts") for p in (ROOT / d).glob("*.py"))
+PROGRAM = [p for p in READERS if p.parent.name != "tests"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,7 +82,8 @@ def _exported(tree) -> set[str]:
 
 def names_used_from(tree, module: str) -> set[str]:
     """The names a file takes from a package module: imported from it, or
-    read as an attribute of a name the file binds to it."""
+    read as an attribute of a name the file binds to it (by an import or
+    as in `a = fg.module`) or of a chain ending in it (`self.fg.module`)."""
     aliases, used = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -89,9 +92,15 @@ def names_used_from(tree, module: str) -> set[str]:
             aliases |= {alias.asname or alias.name for alias in node.names if alias.name == module}
         elif isinstance(node, ast.Import):
             aliases |= {alias.asname for alias in node.names if alias.asname and alias.name.split(".")[-1] == module}
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == module:
+            aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
-            used.add(node.attr)
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id in aliases) or (
+                isinstance(base, ast.Attribute) and base.attr == module
+            ):
+                used.add(node.attr)
     return used
 
 
@@ -116,9 +125,9 @@ def unread_top_level_names(source: str, module: str, others: list[str]) -> list[
 
 def test_unread_name_scan_catches_one():
     source = "import logging\nlog = logging.getLogger(__name__)\nTOL = 1e-9\nA = 1\nB = 2\nC = 3\n"
-    source += "def f(): return A\ndef g(): pass\n__all__ = ['f']\n"
+    source += "def f(): return A\ndef g(): pass\n__all__ = ['f']\nD = 4\nE = 5\n"
     others = ["from fungrasp import mod\nprint(mod.B)\n", "from fungrasp.mod import C\n",
-              "import numpy as np\nnp.g()\n"]
+              "import numpy as np\nnp.g()\n", "def h(fg):\n    m = fg.mod\n    return m.D, self.fg.mod.E\n"]
     assert unread_top_level_names(source, "mod", others) == ["TOL (line 3)", "g (line 8)", "log (line 2)"]
 
 
@@ -126,3 +135,13 @@ def test_unread_name_scan_catches_one():
 def test_no_unread_top_level_names(path):
     others = [p.read_text() for p in READERS if p != path]
     assert unread_top_level_names(path.read_text(), path.stem, others) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_export_is_read_by_the_program(path):
+    """Each name in a module's __all__ is read by the module, another file
+    of the package, the scripts or the bench: not by the tests alone."""
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    used = used.union(*(names_used_from(ast.parse(p.read_text()), path.stem) for p in PROGRAM if p != path))
+    assert sorted(_exported(tree) - used) == []

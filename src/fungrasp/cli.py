@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import assets as bundled
@@ -29,7 +29,6 @@ from .training import (
     Assets,
     TrainConfig,
     config_from_dict,
-    config_to_dict,
     episode_rng,
     finite_diff_check,
     load_assets,
@@ -130,33 +129,33 @@ def _build_train_config(args, cfg_file) -> TrainConfig:
     return replace(cfg, seed=seed, workers=cfg.workers if workers is None else int(workers))
 
 
-def _out_dir(args, cfg_file, default="runs/out") -> Path:
-    out = Path(_resolve(args, cfg_file, "out", default))
+def _run_setup(args) -> tuple[dict, TrainConfig, Assets, Path]:
+    """What train, ablate, eval and collect share: the config file, the
+    train config, the assets and the output directory (--out, else
+    runs/out), made if missing."""
+    cfg_file = _load_config_file(args.config)
+    cfg = _build_train_config(args, cfg_file)
+    assets = _build_assets(args, cfg_file)
+    out = Path(_resolve(args, cfg_file, "out", "runs/out"))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except FileExistsError:        # exist_ok: the path exists and is no directory
         raise NotADirectoryError(f"output path exists and is not a directory: {out}") from None
-    return out
+    return cfg_file, cfg, assets, out
 
 
 def cmd_train(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    cfg = _build_train_config(args, cfg_file)
-    assets = _build_assets(args, cfg_file)
-    out = _out_dir(args, cfg_file)
+    _, cfg, assets, out = _run_setup(args)
     result = train(cfg, assets, out)
     print(json.dumps({"metrics": str(result["metrics_path"]), "checkpoint": str(result["checkpoint_path"])}))
     return 0
 
 
 def _checkpoint_run(args):
-    """What eval and collect share: the config, the assets, the output
-    directory, the checkpoint's params (checked against the hand and the
-    config) and the episode count."""
-    cfg_file = _load_config_file(args.config)
-    cfg = _build_train_config(args, cfg_file)
-    assets = _build_assets(args, cfg_file)
-    out = _out_dir(args, cfg_file)
+    """What eval and collect share: the _run_setup, the checkpoint's
+    params (checked against the hand and the config) and the episode
+    count."""
+    cfg_file, cfg, assets, out = _run_setup(args)
     ckpt = _resolve(args, cfg_file, "checkpoint")
     if ckpt is None:
         raise ValueError(f"{args.command} needs --checkpoint (or config 'checkpoint')")
@@ -185,13 +184,10 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     from .evaluation import ABLATION_COMPONENTS, ablation_run
 
-    cfg_file = _load_config_file(args.config)
     component = args.component
     if component not in ABLATION_COMPONENTS:
         raise ValueError(f"unknown component {component!r}; pick from {ABLATION_COMPONENTS}")
-    cfg = _build_train_config(args, cfg_file)
-    assets = _build_assets(args, cfg_file)
-    out = _out_dir(args, cfg_file)
+    _, cfg, assets, out = _run_setup(args)
     result = ablation_run(cfg, component, assets, out)
     payload = {
         "component": component,
@@ -211,7 +207,7 @@ def cmd_collect(args) -> int:
     _, results = evaluate(params, cfg, assets, n, seed=cfg.seed)
     manifest = export_rollouts(
         results, default_cameras(), out / "rollouts.jsonl", assets.demo, assets.spec,
-        success_only=bool(args.success_only), config=config_to_dict(cfg),
+        success_only=bool(args.success_only), config=asdict(cfg),
     )
     print(json.dumps(manifest))
     return 0
@@ -261,11 +257,13 @@ def cmd_demo_inspect(args) -> int:
 def cmd_check_gradients(args) -> int:
     cfg_file = _load_config_file(args.config)
     seed = _require_seed(args, cfg_file)
+    if args.params < 1:
+        raise ValueError(f"--params must be >= 1, got {args.params}")
     rng = episode_rng(seed, 7)
     m_points, style_count, joint_count = 16, 4, 6
     params = init_params(rng, m_points, style_count, joint_count)
     obs = random_obs(rng, 4, m_points, style_count)
-    err = finite_diff_check(params, obs, rng, n_params=int(args.params))
+    err = finite_diff_check(params, obs, rng, n_params=args.params)
     ok = err < GRADIENT_GATE
     print(json.dumps({"max_relative_error": err, "gate": GRADIENT_GATE, "pass": bool(ok)}))
     return 0 if ok else 1

@@ -41,6 +41,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 BEHIND_CAMERA_Z = 1e-6
+# look_at_camera's intrinsics, in pixels, for CameraModel's default image size
+FOCAL_PX = 210.0
+PRINCIPAL_PX = 128.0
 
 
 class ExportError(RuntimeError):
@@ -98,8 +101,9 @@ def in_frame(cam: CameraModel, u: float, v: float) -> bool:
     return 0.0 <= u < cam.width and 0.0 <= v < cam.height
 
 
-def look_at_camera(position, target, fx=210.0, fy=210.0, cx=128.0, cy=128.0, **kw) -> CameraModel:
-    """Camera at `position` whose optical axis points at `target`.
+def look_at_camera(position, target) -> CameraModel:
+    """Camera at `position` whose optical axis points at `target`, with
+    focal length FOCAL_PX and the principal point at PRINCIPAL_PX.
 
     The image 'down' direction is chosen to have positive world -z
     component (cameras above the table look, well, down).
@@ -117,7 +121,7 @@ def look_at_camera(position, target, fx=210.0, fy=210.0, cx=128.0, cy=128.0, **k
     rot = np.stack([right, down, forward])
     r = quat_from_matrix(rot)
     # divided once more by its own 1-D norm: the bits the manifests hold
-    return CameraModel(fx, fy, cx, cy, -rot @ position, r / np.linalg.norm(r), **kw)
+    return CameraModel(FOCAL_PX, FOCAL_PX, PRINCIPAL_PX, PRINCIPAL_PX, -rot @ position, r / np.linalg.norm(r))
 
 
 def default_cameras() -> dict[str, CameraModel]:

@@ -27,7 +27,6 @@ from .training import (
     EpisodeResult,
     TrainConfig,
     check_m_points,
-    config_to_dict,
     episode_summary,
     train,
 )
@@ -186,18 +185,15 @@ def _ablate_config(cfg: TrainConfig, component: str) -> TrainConfig:
     raise ValueError(f"unknown ablation component {component!r}; pick from {ABLATION_COMPONENTS}")
 
 
-def ablation_run(
-    cfg: TrainConfig, component: str, assets: Assets, out_dir,
-    n_eval: int | None = None,
-) -> AblationResult:
-    """Train the full and the ablated model with identical seeds; compare."""
+def ablation_run(cfg: TrainConfig, component: str, assets: Assets, out_dir) -> AblationResult:
+    """Train the full and the ablated model with identical seeds; compare
+    them on cfg.eval_episodes evaluation episodes."""
     out_dir = Path(out_dir)
-    n_eval = n_eval or cfg.eval_episodes
     ablated_cfg = _ablate_config(cfg, component)
     full = train(cfg, assets, out_dir / "full")
     ablated = train(ablated_cfg, assets, out_dir / f"ablated_{component}")
-    m_full, _ = evaluate(full["params"], cfg, assets, n_eval, seed=cfg.seed)
-    m_abl, _ = evaluate(ablated["params"], ablated_cfg, assets, n_eval, seed=cfg.seed)
+    m_full, _ = evaluate(full["params"], cfg, assets, cfg.eval_episodes, seed=cfg.seed)
+    m_abl, _ = evaluate(ablated["params"], ablated_cfg, assets, cfg.eval_episodes, seed=cfg.seed)
     return AblationResult(component=component, full=m_full, ablated=m_abl)
 
 
@@ -228,7 +224,7 @@ def write_report(metrics: Metrics, cfg: TrainConfig, rows_path, path, results: l
     report = {
         "metrics": metrics.as_dict(),
         **episode_summary(results),
-        "config_digest": config_digest(config_to_dict(cfg)),
+        "config_digest": config_digest(asdict(cfg)),
         "per_episode_file": str(rows_path),
     }
     Path(path).write_text(json.dumps(report, indent=1))

@@ -11,7 +11,7 @@ linear function (``scale * q[source]``) of an active joint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -92,8 +92,7 @@ class Finger:
     name: str
     base_t: np.ndarray      # (3,), wrist-relative
     base_r: np.ndarray      # (4,) unit quaternion, wrist-relative
-    segments: tuple[Segment, ...]
-    tip_radius: float
+    segments: tuple[Segment, ...]   # the last one's radius is the tip radius
 
 
 @dataclass(frozen=True)
@@ -211,16 +210,11 @@ def load_hand_spec(path) -> HandSpec:
         if not segments:
             fail(where, "finger has no segments")
         # the last sphere is the fingertip; its radius is the tip radius
-        segments[-1] = Segment(
-            length=segments[-1].length,
-            axis=segments[-1].axis,
-            limits=segments[-1].limits,
-            radius=tip_radius,
-        )
+        segments[-1] = replace(segments[-1], radius=tip_radius)
         finger_name = fd.get("name", f"finger{fi}")
         if not isinstance(finger_name, str) or not finger_name:
             fail(where + ".name", f"must be a non-empty string, got {finger_name!r}")
-        fingers.append(Finger(finger_name, base_t, base_r, tuple(segments), tip_radius))
+        fingers.append(Finger(finger_name, base_t, base_r, tuple(segments)))
     if not fingers:
         fail("fingers", "hand has no fingers")
     couplings = []

@@ -19,7 +19,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "ObjectError",
     "ObjectModel",
-    "AffordanceParams",
     "AffordanceDistribution",
     "load_object",
     "save_object_ply",
@@ -36,6 +35,10 @@ __all__ = [
 
 MIN_POINTS = 64
 
+AFFORD_BETA = 1.0         # the affordance score's exponent
+AFFORD_H_MIN = 0.01       # points below this height are never affordances
+AFFORD_UP_WEIGHT = 0.5    # blend between upward and outward normal alignment
+
 
 class ObjectError(ValueError):
     """Raised for unusable point-cloud files or degenerate objects."""
@@ -49,12 +52,11 @@ class ObjectModel:
     points: np.ndarray        # (N, 3) meters
     normals: np.ndarray       # (N, 3) unit outward normals
     centroid: np.ndarray      # (3,)
-    bb_edges: np.ndarray      # (3,) axis-aligned bounding box edge lengths
-    obj_bb: float             # max(bb_edges)
+    obj_bb: float             # the longest edge of the axis-aligned bounding box
     normals_estimated: bool = False
 
     @classmethod
-    def from_points(cls, name: str, points, normals=None, *, normals_estimated=False) -> "ObjectModel":
+    def from_points(cls, name: str, points, normals=None) -> "ObjectModel":
         points = np.array(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ObjectError(f"{name}: points must be (N, 3), got {points.shape}")
@@ -63,9 +65,9 @@ class ObjectModel:
         if not np.all(np.isfinite(points)):
             raise ObjectError(f"{name}: points contain non-finite values")
         points = points - np.array([0.0, 0.0, points[:, 2].min()])
-        if normals is None:
+        normals_estimated = normals is None
+        if normals_estimated:
             normals = estimate_normals(points)
-            normals_estimated = True
         normals = np.array(normals, dtype=float)
         if normals.shape != points.shape:
             raise ObjectError(f"{name}: normals shape {normals.shape} != points shape {points.shape}")
@@ -75,26 +77,21 @@ class ObjectModel:
         if np.any(lens < 1e-9):
             raise ObjectError(f"{name}: zero-length normal at index {int(np.argmin(lens))}")
         normals = normals / lens[:, None]
-        lo = points.min(axis=0)
-        hi = points.max(axis=0)
-        bb_edges = hi - lo
-        for a in (points, normals, bb_edges):
-            a.setflags(write=False)
         centroid = points.mean(axis=0)
-        centroid.setflags(write=False)
+        for a in (points, normals, centroid):
+            a.setflags(write=False)
         return cls(
             name=name,
             points=points,
             normals=normals,
             centroid=centroid,
-            bb_edges=bb_edges,
-            obj_bb=float(bb_edges.max()),
+            obj_bb=float((points.max(axis=0) - points.min(axis=0)).max()),
             normals_estimated=normals_estimated,
         )
 
 
-def estimate_normals(points: np.ndarray, k: int = 8) -> np.ndarray:
-    """Plane-fit normals from the k nearest neighbors, oriented outward.
+def estimate_normals(points: np.ndarray) -> np.ndarray:
+    """Plane-fit normals from the 8 nearest neighbors, oriented outward.
 
     Outward means agreeing in sign with the direction from the cloud
     centroid to the point; good enough for star-shaped desk objects.
@@ -102,7 +99,7 @@ def estimate_normals(points: np.ndarray, k: int = 8) -> np.ndarray:
     n = points.shape[0]
     d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
-    k = min(k, n - 1)
+    k = min(8, n - 1)
     nbr = np.argpartition(d2, k - 1, axis=1)[:, :k]
     centroid = points.mean(axis=0)
     normals = np.empty_like(points)
@@ -171,11 +168,12 @@ def _read_ply(path: Path):
     return points, normals
 
 
-def load_object(path, name: str | None = None) -> ObjectModel:
-    """Load an ascii PLY cloud; estimates normals (and says so) if absent."""
+def load_object(path) -> ObjectModel:
+    """Load an ascii PLY cloud, named by its file stem; estimates normals
+    (and says so) if absent."""
     path = Path(path)
     points, normals = _read_ply(path)
-    obj = ObjectModel.from_points(name or path.stem, points, normals, normals_estimated=normals is None)
+    obj = ObjectModel.from_points(path.stem, points, normals)
     if normals is None:
         log.warning("%s: no normals in file, estimating from 8-NN plane fits", path)
     return obj
@@ -205,18 +203,10 @@ def save_object_ply(obj: ObjectModel, path) -> None:
 
 
 @dataclass(frozen=True)
-class AffordanceParams:
-    beta: float = 1.0
-    h_min: float = 0.01      # points below this height are never affordances
-    up_weight: float = 0.5   # blend between upward and outward normal alignment
-
-
-@dataclass(frozen=True)
 class AffordanceDistribution:
     """A categorical distribution over a cloud's points, with its CDF."""
 
     weights: np.ndarray      # (N,), non-negative, sums to 1
-    params: AffordanceParams
     cdf: np.ndarray = field(init=False, repr=False, compare=False)   # cumsum of weights
 
     def __post_init__(self):
@@ -225,19 +215,20 @@ class AffordanceDistribution:
         object.__setattr__(self, "cdf", cdf)
 
 
-def affordance_distribution(obj: ObjectModel, params: AffordanceParams = AffordanceParams()) -> AffordanceDistribution:
+def affordance_distribution(obj: ObjectModel) -> AffordanceDistribution:
     """Likelihood over cloud points favoring upward/outward-facing surface.
 
     score_i = max(0, w_up * (n_i . z) + (1 - w_up) * (n_i . o_i)) ** beta,
     where o_i is the horizontal unit direction from the centroid to the
-    point. Points below h_min are excluded; a uniform fallback covers
-    clouds where every admissible score vanishes.
+    point, w_up is AFFORD_UP_WEIGHT and beta AFFORD_BETA. Points below
+    AFFORD_H_MIN are excluded; a uniform fallback covers clouds where
+    every admissible score vanishes.
     """
     z = obj.points[:, 2]
-    admissible = z >= params.h_min
+    admissible = z >= AFFORD_H_MIN
     if not admissible.any():
         raise ObjectError(
-            f"{obj.name}: all points below h_min={params.h_min}; object too flat to condition on"
+            f"{obj.name}: all points below h_min={AFFORD_H_MIN}; object too flat to condition on"
         )
     o = obj.points - obj.centroid
     o[:, 2] = 0.0
@@ -245,10 +236,10 @@ def affordance_distribution(obj: ObjectModel, params: AffordanceParams = Afforda
     safe = norms > 1e-9
     o[safe] /= norms[safe, None]
     o[~safe] = 0.0
-    score = params.up_weight * obj.normals[:, 2] + (1.0 - params.up_weight) * np.einsum(
+    score = AFFORD_UP_WEIGHT * obj.normals[:, 2] + (1.0 - AFFORD_UP_WEIGHT) * np.einsum(
         "ij,ij->i", obj.normals, o
     )
-    weights = np.where(score > 0.0, np.maximum(score, 0.0) ** params.beta, 0.0)
+    weights = np.where(score > 0.0, np.maximum(score, 0.0) ** AFFORD_BETA, 0.0)
     weights[~admissible] = 0.0
     total = weights.sum()
     if total <= 0.0:
@@ -256,7 +247,7 @@ def affordance_distribution(obj: ObjectModel, params: AffordanceParams = Afforda
         total = weights.sum()
     weights /= total
     weights.setflags(write=False)
-    return AffordanceDistribution(weights=weights, params=params)
+    return AffordanceDistribution(weights=weights)
 
 
 def sample_affordance_index(dist: AffordanceDistribution, rng: np.random.Generator) -> int:

@@ -5,7 +5,8 @@ pointwise MLP with channel-wise max pooling encodes the object cloud,
 an actor trunk maps the concatenated observation to a Gaussian action
 head (state-independent log-std), and a separate value path shares no
 trunk parameters with the actor. Reverse-mode gradients are written out
-by hand and gated against finite differences by the trainer.
+by hand; the check-gradients command and the tests gate them against
+finite differences.
 
 Observations only exist as an ObsBatch, and only encode_observation
 makes one, over many episodes at once: a chunk of episodes encodes its
@@ -60,7 +61,6 @@ __all__ = [
     "PolicyError",
     "ObsBatch",
     "PolicyParams",
-    "ActionSample",
     "encode_observation",
     "observation_checks",
     "activation_checks",
@@ -498,28 +498,22 @@ def squash_correction(raw, lo, hi) -> np.ndarray:
     return np.sum(np.log(half) + _log1m_tanh2(np.asarray(raw, dtype=float)), axis=-1)
 
 
-@dataclass(frozen=True)
-class ActionSample:
-    raw: np.ndarray            # (B, A)
-    action: np.ndarray         # (B, A) squashed action vectors
-    log_prob: np.ndarray       # (B,)
-
-
 def sample_action(
     mean: np.ndarray,
     log_std: np.ndarray,
     bounds: EditBounds,
     joint_count: int,
     noise: np.ndarray,
-) -> ActionSample:
-    """raw = mean + exp(log_std) * noise for B rows of standard-normal
-    noise, squashed into bounds; the log-prob includes the tanh Jacobian
-    correction. Element-wise with per-row sums, so a row has the bits it
-    gets alone."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(raw (B, A), action (B, A), log_prob (B,)): raw = mean +
+    exp(log_std) * noise for B rows of standard-normal noise, the action
+    is raw squashed into bounds, and the log-prob includes the tanh
+    Jacobian correction. Element-wise with per-row sums, so a row has the
+    bits it gets alone."""
     lo, hi = bounds.intervals(joint_count)
     raw = mean + np.exp(log_std) * noise
     logp, _, _ = log_prob_of_raw(mean, log_std, raw, bounds, joint_count)
-    return ActionSample(raw=raw, action=squash(raw, lo, hi), log_prob=logp)
+    return raw, squash(raw, lo, hi), logp
 
 
 def log_prob_of_raw(mean, log_std, raw, bounds: EditBounds, joint_count: int):

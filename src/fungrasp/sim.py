@@ -62,6 +62,7 @@ __all__ = [
     "SimParams",
     "EnvBatch",
     "RolloutRecord",
+    "FAILURE_REASONS",
     "reset_env",
     "detect_contacts",
     "style_contact_point",
@@ -118,28 +119,28 @@ class EnvBatch:
         return np.array([obj.obj_bb for obj in self.objs])
 
 
+# why a grasp failed (the approach crushed the object, a sphere touched the table,
+# no force closure, non-finite contact geometry), in the order the outputs list them
+FAILURE_REASONS = ("crush", "table_collision", "no_closure", "degenerate")
+
+
 @dataclass(frozen=True)
 class RolloutRecord:
     """What one rollout measured, and nothing it was given: the
     affordance-to-contact-centroid distance of every frame, the final
     and the edited target joints, the style the final joints read as,
-    the table test, and why the grasp failed (None on success).
-    Everything else is a property of these fields."""
+    and why the grasp failed, a name from FAILURE_REASONS (None on
+    success). Everything else is a property of these fields."""
 
     d_series: np.ndarray          # (T_D + 1,)
     q_final: np.ndarray
     q_star: np.ndarray
     executed_style: int
-    table_collision: bool
     failure_reason: str | None = None
 
     @property
     def success(self) -> bool:
         return self.failure_reason is None
-
-    @property
-    def crushed(self) -> bool:
-        return self.failure_reason == "crush"
 
     @property
     def d_min(self) -> float:
@@ -148,15 +149,6 @@ class RolloutRecord:
     @property
     def d_final(self) -> float:
         return float(self.d_series[-1])
-
-    @property
-    def outcome(self) -> str:
-        """How the rollout ended, as named in training.OUTCOMES: "ok",
-        "degenerate" for every "degenerate_contacts: ..." reason, else
-        the failure reason."""
-        if self.failure_reason is None:
-            return "ok"
-        return "degenerate" if self.failure_reason.startswith("degenerate") else self.failure_reason
 
 
 def reset_env(
@@ -352,9 +344,7 @@ def check_table_collision(centers: np.ndarray, radii, tol: float = 0.002) -> np.
     return np.any(centers[..., 2] < radii + tol, axis=-1)
 
 
-def feasible_combination_batch(
-    generators: np.ndarray, loads: np.ndarray, tol: float = _LP_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase-1 simplex feasibility of  generators[i] @ alpha = loads[i],
     alpha >= 0, for a (B, m, n) stack of problems; returns ((B,) bools,
     (B, m, m) final basis inverses).
@@ -373,7 +363,8 @@ def feasible_combination_batch(
     generators): their reduced cost stays -0.0, so they never enter, and
     the real columns keep their order, before the artificial ones, so
     each tableau takes exactly the pivots, and the bits, it takes with
-    its zero columns left out.
+    its zero columns left out. Reduced costs and the phase-1 objective
+    compare against _LP_TOL.
     """
     a = np.array(generators, dtype=float)
     b = np.array(loads, dtype=float)
@@ -392,11 +383,11 @@ def feasible_combination_batch(
     feasible = np.zeros(count, dtype=bool)
     inverse = np.full((count, m, m), np.nan)
     for _ in range(1000):
-        cand = tab[:, m, : n + m] < -tol
+        cand = tab[:, m, : n + m] < -_LP_TOL
         done = ~cand.any(axis=1)
         if done.any():
             fin = np.flatnonzero(done)
-            feasible[ids[fin]] = ok = tab[fin, m, -1] >= -tol
+            feasible[ids[fin]] = ok = tab[fin, m, -1] >= -_LP_TOL
             fin = fin[ok & (basis[fin] < n).all(axis=1)]
             inverse[ids[fin]] = tab[fin, :m, n : n + m]
         enter = cand.argmax(axis=1)
@@ -423,7 +414,7 @@ def feasible_combination_batch(
         update[rows, leave] = False
         np.subtract(tab, factor[:, :, None] * pivot[:, None, :], out=tab, where=update[:, :, None])
         basis[rows, leave] = enter
-    feasible[ids] = tab[:, m, -1] >= -tol
+    feasible[ids] = tab[:, m, -1] >= -_LP_TOL
     return feasible, inverse
 
 
@@ -587,7 +578,7 @@ def rollout_batch(
         if crushed[i]:
             failure_reason = "crush"
         elif degenerate[i]:
-            failure_reason = "degenerate_contacts: non-finite contact geometry"
+            failure_reason = "degenerate"
             log.warning("episode failed: non-finite contact geometry")
         elif not success[i]:
             failure_reason = "table_collision" if table[i] else "no_closure"
@@ -596,7 +587,6 @@ def rollout_batch(
             q_final=joints[i, -1],
             q_star=q_star[i],
             executed_style=executed_style[i],
-            table_collision=bool(table[i]),
             failure_reason=failure_reason,
         ))
     return records

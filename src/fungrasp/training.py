@@ -111,7 +111,7 @@ from .policy import (
     squash,
 )
 from .rewards import TERMS, RewardConfig, total_reward
-from .sim import RolloutRecord, SimParams, reset_env, rollout_batch
+from .sim import FAILURE_REASONS, RolloutRecord, SimParams, reset_env, rollout_batch
 
 log = logging.getLogger(__name__)
 
@@ -134,7 +134,6 @@ __all__ = [
     "outcome_counts",
     "episode_summary",
     "OUTCOMES",
-    "config_to_dict",
     "config_from_dict",
 ]
 
@@ -178,12 +177,6 @@ class TrainConfig:
         for name in ("learning_rate", "clip_eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
 
 
 def _section(d, cls, section: str) -> dict:
@@ -305,17 +298,14 @@ class EpisodeResult:
 @dataclass
 class Batch:
     """The PPO batch: E' rows, one per episode that ran; results holds
-    all E episodes, errored ones included (the bandit's batch runs no
-    engine episodes, so its results are empty)."""
+    all E episodes, errored ones included."""
 
     obs: ObsBatch
     raw: np.ndarray                # (E', A)
     log_prob_old: np.ndarray       # (E',)
     rewards: np.ndarray            # (E',)
-    values_old: np.ndarray         # (E',)
     advantages: np.ndarray         # (E',) normalized
     results: list[EpisodeResult]
-    episode_errors: int
 
 
 ACTION_MODES = ("policy", "mean", "random", "identity")
@@ -397,8 +387,7 @@ def run_episodes(
         return results
 
     if mode == "policy":
-        sample = sample_action(mean[live], log_std, cfg.bounds, joint_count, draws[live])
-        raw, actions, logp = sample.raw, sample.action, sample.log_prob
+        raw, actions, logp = sample_action(mean[live], log_std, cfg.bounds, joint_count, draws[live])
     elif mode == "mean":
         raw = mean[live]
         actions = squash(raw, lo, hi)
@@ -568,18 +557,15 @@ def collect_batch(
         )
     ran = [r for r in results if r.error is None]
     rewards = np.array([r.reward for r in ran])
-    values = np.array([r.value for r in ran])
-    adv = rewards - values
+    adv = rewards - np.array([r.value for r in ran])
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     return Batch(
         obs=observe(ran, cfg, assets),
         raw=np.stack([r.raw for r in ran]),
         log_prob_old=np.array([r.log_prob for r in ran]),
         rewards=rewards,
-        values_old=values,
         advantages=adv,
         results=results,
-        episode_errors=len(results) - len(ran),
     )
 
 
@@ -604,32 +590,34 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
 
 
+# Adam's moment decay rates and its denominator's floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(
-    flat: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
-    scratch: tuple[np.ndarray, np.ndarray],
-    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+    flat: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, scratch: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """One Adam step in place: flat (a parameter vector), state.m and
     state.v are updated and state.step is counted up; grads is a gradient
     vector in the same layout (policy_backward's), and scratch a pair of
     vectors of that size for the temporaries. The operations run in this
-    order, each rounded once:
+    order, each rounded once (b1, b2, eps: ADAM_BETA1, ADAM_BETA2, ADAM_EPS):
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, m^ = m/(1-b1^t),
     v^ = v/(1-b2^t), flat -= (lr*m^) / (sqrt(v^) + eps)."""
     s0, s1 = scratch
     state.step += 1
     m, v = state.m, state.v
-    np.multiply(m, beta1, out=m)
-    np.multiply(grads, 1 - beta1, out=s0)
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(grads, 1 - ADAM_BETA1, out=s0)
     np.add(m, s0, out=m)
-    np.multiply(grads, 1 - beta2, out=s0)
+    np.multiply(grads, 1 - ADAM_BETA2, out=s0)
     np.multiply(s0, grads, out=s0)
-    np.multiply(v, beta2, out=v)
+    np.multiply(v, ADAM_BETA2, out=v)
     np.add(v, s0, out=v)
-    np.divide(m, 1 - beta1**state.step, out=s0)
-    np.divide(v, 1 - beta2**state.step, out=s1)
+    np.divide(m, 1 - ADAM_BETA1**state.step, out=s0)
+    np.divide(v, 1 - ADAM_BETA2**state.step, out=s1)
     np.sqrt(s1, out=s1)
-    np.add(s1, eps, out=s1)
+    np.add(s1, ADAM_EPS, out=s1)
     np.multiply(s0, lr, out=s0)
     np.divide(s0, s1, out=s0)
     np.subtract(flat, s0, out=flat)
@@ -723,15 +711,15 @@ def ppo_update(
 
 
 # episode outcomes, in the order metrics.jsonl and the eval report list them
-OUTCOMES = ("ok", "crush", "table_collision", "no_closure", "degenerate", "error")
+OUTCOMES = ("ok", *FAILURE_REASONS, "error")
 
 
 def outcome_counts(results: list[EpisodeResult]) -> dict:
     """How many episodes ended in each of OUTCOMES: "error" when the
-    episode raised, else its record's outcome."""
+    episode raised, else its record's failure reason or "ok"."""
     counts = dict.fromkeys(OUTCOMES, 0)
     for r in results:
-        counts["error" if r.record is None else r.record.outcome] += 1
+        counts["error" if r.record is None else r.record.failure_reason or "ok"] += 1
     return counts
 
 
@@ -763,7 +751,7 @@ def _batch_stats(batch: Batch, log_std: np.ndarray) -> dict:
         "gsr": len(succ) / max(1, len(ran)),
         "sad": float(np.mean([r.record.d_final for r in succ])) if succ else None,
         "sa": len(matches) / len(succ) if succ else None,
-        "episode_errors": batch.episode_errors,
+        "episode_errors": sum(r.error is not None for r in batch.results),
         **episode_summary(batch.results),
         "log_std": {"min": float(log_std.min()), "mean": float(log_std.mean()), "max": float(log_std.max())},
     }
@@ -787,6 +775,10 @@ def train(cfg: TrainConfig, assets: Assets, out_dir) -> dict:
     )
     adam = AdamState.init(params)
     ckpt_path = out_dir / "checkpoint.json"
+
+    def checkpoint(iteration: int) -> None:     # params as they are at the call
+        save_checkpoint(params, {"hand": assets.spec.name, "iteration": iteration, "rng": {"seed": cfg.seed}}, ckpt_path)
+
     with metrics_path.open("w") as metrics, EpisodePool(cfg.workers, assets) as pool:
         for it in range(cfg.iterations):
             batch = collect_batch(params, cfg, assets, it, pool)
@@ -803,16 +795,8 @@ def train(cfg: TrainConfig, assets: Assets, out_dir) -> dict:
                 metrics.write(json.dumps(line) + "\n")
                 metrics.flush()
             if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
-                save_checkpoint(
-                    params,
-                    {"hand": assets.spec.name, "iteration": it + 1, "rng": {"seed": cfg.seed}},
-                    ckpt_path,
-                )
-    save_checkpoint(
-        params,
-        {"hand": assets.spec.name, "iteration": cfg.iterations, "rng": {"seed": cfg.seed}},
-        ckpt_path,
-    )
+                checkpoint(it + 1)
+    checkpoint(cfg.iterations)
     return {"params": params, "metrics_path": metrics_path, "checkpoint_path": ckpt_path}
 
 

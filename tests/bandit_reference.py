@@ -61,7 +61,7 @@ def run_bandit(
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
             batch = Batch(
                 obs=obs_batch, raw=raw, log_prob_old=logp, rewards=rewards,
-                values_old=value, advantages=adv, results=[], episode_errors=0,
+                advantages=adv, results=[],
             )
             params, adam, _ = ppo_update(params, batch, cfg, adam, episode_rng(seed, STREAM_UPDATE, it))
             history.append(float(rewards.mean()))

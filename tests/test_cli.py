@@ -46,6 +46,14 @@ def test_check_gradients_passes_gate(capsys):
     assert payload["max_relative_error"] < 1e-4
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_gradients_needs_a_parameter_to_check(count, capsys):
+    """A --params below 1 checks nothing: a named user error, no verdict."""
+    assert main(["check-gradients", "--seed", "1", "--params", count]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: --params must be >= 1, got {count}" in err
+
+
 def test_sample_affordance_schema_and_determinism(capsys):
     assert main(["sample-affordance", "--seed", "3", "--object", "mug"]) == 0
     first = json.loads(capsys.readouterr().out)

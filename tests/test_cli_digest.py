@@ -27,6 +27,7 @@ DIGESTS = {
         "eval/episodes.jsonl": "943ce2d2e05d5024c96c78468ecb3b7ef541359388b56871334d10ff631979e2",
         "eval/report.json": "b3791fef6d056d77c10b0c22eb5a0f3f8734ef5246718744a45601f7dda51ff4",
         "collect/rollouts.jsonl": "182ff274fa58f9b567bc019defef89781d740a27495fd126e38f2e139d373bc8",
+        "collect/rollouts.jsonl.manifest.json": "b5e28129660bc6a3cbe10e67385f43157b544846b560eff540f1bb10d4a77f02",
     },
     "shadow_like": {
         "train_w1/metrics.jsonl": "e2879b97c97952d0384a0703f69c38e1e747a1d9a545e812115bd1b2b5418c85",
@@ -36,6 +37,7 @@ DIGESTS = {
         "eval/episodes.jsonl": "10a3ea7c3fb2d21c0fd7ba827295d440bfd5b9b676f599abbb81e04bc0b5444e",
         "eval/report.json": "4ac8625b56ea88edb8ab7af0a2a777304d6df79b7e8d593335d3684e48d941a8",
         "collect/rollouts.jsonl": "c538055a589ef3c2699a471ce5c9a6697601b3feab766eaa63a31b03b87c491f",
+        "collect/rollouts.jsonl.manifest.json": "c95eb829435a8f60ab9ab366cb29791cbf1160f3599703db85277e91ec07fc68",
     },
 }
 
@@ -66,7 +68,8 @@ def _outputs(hand: str, tmp_path) -> dict:
     out["eval/report.json"] = hashlib.sha256(json.dumps(report, indent=1).encode()).hexdigest()
     run = tmp_path / "collect"
     assert main(["collect", *common, *ckpt, "--out", str(run)]) == 0
-    out["collect/rollouts.jsonl"] = _sha(run / "rollouts.jsonl")
+    for name in ("rollouts.jsonl", "rollouts.jsonl.manifest.json"):
+        out[f"collect/{name}"] = _sha(run / name)
     return out
 
 

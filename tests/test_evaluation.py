@@ -35,7 +35,7 @@ def _row(success, d_final=0.02, q=None, cond=0, exe=0):
     """An episode result whose record measured d_final at every frame."""
     q = np.array(q if q is not None else [0.0] * 3, dtype=float)
     record = RolloutRecord(d_series=np.full(3, d_final), q_final=q, q_star=q, executed_style=exe,
-                           table_collision=False, failure_reason=None if success else "no_closure")
+                           failure_reason=None if success else "no_closure")
     return EpisodeResult(0, "box", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), cond, record=record)
 
 

@@ -1,6 +1,8 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+from collections import defaultdict
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -12,12 +14,19 @@ SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 # that are the program rather than its tests
 READERS = sorted(p for d in ("src/fungrasp", "tests", "perfbench", "scripts") for p in (ROOT / d).glob("*.py"))
 PROGRAM = [p for p in READERS if p.parent.name != "tests"]
+# the names a file may bind to the package itself
+PACKAGE_NAMES = {"fg", "fungrasp"}
 
 
-def unused_imports(source: str) -> list[str]:
+@cache
+def parsed(path: Path) -> ast.Module:
+    """The file's syntax tree, parsed once per session."""
+    return ast.parse(path.read_text())
+
+
+def unused_imports(tree) -> list[str]:
     """Names a module imports but never reads; a name listed in
     __all__ counts as read, and so does `from __future__`."""
-    tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -33,11 +42,11 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
-def stale_exports(source: str) -> list[str]:
+def stale_exports(tree) -> list[str]:
     """Names a module lists in __all__ but neither defines nor imports
     at its top level."""
     defined, exported = set(), []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -52,25 +61,25 @@ def stale_exports(source: str) -> list[str]:
 
 
 def test_unused_import_scan_catches_one():
-    assert unused_imports("import os\nimport json\nfrom a import b, c as d\nprint(json, d)\n") == [
+    assert unused_imports(ast.parse("import os\nimport json\nfrom a import b, c as d\nprint(json, d)\n")) == [
         "b (line 3)", "os (line 1)",
     ]
-    assert unused_imports("from __future__ import annotations\nfrom x import y\n__all__ = ['y']\n") == []
+    assert unused_imports(ast.parse("from __future__ import annotations\nfrom x import y\n__all__ = ['y']\n")) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(parsed(path)) == []
 
 
 def test_stale_export_scan_catches_one():
     source = "from a import b\nX = 1\ndef f(): pass\nclass C: pass\n__all__ = ['b', 'X', 'f', 'C', 'gone']\n"
-    assert stale_exports(source) == ["gone"]
+    assert stale_exports(ast.parse(source)) == ["gone"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_stale_exports(path):
-    assert stale_exports(path.read_text()) == []
+    assert stale_exports(parsed(path)) == []
 
 
 def _exported(tree) -> set[str]:
@@ -80,39 +89,48 @@ def _exported(tree) -> set[str]:
     return set()
 
 
-def names_used_from(tree, module: str) -> set[str]:
-    """The names a file takes from a package module: imported from it, or
-    read as an attribute of a name the file binds to it (by an import or
-    as in `a = fg.module`) or of a chain ending in it (`self.fg.module`)."""
-    aliases, used = set(), set()
-    for node in ast.walk(tree):
+def _is_package(node) -> bool:
+    """Whether node is the package: `fg`, `fungrasp` or a chain ending in one, as `self.fg`."""
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in PACKAGE_NAMES
+
+
+@cache
+def names_used_by(tree) -> dict[str, set[str]]:
+    """The names a file takes from each package module, by module name:
+    imported from it, or read as an attribute of a name the file binds to
+    it (by an import or as in `a = fg.module`) or of the module read off
+    the package (`fg.module.name`, `self.fg.module.name`). A chain whose
+    base is not the package, as `self.assets.spec`, reads nothing."""
+    aliases, used = defaultdict(set), defaultdict(set)
+    nodes = list(ast.walk(tree))
+    for node in nodes:
         if isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[-1] == module:
-                used |= {alias.name for alias in node.names}
-            aliases |= {alias.asname or alias.name for alias in node.names if alias.name == module}
+            used[(node.module or "").split(".")[-1]] |= {alias.name for alias in node.names}
+            for alias in node.names:
+                aliases[alias.asname or alias.name].add(alias.name)
         elif isinstance(node, ast.Import):
-            aliases |= {alias.asname for alias in node.names if alias.asname and alias.name.split(".")[-1] == module}
-        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == module:
-            aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            base = node.value
-            if (isinstance(base, ast.Name) and base.id in aliases) or (
-                isinstance(base, ast.Attribute) and base.attr == module
-            ):
-                used.add(node.attr)
+            for alias in (alias for alias in node.names if alias.asname):
+                aliases[alias.asname].add(alias.name.split(".")[-1])
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and _is_package(node.value.value):
+            for target in (t for t in node.targets if isinstance(t, ast.Name)):
+                aliases[target.id].add(node.value.attr)
+    for node in (n for n in nodes if isinstance(n, ast.Attribute)):
+        if isinstance(node.value, ast.Name):
+            for module in aliases.get(node.value.id, ()):
+                used[module].add(node.attr)
+        elif isinstance(node.value, ast.Attribute) and _is_package(node.value.value):
+            used[node.value.attr].add(node.attr)
     return used
 
 
-def unread_top_level_names(source: str, module: str, others: list[str]) -> list[str]:
+def unread_top_level_names(tree, module: str, others: list) -> list[str]:
     """Top-level functions, classes and assigned names of a module that
     the module never reads, that are not in __all__, and that no other
-    file (given as sources) imports or reads as an attribute."""
-    tree = ast.parse(source)
+    file (given as syntax trees) imports or reads as an attribute."""
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     used |= _exported(tree)
     for other in others:
-        used |= names_used_from(ast.parse(other), module)
+        used |= names_used_by(other)[module]
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -125,23 +143,28 @@ def unread_top_level_names(source: str, module: str, others: list[str]) -> list[
 
 def test_unread_name_scan_catches_one():
     source = "import logging\nlog = logging.getLogger(__name__)\nTOL = 1e-9\nA = 1\nB = 2\nC = 3\n"
-    source += "def f(): return A\ndef g(): pass\n__all__ = ['f']\nD = 4\nE = 5\n"
+    source += "def f(): return A\ndef g(): pass\n__all__ = ['f']\nD = 4\nE = 5\nF = 6\n"
     others = ["from fungrasp import mod\nprint(mod.B)\n", "from fungrasp.mod import C\n",
-              "import numpy as np\nnp.g()\n", "def h(fg):\n    m = fg.mod\n    return m.D, self.fg.mod.E\n"]
-    assert unread_top_level_names(source, "mod", others) == ["TOL (line 3)", "g (line 8)", "log (line 2)"]
+              "import numpy as np\nnp.g()\n", "def h(fg):\n    m = fg.mod\n    return m.D, self.fg.mod.E\n",
+              # an object attribute that only shares the module's name
+              "def k(self):\n    return self.mod.F\n"]
+    others = [ast.parse(other) for other in others]
+    assert unread_top_level_names(ast.parse(source), "mod", others) == [
+        "F (line 12)", "TOL (line 3)", "g (line 8)", "log (line 2)",
+    ]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unread_top_level_names(path):
-    others = [p.read_text() for p in READERS if p != path]
-    assert unread_top_level_names(path.read_text(), path.stem, others) == []
+    others = [parsed(p) for p in READERS if p != path]
+    assert unread_top_level_names(parsed(path), path.stem, others) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_export_is_read_by_the_program(path):
     """Each name in a module's __all__ is read by the module, another file
     of the package, the scripts or the bench: not by the tests alone."""
-    tree = ast.parse(path.read_text())
+    tree = parsed(path)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    used = used.union(*(names_used_from(ast.parse(p.read_text()), path.stem) for p in PROGRAM if p != path))
+    used = used.union(*(names_used_by(parsed(p))[path.stem] for p in PROGRAM if p != path))
     assert sorted(_exported(tree) - used) == []

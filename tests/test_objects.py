@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fungrasp.objects import (
+    AFFORD_H_MIN,
+    AFFORD_UP_WEIGHT,
     AffordanceDistribution,
-    AffordanceParams,
     ObjectError,
     ObjectModel,
     affordance_distribution,
@@ -41,15 +42,14 @@ def _cube_cloud(n_per_edge=6):
 def test_unit_cube_bbox():
     pts, nrm = _cube_cloud()
     obj = ObjectModel.from_points("cube", pts, nrm)
-    assert np.allclose(obj.bb_edges, [1.0, 1.0, 1.0], atol=1e-12)
+    assert np.allclose(np.ptp(obj.points, axis=0), [1.0, 1.0, 1.0], atol=1e-12)
     assert obj.obj_bb == 1.0
-    assert obj.obj_bb == obj.bb_edges.max()
 
 
 def test_cylinder_bbox():
     obj = make_cylinder(radius=0.03, height=0.20)
     assert abs(obj.obj_bb - 0.20) < 1e-9
-    assert np.allclose(obj.bb_edges[:2], [0.06, 0.06], atol=1e-3)
+    assert np.allclose(np.ptp(obj.points, axis=0)[:2], [0.06, 0.06], atol=1e-3)
 
 
 def test_canonicalization_shifts_min_z_to_zero():
@@ -73,31 +73,35 @@ def test_non_finite_rejected():
 
 def test_sphere_affordance_weights_follow_upward_normals():
     obj = make_sphere(radius=0.05, n=400)
-    dist = affordance_distribution(obj, AffordanceParams(beta=1.0, h_min=0.01, up_weight=1.0))
+    dist = affordance_distribution(obj)
+    out = obj.points - obj.centroid
+    out[:, 2] = 0.0
+    out /= np.linalg.norm(out, axis=1)[:, None]
     nz = obj.normals[:, 2]
-    admissible = obj.points[:, 2] >= 0.01
-    # lower hemisphere (and excluded band): zero weight
-    assert np.all(dist.weights[(nz <= 0) | ~admissible] == 0.0)
-    # weights proportional to nz among admissible upward points
-    sel = (nz > 0.1) & admissible
-    ratio = dist.weights[sel] / nz[sel]
+    score = AFFORD_UP_WEIGHT * nz + (1.0 - AFFORD_UP_WEIGHT) * np.einsum("ij,ij->i", obj.normals, out)
+    admissible = obj.points[:, 2] >= AFFORD_H_MIN
+    # facing down past the blend (and the excluded band): zero weight
+    assert np.all(dist.weights[(score <= 0) | ~admissible] == 0.0)
+    # weights proportional to the blended score among admissible points
+    sel = (score > 0.1) & admissible
+    ratio = dist.weights[sel] / score[sel]
     assert ratio.std() / ratio.mean() < 1e-9
-    top = int(np.argmax(obj.points[:, 2]))
-    assert dist.weights[top] == pytest.approx(dist.weights.max(), rel=1e-6)
+    # an even blend of up and out peaks half way up the upper hemisphere
+    assert nz[np.argmax(dist.weights)] == pytest.approx(np.sqrt(0.5), abs=0.1)
 
 
 def test_affordance_h_min_above_object_rejected():
-    obj = make_box(edges=(0.05, 0.05, 0.02))
+    obj = make_box(edges=(0.05, 0.05, AFFORD_H_MIN / 2))
     with pytest.raises(ObjectError, match="below h_min"):
-        affordance_distribution(obj, AffordanceParams(h_min=0.5))
+        affordance_distribution(obj)
 
 
 def test_affordance_uniform_fallback():
     pts, _ = _cube_cloud()
     down = np.tile([0.0, 0.0, -1.0], (pts.shape[0], 1))
     obj = ObjectModel.from_points("down", pts, down)
-    dist = affordance_distribution(obj, AffordanceParams(up_weight=1.0))
-    admissible = obj.points[:, 2] >= dist.params.h_min
+    dist = affordance_distribution(obj)
+    admissible = obj.points[:, 2] >= AFFORD_H_MIN
     assert np.allclose(dist.weights[admissible], 1.0 / admissible.sum())
     assert np.all(dist.weights[~admissible] == 0.0)
 
@@ -113,7 +117,7 @@ def test_sample_one_hot_and_determinism(objects):
     obj = objects["box"]
     w = np.zeros(len(obj.points))
     w[17] = 1.0
-    dist = AffordanceDistribution(weights=w, params=AffordanceParams())
+    dist = AffordanceDistribution(weights=w)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         assert sample_affordance_index(dist, rng) == 17
@@ -140,7 +144,7 @@ def test_sample_frequencies_match_weights():
     pts[:, 2] = 1.0
     w = np.zeros(64)
     w[[3, 17, 40]] = [0.2, 0.3, 0.5]
-    dist = AffordanceDistribution(weights=w, params=AffordanceParams())
+    dist = AffordanceDistribution(weights=w)
     rng = np.random.default_rng(7)
     draws = np.array([sample_affordance_index(dist, rng) for _ in range(100_000)])
     for idx, expected in ((3, 0.2), (17, 0.3), (40, 0.5)):

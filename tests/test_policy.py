@@ -216,9 +216,9 @@ def test_squash_within_bounds_bulk():
 def test_sample_action_deterministic_limit(small_params):
     bounds = EditBounds()
     mean = np.random.default_rng(10).normal(size=(3, 13)) * 0.3
-    sample = sample_action(mean, np.full(13, -40.0), bounds, 6, np.random.default_rng(0).standard_normal((3, 13)))
+    _, action, _ = sample_action(mean, np.full(13, -40.0), bounds, 6, np.random.default_rng(0).standard_normal((3, 13)))
     lo, hi = bounds.intervals(6)
-    assert np.allclose(sample.action, squash(mean, lo, hi), atol=1e-12)
+    assert np.allclose(action, squash(mean, lo, hi), atol=1e-12)
 
 
 def test_sample_action_empirical_mean():
@@ -227,7 +227,7 @@ def test_sample_action_empirical_mean():
     n = 100_000
     mean = np.full((n, 13), 0.2)
     log_std = np.full(13, -1.0)
-    raws = sample_action(mean, log_std, bounds, 6, rng.standard_normal((n, 13))).raw
+    raws, _, _ = sample_action(mean, log_std, bounds, 6, rng.standard_normal((n, 13)))
     err = np.abs(raws.mean(axis=0) - mean[0])
     assert np.all(err < 3 * np.exp(-1.0) / np.sqrt(n))
 
@@ -237,13 +237,13 @@ def test_log_prob_self_consistency(small_params, assets):
     rng = np.random.default_rng(12)
     obs = _random_obs(rng)
     mean, log_std, _, _ = policy_forward(small_params, obs)
-    sample = sample_action(mean, log_std, bounds, 6, rng.standard_normal(mean.shape))
+    raw, action, log_prob = sample_action(mean, log_std, bounds, 6, rng.standard_normal(mean.shape))
     lo, hi = bounds.intervals(6)
-    assert np.array_equal(sample.action, squash(sample.raw, lo, hi))
+    assert np.array_equal(action, squash(raw, lo, hi))
     # the update's batched log-prob of the stored raw sample, from a fresh forward pass
     mean2, log_std2, _, _ = policy_forward(small_params, obs[np.array([0, 0])])
-    recomputed, _, _ = log_prob_of_raw(mean2, log_std2, np.concatenate([sample.raw] * 2), bounds, 6)
-    assert recomputed == pytest.approx([sample.log_prob[0]] * 2, abs=1e-9)
+    recomputed, _, _ = log_prob_of_raw(mean2, log_std2, np.concatenate([raw] * 2), bounds, 6)
+    assert recomputed == pytest.approx([log_prob[0]] * 2, abs=1e-9)
 
 
 def test_log_prob_closed_form():

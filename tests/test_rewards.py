@@ -155,7 +155,7 @@ def test_table_rows_are_the_episodes_alone(cfg):
         alone = total_reward(success[i : i + 1], d_series[i, -1:], d_series[i].min(keepdims=True), q_final[i : i + 1],
                              q_style[i : i + 1], obj_bb[i : i + 1], cfg)
         record = RolloutRecord(d_series=d_series[i], q_final=q_final[i], q_star=q_final[i], executed_style=0,
-                               table_collision=False, failure_reason=None if success[i] else "no_closure")
+                               failure_reason=None if success[i] else "no_closure")
         want = reference_reward_terms(record, obj_bb[i], q_style[i], cfg)
         assert table[i].tobytes() == alone[0].tobytes() == want.tobytes(), i
 

@@ -500,7 +500,6 @@ def test_identity_rollout_succeeds_on_fixture(box_assets, demo, spec, styles):
     assert rec.success
     assert np.all(np.isfinite(rec.d_series))
     assert rec.executed_style == 0
-    assert not rec.table_collision and not rec.crushed
 
 
 def test_rollout_far_action_fails(box_assets, demo, spec, styles):
@@ -533,10 +532,10 @@ def test_rollout_record_invariants(box_assets, demo, spec, styles):
         assert rec.d_min <= rec.d_final + 1e-15
         assert np.all(rec.d_series >= 0.0)
         assert rec.d_min == rec.d_series.min() and rec.d_final == rec.d_series[-1]
-        assert rec.success == (rec.failure_reason is None) and rec.crushed == (rec.failure_reason == "crush")
-        # the outcome is the failure reason's leading word, "ok" on success
-        assert rec.outcome in OUTCOMES
-        assert rec.outcome == (rec.failure_reason or "ok").split(":")[0].removesuffix("_contacts")
+        assert rec.success == (rec.failure_reason is None)
+        # the failure reason is an outcome name as it stands
+        assert rec.failure_reason in (None, *sim.FAILURE_REASONS)
+        assert (rec.failure_reason or "ok") in OUTCOMES
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.failure_reason = "no_closure"
 
@@ -566,7 +565,6 @@ def test_crush_rule_triggers(box_assets, spec, styles, demo):
     # fingertips sink through the top face before the grasp frame
     (rec,) = rollout_batch(env, demo, [_action(dt=(-0.06, 0.0, 0.0))], spec, styles)
     assert not rec.success
-    assert rec.crushed
     assert rec.failure_reason == "crush"
 
 

@@ -53,7 +53,7 @@ class ObjectModel:
     normals: np.ndarray       # (N, 3) unit outward normals
     centroid: np.ndarray      # (3,)
     obj_bb: float             # the longest edge of the axis-aligned bounding box
-    normals_estimated: bool = False
+    box: np.ndarray           # (2, 3) that box's min and max corners
 
     @classmethod
     def from_points(cls, name: str, points, normals=None) -> "ObjectModel":
@@ -65,8 +65,7 @@ class ObjectModel:
         if not np.all(np.isfinite(points)):
             raise ObjectError(f"{name}: points contain non-finite values")
         points = points - np.array([0.0, 0.0, points[:, 2].min()])
-        normals_estimated = normals is None
-        if normals_estimated:
+        if normals is None:
             normals = estimate_normals(points)
         normals = np.array(normals, dtype=float)
         if normals.shape != points.shape:
@@ -78,15 +77,16 @@ class ObjectModel:
             raise ObjectError(f"{name}: zero-length normal at index {int(np.argmin(lens))}")
         normals = normals / lens[:, None]
         centroid = points.mean(axis=0)
-        for a in (points, normals, centroid):
+        box = np.stack([points.min(axis=0), points.max(axis=0)])
+        for a in (points, normals, centroid, box):
             a.setflags(write=False)
         return cls(
             name=name,
             points=points,
             normals=normals,
             centroid=centroid,
-            obj_bb=float((points.max(axis=0) - points.min(axis=0)).max()),
-            normals_estimated=normals_estimated,
+            obj_bb=float((box[1] - box[0]).max()),
+            box=box,
         )
 
 

@@ -41,7 +41,10 @@ to each style), and a masked mean adds the left-out fingers as exact
 zeros in the order np.mean adds, so every environment and record is bit
 for bit what the episode gets alone. _nearest takes its product in fixed
 row blocks and never sends a single row to the matrix product, which
-numpy would hand to gemv and round differently.
+numpy would hand to gemv and round differently. The exception: where a
+cloud holds a point twice (the bundled clouds' shared edges), which copy
+a row picks, at the same distance but with the other normal, can hang on
+the rows that share its block, as gemm may round the two columns apart.
 """
 
 from __future__ import annotations
@@ -215,7 +218,9 @@ def _nearest(centers: np.ndarray, pts: np.ndarray):
     distance is then the exact |c - p| of the chosen point. A row's
     answer does not depend on the other rows: no block has one row,
     since numpy hands a one-row product to gemv, which rounds
-    differently from gemm.
+    differently from gemm. The exception is a tie between exact
+    duplicates in pts: which copy a row picks can hang on the rows that
+    share its block (see the module's Determinism paragraph).
     """
     rows = centers if len(centers) != 1 else np.repeat(centers, 2, axis=0)
     neg2p = -2.0 * pts.T
@@ -284,7 +289,7 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
     for members in groups.values():
         obj = env.objs[members[0]]
         members = np.asarray(members)
-        lo, hi = obj.points.min(axis=0) - margin, obj.points.max(axis=0) + margin
+        lo, hi = obj.box[0] - margin, obj.box[1] + margin
         first = max(tl - 1, 0)
         sph = local[members, first:]                   # frames tl-1 (if any) and tl
         near = np.all((sph >= lo) & (sph <= hi), axis=-1)

@@ -65,6 +65,12 @@ PolicyParams and AdamState; policy_backward fills one gradient vector
 that the update allocates once. The caller's params and state are never
 written, so an aborted update simply returns them.
 
+The pool (EpisodePool, workers > 1) forks its workers. Its run writes
+the params once into an anonymous shared block that the workers read
+through a read-only PolicyParams view, so a task carries only small
+arguments, and each chunk comes back as columns (stacked arrays, plain
+lists), from which run rebuilds the EpisodeResults bit for bit.
+
 BLAS threads: each pool worker runs OpenBLAS on one thread, since the
 workers already share the cores between them. While a process pool
 (workers > 1) is open, the main process runs on one thread too, so that
@@ -80,8 +86,10 @@ import ctypes
 import dataclasses
 import json
 import logging
+import mmap
+import multiprocessing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,6 +111,7 @@ from .policy import (
     init_params,
     log_prob_of_raw,
     observation_checks,
+    param_shapes,
     param_views,
     policy_backward,
     policy_forward,
@@ -422,6 +431,7 @@ def run_episodes(
 # ---------------------------------------------------------------------------
 
 _WORKER_ASSETS: Assets | None = None
+_WORKER_FLAT: np.ndarray | None = None      # the pool's params block
 
 
 # (prefix, suffix) of the OpenBLAS builds' get/set_num_threads entry points
@@ -469,42 +479,83 @@ def _one_blas_thread():
             _pin_blas_threads(previous)
 
 
-def _pool_init(assets: Assets):
+def _pool_init(assets: Assets, block: mmap.mmap):
     """Worker set-up: the shared assets (and with them the worker's cloud
-    cache), and one BLAS thread. A worker forked from the pinned main
-    process already has one; a spawned one sets it here."""
-    global _WORKER_ASSETS
+    cache) and the pool's params block as an array. The worker is forked
+    from the pinned main process, so OpenBLAS already runs on one thread."""
+    global _WORKER_ASSETS, _WORKER_FLAT
     _WORKER_ASSETS = assets
-    _pin_blas_threads(1)
+    _WORKER_FLAT = np.frombuffer(block, dtype=float)
+
+
+# the fields of every result; a result that ran also has raw, action_vec, terms and its record
+_EVERY_ROW = ("index", "object_name", "pose_t", "pose_r", "p_afford", "conditioned_style", "log_prob", "value", "error")
+
+
+def _column(rows, name: str):
+    """Field `name` of each row: arrays stacked into one, other values listed."""
+    values = [getattr(row, name) for row in rows]
+    return np.stack(values) if values and isinstance(values[0], np.ndarray) else values
+
+
+def _columns(results: list[EpisodeResult]) -> tuple:
+    """A chunk's results as the columns a pool worker sends: one per field
+    of every result, of the results that ran and of their records."""
+    ran = [r for r in results if r.error is None]
+    return (
+        [_column(results, name) for name in _EVERY_ROW],
+        [_column(ran, name) for name in ("raw", "action_vec", "terms")],
+        [_column([r.record for r in ran], f.name) for f in dataclasses.fields(RolloutRecord)],
+    )
+
+
+def _results(columns: tuple) -> list[EpisodeResult]:
+    """The results that _columns took apart, each field with its bits."""
+    every, ran_cols, record_cols = columns
+    results = [EpisodeResult(**dict(zip(_EVERY_ROW, row))) for row in zip(*every)]
+    ran = [r for r in results if r.error is None]
+    for res, row, record in zip(ran, zip(*ran_cols), zip(*record_cols)):
+        res.raw, res.action_vec, res.terms = row
+        res.record = RolloutRecord(*record)
+    return results
 
 
 def _pool_chunk(args):
-    params, cfg, seed, stream_key, indices, train_mode, mode, force_style = args
-    return run_episodes(
-        params, cfg, _WORKER_ASSETS, seed, stream_key, indices,
+    """One worker's chunk as _columns, under the params in the pool's
+    block, laid out by the counts the task carries."""
+    counts, cfg, seed, stream_key, indices, train_mode, mode, force_style = args
+    return _columns(run_episodes(
+        PolicyParams(_WORKER_FLAT, *counts), cfg, _WORKER_ASSETS, seed, stream_key, indices,
         train_mode=train_mode, mode=mode, force_style=force_style,
-    )
+    ))
 
 
 class EpisodePool:
     """Bulk-synchronous episode runner; workers share read-only assets.
     Every episode of training and evaluation runs through `run`.
 
-    With workers > 1 the episodes run in a process pool. Each worker runs
-    OpenBLAS on one thread, and so does the main process from here until
-    `close`, which restores the count in force when the pool opened.
-    With workers == 1 the episodes run in the calling process, and its
-    BLAS threads are left as the caller set them."""
+    With workers > 1 the episodes run in forked processes, each on the
+    strided chunk c, c + workers, ... `run` returns or raises only once
+    every chunk has ended, so no worker reads the params block while the
+    next `run` writes it. Each worker runs OpenBLAS on one thread, and so
+    does the main process from here until `close`, which restores the
+    count in force when the pool opened. With workers == 1 the episodes
+    run in the calling process, and its BLAS threads are left as the
+    caller set them."""
 
     def __init__(self, workers: int, assets: Assets):
         self.workers = max(1, int(workers))
         self.assets = assets
         self._ex = None
-        self._open = ExitStack()       # closed in reverse: the executor, then the pin
+        self._open = ExitStack()       # closed in reverse: the executor, the block, then the pin
         if self.workers > 1:
             self._open.enter_context(_one_blas_thread())
+            size = sum(map(np.prod, param_shapes(len(assets.styles), assets.spec.joint_count).values()))
+            self._block = self._open.enter_context(mmap.mmap(-1, int(size) * np.dtype(float).itemsize))
+            self._flat = np.frombuffer(self._block, dtype=float)
             self._ex = self._open.enter_context(ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_pool_init, initargs=(assets,)
+                max_workers=self.workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_pool_init, initargs=(assets, self._block),
             ))
 
     def run(
@@ -519,18 +570,22 @@ class EpisodePool:
                 train_mode=train_mode, mode=mode, force_style=force_style,
             )
         else:
-            chunks = [indices[c :: self.workers] for c in range(self.workers)]
-            tasks = [(params, cfg, seed, stream_key, ch, train_mode, mode, force_style) for ch in chunks if ch]
+            self._flat[:] = params.flat
+            counts = (params.m_points, params.style_count, params.joint_count)
+            tasks = [(counts, cfg, seed, stream_key, indices[c :: self.workers], train_mode, mode, force_style)
+                     for c in range(min(self.workers, n_episodes))]
+            futures = [self._ex.submit(_pool_chunk, task) for task in tasks]
+            wait(futures)
             out = [None] * n_episodes
-            for results in self._ex.map(_pool_chunk, tasks):
-                for r in results:
+            for future in futures:
+                for r in _results(future.result()):
                     out[r.index] = r
         if out and all(r.error is not None for r in out):
             raise PolicyError(f"all {len(out)} episodes failed; the first: {out[0].error}")
         return out
 
     def close(self):
-        self._ex = None
+        self._ex = self._flat = None    # the block closes only when no view of it is left
         self._open.close()
 
     def __enter__(self):

@@ -104,6 +104,68 @@ def test_ppo_batch_obs_matches_the_batches_of_one(hand_setup, workers):
             assert _bits(getattr(batch.obs, f.name)) == _bits(getattr(want, f.name)), (skip, f.name)
 
 
+def _assert_same_typed_results(got, want):
+    """_assert_same_results, and every field of each result and of its
+    record of the same type."""
+    _assert_same_results(got, want)
+    for g, w in zip(got, want):
+        for a, b in ((g, w), (g.record, w.record)) if w.record is not None else ((g, w),):
+            for f in dataclasses.fields(b):
+                assert type(getattr(a, f.name)) is type(getattr(b, f.name)), (w.index, f.name)
+
+
+def test_pool_results_match_the_engine_in_this_process(hand_setup):
+    """Every field of every result a two-worker pool returns, by type,
+    dtype, shape and bytes, against run_episodes over the same indices in
+    this process: each mode, sampled and forced styles, a chunk with an
+    errored row (no raw, record or terms), and one episode, which leaves
+    the second worker without a chunk."""
+    assets, cfg, params = hand_setup
+    key = (1, 7)
+    third = run_episodes(params, cfg, assets, cfg.seed, key, [3], train_mode=True)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        # patched before the pool forks its workers, so that they run it too
+        mp.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, third))
+        with EpisodePool(2, assets) as pool:
+            for mode in MODES:
+                for force_style in (None, 2):
+                    kwargs = dict(train_mode=mode == "policy", mode=mode, force_style=force_style)
+                    for n in (24, 1):
+                        want = run_episodes(params, cfg, assets, cfg.seed, key, range(n), **kwargs)
+                        _assert_same_typed_results(pool.run(params, cfg, cfg.seed, key, n, **kwargs), want)
+                        if kwargs["train_mode"] and n > 1:
+                            assert [i for i, r in enumerate(want) if r.error is not None] == [3]
+                            assert want[3].raw is None and want[3].record is None and want[3].terms is None
+
+
+def test_pool_runs_each_call_under_its_own_params(hand_setup):
+    """Runs through one pool with different params each return the
+    results of their own params: the block a run writes is the one its
+    chunks read."""
+    assets, cfg, params = hand_setup
+    other = with_arrays(params, mean_b=-0.05)
+    key = (1, 7)
+    with EpisodePool(2, assets) as pool:
+        runs = [(p, pool.run(p, cfg, cfg.seed, key, 16, train_mode=True)) for p in (params, other, params)]
+    for p, got in runs:
+        _assert_same_typed_results(got, run_episodes(p, cfg, assets, cfg.seed, key, range(16), train_mode=True))
+    assert all(a.raw.tobytes() != b.raw.tobytes() for a, b in zip(runs[0][1], runs[1][1]))
+
+
+def test_pool_raises_the_engine_message_when_every_episode_errors(hand_setup):
+    assets, cfg, params = hand_setup
+    a_w1 = params.a_w1.copy()
+    a_w1[0, 0] = np.nan
+    broken = with_arrays(params, a_w1=a_w1)
+    messages = []
+    for workers in (1, 2):
+        with EpisodePool(workers, assets) as pool, pytest.raises(PolicyError) as raised:
+            pool.run(broken, cfg, cfg.seed, (1, 7), 9, train_mode=True)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("all 9 episodes failed; the first: PolicyError: non-finite activations")
+
+
 def test_edit_wrist_arrays_matches_the_per_episode_composition(demo):
     """Identity offsets, offsets under the first-order threshold and
     ordinary ones, on random object poses."""

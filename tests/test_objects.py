@@ -52,6 +52,15 @@ def test_cylinder_bbox():
     assert np.allclose(np.ptp(obj.points, axis=0)[:2], [0.06, 0.06], atol=1e-3)
 
 
+def test_box_is_the_clouds_exact_min_and_max(objects):
+    """box holds the per-axis min and max of the points, bit for bit, read
+    only; obj_bb is its longest edge."""
+    for obj in objects.values():
+        assert obj.box.tobytes() == np.stack([obj.points.min(axis=0), obj.points.max(axis=0)]).tobytes()
+        assert not obj.box.flags.writeable
+        assert obj.obj_bb == (obj.points.max(axis=0) - obj.points.min(axis=0)).max()
+
+
 def test_canonicalization_shifts_min_z_to_zero():
     pts, nrm = _cube_cloud()
     pts = pts + np.array([0.0, 0.0, -0.05])
@@ -204,17 +213,21 @@ def test_obj_bb_scales_linearly():
         assert scaled.obj_bb == pytest.approx(c * obj.obj_bb, rel=1e-12)
 
 
-def test_ply_round_trip(tmp_path, objects):
+_ESTIMATING = "no normals in file, estimating from 8-NN plane fits"
+
+
+def test_ply_round_trip(tmp_path, objects, caplog):
     obj = objects["cylinder"]
     path = tmp_path / "cyl.ply"
     save_object_ply(obj, path)
-    back = load_object(path)
+    with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
+        back = load_object(path)
     assert np.allclose(back.points, obj.points, atol=1e-15)
     assert np.allclose(back.normals, obj.normals, atol=1e-15)
-    assert not back.normals_estimated
+    assert not any(_ESTIMATING in r.getMessage() for r in caplog.records)
 
 
-def test_ply_without_normals_estimates_and_flags(tmp_path):
+def test_ply_without_normals_estimates_and_flags(tmp_path, caplog):
     obj = make_sphere(radius=0.05, n=300)
     path = tmp_path / "plain.ply"
     n = len(obj.points)
@@ -222,8 +235,9 @@ def test_ply_without_normals_estimates_and_flags(tmp_path):
             "property float x", "property float y", "property float z", "end_header"]
     rows = [" ".join(repr(float(v)) for v in p) for p in obj.points]
     path.write_text("\n".join(head + rows) + "\n")
-    back = load_object(path)
-    assert back.normals_estimated
+    with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
+        back = load_object(path)
+    assert [r.getMessage() for r in caplog.records] == [f"{path}: {_ESTIMATING}"]
     # estimated normals should roughly agree with the true radial field
     agree = np.einsum("ij,ij->i", back.normals, obj.normals)
     assert np.mean(agree > 0.9) > 0.95
@@ -268,10 +282,8 @@ def test_only_an_accepted_cloud_warns_of_estimated_normals(tmp_path, caplog):
     points = make_sphere(radius=0.05, n=100).points
     plain.write_text(_XYZ_HEADER.format(len(points)) + "".join(f"{x} {y} {z}\n" for x, y, z in points))
     with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
-        assert load_object(plain).normals_estimated
-    assert [r.getMessage() for r in caplog.records] == [
-        f"{plain}: no normals in file, estimating from 8-NN plane fits"
-    ]
+        load_object(plain)
+    assert [r.getMessage() for r in caplog.records] == [f"{plain}: {_ESTIMATING}"]
 
 
 def test_toy_suite_contents(objects):

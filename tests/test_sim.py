@@ -613,7 +613,8 @@ def test_nearest_matches_kdtree_and_dense_formula():
 
 def test_nearest_row_does_not_depend_on_its_block():
     """A row gets the same bits alone, in two rows, and at either side of
-    a block boundary (257 rows leave a lone last row)."""
+    a block boundary (257 rows leave a lone last row). The random cloud
+    has no duplicate points, where ties may go either way (see _nearest)."""
     rng = np.random.default_rng(5)
     pts = _random_cloud(rng, 1839)
     centers = _random_cloud(rng, 257) * 1.2

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -97,19 +99,50 @@ def test_collect_worker_determinism(assets, tiny_cfg, tiny_params):
 
 
 def test_chunk_pickle_carries_no_observation():
-    """A pool chunk's results, pickled as a worker returns them, hold no
-    cloud: a 48-episode inspire_like chunk (the share of one of two
-    workers of a 96-episode batch) stays under 1,200 B per episode."""
-    import pickle
+    """A pool chunk's results, pickled as the columns a worker returns,
+    hold no cloud: a 48-episode inspire_like chunk (the share of one of
+    two workers of a 96-episode batch) stays under 850 B per episode."""
+    import fungrasp.training as tr
 
     assets = hand_assets("inspire_like")
     cfg = TrainConfig(envs_per_iter=96, minibatch=32, m_points=64, seed=2026)
     params = init_params(episode_rng(cfg.seed, 4), cfg.m_points, len(assets.styles), assets.spec.joint_count)
     results = run_episodes(params, cfg, assets, cfg.seed, (1, 0), range(0, 96, 2), train_mode=True)
     assert all(r.error is None for r in results)
-    blob = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = pickle.dumps(tr._columns(results), protocol=pickle.HIGHEST_PROTOCOL)
     assert not any(c.tobytes() in blob for c in assets.cloud_cache.values())
-    assert len(blob) / len(results) <= 1_200
+    assert len(blob) / len(results) <= 850
+
+
+def test_pool_tasks_carry_no_params(assets, tiny_cfg, tiny_params):
+    """A pool run writes its params into the shared block; what it submits
+    per task is a small fraction of one params vector."""
+    sizes = []
+    with EpisodePool(2, assets) as pool:
+        submit = pool._ex.submit
+
+        def spy(fn, *args):
+            sizes.append(len(pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)))
+            return submit(fn, *args)
+
+        pool._ex.submit = spy
+        pool.run(tiny_params, tiny_cfg, 17, (1, 0), 8, train_mode=True)
+    assert len(sizes) == 2 and max(sizes) < tiny_params.flat.nbytes / 20
+
+
+def test_pool_leaves_no_process_and_closes_its_block(assets, tiny_cfg, tiny_params):
+    """Leaving a two-worker pool, normally or by an exception, joins its
+    workers and closes its params block."""
+    import multiprocessing
+
+    for fail in (False, True):
+        with pytest.raises(RuntimeError, match="inside the pool") if fail else nullcontext():
+            with EpisodePool(2, assets) as pool:
+                pool.run(tiny_params, tiny_cfg, 17, (1, 0), 4, train_mode=True)
+                assert len(multiprocessing.active_children()) == 2 and not pool._block.closed
+                if fail:
+                    raise RuntimeError("inside the pool")
+        assert multiprocessing.active_children() == [] and pool._block.closed
 
 
 def test_clipped_surrogate_hand_computed():
@@ -489,10 +522,12 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
 
     monkeypatch.setattr(policy, "farthest_point_sample", counted)
     monkeypatch.setattr(tr, "_WORKER_ASSETS", dataclasses.replace(assets))
-    task = (tiny_params, tiny_cfg, 17, (1, 0), list(range(8)), True, "policy", None)
-    first = tr._pool_chunk(task)
+    monkeypatch.setattr(tr, "_WORKER_FLAT", tiny_params.flat)
+    counts = (tiny_params.m_points, tiny_params.style_count, tiny_params.joint_count)
+    task = (counts, tiny_cfg, 17, (1, 0), list(range(8)), True, "policy", None)
+    first = tr._results(tr._pool_chunk(task))
     n_first = len(calls)
-    second = tr._pool_chunk(task)
+    second = tr._results(tr._pool_chunk(task))
     assert n_first == len({r.object_name for r in first}) and len(calls) == n_first
     assert [r.reward for r in first] == [r.reward for r in second]
     cache = tr._WORKER_ASSETS.cloud_cache

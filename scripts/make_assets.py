@@ -305,8 +305,8 @@ def replay_success(spec, styles, demo, obj, style_index=0) -> tuple[bool, str]:
         mask=np.isin(np.arange(spec.finger_count), style.contact_mask)[None],
     )
     identity = np.r_[np.zeros(6 + spec.joint_count), 1.0]  # no wrist offset, no residual, scale 1
-    (rec,) = rollout_batch(env, demo, [identity], spec, styles, SimParams())
-    return rec.success, rec.failure_reason or "ok"
+    *_, (reason,) = rollout_batch(env, demo, [identity], spec, styles, SimParams())
+    return reason is None, reason or "ok"
 
 
 def main() -> int:

@@ -8,7 +8,8 @@ deterministic, fast, and checkable against analytic grasps.
 
 reset_env resets E episodes as one EnvBatch, a column per fact from the
 object and its pose to the contact mask, and rollout_batch scores them
-at once; one episode is a batch of one. Joint targets, joint
+at once and returns the RolloutRecord fields as columns (training._results
+builds the records); one episode is a batch of one. Joint targets, joint
 trajectories, wrist edits and FK run once over all E x (T_D + 1)
 frames. The contact phase (detect_contacts) then works in each
 episode's object frame: one inverse rotation maps the sphere centers of
@@ -133,7 +134,8 @@ class RolloutRecord:
     affordance-to-contact-centroid distance of every frame, the final
     and the edited target joints, the style the final joints read as,
     and why the grasp failed, a name from FAILURE_REASONS (None on
-    success). Everything else is a property of these fields."""
+    success). Everything else is a property of these fields, which are
+    rollout_batch's columns in order."""
 
     d_series: np.ndarray          # (T_D + 1,)
     q_final: np.ndarray
@@ -531,10 +533,12 @@ def rollout_batch(
     spec: HandSpec,
     styles: list[Style],
     params: SimParams = SimParams(),
-) -> list[RolloutRecord]:
+) -> tuple:
     """Execute E edited trajectories, given as (E, 7 + J) action vectors
-    laid out [dt(3), dr(3), dq(J), k] (EditBounds.intervals); record i
-    is a pure function of (row i of env, actions[i]), bit for bit
+    laid out [dt(3), dr(3), dq(J), k] (EditBounds.intervals). Returns
+    RolloutRecord's fields as columns: d_series (E, T_D + 1), q_final
+    and q_star (E, J), and lists of executed styles and failure reasons;
+    row i is a pure function of (row i of env, actions[i]), bit for bit
     whatever else is in the batch.
 
     Target joints, joint trajectories, wrist edits and FK run once over
@@ -576,22 +580,9 @@ def rollout_batch(
         hit, points, normals, env, params.mu, params.eta, table_collision=table | crushed,
     )
 
-    executed_style = classify_style(spec, joints[:, -1], styles).tolist()
-    records = []
-    for i in range(e_count):
-        failure_reason = None
-        if crushed[i]:
-            failure_reason = "crush"
-        elif degenerate[i]:
-            failure_reason = "degenerate"
-            log.warning("episode failed: non-finite contact geometry")
-        elif not success[i]:
-            failure_reason = "table_collision" if table[i] else "no_closure"
-        records.append(RolloutRecord(
-            d_series=d_series[i],
-            q_final=joints[i, -1],
-            q_star=q_star[i],
-            executed_style=executed_style[i],
-            failure_reason=failure_reason,
-        ))
-    return records
+    # the first mask that holds names the outcome, else no_closure; indexed so episodes share each str
+    names = np.array(["crush", "degenerate", None, "table_collision", "no_closure"], dtype=object)
+    reasons = names[np.select([crushed, degenerate, success, table], [0, 1, 2, 3], 4)].tolist()
+    if degenerate.any():
+        log.warning("%d episode(s) failed: non-finite contact geometry", degenerate.sum())
+    return d_series, joints[:, -1], q_star, classify_style(spec, joints[:, -1], styles).tolist(), reasons

@@ -29,8 +29,10 @@ through three phases:
    crush, that yields one (E, F) contact table (each finger's deepest
    hit, or a zero row); the wrenches, gravity loads and d_series as
    array expressions over that table; one stacked closure LP (see sim).
-3. One rewards.total_reward over the chunk's records gives its (E, 5)
-   table of reward terms; each result gets its record and its row.
+3. One rewards.total_reward over the rollout's columns gives the
+   chunk's (E, 5) table of reward terms. The chunk stays columns to the
+   end: run_episodes returns them, and _results alone builds
+   EpisodeResults and RolloutRecords from them.
 
 Every batched step is element-wise or independent per episode or per
 query row (the forward pass takes its trunk products row by row; the
@@ -68,8 +70,8 @@ written, so an aborted update simply returns them.
 The pool (EpisodePool, workers > 1) forks its workers. Its run writes
 the params once into an anonymous shared block that the workers read
 through a read-only PolicyParams view, so a task carries only small
-arguments, and each chunk comes back as columns (stacked arrays, plain
-lists), from which run rebuilds the EpisodeResults bit for bit.
+arguments, and each worker sends back run_episodes' columns, from
+which run builds the EpisodeResults (_results) as for one worker.
 
 BLAS threads: each pool worker runs OpenBLAS on one thread, since the
 workers already share the cores between them. While a process pool
@@ -177,8 +179,8 @@ class TrainConfig:
     sim: SimParams = field(default_factory=SimParams)
 
     def __post_init__(self):
-        for name, low in (("minibatch", 1), ("workers", 1), ("eval_episodes", 1), ("iterations", 0),
-                          ("sigma_style", 0), ("eval_every", 0), ("checkpoint_every", 0)):
+        for name, low in (("minibatch", 1), ("workers", 1), ("eval_episodes", 1), ("m_points", 1), ("iterations", 0),
+                          ("epochs", 0), ("sigma_style", 0), ("eval_every", 0), ("checkpoint_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.envs_per_iter < self.minibatch:
@@ -279,10 +281,10 @@ def episode_rng(seed: int, stream: int, *key) -> np.random.Generator:
 
 @dataclass
 class EpisodeResult:
-    """One episode: phase 1 builds it from its row of the reset, phase 3
-    adds the rollout's record and its row of the reward table. An
-    errored episode keeps the facts of its reset and has no raw,
-    action_vec, record or terms."""
+    """One episode, built by _results from its row of run_episodes'
+    columns: the facts of its reset, its action, the rollout's record
+    and its row of the reward table. An errored episode keeps the facts
+    of its reset and has no raw, action_vec, record or terms."""
 
     index: int
     object_name: str
@@ -346,11 +348,15 @@ def run_episodes(
     train_mode: bool,
     mode: str = "policy",          # one of ACTION_MODES
     force_style: int | None = None,
-) -> list[EpisodeResult]:
+) -> tuple:
     """Full conditioned episodes, in the order of `indices`, as one chunk
     through the engine's three phases and its error rule (see the module
-    docstring). Each result is bit for bit what the episode gets in a
-    chunk of its own.
+    docstring). Returns its columns for _results, arrays stacked and the
+    rest listed: every episode's (index, object_name, pose_t, pose_r,
+    p_afford, conditioned_style, log_prob, value, error), then the raw,
+    action_vec and terms and the rollout_batch columns of those that
+    ran, both empty when none did. Each row is bit for bit what the
+    episode gets in a chunk of its own.
 
     force_style overrides the sampled style *after* the reset draws, so
     the environment (object, pose, affordance) is identical across the
@@ -359,7 +365,7 @@ def run_episodes(
     if mode not in ACTION_MODES:
         raise ValueError(f"unknown action mode {mode!r}")
     if not len(indices):
-        return []
+        return [], [], []
     joint_count = assets.spec.joint_count
     lo, hi = cfg.bounds.intervals(joint_count)
     rngs = [episode_rng(seed, *stream_key, i) for i in indices]
@@ -372,10 +378,6 @@ def run_episodes(
     elif mode == "random":
         draws = np.stack([rng.uniform(lo, hi) for rng in rngs])
 
-    results = [
-        EpisodeResult(i, obj.name, t, r, p, int(style))
-        for i, obj, t, r, p, style in zip(indices, env.objs, env.pose_t, env.pose_r, env.p_afford, env.style)
-    ]
     obs = encode_observation(
         env.objs, env.pose_t, env.pose_r, env.p_afford, env.style,
         assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache,
@@ -387,43 +389,38 @@ def run_episodes(
     except PolicyError as exc:      # the batch does not fit params: every row
         checks.append((str(exc), np.zeros(len(env), dtype=bool)))
     errors = row_errors(checks, len(env))
-    for res, error in zip(results, errors):
+    for i, error in zip(indices, errors):
         if error is not None:
-            log.warning("episode %d failed (%s); scored as zero reward", res.index, error)
-            res.error = f"PolicyError: {error}"
+            log.warning("episode %d failed (%s); scored as zero reward", i, error)
     live = [k for k, error in enumerate(errors) if error is None]
-    if not live:
-        return results
-
-    if mode == "policy":
-        raw, actions, logp = sample_action(mean[live], log_std, cfg.bounds, joint_count, draws[live])
-    elif mode == "mean":
-        raw = mean[live]
-        actions = squash(raw, lo, hi)
-        logp, _, _ = log_prob_of_raw(raw, log_std, raw, cfg.bounds, joint_count)
-    else:
-        if mode == "random":
-            actions = draws[live]
-        else:   # the identity edit: no wrist offset, no joint residual, scale 1
-            actions = np.tile(np.r_[np.zeros(6 + joint_count), 1.0], (len(live), 1))
-        raw = np.zeros_like(actions)
-        logp = np.zeros(len(live))
-    for k, row_raw, action, row_logp in zip(live, raw, actions, logp):
-        res = results[k]
-        res.raw, res.action_vec = row_raw, action
-        res.log_prob, res.value = float(row_logp), float(value[k])
-
-    env = env[live]
-    records = rollout_batch(env, assets.demo, actions, assets.spec, assets.styles, cfg.sim)
-    d_series = np.stack([record.d_series for record in records])
-    canonical = np.stack([style.q_canonical for style in assets.styles])
-    terms = total_reward(
-        [record.success for record in records], d_series[:, -1], d_series.min(axis=1),
-        np.stack([record.q_final for record in records]), canonical[env.style], env.obj_bb, cfg.reward,
-    )
-    for k, record, row in zip(live, records, terms):
-        results[k].record, results[k].terms = record, row
-    return results
+    policy_out = np.zeros((2, len(env)))      # log_prob and value, zero where an episode errored
+    ran, rollout = [], []
+    if live:
+        if mode == "policy":
+            raw, actions, logp = sample_action(mean[live], log_std, cfg.bounds, joint_count, draws[live])
+        elif mode == "mean":
+            raw = mean[live]
+            actions = squash(raw, lo, hi)
+            logp, _, _ = log_prob_of_raw(raw, log_std, raw, cfg.bounds, joint_count)
+        else:
+            if mode == "random":
+                actions = draws[live]
+            else:   # the identity edit: no wrist offset, no joint residual, scale 1
+                actions = np.tile(np.r_[np.zeros(6 + joint_count), 1.0], (len(live), 1))
+            raw = np.zeros_like(actions)
+            logp = np.zeros(len(live))
+        policy_out[:, live] = logp, value[live]
+        played = env[live]
+        rollout = rollout_batch(played, assets.demo, actions, assets.spec, assets.styles, cfg.sim)
+        d_series, q_final, _, _, reasons = rollout
+        canonical = np.stack([style.q_canonical for style in assets.styles])
+        terms = total_reward([reason is None for reason in reasons], d_series[:, -1], d_series.min(axis=1), q_final,
+                             canonical[played.style], played.obj_bb, cfg.reward)
+        ran = [raw, actions, terms]
+    errors = [None if error is None else f"PolicyError: {error}" for error in errors]
+    every = [list(indices), [obj.name for obj in env.objs], env.pose_t, env.pose_r, env.p_afford,
+             env.style.tolist(), *policy_out.tolist(), errors]
+    return every, ran, rollout
 
 
 # ---------------------------------------------------------------------------
@@ -488,46 +485,27 @@ def _pool_init(assets: Assets, block: mmap.mmap):
     _WORKER_FLAT = np.frombuffer(block, dtype=float)
 
 
-# the fields of every result; a result that ran also has raw, action_vec, terms and its record
-_EVERY_ROW = ("index", "object_name", "pose_t", "pose_r", "p_afford", "conditioned_style", "log_prob", "value", "error")
-
-
-def _column(rows, name: str):
-    """Field `name` of each row: arrays stacked into one, other values listed."""
-    values = [getattr(row, name) for row in rows]
-    return np.stack(values) if values and isinstance(values[0], np.ndarray) else values
-
-
-def _columns(results: list[EpisodeResult]) -> tuple:
-    """A chunk's results as the columns a pool worker sends: one per field
-    of every result, of the results that ran and of their records."""
-    ran = [r for r in results if r.error is None]
-    return (
-        [_column(results, name) for name in _EVERY_ROW],
-        [_column(ran, name) for name in ("raw", "action_vec", "terms")],
-        [_column([r.record for r in ran], f.name) for f in dataclasses.fields(RolloutRecord)],
-    )
-
-
 def _results(columns: tuple) -> list[EpisodeResult]:
-    """The results that _columns took apart, each field with its bits."""
-    every, ran_cols, record_cols = columns
-    results = [EpisodeResult(**dict(zip(_EVERY_ROW, row))) for row in zip(*every)]
-    ran = [r for r in results if r.error is None]
-    for res, row, record in zip(ran, zip(*ran_cols), zip(*record_cols)):
-        res.raw, res.action_vec, res.terms = row
-        res.record = RolloutRecord(*record)
+    """run_episodes' columns as its episodes' results, in the chunk's
+    order, each field with its bits; the one place where results and
+    records are built."""
+    every, ran_cols, rollout = columns
+    results = [EpisodeResult(i, name, t, r, p, style, log_prob=logp, value=value, error=error)
+               for i, name, t, r, p, style, logp, value, error in zip(*every)]
+    ran = [res for res in results if res.error is None]
+    for res, (raw, action_vec, terms), row in zip(ran, zip(*ran_cols), zip(*rollout)):
+        res.raw, res.action_vec, res.terms, res.record = raw, action_vec, terms, RolloutRecord(*row)
     return results
 
 
 def _pool_chunk(args):
-    """One worker's chunk as _columns, under the params in the pool's
-    block, laid out by the counts the task carries."""
+    """One worker's chunk, as run_episodes' columns, under the params in
+    the pool's block, laid out by the counts the task carries."""
     counts, cfg, seed, stream_key, indices, train_mode, mode, force_style = args
-    return _columns(run_episodes(
+    return run_episodes(
         PolicyParams(_WORKER_FLAT, *counts), cfg, _WORKER_ASSETS, seed, stream_key, indices,
         train_mode=train_mode, mode=mode, force_style=force_style,
-    ))
+    )
 
 
 class EpisodePool:
@@ -565,10 +543,10 @@ class EpisodePool:
         if every one of them errored."""
         indices = list(range(n_episodes))
         if self._ex is None:
-            out = run_episodes(
+            out = _results(run_episodes(
                 params, cfg, self.assets, seed, stream_key, indices,
                 train_mode=train_mode, mode=mode, force_style=force_style,
-            )
+            ))
         else:
             self._flat[:] = params.flat
             counts = (params.m_points, params.style_count, params.joint_count)

@@ -113,3 +113,34 @@ def poison_cloud_of(encode, episode):
         return obs
 
     return poisoned
+
+
+def bits(x):
+    """x as comparable bytes, through dataclasses, lists and floats."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (float, np.floating)):
+        return np.float64(x).tobytes()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple((f.name, bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(bits(v) for v in x)
+    return x
+
+
+def assert_same_results(got, want):
+    """Every field of each result, its record's included, by bits."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(w):
+            assert bits(getattr(g, f.name)) == bits(getattr(w, f.name)), (w.index, f.name)
+
+
+def assert_same_typed_results(got, want):
+    """assert_same_results, and every field of each result and of its
+    record of the same type."""
+    assert_same_results(got, want)
+    for g, w in zip(got, want):
+        for a, b in ((g, w), (g.record, w.record)) if w.record is not None else ((g, w),):
+            for f in dataclasses.fields(b):
+                assert type(getattr(a, f.name)) is type(getattr(b, f.name)), (w.index, f.name)

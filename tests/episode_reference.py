@@ -35,7 +35,7 @@ from fungrasp.policy import (
     squash,
     squash_correction,
 )
-from fungrasp.sim import rollout_batch
+from fungrasp.sim import RolloutRecord, rollout_batch
 from fungrasp.training import STREAM_TRAIN, EpisodeResult, episode_rng
 from pose_reference import compose_pose, pose
 
@@ -207,12 +207,12 @@ def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, tr
     if live:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(demo_module, "edit_wrist_arrays", reference_edit_wrist_arrays)
-            records = rollout_batch(
+            rollout = rollout_batch(
                 concat_envs([env for _, env, _ in live]), assets.demo, np.stack([a for _, _, a in live]),
                 assets.spec, assets.styles, cfg.sim,
             )
-        for (res, env, _), record in zip(live, records):
-            res.record = record
+        for (res, env, _), row in zip(live, zip(*rollout)):
+            res.record = record = RolloutRecord(*row)
             res.terms = reference_reward_terms(record, env.objs[0].obj_bb,
                                                assets.styles[res.conditioned_style].q_canonical, cfg.reward)
     return [res for res, _, _, _ in acted]

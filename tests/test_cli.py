@@ -310,7 +310,8 @@ def test_style_mask_of_one_finger_is_a_user_error(tmp_path, capsys):
 
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys):
     for train, field in (({"iterations": -3}, "iterations"), ({"workers": 0}, "workers"),
-                         ({"sim": {"mu": 0.0}}, "mu"), ({"m_points": 4000}, "m_points")):
+                         ({"sim": {"mu": 0.0}}, "mu"), ({"m_points": 4000}, "m_points"),
+                         ({"m_points": 0}, "m_points"), ({"m_points": -1}, "m_points"), ({"epochs": -1}, "epochs")):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 1, "train": {"envs_per_iter": 8, "minibatch": 8, **train}}))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1

@@ -18,7 +18,7 @@ from fungrasp.demo import edited_joint_trajectory
 from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.policy import init_params
 from fungrasp.rewards import TERMS
-from fungrasp.training import TrainConfig, episode_rng, run_episodes
+from fungrasp.training import TrainConfig, _results, episode_rng, run_episodes
 from fungrasp.evaluation import evaluate
 
 from conftest import with_arrays
@@ -200,7 +200,7 @@ def test_export_rebuilds_the_rollouts_trajectory(hand, tmp_path, monkeypatch):
         return real(spec, wrist_t, wrist_r, q)
 
     monkeypatch.setattr(sim, "forward_kinematics_batch", capture)
-    results = run_episodes(params, cfg, assets, 5, (1, 0), range(24), train_mode=True)
+    results = _results(run_episodes(params, cfg, assets, 5, (1, 0), range(24), train_mode=True))
     (fk_t, fk_r, fk_q), = seen
     frames_per = assets.demo.horizon + 1
     path = tmp_path / "frames.jsonl"

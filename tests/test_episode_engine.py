@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import poison_cloud_of, with_arrays
+from conftest import assert_same_results, assert_same_typed_results, bits, poison_cloud_of, with_arrays
 from contact_reference import hand_assets
 from episode_reference import (
     reference_axis_angle_to_quat,
@@ -33,26 +33,6 @@ from pose_reference import pose
 MODES = ("policy", "mean", "random", "identity")
 
 
-def _bits(x):
-    """x as comparable bytes, through dataclasses, lists and floats."""
-    if isinstance(x, np.ndarray):
-        return x.dtype.str, x.shape, x.tobytes()
-    if isinstance(x, (float, np.floating)):
-        return np.float64(x).tobytes()
-    if dataclasses.is_dataclass(x):
-        return type(x).__name__, tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
-    if isinstance(x, (list, tuple)):
-        return tuple(_bits(v) for v in x)
-    return x
-
-
-def _assert_same_results(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for f in dataclasses.fields(w):
-            assert _bits(getattr(g, f.name)) == _bits(getattr(w, f.name)), (w.index, f.name)
-
-
 @pytest.fixture(scope="module", params=["inspire_like", "shadow_like"])
 def hand_setup(request):
     """(assets, cfg, params) of a bundled hand, with action heads scaled
@@ -77,10 +57,10 @@ def test_chunk_matches_the_per_episode_engine(hand_setup, mode, force_style):
     assert all(r.error is None for r in want)
     if mode != "identity":
         assert len({r.record.failure_reason for r in want}) > 1
-    _assert_same_results(run_episodes(params, cfg, assets, cfg.seed, key, range(96), **kwargs), want)
+    assert_same_results(tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(96), **kwargs)), want)
     for chunk in ([5, 90], [41], list(range(3, 96, 7))):
-        got = run_episodes(params, cfg, assets, cfg.seed, key, chunk, **kwargs)
-        _assert_same_results(got, [want[i] for i in chunk])
+        got = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, chunk, **kwargs))
+        assert_same_results(got, [want[i] for i in chunk])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -90,7 +70,7 @@ def test_ppo_batch_obs_matches_the_batches_of_one(hand_setup, workers):
     cache in the main process; and with the first episode, the first on
     its object, errored, so that the cloud table starts elsewhere."""
     assets, cfg, params = hand_setup
-    first = run_episodes(params, cfg, assets, cfg.seed, (tr.STREAM_TRAIN, 0), [0], train_mode=True)[0]
+    (first,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, (tr.STREAM_TRAIN, 0), [0], train_mode=True))
     for skip in ((), (0,)):
         with pytest.MonkeyPatch.context() as mp:
             if skip:
@@ -101,17 +81,7 @@ def test_ppo_batch_obs_matches_the_batches_of_one(hand_setup, workers):
         assert [i for i, r in enumerate(batch.results) if r.error is not None] == list(skip)
         want = reference_batch_obs(params, cfg, assets, 0, skip)
         for f in dataclasses.fields(ObsBatch):
-            assert _bits(getattr(batch.obs, f.name)) == _bits(getattr(want, f.name)), (skip, f.name)
-
-
-def _assert_same_typed_results(got, want):
-    """_assert_same_results, and every field of each result and of its
-    record of the same type."""
-    _assert_same_results(got, want)
-    for g, w in zip(got, want):
-        for a, b in ((g, w), (g.record, w.record)) if w.record is not None else ((g, w),):
-            for f in dataclasses.fields(b):
-                assert type(getattr(a, f.name)) is type(getattr(b, f.name)), (w.index, f.name)
+            assert bits(getattr(batch.obs, f.name)) == bits(getattr(want, f.name)), (skip, f.name)
 
 
 def test_pool_results_match_the_engine_in_this_process(hand_setup):
@@ -122,7 +92,7 @@ def test_pool_results_match_the_engine_in_this_process(hand_setup):
     the second worker without a chunk."""
     assets, cfg, params = hand_setup
     key = (1, 7)
-    third = run_episodes(params, cfg, assets, cfg.seed, key, [3], train_mode=True)[0]
+    (third,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, [3], train_mode=True))
     with pytest.MonkeyPatch.context() as mp:
         # patched before the pool forks its workers, so that they run it too
         mp.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, third))
@@ -131,8 +101,8 @@ def test_pool_results_match_the_engine_in_this_process(hand_setup):
                 for force_style in (None, 2):
                     kwargs = dict(train_mode=mode == "policy", mode=mode, force_style=force_style)
                     for n in (24, 1):
-                        want = run_episodes(params, cfg, assets, cfg.seed, key, range(n), **kwargs)
-                        _assert_same_typed_results(pool.run(params, cfg, cfg.seed, key, n, **kwargs), want)
+                        want = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(n), **kwargs))
+                        assert_same_typed_results(pool.run(params, cfg, cfg.seed, key, n, **kwargs), want)
                         if kwargs["train_mode"] and n > 1:
                             assert [i for i, r in enumerate(want) if r.error is not None] == [3]
                             assert want[3].raw is None and want[3].record is None and want[3].terms is None
@@ -148,7 +118,8 @@ def test_pool_runs_each_call_under_its_own_params(hand_setup):
     with EpisodePool(2, assets) as pool:
         runs = [(p, pool.run(p, cfg, cfg.seed, key, 16, train_mode=True)) for p in (params, other, params)]
     for p, got in runs:
-        _assert_same_typed_results(got, run_episodes(p, cfg, assets, cfg.seed, key, range(16), train_mode=True))
+        want = tr._results(run_episodes(p, cfg, assets, cfg.seed, key, range(16), train_mode=True))
+        assert_same_typed_results(got, want)
     assert all(a.raw.tobytes() != b.raw.tobytes() for a, b in zip(runs[0][1], runs[1][1]))
 
 
@@ -234,7 +205,7 @@ def test_nan_row_errors_alone(hand_setup):
     message it gets in a chunk of one; every other row keeps its bits."""
     assets, cfg, params = hand_setup
     key = (1, 3)
-    reference = run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True)
+    reference = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True))
     real = tr.encode_observation
 
     def poisoned(objs, pose_t, *args):
@@ -247,11 +218,11 @@ def test_nan_row_errors_alone(hand_setup):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tr, "encode_observation", poisoned)
-        got = run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True)
-        (alone,) = run_episodes(params, cfg, assets, cfg.seed, key, [4], train_mode=True)
+        got = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True))
+        (alone,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, [4], train_mode=True))
     assert got[4].error == alone.error == "PolicyError: non-finite observation field s_o"
     assert got[4].record is None and got[4].raw is None
-    _assert_same_results(got[:4] + got[5:], reference[:4] + reference[5:])
+    assert_same_results(got[:4] + got[5:], reference[:4] + reference[5:])
 
 
 def test_row_errors_keep_the_batch_of_one_order(forward_setup):

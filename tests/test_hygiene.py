@@ -168,3 +168,39 @@ def test_every_export_is_read_by_the_program(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     used = used.union(*(names_used_by(parsed(p))[path.stem] for p in PROGRAM if p != path))
     assert sorted(_exported(tree) - used) == []
+
+
+# the types whose objects the package builds only in training._results
+BUILT_IN_ONE_PLACE = {"EpisodeResult", "RolloutRecord"}
+
+
+def calls_outside(tree, names: set[str], allowed: str | None) -> list[str]:
+    """Calls of the named callables, by bare name or as an attribute,
+    anywhere in a module but inside its top-level function `allowed`."""
+    inside = {
+        id(n) for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == allowed
+        for n in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name in names:
+                found.append(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_outside_call_scan_catches_one():
+    source = "def build(c):\n    return A(c), m.B(c)\n\ndef other(c):\n    return m.A(c), build(c)\n\nB(1)\n"
+    assert calls_outside(ast.parse(source), {"A", "B"}, "build") == ["A (line 5)", "B (line 7)"]
+    assert calls_outside(ast.parse(source), {"A", "B"}, None) == [
+        "A (line 2)", "A (line 5)", "B (line 2)", "B (line 7)",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_results_and_records_are_built_in_one_place(path):
+    """EpisodeResult(...) and RolloutRecord(...) are called only inside
+    training._results, which builds them from the engine's columns."""
+    allowed = "_results" if path.name == "training.py" else None
+    assert calls_outside(parsed(path), BUILT_IN_ONE_PLACE, allowed) == []

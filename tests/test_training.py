@@ -6,6 +6,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from fungrasp import training as tr
 from fungrasp.policy import PolicyError, init_params
 from fungrasp.rewards import total_reward
 from episode_reference import reference_reward_terms
@@ -45,8 +46,8 @@ def tiny_params(assets, tiny_cfg):
 
 
 def test_single_episode_deterministic(assets, tiny_cfg, tiny_params):
-    (a,) = run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0], train_mode=True)
-    (b,) = run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0], train_mode=True)
+    (a,) = tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0], train_mode=True))
+    (b,) = tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0], train_mode=True))
     assert a.object_name == b.object_name
     assert np.array_equal(a.raw, b.raw)
     assert a.log_prob == b.log_prob
@@ -102,16 +103,15 @@ def test_chunk_pickle_carries_no_observation():
     """A pool chunk's results, pickled as the columns a worker returns,
     hold no cloud: a 48-episode inspire_like chunk (the share of one of
     two workers of a 96-episode batch) stays under 850 B per episode."""
-    import fungrasp.training as tr
-
     assets = hand_assets("inspire_like")
     cfg = TrainConfig(envs_per_iter=96, minibatch=32, m_points=64, seed=2026)
     params = init_params(episode_rng(cfg.seed, 4), cfg.m_points, len(assets.styles), assets.spec.joint_count)
-    results = run_episodes(params, cfg, assets, cfg.seed, (1, 0), range(0, 96, 2), train_mode=True)
-    assert all(r.error is None for r in results)
-    blob = pickle.dumps(tr._columns(results), protocol=pickle.HIGHEST_PROTOCOL)
+    columns = run_episodes(params, cfg, assets, cfg.seed, (1, 0), range(0, 96, 2), train_mode=True)
+    errors = columns[0][-1]
+    assert errors == [None] * 48
+    blob = pickle.dumps(columns, protocol=pickle.HIGHEST_PROTOCOL)
     assert not any(c.tobytes() in blob for c in assets.cloud_cache.values())
-    assert len(blob) / len(results) <= 850
+    assert len(blob) / len(errors) <= 850
 
 
 def test_pool_tasks_carry_no_params(assets, tiny_cfg, tiny_params):
@@ -271,7 +271,6 @@ def test_ppo_update_abort_after_in_place_steps_returns_the_incoming_state(assets
     """A non-finite loss in the last minibatch of the first epoch aborts
     after Adam has stepped the private buffers in place: the incoming
     params and state come back unwritten, as the reference returns them."""
-    import fungrasp.training as tr
 
     params, adam, _ = ppo_update(tiny_params, collect_batch(tiny_params, tiny_cfg, assets, 0), tiny_cfg,
                                  AdamState.init(tiny_params), episode_rng(0, 3, 0))
@@ -378,7 +377,8 @@ def test_config_from_dict_checks_value_types(d, named):
 
 @pytest.mark.parametrize("field, value", [
     ("iterations", -3), ("workers", 0), ("minibatch", 0), ("sigma_style", -0.01),
-    ("eval_every", -1), ("checkpoint_every", -1), ("eval_episodes", 0),
+    ("eval_every", -1), ("checkpoint_every", -1), ("eval_episodes", 0), ("m_points", 0), ("m_points", -1),
+    ("epochs", -1),
 ])
 def test_train_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
@@ -386,7 +386,6 @@ def test_train_config_rejects_out_of_range(field, value):
 
 
 def test_m_points_beyond_the_smallest_cloud_fails_before_any_episode(assets, tmp_path, monkeypatch):
-    import fungrasp.training as tr
     from fungrasp.evaluation import evaluate
 
     smallest = min(len(o.points) for o in assets.objects)
@@ -422,10 +421,9 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
     error type and the facts of its reset, gets zero reward, adds no
     sample to the PPO batch, and leaves every other episode unchanged bit
     for bit."""
-    import fungrasp.training as tr
 
     def run(indices):
-        return tr.run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True)
+        return tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True))
 
     # run() draws the same episodes as the batch of iteration 0 (seed 17, stream 1)
     reference = collect_batch(tiny_params, tiny_cfg, assets, 0)
@@ -458,7 +456,6 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
 def test_batched_rollout_failure_is_contained(assets, tiny_cfg, tiny_params, monkeypatch):
     """Only a PolicyError in phase 1 is scored per episode: any other
     exception, from the batched rollout or from phase 1, propagates."""
-    import fungrasp.training as tr
 
     def boom(*args):
         raise RuntimeError("synthetic geometry failure")
@@ -491,10 +488,8 @@ def test_every_episode_failing_raises(assets, tiny_cfg, tiny_params):
 
 
 def test_engine_chunking_does_not_change_results(assets, tiny_cfg, tiny_params):
-    import fungrasp.training as tr
-
     def run(indices):
-        return tr.run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True)
+        return tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True))
 
     whole = run(range(8))
     split = run([5, 1, 7]) + run([0, 2, 3, 4, 6])
@@ -511,7 +506,6 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
     cloud the Assets cache; a pool worker's copy of the assets is its
     cache for the worker's lifetime."""
     import fungrasp.policy as policy
-    import fungrasp.training as tr
 
     calls = []
     real = policy.farthest_point_sample
@@ -534,7 +528,8 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
     assert sorted(cache) == sorted((name, 32, tiny_cfg.seed) for name in {r.object_name for r in first})
     assert all(not c.flags.writeable for c in cache.values())
     # another Assets bundle starts with an empty cache
-    third = tr.run_episodes(tiny_params, tiny_cfg, dataclasses.replace(assets), 17, (1, 0), range(8), train_mode=True)
+    third = tr._results(run_episodes(tiny_params, tiny_cfg, dataclasses.replace(assets), 17, (1, 0), range(8),
+                                      train_mode=True))
     assert len(calls) == 2 * n_first
     assert [r.reward for r in third] == [r.reward for r in first]
 

@@ -54,6 +54,8 @@ class ObjectModel:
     centroid: np.ndarray      # (3,)
     obj_bb: float             # the longest edge of the axis-aligned bounding box
     box: np.ndarray           # (2, 3) that box's min and max corners
+    # sim's crush-floor table, filled cell by cell on first use (sim._crush_floor)
+    crush_floor: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_points(cls, name: str, points, normals=None) -> "ObjectModel":

@@ -18,7 +18,10 @@ test drops spheres too far from the cloud to matter, at the grasp frame
 as on the approach. Per object, one _nearest call answers the kept
 spheres of the grasp frame and the last approach frame of every episode
 on that object, and a second one the earlier approach frames of only
-the episodes that the last approach frame did not crush. What comes out
+the episodes that the last approach frame did not crush. Before either
+call, an approach row whose cell of the object's crush-floor table
+(_may_crush, filled lazily and held on the object) proves that it cannot
+crush is dropped; grasp-frame rows are always queried. What comes out
 is one contact table of fixed shape: hit (E, F), points and normals
 (E, F, 3), each finger's deepest hit in the world frame and a zero row
 where it has none. Everything after it is an array expression over the
@@ -46,6 +49,8 @@ numpy would hand to gemv and round differently. The exception: where a
 cloud holds a point twice (the bundled clouds' shared edges), which copy
 a row picks, at the same distance but with the other normal, can hang on
 the rows that share its block, as gemm may round the two columns apart.
+The crush-floor cull changes which rows share a block; it is exact, so
+this tie stays the one exception whatever the cull's table holds.
 """
 
 from __future__ import annotations
@@ -223,6 +228,7 @@ def _nearest(centers: np.ndarray, pts: np.ndarray):
     differently from gemm. The exception is a tie between exact
     duplicates in pts: which copy a row picks can hang on the rows that
     share its block (see the module's Determinism paragraph).
+    detect_contacts first drops the approach rows _may_crush clears.
     """
     rows = centers if len(centers) != 1 else np.repeat(centers, 2, axis=0)
     neg2p = -2.0 * pts.T
@@ -239,6 +245,61 @@ def _nearest(centers: np.ndarray, pts: np.ndarray):
     idx = idx[: len(centers)]
     diff = centers - pts[idx]
     return idx, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+# _may_crush's table: cells of side _CELL over the box grown by _GRID_GROW,
+# at most _FILL_BUDGET new ones per detect_contacts call, _FILL_BLOCK at a time
+_CELL = 0.004
+_GRID_GROW = 0.016
+_FILL_BUDGET = 64
+_FILL_BLOCK = 32
+
+
+def _may_crush(obj: ObjectModel, rows: np.ndarray, crush_gap: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
+    """Which object-frame approach rows c may crush, and the fill budget
+    left: those whose cell's floor L is below their crush_gap + 1e-9 (the
+    einsum's rounding). No row it drops can crush.
+
+    Of a cell with center x and half-diagonal h, L = min (x - p).n_p - h
+    over the points p within d(x) + 2h + 1 um of x, d(x) being x's
+    distance to the cloud. Every copy of the point _nearest matches c to
+    is among them (|x - p| <= |x - c| + d(c) <= d(x) + 2h; the micrometer
+    covers the rounding of the argmin and of the products here), and with
+    unit normals (c - p).n_p >= (x - p).n_p - h >= L. A cell outside the
+    table or not filled yet has L = -inf. Up to budget of the unfilled
+    cells the rows touch are filled, _FILL_BLOCK at a time, so the
+    (block, N) scratch stays small.
+    """
+    lo = obj.box[0] - _GRID_GROW
+    table = obj.crush_floor.get("table")
+    if table is None:  # -inf marks an unfilled cell
+        shape = np.ceil((obj.box[1] - obj.box[0] + 2 * _GRID_GROW) / _CELL).astype(int)
+        table = obj.crush_floor["table"] = np.full(tuple(shape), -np.inf)
+    cell = np.floor((rows - lo) / _CELL).astype(np.intp)
+    inside = np.all((cell >= 0) & (cell < table.shape), axis=1)
+    flat = np.ravel_multi_index(tuple(cell[inside].T), table.shape)
+    new = flat[(table.flat[flat] == -np.inf) & (budget > 0)]
+    half = _CELL * np.sqrt(3.0) / 2.0
+    if len(new):  # the distinct ones in order; np.unique would import numpy.ma
+        seen = np.zeros(table.size, dtype=bool)
+        seen[new] = True
+        new = np.flatnonzero(seen)[:budget]
+        neg2p, p2 = -2.0 * obj.points.T, np.einsum("ij,ij->i", obj.points, obj.points)
+        pn = np.einsum("ij,ij->i", obj.points, obj.normals)
+    for b in range(0, len(new), _FILL_BLOCK):
+        cells = new[b : b + _FILL_BLOCK]
+        x = lo + (np.stack(np.unravel_index(cells, table.shape), axis=1) + 0.5) * _CELL
+        x2 = np.einsum("ij,ij->i", x, x)
+        d2 = x @ neg2p
+        d2 += p2  # |x - p|^2 - |x|^2
+        reach = (np.sqrt(np.maximum(d2.min(axis=1) + x2, 0.0)) + 2.0 * half + 1e-6) ** 2 - x2
+        gap = x @ obj.normals.T
+        gap -= pn  # (x - p).n_p
+        np.copyto(gap, np.inf, where=d2 > reach[:, None])
+        table.flat[cells] = gap.min(axis=1) - half
+    floor = np.full(len(rows), -np.inf)
+    floor[inside] = table.flat[flat]
+    return floor < crush_gap + 1e-9, budget - len(new)
 
 
 def _crushing(obj: ObjectModel, rows: np.ndarray, found: np.ndarray, crush_gap: np.ndarray) -> np.ndarray:
@@ -266,8 +327,11 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
     of frame tl and of the last approach frame, tl-1, of every episode
     on it, the frame where a crushing approach shows most often. A
     second call takes frames 0..tl-2 of only the episodes that frame
-    left uncrushed. A query row's answer does not depend on the other
-    rows, so the table is the one a single query of every frame gives.
+    left uncrushed. Before each call, approach rows that their cell's
+    crush floor proves cannot crush (_may_crush) are dropped, filling at
+    most _FILL_BUDGET new cells per call. A query row's answer does not
+    depend on the other rows, so the table is the one a single query of
+    every frame gives.
     """
     e_count = len(env)
     k_count = centers.shape[2]
@@ -285,6 +349,7 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
     # crush and contacts only need spheres near the cloud: quick-reject
     # everything outside its bounding box grown by radius + shell
     margin = radii.max() + params.delta_c + 1e-9
+    budget = _FILL_BUDGET
     groups: dict[int, list[int]] = {}
     for i, obj in enumerate(env.objs):
         groups.setdefault(id(obj), []).append(i)
@@ -296,9 +361,12 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
         sph = local[members, first:]                   # frames tl-1 (if any) and tl
         near = np.all((sph >= lo) & (sph <= hi), axis=-1)
         rows = sph[near]
-        found, d = _nearest(rows, obj.points)
         a, t, k = np.nonzero(near)
         grasp = t == tl - first
+        keep = grasp.copy()
+        keep[~grasp], budget = _may_crush(obj, rows[~grasp], crush_gap[k[~grasp]], budget)
+        a, k, rows, grasp = a[keep], k[keep], rows[keep], grasp[keep]
+        found, d = _nearest(rows, obj.points)
         at = members[a[grasp]], k[grasp]
         dist_tl[at] = d[grasp]
         grasp_pts[at] = obj.points[found[grasp]]
@@ -310,10 +378,12 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
             continue
         sph = local[rest, : tl - 1]
         near = np.all((sph >= lo) & (sph <= hi), axis=-1)
-        if near.any():
-            rows = sph[near]
+        rows = sph[near]
+        a, _, k = np.nonzero(near)
+        keep, budget = _may_crush(obj, rows, crush_gap[k], budget)
+        if keep.any():
+            rows, a, k = rows[keep], a[keep], k[keep]
             found, _ = _nearest(rows, obj.points)
-            a, _, k = np.nonzero(near)
             crushed[rest[a[_crushing(obj, rows, found, crush_gap[k])]]] = True
 
     # per finger, its deepest in-shell sphere; ties go to the lowest sphere
@@ -547,7 +617,8 @@ def rollout_batch(
     0..T_l into each episode's object frame with one inverse rotation,
     keeps those inside the cloud's grown bounding box, queries per
     object the grasp and last approach frames of all its episodes and
-    then the earlier frames of those not yet crushed, takes the crush
+    then the earlier frames of those not yet crushed, less the approach
+    rows the crush-floor table proves cannot crush, takes the crush
     gap in the object frame, and returns the (E, F) contact table of
     each finger's deepest hit, rotated back to the world frame. Every
     grasp that gets that far is scored at once (grasp_success_batch):
@@ -585,4 +656,5 @@ def rollout_batch(
     reasons = names[np.select([crushed, degenerate, success, table], [0, 1, 2, 3], 4)].tolist()
     if degenerate.any():
         log.warning("%d episode(s) failed: non-finite contact geometry", degenerate.sum())
-    return d_series, joints[:, -1], q_star, classify_style(spec, joints[:, -1], styles).tolist(), reasons
+    q_final = joints[:, -1].copy()  # a view would keep the whole (E, T_D + 1, J) trajectory alive
+    return d_series, q_final, q_star, classify_style(spec, q_final, styles).tolist(), reasons

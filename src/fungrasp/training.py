@@ -193,8 +193,8 @@ class TrainConfig:
 def _section(d, cls, section: str) -> dict:
     """d, checked as the config section `section` of dataclass cls: an
     object whose keys are fields of cls and whose values fit each
-    field's default (an object for a section, any number for a float,
-    otherwise the default's type; a bool is not a number)."""
+    field's default (an object for a section, any finite number for a
+    float, otherwise the default's type; a bool is not a number)."""
     if not isinstance(d, dict):
         raise ValueError(f"config '{section}' must be an object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
@@ -208,6 +208,8 @@ def _section(d, cls, section: str) -> dict:
         if not isinstance(value, want) or isinstance(value, bool) != isinstance(default, bool):
             kind = "an object" if nested else type(default).__name__
             raise ValueError(f"config '{section}.{name}' must be {kind}, got {value!r}")
+        if isinstance(value, float) and not np.isfinite(value):  # json reads NaN and Infinity
+            raise ValueError(f"config '{section}.{name}' must be a finite number, got {value!r}")
     return d
 
 

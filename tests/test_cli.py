@@ -262,6 +262,24 @@ def test_config_shape_and_type_errors_are_user_errors(tmp_path, capsys, text, na
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize("literal, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e999", "inf")])
+@pytest.mark.parametrize("section, key", [
+    ("train", "learning_rate"), ("train.reward", "gamma"), ("train.bounds", "b_t"), ("train.sim", "mu"),
+])
+def test_non_finite_config_numbers_are_user_errors(tmp_path, capsys, literal, shown, section, key):
+    """json reads NaN, Infinity and an overflowing number as floats; a
+    config section rejects each, naming the key, before any episode runs."""
+    value = f'{{"{key}": {literal}}}'
+    for name in reversed(section.split(".")[1:]):
+        value = f'{{"{name}": {value}}}'
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"seed": 1, "train": {value}}}')
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"config '{section}.{key}' must be a finite number, got {shown}" in err and "internal error" not in err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv, text", [
     (["eval", "--checkpoint", "{file}"], "[1, 2]"),
     (["demo", "inspect", "--demo", "{file}"], "[]"),

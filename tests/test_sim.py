@@ -15,7 +15,9 @@ from pose_reference import compose_pose, invert_pose, pose, transform_point
 from fungrasp import sim
 from fungrasp.demo import EditBounds
 from fungrasp.geometry import axis_angle_to_quat, quat_rotate
-from fungrasp.objects import make_cylinder, make_sphere
+from fungrasp.assets import default_hand_path
+from fungrasp.hand import load_hand_spec, sphere_metadata
+from fungrasp.objects import ObjectModel, make_cylinder, make_sphere
 from fungrasp.rewards import RewardConfig
 from fungrasp.sim import (
     RolloutRecord,
@@ -696,14 +698,14 @@ def test_contact_phase_matches_per_episode_world_frame_reference(hand):
     assert want_tables[1].sum() > 640
 
 
-@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
-def test_crushed_episodes_skip_their_early_approach_frames(hand):
-    """Episodes that crush at the last approach frame send no earlier
-    frame to _nearest, so a chunk with crushed episodes sends fewer rows
-    than it does when nothing can crush; the contact tables and records
-    stay those of the per-episode reference."""
-    assets = hand_assets(hand)
-    envs, actions = seeded_rollout_inputs(assets, 96, seed=31)
+def _cull_nothing(obj, rows, crush_gap, budget):
+    """sim._may_crush with a table that drops no row."""
+    return np.ones(len(rows), dtype=bool), budget
+
+
+def _counted_rollout(*args, params=SimParams(), cull=True):
+    """rollout_batch's columns and contact table, and the rows it sent to
+    _nearest; with cull=False no approach row is dropped."""
     rows = []
     real = sim._nearest
 
@@ -713,19 +715,126 @@ def test_crushed_episodes_skip_their_early_approach_frames(hand):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_nearest", counted)
-        got, got_tables = _rollout_with_tables(sim.detect_contacts, envs, assets.demo, actions, assets.spec,
-                                               assets.styles)
-        sent = sum(rows)
-        rows.clear()
-        rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, SimParams(crush_factor=np.inf))
-        every_frame = sum(rows)
-    want, want_tables = _rollout_with_tables(reference_contact_phase, envs, assets.demo, actions, assets.spec,
-                                             assets.styles)
-    assert bits(got) == bits(want)
+        if not cull:
+            mp.setattr(sim, "_may_crush", _cull_nothing)
+        got, tables = _rollout_with_tables(sim.detect_contacts, *args, params)
+    return got, tables, sum(rows)
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_crushed_episodes_skip_their_early_approach_frames(hand):
+    """Episodes that crush at the last approach frame send no earlier
+    frame to _nearest. With the crush-floor cull off, a chunk with crushed
+    episodes sends fewer rows than it does when nothing can crush (where
+    the cull, once its table is filled, drops every approach row); with
+    the cull on it sends fewer still. The contact tables and records stay
+    those of the per-episode reference."""
+    assets = hand_assets(hand)
+    envs, actions = seeded_rollout_inputs(assets, 96, seed=31)
+    args = envs, assets.demo, actions, assets.spec, assets.styles
+    got, got_tables, sent = _counted_rollout(*args)
+    unculled, _, sent_unculled = _counted_rollout(*args, cull=False)
+    _, _, every_frame = _counted_rollout(*args, params=SimParams(crush_factor=np.inf), cull=False)
+    want, want_tables = _rollout_with_tables(reference_contact_phase, *args)
+    assert bits(got) == bits(unculled) == bits(want)
     for g, w in zip(got_tables, want_tables):
         assert np.array_equal(g, w)
     assert want_tables[0].sum() >= 5
-    assert sent < every_frame
+    assert sent < sent_unculled < every_frame
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_the_crush_floor_table_cannot_change_a_result(hand):
+    """One seeded 96-episode chunk gives the same columns and contact
+    table, bit for bit, with a cold table, with a table warmed until the
+    chunk fills no more cells, and with the cull off; the warmer the
+    table, the fewer rows reach _nearest."""
+    assets = hand_assets(hand)
+    envs, actions = seeded_rollout_inputs(assets, 96, seed=47)
+    args = envs, assets.demo, actions, assets.spec, assets.styles
+    assert not any(obj.crush_floor for obj in assets.objects)
+    cold = _counted_rollout(*args)
+
+    def filled():
+        return sum(int(np.isfinite(obj.crush_floor["table"]).sum()) for obj in assets.objects if obj.crush_floor)
+
+    before = filled()
+    assert 0 < before <= sim._FILL_BUDGET
+    for _ in range(200):
+        rollout_batch(*args)
+        if filled() == before:
+            break
+        before = filled()
+    warm = _counted_rollout(*args)
+    assert filled() == before
+    off = _counted_rollout(*args, cull=False)
+    assert bits(cold[0]) == bits(warm[0]) == bits(off[0])
+    for c, w, o in zip(cold[1], warm[1], off[1]):
+        assert np.array_equal(c, w) and np.array_equal(c, o)
+    assert warm[2] < cold[2] < off[2]
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_q_final_does_not_keep_the_trajectory_alive(n):
+    """rollout_batch's q_final column owns its (E, J) data: a view into
+    the (E, T_D + 1, J) joint trajectory would keep all of it alive for
+    as long as any record holds its row."""
+    assets = hand_assets("inspire_like")
+    envs, actions = seeded_rollout_inputs(assets, n, seed=5)
+    q_final = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)[1]
+    assert q_final.shape == (n, assets.spec.joint_count)
+    assert q_final.base is None or q_final.base.nbytes <= q_final.nbytes
+
+
+# every sphere radius of the bundled hands, the smallest first
+_RADII = sorted({float(r) for h in ("inspire_like", "shadow_like")
+                 for r in sphere_metadata(load_hand_spec(default_hand_path(h)))[0]})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(64, 300),
+    duplicates=st.integers(0, 40),
+    radius=st.sampled_from(_RADII),
+    crush_factor=st.floats(1.0, 3.0),
+)
+def test_rows_the_crush_floor_drops_cannot_crush(seed, n_points, duplicates, radius, crush_factor):
+    """On a lumpy cloud with tilted normals and exact duplicate points
+    (each copy with its own normal), no approach row that _may_crush drops
+    crushes under _crushing with _nearest's match, nor with any cloud
+    point at its nearest distance. The rows are random in the table's
+    box, near the surface, and on cell boundaries."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n_points, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = dirs * rng.uniform(0.02, 0.04, (n_points, 1))
+    nrm = dirs + rng.normal(0.0, 0.4, dirs.shape)
+    copies = rng.integers(n_points, size=duplicates)
+    obj = ObjectModel.from_points("lumpy", np.concatenate([pts, pts[copies]]),
+                                  np.concatenate([nrm, rng.normal(size=(duplicates, 3))]))
+    lo = obj.box[0] - sim._GRID_GROW
+    shape = np.ceil((obj.box[1] - obj.box[0] + 2 * sim._GRID_GROW) / sim._CELL).astype(int)
+    boundary = lo + rng.integers(0, shape + 1, (200, 3)) * sim._CELL
+    free = rng.integers(0, 2, boundary.shape).astype(bool)
+    boundary[free] = rng.uniform(lo, lo + shape * sim._CELL, boundary.shape)[free]
+    pick = rng.integers(len(obj.points), size=200)
+    rows = np.concatenate([
+        rng.uniform(lo, lo + shape * sim._CELL, (200, 3)),
+        obj.points[pick] + obj.normals[pick] * rng.uniform(-2.0 * radius, 3.0 * radius, (200, 1)),
+        boundary,
+    ])
+    gap = np.full(len(rows), radius * (1.0 - crush_factor))
+    may, left = sim._may_crush(obj, rows, gap, len(rows))
+    assert left >= 0 and np.isfinite(obj.crush_floor["table"]).sum() == len(rows) - left
+    dropped = rows[~may]
+    found, _ = sim._nearest(rows, obj.points)
+    assert not sim._crushing(obj, dropped, found[~may], gap[~may]).any()
+    diff = dropped[:, None] - obj.points
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    tie = dist <= dist.min(axis=1, keepdims=True) + 1e-12
+    assert (np.where(tie, np.einsum("ijk,jk->ij", diff, obj.normals), np.inf) >= gap[~may, None]).all()
+    assert np.array_equal(sim._may_crush(obj, rows, gap, 0)[0], may)
 
 
 def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):

@@ -1,9 +1,19 @@
 """Command-line entry point.
 
-Subcommands: train, eval, ablate, collect, sample-affordance,
-demo inspect, check-gradients. Flags override config-file values; all
-randomness flows from --seed via seed-splitting, so repeated invocations
-reproduce outputs byte for byte. FUNGRASP_LOG sets verbosity.
+Each subcommand takes --config and the settings its handler reads:
+
+  train, ablate       --seed --workers --objects --demo --hand --styles --out
+  eval, collect       the same and --checkpoint --episodes
+  sample-affordance   --seed --objects
+  demo inspect        --hand --demo
+  check-gradients     --seed
+
+A setting's value is its flag, else its config-file key, else its
+default. One config file may serve every subcommand, so it may hold
+settings a subcommand ignores; a flag the subcommand does not take is a
+usage error. All randomness flows from --seed via seed-splitting, so
+repeated invocations reproduce outputs byte for byte. FUNGRASP_LOG sets
+verbosity.
 
 Exit codes: 0 success, 1 user error (bad flags, missing files, failed
 gate), 2 internal error.
@@ -22,6 +32,7 @@ from pathlib import Path
 from . import assets as bundled
 from .dataio import CheckpointError, ExportError, default_cameras, export_rollouts, load_checkpoint
 from .demo import DemoError, load_demo
+from .evaluation import ABLATION_COMPONENTS, ablation_run, evaluate, write_episode_rows, write_report
 from .hand import HandError, load_hand_spec
 from .objects import ObjectError, affordance_distribution, sample_affordance_index
 from .policy import PolicyError, init_params, random_obs
@@ -52,13 +63,26 @@ USER_ERRORS = (
 
 GRADIENT_GATE = 1e-4
 
-# top-level config-file keys: the flag-backed settings, with the type each
-# must hold, and the "train" section, which config_from_dict checks
-CONFIG_TYPES = {
-    "seed": int, "workers": int, "objects": str, "demo": str, "hand": str,
-    "styles": str, "out": str, "checkpoint": str, "episodes": int,
+# every setting a flag or a top-level config key can give: its type and help
+SETTINGS = {
+    "seed": (int, "master seed, >= 0 (required)"),
+    "workers": (int, "episode workers; 1 and N give identical outputs"),
+    "objects": (str, "directory of .ply objects (default: bundled toy suite)"),
+    "demo": (str, "demonstration JSON (default: bundled)"),
+    "hand": (str, "hand spec JSON (default: bundled)"),
+    "styles": (str, "styles JSON (default: bundled)"),
+    "out": (str, "output directory (default: runs/out)"),
+    "checkpoint": (str, "policy checkpoint JSON (required)"),
+    "episodes": (int, "number of evaluation episodes (default: 200)"),
 }
-CONFIG_KEYS = (*CONFIG_TYPES, "train")
+# the config file's keys: the settings and the "train" section, which
+# config_from_dict checks
+CONFIG_KEYS = (*SETTINGS, "train")
+# the settings train and ablate read; eval and collect read these too
+RUN_SETTINGS = ("seed", "workers", "objects", "demo", "hand", "styles", "out")
+BUNDLED_FILES = {
+    "hand": bundled.default_hand_path, "styles": bundled.default_styles_path, "demo": bundled.default_demo_path,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,67 +109,67 @@ def _load_config_file(path) -> dict:
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) in {p}: {', '.join(map(repr, unknown))}; known: {', '.join(CONFIG_KEYS)}")
-    for key, want in CONFIG_TYPES.items():
+    for key, (want, _) in SETTINGS.items():
         # a JSON true/false is a Python bool, which is an int too
         if key in cfg and (not isinstance(cfg[key], want) or isinstance(cfg[key], bool)):
             raise ValueError(f"{p}: config '{key}' must be {want.__name__}, got {cfg[key]!r}")
     return cfg
 
 
-def _resolve(args, cfg_file: dict, key: str, default=None):
-    """Flags beat config file beats default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg_file:
-        return cfg_file[key]
-    return default
-
-
-def _require_seed(args, cfg_file) -> int:
-    seed = _resolve(args, cfg_file, "seed")
-    if seed is None:
-        raise ValueError("a --seed (or config 'seed') is required for this subcommand")
-    return int(seed)
-
-
-def _build_assets(args, cfg_file) -> Assets:
-    hand = _resolve(args, cfg_file, "hand") or bundled.default_hand_path()
-    styles = _resolve(args, cfg_file, "styles") or bundled.default_styles_path()
-    demo = _resolve(args, cfg_file, "demo") or bundled.default_demo_path()
-    objects = _resolve(args, cfg_file, "objects")
-    for p in (hand, styles, demo):
-        if not Path(p).exists():
-            raise FileNotFoundError(f"asset file not found: {p}")
-    if objects is not None and not Path(objects).is_dir():
-        raise NotADirectoryError(f"objects directory not found: {objects}")
-    return load_assets(hand, styles, demo, objects)
-
-
-def _build_train_config(args, cfg_file) -> TrainConfig:
-    seed = _require_seed(args, cfg_file)
-    workers = _resolve(args, cfg_file, "workers")
-    cfg = config_from_dict(cfg_file.get("train", {}))
-    return replace(cfg, seed=seed, workers=cfg.workers if workers is None else int(workers))
-
-
-def _run_setup(args) -> tuple[dict, TrainConfig, Assets, Path]:
-    """What train, ablate, eval and collect share: the config file, the
-    train config, the assets and the output directory (--out, else
-    runs/out), made if missing."""
+def _merge_config(args) -> None:
+    """Fill each setting the subcommand takes and its flags left unset
+    from the config file, and keep the file's train section."""
     cfg_file = _load_config_file(args.config)
-    cfg = _build_train_config(args, cfg_file)
-    assets = _build_assets(args, cfg_file)
-    out = Path(_resolve(args, cfg_file, "out", "runs/out"))
+    for name in SETTINGS.keys() & vars(args).keys():
+        if getattr(args, name) is None:
+            setattr(args, name, cfg_file.get(name))
+    args.train = cfg_file.get("train", {})
+
+
+def _require_seed(args) -> int:
+    if args.seed is None:
+        raise ValueError("a --seed (or config 'seed') is required for this subcommand")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
+def _asset_file(args, name: str):
+    """The hand, styles or demo file: the setting, else (unset or empty)
+    the bundled one. It must exist."""
+    path = getattr(args, name) or BUNDLED_FILES[name]()
+    if not Path(path).exists():
+        raise FileNotFoundError(f"asset file not found: {path}")
+    return path
+
+
+def _objects_dir(args):
+    """The objects directory, which must exist; None for the bundled toy
+    suite."""
+    if args.objects is not None and not Path(args.objects).is_dir():
+        raise NotADirectoryError(f"objects directory not found: {args.objects}")
+    return args.objects
+
+
+def _run_setup(args) -> tuple[TrainConfig, Assets, Path]:
+    """What train, ablate, eval and collect share: the train config, the
+    assets and the output directory (runs/out if unset), made if
+    missing."""
+    seed = _require_seed(args)
+    cfg = config_from_dict(args.train)
+    cfg = replace(cfg, seed=seed, workers=cfg.workers if args.workers is None else args.workers)
+    files = [_asset_file(args, name) for name in ("hand", "styles", "demo")]
+    assets = load_assets(*files, _objects_dir(args))
+    out = Path("runs/out" if args.out is None else args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except FileExistsError:        # exist_ok: the path exists and is no directory
         raise NotADirectoryError(f"output path exists and is not a directory: {out}") from None
-    return cfg_file, cfg, assets, out
+    return cfg, assets, out
 
 
 def cmd_train(args) -> int:
-    _, cfg, assets, out = _run_setup(args)
+    cfg, assets, out = _run_setup(args)
     result = train(cfg, assets, out)
     print(json.dumps({"metrics": str(result["metrics_path"]), "checkpoint": str(result["checkpoint_path"])}))
     return 0
@@ -154,21 +178,18 @@ def cmd_train(args) -> int:
 def _checkpoint_run(args):
     """What eval and collect share: the _run_setup, the checkpoint's
     params (checked against the hand and the config) and the episode
-    count."""
-    cfg_file, cfg, assets, out = _run_setup(args)
-    ckpt = _resolve(args, cfg_file, "checkpoint")
-    if ckpt is None:
+    count (200 if unset)."""
+    cfg, assets, out = _run_setup(args)
+    if args.checkpoint is None:
         raise ValueError(f"{args.command} needs --checkpoint (or config 'checkpoint')")
     params, _ = load_checkpoint(
-        ckpt, expect_hand=assets.spec.name, expect_style_count=len(assets.styles),
+        args.checkpoint, expect_hand=assets.spec.name, expect_style_count=len(assets.styles),
         expect_m_points=cfg.m_points, expect_joint_count=assets.spec.joint_count,
     )
-    return cfg, assets, out, params, int(_resolve(args, cfg_file, "episodes", 200))
+    return cfg, assets, out, params, 200 if args.episodes is None else args.episodes
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import evaluate, write_episode_rows, write_report
-
     cfg, assets, out, params, n = _checkpoint_run(args)
     metrics, results = evaluate(
         params, cfg, assets, n, seed=cfg.seed,
@@ -182,12 +203,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .evaluation import ABLATION_COMPONENTS, ablation_run
-
     component = args.component
-    if component not in ABLATION_COMPONENTS:
-        raise ValueError(f"unknown component {component!r}; pick from {ABLATION_COMPONENTS}")
-    _, cfg, assets, out = _run_setup(args)
+    cfg, assets, out = _run_setup(args)
     result = ablation_run(cfg, component, assets, out)
     payload = {
         "component": component,
@@ -201,8 +218,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_collect(args) -> int:
-    from .evaluation import evaluate
-
     cfg, assets, out, params, n = _checkpoint_run(args)
     _, results = evaluate(params, cfg, assets, n, seed=cfg.seed)
     manifest = export_rollouts(
@@ -214,9 +229,8 @@ def cmd_collect(args) -> int:
 
 
 def cmd_sample_affordance(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    seed = _require_seed(args, cfg_file)
-    objs = {o.name: o for o in load_objects(_resolve(args, cfg_file, "objects"))}
+    seed = _require_seed(args)
+    objs = {o.name: o for o in load_objects(_objects_dir(args))}
     name = args.object or sorted(objs)[0]
     if name not in objs:
         raise ValueError(f"object {name!r} not found; have {sorted(objs)}")
@@ -234,9 +248,7 @@ def cmd_sample_affordance(args) -> int:
 
 
 def cmd_demo_inspect(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    hand = _resolve(args, cfg_file, "hand") or bundled.default_hand_path()
-    demo_path = _resolve(args, cfg_file, "demo") or bundled.default_demo_path()
+    hand, demo_path = _asset_file(args, "hand"), _asset_file(args, "demo")
     spec = load_hand_spec(hand)
     demo = load_demo(demo_path, spec)
     span = demo.joints.max(axis=0) - demo.joints.min(axis=0)
@@ -255,8 +267,7 @@ def cmd_demo_inspect(args) -> int:
 
 
 def cmd_check_gradients(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    seed = _require_seed(args, cfg_file)
+    seed = _require_seed(args)
     if args.params < 1:
         raise ValueError(f"--params must be >= 1, got {args.params}")
     rng = episode_rng(seed, 7)
@@ -274,58 +285,41 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, checkpoint=False, episodes=False):
+    def command(parent, name, func, settings, summary):
+        p = parent.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON run config; flags override it")
-        p.add_argument("--seed", type=int, help="master seed (required for train/eval/collect)")
-        p.add_argument("--workers", type=int, help="episode workers; 1 and N give identical outputs")
-        p.add_argument("--objects", help="directory of .ply objects (default: bundled toy suite)")
-        p.add_argument("--demo", help="demonstration JSON (default: bundled)")
-        p.add_argument("--hand", help="hand spec JSON (default: bundled)")
-        p.add_argument("--styles", help="styles JSON (default: bundled)")
-        p.add_argument("--out", help="output directory")
-        if checkpoint:
-            p.add_argument("--checkpoint", help="policy checkpoint JSON")
-        if episodes:
-            p.add_argument("--episodes", type=int, help="number of evaluation episodes")
+        for key in settings:
+            kind, text = SETTINGS[key]
+            p.add_argument(f"--{key}", type=kind, help=text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="train a policy with one-step PPO")
-    common(p)
-    p.set_defaults(func=cmd_train)
+    checkpoint_run = (*RUN_SETTINGS, "checkpoint", "episodes")
+    command(sub, "train", cmd_train, RUN_SETTINGS, "train a policy with one-step PPO")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint (GSR/SAD/SD/SA)")
-    common(p, checkpoint=True, episodes=True)
+    p = command(sub, "eval", cmd_eval, checkpoint_run, "evaluate a checkpoint (GSR/SAD/SD/SA)")
     p.add_argument("--exhaustive-styles", action="store_true",
                    help="replay every style per episode, keep the best")
     p.add_argument("--strict-success", action="store_true",
                    help="success also needs affordance distance < 4 cm and a style match")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="train full vs ablated models and compare")
-    common(p)
-    p.add_argument("--component", required=True,
-                   help="one of: afford, clip, close, qpos, disturbance")
-    p.set_defaults(func=cmd_ablate)
+    p = command(sub, "ablate", cmd_ablate, RUN_SETTINGS, "train full vs ablated models and compare")
+    p.add_argument("--component", required=True, choices=ABLATION_COMPONENTS, help="the component to switch off")
 
-    p = sub.add_parser("collect", help="export rollouts for imitation learning")
-    common(p, checkpoint=True, episodes=True)
+    p = command(sub, "collect", cmd_collect, checkpoint_run, "export rollouts for imitation learning")
     p.add_argument("--success-only", action="store_true", help="export only successful episodes")
-    p.set_defaults(func=cmd_collect)
 
-    p = sub.add_parser("sample-affordance", help="draw one affordance point from an object")
-    common(p)
+    p = command(sub, "sample-affordance", cmd_sample_affordance, ("seed", "objects"),
+                "draw one affordance point from an object")
     p.add_argument("--object", help="object name (default: first in the set)")
-    p.set_defaults(func=cmd_sample_affordance)
 
     p = sub.add_parser("demo", help="demonstration utilities")
     demo_sub = p.add_subparsers(dest="demo_command", metavar="SUBCOMMAND")
-    pi = demo_sub.add_parser("inspect", help="print demo summary statistics")
-    common(pi)
-    pi.set_defaults(func=cmd_demo_inspect)
+    command(demo_sub, "inspect", cmd_demo_inspect, ("hand", "demo"), "print demo summary statistics")
 
-    p = sub.add_parser("check-gradients", help="analytic vs finite-difference gradient gate")
-    common(p)
+    p = command(sub, "check-gradients", cmd_check_gradients, ("seed",),
+                "analytic vs finite-difference gradient gate")
     p.add_argument("--params", type=int, default=200, help="number of sampled parameters")
-    p.set_defaults(func=cmd_check_gradients)
 
     return parser
 
@@ -341,6 +335,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
+        _merge_config(args)
         return args.func(args)
     except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

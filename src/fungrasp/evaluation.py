@@ -45,7 +45,15 @@ __all__ = [
 # strict composite success: affordance distance < 4 cm and style match
 STRICT_AFFORD_RADIUS = 0.04
 
-ABLATION_COMPONENTS = ("afford", "clip", "close", "qpos", "disturbance")
+# each ablation component and the config change that switches it off
+_ABLATIONS = {
+    "afford": lambda cfg: replace(cfg, reward=replace(cfg.reward, afford_on=False)),
+    "clip": lambda cfg: replace(cfg, reward=replace(cfg.reward, clip_on=False)),
+    "close": lambda cfg: replace(cfg, reward=replace(cfg.reward, close_on=False)),
+    "qpos": lambda cfg: replace(cfg, reward=replace(cfg.reward, qpos_on=False)),
+    "disturbance": lambda cfg: replace(cfg, sigma_style=0.0),
+}
+ABLATION_COMPONENTS = tuple(_ABLATIONS)
 
 
 @dataclass(frozen=True)
@@ -172,17 +180,9 @@ class AblationResult:
 
 
 def _ablate_config(cfg: TrainConfig, component: str) -> TrainConfig:
-    if component == "afford":
-        return replace(cfg, reward=replace(cfg.reward, afford_on=False))
-    if component == "clip":
-        return replace(cfg, reward=replace(cfg.reward, clip_on=False))
-    if component == "close":
-        return replace(cfg, reward=replace(cfg.reward, close_on=False))
-    if component == "qpos":
-        return replace(cfg, reward=replace(cfg.reward, qpos_on=False))
-    if component == "disturbance":
-        return replace(cfg, sigma_style=0.0)
-    raise ValueError(f"unknown ablation component {component!r}; pick from {ABLATION_COMPONENTS}")
+    if component not in _ABLATIONS:
+        raise ValueError(f"unknown ablation component {component!r}; pick from {ABLATION_COMPONENTS}")
+    return _ABLATIONS[component](cfg)
 
 
 def ablation_run(cfg: TrainConfig, component: str, assets: Assets, out_dir) -> AblationResult:

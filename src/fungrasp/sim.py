@@ -166,21 +166,20 @@ def reset_env(
     dists: dict[str, AffordanceDistribution],
     styles: list[Style],
     rngs: list[np.random.Generator],
-    train_mode: bool,
     *,
     spec: HandSpec,
+    sigma_style: float,
     square_half: float = 0.25,
-    sigma_style: float = 0.05,
     force_style: int | None = None,
 ) -> EnvBatch:
     """Reset one environment per rng: draw its object and its pose on the
     table, and sample the episode's conditioning.
 
     The call order on each episode's rng is part of the determinism
-    contract: object, x, y, yaw, affordance index, style index, then
-    (training only) the style disturbance. force_style replaces the
-    style after these draws, so the environment (object, pose,
-    affordance) is the same for every forced style. The poses are built
+    contract: object, x, y, yaw, affordance index, style index, then,
+    when sigma_style > 0 (training), the style disturbance. force_style
+    replaces the style after these draws, so the environment (object,
+    pose, affordance) is the same for every forced style. The poses are built
     over the batch, each quaternion row divided by its own norm,
     r / np.linalg.norm(r) (normalize_rows), so each row has the bits of
     the episode's pose built alone.
@@ -196,7 +195,7 @@ def reset_env(
         p_afford[i] = obj.points[sample_affordance_index(dists[obj.name], rng)]
         style[i] = rng.integers(len(styles))
         q_style[i] = styles[style[i]].q_canonical
-        if train_mode and sigma_style > 0:
+        if sigma_style > 0:
             q_style[i] = disturb_style(q_style[i], sigma_style, rng, spec)
     if force_style is not None:
         style[:] = force_style

@@ -372,7 +372,7 @@ def run_episodes(
     lo, hi = cfg.bounds.intervals(joint_count)
     rngs = [episode_rng(seed, *stream_key, i) for i in indices]
     env = reset_env(
-        assets.objects, assets.afford_dists, assets.styles, rngs, train_mode, spec=assets.spec,
+        assets.objects, assets.afford_dists, assets.styles, rngs, spec=assets.spec,
         square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0, force_style=force_style,
     )
     if mode == "policy":

@@ -102,7 +102,8 @@ def seeded_rollout_inputs(assets, n, seed):
     rng = np.random.default_rng(seed)
     envs, actions = [], []
     for i in range(n):
-        envs.append(reset_env(assets.objects, assets.afford_dists, assets.styles, [rng], bool(i % 2), spec=spec))
+        envs.append(reset_env(assets.objects, assets.afford_dists, assets.styles, [rng], spec=spec,
+                              sigma_style=0.05 if i % 2 else 0.0))
         if i % 4 == 0:
             vec = rng.uniform(lo, hi)
         else:

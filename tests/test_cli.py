@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from fungrasp.cli import main
+from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
+from fungrasp.cli import SETTINGS, build_parser, main
 
 from conftest import with_arrays
 
@@ -16,6 +18,105 @@ def test_help_lists_all_subcommands(capsys):
     out = capsys.readouterr().out
     for name in SUBCOMMANDS:
         assert name in out
+
+
+RUN = ("seed", "workers", "objects", "demo", "hand", "styles", "out")
+# the settings each subcommand reads, and the flags it needs besides
+TAKES = {
+    "train": RUN,
+    "eval": (*RUN, "checkpoint", "episodes"),
+    "ablate": RUN,
+    "collect": (*RUN, "checkpoint", "episodes"),
+    "sample-affordance": ("seed", "objects"),
+    "demo inspect": ("hand", "demo"),
+    "check-gradients": ("seed",),
+}
+NEEDS = {"ablate": ["--component", "afford"]}
+
+
+def _flags(parser, prefix="") -> dict[str, set]:
+    """The long flags of every subcommand, walked from the parser."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                command = f"{prefix} {name}".strip()
+                flags = {o for a in sub._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+                if flags:
+                    found[command] = flags
+                found |= _flags(sub, command)
+    return found
+
+
+def test_each_subcommand_takes_the_settings_it_reads():
+    flags = _flags(build_parser())
+    own = {"eval": {"--exhaustive-styles", "--strict-success"}, "ablate": {"--component"},
+           "collect": {"--success-only"}, "sample-affordance": {"--object"}, "check-gradients": {"--params"}}
+    assert flags == {
+        command: {"--config", *(f"--{s}" for s in settings), *own.get(command, ())}
+        for command, settings in TAKES.items()
+    }
+    assert sum(map(len, flags.values())) == 50
+
+
+@pytest.mark.parametrize("command, setting", [
+    (command, setting) for command, settings in TAKES.items() for setting in SETTINGS if setting not in settings
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, setting):
+    seed = ["--seed", "1"] if "seed" in TAKES[command] else []
+    value = "1" if SETTINGS[setting][0] is int else str(tmp_path)
+    assert main([*command.split(), *NEEDS.get(command, []), *seed, f"--{setting}", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: --{setting} {value}" in err
+
+
+@pytest.mark.parametrize("command, setting", [
+    (command, setting) for command, settings in TAKES.items()
+    for setting in ("hand", "styles", "demo", "objects") if setting in settings
+])
+def test_a_missing_input_path_has_one_message(tmp_path, capsys, command, setting):
+    """Every subcommand that reads a hand, styles, demo or objects path
+    names a missing one the same way."""
+    missing = tmp_path / "nope"
+    argv = [*command.split(), *NEEDS.get(command, []), f"--{setting}", str(missing)]
+    argv += ["--seed", "1"] if "seed" in TAKES[command] else []
+    argv += ["--out", str(tmp_path / "o")] if "out" in TAKES[command] else []
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    named = "objects directory" if setting == "objects" else "asset file"
+    assert f"error: {named} not found: {missing}\n" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "sample-affordance", "demo inspect", "check-gradients"])
+def test_a_config_may_hold_settings_the_subcommand_does_not_read(tmp_path, capsys, command):
+    """One config file serves every subcommand: each setting the
+    subcommand does not read holds a value it would reject, and the run
+    still succeeds."""
+    (tmp_path / "file").write_text("")
+    unread = {"seed": -1, "workers": 0, "objects": str(tmp_path / "nope"), "demo": str(tmp_path / "nope.json"),
+              "hand": str(tmp_path / "nope.json"), "styles": str(tmp_path / "nope.json"),
+              "out": str(tmp_path / "file"), "checkpoint": str(tmp_path / "nope.json"), "episodes": 0}
+    read = {"seed": 3, "workers": 1, "hand": str(default_hand_path()), "styles": str(default_styles_path()),
+            "demo": str(default_demo_path()), "out": str(tmp_path / "o")}
+    config = {k: v for k, v in unread.items() if k not in TAKES[command]}
+    config |= {k: v for k, v in read.items() if k in TAKES[command]}
+    config["train"] = {"envs_per_iter": 8, "minibatch": 8, "epochs": 1, "iterations": 1, "m_points": 32}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    params = ["--params", "5"] if command == "check-gradients" else []
+    assert main([*command.split(), "--config", str(path), *params]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "collect", "sample-affordance", "check-gradients"])
+def test_a_negative_seed_is_a_named_user_error(tmp_path, capsys, command, source):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": -1}))
+    seed = ["--seed", "-1"] if source == "flag" else ["--config", str(path)]
+    out = ["--out", str(tmp_path / "o")] if "out" in TAKES[command] else []
+    assert main([command, *NEEDS.get(command, []), *seed, *out]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: --seed must be >= 0, got -1\n" in err
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -280,17 +381,21 @@ def test_non_finite_config_numbers_are_user_errors(tmp_path, capsys, literal, sh
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+def _fill(argv, tmp_path, path):
+    """argv with {file} as path and {out} as an output directory."""
+    return [a.replace("{file}", str(path)).replace("{out}", str(tmp_path / "o")) for a in argv]
+
+
 @pytest.mark.parametrize("argv, text", [
-    (["eval", "--checkpoint", "{file}"], "[1, 2]"),
+    (["eval", "--checkpoint", "{file}", "--out", "{out}"], "[1, 2]"),
     (["demo", "inspect", "--demo", "{file}"], "[]"),
     (["demo", "inspect", "--hand", "{file}"], "[]"),
-    (["train", "--styles", "{file}"], "[]"),
+    (["train", "--styles", "{file}", "--out", "{out}"], "[]"),
 ], ids=["checkpoint", "demo", "hand", "styles"])
 def test_non_object_json_files_are_user_errors(tmp_path, capsys, argv, text):
     path = tmp_path / "x.json"
     path.write_text(text)
-    argv = [a.replace("{file}", str(path)) for a in argv]
-    code = main([*argv, "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "o")])
+    code = main([*_fill(argv, tmp_path, path), "--config", str(_write_config(tmp_path))])
     err = capsys.readouterr().err
     assert code == 1
     assert f"{path}: the top level must be a JSON object, not list" in err and "internal error" not in err
@@ -300,13 +405,12 @@ def test_non_object_json_files_are_user_errors(tmp_path, capsys, argv, text):
     (["demo", "inspect", "--hand", "{file}"], {"name": "h", "fingers": [1]}, "fingers[0]"),
     (["demo", "inspect", "--hand", "{file}"], {"name": "h", "fingers": [{"base": {"t": [0, 0, 0], "r": [1, 0, 0, 0]}, "tip_radius": 0.01, "segments": [2]}]}, "fingers[0].segments[0]"),
     (["demo", "inspect", "--demo", "{file}"], {"hand": "inspire_like", "frames": [1, 2, 3]}, "frames[0]"),
-    (["train", "--styles", "{file}"], {"hand": "inspire_like", "styles": [1]}, "styles[0]"),
+    (["train", "--styles", "{file}", "--out", "{out}"], {"hand": "inspire_like", "styles": [1]}, "styles[0]"),
 ], ids=["fingers", "segments", "frames", "styles"])
 def test_non_object_entries_are_user_errors(tmp_path, capsys, argv, data, entry):
     path = tmp_path / "x.json"
     path.write_text(json.dumps(data))
-    argv = [a.replace("{file}", str(path)) for a in argv]
-    code = main([*argv, "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "o")])
+    code = main([*_fill(argv, tmp_path, path), "--config", str(_write_config(tmp_path))])
     err = capsys.readouterr().err
     assert code == 1
     assert f"{path}: {entry}: must be an object, not int" in err and "internal error" not in err

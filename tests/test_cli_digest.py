@@ -76,3 +76,23 @@ def _outputs(hand: str, tmp_path) -> dict:
 @pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
 def test_cli_outputs_keep_their_digests(hand, tmp_path, capsys):
     assert _outputs(hand, tmp_path) == DIGESTS[hand]
+
+
+STDOUT_DIGESTS = {
+    "demo_inspect/inspire_like": "6e1f6b0deafd1d9ca214252b06afadac129381ec9e60f00c358b99bbb45ef91a",
+    "demo_inspect/shadow_like": "2ddf35a4f420453678235556896b8693caac97ab658df861b07e9b7646ee5084",
+    "sample_affordance/mug": "86d940c87819fca7956ade285cec4681c5b31ea75aa624638953becc51652446",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
+def test_cli_stdout_keeps_its_digest(name, capsys):
+    """sha256 of what `demo inspect` prints for each bundled hand and of
+    `sample-affordance --seed 3 --object mug`."""
+    command, what = name.split("/")
+    if command == "demo_inspect":
+        argv = ["demo", "inspect", "--hand", str(default_hand_path(what)), "--demo", str(default_demo_path(what))]
+    else:
+        argv = ["sample-affordance", "--seed", "3", "--object", what]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_DIGESTS[name]

@@ -60,8 +60,8 @@ def _spheres(centers, radii=None, fingers=None):
 # reset_env
 # ---------------------------------------------------------------------------
 
-def _reset(assets, objects, rngs, train_mode, **kwargs):
-    return reset_env(objects, assets.afford_dists, assets.styles, rngs, train_mode, spec=assets.spec, **kwargs)
+def _reset(assets, objects, rngs, sigma_style, **kwargs):
+    return reset_env(objects, assets.afford_dists, assets.styles, rngs, spec=assets.spec, sigma_style=sigma_style, **kwargs)
 
 
 def _columns(env):
@@ -69,8 +69,8 @@ def _columns(env):
 
 
 def test_reset_deterministic(assets):
-    a = _reset(assets, assets.objects, [np.random.default_rng(9)], True)
-    b = _reset(assets, assets.objects, [np.random.default_rng(9)], True)
+    a = _reset(assets, assets.objects, [np.random.default_rng(9)], 0.05)
+    b = _reset(assets, assets.objects, [np.random.default_rng(9)], 0.05)
     assert a.objs == b.objs
     for (name, x), (_, y) in zip(_columns(a)[1:], _columns(b)[1:]):
         assert np.array_equal(x, y), name
@@ -81,7 +81,8 @@ def test_reset_rows_match_the_per_episode_reset(assets, train_mode, force_style)
     """Every column of a batched reset, by bytes, against each episode's
     own reset on its own rng, with its pose built on its own."""
     seeds = range(40)
-    env = _reset(assets, assets.objects, [np.random.default_rng(s) for s in seeds], train_mode,
+    # the reference draws the disturbance in training, at its default sigma_style of 0.05
+    env = _reset(assets, assets.objects, [np.random.default_rng(s) for s in seeds], 0.05 if train_mode else 0.0,
                  force_style=force_style)
     for i, seed in enumerate(seeds):
         want, (t, r) = reference_reset(assets.objects, assets.afford_dists, assets.styles, np.random.default_rng(seed),
@@ -94,14 +95,14 @@ def test_reset_rows_match_the_per_episode_reset(assets, train_mode, force_style)
 
 
 def test_reset_zero_square_pins_pose(assets):
-    env = _reset(assets, assets.objects[:1], [np.random.default_rng(1)], False, square_half=0.0)
+    env = _reset(assets, assets.objects[:1], [np.random.default_rng(1)], 0.0, square_half=0.0)
     assert np.allclose(env.pose_t, 0.0)
     assert np.allclose(env.pose_r, [1, 0, 0, 0])
 
 
 def test_reset_object_rests_on_table(assets):
     obj = assets.objects[0]
-    env = _reset(assets, [obj], [np.random.default_rng(seed) for seed in range(10)], True)
+    env = _reset(assets, [obj], [np.random.default_rng(seed) for seed in range(10)], 0.05)
     for t, r in zip(env.pose_t, env.pose_r):
         pts = quat_rotate(r, obj.points) + t
         assert pts[:, 2].min() >= -1e-6
@@ -111,7 +112,7 @@ def test_reset_xy_uniform_ks(assets):
     n = 10_000
     rng = np.random.default_rng(123)
     # one rng shared by all episodes: each episode draws from it in turn
-    env = _reset(assets, assets.objects[:1], [rng] * n, False, square_half=0.25)
+    env = _reset(assets, assets.objects[:1], [rng] * n, 0.0, square_half=0.25)
     for vals in env.pose_t[:, :2].T:
         u = np.sort((vals + 0.25) / 0.5)
         grid = np.arange(1, n + 1) / n

@@ -54,7 +54,7 @@ class ObjectModel:
     centroid: np.ndarray      # (3,)
     obj_bb: float             # the longest edge of the axis-aligned bounding box
     box: np.ndarray           # (2, 3) that box's min and max corners
-    # sim's crush-floor table, filled cell by cell on first use (sim._crush_floor)
+    # sim's crush-floor table, filled a block at a time on first use (sim._may_crush)
     crush_floor: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
@@ -258,6 +258,15 @@ def sample_affordance_index(dist: AffordanceDistribution, rng: np.random.Generat
     return min(idx, len(dist.weights) - 1)
 
 
+def _squared_distances(cols: np.ndarray, j: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """((x - xj)^2 + (y - yj)^2) + (z - zj)^2 of the points, columns cols
+    (3, N), into out: the bits of numpy's (N, 3) row sum."""
+    np.square(np.subtract(cols[0], cols[0, j], out=out), out=out)
+    for col in cols[1:]:
+        out += np.square(np.subtract(col, col[j], out=tmp), out=tmp)
+    return out
+
+
 def farthest_point_sample(points, m: int, seed: int) -> np.ndarray:
     """Greedy farthest-point subsampling.
 
@@ -271,18 +280,13 @@ def farthest_point_sample(points, m: int, seed: int) -> np.ndarray:
     if m > n:
         raise ObjectError(f"cannot sample {m} points from a cloud of {n}")
     rng = np.random.default_rng(seed)
-    start = int(rng.integers(n))
+    cols, (dist, d, tmp) = points.T.copy(), np.empty((3, n))
     chosen = np.empty(m, dtype=int)
-    first = int(np.argmax(((points - points[start]) ** 2).sum(axis=1)))
-    chosen[0] = first
-    dist = ((points - points[first]) ** 2).sum(axis=1)
-    dist[first] = -np.inf
+    chosen[0] = np.argmax(_squared_distances(cols, int(rng.integers(n)), dist, tmp))
+    _squared_distances(cols, chosen[0], dist, tmp)[chosen[0]] = -np.inf
     for i in range(1, m):
-        nxt = int(np.argmax(dist))
-        chosen[i] = nxt
-        d = ((points - points[nxt]) ** 2).sum(axis=1)
-        dist = np.minimum(dist, d)
-        dist[nxt] = -np.inf
+        chosen[i] = nxt = int(np.argmax(dist))
+        np.minimum(dist, _squared_distances(cols, nxt, d, tmp), out=dist)[nxt] = -np.inf
     return chosen
 
 

@@ -20,15 +20,15 @@ spheres of the grasp frame and the last approach frame of every episode
 on that object, and a second one the earlier approach frames of only
 the episodes that the last approach frame did not crush. Before either
 call, an approach row whose cell of the object's crush-floor table
-(_may_crush, filled lazily and held on the object) proves that it cannot
-crush is dropped; grasp-frame rows are always queried. What comes out
-is one contact table of fixed shape: hit (E, F), points and normals
-(E, F, 3), each finger's deepest hit in the world frame and a zero row
-where it has none. Everything after it is an array expression over the
-chunk, with the (E, F) bool contact masks in place of finger lists: the
-style contact point and d_series, the contact centroid, the gravity
-wrench and the friction-pyramid generators (four zero columns per
-finger without a hit). A grasp that passes the crush, table and
+(_may_crush, filled a block at a time and held on the object) proves
+that it cannot crush is dropped; grasp-frame rows are always queried.
+What comes out is one contact table of fixed shape: hit (E, F), points
+and normals (E, F, 3), each finger's deepest hit in the world frame and
+a zero row where it has none. Everything after it is an array
+expression over the chunk, with the (E, F) bool contact masks in place
+of finger lists: the style contact point and d_series, the contact
+centroid, the gravity wrench and the friction-pyramid generators (four
+zero columns per finger without a hit). A grasp that passes the crush, table and
 two-mask-finger gates must be feasible at seven loads: gravity, and
 gravity perturbed along each force axis. One stacked simplex solves the
 gravity load of every such grasp (grasp_success_batch,
@@ -50,7 +50,7 @@ cloud holds a point twice (the bundled clouds' shared edges), which copy
 a row picks, at the same distance but with the other normal, can hang on
 the rows that share its block, as gemm may round the two columns apart.
 The crush-floor cull changes which rows share a block; it is exact, so
-this tie stays the one exception whatever the cull's table holds.
+this tie stays the one exception whichever rows filled its table.
 """
 
 from __future__ import annotations
@@ -247,58 +247,70 @@ def _nearest(centers: np.ndarray, pts: np.ndarray):
 
 
 # _may_crush's table: cells of side _CELL over the box grown by _GRID_GROW,
-# at most _FILL_BUDGET new ones per detect_contacts call, _FILL_BLOCK at a time
+# filled a block of _BLOCK**3 cells (offsets _BLOCK_CELLS) at a time
 _CELL = 0.004
 _GRID_GROW = 0.016
-_FILL_BUDGET = 64
-_FILL_BLOCK = 32
+_BLOCK = 4
+_BLOCK_CELLS = np.indices((_BLOCK,) * 3).reshape(3, -1).T
 
 
-def _may_crush(obj: ObjectModel, rows: np.ndarray, crush_gap: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
-    """Which object-frame approach rows c may crush, and the fill budget
-    left: those whose cell's floor L is below their crush_gap + 1e-9 (the
+def _dots(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(B, n) dot products of rows x (B, 3) with columns cols (3, n), element-wise."""
+    return (x[:, :1] * cols[0] + x[:, 1:2] * cols[1]) + x[:, 2:] * cols[2]
+
+
+def _match_candidates(x: np.ndarray, half: float, cols: np.ndarray) -> np.ndarray:
+    """(B, n) mask of the cloud points, columns cols (3, n), that can be
+    _nearest's match for a c within half of a center x (B, 3) (see
+    _may_crush), each entry with the bits of the whole cloud's test."""
+    s = (cols**2).sum(axis=0) - 2.0 * _dots(x, cols)
+    q = s.argmin(axis=1)[:, None]
+    to_q = np.sqrt(sum((col - col[q]) ** 2 for col in cols))
+    return s - np.take_along_axis(s, q, axis=1) <= 2.0 * half * to_q + 1e-12
+
+
+def _may_crush(obj: ObjectModel, rows: np.ndarray, crush_gap: np.ndarray) -> np.ndarray:
+    """Which object-frame approach rows c may crush: those outside the
+    table or whose cell's floor L is below their crush_gap + 1e-9 (the
     einsum's rounding). No row it drops can crush.
 
-    Of a cell with center x and half-diagonal h, L = min (x - p).n_p - h
-    over the points p within d(x) + 2h + 1 um of x, d(x) being x's
-    distance to the cloud. Every copy of the point _nearest matches c to
-    is among them (|x - p| <= |x - c| + d(c) <= d(x) + 2h; the micrometer
-    covers the rounding of the argmin and of the products here), and with
-    unit normals (c - p).n_p >= (x - p).n_p - h >= L. A cell outside the
-    table or not filled yet has L = -inf. Up to budget of the unfilled
-    cells the rows touch are filled, _FILL_BLOCK at a time, so the
-    (block, N) scratch stays small.
+    Of a cell with center x and half-diagonal h, L = min (x - p).n_p -
+    (_CELL / 2) |n_p|_1 over the points p with s(p) - s(q) <= 2h |p - q|
+    + 1e-12, where s(p) = |p|^2 - 2 x.p and q is the argmin of s. Every
+    copy of the point _nearest matches c to is among them: for any q,
+    |c - p|^2 - |c - q|^2 = s(p) - s(q) - 2 (c - x).(p - q), which is
+    <= 0 for the match, and |c - x| <= h (the 1e-12 covers the rounding
+    of the argmin and of s). And (c - p).n_p >= (x - p).n_p - (_CELL / 2)
+    |n_p|_1, the exact minimum of (c - x).n_p over the cube, for any n_p.
+
+    A block is filled when a row first lands in it: its center screens
+    the cloud with the same test at the block's half-diagonal, and its
+    cells test only the points that pass, with q their argmin. That is
+    exact: a cell's matches pass, and the bound holds for any q. The
+    screen's scratch is a few (N,) rows.
     """
-    lo = obj.box[0] - _GRID_GROW
-    table = obj.crush_floor.get("table")
-    if table is None:  # -inf marks an unfilled cell
-        shape = np.ceil((obj.box[1] - obj.box[0] + 2 * _GRID_GROW) / _CELL).astype(int)
-        table = obj.crush_floor["table"] = np.full(tuple(shape), -np.inf)
+    lo, floors = obj.box[0] - _GRID_GROW, obj.crush_floor
+    if not floors:
+        blocks = np.ceil((obj.box[1] - obj.box[0] + 2 * _GRID_GROW) / (_BLOCK * _CELL)).astype(int)
+        floors.update(table=np.empty(tuple(blocks * _BLOCK)), filled=np.zeros(tuple(blocks), dtype=bool))
+    table, filled, cols, normals = floors["table"], floors["filled"], obj.points.T, obj.normals.T
     cell = np.floor((rows - lo) / _CELL).astype(np.intp)
     inside = np.all((cell >= 0) & (cell < table.shape), axis=1)
-    flat = np.ravel_multi_index(tuple(cell[inside].T), table.shape)
-    new = flat[(table.flat[flat] == -np.inf) & (budget > 0)]
+    cell = cell[inside]
+    block = np.ravel_multi_index(tuple(cell.T // _BLOCK), filled.shape)
     half = _CELL * np.sqrt(3.0) / 2.0
-    if len(new):  # the distinct ones in order; np.unique would import numpy.ma
-        seen = np.zeros(table.size, dtype=bool)
-        seen[new] = True
-        new = np.flatnonzero(seen)[:budget]
-        neg2p, p2 = -2.0 * obj.points.T, np.einsum("ij,ij->i", obj.points, obj.points)
-        pn = np.einsum("ij,ij->i", obj.points, obj.normals)
-    for b in range(0, len(new), _FILL_BLOCK):
-        cells = new[b : b + _FILL_BLOCK]
-        x = lo + (np.stack(np.unravel_index(cells, table.shape), axis=1) + 0.5) * _CELL
-        x2 = np.einsum("ij,ij->i", x, x)
-        d2 = x @ neg2p
-        d2 += p2  # |x - p|^2 - |x|^2
-        reach = (np.sqrt(np.maximum(d2.min(axis=1) + x2, 0.0)) + 2.0 * half + 1e-6) ** 2 - x2
-        gap = x @ obj.normals.T
-        gap -= pn  # (x - p).n_p
-        np.copyto(gap, np.inf, where=d2 > reach[:, None])
-        table.flat[cells] = gap.min(axis=1) - half
+    for b in sorted(set(block[~filled.flat[block]].tolist())):  # np.unique would import numpy.ma
+        corner = np.array(np.unravel_index(b, filled.shape)) * _BLOCK
+        near = np.flatnonzero(_match_candidates(lo + (corner[None] + _BLOCK / 2) * _CELL, _BLOCK * half, cols))
+        x = lo + (corner + _BLOCK_CELLS + 0.5) * _CELL
+        gap = _dots(x, normals[:, near]) - (cols[:, near] * normals[:, near]).sum(axis=0)  # (x - p).n_p
+        gap -= _CELL / 2 * np.abs(normals[:, near]).sum(axis=0)
+        gap[~_match_candidates(x, half, cols[:, near])] = np.inf
+        table[tuple(slice(c, c + _BLOCK) for c in corner)] = gap.min(axis=1).reshape((_BLOCK,) * 3)
+        filled.flat[b] = True
     floor = np.full(len(rows), -np.inf)
-    floor[inside] = table.flat[flat]
-    return floor < crush_gap + 1e-9, budget - len(new)
+    floor[inside] = table[tuple(cell.T)]
+    return floor < crush_gap + 1e-9
 
 
 def _crushing(obj: ObjectModel, rows: np.ndarray, found: np.ndarray, crush_gap: np.ndarray) -> np.ndarray:
@@ -327,10 +339,10 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
     on it, the frame where a crushing approach shows most often. A
     second call takes frames 0..tl-2 of only the episodes that frame
     left uncrushed. Before each call, approach rows that their cell's
-    crush floor proves cannot crush (_may_crush) are dropped, filling at
-    most _FILL_BUDGET new cells per call. A query row's answer does not
-    depend on the other rows, so the table is the one a single query of
-    every frame gives.
+    crush floor proves cannot crush (_may_crush) are dropped, after the
+    blocks of the table that the rows land in and no earlier call filled
+    are filled. A query row's answer does not depend on the other rows,
+    so the table is the one a single query of every frame gives.
     """
     e_count = len(env)
     k_count = centers.shape[2]
@@ -348,7 +360,6 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
     # crush and contacts only need spheres near the cloud: quick-reject
     # everything outside its bounding box grown by radius + shell
     margin = radii.max() + params.delta_c + 1e-9
-    budget = _FILL_BUDGET
     groups: dict[int, list[int]] = {}
     for i, obj in enumerate(env.objs):
         groups.setdefault(id(obj), []).append(i)
@@ -363,7 +374,7 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
         a, t, k = np.nonzero(near)
         grasp = t == tl - first
         keep = grasp.copy()
-        keep[~grasp], budget = _may_crush(obj, rows[~grasp], crush_gap[k[~grasp]], budget)
+        keep[~grasp] = _may_crush(obj, rows[~grasp], crush_gap[k[~grasp]])
         a, k, rows, grasp = a[keep], k[keep], rows[keep], grasp[keep]
         found, d = _nearest(rows, obj.points)
         at = members[a[grasp]], k[grasp]
@@ -379,7 +390,7 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
         near = np.all((sph >= lo) & (sph <= hi), axis=-1)
         rows = sph[near]
         a, _, k = np.nonzero(near)
-        keep, budget = _may_crush(obj, rows, crush_gap[k], budget)
+        keep = _may_crush(obj, rows, crush_gap[k])
         if keep.any():
             rows, a, k = rows[keep], a[keep], k[keep]
             found, _ = _nearest(rows, obj.points)

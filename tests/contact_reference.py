@@ -26,6 +26,30 @@ def dense_nearest(centers, pts):
     return idx, d
 
 
+def crush_floor_oracle(obj, centers, cell):
+    """The crush floor of cubic cells of side cell centered at centers
+    (B, 3), each by one test over every cloud point: the min of
+    (x.n_p - p.n_p) - (cell / 2) |n_p|_1 over the points p with
+    s(p) - s(q) <= 2 h |p - q| + 1e-12, where s(p) = |p|^2 - 2 x.p, q is
+    the argmin of s and h the cell's half-diagonal."""
+    pts, nrm = obj.points, obj.normals
+    h = cell * np.sqrt(3.0) / 2.0
+    p2, pn, slack = (pts**2).sum(axis=1), (pts * nrm).sum(axis=1), cell / 2.0 * np.abs(nrm).sum(axis=1)
+
+    def dots(x, v):  # (B, N) x.v, summed in coordinate order
+        return (x[:, :1] * v[:, 0] + x[:, 1:2] * v[:, 1]) + x[:, 2:] * v[:, 2]
+
+    out = np.empty(len(centers))
+    for lo in range(0, len(centers), 256):
+        x = centers[lo : lo + 256]
+        s = p2 - 2.0 * dots(x, pts)
+        q = s.argmin(axis=1)
+        to_q = np.sqrt(sum((pts[:, k] - pts[q, k][:, None]) ** 2 for k in range(3)))
+        near = s - s[np.arange(len(x)), q][:, None] <= 2.0 * h * to_q + 1e-12
+        out[lo : lo + 256] = np.where(near, dots(x, nrm) - pn - slack, np.inf).min(axis=1)
+    return out
+
+
 def _select_contacts(dist, nearest_idx, pts, nrm, radii, finger_index, delta_c):
     """Per finger, the deepest sphere-vs-cloud contact within the shell,
     as one row of the contact table: (hit (F,), points (F, 3), normals

@@ -1,8 +1,9 @@
-"""Reference rollout kernels: the (n, 4)-slice forward kinematics, the
-np.where simplex pivot and the seven-load closure stack that
+"""Reference kernels: the (n, 4)-slice forward kinematics, the np.where
+simplex pivot and the seven-load closure stack that
 hand.forward_kinematics_batch, sim.feasible_combination_batch and the
-gravity-basis certificate of sim._closure_batch replaced, kept as
-oracles.
+gravity-basis certificate of sim._closure_batch replaced, and the
+(N, 3)-row farthest-point sampling that objects.farthest_point_sample
+replaced, kept as oracles.
 
 The FK chains each finger with whole-array quaternion products built by
 np.stack, one (n, 4) joint quaternion per segment, and writes each
@@ -157,3 +158,24 @@ def reference_closure(generators, loads):
     (G,) bools, True where all seven are feasible."""
     feasible = reference_feasible_combination(np.repeat(generators, 7, axis=0), loads.reshape(-1, 6))
     return feasible.reshape(-1, 7).all(axis=1)
+
+
+def reference_farthest_point_sample(points, m, seed):
+    """Greedy farthest-point subsampling over (N, 3) rows, a fresh
+    distance array per chosen point."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    start = int(rng.integers(n))
+    chosen = np.empty(m, dtype=int)
+    first = int(np.argmax(((points - points[start]) ** 2).sum(axis=1)))
+    chosen[0] = first
+    dist = ((points - points[first]) ** 2).sum(axis=1)
+    dist[first] = -np.inf
+    for i in range(1, m):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        d = ((points - points[nxt]) ** 2).sum(axis=1)
+        dist = np.minimum(dist, d)
+        dist[nxt] = -np.inf
+    return chosen

@@ -3,9 +3,9 @@ against the per-episode world-frame reference, on one seeded 32-episode
 chunk of each bundled hand.
 
 The object-frame phase runs twice: on the chunk's own objects, whose
-crush-floor tables the rounds keep filling (the steady state), and on
-fresh copies of the objects every round, so each round starts from cold
-tables and pays for the cells it fills.
+crush-floor tables the first round fills (every later round is the
+steady state), and on fresh copies of the objects every round, so each
+round starts from cold tables and pays for every block its rows land in.
 
 pytest's addopts pass --benchmark-disable, so the suite runs each case
 once as a plain test. Time them with
@@ -44,7 +44,7 @@ def chunk(request):
 
 def _with_cold_tables(env, *rest):
     """pedantic's setup: the arguments with every object of env replaced
-    by a fresh copy, whose crush-floor table is empty."""
+    by a fresh copy, whose crush-floor table has no block filled."""
     fresh = {id(obj): dataclasses.replace(obj) for obj in env.objs}
     columns = (getattr(env, f.name) for f in dataclasses.fields(env)[1:])
     return (type(env)([fresh[id(obj)] for obj in env.objs], *columns), *rest), {}

@@ -2,8 +2,11 @@
 any depth, retyped: every run succeeds or ends in a named user error
 (exit 0 or 1), never in an internal error (exit 2)."""
 
+import contextlib
 import copy
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,8 +39,10 @@ STYLES, STYLES_PATHS = _bundled(default_styles_path())
 
 
 def _exit_code(tmp_path_factory, doc, path, value, command):
-    """cli.main's exit code for `command` (with {file} standing for the
-    file) run on doc with the field at path set to value."""
+    """cli.main's exit code for `command` (with {dir} standing for the
+    files' directory) run on doc with the field at path set to value.
+    An argv that argparse rejects fails the test: it exits 1 too, but
+    without loading the file."""
     doc = copy.deepcopy(doc)
     node = doc
     for key in path[:-1]:
@@ -47,7 +52,12 @@ def _exit_code(tmp_path_factory, doc, path, value, command):
     (out / "doc.json").write_text(json.dumps(doc))
     (out / "config.json").write_text(json.dumps(TRAIN))
     argv = [arg.format(dir=out) for arg in command]
-    return cli.main(argv)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    sys.stderr.write(err.getvalue())
+    assert "usage:" not in err.getvalue(), f"argparse rejected {argv}: {err.getvalue()}"
+    return code
 
 
 @FUZZ

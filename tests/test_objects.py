@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from kernel_reference import reference_farthest_point_sample
+from fungrasp.assets import default_objects_dir
 from fungrasp.objects import (
     AFFORD_H_MIN,
     AFFORD_UP_WEIGHT,
@@ -11,6 +13,7 @@ from fungrasp.objects import (
     ObjectError,
     ObjectModel,
     affordance_distribution,
+    _squared_distances,
     farthest_point_sample,
     load_object,
     make_box,
@@ -189,6 +192,32 @@ def test_fps_spread_beats_random_subsets():
     for k in range(100):
         sub = pts[rng.choice(200, m, replace=False)]
         assert fps_d >= min_pairwise(sub)
+
+
+def test_fps_distances_have_the_bits_of_the_row_sum():
+    """_squared_distances gives every point's squared distance the bits
+    of numpy's (N, 3) row sum, on clouds of 11 sizes."""
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5, 8, 13, 64, 100, 257, 1000, 2250):
+        pts = rng.normal(0.0, 0.05, (n, 3))
+        out, tmp = np.empty(n), np.empty(n)
+        for j in rng.integers(n, size=5):
+            want = ((pts - pts[j]) ** 2).sum(axis=1)
+            assert _squared_distances(pts.T.copy(), j, out, tmp).tobytes() == want.tobytes()
+
+
+def test_fps_matches_the_row_sum_reference():
+    """farthest_point_sample picks the indices of the (N, 3)-row
+    reference on the bundled clouds, whose shared edges hold exact
+    duplicate points, and on a cloud made mostly of duplicates."""
+    rng = np.random.default_rng(4)
+    base = rng.normal(0.0, 0.05, (50, 3))
+    clouds = [load_object(p).points for p in sorted(default_objects_dir().glob("*.ply"))]
+    clouds.append(np.concatenate([base, base[rng.integers(50, size=150)]]))
+    for pts in clouds:
+        for seed in range(20):
+            got = farthest_point_sample(pts, 64, seed)
+            assert np.array_equal(got, reference_farthest_point_sample(pts, 64, seed))
 
 
 def test_fps_m_too_large():

@@ -8,7 +8,13 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from conftest import bits, concat_envs, env_of
-from contact_reference import dense_nearest, hand_assets, reference_contact_phase, seeded_rollout_inputs
+from contact_reference import (
+    crush_floor_oracle,
+    dense_nearest,
+    hand_assets,
+    reference_contact_phase,
+    seeded_rollout_inputs,
+)
 from episode_reference import reference_reset
 from kernel_reference import reference_feasible_combination
 from pose_reference import compose_pose, invert_pose, pose, transform_point
@@ -699,9 +705,9 @@ def test_contact_phase_matches_per_episode_world_frame_reference(hand):
     assert want_tables[1].sum() > 640
 
 
-def _cull_nothing(obj, rows, crush_gap, budget):
+def _cull_nothing(obj, rows, crush_gap):
     """sim._may_crush with a table that drops no row."""
-    return np.ones(len(rows), dtype=bool), budget
+    return np.ones(len(rows), dtype=bool)
 
 
 def _counted_rollout(*args, params=SimParams(), cull=True):
@@ -747,32 +753,48 @@ def test_crushed_episodes_skip_their_early_approach_frames(hand):
 @pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
 def test_the_crush_floor_table_cannot_change_a_result(hand):
     """One seeded 96-episode chunk gives the same columns and contact
-    table, bit for bit, with a cold table, with a table warmed until the
-    chunk fills no more cells, and with the cull off; the warmer the
-    table, the fewer rows reach _nearest."""
+    table, bit for bit, with cold tables, with the tables that chunk
+    filled, and with the cull off. The first run fills every block its
+    rows land in, so the second fills none and sends _nearest the same
+    rows; both send fewer than the run with the cull off."""
     assets = hand_assets(hand)
     envs, actions = seeded_rollout_inputs(assets, 96, seed=47)
     args = envs, assets.demo, actions, assets.spec, assets.styles
     assert not any(obj.crush_floor for obj in assets.objects)
-    cold = _counted_rollout(*args)
 
     def filled():
-        return sum(int(np.isfinite(obj.crush_floor["table"]).sum()) for obj in assets.objects if obj.crush_floor)
+        return [(obj.name, obj.crush_floor["filled"].copy()) for obj in assets.objects if obj.crush_floor]
 
-    before = filled()
-    assert 0 < before <= sim._FILL_BUDGET
-    for _ in range(200):
-        rollout_batch(*args)
-        if filled() == before:
-            break
-        before = filled()
+    cold = _counted_rollout(*args)
+    after_cold = filled()
+    assert after_cold and all(f.any() for _, f in after_cold)
     warm = _counted_rollout(*args)
-    assert filled() == before
+    assert bits(filled()) == bits(after_cold)
     off = _counted_rollout(*args, cull=False)
     assert bits(cold[0]) == bits(warm[0]) == bits(off[0])
     for c, w, o in zip(cold[1], warm[1], off[1]):
         assert np.array_equal(c, w) and np.array_equal(c, o)
-    assert warm[2] < cold[2] < off[2]
+    assert warm[2] == cold[2] < off[2]
+
+
+def _cell_centers(obj, cells):
+    """The centers of the crush-floor table's cells of the given (n, 3)
+    indices."""
+    return obj.box[0] - sim._GRID_GROW + (cells + 0.5) * sim._CELL
+
+
+def test_the_crush_floor_table_is_the_one_level_test():
+    """On every bundled cloud, a table filled block by block holds, cell
+    for cell and bit for bit, the floor that one test over the whole
+    cloud gives (contact_reference.crush_floor_oracle): no cell's match
+    candidates fail its block's screen."""
+    for obj in hand_assets("inspire_like").objects:
+        sim._may_crush(obj, np.zeros((0, 3)), np.zeros(0))
+        table = obj.crush_floor["table"]
+        centers = _cell_centers(obj, np.indices(table.shape).reshape(3, -1).T)
+        assert not sim._may_crush(obj, centers, np.full(len(centers), -np.inf)).any()
+        assert obj.crush_floor["filled"].all()
+        assert np.array_equal(table.ravel(), crush_floor_oracle(obj, centers, sim._CELL)), obj.name
 
 
 @pytest.mark.parametrize("n", [1, 8])
@@ -805,7 +827,9 @@ def test_rows_the_crush_floor_drops_cannot_crush(seed, n_points, duplicates, rad
     (each copy with its own normal), no approach row that _may_crush drops
     crushes under _crushing with _nearest's match, nor with any cloud
     point at its nearest distance. The rows are random in the table's
-    box, near the surface, and on cell boundaries."""
+    box, near the surface, on cell and block boundaries, and in the
+    table's last block. A warm table drops the same rows, and no filled
+    cell's floor is below that of one test over the whole cloud."""
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_points, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -815,19 +839,23 @@ def test_rows_the_crush_floor_drops_cannot_crush(seed, n_points, duplicates, rad
     obj = ObjectModel.from_points("lumpy", np.concatenate([pts, pts[copies]]),
                                   np.concatenate([nrm, rng.normal(size=(duplicates, 3))]))
     lo = obj.box[0] - sim._GRID_GROW
-    shape = np.ceil((obj.box[1] - obj.box[0] + 2 * sim._GRID_GROW) / sim._CELL).astype(int)
-    boundary = lo + rng.integers(0, shape + 1, (200, 3)) * sim._CELL
-    free = rng.integers(0, 2, boundary.shape).astype(bool)
-    boundary[free] = rng.uniform(lo, lo + shape * sim._CELL, boundary.shape)[free]
+    blocks = np.ceil((obj.box[1] - obj.box[0] + 2 * sim._GRID_GROW) / (sim._BLOCK * sim._CELL)).astype(int)
+    shape = blocks * sim._BLOCK
+    edges = []
+    for step, count in ((sim._CELL, shape), (sim._BLOCK * sim._CELL, blocks)):
+        edge = lo + rng.integers(0, count + 1, (200, 3)) * step
+        free = rng.integers(0, 2, edge.shape).astype(bool)
+        edge[free] = rng.uniform(lo, lo + shape * sim._CELL, edge.shape)[free]
+        edges.append(edge)
     pick = rng.integers(len(obj.points), size=200)
     rows = np.concatenate([
         rng.uniform(lo, lo + shape * sim._CELL, (200, 3)),
         obj.points[pick] + obj.normals[pick] * rng.uniform(-2.0 * radius, 3.0 * radius, (200, 1)),
-        boundary,
+        *edges,
+        rng.uniform(lo + (shape - sim._BLOCK) * sim._CELL, lo + shape * sim._CELL, (100, 3)),
     ])
     gap = np.full(len(rows), radius * (1.0 - crush_factor))
-    may, left = sim._may_crush(obj, rows, gap, len(rows))
-    assert left >= 0 and np.isfinite(obj.crush_floor["table"]).sum() == len(rows) - left
+    may = sim._may_crush(obj, rows, gap)
     dropped = rows[~may]
     found, _ = sim._nearest(rows, obj.points)
     assert not sim._crushing(obj, dropped, found[~may], gap[~may]).any()
@@ -835,7 +863,13 @@ def test_rows_the_crush_floor_drops_cannot_crush(seed, n_points, duplicates, rad
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     tie = dist <= dist.min(axis=1, keepdims=True) + 1e-12
     assert (np.where(tie, np.einsum("ijk,jk->ij", diff, obj.normals), np.inf) >= gap[~may, None]).all()
-    assert np.array_equal(sim._may_crush(obj, rows, gap, 0)[0], may)
+    assert np.array_equal(sim._may_crush(obj, rows, gap), may)
+    filled = obj.crush_floor["filled"]
+    assert filled[tuple(blocks - 1)]
+    cells = np.argwhere(filled.repeat(sim._BLOCK, 0).repeat(sim._BLOCK, 1).repeat(sim._BLOCK, 2))
+    cells = cells[rng.choice(len(cells), min(len(cells), 1000), replace=False)]
+    floor = obj.crush_floor["table"][tuple(cells.T)]
+    assert (floor >= crush_floor_oracle(obj, _cell_centers(obj, cells), sim._CELL)).all()
 
 
 def test_detect_contacts_is_the_one_frame_case_of_the_phase(objects):

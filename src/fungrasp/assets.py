@@ -1,5 +1,5 @@
-"""Paths to the assets bundled with the package, and the reader of
-every JSON input file.
+"""Paths to the assets bundled with the package, and the readers of
+every JSON input file and of its numeric and pose fields.
 
 Hands, styles, demos, and the PLY exports of the toy suite live under
 fungrasp/assets/; scripts/make_assets.py regenerates them.
@@ -8,8 +8,11 @@ fungrasp/assets/; scripts/make_assets.py regenerates them.
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 DEFAULT_HAND = "inspire_like"
 
@@ -21,6 +24,8 @@ __all__ = [
     "default_objects_dir",
     "read_json_object",
     "json_object_list",
+    "json_number",
+    "json_pose",
     "DEFAULT_HAND",
 ]
 
@@ -69,3 +74,47 @@ def json_object_list(data: dict, key: str, error: type[Exception], where: str) -
         if not isinstance(entry, dict):
             raise error(f"{where}{key}[{i}]: must be an object, not {type(entry).__name__}")
     return entries
+
+
+def json_number(value, error: type[Exception], where: str, *, integer: bool = False, vector: bool = False):
+    """A numeric field of a JSON input file: a number a finite float
+    holds (with integer, a JSON integer), as a float (an int), or with
+    vector a list of them, as a float array (a tuple of ints). A bool, a
+    string, null, an object or a nested list is no number. Raises
+    `error`, naming `where` and the value (in a list, the first bad
+    entry), for anything else."""
+    kinds = (int,) if integer else (int, float)
+    items = value if vector and isinstance(value, list) else [value]
+    try:    # one pass over the types, one conversion; an int no float holds overflows
+        array = np.array(items, dtype=float) if set(map(type, items)) <= set(kinds) else None
+    except OverflowError:
+        array = None
+    if array is None or not np.isfinite(array).all() or isinstance(value, list) != vector:
+        # abs(v) <= max is False for NaN, the infinities and an int no float holds
+        bad = [i for i, v in enumerate(items) if type(v) not in kinds or not abs(v) <= sys.float_info.max]
+        noun = "integer" if integer else "finite number"
+        want = f"a list of {noun}s" if vector else f"an {noun}" if integer else f"a {noun}"
+        got = f"{items[bad[0]]!r} at [{bad[0]}]" if bad and items is value else repr(value)
+        raise error(f"{where}: must be {want}, got {got}")
+    if vector:
+        return tuple(value) if integer else array
+    return value if integer else float(value)
+
+
+def json_pose(value, error: type[Exception], where: str):
+    """A pose field {"t": [3 numbers], "r": [4 numbers]} of a JSON input
+    file, returned as read-only (t, r) arrays with r / np.linalg.norm(r).
+    Raises `error`, naming `where`, for a field of another shape or a
+    quaternion whose norm is more than 1e-6 from 1."""
+    fields = value if isinstance(value, dict) else {}
+    t, r = (json_number(fields.get(k), error, f"{where}.{k}", vector=True) for k in "tr")
+    for name, a, n in (("t", t, 3), ("r", r, 4)):
+        if a.shape != (n,):
+            raise error(f"{where}: {name} must have shape ({n},), got {a.shape}")
+    norm = np.linalg.norm(r)
+    if abs(norm - 1.0) > 1e-6:
+        raise error(f"{where}: quaternion norm {norm:.3e} too far from 1")
+    r = r / norm
+    t.setflags(write=False)
+    r.setflags(write=False)
+    return t, r

@@ -110,9 +110,11 @@ def _load_config_file(path) -> dict:
     if unknown:
         raise ValueError(f"unknown config key(s) in {p}: {', '.join(map(repr, unknown))}; known: {', '.join(CONFIG_KEYS)}")
     for key, (want, _) in SETTINGS.items():
-        # a JSON true/false is a Python bool, which is an int too
-        if key in cfg and (not isinstance(cfg[key], want) or isinstance(cfg[key], bool)):
-            raise ValueError(f"{p}: config '{key}' must be {want.__name__}, got {cfg[key]!r}")
+        where = f"{p}: config '{key}'"
+        if key in cfg and want is int:
+            bundled.json_number(cfg[key], ValueError, where, integer=True)
+        elif key in cfg and not isinstance(cfg[key], str):
+            raise ValueError(f"{where}: must be a string, got {cfg[key]!r}")
     return cfg
 
 
@@ -203,16 +205,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    component = args.component
     cfg, assets, out = _run_setup(args)
-    result = ablation_run(cfg, component, assets, out)
+    result = ablation_run(cfg, args.component, assets, out)
     payload = {
-        "component": component,
+        "component": args.component,
         "full": result.full.as_dict(),
         "ablated": result.ablated.as_dict(),
         "deltas": result.deltas(),
     }
-    (out / f"ablation_{component}.json").write_text(json.dumps(payload, indent=1))
+    (out / f"ablation_{args.component}.json").write_text(json.dumps(payload, indent=1))
     print(json.dumps(payload))
     return 0
 
@@ -235,9 +236,7 @@ def cmd_sample_affordance(args) -> int:
     if name not in objs:
         raise ValueError(f"object {name!r} not found; have {sorted(objs)}")
     obj = objs[name]
-    dist = affordance_distribution(obj)
-    rng = episode_rng(seed, 42)
-    idx = sample_affordance_index(dist, rng)
+    idx = sample_affordance_index(affordance_distribution(obj), episode_rng(seed, 42))
     print(json.dumps({
         "object": name,
         "seed": seed,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assets import read_json_object
+from .assets import json_number, read_json_object
 from .demo import Demonstration, edit_wrist_arrays, edited_joint_trajectory
 from .geometry import quat_from_matrix, quat_rotate, row_norms
 from .hand import HandSpec
@@ -145,7 +145,7 @@ def _row_texts(a) -> list[str]:
 
 
 def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demonstration, spec: HandSpec,
-                    success_only: bool = False, config: dict | None = None) -> dict:
+                    success_only: bool, config: dict) -> dict:
     """Write per-frame JSONL plus a manifest JSON next to it.
 
     `episodes` are episode results of `demo` on the hand `spec`. Each
@@ -224,7 +224,7 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
         "success_only": success_only,
         "n_success": sum(1 for e in selected if e.record.success),
         "n_errored": len(episodes) - len(completed),
-        "config_digest": config_digest(config) if config is not None else None,
+        "config_digest": config_digest(config),
         "cameras": {name: cam.to_dict() for name, cam in cameras.items()},
     }
     manifest_path.write_text(json.dumps(manifest, indent=1))
@@ -251,37 +251,32 @@ def save_checkpoint(params: PolicyParams, meta: dict, path) -> None:
 def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: int | None = None,
                     expect_m_points: int | None = None,
                     expect_joint_count: int | None = None) -> tuple[PolicyParams, dict]:
-    """Load and validate a checkpoint. Rejects identity mismatches, and
-    any array whose size differs from the shape its stored style_count
-    and joint_count give it (policy.param_shapes) or that holds a
-    non-finite value; each CheckpointError names what it rejects."""
+    """Load and validate a checkpoint. Rejects identity mismatches, counts
+    and array entries that json_number rejects, and any array whose size
+    differs from the shape its stored style_count and joint_count give
+    it (policy.param_shapes); each CheckpointError names what it rejects."""
     payload = read_json_object(path, CheckpointError)
     if payload.get("schema_version") != SCHEMA_VERSION:
-        raise CheckpointError(
-            f"{path}: schema_version {payload.get('schema_version')} != {SCHEMA_VERSION}"
-        )
+        raise CheckpointError(f"{path}: schema_version {payload.get('schema_version')} != {SCHEMA_VERSION}")
+    counts = {k: json_number(payload.get(k), CheckpointError, f"{path}: {k}", integer=True)
+              for k in ("m_points", "style_count", "joint_count")}
     for got, want, label in (
         (payload.get("hand"), expect_hand, "hand"),
-        (payload.get("style_count"), expect_style_count, "style_count"),
-        (payload.get("m_points"), expect_m_points, "m_points"),
-        (payload.get("joint_count"), expect_joint_count, "joint_count"),
+        (counts["style_count"], expect_style_count, "style_count"),
+        (counts["m_points"], expect_m_points, "m_points"),
+        (counts["joint_count"], expect_joint_count, "joint_count"),
     ):
         if want is not None and got != want:
             raise CheckpointError(f"{path}: checkpoint {label}={got!r}, configured {label}={want!r}")
-    try:
-        counts = {k: int(payload[k]) for k in ("m_points", "style_count", "joint_count")}
-        shapes = param_shapes(counts["style_count"], counts["joint_count"])
-        arrays = {f: np.array(payload["arrays"][f], dtype=float) for f in shapes}
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
+    stored = payload["arrays"] if isinstance(payload.get("arrays"), dict) else {}
+    shapes = param_shapes(counts["style_count"], counts["joint_count"])
+    arrays = {f: json_number(stored.get(f), CheckpointError, f"{path}: arrays.{f}", vector=True) for f in shapes}
     for f, shape in shapes.items():
         if arrays[f].size != int(np.prod(shape)):
             raise CheckpointError(
                 f"{path}: array {f} has {arrays[f].size} values, but style_count={counts['style_count']} "
                 f"and joint_count={counts['joint_count']} give it shape {shape}"
             )
-        if not np.all(np.isfinite(arrays[f])):
-            raise CheckpointError(f"{path}: array {f} holds non-finite values")
     params = PolicyParams(np.concatenate([arrays[f].ravel() for f in shapes]), **counts)
     meta = {
         "hand": payload.get("hand"),

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .assets import json_object_list, read_json_object
+from .assets import json_number, json_object_list, json_pose, read_json_object
 from .geometry import axis_angle_to_quat, compose_pose_rows, normalize_rows, quat_mul, quat_normalize, quat_rotate
-from .hand import HandSpec, clamp_to_limits, json_number, json_pose
+from .hand import HandSpec, clamp_to_limits
 
 log = logging.getLogger(__name__)
 
@@ -234,13 +234,6 @@ def edit_wrist_arrays(demo: Demonstration, actions, pose_t, pose_r):
 
 
 def disturb_style(style_q, sigma: float, rng: np.random.Generator, spec: HandSpec) -> np.ndarray:
-    """Gaussian joint perturbation of a canonical style, clamped to limits.
-
-    Training-time exploration aid; sigma = 0 returns the input unchanged.
-    """
-    if sigma < 0:
-        raise DemoError(f"sigma must be >= 0, got {sigma}")
-    style_q = np.asarray(style_q, dtype=float)
-    if sigma == 0.0:
-        return style_q.copy()
-    return clamp_to_limits(spec, style_q + rng.normal(0.0, sigma, style_q.shape))
+    """Gaussian joint perturbation (sigma > 0) of a canonical style,
+    clamped to limits; a training-time exploration aid."""
+    return clamp_to_limits(spec, style_q + rng.normal(0.0, sigma, np.shape(style_q)))

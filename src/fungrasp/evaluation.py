@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import config_digest
-from .hand import normalize_joints
+from .hand import HandSpec, normalize_joints
 from .policy import PolicyParams
 from .training import (
     STREAM_EVAL,
@@ -90,14 +90,14 @@ def pairwise_style_diversity(q_list) -> float:
     return float(d[iu].mean())
 
 
-def compute_metrics(results: list[EpisodeResult], spec=None, strict: bool = False,
+def compute_metrics(results: list[EpisodeResult], spec: HandSpec, strict: bool,
                     baseline_sd: float | None = None) -> Metrics:
     """Aggregate episode results into the four headline numbers; an
     errored episode counts as a failure.
 
-    SD is reported both raw (mixed joint units) and in limit-normalized
-    joint coordinates when a hand spec is given; sd_ratio divides raw SD
-    by a supplied baseline.
+    SD is reported both raw (mixed joint units) and in the hand's
+    limit-normalized joint coordinates; sd_ratio divides raw SD by a
+    supplied baseline.
     """
     n = len(results)
     succ = [r for r in results if _effective_success(r, strict)]
@@ -105,7 +105,7 @@ def compute_metrics(results: list[EpisodeResult], spec=None, strict: bool = Fals
     sad = float(np.mean([r.record.d_final for r in succ])) if succ else None
     q_succ = [r.record.q_final for r in succ]
     sd = pairwise_style_diversity(q_succ)
-    sd_norm = pairwise_style_diversity([normalize_joints(spec, q) for q in q_succ]) if spec is not None else 0.0
+    sd_norm = pairwise_style_diversity([normalize_joints(spec, q) for q in q_succ])
     sa = sum(1 for r in succ if r.record.executed_style == r.conditioned_style) / len(succ) if succ else None
     return Metrics(
         gsr=gsr,

@@ -53,7 +53,7 @@ def row_norms(x) -> np.ndarray:
 def normalize_rows(x) -> np.ndarray:
     """Each row of an (N, D) stack divided by its norm (row_norms): row
     for row the bits of r / np.linalg.norm(r), the division the loaders
-    apply to one quaternion (hand.json_pose)."""
+    apply to one quaternion (assets.json_pose)."""
     x = np.asarray(x, dtype=float)
     return x / row_norms(x)[:, None]
 

@@ -10,19 +10,16 @@ linear function (``scale * q[source]``) of an active joint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .assets import json_object_list, read_json_object
+from .assets import json_number, json_object_list, json_pose, read_json_object
 from .geometry import hamilton, rotate, row_norms
 
 __all__ = [
     "HandError",
-    "json_number",
-    "json_pose",
     "Segment",
     "Finger",
     "Coupling",
@@ -39,44 +36,6 @@ __all__ = [
 
 class HandError(ValueError):
     """Raised for malformed hand/style files and dimension mismatches."""
-
-
-def json_number(value, error: type[Exception], where: str, *, integer: bool = False, vector: bool = False):
-    """A numeric field of a JSON input file: a finite number (with
-    integer, a JSON integer), returned as a float (an int), or with
-    vector a list of them, returned as a float array (a tuple of ints).
-    A bool, a string, null, an object or a nested list is no number.
-    Raises `error`, naming `where` and the value, for anything else."""
-    kind = int if integer else (int, float)
-    items = value if vector and isinstance(value, list) else [value]
-    if (vector and not isinstance(value, list)) or not all(
-        isinstance(v, kind) and not isinstance(v, bool) and (isinstance(v, int) or math.isfinite(v)) for v in items
-    ):
-        noun = "integer" if integer else "finite number"
-        want = f"a list of {noun}s" if vector else f"an {noun}" if integer else f"a {noun}"
-        raise error(f"{where}: must be {want}, got {value!r}")
-    if vector:
-        return tuple(value) if integer else np.array(value, dtype=float)
-    return value if integer else float(value)
-
-
-def json_pose(value, error: type[Exception], where: str):
-    """A pose field {"t": [3 numbers], "r": [4 numbers]} of a JSON input
-    file, returned as read-only (t, r) arrays with r / np.linalg.norm(r).
-    Raises `error`, naming `where`, for a field of another shape or a
-    quaternion whose norm is more than 1e-6 from 1."""
-    fields = value if isinstance(value, dict) else {}
-    t, r = (json_number(fields.get(k), error, f"{where}.{k}", vector=True) for k in "tr")
-    for name, a, n in (("t", t, 3), ("r", r, 4)):
-        if a.shape != (n,):
-            raise error(f"{where}: {name} must have shape ({n},), got {a.shape}")
-    norm = np.linalg.norm(r)
-    if abs(norm - 1.0) > 1e-6:
-        raise error(f"{where}: quaternion norm {norm:.3e} too far from 1")
-    r = r / norm
-    t.setflags(write=False)
-    r.setflags(write=False)
-    return t, r
 
 
 @dataclass(frozen=True)
@@ -126,7 +85,6 @@ class HandSpec:
 @dataclass(frozen=True)
 class Style:
     id: str
-    index: int
     q_canonical: np.ndarray     # (J,), within limits
     contact_mask: tuple[int, ...]
 
@@ -255,7 +213,7 @@ def load_styles(path, spec: HandSpec) -> list[Style]:
                 "distinct fingers, so no grasp of the style could succeed"
             )
         q.setflags(write=False)
-        styles.append(Style(id=style_id, index=i, q_canonical=q, contact_mask=mask))
+        styles.append(Style(id=style_id, q_canonical=q, contact_mask=mask))
     if not styles:
         raise HandError(f"{path}: no styles defined")
     return styles

@@ -295,14 +295,17 @@ def farthest_point_sample(points, m: int, seed: int) -> np.ndarray:
 # the acceptance run need no external datasets.
 # ---------------------------------------------------------------------------
 
-def _grid(lo, hi, step):
-    n = max(2, int(round((hi - lo) / step)) + 1)
+_STEP = 0.004     # the toy clouds' point spacing, meters
+
+
+def _grid(lo, hi):
+    n = max(2, int(round((hi - lo) / _STEP)) + 1)
     return np.linspace(lo, hi, n)
 
 
-def make_box(edges=(0.06, 0.06, 0.06), step=0.004, name="box") -> ObjectModel:
+def make_box(edges=(0.06, 0.06, 0.06), name="box") -> ObjectModel:
     ex, ey, ez = edges
-    xs, ys, zs = _grid(-ex / 2, ex / 2, step), _grid(-ey / 2, ey / 2, step), _grid(0.0, ez, step)
+    xs, ys, zs = _grid(-ex / 2, ex / 2), _grid(-ey / 2, ey / 2), _grid(0.0, ez)
     pts, nrm = [], []
     for sign in (-1.0, 1.0):
         gy, gz = np.meshgrid(ys, zs, indexing="ij")
@@ -318,17 +321,17 @@ def make_box(edges=(0.06, 0.06, 0.06), step=0.004, name="box") -> ObjectModel:
     return ObjectModel.from_points(name, np.concatenate(pts), np.concatenate(nrm))
 
 
-def make_cylinder(radius=0.028, height=0.09, step=0.004, name="cylinder") -> ObjectModel:
-    n_theta = max(8, int(round(2 * np.pi * radius / step)))
+def make_cylinder(radius=0.028, height=0.09, name="cylinder") -> ObjectModel:
+    n_theta = max(8, int(round(2 * np.pi * radius / _STEP)))
     theta = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
-    zs = _grid(0.0, height, step)
+    zs = _grid(0.0, height)
     gt, gz = np.meshgrid(theta, zs, indexing="ij")
     side = np.stack([radius * np.cos(gt).ravel(), radius * np.sin(gt).ravel(), gz.ravel()], axis=1)
     side_n = np.stack([np.cos(gt).ravel(), np.sin(gt).ravel(), np.zeros(gt.size)], axis=1)
     pts, nrm = [side], [side_n]
     for zval, nz in ((0.0, -1.0), (height, 1.0)):
-        for r in _grid(0.0, radius, step)[1:]:
-            nt = max(6, int(round(2 * np.pi * r / step)))
+        for r in _grid(0.0, radius)[1:]:
+            nt = max(6, int(round(2 * np.pi * r / _STEP)))
             th = np.linspace(0, 2 * np.pi, nt, endpoint=False)
             pts.append(np.stack([r * np.cos(th), r * np.sin(th), np.full(nt, zval)], axis=1))
             nrm.append(np.tile([0.0, 0.0, nz], (nt, 1)))
@@ -337,18 +340,17 @@ def make_cylinder(radius=0.028, height=0.09, step=0.004, name="cylinder") -> Obj
     return ObjectModel.from_points(name, np.concatenate(pts), np.concatenate(nrm))
 
 
-def make_sphere(radius=0.032, n=800, name="sphere") -> ObjectModel:
-    # Fibonacci sphere: even coverage, exact radial normals
-    i = np.arange(n)
+def make_sphere() -> ObjectModel:
+    # Fibonacci sphere of 800 points, radius 0.032: even coverage, exact radial normals
+    i = np.arange(800)
     phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-    y = 1.0 - 2.0 * (i + 0.5) / n
+    y = 1.0 - 2.0 * (i + 0.5) / 800
     r = np.sqrt(1.0 - y * y)
     dirs = np.stack([np.cos(phi) * r, y, np.sin(phi) * r], axis=1)
-    pts = radius * dirs + np.array([0.0, 0.0, radius])
-    return ObjectModel.from_points(name, pts, dirs)
+    return ObjectModel.from_points("sphere", 0.032 * dirs + np.array([0.0, 0.0, 0.032]), dirs)
 
 
-def make_l_shape(name="l_shape") -> ObjectModel:
+def make_l_shape() -> ObjectModel:
     # foot slab plus a column on its -x end; interior points removed
     foot = make_box((0.08, 0.05, 0.03), name="_foot")
     col = make_box((0.03, 0.05, 0.09), name="_col")
@@ -363,19 +365,20 @@ def make_l_shape(name="l_shape") -> ObjectModel:
     keep_c = ~inside(col_pts, np.array([-0.04, -0.025, -1.0]), np.array([-0.01, 0.025, 0.03]))
     pts = np.concatenate([foot_pts[keep_f], col_pts[keep_c]])
     nrm = np.concatenate([foot.normals[keep_f], col.normals[keep_c]])
-    return ObjectModel.from_points(name, pts, nrm)
+    return ObjectModel.from_points("l_shape", pts, nrm)
 
 
-def make_mug(body_radius=0.033, body_height=0.08, name="mug") -> ObjectModel:
+def make_mug() -> ObjectModel:
     # handle sticks out along +y, clear of a +-x pincer approach
-    body = make_cylinder(body_radius, body_height, name="_body")
-    handle = make_box((0.016, 0.024, 0.05), step=0.004, name="_handle")
+    body_radius = 0.033
+    body = make_cylinder(body_radius, 0.08, name="_body")
+    handle = make_box((0.016, 0.024, 0.05), name="_handle")
     handle_pts = handle.points + np.array([0.0, body_radius + 0.008, 0.018])
     r = np.linalg.norm(handle_pts[:, :2], axis=1)
     keep = r > body_radius - 1e-9
     pts = np.concatenate([body.points, handle_pts[keep]])
     nrm = np.concatenate([body.normals, handle.normals[keep]])
-    return ObjectModel.from_points(name, pts, nrm)
+    return ObjectModel.from_points("mug", pts, nrm)
 
 
 def toy_suite() -> dict[str, ObjectModel]:

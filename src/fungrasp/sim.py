@@ -169,7 +169,7 @@ def reset_env(
     *,
     spec: HandSpec,
     sigma_style: float,
-    square_half: float = 0.25,
+    square_half: float,
     force_style: int | None = None,
 ) -> EnvBatch:
     """Reset one environment per rng: draw its object and its pose on the
@@ -420,7 +420,7 @@ def style_contact_point(points: np.ndarray, mask) -> np.ndarray:
     return np.where(mask[..., None], points, 0.0).sum(axis=-2) / mask.sum(axis=-1)[..., None]
 
 
-def check_table_collision(centers: np.ndarray, radii, tol: float = 0.002) -> np.ndarray:
+def check_table_collision(centers: np.ndarray, radii, tol: float) -> np.ndarray:
     """True where any collision sphere of a (..., K, 3) stack of centers
     reaches the table plane z = 0.
 
@@ -536,8 +536,8 @@ def grasp_success_batch(
     points: np.ndarray,
     normals: np.ndarray,
     env: EnvBatch,
-    mu: float = 0.5,
-    eta: float = 0.2,
+    mu: float,
+    eta: float,
     *,
     table_collision: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -612,7 +612,7 @@ def rollout_batch(
     actions: np.ndarray,
     spec: HandSpec,
     styles: list[Style],
-    params: SimParams = SimParams(),
+    params: SimParams,
 ) -> tuple:
     """Execute E edited trajectories, given as (E, 7 + J) action vectors
     laid out [dt(3), dr(3), dq(J), k] (EditBounds.intervals). Returns
@@ -636,6 +636,7 @@ def rollout_batch(
     gravity basis where it certifies them and by a second stacked
     simplex where it does not.
     """
+    # read from demo at each call, where perfbench's tracer and the tests' oracle replace it
     from .demo import edit_wrist_arrays
 
     pose_t, pose_r = env.pose_t, env.pose_r

@@ -90,6 +90,7 @@ import json
 import logging
 import mmap
 import multiprocessing
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, wait
 from contextlib import ExitStack, contextmanager, nullcontext
@@ -98,6 +99,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .assets import json_number
 from .demo import Demonstration, EditBounds, load_demo
 from .hand import HandSpec, Style, load_hand_spec, load_styles
 from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object, toy_suite
@@ -193,8 +195,8 @@ class TrainConfig:
 def _section(d, cls, section: str) -> dict:
     """d, checked as the config section `section` of dataclass cls: an
     object whose keys are fields of cls and whose values fit each
-    field's default (an object for a section, any finite number for a
-    float, otherwise the default's type; a bool is not a number)."""
+    field's default (an object for a section, json_number's number or
+    integer for a float or an int, else the default's type), as is."""
     if not isinstance(d, dict):
         raise ValueError(f"config '{section}' must be an object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
@@ -204,12 +206,11 @@ def _section(d, cls, section: str) -> dict:
     for name, value in d.items():
         default = getattr(defaults, name)
         nested = dataclasses.is_dataclass(default)
-        want = dict if nested else (int, float) if isinstance(default, float) else type(default)
-        if not isinstance(value, want) or isinstance(value, bool) != isinstance(default, bool):
+        if type(default) in (int, float):
+            json_number(value, ValueError, f"config '{section}.{name}'", integer=type(default) is int)
+        elif not isinstance(value, dict if nested else type(default)):
             kind = "an object" if nested else type(default).__name__
             raise ValueError(f"config '{section}.{name}' must be {kind}, got {value!r}")
-        if isinstance(value, float) and not np.isfinite(value):  # json reads NaN and Infinity
-            raise ValueError(f"config '{section}.{name}' must be a finite number, got {value!r}")
     return d
 
 
@@ -514,8 +515,9 @@ class EpisodePool:
     """Bulk-synchronous episode runner; workers share read-only assets.
     Every episode of training and evaluation runs through `run`.
 
-    With workers > 1 the episodes run in forked processes, each on the
-    strided chunk c, c + workers, ... `run` returns or raises only once
+    With workers > 1 the strided chunks c, c + workers, ... run in
+    forked processes, at most one per CPU (the executor forks them all
+    at its first submit). `run` returns or raises only once
     every chunk has ended, so no worker reads the params block while the
     next `run` writes it. Each worker runs OpenBLAS on one thread, and so
     does the main process from here until `close`, which restores the
@@ -534,7 +536,7 @@ class EpisodePool:
             self._block = self._open.enter_context(mmap.mmap(-1, int(size) * np.dtype(float).itemsize))
             self._flat = np.frombuffer(self._block, dtype=float)
             self._ex = self._open.enter_context(ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=multiprocessing.get_context("fork"),
+                max_workers=min(self.workers, os.cpu_count() or 1), mp_context=multiprocessing.get_context("fork"),
                 initializer=_pool_init, initargs=(assets, self._block),
             ))
 
@@ -843,10 +845,9 @@ def finite_diff_check(
     params: PolicyParams,
     batch: ObsBatch,
     rng: np.random.Generator,
-    n_params: int = 200,
-    h: float = 1e-5,
+    n_params: int,
 ) -> float:
-    """Max relative error, analytic vs central differences.
+    """Max relative error, analytic vs central differences (h = 1e-5).
 
     The probe objective mixes log-probs of fixed raw actions, values, and
     the entropy so every parameter group is exercised. Relative error is
@@ -857,8 +858,7 @@ def finite_diff_check(
     bounds = EditBounds()
     joint_count = params.joint_count
     b = batch.size
-    a_dim = params.action_dim
-    raw = rng.standard_normal((b, a_dim))
+    raw = rng.standard_normal((b, params.action_dim))
     c_lp = rng.normal(size=b)
     c_v = rng.normal(size=b)
     c_h = float(rng.normal())
@@ -875,6 +875,7 @@ def finite_diff_check(
     d_log_std = (c_lp[:, None] * d_logstd_lp).sum(axis=0) + c_h
     grads = policy_backward(params, cache, d_mean, d_value, d_log_std)
 
+    h = 1e-5
     flat = params.flat.copy()
     idx = rng.choice(flat.size, size=min(n_params, flat.size), replace=False)
     worst = 0.0

@@ -127,7 +127,7 @@ def seeded_rollout_inputs(assets, n, seed):
     envs, actions = [], []
     for i in range(n):
         envs.append(reset_env(assets.objects, assets.afford_dists, assets.styles, [rng], spec=spec,
-                              sigma_style=0.05 if i % 2 else 0.0))
+                              sigma_style=0.05 if i % 2 else 0.0, square_half=0.25))
         if i % 4 == 0:
             vec = rng.uniform(lo, hi)
         else:

@@ -205,12 +205,20 @@ def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, tr
              for i in indices]
     live = [(res, env, action) for res, env, action, _ in acted if res.error is None]
     if live:
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return reference_edit_wrist_arrays(*args)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(demo_module, "edit_wrist_arrays", reference_edit_wrist_arrays)
+            mp.setattr(demo_module, "edit_wrist_arrays", counted)
             rollout = rollout_batch(
                 concat_envs([env for _, env, _ in live]), assets.demo, np.stack([a for _, _, a in live]),
                 assets.spec, assets.styles, cfg.sim,
             )
+        # a patch the rollout does not look up would compare the engine with itself
+        assert calls == [1], "rollout_batch did not call the reference wrist composition"
         for (res, env, _), row in zip(live, zip(*rollout)):
             res.record = record = RolloutRecord(*row)
             res.terms = reference_reward_terms(record, env.objs[0].obj_bb,

@@ -1,7 +1,7 @@
 """Single-pose oracles of the (t, r) row algebra the package runs
 (geometry.compose_pose_rows, demo.edit_wrist_arrays). A pose is a (3,)
 translation and a (4,) unit quaternion; every pose built here has
-r / np.linalg.norm(r), the bits the loaders (hand.json_pose) give r.
+r / np.linalg.norm(r), the bits the loaders (assets.json_pose) give r.
 """
 
 import numpy as np

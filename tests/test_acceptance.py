@@ -76,7 +76,7 @@ def test_criterion_1_gradient_gate(spec, styles):
     params = init_params(rng, 16, len(styles), spec.joint_count)
 
     obs = random_obs(rng, 4, 16, len(styles))
-    err = finite_diff_check(params, obs, rng, n_params=200, h=1e-5)
+    err = finite_diff_check(params, obs, rng, n_params=200)
     elapsed = time.time() - t0
     ok = err < 1e-4 and elapsed < 30.0
     assert _report(1, ok, f"gradient gate: max rel err {err:.2e} (<1e-4), {elapsed:.1f}s (<30s)")
@@ -120,7 +120,7 @@ def test_criterion_3_interpolation_endpoint(assets, demo, spec, styles):
 
 def test_criterion_4_force_closure_oracle():
     t0 = time.time()
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = env_of(obj, obj.points[0], np.zeros(6), [True, True])
     # contact tables of two fingers at opposite poles: antipodal, the
     # same with only finger 0 in contact, and both normals pointing one way

@@ -243,7 +243,7 @@ def test_checkpoint_joint_count_mismatch_is_a_user_error(tmp_path, capsys, comma
 
 @pytest.mark.parametrize("command, defect, named", [
     ("eval", "joint_count", "array mean_w has 1536 values"),
-    ("collect", "nan", "array a_w1 holds non-finite values"),
+    ("collect", "nan", "arrays.a_w1: must be a list of finite numbers, got nan at [0]"),
 ])
 def test_invalid_checkpoint_arrays_are_user_errors(tmp_path, capsys, command, defect, named):
     from fungrasp.dataio import save_checkpoint
@@ -288,7 +288,7 @@ def test_collect_into_an_unwritable_rollouts_path_is_a_user_error(tmp_path, caps
 def test_sample_affordance_reads_an_objects_directory(tmp_path, capsys):
     from fungrasp.objects import make_sphere, save_object_ply
 
-    save_object_ply(make_sphere(name="ball"), tmp_path / "ball.ply")
+    save_object_ply(make_sphere(), tmp_path / "ball.ply")
     assert main(["sample-affordance", "--seed", "3", "--objects", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["object"] == "ball"
     empty = tmp_path / "empty"
@@ -345,15 +345,17 @@ def test_unknown_config_key_is_a_named_user_error(tmp_path, capsys, config, key)
 @pytest.mark.parametrize("text, named", [
     ('{"seed": 1, "train": 5}', "config 'train' must be an object, got 5"),
     ('{"seed": 1, "train": {"sim": 3}}', "config 'train.sim' must be an object, got 3"),
-    ('{"seed": 1, "train": {"minibatch": "8"}}', "config 'train.minibatch' must be int, got '8'"),
-    ('{"seed": 1, "train": {"reward": {"gamma": "4"}}}', "config 'train.reward.gamma' must be float, got '4'"),
-    ('{"seed": 1, "train": {"bounds": {"b_t": null}}}', "config 'train.bounds.b_t' must be float, got None"),
+    ('{"seed": 1, "train": {"minibatch": "8"}}', "config 'train.minibatch': must be an integer, got '8'"),
+    ('{"seed": 1, "train": {"reward": {"gamma": "4"}}}', "config 'train.reward.gamma': must be a finite number, got '4'"),
+    ('{"seed": 1, "train": {"bounds": {"b_t": null}}}', "config 'train.bounds.b_t': must be a finite number, got None"),
     ("seed = 1", "c.json: cannot parse JSON"),
-    ('{"seed": [1]}', "c.json: config 'seed' must be int, got [1]"),
-    ('{"seed": true}', "c.json: config 'seed' must be int, got True"),
-    ('{"seed": 1, "hand": 5}', "c.json: config 'hand' must be str, got 5"),
-    ('{"seed": 1, "workers": "2"}', "c.json: config 'workers' must be int, got '2'"),
-], ids=["train", "sim", "minibatch", "gamma", "b_t", "not_json", "seed_list", "seed_bool", "hand", "workers"])
+    ('{"seed": [1]}', "c.json: config 'seed': must be an integer, got [1]"),
+    ('{"seed": true}', "c.json: config 'seed': must be an integer, got True"),
+    ('{"seed": %d}' % 10**400, "c.json: config 'seed': must be an integer, got 1000"),
+    ('{"seed": 1, "hand": 5}', "c.json: config 'hand': must be a string, got 5"),
+    ('{"seed": 1, "workers": "2"}', "c.json: config 'workers': must be an integer, got '2'"),
+], ids=["train", "sim", "minibatch", "gamma", "b_t", "not_json", "seed_list", "seed_bool", "seed_huge", "hand",
+        "workers"])
 def test_config_shape_and_type_errors_are_user_errors(tmp_path, capsys, text, named):
     path = tmp_path / "c.json"
     path.write_text(text)
@@ -377,7 +379,7 @@ def test_non_finite_config_numbers_are_user_errors(tmp_path, capsys, literal, sh
     path.write_text(f'{{"seed": 1, "train": {value}}}')
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert f"config '{section}.{key}' must be a finite number, got {shown}" in err and "internal error" not in err
+    assert f"config '{section}.{key}': must be a finite number, got {shown}" in err and "internal error" not in err
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 

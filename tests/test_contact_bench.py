@@ -38,7 +38,7 @@ def chunk(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "detect_contacts", capture)
-        sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
+        sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, sim.SimParams())
     return request.param, captured[0]
 
 

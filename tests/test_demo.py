@@ -187,9 +187,8 @@ def test_edit_wrist_object_rotation_equivariance(demo):
         assert quat_distance(p_r, want_r) < 1e-12
 
 
-def test_disturb_style_zero_sigma_and_determinism(spec, styles):
+def test_disturb_style_determinism(spec, styles):
     s = styles[0].q_canonical
-    assert np.array_equal(disturb_style(s, 0.0, np.random.default_rng(0), spec), s)
     a = disturb_style(s, 0.05, np.random.default_rng(5), spec)
     b = disturb_style(s, 0.05, np.random.default_rng(5), spec)
     assert np.array_equal(a, b)

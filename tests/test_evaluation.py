@@ -31,9 +31,10 @@ def eval_params(assets, eval_cfg):
                        len(assets.styles), assets.spec.joint_count)
 
 
-def _row(success, d_final=0.02, q=None, cond=0, exe=0):
-    """An episode result whose record measured d_final at every frame."""
-    q = np.array(q if q is not None else [0.0] * 3, dtype=float)
+def _row(success, d_final=0.02, q=(), cond=0, exe=0):
+    """An episode result whose record measured d_final at every frame,
+    with q_final q padded with zeros to the hand's six joints."""
+    q = np.pad(np.asarray(q, dtype=float), (0, 6 - len(q)))
     record = RolloutRecord(d_series=np.full(3, d_final), q_final=q, q_star=q, executed_style=exe,
                            failure_reason=None if success else "no_closure")
     return EpisodeResult(0, "box", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), cond, record=record)
@@ -56,8 +57,8 @@ def test_pairwise_diversity_translation_invariant():
     assert pairwise_style_diversity(qs + shift) == pytest.approx(pairwise_style_diversity(qs))
 
 
-def test_metrics_all_failures():
-    m = compute_metrics([_row(False) for _ in range(10)])
+def test_metrics_all_failures(spec):
+    m = compute_metrics([_row(False) for _ in range(10)], spec, False)
     assert m.gsr == 0.0
     assert m.sad is None
     assert m.sa is None
@@ -65,36 +66,38 @@ def test_metrics_all_failures():
     assert m.n_success == 0
 
 
-def test_metrics_formulas():
+def test_metrics_formulas(spec):
     rows = [
         _row(True, d_final=0.01, q=[0.0, 0.0], cond=0, exe=0),
         _row(True, d_final=0.03, q=[1.0, 0.0], cond=1, exe=0),
         _row(False, d_final=0.5),
     ]
-    m = compute_metrics(rows)
+    m = compute_metrics(rows, spec, False)
     assert m.gsr == pytest.approx(2 / 3)
     assert m.sad == pytest.approx(0.02)
     assert m.sa == pytest.approx(0.5)
     assert m.sd == pytest.approx(1.0)
+    # the same gap in the hand's limit-normalized joint coordinates
+    assert m.sd_normalized == pytest.approx(1.0 / (spec.limits_hi[0] - spec.limits_lo[0]))
     assert m.n_episodes == 3 and m.n_success == 2
 
 
-def test_strict_success_filter():
+def test_strict_success_filter(spec):
     rows = [
         _row(True, d_final=0.01, cond=0, exe=0),   # strict pass
         _row(True, d_final=0.09, cond=0, exe=0),   # too far
         _row(True, d_final=0.01, cond=1, exe=0),   # style mismatch
     ]
-    loose = compute_metrics(rows)
-    strict = compute_metrics(rows, strict=True)
+    loose = compute_metrics(rows, spec, False)
+    strict = compute_metrics(rows, spec, True)
     assert loose.gsr == 1.0
     assert strict.gsr == pytest.approx(1 / 3)
     assert strict.sa == 1.0
 
 
-def test_sd_ratio_against_baseline():
+def test_sd_ratio_against_baseline(spec):
     rows = [_row(True, q=[0.0, 0.0]), _row(True, q=[2.0, 0.0])]
-    m = compute_metrics(rows, baseline_sd=4.0)
+    m = compute_metrics(rows, spec, False, baseline_sd=4.0)
     assert m.sd_ratio == pytest.approx(0.5)
 
 

@@ -163,7 +163,7 @@ def test_fk_matches_the_reference_on_seeded_rollout_inputs(hand, monkeypatch):
     envs, actions = seeded_rollout_inputs(assets, 32, seed=31)
     captured = []
     monkeypatch.setattr(sim, "forward_kinematics_batch", lambda *a: captured.append(a) or forward_kinematics_batch(*a))
-    sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
+    sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, sim.SimParams())
     (args,) = captured
     _same_fk_bytes(*args)
 
@@ -194,8 +194,8 @@ def test_clamp_cases(spec):
 
 
 def test_classify_exact_and_tie(spec, styles):
-    for s in styles:
-        assert classify_style(spec, s.q_canonical, styles) == s.index
+    for i, s in enumerate(styles):
+        assert classify_style(spec, s.q_canonical, styles) == i
     # equidistant synthetic point between styles 0 and 1 resolves to 0
     qn0 = normalize_joints(spec, styles[0].q_canonical)
     qn1 = normalize_joints(spec, styles[1].q_canonical)
@@ -214,12 +214,12 @@ def test_classify_perturbation_below_half_gap(spec, styles):
     half_gap = min(gaps) / 2.0
     rng = np.random.default_rng(2)
     span = spec.limits_hi - spec.limits_lo
-    for s in styles:
+    for i, s in enumerate(styles):
         for _ in range(20):
             step = rng.normal(size=spec.joint_count)
             step = step / np.linalg.norm(step) * (0.9 * half_gap)
             q = s.q_canonical + step * span  # step is in normalized units
-            assert classify_style(spec, q, styles) == s.index
+            assert classify_style(spec, q, styles) == i
 
 
 @pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])

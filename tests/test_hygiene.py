@@ -204,3 +204,63 @@ def test_results_and_records_are_built_in_one_place(path):
     training._results, which builds them from the engine's columns."""
     allowed = "_results" if path.name == "training.py" else None
     assert calls_outside(parsed(path), BUILT_IN_ONE_PLACE, allowed) == []
+
+
+# by module, the defaulted parameters that no program call passes, each
+# kept for a reason
+UNPASSED_ALLOWED = {"evaluation": [
+    # dropping it drops the always-null sd_ratio key from report.json and
+    # metrics.jsonl, an output change for the eval digests' next re-record
+    "evaluate(baseline_sd)",
+    # criterion 6's random-action baseline, a reference the tests take
+    "evaluate(mode)",
+]}
+
+
+def defaulted_parameters(tree) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) of every parameter with a default
+    in any def of a module; the position counts from the first argument
+    a call passes (after a method's self or cls), None for keyword-only."""
+    found = []
+    for node in (n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(args.defaults)
+        found += [(node.name, a.arg, i - bound) for i, a in enumerate(positional[first:], first)]
+        found += [(node.name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def unpassed_parameters(tree, callers: list) -> list[str]:
+    """The defaulted parameters of a module (as `function(parameter)`)
+    that no call in the callers (syntax trees) passes, by keyword or by
+    position. A call matches a def by the called name alone, bare or as
+    an attribute; a call with *args or **kwargs passes what it may."""
+    keywords, positions = defaultdict(set), defaultdict(int)
+    for node in (n for caller in callers for n in ast.walk(caller) if isinstance(n, ast.Call)):
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        positions[name] = max(positions[name], float("inf") if starred else len(node.args))
+        keywords[name] |= {k.arg for k in node.keywords}     # None for **kwargs
+    return sorted(
+        f"{name}({arg})" for name, arg, at in defaulted_parameters(tree)
+        if not ({arg, None} & keywords[name] or (at is not None and at < positions[name]))
+    )
+
+
+def test_unpassed_parameter_scan_catches_one():
+    source = "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\nclass K:\n    def m(self, x=0, y=1):\n        pass\n"
+    source += "def g(p=0):\n    pass\ndef h(q=0):\n    pass\n"
+    callers = [ast.parse("f(0, 1, d=5)\nobj.m(2)\n"), ast.parse("g(*args)\nm.h(**kw)\n")]
+    assert unpassed_parameters(ast.parse(source), callers) == ["f(c)", "f(e)", "m(y)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_default_is_passed_by_the_program(path):
+    """Each defaulted parameter of a package function is passed by some
+    call of the package, the scripts or the bench: a setting that no
+    program sets is a constant. The allowed exceptions must stay
+    unpassed."""
+    callers = [parsed(p) for p in PROGRAM]
+    assert unpassed_parameters(parsed(path), callers) == UNPASSED_ALLOWED.get(path.stem, [])

@@ -37,7 +37,7 @@ def chunk(request):
     with pytest.MonkeyPatch.context() as mp:
         for name in ("forward_kinematics_batch", "_closure_batch"):
             mp.setattr(sim, name, capture(name, getattr(sim, name)))
-        sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)
+        sim.rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, sim.SimParams())
     return request.param, captured
 
 

@@ -1,6 +1,7 @@
 """The CLI on the bundled hand, styles and demo JSON with one field, at
 any depth, retyped: every run succeeds or ends in a named user error
-(exit 0 or 1), never in an internal error (exit 2)."""
+(exit 0 or 1), never in an internal error (exit 2). So do a run config
+and a checkpoint with a retyped number."""
 
 import contextlib
 import copy
@@ -12,10 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from fungrasp import cli
 from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
+from fungrasp.dataio import save_checkpoint
+from fungrasp.policy import init_params
 
-RETYPED = (None, [], [1], "x", True, {}, 2.5, -1)
+# 10**400 is a JSON integer that no float holds
+RETYPED = (None, [], [1], "x", True, {}, 2.5, -1, 10**400)
 TRAIN = {"train": {"iterations": 0, "envs_per_iter": 8, "minibatch": 8, "m_points": 32}}
 FUZZ = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -68,6 +74,7 @@ def _exit_code(tmp_path_factory, doc, path, value, command):
 @example(path=("fingers", 0, "name"), value=None)
 @example(path=("fingers", 1, "name"), value={})
 @example(path=("fingers", 2, "name"), value=2.5)
+@example(path=("fingers", 0, "segments", 0, "length"), value=10**400)
 def test_retyped_hand_field_is_never_an_internal_error(tmp_path_factory, path, value):
     code = _exit_code(tmp_path_factory, HAND, path, value, ["demo", "inspect", "--hand", "{dir}/doc.json"])
     assert code in (0, 1)
@@ -132,3 +139,40 @@ def test_pose_fields_fail_as_named_user_errors(tmp_path_factory, capsys, doc, op
     the pose."""
     assert _exit_code(tmp_path_factory, doc, path, value, [*DEMO_INSPECT, option, "{dir}/doc.json"]) == 1
     assert f"doc.json: {message}\n" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A checkpoint for the bundled hand at TRAIN's m_points, as JSON."""
+    path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.json"
+    params = init_params(np.random.default_rng(0), TRAIN["train"]["m_points"], 4, 6)
+    save_checkpoint(params, {"hand": "inspire_like"}, path)
+    return json.loads(path.read_text())
+
+
+EVAL = ["eval", "--seed", "1", "--config", "{dir}/config.json", "--checkpoint", "{dir}/doc.json",
+        "--episodes", "2", "--out", "{dir}/run"]
+
+
+@pytest.mark.parametrize("doc, command, path, value, message", [
+    (HAND, [*DEMO_INSPECT, "--hand", "{dir}/doc.json"], ("fingers", 0, "segments", 0, "length"), 10**400,
+     "doc.json: fingers[0].segments[0].length: must be a finite number, got 1000"),
+    (TRAIN, ["train", "--seed", "1", "--config", "{dir}/doc.json", "--out", "{dir}/run"],
+     ("train", "learning_rate"), 10**400, "config 'train.learning_rate': must be a finite number, got 1000"),
+    ("checkpoint", EVAL, ("m_points",), "32", "doc.json: m_points: must be an integer, got '32'"),
+    ("checkpoint", EVAL, ("style_count",), 4.9, "doc.json: style_count: must be an integer, got 4.9"),
+    ("checkpoint", EVAL, ("arrays", "a_w1", 2), "0.5",
+     "doc.json: arrays.a_w1: must be a list of finite numbers, got '0.5' at [2]"),
+    ("checkpoint", EVAL, ("arrays", "v_b3", 0), True,
+     "doc.json: arrays.v_b3: must be a list of finite numbers, got True at [0]"),
+], ids=["hand-huge-length", "config-huge-learning-rate", "checkpoint-str-count", "checkpoint-float-count",
+        "checkpoint-str-entry", "checkpoint-bool-entry"])
+def test_retyped_numbers_fail_as_named_user_errors(tmp_path_factory, capsys, checkpoint, doc, command, path, value,
+                                                   message):
+    """An integer that no float holds, a count that is no JSON integer
+    and an array entry that is no number each exit 1 with an error that
+    names the file or config key and the field."""
+    doc = checkpoint if doc == "checkpoint" else doc
+    assert _exit_code(tmp_path_factory, doc, path, value, command) == 1
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err

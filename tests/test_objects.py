@@ -84,7 +84,7 @@ def test_non_finite_rejected():
 
 
 def test_sphere_affordance_weights_follow_upward_normals():
-    obj = make_sphere(radius=0.05, n=400)
+    obj = make_sphere()
     dist = affordance_distribution(obj)
     out = obj.points - obj.centroid
     out[:, 2] = 0.0
@@ -226,7 +226,7 @@ def test_fps_m_too_large():
 
 
 def test_affordance_permutation_invariance():
-    obj = make_sphere(radius=0.04, n=300)
+    obj = make_sphere()
     dist = affordance_distribution(obj)
     rng = np.random.default_rng(5)
     perm = rng.permutation(len(obj.points))
@@ -257,7 +257,7 @@ def test_ply_round_trip(tmp_path, objects, caplog):
 
 
 def test_ply_without_normals_estimates_and_flags(tmp_path, caplog):
-    obj = make_sphere(radius=0.05, n=300)
+    obj = make_sphere()
     path = tmp_path / "plain.ply"
     n = len(obj.points)
     head = ["ply", "format ascii 1.0", f"element vertex {n}",
@@ -308,7 +308,7 @@ def test_only_an_accepted_cloud_warns_of_estimated_normals(tmp_path, caplog):
             load_object(empty)
     assert caplog.records == []
     plain = tmp_path / "plain.ply"
-    points = make_sphere(radius=0.05, n=100).points
+    points = make_sphere().points[::8]
     plain.write_text(_XYZ_HEADER.format(len(points)) + "".join(f"{x} {y} {z}\n" for x, y, z in points))
     with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
         load_object(plain)

@@ -44,8 +44,9 @@ def _encode(env, assets, m_points, fps_seed, cache):
                               m_points, fps_seed, cache)
 
 
-def _reset(assets, objects, rngs, **kwargs):
-    return reset_env(objects, assets.afford_dists, assets.styles, rngs, spec=assets.spec, sigma_style=0.0, **kwargs)
+def _reset(assets, objects, rngs, square_half=0.25):
+    return reset_env(objects, assets.afford_dists, assets.styles, rngs, spec=assets.spec, sigma_style=0.0,
+                     square_half=square_half)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,8 @@ def test_encode_rows_do_not_depend_on_their_chunk(assets):
     that holds each object's entry once, first seen first."""
     rng = np.random.default_rng(3)
     # one rng shared by the nine episodes: each draws from it in turn
-    env = reset_env(assets.objects, assets.afford_dists, assets.styles, [rng] * 9, spec=assets.spec, sigma_style=0.05)
+    env = reset_env(assets.objects, assets.afford_dists, assets.styles, [rng] * 9, spec=assets.spec, sigma_style=0.05,
+                    square_half=0.25)
     cache = {}
     chunk = _encode(env, assets, 32, 0, cache)
     names = list(dict.fromkeys(obj.name for obj in env.objs))

@@ -66,8 +66,9 @@ def _spheres(centers, radii=None, fingers=None):
 # reset_env
 # ---------------------------------------------------------------------------
 
-def _reset(assets, objects, rngs, sigma_style, **kwargs):
-    return reset_env(objects, assets.afford_dists, assets.styles, rngs, spec=assets.spec, sigma_style=sigma_style, **kwargs)
+def _reset(assets, objects, rngs, sigma_style, square_half=0.25, **kwargs):
+    return reset_env(objects, assets.afford_dists, assets.styles, rngs, spec=assets.spec, sigma_style=sigma_style,
+                     square_half=square_half, **kwargs)
 
 
 def _columns(env):
@@ -98,6 +99,14 @@ def test_reset_rows_match_the_per_episode_reset(assets, train_mode, force_style)
         for name, column in _columns(env)[1:]:
             assert column[i].tobytes() == getattr(want, name)[0].tobytes(), (i, name)
     assert len({o.name for o in env.objs}) > 1 and len(set(env.style.tolist())) == (1 if force_style else 4)
+
+
+def test_reset_without_disturbance_keeps_the_canonical_joints(assets):
+    """sigma_style = 0 (evaluation) draws no disturbance: each episode's
+    q_style is its style's canonical joints."""
+    env = _reset(assets, assets.objects, [np.random.default_rng(s) for s in range(20)], 0.0)
+    for style, q in zip(env.style, env.q_style):
+        assert np.array_equal(q, assets.styles[style].q_canonical)
 
 
 def test_reset_zero_square_pins_pose(assets):
@@ -183,11 +192,10 @@ def test_style_contact_point_cases():
 
 
 def test_table_collision_cases():
-    radii = np.array([0.01])
-    assert not check_table_collision(np.array([[0, 0, 0.5]]), radii)
-    assert check_table_collision(np.array([[0, 0, 0.0]]), radii)
+    radii, tol = np.array([0.01]), SimParams().table_tol
+    assert not check_table_collision(np.array([[0, 0, 0.5]]), radii, tol)
+    assert check_table_collision(np.array([[0, 0, 0.0]]), radii, tol)
     # grazing: z = radius - tol/2 is still a collision (conservative margin)
-    tol = 0.002
     stack = np.array([[[0, 0, 0.01 - tol / 2]], [[0, 0, 0.01 + 2 * tol]]])
     assert check_table_collision(stack, radii, tol).tolist() == [True, False]
 
@@ -220,19 +228,19 @@ def _antipodal_sphere_table(obj, fingers=(0, 1)):
 
 
 def test_antipodal_sphere_succeeds():
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = _env_for(obj)
     assert _scores([_antipodal_sphere_table(obj)], [env])[0].tolist() == [True]
 
 
 def test_single_contact_fails():
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = _env_for(obj)
     assert _scores([_antipodal_sphere_table(obj, fingers=[0])], [env])[0].tolist() == [False]
 
 
 def test_parallel_same_direction_normals_fail():
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = _env_for(obj)
     c = obj.centroid
     table = _table([0, 1], [c + [-0.032, 0, 0], c + [0.032, 0, 0]], [[1.0, 0, 0], [1.0, 0, 0]])
@@ -240,7 +248,7 @@ def test_parallel_same_direction_normals_fail():
 
 
 def test_mu_monotonicity():
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = _env_for(obj)
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2]
     results = [bool(_scores([_antipodal_sphere_table(obj)], [env], mu=m)[0][0]) for m in grid]
@@ -250,19 +258,19 @@ def test_mu_monotonicity():
 
 
 def test_table_collision_fails_grasp():
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = _env_for(obj)
     assert _scores([_antipodal_sphere_table(obj)], [env], table_collision=[True])[0].tolist() == [False]
 
 
 def test_mask_fingers_requirement():
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = _env_for(obj, mask=(2, 3))  # contacts carry fingers 0 and 1
     assert _scores([_antipodal_sphere_table(obj)], [env])[0].tolist() == [False]
 
 
 def test_degenerate_normals_are_reported():
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = _env_for(obj)
     hit, pts, nrm = _antipodal_sphere_table(obj)
     nrm[0, 1] = [np.nan, 0, 0]
@@ -295,7 +303,7 @@ def _random_wrench_set(rng, n_contacts, feasible):
     normals = rng.normal(size=(1, n_contacts, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
     hit = np.ones((1, n_contacts), dtype=bool)
-    scale = np.array([make_sphere(radius=0.032).obj_bb / 2.0])
+    scale = np.array([make_sphere().obj_bb / 2.0])
     (w,) = wrench_generators(hit, pts, normals, scale, mu=float(rng.uniform(0.1, 1.0)))
     if feasible:
         return w, w @ rng.uniform(0.05, 1.0, size=w.shape[1])
@@ -459,7 +467,7 @@ def test_grasp_success_batch_matches_one_grasp_calls(objects):
 
 
 def test_grasp_success_batch_reports_degenerate_grasp_alone():
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     env = _env_for(obj)
     good = _antipodal_sphere_table(obj)
     hit, pts, nrm = (a.copy() for a in good)
@@ -511,7 +519,7 @@ def _fixture_env(assets, style_index=0, pose=None, point=42):
 
 def test_identity_rollout_succeeds_on_fixture(box_assets, demo, spec, styles):
     env = _fixture_env(box_assets)
-    (rec,) = _records(rollout_batch(env, demo, [_action()], spec, styles))
+    (rec,) = _records(rollout_batch(env, demo, [_action()], spec, styles, SimParams()))
     assert rec.success
     assert np.all(np.isfinite(rec.d_series))
     assert rec.executed_style == 0
@@ -520,7 +528,7 @@ def test_identity_rollout_succeeds_on_fixture(box_assets, demo, spec, styles):
 def test_rollout_far_action_fails(box_assets, demo, spec, styles):
     env = _fixture_env(box_assets)
     # largest allowed offset pushes the approach off the object
-    (rec,) = _records(rollout_batch(env, demo, [_action(dt=(0.10, 0.10, 0.10))], spec, styles))
+    (rec,) = _records(rollout_batch(env, demo, [_action(dt=(0.10, 0.10, 0.10))], spec, styles, SimParams()))
     assert not rec.success
 
 
@@ -528,8 +536,8 @@ def test_rollout_purity(box_assets, demo, spec, styles):
     env1 = _fixture_env(box_assets)
     env2 = _fixture_env(box_assets)
     a = _action(dt=(0.01, -0.01, 0.0), dq=0.02, k=1.1)
-    (r1,) = _records(rollout_batch(env1, demo, [a], spec, styles))
-    (r2,) = _records(rollout_batch(env2, demo, [a], spec, styles))
+    (r1,) = _records(rollout_batch(env1, demo, [a], spec, styles, SimParams()))
+    (r2,) = _records(rollout_batch(env2, demo, [a], spec, styles, SimParams()))
     assert r1.success == r2.success
     assert np.array_equal(r1.d_series, r2.d_series)
     assert np.array_equal(r1.q_final, r2.q_final)
@@ -542,7 +550,7 @@ def test_rollout_record_invariants(box_assets, demo, spec, styles):
     for i in range(15):
         envs.append(_fixture_env(box_assets, style_index=int(rng.integers(4))))
         actions.append(rng.uniform(lo, hi))
-    for rec in _records(rollout_batch(concat_envs(envs), demo, actions, spec, styles)):
+    for rec in _records(rollout_batch(concat_envs(envs), demo, actions, spec, styles, SimParams())):
         assert rec.d_series.shape == (demo.horizon + 1,)
         assert rec.d_min <= rec.d_final + 1e-15
         assert np.all(rec.d_series >= 0.0)
@@ -562,7 +570,7 @@ def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
     g = pose([0.12, -0.3, 0.0], axis_angle_to_quat(np.array([0, 0, 1.1])))
     env = concat_envs([_fixture_env(box_assets, 1, point=77), _fixture_env(box_assets, 1, pose=g, point=77)])
     rollout, (_, hit, points, normals) = _rollout_with_tables(
-        sim.detect_contacts, env, demo, [action] * 2, spec, styles)
+        sim.detect_contacts, env, demo, [action] * 2, spec, styles, SimParams())
     ra, rb = _records(rollout)
     assert ra.success == rb.success
     assert np.allclose(ra.d_series, rb.d_series, atol=1e-9)
@@ -579,7 +587,7 @@ def test_crush_rule_triggers(box_assets, spec, styles, demo):
     env = _fixture_env(box_assets)
     # shift the finger approach line over the box center: the descending
     # fingertips sink through the top face before the grasp frame
-    (rec,) = _records(rollout_batch(env, demo, [_action(dt=(-0.06, 0.0, 0.0))], spec, styles))
+    (rec,) = _records(rollout_batch(env, demo, [_action(dt=(-0.06, 0.0, 0.0))], spec, styles, SimParams()))
     assert not rec.success
     assert rec.failure_reason == "crush"
 
@@ -591,11 +599,11 @@ def test_rollout_batch_matches_one_item_rollouts(hand):
     spec = assets.spec
     envs, actions = seeded_rollout_inputs(assets, 60, seed=3)
     batch, tables = _rollout_with_tables(sim.detect_contacts, envs, assets.demo, actions, spec,
-                                         assets.styles)
+                                         assets.styles, SimParams())
     reasons = set()
     for i, (action, got) in enumerate(zip(actions, zip(*batch))):
         alone, want_tables = _rollout_with_tables(sim.detect_contacts, envs[[i]], assets.demo,
-                                                  [action], spec, assets.styles)
+                                                  [action], spec, assets.styles, SimParams())
         (want,) = zip(*alone)
         assert bits(got) == bits(want)
         for column, want_column in zip(tables, want_tables):
@@ -656,7 +664,7 @@ def test_contacts_invariant_under_a_rigid_move(seed, axis_angle, shift):
     """Moving the object pose and the sphere centers by one rigid
     transform picks the same cloud points, fingers and depths."""
     rng = np.random.default_rng(seed)
-    obj = make_sphere(radius=0.032)
+    obj = make_sphere()
     g = pose(np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
              axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
     move = pose(shift, axis_angle_to_quat(np.array(axis_angle)))
@@ -684,7 +692,7 @@ def test_contact_phase_matches_per_episode_world_frame_reference(hand):
     and sends _nearest no sphere outside the cloud's grown box."""
     assets = hand_assets(hand)
     envs, actions = seeded_rollout_inputs(assets, 640, seed=12)
-    args = (envs, assets.demo, actions, assets.spec, assets.styles)
+    args = (envs, assets.demo, actions, assets.spec, assets.styles, SimParams())
     margin = sim.sphere_metadata(assets.spec)[0].max() + SimParams().delta_c + 1e-9
     real, outside = sim._nearest, []
 
@@ -742,7 +750,7 @@ def test_crushed_episodes_skip_their_early_approach_frames(hand):
     got, got_tables, sent = _counted_rollout(*args)
     unculled, _, sent_unculled = _counted_rollout(*args, cull=False)
     _, _, every_frame = _counted_rollout(*args, params=SimParams(crush_factor=np.inf), cull=False)
-    want, want_tables = _rollout_with_tables(reference_contact_phase, *args)
+    want, want_tables = _rollout_with_tables(reference_contact_phase, *args, SimParams())
     assert bits(got) == bits(unculled) == bits(want)
     for g, w in zip(got_tables, want_tables):
         assert np.array_equal(g, w)
@@ -804,7 +812,7 @@ def test_q_final_does_not_keep_the_trajectory_alive(n):
     as long as any record holds its row."""
     assets = hand_assets("inspire_like")
     envs, actions = seeded_rollout_inputs(assets, n, seed=5)
-    q_final = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles)[1]
+    q_final = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, SimParams())[1]
     assert q_final.shape == (n, assets.spec.joint_count)
     assert q_final.base is None or q_final.base.nbytes <= q_final.nbytes
 

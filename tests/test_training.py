@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import pickle
 from contextlib import nullcontext
 
@@ -139,10 +140,22 @@ def test_pool_leaves_no_process_and_closes_its_block(assets, tiny_cfg, tiny_para
         with pytest.raises(RuntimeError, match="inside the pool") if fail else nullcontext():
             with EpisodePool(2, assets) as pool:
                 pool.run(tiny_params, tiny_cfg, 17, (1, 0), 4, train_mode=True)
-                assert len(multiprocessing.active_children()) == 2 and not pool._block.closed
+                assert len(multiprocessing.active_children()) == min(2, os.cpu_count() or 1)
+                assert not pool._block.closed
                 if fail:
                     raise RuntimeError("inside the pool")
         assert multiprocessing.active_children() == [] and pool._block.closed
+
+
+def test_pool_forks_at_most_one_process_per_cpu(assets, monkeypatch):
+    """A pool of more workers than CPUs sizes its executor at the CPU
+    count. The pool is only built, never run, so nothing forks."""
+    import multiprocessing
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with EpisodePool(64, assets) as pool:
+        assert pool.workers == 64 and pool._ex._max_workers == 3
+        assert multiprocessing.active_children() == []
 
 
 def test_clipped_surrogate_hand_computed():
@@ -363,10 +376,10 @@ def test_config_round_trip():
 
 
 @pytest.mark.parametrize("d, named", [
-    ({"epochs": True}, "'train.epochs' must be int, got True"),
-    ({"epochs": 2.0}, "'train.epochs' must be int, got 2.0"),
+    ({"epochs": True}, "'train.epochs': must be an integer, got True"),
+    ({"epochs": 2.0}, "'train.epochs': must be an integer, got 2.0"),
     ({"reward": {"afford_on": 1}}, "'train.reward.afford_on' must be bool, got 1"),
-    ({"sim": {"mu": False}}, "'train.sim.mu' must be float, got False"),
+    ({"sim": {"mu": False}}, "'train.sim.mu': must be a finite number, got False"),
     ({"bounds": []}, "'train.bounds' must be an object, got []"),
 ])
 def test_config_from_dict_checks_value_types(d, named):

@@ -13,15 +13,15 @@ builds the records); one episode is a batch of one. Joint targets, joint
 trajectories, wrist edits and FK run once over all E x (T_D + 1)
 frames. The contact phase (detect_contacts) then works in each
 episode's object frame: one inverse rotation maps the sphere centers of
-frames 0..T_l (nothing reads later frames) into it, and a bounding-box
-test drops spheres too far from the cloud to matter, at the grasp frame
-as on the approach. Per object, one _nearest call answers the kept
-spheres of the grasp frame and the last approach frame of every episode
-on that object, and a second one the earlier approach frames of only
-the episodes that the last approach frame did not crush. Before either
-call, an approach row whose cell of the object's crush-floor table
-(_may_crush, filled a block at a time and held on the object) proves
-that it cannot crush is dropped; grasp-frame rows are always queried.
+frames 0..T_l (nothing reads later frames) into it, and one
+bounding-box test of the chunk keeps the spheres near enough to the
+cloud to matter as one row list, at the grasp frame as on the approach.
+Per object, one _nearest call answers its episodes' rows of the grasp
+frame and the last approach frame, and a second one the earlier frames
+of only the episodes that the last approach frame did not crush, each
+an index subset of that list. Before either call, an approach row whose
+cell of the object's crush-floor table (_may_crush, filled a block at a
+time and held on the object) proves that it cannot crush is dropped.
 What comes out is one contact table of fixed shape: hit (E, F), points
 and normals (E, F, 3), each finger's deepest hit in the world frame and
 a zero row where it has none. Everything after it is an array
@@ -61,7 +61,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .demo import Demonstration, edited_joint_trajectory, disturb_style, target_joint_config
-from .geometry import axis_angle_to_quat, normalize_rows, quat_conjugate, quat_rotate, row_norms
+from .geometry import axis_angle_to_quat, normalize_rows, quat_conjugate, quat_rotate, rotate, row_norms
 from .hand import HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
 
@@ -334,67 +334,66 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
     Only spheres inside the cloud's bounding box grown by the largest
     radius + params.delta_c are queried: one outside it is farther than
     its own radius + delta_c from every point, so it can neither crush
-    nor touch. Per object, a first _nearest call takes the kept spheres
-    of frame tl and of the last approach frame, tl-1, of every episode
-    on it, the frame where a crushing approach shows most often. A
-    second call takes frames 0..tl-2 of only the episodes that frame
+    nor touch. One test of frames 0..tl keeps them as rows (episode,
+    frame, sphere, object-frame center) in that order. Per object, a
+    first _nearest call takes its episodes' rows of frame tl and of the
+    last approach frame, tl-1, where a crushing approach shows most
+    often; a second takes frames 0..tl-2 of only the episodes that frame
     left uncrushed. Before each call, approach rows that their cell's
     crush floor proves cannot crush (_may_crush) are dropped, after the
-    blocks of the table that the rows land in and no earlier call filled
-    are filled. A query row's answer does not depend on the other rows,
-    so the table is the one a single query of every frame gives.
+    table's blocks that the rows land in and no earlier call filled are
+    filled. A query row's answer does not depend on the other rows, so
+    the table is the one a single query of every frame gives.
     """
     e_count = len(env)
     k_count = centers.shape[2]
     pose_t, pose_r = env.pose_t, env.pose_r
-    local = quat_rotate(quat_conjugate(pose_r)[:, None, None], centers[:, : tl + 1] - pose_t[:, None, None])
     crushed = np.zeros(e_count, dtype=bool)
     # each grasp-frame sphere's distance, its cloud point and that point's
     # normal, object frame; a sphere the box test drops keeps inf and zeros
     dist_tl = np.full((e_count, k_count), np.inf)
-    grasp_pts = np.zeros((e_count, k_count, 3))
-    grasp_nrm = np.zeros((e_count, k_count, 3))
+    grasp_pts, grasp_nrm = np.zeros((2, e_count, k_count, 3))
     # crush: a sphere center driven past the surface by more than
     # (crush_factor - 1) x radius during the approach
     crush_gap = radii * (1.0 - params.crush_factor)
-    # crush and contacts only need spheres near the cloud: quick-reject
-    # everything outside its bounding box grown by radius + shell
+    # frames 0..tl in each episode's object frame, an (E, tl + 1, K) array per
+    # axis; only the spheres in the cloud's box grown by radius + shell matter
+    q = quat_conjugate(pose_r).T[..., None, None]
+    local = rotate(*q, *(centers[:, : tl + 1, :, ax] - pose_t[:, ax, None, None] for ax in range(3)))
     margin = radii.max() + params.delta_c + 1e-9
-    groups: dict[int, list[int]] = {}
-    for i, obj in enumerate(env.objs):
-        groups.setdefault(id(obj), []).append(i)
-    for members in groups.values():
-        obj = env.objs[members[0]]
-        members = np.asarray(members)
-        lo, hi = obj.box[0] - margin, obj.box[1] + margin
-        first = max(tl - 1, 0)
-        sph = local[members, first:]                   # frames tl-1 (if any) and tl
-        near = np.all((sph >= lo) & (sph <= hi), axis=-1)
-        rows = sph[near]
-        a, t, k = np.nonzero(near)
-        grasp = t == tl - first
+    objs: dict[int, tuple[int, ObjectModel]] = {}  # (code, object) by id, in order of first appearance
+    obj_code = np.array([objs.setdefault(id(obj), (len(objs), obj))[0] for obj in env.objs])
+    box = np.array([obj.box for _, obj in objs.values()])[obj_code, :, :, None, None]  # (E, 2, 3, 1, 1)
+    near = True
+    for ax, c in enumerate(local):
+        near = near & (c >= box[:, 0, ax] - margin) & (c <= box[:, 1, ax] + margin)
+    e, t, k = np.nonzero(near)
+    rows = np.stack([c[near] for c in local], axis=-1)
+    row_code, late = obj_code[e], t >= tl - 1
+    for j, obj in objs.values():
+        # the first pass: frames tl-1 (if any) and tl of the object's episodes
+        sel = np.flatnonzero((row_code == j) & late)
+        grasp = t[sel] == tl
         keep = grasp.copy()
-        keep[~grasp] = _may_crush(obj, rows[~grasp], crush_gap[k[~grasp]])
-        a, k, rows, grasp = a[keep], k[keep], rows[keep], grasp[keep]
-        found, d = _nearest(rows, obj.points)
-        at = members[a[grasp]], k[grasp]
+        keep[~grasp] = _may_crush(obj, rows[sel[~grasp]], crush_gap[k[sel[~grasp]]])
+        sel, grasp = sel[keep], grasp[keep]
+        found, d = _nearest(rows[sel], obj.points)
+        at = e[sel[grasp]], k[sel[grasp]]
         dist_tl[at] = d[grasp]
         grasp_pts[at] = obj.points[found[grasp]]
         grasp_nrm[at] = obj.normals[found[grasp]]
-        app = ~grasp
-        crushed[members[a[app][_crushing(obj, rows[app], found[app], crush_gap[k[app]])]]] = True
-        rest = members[~crushed[members]]
-        if tl < 2 or not rest.size:
+        app = sel[~grasp]
+        crushed[e[app[_crushing(obj, rows[app], found[~grasp], crush_gap[k[app]])]]] = True
+        if tl < 2 or crushed[obj_code == j].all():
             continue
-        sph = local[rest, : tl - 1]
-        near = np.all((sph >= lo) & (sph <= hi), axis=-1)
-        rows = sph[near]
-        a, _, k = np.nonzero(near)
-        keep = _may_crush(obj, rows, crush_gap[k])
+        # the second: frames 0..tl-2 of the episodes the first left uncrushed
+        sel = np.flatnonzero((row_code == j) & ~late)
+        sel = sel[~crushed[e[sel]]]
+        keep = _may_crush(obj, rows[sel], crush_gap[k[sel]])
         if keep.any():
-            rows, a, k = rows[keep], a[keep], k[keep]
-            found, _ = _nearest(rows, obj.points)
-            crushed[rest[a[_crushing(obj, rows, found, crush_gap[k])]]] = True
+            sel = sel[keep]
+            found, _ = _nearest(rows[sel], obj.points)
+            crushed[e[sel[_crushing(obj, rows[sel], found, crush_gap[k[sel]])]]] = True
 
     # per finger, its deepest in-shell sphere; ties go to the lowest sphere
     dist_tl = dist_tl[:, None]

@@ -11,7 +11,8 @@ records.
 
 import numpy as np
 
-from fungrasp.geometry import quat_rotate
+from fungrasp import sim
+from fungrasp.geometry import quat_conjugate, quat_rotate
 
 
 def dense_nearest(centers, pts):
@@ -101,6 +102,53 @@ def reference_contact_phase(env, centers, radii, finger_index, tl, params):
     out = [approach_contacts(obj, t, r, c, radii, finger_index, tl, params)
            for obj, t, r, c in zip(env.objs, env.pose_t, env.pose_r, centers)]
     return tuple(np.array(column) for column in zip(*out))
+
+
+def two_pass_crushed(env, centers, radii, tl, params):
+    """detect_contacts' crush flags by its earlier row selection, kept
+    as the reference for the rows of each sim._may_crush and
+    sim._nearest call: objects in order of first appearance; per object,
+    one box test of frames tl-1 and tl of its episodes, then another of
+    frames 0..tl-2 of those the first pass left uncrushed, each followed
+    by its _may_crush and _nearest calls."""
+    e_count = len(env)
+    pose_t, pose_r = env.pose_t, env.pose_r
+    local = quat_rotate(quat_conjugate(pose_r)[:, None, None], centers[:, : tl + 1] - pose_t[:, None, None])
+    crushed = np.zeros(e_count, dtype=bool)
+    crush_gap = radii * (1.0 - params.crush_factor)
+    margin = radii.max() + params.delta_c + 1e-9
+    groups = {}
+    for i, obj in enumerate(env.objs):
+        groups.setdefault(id(obj), []).append(i)
+    for members in groups.values():
+        obj = env.objs[members[0]]
+        members = np.asarray(members)
+        lo, hi = obj.box[0] - margin, obj.box[1] + margin
+        first = max(tl - 1, 0)
+        sph = local[members, first:]
+        near = np.all((sph >= lo) & (sph <= hi), axis=-1)
+        rows = sph[near]
+        a, t, k = np.nonzero(near)
+        grasp = t == tl - first
+        keep = grasp.copy()
+        keep[~grasp] = sim._may_crush(obj, rows[~grasp], crush_gap[k[~grasp]])
+        a, k, rows, grasp = a[keep], k[keep], rows[keep], grasp[keep]
+        found, _ = sim._nearest(rows, obj.points)
+        app = ~grasp
+        crushed[members[a[app][sim._crushing(obj, rows[app], found[app], crush_gap[k[app]])]]] = True
+        rest = members[~crushed[members]]
+        if tl < 2 or not rest.size:
+            continue
+        sph = local[rest, : tl - 1]
+        near = np.all((sph >= lo) & (sph <= hi), axis=-1)
+        rows = sph[near]
+        a, _, k = np.nonzero(near)
+        keep = sim._may_crush(obj, rows, crush_gap[k])
+        if keep.any():
+            rows, a, k = rows[keep], a[keep], k[keep]
+            found, _ = sim._nearest(rows, obj.points)
+            crushed[rest[a[sim._crushing(obj, rows, found, crush_gap[k])]]] = True
+    return crushed
 
 
 def hand_assets(hand):

@@ -14,6 +14,7 @@ from contact_reference import (
     hand_assets,
     reference_contact_phase,
     seeded_rollout_inputs,
+    two_pass_crushed,
 )
 from episode_reference import reference_reset
 from kernel_reference import reference_feasible_combination
@@ -783,6 +784,58 @@ def test_the_crush_floor_table_cannot_change_a_result(hand):
     for c, w, o in zip(cold[1], warm[1], off[1]):
         assert np.array_equal(c, w) and np.array_equal(c, o)
     assert warm[2] == cold[2] < off[2]
+
+
+def _query_calls(phase, *args):
+    """phase(*args), and the arguments of every sim._may_crush and
+    sim._nearest call it made, in order, as bytes."""
+    calls = []
+    may_crush, nearest = sim._may_crush, sim._nearest
+
+    def spy_may_crush(obj, rows, crush_gap):
+        calls.append(("_may_crush", obj.name, rows.shape, rows.tobytes(), crush_gap.tobytes()))
+        return may_crush(obj, rows, crush_gap)
+
+    def spy_nearest(centers, pts):
+        calls.append(("_nearest", centers.shape, centers.tobytes(), pts.tobytes()))
+        return nearest(centers, pts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_may_crush", spy_may_crush)
+        mp.setattr(sim, "_nearest", spy_nearest)
+        return phase(*args), calls
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_every_query_call_gets_the_two_pass_rows(hand):
+    """Each _may_crush and _nearest call of detect_contacts gets the rows,
+    bit for bit and in order, that the per-object two-pass selection
+    (contact_reference.two_pass_crushed) sends it, at grasp frames 0, 1,
+    2 and the demo's, with cold crush-floor tables and with warm ones;
+    and the crush flags are the same. The demo's grasp frame crushes, so
+    second passes run."""
+    assets = hand_assets(hand)
+    envs, actions = seeded_rollout_inputs(assets, 96, seed=31)
+    captured = []
+    real = sim.detect_contacts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "detect_contacts", lambda *a: captured.append(a) or real(*a))
+        rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, SimParams())
+    env, centers, radii, finger_index, grasp, params = captured[0]
+    assert grasp == assets.demo.grasp_index > 2
+    for tl in (0, 1, 2, grasp):
+        for warm in (False, True):
+            if not warm:
+                for obj in assets.objects:
+                    obj.crush_floor.clear()
+            want, want_calls = _query_calls(two_pass_crushed, env, centers, radii, tl, params)
+            if not warm:
+                for obj in assets.objects:
+                    obj.crush_floor.clear()
+            got, got_calls = _query_calls(detect_contacts, env, centers, radii, finger_index, tl, params)
+            assert got_calls == want_calls, (tl, warm)
+            assert np.array_equal(got[0], want)
+    assert want.sum() >= 5 and len(got_calls) > 2 * len({id(obj) for obj in env.objs})
 
 
 def _cell_centers(obj, cells):

@@ -157,6 +157,11 @@ STREAM_UPDATE = 3
 STREAM_INIT = 4
 
 
+# the largest count a config may set: a C int, so that every array size
+# and range built from one fits the platform's index type
+COUNT_MAX = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     envs_per_iter: int = 512
@@ -185,6 +190,10 @@ class TrainConfig:
                           ("epochs", 0), ("sigma_style", 0), ("eval_every", 0), ("checkpoint_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("envs_per_iter", "iterations", "minibatch", "epochs", "m_points", "workers", "eval_every",
+                     "eval_episodes", "checkpoint_every"):
+            if getattr(self, name) > COUNT_MAX:
+                raise ValueError(f"{name} must be <= {COUNT_MAX}, got {getattr(self, name)}")
         if self.envs_per_iter < self.minibatch:
             raise ValueError("envs_per_iter must be >= minibatch")
         for name in ("learning_rate", "clip_eps"):

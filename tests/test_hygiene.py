@@ -214,6 +214,10 @@ UNPASSED_ALLOWED = {"evaluation": [
     "evaluate(baseline_sd)",
     # criterion 6's random-action baseline, a reference the tests take
     "evaluate(mode)",
+], "cli": [
+    # the tests drive the CLI in-process through it; the console script
+    # passes nothing, so argparse reads sys.argv
+    "main(argv)",
 ]}
 
 
@@ -232,17 +236,44 @@ def defaulted_parameters(tree) -> list[tuple[str, str, int | None]]:
     return found
 
 
-def unpassed_parameters(tree, callers: list) -> list[str]:
+def module_key(path: Path) -> str:
+    """A file's module as the call scan names it: a package module by
+    its stem, any other file by its path under the root."""
+    return path.stem if path.parent.name == "fungrasp" else path.relative_to(ROOT).with_suffix("").as_posix()
+
+
+def imported_from(tree) -> dict[str, tuple[str, str]]:
+    """Each name a file binds by `from <module> import <name> [as
+    <alias>]`, as (module, name); a package module by its stem."""
+    found = {}
+    for node in (n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)):
+        module = node.module or ""
+        if node.level or module.split(".")[0] == "fungrasp":
+            module = module.split(".")[-1]
+        found |= {alias.asname or alias.name: (module, alias.name) for alias in node.names}
+    return found
+
+
+def unpassed_parameters(tree, module: str, callers: list) -> list[str]:
     """The defaulted parameters of a module (as `function(parameter)`)
-    that no call in the callers (syntax trees) passes, by keyword or by
-    position. A call matches a def by the called name alone, bare or as
-    an attribute; a call with *args or **kwargs passes what it may."""
+    that no call in the callers ((module, syntax tree) pairs) passes, by
+    keyword or by position. A bare-name call matches the def of that
+    name in its own file, or in the module its file imports the name
+    from; an attribute call matches a def by the called name alone. A
+    call with *args or **kwargs passes what it may."""
     keywords, positions = defaultdict(set), defaultdict(int)
-    for node in (n for caller in callers for n in ast.walk(caller) if isinstance(n, ast.Call)):
-        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-        starred = any(isinstance(a, ast.Starred) for a in node.args)
-        positions[name] = max(positions[name], float("inf") if starred else len(node.args))
-        keywords[name] |= {k.arg for k in node.keywords}     # None for **kwargs
+    for caller_module, caller in callers:
+        imported = imported_from(caller)
+        for node in (n for n in ast.walk(caller) if isinstance(n, ast.Call)):
+            if isinstance(node.func, ast.Name):
+                owner, name = imported.get(node.func.id, (caller_module, node.func.id))
+                if owner != module:
+                    continue
+            else:
+                name = getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positions[name] = max(positions[name], float("inf") if starred else len(node.args))
+            keywords[name] |= {k.arg for k in node.keywords}     # None for **kwargs
     return sorted(
         f"{name}({arg})" for name, arg, at in defaulted_parameters(tree)
         if not ({arg, None} & keywords[name] or (at is not None and at < positions[name]))
@@ -251,9 +282,13 @@ def unpassed_parameters(tree, callers: list) -> list[str]:
 
 def test_unpassed_parameter_scan_catches_one():
     source = "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\nclass K:\n    def m(self, x=0, y=1):\n        pass\n"
-    source += "def g(p=0):\n    pass\ndef h(q=0):\n    pass\n"
-    callers = [ast.parse("f(0, 1, d=5)\nobj.m(2)\n"), ast.parse("g(*args)\nm.h(**kw)\n")]
-    assert unpassed_parameters(ast.parse(source), callers) == ["f(c)", "f(e)", "m(y)"]
+    source += "def g(p=0):\n    pass\ndef h(q=0):\n    pass\ndef k(r=0):\n    pass\n"
+    callers = [("mod", "f(0, 1, d=5)\nobj.m(2)\n"), ("other", "from mod import g\ng(*args)\nm.h(**kw)\n"),
+               # a same-named function of another module is not a call of mod's
+               ("other", "def f(a, b, c, d, e):\n    pass\nf(0, 1, 2, e=3)\ndef k(r):\n    pass\nk(1)\n"),
+               ("third", "from .mod import k as run_k\nrun_k(r=2)\n")]
+    callers = [(module, ast.parse(source)) for module, source in callers]
+    assert unpassed_parameters(ast.parse(source), "mod", callers) == ["f(c)", "f(e)", "m(y)"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -262,5 +297,5 @@ def test_every_default_is_passed_by_the_program(path):
     call of the package, the scripts or the bench: a setting that no
     program sets is a constant. The allowed exceptions must stay
     unpassed."""
-    callers = [parsed(p) for p in PROGRAM]
-    assert unpassed_parameters(parsed(path), callers) == UNPASSED_ALLOWED.get(path.stem, [])
+    callers = [(module_key(p), parsed(p)) for p in PROGRAM]
+    assert unpassed_parameters(parsed(path), path.stem, callers) == UNPASSED_ALLOWED.get(path.stem, [])

@@ -159,19 +159,24 @@ EVAL = ["eval", "--seed", "1", "--config", "{dir}/config.json", "--checkpoint", 
      "doc.json: fingers[0].segments[0].length: must be a finite number, got 1000"),
     (TRAIN, ["train", "--seed", "1", "--config", "{dir}/doc.json", "--out", "{dir}/run"],
      ("train", "learning_rate"), 10**400, "config 'train.learning_rate': must be a finite number, got 1000"),
+    (TRAIN, ["train", "--seed", "1", "--config", "{dir}/doc.json", "--out", "{dir}/run"],
+     ("train", "envs_per_iter"), 10**20, "envs_per_iter must be <= 2147483647, got 100000000000000000000"),
+    (TRAIN, ["train", "--seed", "1", "--config", "{dir}/doc.json", "--out", "{dir}/run"],
+     ("train", "workers"), 2**31, "workers must be <= 2147483647, got 2147483648"),
     ("checkpoint", EVAL, ("m_points",), "32", "doc.json: m_points: must be an integer, got '32'"),
     ("checkpoint", EVAL, ("style_count",), 4.9, "doc.json: style_count: must be an integer, got 4.9"),
     ("checkpoint", EVAL, ("arrays", "a_w1", 2), "0.5",
      "doc.json: arrays.a_w1: must be a list of finite numbers, got '0.5' at [2]"),
     ("checkpoint", EVAL, ("arrays", "v_b3", 0), True,
      "doc.json: arrays.v_b3: must be a list of finite numbers, got True at [0]"),
-], ids=["hand-huge-length", "config-huge-learning-rate", "checkpoint-str-count", "checkpoint-float-count",
-        "checkpoint-str-entry", "checkpoint-bool-entry"])
+], ids=["hand-huge-length", "config-huge-learning-rate", "config-huge-count", "config-count-past-bound",
+        "checkpoint-str-count", "checkpoint-float-count", "checkpoint-str-entry", "checkpoint-bool-entry"])
 def test_retyped_numbers_fail_as_named_user_errors(tmp_path_factory, capsys, checkpoint, doc, command, path, value,
                                                    message):
-    """An integer that no float holds, a count that is no JSON integer
-    and an array entry that is no number each exit 1 with an error that
-    names the file or config key and the field."""
+    """An integer that no float holds, a config count above
+    training.COUNT_MAX, a count that is no JSON integer and an array
+    entry that is no number each exit 1 with an error that names the
+    file or config key and the field."""
     doc = checkpoint if doc == "checkpoint" else doc
     assert _exit_code(tmp_path_factory, doc, path, value, command) == 1
     err = capsys.readouterr().err

@@ -12,6 +12,7 @@ from fungrasp.policy import PolicyError, init_params
 from fungrasp.rewards import total_reward
 from episode_reference import reference_reward_terms
 from fungrasp.training import (
+    COUNT_MAX,
     OUTCOMES,
     AdamState,
     EpisodePool,
@@ -392,6 +393,8 @@ def test_config_from_dict_checks_value_types(d, named):
     ("iterations", -3), ("workers", 0), ("minibatch", 0), ("sigma_style", -0.01),
     ("eval_every", -1), ("checkpoint_every", -1), ("eval_episodes", 0), ("m_points", 0), ("m_points", -1),
     ("epochs", -1),
+    *((name, COUNT_MAX + 1) for name in ("envs_per_iter", "iterations", "minibatch", "epochs", "m_points", "workers",
+                                         "eval_every", "eval_episodes", "checkpoint_every")),
 ])
 def test_train_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):

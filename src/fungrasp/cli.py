@@ -67,7 +67,7 @@ GRADIENT_GATE = 1e-4
 SETTINGS = {
     "seed": (int, "master seed, >= 0 (required)"),
     "workers": (int, "episode workers; 1 and N give identical outputs"),
-    "objects": (str, "directory of .ply objects (default: bundled toy suite)"),
+    "objects": (str, "directory of .ply objects (default: bundled)"),
     "demo": (str, "demonstration JSON (default: bundled)"),
     "hand": (str, "hand spec JSON (default: bundled)"),
     "styles": (str, "styles JSON (default: bundled)"),
@@ -146,8 +146,8 @@ def _asset_file(args, name: str):
 
 
 def _objects_dir(args):
-    """The objects directory, which must exist; None for the bundled toy
-    suite."""
+    """The objects directory, which must exist; None for the bundled
+    objects."""
     if args.objects is not None and not Path(args.objects).is_dir():
         raise NotADirectoryError(f"objects directory not found: {args.objects}")
     return args.objects

@@ -99,10 +99,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .assets import json_number
+from .assets import default_objects_dir, json_number
 from .demo import Demonstration, EditBounds, load_demo
 from .hand import HandSpec, Style, load_hand_spec, load_styles
-from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object, toy_suite
+from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object
 from .policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -256,10 +256,9 @@ class Assets:
 
 
 def load_objects(objects_dir=None) -> list[ObjectModel]:
-    """Every *.ply cloud in objects_dir, by file name; None gives the
-    procedural toy suite."""
-    if objects_dir is None:
-        return list(toy_suite().values())
+    """Every *.ply cloud in objects_dir, by file name; None reads the
+    bundled objects (assets.default_objects_dir)."""
+    objects_dir = default_objects_dir() if objects_dir is None else objects_dir
     paths = sorted(Path(objects_dir).glob("*.ply"))
     if not paths:
         raise FileNotFoundError(f"no .ply objects found in {objects_dir}")

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
+from fungrasp.assets import default_demo_path, default_hand_path, default_objects_dir, default_styles_path
 from fungrasp.cli import SETTINGS, build_parser, main
 
 from conftest import with_arrays
@@ -314,16 +314,15 @@ def test_flags_override_config(tmp_path, capsys):
 
 
 def test_reproducible_outputs(tmp_path, capsys):
+    """Two runs write the same bytes, and so does a run given the
+    bundled objects directory: it is the default."""
     cfg_path = _write_config(tmp_path, iterations=1)
-    for d in ("a", "b"):
-        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / d)]) == 0
+    for d, extra in (("a", []), ("b", []), ("c", ["--objects", str(default_objects_dir())])):
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / d), *extra]) == 0
         capsys.readouterr()
-    a = (tmp_path / "a" / "metrics.jsonl").read_bytes()
-    b = (tmp_path / "b" / "metrics.jsonl").read_bytes()
-    assert a == b
-    ca = (tmp_path / "a" / "checkpoint.json").read_bytes()
-    cb = (tmp_path / "b" / "checkpoint.json").read_bytes()
-    assert ca == cb
+    for name in ("metrics.jsonl", "checkpoint.json"):
+        a, b, c = ((tmp_path / d / name).read_bytes() for d in "abc")
+        assert a == b == c, name
 
 
 @pytest.mark.parametrize("config, key", [

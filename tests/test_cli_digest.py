@@ -20,23 +20,23 @@ TRAIN = dict(envs_per_iter=24, minibatch=12, epochs=2, iterations=4, m_points=32
 
 DIGESTS = {
     "inspire_like": {
-        "train_w1/metrics.jsonl": "3dfb20ccc78c8c5e9566ff54983ac07f6ed0a8ebb1b1e2916bc8ade093661b7d",
-        "train_w1/checkpoint.json": "adab48250828d5c4917e778942d28d58d123a081a17208db65ea2d78a62b44cc",
-        "train_w2/metrics.jsonl": "3dfb20ccc78c8c5e9566ff54983ac07f6ed0a8ebb1b1e2916bc8ade093661b7d",
-        "train_w2/checkpoint.json": "adab48250828d5c4917e778942d28d58d123a081a17208db65ea2d78a62b44cc",
-        "eval/episodes.jsonl": "943ce2d2e05d5024c96c78468ecb3b7ef541359388b56871334d10ff631979e2",
-        "eval/report.json": "b3791fef6d056d77c10b0c22eb5a0f3f8734ef5246718744a45601f7dda51ff4",
-        "collect/rollouts.jsonl": "182ff274fa58f9b567bc019defef89781d740a27495fd126e38f2e139d373bc8",
+        "train_w1/metrics.jsonl": "4dfcea547657493207f3b757e5d8db42f951b3a7f797f9e2edc3cc8265d48230",
+        "train_w1/checkpoint.json": "3c6af1e671673ff5c3d8a2891a09ba6723d4ab05ac0f60d3d0a39ce9ed38f8a7",
+        "train_w2/metrics.jsonl": "4dfcea547657493207f3b757e5d8db42f951b3a7f797f9e2edc3cc8265d48230",
+        "train_w2/checkpoint.json": "3c6af1e671673ff5c3d8a2891a09ba6723d4ab05ac0f60d3d0a39ce9ed38f8a7",
+        "eval/episodes.jsonl": "8e6ae0fd35b6c8239ce301d21e4d7bb6801911bfddb21fe43cbc3d3881ab5e24",
+        "eval/report.json": "77afa9c7feda0c0efb8236b7d43cba2b88836a27d733271e7a3e593c0005a1e6",
+        "collect/rollouts.jsonl": "0b129e926cf521d91cac3cf547058411d206cbe80b484aa7f319038ef4e70ed9",
         "collect/rollouts.jsonl.manifest.json": "b5e28129660bc6a3cbe10e67385f43157b544846b560eff540f1bb10d4a77f02",
     },
     "shadow_like": {
-        "train_w1/metrics.jsonl": "e2879b97c97952d0384a0703f69c38e1e747a1d9a545e812115bd1b2b5418c85",
-        "train_w1/checkpoint.json": "2f04c826c7de18e5b195f094a16df8327ae25d2b875dd184f279157501679d94",
-        "train_w2/metrics.jsonl": "e2879b97c97952d0384a0703f69c38e1e747a1d9a545e812115bd1b2b5418c85",
-        "train_w2/checkpoint.json": "2f04c826c7de18e5b195f094a16df8327ae25d2b875dd184f279157501679d94",
-        "eval/episodes.jsonl": "10a3ea7c3fb2d21c0fd7ba827295d440bfd5b9b676f599abbb81e04bc0b5444e",
+        "train_w1/metrics.jsonl": "5b19ada9fe4ee797611e795a33d693760a1b145ff7c8a8cee76076d7f04a31dc",
+        "train_w1/checkpoint.json": "dbd5b7edbe0ee8f8b868d2b115a5db7c175e1e2495b9e8d560bf530952ee9b3c",
+        "train_w2/metrics.jsonl": "5b19ada9fe4ee797611e795a33d693760a1b145ff7c8a8cee76076d7f04a31dc",
+        "train_w2/checkpoint.json": "dbd5b7edbe0ee8f8b868d2b115a5db7c175e1e2495b9e8d560bf530952ee9b3c",
+        "eval/episodes.jsonl": "0b2d7072930fed449b204aa5edd1a8dc0b1d67fe01e5a2868566c739606a1f00",
         "eval/report.json": "4ac8625b56ea88edb8ab7af0a2a777304d6df79b7e8d593335d3684e48d941a8",
-        "collect/rollouts.jsonl": "c538055a589ef3c2699a471ce5c9a6697601b3feab766eaa63a31b03b87c491f",
+        "collect/rollouts.jsonl": "b23b63734cbd9d8c3079a989af8ed4abd84464e9ff4c9c9512b1d38262b5971d",
         "collect/rollouts.jsonl.manifest.json": "c95eb829435a8f60ab9ab366cb29791cbf1160f3599703db85277e91ec07fc68",
     },
 }

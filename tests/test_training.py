@@ -30,7 +30,7 @@ from fungrasp.training import (
 )
 
 from bandit_reference import run_bandit
-from conftest import poison_cloud_of, with_arrays
+from conftest import bits, poison_cloud_of, with_arrays
 from contact_reference import hand_assets
 from update_reference import reference_adam_step, reference_ppo_update
 
@@ -353,8 +353,9 @@ def test_train_writes_metrics_and_checkpoint(assets, tmp_path, monkeypatch, peri
         assert pooled["metrics_path"].read_bytes() == out["metrics_path"].read_bytes()
 
 
-def test_load_objects_directory_and_toy_fallback(tmp_path, objects):
-    from fungrasp.objects import save_object_ply, toy_suite
+def test_load_objects_directory_and_bundled_default(tmp_path, objects):
+    from fungrasp.assets import default_objects_dir
+    from fungrasp.objects import save_object_ply
 
     for name in ("mug", "box"):
         save_object_ply(objects[name], tmp_path / f"{name}.ply")
@@ -362,7 +363,9 @@ def test_load_objects_directory_and_toy_fallback(tmp_path, objects):
     loaded = load_objects(tmp_path)
     assert [o.name for o in loaded] == ["box", "mug"]
     assert np.array_equal(loaded[1].points, objects["mug"].points)
-    assert [o.name for o in load_objects(None)] == list(toy_suite())
+    default, bundled = load_objects(None), load_objects(default_objects_dir())
+    assert [o.name for o in default] == [o.name for o in bundled] == sorted(objects)
+    assert bits([(o.points, o.normals) for o in default]) == bits([(o.points, o.normals) for o in bundled])
     (tmp_path / "empty").mkdir()
     with pytest.raises(FileNotFoundError, match="no .ply objects"):
         load_objects(tmp_path / "empty")

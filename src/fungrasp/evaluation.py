@@ -21,6 +21,7 @@ from .dataio import config_digest
 from .hand import HandSpec, normalize_joints
 from .policy import PolicyParams
 from .training import (
+    COUNT_MAX,
     STREAM_EVAL,
     Assets,
     EpisodePool,
@@ -148,6 +149,8 @@ def evaluate(
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
+    if n_episodes > COUNT_MAX:
+        raise ValueError(f"n_episodes must be <= {COUNT_MAX}, got {n_episodes}")
     if not assets.objects:
         raise ValueError("empty object set")
     check_m_points(cfg, assets)

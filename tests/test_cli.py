@@ -442,6 +442,20 @@ def test_out_of_range_config_values_are_user_errors(tmp_path, capsys):
         assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "collect"])
+def test_an_episode_count_past_the_bound_is_a_named_user_error(tmp_path, capsys, command):
+    from fungrasp.dataio import save_checkpoint
+    from fungrasp.policy import init_params
+
+    ckpt = tmp_path / "init.json"
+    save_checkpoint(init_params(np.random.default_rng(0), 32, 4, 6), {"hand": "inspire_like"}, ckpt)
+    code = main([command, "--config", str(_write_config(tmp_path)), "--checkpoint", str(ckpt),
+                 "--episodes", str(10**20), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "n_episodes must be <= 2147483647, got 100000000000000000000" in err and "internal error" not in err
+
+
 def test_eval_report_counts_outcomes(tmp_path, capsys):
     from fungrasp.dataio import save_checkpoint
     from fungrasp.policy import init_params

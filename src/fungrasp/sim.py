@@ -13,15 +13,14 @@ builds the records); one episode is a batch of one. Joint targets, joint
 trajectories, wrist edits and FK run once over all E x (T_D + 1)
 frames. The contact phase (detect_contacts) then works in each
 episode's object frame: one inverse rotation maps the sphere centers of
-frames 0..T_l (nothing reads later frames) into it, and one
-bounding-box test of the chunk keeps the spheres near enough to the
-cloud to matter as one row list, at the grasp frame as on the approach.
-Per object, one _nearest call answers its episodes' rows of the grasp
-frame and the last approach frame, and a second one the earlier frames
-of only the episodes that the last approach frame did not crush, each
-an index subset of that list. Before either call, an approach row whose
-cell of the object's crush-floor table (_may_crush, filled a block at a
-time and held on the object) proves that it cannot crush is dropped.
+frames 0..T_l (nothing reads later frames) into it, and one box test
+of the chunk keeps, as one row list, the spheres near enough to the
+cloud to matter. Per object, one _nearest call answers its episodes'
+rows of the grasp frame and the last approach frame, and a second the
+earlier frames of only the episodes that the last approach frame did
+not crush, each an index subset of that list. Before either call, an
+approach row that its cell of the object's crush-floor table (_may_crush)
+proves cannot crush is dropped.
 What comes out is one contact table of fixed shape: hit (E, F), points
 and normals (E, F, 3), each finger's deepest hit in the world frame and
 a zero row where it has none. Everything after it is an array

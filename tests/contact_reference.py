@@ -6,7 +6,8 @@ rejects sphere centers against the world bounding box of that cloud,
 and runs one dense |c|^2 + |p|^2 - 2 c.p product over every frame.
 reference_contact_phase has detect_contacts' signature and returns its
 contact table, so a test can swap it into sim and compare whole rollout
-records.
+records. two_pass_crushed keeps detect_contacts' earlier per-object row
+selection, so a test can compare the rows of every query call.
 """
 
 import numpy as np

@@ -287,7 +287,7 @@ def test_unpassed_parameter_scan_catches_one():
                # a same-named function of another module is not a call of mod's
                ("other", "def f(a, b, c, d, e):\n    pass\nf(0, 1, 2, e=3)\ndef k(r):\n    pass\nk(1)\n"),
                ("third", "from .mod import k as run_k\nrun_k(r=2)\n")]
-    callers = [(module, ast.parse(source)) for module, source in callers]
+    callers = [(module, ast.parse(text)) for module, text in callers]
     assert unpassed_parameters(ast.parse(source), "mod", callers) == ["f(c)", "f(e)", "m(y)"]
 
 

@@ -236,7 +236,7 @@ def cmd_sample_affordance(args) -> int:
     if name not in objs:
         raise ValueError(f"object {name!r} not found; have {sorted(objs)}")
     obj = objs[name]
-    idx = sample_affordance_index(affordance_distribution(obj), episode_rng(seed, 42))
+    idx = sample_affordance_index(affordance_distribution(obj), episode_rng(seed, 42).random(1))[0]
     print(json.dumps({
         "object": name,
         "seed": seed,

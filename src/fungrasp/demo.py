@@ -33,7 +33,6 @@ __all__ = [
     "interpolation_fraction",
     "edited_joint_trajectory",
     "edit_wrist_arrays",
-    "disturb_style",
     "STATIC_JOINT_TOL",
 ]
 
@@ -231,9 +230,3 @@ def edit_wrist_arrays(demo: Demonstration, actions, pose_t, pose_r):
     t = prefix_t[:, None, :] + quat_rotate(prefix_r[:, None, :], demo.pose_t)
     r = quat_normalize(quat_mul(prefix_r[:, None, :], demo.pose_r))
     return t, r
-
-
-def disturb_style(style_q, sigma: float, rng: np.random.Generator, spec: HandSpec) -> np.ndarray:
-    """Gaussian joint perturbation (sigma > 0) of a canonical style,
-    clamped to limits; a training-time exploration aid."""
-    return clamp_to_limits(spec, style_q + rng.normal(0.0, sigma, np.shape(style_q)))

@@ -46,7 +46,8 @@ class ObjectError(ValueError):
 
 @dataclass(frozen=True)
 class ObjectModel:
-    """Oriented point cloud in canonical pose (min z = 0)."""
+    """Oriented point cloud in canonical pose (min z = 0); its len is
+    its point count."""
 
     name: str
     points: np.ndarray        # (N, 3) meters
@@ -54,8 +55,14 @@ class ObjectModel:
     centroid: np.ndarray      # (3,)
     obj_bb: float             # the longest edge of the axis-aligned bounding box
     box: np.ndarray           # (2, 3) that box's min and max corners
+    # the points' terms of sim._nearest's product: -2.0 * points.T (3, N) and each |p|^2 (N,)
+    neg2p: np.ndarray = field(compare=False, repr=False)
+    p2: np.ndarray = field(compare=False, repr=False)
     # sim's crush-floor table, filled a block at a time on first use (sim._may_crush)
     crush_floor: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.points)
 
     @classmethod
     def from_points(cls, name: str, points, normals=None) -> "ObjectModel":
@@ -80,7 +87,8 @@ class ObjectModel:
         normals = normals / lens[:, None]
         centroid = points.mean(axis=0)
         box = np.stack([points.min(axis=0), points.max(axis=0)])
-        for a in (points, normals, centroid, box):
+        neg2p, p2 = -2.0 * points.T, np.einsum("ij,ij->i", points, points)
+        for a in (points, normals, centroid, box, neg2p, p2):
             a.setflags(write=False)
         return cls(
             name=name,
@@ -89,6 +97,8 @@ class ObjectModel:
             centroid=centroid,
             obj_bb=float((box[1] - box[0]).max()),
             box=box,
+            neg2p=neg2p,
+            p2=p2,
         )
 
 
@@ -252,10 +262,10 @@ def affordance_distribution(obj: ObjectModel) -> AffordanceDistribution:
     return AffordanceDistribution(weights=weights)
 
 
-def sample_affordance_index(dist: AffordanceDistribution, rng: np.random.Generator) -> int:
-    """Categorical draw of a point index (inverse-CDF on one uniform)."""
-    idx = int(np.searchsorted(dist.cdf, rng.random(), side="right"))
-    return min(idx, len(dist.weights) - 1)
+def sample_affordance_index(dist: AffordanceDistribution, u: np.ndarray) -> np.ndarray:
+    """Categorical draws of point indices, one per uniform in [0, 1) of u
+    (inverse-CDF)."""
+    return np.minimum(np.searchsorted(dist.cdf, u, side="right"), len(dist.weights) - 1)
 
 
 def _squared_distances(cols: np.ndarray, j: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -59,9 +59,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .demo import Demonstration, edited_joint_trajectory, disturb_style, target_joint_config
+from .demo import Demonstration, edited_joint_trajectory, target_joint_config
 from .geometry import axis_angle_to_quat, normalize_rows, quat_conjugate, quat_rotate, rotate, row_norms
-from .hand import HandSpec, Style, classify_style, forward_kinematics_batch, sphere_metadata
+from .hand import HandSpec, Style, clamp_to_limits, classify_style, forward_kinematics_batch, sphere_metadata
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
 
 log = logging.getLogger(__name__)
@@ -175,30 +175,45 @@ def reset_env(
     table, and sample the episode's conditioning.
 
     The call order on each episode's rng is part of the determinism
-    contract: object, x, y, yaw, affordance index, style index, then,
-    when sigma_style > 0 (training), the style disturbance. force_style
+    contract: integers for the object, one random(4) for x, y, yaw and
+    the affordance uniform, integers for the style, then, when
+    sigma_style > 0 (training), normal(0, sigma_style, J) for the style
+    disturbance. random(4) takes the four doubles that uniform(-1, 1)
+    twice, uniform(0, 2 pi) and random() take one by one. force_style
     replaces the style after these draws, so the environment (object,
-    pose, affordance) is the same for every forced style. The poses are built
+    pose, affordance) is the same for every forced style.
+
+    Only the draws run per episode. Then, once over the chunk: x, y and
+    yaw as lo + range * u, the bits uniform(lo, lo + range) gives; per
+    object, one sample_affordance_index over its episodes' uniforms; and
+    one clamp_to_limits of the disturbed joints. The poses are built
     over the batch, each quaternion row divided by its own norm,
     r / np.linalg.norm(r) (normalize_rows), so each row has the bits of
     the episode's pose built alone.
     """
-    e_count = len(rngs)
-    objs, draws = [], np.empty((e_count, 3))      # x and y in [-1, 1), yaw
-    p_afford, style = np.empty((e_count, 3)), np.empty(e_count, dtype=np.intp)
-    q_style = np.empty((e_count, spec.joint_count))
+    e_count, joint_count = len(rngs), spec.joint_count
+    obj_code, style = np.empty((2, e_count), dtype=np.intp)
+    u = np.empty((e_count, 4))                     # x, y, yaw and the affordance uniform
+    noise = np.empty((e_count, joint_count)) if sigma_style > 0 else None
     for i, rng in enumerate(rngs):
-        obj = objects[int(rng.integers(len(objects)))]
-        objs.append(obj)
-        draws[i] = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * np.pi)
-        p_afford[i] = obj.points[sample_affordance_index(dists[obj.name], rng)]
+        obj_code[i] = rng.integers(len(objects))
+        rng.random(out=u[i])
         style[i] = rng.integers(len(styles))
-        q_style[i] = styles[style[i]].q_canonical
-        if sigma_style > 0:
-            q_style[i] = disturb_style(q_style[i], sigma_style, rng, spec)
+        if noise is not None:
+            noise[i] = rng.normal(0.0, sigma_style, joint_count)
+    objs = [objects[j] for j in obj_code.tolist()]
+    p_afford = np.empty((e_count, 3))
+    for j, obj in enumerate(objects):
+        rows = np.flatnonzero(obj_code == j)
+        if len(rows):
+            p_afford[rows] = obj.points[sample_affordance_index(dists[obj.name], u[rows, 3])]
+    # a forced style keeps its canonical joints, though its draws were made
     if force_style is not None:
         style[:] = force_style
-        q_style[:] = styles[force_style].q_canonical
+    q_style = np.stack([st.q_canonical for st in styles])[style]
+    if noise is not None and force_style is None:
+        q_style = clamp_to_limits(spec, q_style + noise)
+    draws = np.array([-1.0, -1.0, 0.0]) + np.array([2.0, 2.0, 2.0 * np.pi]) * u[:, :3]
     axis_angle = np.zeros((e_count, 3))
     axis_angle[:, 2] = draws[:, 2] if square_half > 0 else 0.0
     pose_r = normalize_rows(axis_angle_to_quat(axis_angle))
@@ -216,29 +231,29 @@ _LP_TOL = 1e-9
 _ROW_BLOCK = 64
 
 
-def _nearest(centers: np.ndarray, pts: np.ndarray):
-    """Nearest cloud point per row of centers: (indices, distances).
+def _nearest(centers: np.ndarray, obj: ObjectModel):
+    """Nearest point of obj's cloud per row of centers: (indices, distances).
 
-    The argmin of |p|^2 - 2 c.p, taken in blocks of _ROW_BLOCK rows; the
-    distance is then the exact |c - p| of the chosen point. A row's
-    answer does not depend on the other rows: no block has one row,
-    since numpy hands a one-row product to gemv, which rounds
-    differently from gemm. The exception is a tie between exact
-    duplicates in pts: which copy a row picks can hang on the rows that
-    share its block (see the module's Determinism paragraph).
-    detect_contacts first drops the approach rows _may_crush clears.
+    The argmin of |p|^2 - 2 c.p, taken in blocks of _ROW_BLOCK rows with
+    the points' terms obj holds (neg2p, p2); the distance is then the
+    exact |c - p| of the chosen point. A row's answer does not depend on
+    the other rows: no block has one row, since numpy hands a one-row
+    product to gemv, which rounds differently from gemm. The exception
+    is a tie between exact duplicates in the cloud: which copy a row
+    picks can hang on the rows that share its block (see the module's
+    Determinism paragraph). detect_contacts first drops the approach
+    rows _may_crush clears.
     """
+    pts = obj.points
     rows = centers if len(centers) != 1 else np.repeat(centers, 2, axis=0)
-    neg2p = -2.0 * pts.T
-    p2 = np.einsum("ij,ij->i", pts, pts)
     idx = np.empty(len(rows), dtype=np.intp)
     scratch = np.empty((min(_ROW_BLOCK, len(rows)), len(pts)))
     for lo in range(0, len(rows), _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, len(rows))
         lo = min(lo, hi - 2)  # a lone last row is taken with the one before it
         block = scratch[: hi - lo]
-        np.matmul(rows[lo:hi], neg2p, out=block)
-        block += p2
+        np.matmul(rows[lo:hi], obj.neg2p, out=block)
+        block += obj.p2
         idx[lo:hi] = block.argmin(axis=1)
     idx = idx[: len(centers)]
     diff = centers - pts[idx]
@@ -376,7 +391,7 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
         keep = grasp.copy()
         keep[~grasp] = _may_crush(obj, rows[sel[~grasp]], crush_gap[k[sel[~grasp]]])
         sel, grasp = sel[keep], grasp[keep]
-        found, d = _nearest(rows[sel], obj.points)
+        found, d = _nearest(rows[sel], obj)
         at = e[sel[grasp]], k[sel[grasp]]
         dist_tl[at] = d[grasp]
         grasp_pts[at] = obj.points[found[grasp]]
@@ -391,7 +406,7 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
         keep = _may_crush(obj, rows[sel], crush_gap[k[sel]])
         if keep.any():
             sel = sel[keep]
-            found, _ = _nearest(rows[sel], obj.points)
+            found, _ = _nearest(rows[sel], obj)
             crushed[e[sel[_crushing(obj, rows[sel], found, crush_gap[k[sel]])]]] = True
 
     # per finger, its deepest in-shell sphere; ties go to the lowest sphere

@@ -11,16 +11,22 @@ The episode engine (run_episodes) takes a chunk of episodes — all of
 them with one worker, every workers-th index in each pool worker —
 through three phases:
 
-1. The chunk as arrays. One reset_env over the episodes' rngs gives
-   the chunk's EnvBatch. Only the rng draws run per episode, each on
-   the episode's own rng in the contract order: the object and the
-   reset's draws, then the action draw (standard_normal noise in policy
-   mode, uniform actions in random mode), which does not depend on the
-   forward pass. Then one encode_observation over the batch's columns,
-   one row-alone policy_forward (each trunk product a stacked (1, D) @
-   (D, H) gemv per row, so every row has the bits of a batch of one)
-   and one sample_action (or the mean, random or identity action) over
-   the rows.
+1. The chunk as arrays. One episode_rngs call builds the episodes'
+   generators: numpy's SeedSequence hash runs once over the keys' word
+   columns, and each generator has the state of
+   default_rng(SeedSequence((seed, *stream_key, i))). One reset_env
+   over them gives the chunk's EnvBatch. Only the rng draws run per
+   episode, each on the episode's own rng in the contract order: the
+   reset's four draws (object, the pose and affordance uniforms, style,
+   and in training the style disturbance), then the action draw
+   (standard_normal noise in policy mode, uniform actions in random
+   mode), which does not depend on the forward pass. What the reset's
+   draws become (the pose, the affordance point, the clamped joints) is
+   computed once over the chunk. Then one encode_observation over the
+   batch's columns, one row-alone policy_forward (each trunk product a
+   stacked (1, D) @ (D, H) gemv per row, so every row has the bits of a
+   batch of one) and one sample_action (or the mean, random or identity
+   action) over the rows.
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
    wrist edits and FK at once; one contact phase in the object frame,
    with per object one nearest-point query of the grasp frame and the
@@ -90,14 +96,17 @@ import json
 import logging
 import mmap
 import multiprocessing
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, wait
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .assets import default_objects_dir, json_number
 from .demo import Demonstration, EditBounds, load_demo
@@ -143,6 +152,7 @@ __all__ = [
     "train",
     "finite_diff_check",
     "episode_rng",
+    "episode_rngs",
     "check_m_points",
     "outcome_counts",
     "episode_summary",
@@ -187,7 +197,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("minibatch", 1), ("workers", 1), ("eval_episodes", 1), ("m_points", 1), ("iterations", 0),
-                          ("epochs", 0), ("sigma_style", 0), ("eval_every", 0), ("checkpoint_every", 0)):
+                          ("epochs", 0), ("sigma_style", 0), ("eval_every", 0), ("checkpoint_every", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("envs_per_iter", "iterations", "minibatch", "epochs", "m_points", "workers", "eval_every",
@@ -286,8 +296,104 @@ def check_m_points(cfg: TrainConfig, assets: Assets) -> None:
 
 
 def episode_rng(seed: int, stream: int, *key) -> np.random.Generator:
-    """Deterministic per-episode generator from (seed, stream, key...)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, stream) + tuple(int(k) for k in key)))
+    """Deterministic per-episode generator from (seed, stream, key...):
+    the one-key case of episode_rngs."""
+    *prefix, last = (seed, stream, *key)
+    return episode_rngs(prefix, [last])[0]
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe) over a pool of four uint32
+# words: its hash constants, whose value at each step depends on the step alone
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of count steps and after the last,
+    init * mult**k mod 2**32 for k = 0..count: step k multiplies by
+    entry k + 1 after mixing in entry k."""
+    return np.array([init * pow(mult, k, 2**32) & _MASK32 for k in range(count + 1)], dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 values, at steps whose hash
+    constant is before, and after once the step has advanced it."""
+    value = (value ^ before) * after
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _int_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads one: its little-endian
+    32-bit words, [0] for 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+class _Seeded(ISeedSequence):
+    """A SeedSequence stand-in that holds the words generate_state(4,
+    uint64) gives: a PCG64 seeded by it has the state of one seeded by
+    the SeedSequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype):
+        return self.words
+
+
+def episode_rngs(prefix, indices) -> list[np.random.Generator]:
+    """Generators for the keys (*prefix, i), i in indices, each with the
+    state of default_rng(SeedSequence((*prefix, i))), built together:
+    SeedSequence's pool hash and generate_state(4, uint64) run once over
+    the keys' (E,) word columns, and each PCG64 takes its four words
+    through a _Seeded stand-in. A negative key int raises
+    SeedSequence's ValueError."""
+    head = [w for k in prefix for w in _int_words(k)]
+    tails = [_int_words(i) for i in indices]
+    if not tails:
+        return []
+    lengths = np.array([len(t) for t in tails]) + len(head)
+    width = int(lengths.max())
+    # a row's words past its length are zeros: the pool reads a short key's
+    # missing words as zeros, and only a row's own words mix in past the pool
+    words = np.zeros((len(tails), max(width, _POOL)), dtype=np.uint32)
+    words[:, : len(head)] = head
+    words[:, len(head) : width] = [t + [0] * (width - len(head) - len(t)) for t in tails]
+    # the pool: the first four words hashed, then each pool word mixed into
+    # every other, then each further word into every one
+    extra = max(width - _POOL, 0)
+    const = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    pool = _hashmix(words[:, :_POOL], const[:_POOL], const[1 : _POOL + 1])
+    step = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], const[step : step + 3], const[step + 1 : step + 4]))
+        step += 3
+    for src in range(_POOL, width):
+        mixed = _mix(pool, _hashmix(words[:, src, None], const[step : step + _POOL], const[step + 1 : step + _POOL + 1]))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
+        step += _POOL
+    # generate_state(4, uint64): eight uint32 words over the pool twice, as little-endian pairs
+    const = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hashmix(np.tile(pool, 2), const[:-1], const[1:]).astype(np.uint64)
+    seeds = state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+    return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in seeds]
 
 
 @dataclass
@@ -379,7 +485,7 @@ def run_episodes(
         return [], [], []
     joint_count = assets.spec.joint_count
     lo, hi = cfg.bounds.intervals(joint_count)
-    rngs = [episode_rng(seed, *stream_key, i) for i in indices]
+    rngs = episode_rngs((seed, *stream_key), indices)
     env = reset_env(
         assets.objects, assets.afford_dists, assets.styles, rngs, spec=assets.spec,
         square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0, force_style=force_style,

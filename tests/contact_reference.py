@@ -7,7 +7,9 @@ and runs one dense |c|^2 + |p|^2 - 2 c.p product over every frame.
 reference_contact_phase has detect_contacts' signature and returns its
 contact table, so a test can swap it into sim and compare whole rollout
 records. two_pass_crushed keeps detect_contacts' earlier per-object row
-selection, so a test can compare the rows of every query call.
+selection, so a test can compare the rows of every query call, and
+recomputing_nearest the nearest-point query that computed the points'
+terms on each call.
 """
 
 import numpy as np
@@ -98,6 +100,26 @@ def approach_contacts(obj, pose_t, pose_r, centers, radii, finger_index, tl, par
     return (crushed, *_select_contacts(dist[tl], idx[tl], pts, nrm, radii, finger_index, params.delta_c))
 
 
+def recomputing_nearest(centers, pts):
+    """sim._nearest as it was before each object held the points' terms:
+    the same blocked argmin, with -2 p^T and |p|^2 recomputed per call."""
+    rows = centers if len(centers) != 1 else np.repeat(centers, 2, axis=0)
+    neg2p = -2.0 * pts.T
+    p2 = np.einsum("ij,ij->i", pts, pts)
+    idx = np.empty(len(rows), dtype=np.intp)
+    scratch = np.empty((min(sim._ROW_BLOCK, len(rows)), len(pts)))
+    for lo in range(0, len(rows), sim._ROW_BLOCK):
+        hi = min(lo + sim._ROW_BLOCK, len(rows))
+        lo = min(lo, hi - 2)
+        block = scratch[: hi - lo]
+        np.matmul(rows[lo:hi], neg2p, out=block)
+        block += p2
+        idx[lo:hi] = block.argmin(axis=1)
+    idx = idx[: len(centers)]
+    diff = centers - pts[idx]
+    return idx, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def reference_contact_phase(env, centers, radii, finger_index, tl, params):
     """The contact phase one episode at a time, over all its frames."""
     out = [approach_contacts(obj, t, r, c, radii, finger_index, tl, params)
@@ -134,7 +156,7 @@ def two_pass_crushed(env, centers, radii, tl, params):
         keep = grasp.copy()
         keep[~grasp] = sim._may_crush(obj, rows[~grasp], crush_gap[k[~grasp]])
         a, k, rows, grasp = a[keep], k[keep], rows[keep], grasp[keep]
-        found, _ = sim._nearest(rows, obj.points)
+        found, _ = sim._nearest(rows, obj)
         app = ~grasp
         crushed[members[a[app][sim._crushing(obj, rows[app], found[app], crush_gap[k[app]])]]] = True
         rest = members[~crushed[members]]
@@ -147,7 +169,7 @@ def two_pass_crushed(env, centers, radii, tl, params):
         keep = sim._may_crush(obj, rows, crush_gap[k])
         if keep.any():
             rows, a, k = rows[keep], a[keep], k[keep]
-            found, _ = sim._nearest(rows, obj.points)
+            found, _ = sim._nearest(rows, obj)
             crushed[rest[a[sim._crushing(obj, rows, found, crush_gap[k])]]] = True
     return crushed
 

@@ -23,9 +23,9 @@ import pytest
 
 from conftest import concat_envs, env_of
 from fungrasp import demo as demo_module
-from fungrasp.demo import disturb_style
 from fungrasp.geometry import quat_mul, quat_normalize, quat_rotate
-from fungrasp.objects import farthest_point_sample, sample_affordance_index
+from fungrasp.hand import clamp_to_limits
+from fungrasp.objects import farthest_point_sample
 from fungrasp.policy import (
     ObsBatch,
     PolicyError,
@@ -67,17 +67,22 @@ def reference_reset(objects, dists, styles, rng, train_mode, *, spec, square_hal
     """One episode's reset on its own rng, in the contract order: object,
     x, y, yaw, affordance index, style index, then (training only) the
     style disturbance; force_style replaces the style after the draws.
-    Returns the episode's EnvBatch of one and its (t, r) object pose."""
+    The draws are the ones sim.reset_env's random(4) and normal replaced:
+    three uniform calls, random() for an inverse-CDF affordance index, and
+    a clamped normal(0, sigma_style, J) disturbance. Returns the episode's
+    EnvBatch of one and its (t, r) object pose."""
     obj = objects[int(rng.integers(len(objects)))]
     x = rng.uniform(-1.0, 1.0) * square_half
     y = rng.uniform(-1.0, 1.0) * square_half
     yaw_draw = rng.uniform(0.0, 2.0 * np.pi)
     yaw = yaw_draw if square_half > 0 else 0.0
     obj_pose = pose([x, y, 0.0], reference_axis_angle_to_quat(np.array([0.0, 0.0, yaw])))
-    p_afford = obj.points[sample_affordance_index(dists[obj.name], rng)].copy()
+    cdf = dists[obj.name].cdf
+    p_afford = obj.points[min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)].copy()
     style_index = int(rng.integers(len(styles)))
     if train_mode and sigma_style > 0:
-        q_used = disturb_style(styles[style_index].q_canonical, sigma_style, rng, spec)
+        q_canonical = styles[style_index].q_canonical
+        q_used = clamp_to_limits(spec, q_canonical + rng.normal(0.0, sigma_style, np.shape(q_canonical)))
     else:
         q_used = styles[style_index].q_canonical.copy()
     if force_style is not None:

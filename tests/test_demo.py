@@ -7,7 +7,6 @@ from fungrasp.demo import (
     DemoError,
     Demonstration,
     EditBounds,
-    disturb_style,
     edit_wrist_arrays,
     edited_joint_trajectory,
     interpolation_fraction,
@@ -185,32 +184,6 @@ def test_edit_wrist_object_rotation_equivariance(demo):
         want_t, want_r = compose_pose(prefix, ref)
         assert np.allclose(p_t, want_t, atol=1e-12)
         assert quat_distance(p_r, want_r) < 1e-12
-
-
-def test_disturb_style_determinism(spec, styles):
-    s = styles[0].q_canonical
-    a = disturb_style(s, 0.05, np.random.default_rng(5), spec)
-    b = disturb_style(s, 0.05, np.random.default_rng(5), spec)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, s)
-
-
-def test_disturb_style_empirical_std(tmp_path):
-    # wide-limit synthetic hand so the clamp never bites
-    payload = {
-        "name": "wide",
-        "fingers": [{
-            "base": {"t": [0, 0, 0], "r": [1, 0, 0, 0]},
-            "tip_radius": 0.01,
-            "segments": [{"length": 0.1, "axis": [0, 1, 0], "limits": [-50.0, 50.0]}],
-        }],
-    }
-    p = tmp_path / "wide.json"
-    p.write_text(json.dumps(payload))
-    wide = load_hand_spec(p)
-    rng = np.random.default_rng(11)
-    draws = np.array([disturb_style(np.zeros(1), 0.05, rng, wide)[0] for _ in range(100_000)])
-    assert abs(draws.std() - 0.05) / 0.05 < 0.02
 
 
 def test_bounds_intervals_norm_guarantee():

@@ -1,8 +1,11 @@
-"""Micro-benchmarks of the rollout's array kernels against their references:
-FK of one seeded chunk of E episodes, E x (T_D + 1) rows, on each bundled
-hand, the stacked simplex over the seven loads of that chunk's scored
-grasps, and their closure verdicts from the gravity basis against that
-seven-load stack.
+"""Micro-benchmarks of the episode engine's array kernels against their
+references: FK of one seeded chunk of E episodes, E x (T_D + 1) rows, on
+each bundled hand, the stacked simplex over the seven loads of that
+chunk's scored grasps, and their closure verdicts from the gravity basis
+against that seven-load stack; and, for a 96-episode chunk at the
+train_inspire bench workload's config, the chunk's generators
+(episode_rngs against one SeedSequence per episode) and its reset
+(reset_env against each episode's own reference_reset).
 
 pytest's addopts pass --benchmark-disable, so the suite runs each case
 once as a plain test. Time them with
@@ -13,8 +16,11 @@ once as a plain test. Time them with
 import numpy as np
 import pytest
 
+from conftest import concat_envs
 from contact_reference import hand_assets, seeded_rollout_inputs
+from episode_reference import reference_reset
 from fungrasp import hand, sim
+from fungrasp.training import STREAM_TRAIN, TrainConfig, episode_rngs
 from kernel_reference import reference_closure, reference_feasible_combination, reference_forward_kinematics
 
 EPISODES = 96
@@ -79,3 +85,55 @@ def test_closure_verdict_benchmark(benchmark, chunk, closure):
     want = reference_closure(generators, loads)
     assert got.tobytes() == want.tobytes() and want.any() and not want.all()
     assert sim._closure_batch(generators, loads)[1][want].mean() > 0.5
+
+
+@pytest.fixture(scope="module")
+def train_chunk():
+    """(assets, cfg, key prefix, indices) of one train_inspire collect:
+    the inspire_like hand, 96 episodes at sigma_style 0.05, the stream of
+    iteration 75 at the bench's seed 301000."""
+    cfg = TrainConfig(envs_per_iter=EPISODES, minibatch=32, m_points=64, seed=301000)
+    return hand_assets("inspire_like"), cfg, (cfg.seed, STREAM_TRAIN, 75), range(EPISODES)
+
+
+def seed_sequence_rngs(prefix, indices):
+    """One default_rng(SeedSequence(key)) per episode."""
+    return [np.random.default_rng(np.random.SeedSequence((*prefix, i))) for i in indices]
+
+
+@pytest.mark.parametrize("build", [episode_rngs, seed_sequence_rngs], ids=["hashed_as_arrays", "seed_sequence_per_episode"])
+def test_episode_rngs_benchmark(benchmark, train_chunk, build):
+    _, _, prefix, indices = train_chunk
+    benchmark.group = f"episode generators, {len(indices)} episodes"
+    got = benchmark(build, prefix, indices)
+    want = seed_sequence_rngs(prefix, indices)
+    assert [g.bit_generator.state for g in got] == [w.bit_generator.state for w in want]
+
+
+def per_episode_reset(objects, dists, styles, rngs, *, spec, sigma_style, square_half):
+    """Each episode's reference_reset on its own rng, glued into one batch."""
+    return concat_envs([reference_reset(objects, dists, styles, rng, True, spec=spec, sigma_style=sigma_style,
+                                        square_half=square_half)[0] for rng in rngs])
+
+
+@pytest.mark.parametrize("reset", [sim.reset_env, per_episode_reset], ids=["draws_then_arrays", "per_episode_reference"])
+def test_reset_env_benchmark(benchmark, train_chunk, reset):
+    """Each round resets the chunk on fresh generators; every column, and
+    each rng's next draw, is the per-episode reference's."""
+    assets, cfg, prefix, indices = train_chunk
+    benchmark.group = f"reset_env, {len(indices)} episodes"
+    kwargs = dict(spec=assets.spec, sigma_style=cfg.sigma_style, square_half=cfg.square_half)
+    args = (assets.objects, assets.afford_dists, assets.styles)
+    rounds = []
+
+    def fresh():
+        rounds.append(episode_rngs(prefix, indices))
+        return (*args, rounds[-1]), kwargs
+
+    got = benchmark.pedantic(reset, setup=fresh, rounds=200)
+    rngs = episode_rngs(prefix, indices)
+    want = per_episode_reset(*args, rngs, **kwargs)
+    assert got.objs == want.objs
+    for name in ("pose_t", "pose_r", "p_afford", "style", "q_style", "mask"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert [r.random() for r in rounds[-1]] == [r.random() for r in rngs]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from contact_reference import (
     crush_floor_oracle,
     dense_nearest,
     hand_assets,
+    recomputing_nearest,
     reference_contact_phase,
     seeded_rollout_inputs,
     two_pass_crushed,
@@ -23,7 +25,7 @@ from fungrasp import sim
 from fungrasp.demo import EditBounds
 from fungrasp.geometry import axis_angle_to_quat, quat_rotate
 from fungrasp.assets import default_hand_path
-from fungrasp.hand import load_hand_spec, sphere_metadata
+from fungrasp.hand import Style, load_hand_spec, sphere_metadata
 from fungrasp.objects import ObjectModel, make_cylinder, make_sphere
 from fungrasp.rewards import RewardConfig
 from fungrasp.sim import (
@@ -108,6 +110,52 @@ def test_reset_without_disturbance_keeps_the_canonical_joints(assets):
     env = _reset(assets, assets.objects, [np.random.default_rng(s) for s in range(20)], 0.0)
     for style, q in zip(env.style, env.q_style):
         assert np.array_equal(q, assets.styles[style].q_canonical)
+
+
+@pytest.mark.parametrize("sigma_style", [0.0, 0.05, 0.4])
+@pytest.mark.parametrize("force_style", [None, 2], ids=["sampled_style", "forced_style"])
+def test_reset_leaves_each_rng_where_the_per_episode_reset_does(assets, sigma_style, force_style):
+    """After reset_env, each episode's next draw is the next draw of its
+    rng after reference_reset, whose uniform, random and disturbance
+    calls random(4) and normal replaced; the joints, disturbed or forced,
+    are the reference's too. sigma_style 0.4 makes the clamp bite."""
+    seeds = range(40)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    env = _reset(assets, assets.objects, rngs, sigma_style, force_style=force_style)
+    for i, (seed, rng) in enumerate(zip(seeds, rngs)):
+        ref = np.random.default_rng(seed)
+        want, _ = reference_reset(assets.objects, assets.afford_dists, assets.styles, ref, sigma_style > 0,
+                                  spec=assets.spec, sigma_style=sigma_style, force_style=force_style)
+        assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes(), (seed, sigma_style)
+        assert env.q_style[i].tobytes() == want.q_style[0].tobytes()
+    if sigma_style == 0.4 and force_style is None:
+        limits = assets.spec.limits_lo, assets.spec.limits_hi
+        assert any(np.any(env.q_style == limit) for limit in limits)
+
+
+def test_reset_disturbs_the_canonical_joints(assets):
+    """sigma_style > 0 (training) moves every episode's joints off its
+    style's canonical joints, within the hand's limits."""
+    env = _reset(assets, assets.objects, [np.random.default_rng(s) for s in range(20)], 0.05)
+    for style, q in zip(env.style, env.q_style):
+        assert not np.array_equal(q, assets.styles[style].q_canonical)
+        assert np.all((assets.spec.limits_lo <= q) & (q <= assets.spec.limits_hi))
+
+
+def test_reset_disturbance_empirical_std(assets, tmp_path):
+    """The disturbance is normal(0, sigma_style) per joint: on a hand with
+    wide limits, where the clamp never bites, 100,000 draws have its std."""
+    segment = {"length": 0.02, "axis": [0, 1, 0], "limits": [-50.0, 50.0]}
+    payload = {"name": "wide", "fingers": [{"base": {"t": [0, 0, 0], "r": [1, 0, 0, 0]}, "tip_radius": 0.01,
+                                            "segments": [segment] * 5}]}
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(payload))
+    wide = load_hand_spec(p)
+    styles = [Style("open", np.zeros(wide.joint_count), (0,))]
+    rng = np.random.default_rng(11)
+    env = reset_env(assets.objects, assets.afford_dists, styles, [rng] * 20_000, spec=wide, sigma_style=0.05,
+                    square_half=0.25)
+    assert env.q_style.size == 100_000 and abs(env.q_style.std() - 0.05) / 0.05 < 0.02
 
 
 def test_reset_zero_square_pins_pose(assets):
@@ -622,12 +670,18 @@ def _random_cloud(rng, n):
     return rng.normal(scale=0.04, size=(n, 3)) + [0.0, 0.0, 0.05]
 
 
+def _cloud_object(pts):
+    """An object of the points pts, its normals all +z."""
+    return ObjectModel.from_points("cloud", pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+
+
 def test_nearest_matches_kdtree_and_dense_formula():
     rng = np.random.default_rng(21)
     for n_pts, n_rows in ((800, 1), (1536, 63), (2250, 700)):
-        pts = _random_cloud(rng, n_pts)
+        cloud = _cloud_object(_random_cloud(rng, n_pts))
+        pts = cloud.points
         centers = _random_cloud(rng, n_rows) * 1.5
-        idx, d = sim._nearest(centers, pts)
+        idx, d = sim._nearest(centers, cloud)
         kd_d, kd_idx = cKDTree(pts).query(centers)
         dense_idx, dense_d = dense_nearest(centers, pts)
         assert np.array_equal(idx, kd_idx) and np.array_equal(idx, dense_idx)
@@ -642,17 +696,36 @@ def test_nearest_row_does_not_depend_on_its_block():
     a block boundary (257 rows leave a lone last row). The random cloud
     has no duplicate points, where ties may go either way (see _nearest)."""
     rng = np.random.default_rng(5)
-    pts = _random_cloud(rng, 1839)
+    cloud = _cloud_object(_random_cloud(rng, 1839))
     centers = _random_cloud(rng, 257) * 1.2
-    idx, d = sim._nearest(centers, pts)
+    idx, d = sim._nearest(centers, cloud)
     for row in (0, 1, sim._ROW_BLOCK - 1, sim._ROW_BLOCK, 255, 256):
-        one_idx, one_d = sim._nearest(centers[row : row + 1], pts)
-        two_idx, two_d = sim._nearest(centers[[row, (row + 7) % 257]], pts)
+        one_idx, one_d = sim._nearest(centers[row : row + 1], cloud)
+        two_idx, two_d = sim._nearest(centers[[row, (row + 7) % 257]], cloud)
         assert one_idx[0] == two_idx[0] == idx[row]
         assert one_d[0] == two_d[0] == d[row]
     for n in (2, 3, sim._ROW_BLOCK + 1, 2 * sim._ROW_BLOCK + 1):
-        sub_idx, sub_d = sim._nearest(centers[:n], pts)
+        sub_idx, sub_d = sim._nearest(centers[:n], cloud)
         assert np.array_equal(sub_idx, idx[:n]) and np.array_equal(sub_d, d[:n])
+
+
+def test_nearest_with_the_held_terms_matches_recomputing_them():
+    """_nearest, with the -2 p^T and |p|^2 each object holds, gives byte for
+    byte the indices and distances of the same blocked query recomputing
+    both per call (contact_reference.recomputing_nearest): on every
+    bundled cloud (whose shared edges hold duplicate points), at row
+    counts around the block size, with rows on cloud points."""
+    rng = np.random.default_rng(8)
+    for obj in hand_assets("inspire_like").objects:
+        assert obj.neg2p.tobytes() == (-2.0 * obj.points.T).tobytes() and obj.neg2p.strides == obj.points.T.strides
+        assert obj.p2.tobytes() == np.einsum("ij,ij->i", obj.points, obj.points).tobytes()
+        assert len(obj) == len(obj.points)
+        lo, hi = obj.box
+        for n in (0, 1, 2, sim._ROW_BLOCK - 1, sim._ROW_BLOCK, sim._ROW_BLOCK + 1, 2 * sim._ROW_BLOCK + 1, 300):
+            centers = rng.uniform(lo - 0.02, hi + 0.02, (n, 3))
+            centers[::3] = obj.points[rng.integers(len(obj.points), size=len(centers[::3]))]
+            got, want = sim._nearest(centers, obj), recomputing_nearest(centers, obj.points)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), (obj.name, n)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -681,8 +754,8 @@ def test_contacts_invariant_under_a_rigid_move(seed, axis_angle, shift):
     assert np.array_equal(hit[0], hit[1])
     assert hit.any(), "the shell puts some sphere in contact"
     back_a, back_b = (transform_point(invert_pose(p), pts[h]) for p, pts, h in zip(poses, points, hit))
-    idx_a, gap_a = sim._nearest(back_a, obj.points)
-    idx_b, gap_b = sim._nearest(back_b, obj.points)
+    idx_a, gap_a = sim._nearest(back_a, obj)
+    idx_b, gap_b = sim._nearest(back_b, obj)
     assert np.array_equal(idx_a, idx_b) and gap_a.max() < 1e-12 and gap_b.max() < 1e-12
 
 
@@ -697,9 +770,10 @@ def test_contact_phase_matches_per_episode_world_frame_reference(hand):
     margin = sim.sphere_metadata(assets.spec)[0].max() + SimParams().delta_c + 1e-9
     real, outside = sim._nearest, []
 
-    def boxed(centers, pts):
+    def boxed(centers, obj):
+        pts = obj.points
         outside.append(np.any((centers < pts.min(axis=0) - margin) | (centers > pts.max(axis=0) + margin)))
-        return real(centers, pts)
+        return real(centers, obj)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_nearest", boxed)
@@ -725,9 +799,9 @@ def _counted_rollout(*args, params=SimParams(), cull=True):
     rows = []
     real = sim._nearest
 
-    def counted(centers, pts):
+    def counted(centers, obj):
         rows.append(len(centers))
-        return real(centers, pts)
+        return real(centers, obj)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_nearest", counted)
@@ -796,9 +870,9 @@ def _query_calls(phase, *args):
         calls.append(("_may_crush", obj.name, rows.shape, rows.tobytes(), crush_gap.tobytes()))
         return may_crush(obj, rows, crush_gap)
 
-    def spy_nearest(centers, pts):
-        calls.append(("_nearest", centers.shape, centers.tobytes(), pts.tobytes()))
-        return nearest(centers, pts)
+    def spy_nearest(centers, obj):
+        calls.append(("_nearest", centers.shape, centers.tobytes(), obj.points.tobytes()))
+        return nearest(centers, obj)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_may_crush", spy_may_crush)
@@ -918,7 +992,7 @@ def test_rows_the_crush_floor_drops_cannot_crush(seed, n_points, duplicates, rad
     gap = np.full(len(rows), radius * (1.0 - crush_factor))
     may = sim._may_crush(obj, rows, gap)
     dropped = rows[~may]
-    found, _ = sim._nearest(rows, obj.points)
+    found, _ = sim._nearest(rows, obj)
     assert not sim._crushing(obj, dropped, found[~may], gap[~may]).any()
     diff = dropped[:, None] - obj.points
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -964,9 +1038,9 @@ def test_far_grasp_frame_spheres_skip_the_query(objects, monkeypatch):
     rows = []
     real = sim._nearest
 
-    def counted(centers, pts):
+    def counted(centers, obj):
         rows.append(len(centers))
-        return real(centers, pts)
+        return real(centers, obj)
 
     monkeypatch.setattr(sim, "_nearest", counted)
     for local, sent in ((np.concatenate([near[:4], far[:2], near[4:], far[2:]]), 8), (far, 0)):
@@ -979,7 +1053,7 @@ def test_far_grasp_frame_spheres_skip_the_query(objects, monkeypatch):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert got[1].any() == (sent > 0)
-    idx, d = real(np.empty((0, 3)), obj.points)
+    idx, d = real(np.empty((0, 3)), obj)
     assert idx.shape == d.shape == (0,) and idx.dtype == np.intp
 
 

@@ -6,6 +6,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fungrasp import training as tr
 from fungrasp.policy import PolicyError, init_params
@@ -22,6 +24,7 @@ from fungrasp.training import (
     collect_batch,
     config_from_dict,
     episode_rng,
+    episode_rngs,
     load_objects,
     outcome_counts,
     ppo_update,
@@ -395,13 +398,62 @@ def test_config_from_dict_checks_value_types(d, named):
 @pytest.mark.parametrize("field, value", [
     ("iterations", -3), ("workers", 0), ("minibatch", 0), ("sigma_style", -0.01),
     ("eval_every", -1), ("checkpoint_every", -1), ("eval_episodes", 0), ("m_points", 0), ("m_points", -1),
-    ("epochs", -1),
+    ("epochs", -1), ("seed", -1),
     *((name, COUNT_MAX + 1) for name in ("envs_per_iter", "iterations", "minibatch", "epochs", "m_points", "workers",
                                          "eval_every", "eval_episodes", "checkpoint_every")),
 ])
 def test_train_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+# key ints of each width SeedSequence reads: 0, and one, two and three uint32 words
+KEY_INTS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**96))
+
+
+def assert_seed_sequence_streams(got, prefix, indices):
+    """Each generator of got has the bit_generator state and the first
+    draws of default_rng(SeedSequence((*prefix, i))) for its index."""
+    assert len(got) == len(indices)
+    for g, i in zip(got, indices):
+        want = np.random.default_rng(np.random.SeedSequence((*prefix, i)))
+        assert g.bit_generator.state == want.bit_generator.state, (prefix, i)
+        assert g.integers(1000, size=3).tobytes() == want.integers(1000, size=3).tobytes()
+        assert g.random(4).tobytes() == want.random(4).tobytes()
+        assert g.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(prefix=st.lists(KEY_INTS, max_size=5), indices=st.lists(KEY_INTS, min_size=1, max_size=6))
+def test_episode_rngs_match_numpys_seed_sequence(prefix, indices):
+    """The oracle is numpy itself: for keys of 1 to 18 words, below, at and
+    above SeedSequence's 4-word pool, and rows of different widths in one
+    call, every generator is default_rng(SeedSequence(key))'s."""
+    assert_seed_sequence_streams(episode_rngs(prefix, indices), prefix, indices)
+
+
+@pytest.mark.parametrize("words", range(1, 7))
+def test_episode_rngs_cover_each_entropy_width(words):
+    """Keys of exactly 1 to 6 one-word ints, each row of the same width;
+    episode_rng, the one-key case, gives the same generators."""
+    prefix = [3 * w + 1 for w in range(words - 1)]
+    indices = [0, 1, 2**31 - 1, 2**32 - 1]
+    assert_seed_sequence_streams(episode_rngs(prefix, indices), prefix, indices)
+    if words > 1:
+        assert_seed_sequence_streams([episode_rng(*prefix, i) for i in indices], prefix, indices)
+
+
+@pytest.mark.parametrize("prefix, indices", [((-1, 2), [0]), ((3, 2), [4, -5, 6]), ((), [-(2**40)]), ((1, -2**70), [3])])
+def test_a_negative_key_raises_seed_sequences_error(prefix, indices):
+    with pytest.raises(ValueError) as want:
+        [np.random.SeedSequence((*prefix, i)) for i in indices]
+    with pytest.raises(ValueError) as got:
+        episode_rngs(prefix, indices)
+    assert str(got.value) == str(want.value) == "expected non-negative integer"
+
+
+def test_episode_rngs_of_no_indices_is_empty():
+    assert episode_rngs((1, 2), []) == [] and episode_rngs((1, 2), range(0)) == []
 
 
 def test_m_points_beyond_the_smallest_cloud_fails_before_any_episode(assets, tmp_path, monkeypatch):

@@ -2,11 +2,16 @@
 """Regenerate the bundled assets: hands, styles, demos, toy-object PLYs.
 
 Everything here is authored analytically and then validated through the
-package's own FK and rollout pipeline: the script refuses to write a
-demo whose identity-action replay does not produce a successful grasp on
-the box at the recorded pose. Style 0's canonical joints are, by
+package's own FK and rollout pipeline. The script writes the object
+PLYs, reads them back with the package's loader, and replays the demos
+on the clouds it read back, as every run loads them: it refuses to write
+a demo whose identity-action replay does not produce a successful grasp
+on the box at the recorded pose. Style 0's canonical joints are, by
 construction, the demo's joints at the grasp frame, which is what makes
 the replay-identity property hold exactly.
+
+The object builders and the PLY and demo writers live here alone: the
+package only reads these files.
 
 Usage: python3 scripts/make_assets.py [--out src/fungrasp/assets]
 """
@@ -22,10 +27,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fungrasp.demo import Demonstration, save_demo, load_demo
+from fungrasp.demo import Demonstration, load_demo
 from fungrasp.hand import forward_kinematics_batch, load_hand_spec, load_styles
-from fungrasp.objects import save_object_ply, toy_suite
+from fungrasp.objects import ObjectModel
 from fungrasp.sim import EnvBatch, SimParams, rollout_batch
+from fungrasp.training import load_objects
 
 RY90 = [np.cos(np.pi / 4), 0.0, np.sin(np.pi / 4), 0.0]  # R_y(90 deg): local +x -> world -z
 
@@ -292,6 +298,139 @@ def build_demo(spec, style0_q, q_open, contact_z_finger=0.034) -> Demonstration:
     return Demonstration(pose_t, pose_r, np.array(joints), T_L)
 
 
+def save_demo(demo: Demonstration, hand_name: str, path) -> None:
+    """Write a demonstration as fungrasp-demo-v1 JSON (demo.load_demo)."""
+    payload = {
+        "schema": "fungrasp-demo-v1",
+        "hand": hand_name,
+        "T_l": demo.grasp_index,
+        "frames": [
+            {"p": {"t": list(t), "r": list(r)}, "q": list(q)}
+            for t, r, q in zip(demo.pose_t, demo.pose_r, demo.joints)
+        ],
+    }
+    Path(path).write_text(json.dumps(payload, indent=1))
+
+
+# ---------------------------------------------------------------------------
+# Toy objects: analytic clouds with exact normals, written as the bundled PLYs
+# ---------------------------------------------------------------------------
+
+_STEP = 0.004     # the toy clouds' point spacing, meters
+
+
+def _grid(lo, hi):
+    n = max(2, int(round((hi - lo) / _STEP)) + 1)
+    return np.linspace(lo, hi, n)
+
+
+def make_box(edges=(0.06, 0.06, 0.06), name="box") -> ObjectModel:
+    ex, ey, ez = edges
+    xs, ys, zs = _grid(-ex / 2, ex / 2), _grid(-ey / 2, ey / 2), _grid(0.0, ez)
+    pts, nrm = [], []
+    for sign in (-1.0, 1.0):
+        gy, gz = np.meshgrid(ys, zs, indexing="ij")
+        pts.append(np.stack([np.full(gy.size, sign * ex / 2), gy.ravel(), gz.ravel()], axis=1))
+        nrm.append(np.tile([sign, 0.0, 0.0], (gy.size, 1)))
+        gx, gz = np.meshgrid(xs, zs, indexing="ij")
+        pts.append(np.stack([gx.ravel(), np.full(gx.size, sign * ey / 2), gz.ravel()], axis=1))
+        nrm.append(np.tile([0.0, sign, 0.0], (gx.size, 1)))
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        zval = ez if sign > 0 else 0.0
+        pts.append(np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, zval)], axis=1))
+        nrm.append(np.tile([0.0, 0.0, sign], (gx.size, 1)))
+    return ObjectModel.from_points(name, np.concatenate(pts), np.concatenate(nrm))
+
+
+def make_cylinder(radius=0.028, height=0.09, name="cylinder") -> ObjectModel:
+    n_theta = max(8, int(round(2 * np.pi * radius / _STEP)))
+    theta = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
+    zs = _grid(0.0, height)
+    gt, gz = np.meshgrid(theta, zs, indexing="ij")
+    side = np.stack([radius * np.cos(gt).ravel(), radius * np.sin(gt).ravel(), gz.ravel()], axis=1)
+    side_n = np.stack([np.cos(gt).ravel(), np.sin(gt).ravel(), np.zeros(gt.size)], axis=1)
+    pts, nrm = [side], [side_n]
+    for zval, nz in ((0.0, -1.0), (height, 1.0)):
+        for r in _grid(0.0, radius)[1:]:
+            nt = max(6, int(round(2 * np.pi * r / _STEP)))
+            th = np.linspace(0, 2 * np.pi, nt, endpoint=False)
+            pts.append(np.stack([r * np.cos(th), r * np.sin(th), np.full(nt, zval)], axis=1))
+            nrm.append(np.tile([0.0, 0.0, nz], (nt, 1)))
+        pts.append(np.array([[0.0, 0.0, zval]]))
+        nrm.append(np.array([[0.0, 0.0, nz]]))
+    return ObjectModel.from_points(name, np.concatenate(pts), np.concatenate(nrm))
+
+
+def make_sphere() -> ObjectModel:
+    # Fibonacci sphere of 800 points, radius 0.032: even coverage, exact radial normals
+    i = np.arange(800)
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+    y = 1.0 - 2.0 * (i + 0.5) / 800
+    r = np.sqrt(1.0 - y * y)
+    dirs = np.stack([np.cos(phi) * r, y, np.sin(phi) * r], axis=1)
+    return ObjectModel.from_points("sphere", 0.032 * dirs + np.array([0.0, 0.0, 0.032]), dirs)
+
+
+def make_l_shape() -> ObjectModel:
+    # foot slab plus a column on its -x end; interior points removed
+    foot = make_box((0.08, 0.05, 0.03), name="_foot")
+    col = make_box((0.03, 0.05, 0.09), name="_col")
+    col_pts = col.points + np.array([-0.025, 0.0, 0.0])
+    foot_pts = np.array(foot.points)
+
+    def inside(p, lo, hi):
+        return np.all((p > lo + 1e-9) & (p < hi - 1e-9), axis=1)
+
+    keep_f = ~inside(foot_pts, np.array([-0.04, -0.025, 0.0]) + [0.0, 0.0, -1.0],
+                     np.array([-0.01, 0.025, 0.03]))
+    keep_c = ~inside(col_pts, np.array([-0.04, -0.025, -1.0]), np.array([-0.01, 0.025, 0.03]))
+    pts = np.concatenate([foot_pts[keep_f], col_pts[keep_c]])
+    nrm = np.concatenate([foot.normals[keep_f], col.normals[keep_c]])
+    return ObjectModel.from_points("l_shape", pts, nrm)
+
+
+def make_mug() -> ObjectModel:
+    # handle sticks out along +y, clear of a +-x pincer approach
+    body_radius = 0.033
+    body = make_cylinder(body_radius, 0.08, name="_body")
+    handle = make_box((0.016, 0.024, 0.05), name="_handle")
+    handle_pts = handle.points + np.array([0.0, body_radius + 0.008, 0.018])
+    r = np.linalg.norm(handle_pts[:, :2], axis=1)
+    keep = r > body_radius - 1e-9
+    pts = np.concatenate([body.points, handle_pts[keep]])
+    nrm = np.concatenate([body.normals, handle.normals[keep]])
+    return ObjectModel.from_points("mug", pts, nrm)
+
+
+def toy_suite() -> dict[str, ObjectModel]:
+    """The five bundled desk objects, by name."""
+    objs = [make_box(), make_cylinder(), make_sphere(), make_l_shape(), make_mug()]
+    return {o.name: o for o in objs}
+
+
+def save_object_ply(obj: ObjectModel, path) -> None:
+    """Write an ObjectModel as ascii PLY with x,y,z,nx,ny,nz."""
+    path = Path(path)
+    n = obj.points.shape[0]
+    head = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {n}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "property float nx",
+        "property float ny",
+        "property float nz",
+        "end_header",
+    ]
+    rows = [
+        " ".join(repr(float(v)) for v in np.concatenate([obj.points[i], obj.normals[i]]))
+        for i in range(n)
+    ]
+    path.write_text("\n".join(head + rows) + "\n")
+
+
 def replay_success(spec, styles, demo, obj, style_index=0) -> tuple[bool, str]:
     style = styles[style_index]
     # one environment: obj at the identity pose, conditioned on the style
@@ -317,9 +456,10 @@ def main() -> int:
     for sub in ("hands", "styles", "demos", "objects"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
-    objs = toy_suite()
-    for name, obj in objs.items():
+    for name, obj in toy_suite().items():
         save_object_ply(obj, out / "objects" / f"{name}.ply")
+    # replay the clouds as every run loads them, not as they were built
+    objs = {o.name: o for o in load_objects(out / "objects")}
     print(f"objects: {', '.join(f'{n} ({len(o.points)} pts)' for n, o in objs.items())}")
 
     for hand_def, style_fn, contact_z in (

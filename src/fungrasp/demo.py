@@ -10,10 +10,8 @@ on the conditioned style's canonical joints.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +26,6 @@ __all__ = [
     "Demonstration",
     "EditBounds",
     "load_demo",
-    "save_demo",
     "target_joint_config",
     "interpolation_fraction",
     "edited_joint_trajectory",
@@ -137,19 +134,6 @@ def load_demo(path, spec: HandSpec) -> Demonstration:
         raise DemoError(f"{path}: T_l: grasp index {grasp_index} outside (0, {len(frames) - 1}]")
     pose_t, pose_r = (np.stack(c) for c in zip(*poses))
     return Demonstration(pose_t, pose_r, joints, grasp_index)
-
-
-def save_demo(demo: Demonstration, hand_name: str, path) -> None:
-    payload = {
-        "schema": "fungrasp-demo-v1",
-        "hand": hand_name,
-        "T_l": demo.grasp_index,
-        "frames": [
-            {"p": {"t": list(t), "r": list(r)}, "q": list(q)}
-            for t, r, q in zip(demo.pose_t, demo.pose_r, demo.joints)
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1))
 
 
 def target_joint_config(style_q, k, dq, spec: HandSpec) -> np.ndarray:

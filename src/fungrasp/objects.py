@@ -1,4 +1,4 @@
-"""Object ingestion, affordance likelihoods, and the procedural toy suite.
+"""Object ingestion and affordance likelihoods.
 
 Objects are oriented point clouds in a canonical pose: the cloud is
 shifted so its minimum z sits on the table plane z = 0. Affordance
@@ -21,19 +21,13 @@ __all__ = [
     "ObjectModel",
     "AffordanceDistribution",
     "load_object",
-    "save_object_ply",
     "affordance_distribution",
     "sample_affordance_index",
     "farthest_point_sample",
-    "make_box",
-    "make_cylinder",
-    "make_sphere",
-    "make_l_shape",
-    "make_mug",
-    "toy_suite",
 ]
 
 MIN_POINTS = 64
+NORMAL_ROWS = 64          # rows of the neighbor search's distance block (estimate_normals)
 
 AFFORD_BETA = 1.0         # the affordance score's exponent
 AFFORD_H_MIN = 0.01       # points below this height are never affordances
@@ -109,10 +103,14 @@ def estimate_normals(points: np.ndarray) -> np.ndarray:
     centroid to the point; good enough for star-shaped desk objects.
     """
     n = points.shape[0]
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
     k = min(8, n - 1)
-    nbr = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    nbr = np.empty((n, k), dtype=np.intp)
+    # NORMAL_ROWS rows of squared distances at a time: memory linear in n
+    for lo in range(0, n, NORMAL_ROWS):
+        d2 = ((points[lo:lo + NORMAL_ROWS, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        rows = np.arange(len(d2))
+        d2[rows, lo + rows] = np.inf
+        nbr[lo:lo + NORMAL_ROWS] = np.argpartition(d2, k - 1, axis=1)[:, :k]
     centroid = points.mean(axis=0)
     normals = np.empty_like(points)
     for i in range(n):
@@ -127,7 +125,8 @@ def estimate_normals(points: np.ndarray) -> np.ndarray:
 
 
 def _read_ply(path: Path):
-    lines = path.read_text().splitlines()
+    # undecodable bytes, as in a binary PLY's body, wait for the header check
+    lines = path.read_text(errors="surrogateescape").splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ObjectError(f"{path}: not a PLY file (missing magic)")
     n_vertex = None
@@ -139,6 +138,8 @@ def _read_ply(path: Path):
         i += 1
         if not tok:
             continue
+        if tok[0] in ("format", "element") and len(tok) < 2:
+            raise ObjectError(f"{path}:{i}: '{tok[0]}' line has no operand")
         if tok[0] == "format":
             if tok[1] != "ascii":
                 raise ObjectError(f"{path}:{i}: only ascii PLY is supported, got {tok[1]}")
@@ -189,29 +190,6 @@ def load_object(path) -> ObjectModel:
     if normals is None:
         log.warning("%s: no normals in file, estimating from 8-NN plane fits", path)
     return obj
-
-
-def save_object_ply(obj: ObjectModel, path) -> None:
-    """Write an ObjectModel as ascii PLY with x,y,z,nx,ny,nz."""
-    path = Path(path)
-    n = obj.points.shape[0]
-    head = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {n}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property float nx",
-        "property float ny",
-        "property float nz",
-        "end_header",
-    ]
-    rows = [
-        " ".join(repr(float(v)) for v in np.concatenate([obj.points[i], obj.normals[i]]))
-        for i in range(n)
-    ]
-    path.write_text("\n".join(head + rows) + "\n")
 
 
 @dataclass(frozen=True)
@@ -298,100 +276,3 @@ def farthest_point_sample(points, m: int, seed: int) -> np.ndarray:
         chosen[i] = nxt = int(np.argmax(dist))
         np.minimum(dist, _squared_distances(cols, nxt, d, tmp), out=dist)[nxt] = -np.inf
     return chosen
-
-
-# ---------------------------------------------------------------------------
-# Procedural toy suite: analytic clouds with exact normals so the tests and
-# the acceptance run need no external datasets.
-# ---------------------------------------------------------------------------
-
-_STEP = 0.004     # the toy clouds' point spacing, meters
-
-
-def _grid(lo, hi):
-    n = max(2, int(round((hi - lo) / _STEP)) + 1)
-    return np.linspace(lo, hi, n)
-
-
-def make_box(edges=(0.06, 0.06, 0.06), name="box") -> ObjectModel:
-    ex, ey, ez = edges
-    xs, ys, zs = _grid(-ex / 2, ex / 2), _grid(-ey / 2, ey / 2), _grid(0.0, ez)
-    pts, nrm = [], []
-    for sign in (-1.0, 1.0):
-        gy, gz = np.meshgrid(ys, zs, indexing="ij")
-        pts.append(np.stack([np.full(gy.size, sign * ex / 2), gy.ravel(), gz.ravel()], axis=1))
-        nrm.append(np.tile([sign, 0.0, 0.0], (gy.size, 1)))
-        gx, gz = np.meshgrid(xs, zs, indexing="ij")
-        pts.append(np.stack([gx.ravel(), np.full(gx.size, sign * ey / 2), gz.ravel()], axis=1))
-        nrm.append(np.tile([0.0, sign, 0.0], (gx.size, 1)))
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        zval = ez if sign > 0 else 0.0
-        pts.append(np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, zval)], axis=1))
-        nrm.append(np.tile([0.0, 0.0, sign], (gx.size, 1)))
-    return ObjectModel.from_points(name, np.concatenate(pts), np.concatenate(nrm))
-
-
-def make_cylinder(radius=0.028, height=0.09, name="cylinder") -> ObjectModel:
-    n_theta = max(8, int(round(2 * np.pi * radius / _STEP)))
-    theta = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
-    zs = _grid(0.0, height)
-    gt, gz = np.meshgrid(theta, zs, indexing="ij")
-    side = np.stack([radius * np.cos(gt).ravel(), radius * np.sin(gt).ravel(), gz.ravel()], axis=1)
-    side_n = np.stack([np.cos(gt).ravel(), np.sin(gt).ravel(), np.zeros(gt.size)], axis=1)
-    pts, nrm = [side], [side_n]
-    for zval, nz in ((0.0, -1.0), (height, 1.0)):
-        for r in _grid(0.0, radius)[1:]:
-            nt = max(6, int(round(2 * np.pi * r / _STEP)))
-            th = np.linspace(0, 2 * np.pi, nt, endpoint=False)
-            pts.append(np.stack([r * np.cos(th), r * np.sin(th), np.full(nt, zval)], axis=1))
-            nrm.append(np.tile([0.0, 0.0, nz], (nt, 1)))
-        pts.append(np.array([[0.0, 0.0, zval]]))
-        nrm.append(np.array([[0.0, 0.0, nz]]))
-    return ObjectModel.from_points(name, np.concatenate(pts), np.concatenate(nrm))
-
-
-def make_sphere() -> ObjectModel:
-    # Fibonacci sphere of 800 points, radius 0.032: even coverage, exact radial normals
-    i = np.arange(800)
-    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-    y = 1.0 - 2.0 * (i + 0.5) / 800
-    r = np.sqrt(1.0 - y * y)
-    dirs = np.stack([np.cos(phi) * r, y, np.sin(phi) * r], axis=1)
-    return ObjectModel.from_points("sphere", 0.032 * dirs + np.array([0.0, 0.0, 0.032]), dirs)
-
-
-def make_l_shape() -> ObjectModel:
-    # foot slab plus a column on its -x end; interior points removed
-    foot = make_box((0.08, 0.05, 0.03), name="_foot")
-    col = make_box((0.03, 0.05, 0.09), name="_col")
-    col_pts = col.points + np.array([-0.025, 0.0, 0.0])
-    foot_pts = np.array(foot.points)
-
-    def inside(p, lo, hi):
-        return np.all((p > lo + 1e-9) & (p < hi - 1e-9), axis=1)
-
-    keep_f = ~inside(foot_pts, np.array([-0.04, -0.025, 0.0]) + [0.0, 0.0, -1.0],
-                     np.array([-0.01, 0.025, 0.03]))
-    keep_c = ~inside(col_pts, np.array([-0.04, -0.025, -1.0]), np.array([-0.01, 0.025, 0.03]))
-    pts = np.concatenate([foot_pts[keep_f], col_pts[keep_c]])
-    nrm = np.concatenate([foot.normals[keep_f], col.normals[keep_c]])
-    return ObjectModel.from_points("l_shape", pts, nrm)
-
-
-def make_mug() -> ObjectModel:
-    # handle sticks out along +y, clear of a +-x pincer approach
-    body_radius = 0.033
-    body = make_cylinder(body_radius, 0.08, name="_body")
-    handle = make_box((0.016, 0.024, 0.05), name="_handle")
-    handle_pts = handle.points + np.array([0.0, body_radius + 0.008, 0.018])
-    r = np.linalg.norm(handle_pts[:, :2], axis=1)
-    keep = r > body_radius - 1e-9
-    pts = np.concatenate([body.points, handle_pts[keep]])
-    nrm = np.concatenate([body.normals, handle.normals[keep]])
-    return ObjectModel.from_points("mug", pts, nrm)
-
-
-def toy_suite() -> dict[str, ObjectModel]:
-    """The five bundled desk objects used by tests and the acceptance run."""
-    objs = [make_box(), make_cylinder(), make_sphere(), make_l_shape(), make_mug()]
-    return {o.name: o for o in objs}

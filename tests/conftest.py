@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,9 @@ from fungrasp.assets import default_demo_path, default_hand_path, default_styles
 from fungrasp.demo import load_demo
 from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import load_hand_spec, load_styles
-from fungrasp.objects import toy_suite
 from fungrasp.policy import param_views
 from fungrasp.sim import EnvBatch
-from fungrasp.training import Assets
+from fungrasp.training import Assets, load_objects
 from pose_reference import IDENTITY, pose
 
 
@@ -37,7 +38,8 @@ def shadow_spec():
 
 @pytest.fixture(scope="session")
 def objects():
-    return toy_suite()
+    """The bundled objects, as every run loads them, by name."""
+    return {o.name: o for o in load_objects(None)}
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +51,18 @@ def assets(spec, styles, demo, objects):
 def box_assets(spec, styles, demo, objects):
     """Single-object asset bundle where identity replay always succeeds."""
     return Assets.build(spec, styles, demo, [objects["box"]])
+
+
+MAKE_ASSETS = Path(__file__).resolve().parents[1] / "scripts" / "make_assets.py"
+
+
+def _load_script():
+    """scripts/make_assets.py, imported by path: the asset builders and
+    writers, which the package does not hold."""
+    spec = importlib.util.spec_from_file_location("make_assets", MAKE_ASSETS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_pose(rng):

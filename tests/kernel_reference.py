@@ -1,9 +1,10 @@
 """Reference kernels: the (n, 4)-slice forward kinematics, the np.where
 simplex pivot and the seven-load closure stack that
 hand.forward_kinematics_batch, sim.feasible_combination_batch and the
-gravity-basis certificate of sim._closure_batch replaced, and the
-(N, 3)-row farthest-point sampling that objects.farthest_point_sample
-replaced, kept as oracles.
+gravity-basis certificate of sim._closure_batch replaced, the (N, 3)-row
+farthest-point sampling that objects.farthest_point_sample replaced, and
+the whole-matrix neighbor search that objects.estimate_normals' row
+blocks replaced, kept as oracles.
 
 The FK chains each finger with whole-array quaternion products built by
 np.stack, one (n, 4) joint quaternion per segment, and writes each
@@ -179,3 +180,24 @@ def reference_farthest_point_sample(points, m, seed):
         dist = np.minimum(dist, d)
         dist[nxt] = -np.inf
     return chosen
+
+
+def reference_estimate_normals(points):
+    """Plane-fit normals from the 8 nearest neighbors, oriented outward,
+    with the neighbors found in one (N, N) matrix of squared distances."""
+    n = points.shape[0]
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    k = min(8, n - 1)
+    nbr = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    centroid = points.mean(axis=0)
+    normals = np.empty_like(points)
+    for i in range(n):
+        local = points[nbr[i]] - points[nbr[i]].mean(axis=0)
+        _, _, vt = np.linalg.svd(local, full_matrices=False)
+        nrm = vt[-1]
+        outward = points[i] - centroid
+        if np.dot(nrm, outward) < 0:
+            nrm = -nrm
+        normals[i] = nrm
+    return normals

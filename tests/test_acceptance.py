@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import metrics_oracle
-from conftest import env_of
+from conftest import _load_script, env_of
 from fungrasp.dataio import CameraModel, default_cameras, project_affordance
 from fungrasp.demo import edit_wrist_arrays, edited_joint_trajectory, interpolation_fraction, target_joint_config
 from fungrasp.evaluation import _ablate_config, evaluate, write_episode_rows
-from fungrasp.objects import make_sphere
 from fungrasp.policy import init_params, random_obs
 from fungrasp.rewards import TERMS, RewardConfig, total_reward
 from fungrasp.sim import grasp_success_batch
@@ -120,7 +119,7 @@ def test_criterion_3_interpolation_endpoint(assets, demo, spec, styles):
 
 def test_criterion_4_force_closure_oracle():
     t0 = time.time()
-    obj = make_sphere()
+    obj = _load_script().make_sphere()
     env = env_of(obj, obj.points[0], np.zeros(6), [True, True])
     # contact tables of two fingers at opposite poles: antipodal, the
     # same with only finger 0 in contact, and both normals pointing one way

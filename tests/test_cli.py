@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -286,9 +287,7 @@ def test_collect_into_an_unwritable_rollouts_path_is_a_user_error(tmp_path, caps
 
 
 def test_sample_affordance_reads_an_objects_directory(tmp_path, capsys):
-    from fungrasp.objects import make_sphere, save_object_ply
-
-    save_object_ply(make_sphere(), tmp_path / "ball.ply")
+    shutil.copy(default_objects_dir() / "sphere.ply", tmp_path / "ball.ply")
     assert main(["sample-affordance", "--seed", "3", "--objects", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["object"] == "ball"
     empty = tmp_path / "empty"

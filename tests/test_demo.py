@@ -11,14 +11,13 @@ from fungrasp.demo import (
     edited_joint_trajectory,
     interpolation_fraction,
     load_demo,
-    save_demo,
     target_joint_config,
 )
 from fungrasp.assets import default_demo_path, default_hand_path
 from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import load_hand_spec
 
-from conftest import random_pose
+from conftest import _load_script, random_pose
 from pose_reference import IDENTITY, compose_pose, invert_pose, pose, quat_distance
 
 
@@ -51,8 +50,10 @@ def test_wrong_hand_dimension_rejected(tmp_path, spec, shadow_spec):
 
 
 def test_demo_round_trip(tmp_path):
-    """For both bundled hands, save_demo writes back the bundled file
-    byte for byte, so loading it again gives the same arrays."""
+    """For both bundled hands, the asset script's save_demo writes back
+    the bundled file byte for byte, so loading it again gives the same
+    arrays."""
+    save_demo = _load_script().save_demo
     for hand in ("inspire_like", "shadow_like"):
         spec = load_hand_spec(default_hand_path(hand))
         demo = load_demo(default_demo_path(hand), spec)

@@ -1,19 +1,11 @@
 """scripts/make_assets.py, imported by path: its replay check runs the
-package's own batched FK and rollout on the bundled assets."""
-
-import importlib.util
-from pathlib import Path
+package's own batched FK and rollout on the bundled assets, and its
+builders and writers give the bundled files."""
 
 import numpy as np
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_assets.py"
-
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("make_assets", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import _load_script
+from fungrasp.assets import default_objects_dir
 
 
 def test_replay_success_on_the_box(spec, styles, demo, objects):
@@ -29,3 +21,16 @@ def test_flexion_solve_reaches_its_target(spec):
     q[3] = angle
     tip_x = make_assets._fingertips(spec, q[None])[0, 1, 0]
     assert abs(tip_x - target) < 1e-9
+
+
+def test_builders_write_the_bundled_plys(tmp_path):
+    """The script's five builders, written with its PLY writer, give the
+    bundled object files byte for byte: the script and the assets
+    cannot drift apart."""
+    make_assets = _load_script()
+    for name, obj in make_assets.toy_suite().items():
+        make_assets.save_object_ply(obj, tmp_path / f"{name}.ply")
+    bundled = sorted(default_objects_dir().glob("*.ply"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in bundled]
+    for path in bundled:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

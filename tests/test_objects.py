@@ -1,26 +1,26 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kernel_reference import reference_farthest_point_sample
+from conftest import _load_script
+from kernel_reference import reference_estimate_normals, reference_farthest_point_sample
 from fungrasp.assets import default_objects_dir
 from fungrasp.objects import (
     AFFORD_H_MIN,
     AFFORD_UP_WEIGHT,
+    NORMAL_ROWS,
     AffordanceDistribution,
     ObjectError,
     ObjectModel,
     affordance_distribution,
     _squared_distances,
     farthest_point_sample,
+    estimate_normals,
     load_object,
-    make_box,
-    make_cylinder,
-    make_sphere,
     sample_affordance_index,
-    save_object_ply,
 )
 
 
@@ -50,7 +50,7 @@ def test_unit_cube_bbox():
 
 
 def test_cylinder_bbox():
-    obj = make_cylinder(radius=0.03, height=0.20)
+    obj = _load_script().make_cylinder(radius=0.03, height=0.20)
     assert abs(obj.obj_bb - 0.20) < 1e-9
     assert np.allclose(np.ptp(obj.points, axis=0)[:2], [0.06, 0.06], atol=1e-3)
 
@@ -83,8 +83,8 @@ def test_non_finite_rejected():
         ObjectModel.from_points("nan", pts, nrm)
 
 
-def test_sphere_affordance_weights_follow_upward_normals():
-    obj = make_sphere()
+def test_sphere_affordance_weights_follow_upward_normals(objects):
+    obj = objects["sphere"]
     dist = affordance_distribution(obj)
     out = obj.points - obj.centroid
     out[:, 2] = 0.0
@@ -103,7 +103,7 @@ def test_sphere_affordance_weights_follow_upward_normals():
 
 
 def test_affordance_h_min_above_object_rejected():
-    obj = make_box(edges=(0.05, 0.05, AFFORD_H_MIN / 2))
+    obj = _load_script().make_box(edges=(0.05, 0.05, AFFORD_H_MIN / 2))
     with pytest.raises(ObjectError, match="below h_min"):
         affordance_distribution(obj)
 
@@ -223,8 +223,8 @@ def test_fps_m_too_large():
         farthest_point_sample(np.zeros((5, 3)), 6, seed=0)
 
 
-def test_affordance_permutation_invariance():
-    obj = make_sphere()
+def test_affordance_permutation_invariance(objects):
+    obj = objects["sphere"]
     dist = affordance_distribution(obj)
     rng = np.random.default_rng(5)
     perm = rng.permutation(len(obj.points))
@@ -233,8 +233,8 @@ def test_affordance_permutation_invariance():
     assert np.allclose(dist2.weights, dist.weights[perm], atol=1e-12)
 
 
-def test_obj_bb_scales_linearly():
-    obj = make_box()
+def test_obj_bb_scales_linearly(objects):
+    obj = objects["box"]
     for c in (0.5, 2.0, 7.0):
         scaled = ObjectModel.from_points("s", obj.points * c, obj.normals)
         assert scaled.obj_bb == pytest.approx(c * obj.obj_bb, rel=1e-12)
@@ -246,7 +246,7 @@ _ESTIMATING = "no normals in file, estimating from 8-NN plane fits"
 def test_ply_round_trip(tmp_path, objects, caplog):
     obj = objects["cylinder"]
     path = tmp_path / "cyl.ply"
-    save_object_ply(obj, path)
+    _load_script().save_object_ply(obj, path)
     with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
         back = load_object(path)
     assert np.allclose(back.points, obj.points, atol=1e-15)
@@ -254,8 +254,8 @@ def test_ply_round_trip(tmp_path, objects, caplog):
     assert not any(_ESTIMATING in r.getMessage() for r in caplog.records)
 
 
-def test_ply_without_normals_estimates_and_flags(tmp_path, caplog):
-    obj = make_sphere()
+def test_ply_without_normals_estimates_and_flags(tmp_path, caplog, objects):
+    obj = objects["sphere"]
     path = tmp_path / "plain.ply"
     n = len(obj.points)
     head = ["ply", "format ascii 1.0", f"element vertex {n}",
@@ -279,6 +279,22 @@ def test_ply_parse_errors(tmp_path):
     trunc.write_text("ply\nformat ascii 1.0\nelement vertex 100\nproperty float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n")
     with pytest.raises(ObjectError, match="file ends"):
         load_object(trunc)
+    # a format or element line with no operand names the file and line
+    for header, line in (("ply\nformat\n", 2), ("ply\nformat ascii 1.0\nelement\n", 3)):
+        bare = tmp_path / "bare.ply"
+        bare.write_text(header + "end_header\n")
+        word = header.split()[-1]
+        with pytest.raises(ObjectError, match=re.escape(f"{bare}:{line}: '{word}' line has no operand")):
+            load_object(bare)
+
+
+def test_binary_ply_names_the_file_and_its_format(tmp_path, objects):
+    """A binary PLY, whose body is not text, is refused by its header."""
+    points = objects["sphere"].points[:100].astype("<f4")
+    path = tmp_path / "binary.ply"
+    path.write_bytes(_XYZ_HEADER.format(100).replace("ascii", "binary_little_endian").encode() + points.tobytes())
+    with pytest.raises(ObjectError, match=re.escape(f"{path}:2: only ascii PLY is supported, got binary_little_endian")):
+        load_object(path)
 
 
 _XYZ_HEADER = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
@@ -298,7 +314,7 @@ def test_ply_vertex_count_is_checked(tmp_path):
             load_object(bad)
 
 
-def test_only_an_accepted_cloud_warns_of_estimated_normals(tmp_path, caplog):
+def test_only_an_accepted_cloud_warns_of_estimated_normals(tmp_path, caplog, objects):
     empty = tmp_path / "empty.ply"
     empty.write_text(_XYZ_HEADER.format(0))
     with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
@@ -306,16 +322,39 @@ def test_only_an_accepted_cloud_warns_of_estimated_normals(tmp_path, caplog):
             load_object(empty)
     assert caplog.records == []
     plain = tmp_path / "plain.ply"
-    points = make_sphere().points[::8]
+    points = objects["sphere"].points[::8]
     plain.write_text(_XYZ_HEADER.format(len(points)) + "".join(f"{x} {y} {z}\n" for x, y, z in points))
     with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
         load_object(plain)
     assert [r.getMessage() for r in caplog.records] == [f"{plain}: {_ESTIMATING}"]
 
 
-def test_toy_suite_contents(objects):
+def test_bundled_objects_contents(objects):
     assert set(objects) == {"box", "cylinder", "sphere", "l_shape", "mug"}
     for obj in objects.values():
         assert len(obj.points) >= 64
         assert abs(obj.points[:, 2].min()) < 1e-9
         assert np.allclose(np.linalg.norm(obj.normals, axis=1), 1.0, atol=1e-6)
+
+
+def test_estimate_normals_matches_the_whole_matrix_reference():
+    """The row-block neighbor search gives the normals of the (N, N)
+    reference byte for byte, on clouds whose sizes are and are not
+    multiples of the block."""
+    rng = np.random.default_rng(6)
+    for n in (NORMAL_ROWS, 3 * NORMAL_ROWS + 17, 1000):
+        points = rng.normal(0.0, 0.05, (n, 3))
+        assert estimate_normals(points).tobytes() == reference_estimate_normals(points).tobytes()
+
+
+def test_estimate_normals_memory_is_linear_in_the_points():
+    """3,000 points stay under 16 MB, where an (N, N, 3) float64
+    temporary alone takes 216 MB."""
+    points = np.random.default_rng(7).normal(0.0, 0.05, (3000, 3))
+    tracemalloc.start()
+    try:
+        estimate_normals(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

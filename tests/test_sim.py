@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from conftest import bits, concat_envs, env_of
+from conftest import _load_script, bits, concat_envs, env_of
 from contact_reference import (
     crush_floor_oracle,
     dense_nearest,
@@ -26,7 +26,7 @@ from fungrasp.demo import EditBounds
 from fungrasp.geometry import axis_angle_to_quat, quat_rotate
 from fungrasp.assets import default_hand_path
 from fungrasp.hand import Style, load_hand_spec, sphere_metadata
-from fungrasp.objects import ObjectModel, make_cylinder, make_sphere
+from fungrasp.objects import ObjectModel
 from fungrasp.rewards import RewardConfig
 from fungrasp.sim import (
     RolloutRecord,
@@ -207,7 +207,7 @@ def test_contact_center_on_cloud_point(objects):
 
 
 def test_contacts_straddling_cylinder_oppose():
-    obj = make_cylinder(radius=0.03, height=0.08)
+    obj = _load_script().make_cylinder(radius=0.03, height=0.08)
     env = _env_for(obj)
     spheres = _spheres([[0.038, 0.0, 0.04], [-0.038, 0.0, 0.04]], fingers=[0, 1])
     _, hit, _, normals = detect_contacts(env, *spheres, 0, SimParams())
@@ -276,28 +276,28 @@ def _antipodal_sphere_table(obj, fingers=(0, 1)):
     return _table(list(fingers), points[: len(fingers)], normals[: len(fingers)])
 
 
-def test_antipodal_sphere_succeeds():
-    obj = make_sphere()
+def test_antipodal_sphere_succeeds(objects):
+    obj = objects["sphere"]
     env = _env_for(obj)
     assert _scores([_antipodal_sphere_table(obj)], [env])[0].tolist() == [True]
 
 
-def test_single_contact_fails():
-    obj = make_sphere()
+def test_single_contact_fails(objects):
+    obj = objects["sphere"]
     env = _env_for(obj)
     assert _scores([_antipodal_sphere_table(obj, fingers=[0])], [env])[0].tolist() == [False]
 
 
-def test_parallel_same_direction_normals_fail():
-    obj = make_sphere()
+def test_parallel_same_direction_normals_fail(objects):
+    obj = objects["sphere"]
     env = _env_for(obj)
     c = obj.centroid
     table = _table([0, 1], [c + [-0.032, 0, 0], c + [0.032, 0, 0]], [[1.0, 0, 0], [1.0, 0, 0]])
     assert _scores([table], [env], mu=0.1)[0].tolist() == [False]
 
 
-def test_mu_monotonicity():
-    obj = make_sphere()
+def test_mu_monotonicity(objects):
+    obj = objects["sphere"]
     env = _env_for(obj)
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2]
     results = [bool(_scores([_antipodal_sphere_table(obj)], [env], mu=m)[0][0]) for m in grid]
@@ -306,20 +306,20 @@ def test_mu_monotonicity():
     assert all(results[first_true:])
 
 
-def test_table_collision_fails_grasp():
-    obj = make_sphere()
+def test_table_collision_fails_grasp(objects):
+    obj = objects["sphere"]
     env = _env_for(obj)
     assert _scores([_antipodal_sphere_table(obj)], [env], table_collision=[True])[0].tolist() == [False]
 
 
-def test_mask_fingers_requirement():
-    obj = make_sphere()
+def test_mask_fingers_requirement(objects):
+    obj = objects["sphere"]
     env = _env_for(obj, mask=(2, 3))  # contacts carry fingers 0 and 1
     assert _scores([_antipodal_sphere_table(obj)], [env])[0].tolist() == [False]
 
 
-def test_degenerate_normals_are_reported():
-    obj = make_sphere()
+def test_degenerate_normals_are_reported(objects):
+    obj = objects["sphere"]
     env = _env_for(obj)
     hit, pts, nrm = _antipodal_sphere_table(obj)
     nrm[0, 1] = [np.nan, 0, 0]
@@ -345,14 +345,15 @@ def test_feasibility_against_scipy_oracle():
     assert agree == 60
 
 
-def _random_wrench_set(rng, n_contacts, feasible):
-    """Pyramid generators of random contacts on a unit-scale object,
-    and a load that is feasible by construction or drawn at random."""
+def _random_wrench_set(rng, n_contacts, feasible, sphere):
+    """Pyramid generators of random contacts, torques scaled by the
+    sphere's half extent, and a load that is feasible by construction or
+    drawn at random."""
     pts = rng.normal(scale=0.03, size=(1, n_contacts, 3))
     normals = rng.normal(size=(1, n_contacts, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
     hit = np.ones((1, n_contacts), dtype=bool)
-    scale = np.array([make_sphere().obj_bb / 2.0])
+    scale = np.array([sphere.obj_bb / 2.0])
     (w,) = wrench_generators(hit, pts, normals, scale, mu=float(rng.uniform(0.1, 1.0)))
     if feasible:
         return w, w @ rng.uniform(0.05, 1.0, size=w.shape[1])
@@ -365,13 +366,13 @@ def _random_wrench_set(rng, n_contacts, feasible):
     shapes=st.lists(st.tuples(st.integers(2, 7), st.booleans()), min_size=1, max_size=8),
     layout=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 8), st.booleans()),
 )
-def test_stacked_feasibility_matches_single_and_scipy(seed, shapes, layout):
+def test_stacked_feasibility_matches_single_and_scipy(objects, seed, shapes, layout):
     """One stacked simplex over ragged wrench sets, with zero columns
     anywhere (between real columns, or after them all), gives each
     problem its own unpadded answer, and scipy's, and the bytes of the
     np.where-pivot reference on the same stack."""
     rng = np.random.default_rng(seed)
-    problems = [_random_wrench_set(rng, n, feasible) for n, feasible in shapes]
+    problems = [_random_wrench_set(rng, n, feasible, objects["sphere"]) for n, feasible in shapes]
     layout_seed, extra, trailing = layout
     width = max(w.shape[1] for w, _ in problems) + extra
     place = np.random.default_rng(layout_seed)
@@ -429,13 +430,13 @@ def _closure_loads(rng, w, gravity_kind, kinds, eta):
     eta=st.floats(0.0, 0.5),
     extra=st.integers(0, 8),
 )
-def test_certified_closure_matches_the_seven_load_stack(seed, grasps, eta, extra):
+def test_certified_closure_matches_the_seven_load_stack(objects, seed, grasps, eta, extra):
     """Over ragged wrench sets and loads on and near the cone's faces, the
     gravity-basis certificate gives every grasp the verdict of the full
     seven-load stack, and every load it certifies is one the stack and
     scipy find feasible."""
     rng = np.random.default_rng(seed)
-    sets = [_random_wrench_set(rng, n, True)[0] for n, _, _ in grasps]
+    sets = [_random_wrench_set(rng, n, True, objects["sphere"])[0] for n, _, _ in grasps]
     width = max(w.shape[1] for w in sets) + extra
     generators = np.zeros((len(sets), 6, width))
     for g, w in zip(generators, sets):
@@ -515,8 +516,8 @@ def test_grasp_success_batch_matches_one_grasp_calls(objects):
     assert 10 <= success.sum() <= len(envs) - 10
 
 
-def test_grasp_success_batch_reports_degenerate_grasp_alone():
-    obj = make_sphere()
+def test_grasp_success_batch_reports_degenerate_grasp_alone(objects):
+    obj = objects["sphere"]
     env = _env_for(obj)
     good = _antipodal_sphere_table(obj)
     hit, pts, nrm = (a.copy() for a in good)
@@ -734,11 +735,11 @@ def test_nearest_with_the_held_terms_matches_recomputing_them():
     axis_angle=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
     shift=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
 )
-def test_contacts_invariant_under_a_rigid_move(seed, axis_angle, shift):
+def test_contacts_invariant_under_a_rigid_move(objects, seed, axis_angle, shift):
     """Moving the object pose and the sphere centers by one rigid
     transform picks the same cloud points, fingers and depths."""
     rng = np.random.default_rng(seed)
-    obj = make_sphere()
+    obj = objects["sphere"]
     g = pose(np.r_[rng.uniform(-0.2, 0.2, 2), 0.0],
              axis_angle_to_quat(np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi)])))
     move = pose(shift, axis_angle_to_quat(np.array(axis_angle)))

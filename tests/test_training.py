@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pickle
+import shutil
 from contextlib import nullcontext
 
 import numpy as np
@@ -358,10 +359,9 @@ def test_train_writes_metrics_and_checkpoint(assets, tmp_path, monkeypatch, peri
 
 def test_load_objects_directory_and_bundled_default(tmp_path, objects):
     from fungrasp.assets import default_objects_dir
-    from fungrasp.objects import save_object_ply
 
     for name in ("mug", "box"):
-        save_object_ply(objects[name], tmp_path / f"{name}.ply")
+        shutil.copy(default_objects_dir() / f"{name}.ply", tmp_path)
     (tmp_path / "notes.txt").write_text("not a cloud")
     loaded = load_objects(tmp_path)
     assert [o.name for o in loaded] == ["box", "mug"]

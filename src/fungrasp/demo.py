@@ -11,7 +11,8 @@ on the conditioned style's canonical joints.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,12 +44,22 @@ class DemoError(ValueError):
 
 @dataclass(frozen=True)
 class Demonstration:
-    """End-effector-in-object-frame poses and reference joints, t = 0..T_D."""
+    """End-effector-in-object-frame poses and reference joints, t = 0..T_D.
+
+    hold_index, L, is the first frame at or after min(T_l + 1, T_D) that
+    every later frame repeats bit for bit in pose_t, pose_r and joints
+    (T_D where the last frame differs from the one before it). An edit
+    maps each frame past T_l on its own (edited_joint_trajectory's
+    post-grasp formula, edit_wrist_arrays), so its frames past L repeat
+    its frame L. Frame T_l never merges with later frames: it takes the
+    approach formula. head is the demonstration of frames 0..L.
+    """
 
     pose_t: np.ndarray          # (T_D + 1, 3)
     pose_r: np.ndarray          # (T_D + 1, 4) unit quaternions
     joints: np.ndarray          # (T_D + 1, J)
     grasp_index: int            # T_l, frame at which the reference grasp closes
+    hold_index: int = field(init=False, compare=False)
 
     def __post_init__(self):
         frames = self.joints.shape[0]
@@ -60,6 +71,20 @@ class Demonstration:
             raise DemoError(f"grasp index {self.grasp_index} outside (0, {self.horizon}]")
         for a in (self.pose_t, self.pose_r, self.joints):
             a.setflags(write=False)
+        frames = np.concatenate([self.pose_t, self.pose_r, self.joints], axis=1)
+        repeats_last = (frames.view(np.uint64) == frames[-1].view(np.uint64)).all(axis=1)
+        hold = self.horizon
+        while hold > min(self.grasp_index + 1, self.horizon) and repeats_last[hold - 1]:
+            hold -= 1
+        object.__setattr__(self, "hold_index", hold)
+
+    @cached_property
+    def head(self) -> "Demonstration":
+        """Frames 0..hold_index, as a demonstration with the same T_l."""
+        if self.hold_index == self.horizon:
+            return self
+        frames = slice(self.hold_index + 1)
+        return Demonstration(self.pose_t[frames], self.pose_r[frames], self.joints[frames], self.grasp_index)
 
     @property
     def horizon(self) -> int:

@@ -10,7 +10,8 @@ cheap and removes a whole class of drift bugs.
 The Hamilton product (hamilton) and the rotation (rotate) are written
 once, over component arrays; quat_mul, quat_rotate and the FK chain all
 run them in that operation order, so a row's bits do not depend on the
-layout it arrives in.
+layout it arrives in. rotate can also write into a workspace, which FK
+and the contact phase pass, with the same bits.
 """
 
 from __future__ import annotations
@@ -68,16 +69,37 @@ def hamilton(aw, ax, ay, az, bw, bx, by, bz):
     )
 
 
-def _cross(ax, ay, az, bx, by, bz):
-    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+def _cross(ax, ay, az, bx, by, bz, out, tmp):
+    """a x b over components, ay * bz - az * by first; each component
+    into its plane of out and each right-hand product into tmp, or into
+    new arrays where those are None."""
+    ox, oy, oz = out
+    return (
+        np.subtract(np.multiply(ay, bz, ox), np.multiply(az, by, tmp), ox),
+        np.subtract(np.multiply(az, bx, oy), np.multiply(ax, bz, tmp), oy),
+        np.subtract(np.multiply(ax, by, oz), np.multiply(ay, bx, tmp), oz),
+    )
 
 
-def rotate(w, ux, uy, uz, vx, vy, vz):
+def rotate(w, ux, uy, uz, vx, vy, vz, out=None):
     """v rotated by the unit quaternion (w, u) over components:
-    v + 2(w (u x v) + u x (u x v)), with no rotation matrix."""
-    cx, cy, cz = _cross(ux, uy, uz, vx, vy, vz)
-    dx, dy, dz = _cross(ux, uy, uz, cx, cy, cz)
-    return vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)
+    v + 2(w (u x v) + u x (u x v)), with no rotation matrix.
+
+    out, a (7, ...) float array of the result's shape, makes the rotation
+    allocate nothing: the result's components are out[0], out[1] and
+    out[2], and out[3:] is scratch; v must not share memory with out.
+    Each operation is the same ufunc call on the same operands either
+    way, with its output buffer as its last positional argument (None
+    allocates), so the in-place result has the allocating one's bits.
+    """
+    c_out, d_out, tmp = ((None,) * 3, (None,) * 3, None) if out is None else (out[:3], out[3:6], out[6])
+    c = _cross(ux, uy, uz, vx, vy, vz, c_out, tmp)
+    d = _cross(ux, uy, uz, *c, d_out, tmp)
+    # each component is built over its u x v plane, which nothing reads after it
+    return tuple(
+        np.add(v, np.multiply(2.0, np.add(np.multiply(w, ci, o), di, o), o), o)
+        for v, ci, di, o in zip((vx, vy, vz), c, d, c_out)
+    )
 
 
 def quat_mul(a, b) -> np.ndarray:

@@ -238,9 +238,10 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
     geometry.hamilton and geometry.rotate, the only copies of those
     formulas, in the operation order of quat_mul and quat_rotate (every
     multiply by a segment vector's zero entries included), so each row
-    keeps the bits it gets alone. The centers are a view of one
-    (3, K, B) buffer; the fingertips are a C-order copy, the layout the
-    masked finger sums downstream have always read.
+    keeps the bits it gets alone; rotate writes into one (7, B)
+    workspace. The centers are a view of one (3, K, B) buffer; the
+    fingertips are a C-order copy, the layout the masked finger sums
+    downstream have always read.
     """
     wrist_t = np.asarray(wrist_t, dtype=float)
     wrist_r = np.asarray(wrist_r, dtype=float)
@@ -251,11 +252,12 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
     joints = q.T.copy()
     coupled = {(c.finger, c.segment): c for c in spec.couplings}
     out = np.empty((3, spec.sphere_count, len(q)))
+    work = np.empty((7, len(q)))   # rotate's, each result added into place before the next call
     tip_k = []
     k = 0
     for fi, finger in enumerate(spec.fingers):
         cur_r = hamilton(*wrist, *finger.base_r)
-        cur_t = tuple(wt + bt for wt, bt in zip(wrist_t.T, rotate(*wrist, *finger.base_t)))
+        cur_t = tuple(wt + bt for wt, bt in zip(wrist_t.T, rotate(*wrist, *finger.base_t, work)))
         for si, seg in enumerate(finger.segments):
             idx = spec.joint_index[fi][si]
             if idx is None:
@@ -265,7 +267,7 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
                 half = 0.5 * joints[idx]
             s = np.sin(half)
             cur_r = hamilton(*cur_r, np.cos(half), s * seg.axis[0], s * seg.axis[1], s * seg.axis[2])
-            step = rotate(*cur_r, seg.length, 0.0, 0.0)
+            step = rotate(*cur_r, seg.length, 0.0, 0.0, work)
             for a in range(3):
                 np.add(cur_t[a], step[a], out=out[a, k])
             cur_t = tuple(out[:, k])

@@ -101,27 +101,33 @@ def estimate_normals(points: np.ndarray) -> np.ndarray:
 
     Outward means agreeing in sign with the direction from the cloud
     centroid to the point; good enough for star-shaped desk objects.
+    The fits are one stacked SVD of the (N, 8, 3) neighborhoods, and the
+    sign test one product per row, each with the bits of one point's
+    own fit and np.dot.
     """
     n = points.shape[0]
     k = min(8, n - 1)
     nbr = np.empty((n, k), dtype=np.intp)
-    # NORMAL_ROWS rows of squared distances at a time: memory linear in n
+    cols = points.T
+    # NORMAL_ROWS rows of squared distances at a time: memory linear in n;
+    # summed a coordinate at a time, in the order a sum over them adds
     for lo in range(0, n, NORMAL_ROWS):
-        d2 = ((points[lo:lo + NORMAL_ROWS, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        x = points[lo:lo + NORMAL_ROWS]
+        d2 = (x[:, :1] - cols[0]) ** 2
+        d2 += (x[:, 1:2] - cols[1]) ** 2
+        d2 += (x[:, 2:] - cols[2]) ** 2
         rows = np.arange(len(d2))
         d2[rows, lo + rows] = np.inf
         nbr[lo:lo + NORMAL_ROWS] = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    centroid = points.mean(axis=0)
-    normals = np.empty_like(points)
-    for i in range(n):
-        local = points[nbr[i]] - points[nbr[i]].mean(axis=0)
-        _, _, vt = np.linalg.svd(local, full_matrices=False)
-        nrm = vt[-1]
-        outward = points[i] - centroid
-        if np.dot(nrm, outward) < 0:
-            nrm = -nrm
-        normals[i] = nrm
-    return normals
+    # one stacked plane fit: each point's (k, 3) centered neighborhood,
+    # and its last right singular vector
+    hood = points[nbr]
+    normals = np.linalg.svd(hood - hood.mean(axis=1, keepdims=True), full_matrices=False)[2][:, -1]
+    # each normal's dot with its outward direction, by a (1, 3) @ (3, 1)
+    # product per row: the bits np.dot gives the pair
+    outward = points - points.mean(axis=0)
+    dots = (normals[:, None, :] @ outward[:, :, None])[:, 0, 0]
+    return np.where(dots[:, None] < 0, -normals, normals)
 
 
 def _read_ply(path: Path):

@@ -10,12 +10,15 @@ reset_env resets E episodes as one EnvBatch, a column per fact from the
 object and its pose to the contact mask, and rollout_batch scores them
 at once and returns the RolloutRecord fields as columns (training._results
 builds the records); one episode is a batch of one. Joint targets, joint
-trajectories, wrist edits and FK run once over all E x (T_D + 1)
-frames. The contact phase (detect_contacts) then works in each
-episode's object frame: one inverse rotation maps the sphere centers of
-frames 0..T_l (nothing reads later frames) into it, and one box test
-of the chunk keeps, as one row list, the spheres near enough to the
-cloud to matter. Per object, one _nearest call answers its episodes'
+trajectories, wrist edits and FK run once over all E x (L + 1) frames,
+frames 0..L of the demonstration (L its hold_index: every later frame
+repeats frame L, and so does the edit's), and d_series repeats its
+column L out to T_D. The contact phase (detect_contacts) then works in
+each episode's object frame: one inverse rotation, in a workspace kept
+between calls (_scratch), maps the sphere centers of frames 0..T_l
+(nothing reads later frames) into it, and one box test of the chunk
+keeps, as one row list, the spheres near enough to the cloud to
+matter. Per object, one _nearest call answers its episodes'
 rows of the grasp frame and the last approach frame, and a second the
 earlier frames of only the episodes that the last approach frame did
 not crush, each an index subset of that list. Before either call, an
@@ -230,13 +233,40 @@ _LP_TOL = 1e-9
 # rows per block of _nearest's product: the (block, N) scratch stays small
 _ROW_BLOCK = 64
 
+# flat float buffers kept between calls, by use, each as large as the
+# largest request so far up to _SCRATCH_MAX floats (_scratch). 8 MiB
+# holds the contact workspace of a 96-episode chunk on either bundled
+# hand (5.2 MB on shadow_like); a larger one, such as a 200-episode
+# evaluation's, is not kept
+_SCRATCH: dict[str, np.ndarray] = {}
+_SCRATCH_MAX = 1 << 20
+
+
+def _scratch(use: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float array of the given shape over the buffer
+    kept for use, grown when too small. Its pages stay mapped from call
+    to call, where a new array of that size would be mapped and faulted
+    in again each time. A request over _SCRATCH_MAX floats gets a new
+    array that is not kept, so one large call does not keep its memory
+    for the rest of the process. Nothing may hold the array past the
+    next request for the same use."""
+    size = int(np.prod(shape))
+    if size > _SCRATCH_MAX:
+        return np.empty(shape)
+    buf = _SCRATCH.get(use)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[use] = np.empty(size)
+    return buf[:size].reshape(shape)
+
 
 def _nearest(centers: np.ndarray, obj: ObjectModel):
     """Nearest point of obj's cloud per row of centers: (indices, distances).
 
     The argmin of |p|^2 - 2 c.p, taken in blocks of _ROW_BLOCK rows with
-    the points' terms obj holds (neg2p, p2); the distance is then the
-    exact |c - p| of the chosen point. A row's answer does not depend on
+    the points' terms obj holds (neg2p, p2), into one (_ROW_BLOCK, N)
+    block scratch that persists between calls, as wide as the widest
+    cloud so far (_scratch); the distance is then the exact |c - p| of
+    the chosen point. A row's answer does not depend on
     the other rows: no block has one row, since numpy hands a one-row
     product to gemv, which rounds differently from gemm. The exception
     is a tie between exact duplicates in the cloud: which copy a row
@@ -247,7 +277,7 @@ def _nearest(centers: np.ndarray, obj: ObjectModel):
     pts = obj.points
     rows = centers if len(centers) != 1 else np.repeat(centers, 2, axis=0)
     idx = np.empty(len(rows), dtype=np.intp)
-    scratch = np.empty((min(_ROW_BLOCK, len(rows)), len(pts)))
+    scratch = _scratch("nearest", (min(_ROW_BLOCK, len(rows)), len(pts)))
     for lo in range(0, len(rows), _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, len(rows))
         lo = min(lo, hi - 2)  # a lone last row is taken with the one before it
@@ -373,7 +403,10 @@ def detect_contacts(env: EnvBatch, centers: np.ndarray, radii, finger_index, tl:
     # frames 0..tl in each episode's object frame, an (E, tl + 1, K) array per
     # axis; only the spheres in the cloud's box grown by radius + shell matter
     q = quat_conjugate(pose_r).T[..., None, None]
-    local = rotate(*q, *(centers[:, : tl + 1, :, ax] - pose_t[:, ax, None, None] for ax in range(3)))
+    work = _scratch("contacts", (10, e_count, tl + 1, k_count))  # rotate's seven planes, then the offsets
+    for ax in range(3):
+        np.subtract(centers[:, : tl + 1, :, ax], pose_t[:, ax, None, None], work[7 + ax])
+    local = rotate(*q, *work[7:], work[:7])
     margin = radii.max() + params.delta_c + 1e-9
     objs: dict[int, tuple[int, ObjectModel]] = {}  # (code, object) by id, in order of first appearance
     obj_code = np.array([objs.setdefault(id(obj), (len(objs), obj))[0] for obj in env.objs])
@@ -634,12 +667,15 @@ def rollout_batch(
     row i is a pure function of (row i of env, actions[i]), bit for bit
     whatever else is in the batch.
 
-    Target joints, joint trajectories, wrist edits and FK run once over
-    all E x (T_D + 1) frames, and d_series once over all of them. The
+    Target joints, joint trajectories, wrist edits, FK and d_series run
+    once over all E x (L + 1) frames 0..L, L the demo's hold_index; the
+    frames past L repeat frame L, so d_series is widened back to T_D + 1
+    columns by repeating its column L, and q_final is frame L's row. The
     contact phase (detect_contacts) maps the sphere centers of frames
     0..T_l into each episode's object frame with one inverse rotation,
-    keeps those inside the cloud's grown bounding box, queries per
-    object the grasp and last approach frames of all its episodes and
+    into a workspace kept between calls, keeps those inside the cloud's
+    grown bounding box, queries per object the grasp and last approach
+    frames of all its episodes and
     then the earlier frames of those not yet crushed, less the approach
     rows the crush-floor table proves cannot crush, takes the crush
     gap in the object frame, and returns the (E, F) contact table of
@@ -656,8 +692,9 @@ def rollout_batch(
     p_afford = quat_rotate(pose_r, env.p_afford) + pose_t
     actions = np.asarray(actions, dtype=float)
     q_star = target_joint_config(env.q_style, actions[:, -1:], actions[:, 6:-1], spec)
-    joints = edited_joint_trajectory(demo, q_star, spec)
-    wrist_t, wrist_r = edit_wrist_arrays(demo, actions, pose_t, pose_r)
+    # frames 0..L only: every later frame repeats frame L
+    joints = edited_joint_trajectory(demo.head, q_star, spec)
+    wrist_t, wrist_r = edit_wrist_arrays(demo.head, actions, pose_t, pose_r)
     e_count, t_count = joints.shape[:2]
     centers, tips = forward_kinematics_batch(
         spec, wrist_t.reshape(-1, 3), wrist_r.reshape(-1, 4), joints.reshape(e_count * t_count, -1)
@@ -668,6 +705,7 @@ def rollout_batch(
     tl = demo.grasp_index
 
     d_series = np.linalg.norm(style_contact_point(tips, env.mask[:, None]) - p_afford[:, None], axis=-1)
+    d_series = d_series[:, np.minimum(np.arange(demo.horizon + 1), demo.hold_index)]
     crushed, hit, points, normals = detect_contacts(env, centers, radii, finger_index, tl, params)
     table = check_table_collision(centers[:, tl], radii, params.table_tol)
     # a crushed grasp skips the closure test as a table collision does
@@ -680,5 +718,5 @@ def rollout_batch(
     reasons = names[np.select([crushed, degenerate, success, table], [0, 1, 2, 3], 4)].tolist()
     if degenerate.any():
         log.warning("%d episode(s) failed: non-finite contact geometry", degenerate.sum())
-    q_final = joints[:, -1].copy()  # a view would keep the whole (E, T_D + 1, J) trajectory alive
+    q_final = joints[:, -1].copy()  # frame L's; a view would keep the whole (E, L + 1, J) trajectory alive
     return d_series, q_final, q_star, classify_style(spec, q_final, styles).tolist(), reasons

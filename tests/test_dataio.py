@@ -187,8 +187,10 @@ def test_export_round_trip_schema(tmp_path, box_assets):
 
 @pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
 def test_export_rebuilds_the_rollouts_trajectory(hand, tmp_path, monkeypatch):
-    """The exported wrist poses and joints of every frame are, bit for
-    bit, the inputs the rollout gave forward kinematics."""
+    """The exported wrist poses and joints of every frame t are, bit for
+    bit, the inputs the rollout gave forward kinematics for frame
+    min(t, L), L the demo's hold_index: FK gets frames 0..L only, as
+    every later frame repeats frame L."""
     import fungrasp.sim as sim
 
     assets = hand_assets(hand)
@@ -204,15 +206,19 @@ def test_export_rebuilds_the_rollouts_trajectory(hand, tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "forward_kinematics_batch", capture)
     results = _results(run_episodes(params, cfg, assets, 5, (1, 0), range(24), train_mode=True))
     (fk_t, fk_r, fk_q), = seen
-    frames_per = assets.demo.horizon + 1
+    frames_per, hold = assets.demo.horizon + 1, assets.demo.hold_index
+    assert hold < assets.demo.horizon
     path = tmp_path / "frames.jsonl"
     export_rollouts(results, default_cameras(), path, assets.demo, assets.spec, False, {})
     frames = [json.loads(l) for l in path.read_text().splitlines()[1:]]
-    assert len(frames) == len(fk_q) == 24 * frames_per
+    assert len(frames) == 24 * frames_per and len(fk_q) == 24 * (hold + 1)
     for row, f in enumerate(frames):
-        assert f["episode"] == row // frames_per and f["frame"] == row % frames_per
-        assert np.array_equal(f["s_r"]["t"], fk_t[row]) and np.array_equal(f["s_r"]["r"], fk_r[row])
-        assert np.array_equal(f["q"], fk_q[row])
+        episode, t = divmod(row, frames_per)
+        assert f["episode"] == episode and f["frame"] == t
+        fk_row = episode * (hold + 1) + min(t, hold)
+        assert np.array(f["s_r"]["t"]).tobytes() == fk_t[fk_row].tobytes()
+        assert np.array(f["s_r"]["r"]).tobytes() == fk_r[fk_row].tobytes()
+        assert np.array(f["q"]).tobytes() == fk_q[fk_row].tobytes()
 
 
 def test_checkpoint_round_trip_exact(tmp_path):

@@ -228,3 +228,31 @@ def test_grasp_index_out_of_range_names_the_file(tmp_path, spec, t_l):
     demo = load_demo(default_demo_path(), spec)
     with pytest.raises(DemoError, match=rf"^grasp index {t_l} outside \(0, 40\]"):
         Demonstration(demo.pose_t, demo.pose_r, demo.joints, t_l)
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_hold_index_of_the_bundled_demos(hand):
+    """Both bundled demos end with frames 31..40 repeating frame 30 = T_l;
+    T_l itself never merges, so L = 31 and head holds frames 0..31."""
+    demo = load_demo(default_demo_path(hand), load_hand_spec(default_hand_path(hand)))
+    assert (demo.horizon, demo.grasp_index, demo.hold_index) == (40, 30, 31)
+    head = demo.head
+    assert head is demo.head and head.hold_index == head.horizon == 31 and head.head is head
+    for name in ("pose_t", "pose_r", "joints"):
+        assert getattr(head, name).tobytes() == getattr(demo, name)[:32].tobytes()
+
+
+def test_hold_index_compares_bits(demo):
+    """A later frame merges only if it repeats frame L bit for bit: a zero
+    of the other sign, or one ulp, keeps it apart. With T_l = T_D, L is
+    T_D and head is the demonstration itself."""
+    td = demo.horizon
+    pose_t, joints = np.array(demo.pose_t), np.array(demo.joints)
+    assert pose_t[td, 0] == 0.0
+    pose_t[td, 0] = -pose_t[td, 0]
+    joints[td, 0] = np.nextafter(joints[td, 0], np.inf)
+    for apart in (Demonstration(pose_t, demo.pose_r, demo.joints, demo.grasp_index),
+                  Demonstration(demo.pose_t, demo.pose_r, joints, demo.grasp_index)):
+        assert apart.hold_index == td and apart.head is apart
+    at_end = Demonstration(demo.pose_t, demo.pose_r, demo.joints, td)
+    assert at_end.hold_index == td and at_end.head is at_end

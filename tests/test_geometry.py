@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fungrasp.geometry import (
     axis_angle_to_quat,
@@ -9,6 +10,7 @@ from fungrasp.geometry import (
     quat_mul,
     quat_normalize,
     quat_rotate,
+    rotate,
     row_norms,
 )
 
@@ -195,3 +197,26 @@ def test_component_formulas_match_the_stacked_ones():
         assert quat_mul(lhs, rhs).tobytes() == stacked_quat_mul(lhs, rhs).tobytes()
     for q, x in ((a, v), (a[0], v), (a, v[0]), (a[0], v[0]), (a[:8, None], v[None])):
         assert quat_rotate(q, x).tobytes() == stacked_quat_rotate(q, x).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4)),
+    scale=st.floats(1e-6, 1e3),
+)
+def test_in_place_rotate_gives_the_allocating_bytes(seed, grid, scale):
+    """rotate with an out workspace writes the allocating call's bytes
+    into out[:3]: (4, E, 1, 1) quaternion components broadcast against
+    (E, T, K) vector grids, as the contact phase calls it, and (N,)
+    components against a scalar vector, as FK does."""
+    rng = np.random.default_rng(seed)
+    e_count = grid[0]
+    q = quat_normalize(rng.normal(size=(e_count, 4)))
+    v = rng.normal(size=(3, *grid)) * scale
+    for comps, vec, shape in ((q.T[..., None, None], v, grid), (q.T, (scale, 0.0, 0.0), (e_count,))):
+        work = np.full((7, *shape), np.nan)
+        got = rotate(*comps, *vec, work)
+        want = rotate(*comps, *vec)
+        assert all(np.shares_memory(g, w) for g, w in zip(got, work[:3]))
+        assert np.stack(got).tobytes() == np.stack(want).tobytes()

@@ -1,11 +1,14 @@
 """Micro-benchmarks of the episode engine's array kernels against their
-references: FK of one seeded chunk of E episodes, E x (T_D + 1) rows, on
-each bundled hand, the stacked simplex over the seven loads of that
-chunk's scored grasps, and their closure verdicts from the gravity basis
-against that seven-load stack; and, for a 96-episode chunk at the
-train_inspire bench workload's config, the chunk's generators
-(episode_rngs against one SeedSequence per episode) and its reset
-(reset_env against each episode's own reference_reset).
+references: FK of one seeded chunk of E episodes, E x (L + 1) rows (L
+the demo's hold_index, 31 on both bundled demos), on each bundled hand,
+the stacked simplex over the seven loads of that chunk's scored grasps,
+and their closure verdicts from the gravity basis against that
+seven-load stack; and, for a 96-episode chunk at the train_inspire bench
+workload's config, the chunk's generators (episode_rngs against one
+SeedSequence per episode), its reset (reset_env against each episode's
+own reference_reset) and its contact phase's inverse rotation of the
+(E, T_l + 1, K) grid (rotate into a workspace against the allocating
+rotate).
 
 pytest's addopts pass --benchmark-disable, so the suite runs each case
 once as a plain test. Time them with
@@ -19,7 +22,7 @@ import pytest
 from conftest import concat_envs
 from contact_reference import hand_assets, seeded_rollout_inputs
 from episode_reference import reference_reset
-from fungrasp import hand, sim
+from fungrasp import geometry, hand, sim
 from fungrasp.training import STREAM_TRAIN, TrainConfig, episode_rngs
 from kernel_reference import reference_closure, reference_feasible_combination, reference_forward_kinematics
 
@@ -137,3 +140,49 @@ def test_reset_env_benchmark(benchmark, train_chunk, reset):
     for name in ("pose_t", "pose_r", "p_afford", "style", "q_style", "mask"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert [r.random() for r in rounds[-1]] == [r.random() for r in rngs]
+
+
+@pytest.fixture(scope="module")
+def contact_grid(train_chunk):
+    """(quaternion components (4, E, 1, 1), vector grids (3, E, T_l + 1, K))
+    of the contact phase's inverse rotation, for the train_inspire chunk's
+    reset and replay actions edited by a little noise."""
+    assets, cfg, prefix, indices = train_chunk
+    spec = assets.spec
+    env = sim.reset_env(assets.objects, assets.afford_dists, assets.styles, episode_rngs(prefix, indices),
+                        spec=spec, sigma_style=cfg.sigma_style, square_half=cfg.square_half)
+    replay = np.r_[np.zeros(6 + spec.joint_count), 1.0]
+    actions = replay + np.random.default_rng(3).normal(0.0, 0.01, (len(env), len(replay)))
+    captured = {}
+
+    def capture(*args):
+        captured["args"] = args
+        return real(*args)
+
+    real = sim.detect_contacts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "detect_contacts", capture)
+        sim.rollout_batch(env, assets.demo, actions, spec, assets.styles, sim.SimParams())
+    env, centers, _, _, tl, _ = captured["args"]
+    q = geometry.quat_conjugate(env.pose_r).T[..., None, None]
+    return q, np.stack([centers[:, : tl + 1, :, ax] - env.pose_t[:, ax, None, None] for ax in range(3)])
+
+
+def rotate_in_place(q, v, work):
+    return geometry.rotate(*q, *v, work)
+
+
+def rotate_allocating(q, v, work):
+    return geometry.rotate(*q, *v)
+
+
+@pytest.mark.parametrize("form", [rotate_in_place, rotate_allocating], ids=["in_place_workspace", "allocating"])
+def test_contact_rotation_benchmark(benchmark, contact_grid, form):
+    """The rotation into a workspace and the allocating one give each
+    other's bytes."""
+    q, v = contact_grid
+    grid = v.shape[1:]
+    benchmark.group = f"contact rotation, {' x '.join(map(str, grid))} grid"
+    got = np.stack(benchmark(form, q, v, np.empty((7, *grid))))
+    other = rotate_allocating if form is rotate_in_place else rotate_in_place
+    assert got.tobytes() == np.stack(other(q, v, np.empty((7, *grid)))).tobytes()

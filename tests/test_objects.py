@@ -338,12 +338,16 @@ def test_bundled_objects_contents(objects):
 
 
 def test_estimate_normals_matches_the_whole_matrix_reference():
-    """The row-block neighbor search gives the normals of the (N, N)
-    reference byte for byte, on clouds whose sizes are and are not
-    multiples of the block."""
+    """The row-block neighbor search, the stacked plane fit and the
+    row-wise sign test give the normals of the (N, N) reference and its
+    per-point fits byte for byte, on clouds whose sizes are and are not
+    multiples of the block, and on one that holds points twice (ties at
+    distance 0)."""
     rng = np.random.default_rng(6)
-    for n in (NORMAL_ROWS, 3 * NORMAL_ROWS + 17, 1000):
-        points = rng.normal(0.0, 0.05, (n, 3))
+    clouds = [rng.normal(0.0, 0.05, (n, 3)) for n in (NORMAL_ROWS, 3 * NORMAL_ROWS + 17, 1000)]
+    twice = rng.normal(0.0, 0.05, (300, 3))
+    clouds.append(rng.permutation(np.concatenate([twice, twice[::3]])))
+    for points in clouds:
         assert estimate_normals(points).tobytes() == reference_estimate_normals(points).tobytes()
 
 

@@ -22,7 +22,7 @@ from episode_reference import reference_reset
 from kernel_reference import reference_feasible_combination
 from pose_reference import compose_pose, invert_pose, pose, transform_point
 from fungrasp import sim
-from fungrasp.demo import EditBounds
+from fungrasp.demo import Demonstration, EditBounds
 from fungrasp.geometry import axis_angle_to_quat, quat_rotate
 from fungrasp.assets import default_hand_path
 from fungrasp.hand import Style, load_hand_spec, sphere_metadata
@@ -663,6 +663,63 @@ def test_rollout_batch_matches_one_item_rollouts(hand):
     assert {"ok", "no_closure", "crush"} <= reasons
 
 
+def _unmerged(demo):
+    """demo with no frame merged: its hold_index is T_D, so a rollout of it
+    runs every frame, as rollout_batch did before frames past L merged."""
+    full = Demonstration(demo.pose_t, demo.pose_r, demo.joints, demo.grasp_index)
+    object.__setattr__(full, "hold_index", full.horizon)
+    return full
+
+
+def _held_demos(demo):
+    """(name, demonstration, its L) of synthetic demonstrations built on a
+    bundled one, whose frames T_l..T_D are one pose and one joint vector."""
+    td, tl = demo.horizon, demo.grasp_index
+    pose_t, pose_r, joints = (np.array(a) for a in (demo.pose_t, demo.pose_r, demo.joints))
+    assert (pose_t[tl:] == pose_t[tl]).all() and (joints[tl:] == joints[tl]).all()
+    past = np.maximum(np.arange(td + 1) - tl, 0)[:, None]          # 0 up to T_l, then 1, 2, ...
+    moved = np.minimum(past, 1)                                      # 0 up to T_l, then 1
+    static = joints.copy()
+    static[:, :2] = joints[0, :2]                                    # two joints the demo never moves
+    return [
+        ("no_repeated_tail", Demonstration(pose_t + past * [0.0, 0.0, 1e-3], pose_r, joints + past * 1e-3, tl), td),
+        ("tail_from_tl_plus_1", Demonstration(pose_t + moved * [0.0, 0.0, 2e-3], pose_r, joints - moved * 1e-3, tl),
+         tl + 1),
+        ("tl_plus_1_repeats_tl", demo, tl + 1),
+        ("static_joints", Demonstration(pose_t, pose_r, static, tl), tl + 1),
+        ("tl_is_td_minus_1", Demonstration(pose_t, pose_r, joints, td - 1), td),
+    ]
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_rollout_of_frames_0_to_l_matches_a_full_frame_run(hand):
+    """rollout_batch runs the trajectories, the wrist edit, FK and d_series
+    over frames 0..L only, and its columns are, bit for bit, those of a
+    run over every frame: d_series is widened back by repeating column
+    L, and q_final is frame L's row."""
+    assets = hand_assets(hand)
+    envs, actions = seeded_rollout_inputs(assets, 24, seed=11)
+    args = (envs, assets.demo, actions, assets.spec, assets.styles, SimParams())
+    fk_rows = []
+    real = sim.forward_kinematics_batch
+
+    def counted(spec, wrist_t, wrist_r, q):
+        fk_rows.append(len(q))
+        return real(spec, wrist_t, wrist_r, q)
+
+    for name, demo, hold in _held_demos(assets.demo):
+        assert demo.hold_index == hold, name
+        assert demo.head.horizon == hold and demo.head.grasp_index == demo.grasp_index
+        fk_rows.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "forward_kinematics_batch", counted)
+            got = rollout_batch(envs, demo, *args[2:])
+            want = rollout_batch(envs, _unmerged(demo), *args[2:])
+        assert fk_rows == [len(envs) * (hold + 1), len(envs) * (demo.horizon + 1)], name
+        assert bits(got) == bits(want), name
+        assert got[0].shape == (len(envs), demo.horizon + 1)
+
+
 # ---------------------------------------------------------------------------
 # nearest-point query and the object-frame contact phase
 # ---------------------------------------------------------------------------
@@ -728,6 +785,46 @@ def test_nearest_with_the_held_terms_matches_recomputing_them():
             got, want = sim._nearest(centers, obj), recomputing_nearest(centers, obj.points)
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), (obj.name, n)
 
+
+def test_nearest_keeps_one_scratch_as_wide_as_the_widest_cloud(monkeypatch):
+    """_nearest's (64, N) block scratch persists between calls as one
+    buffer, grown to the widest cloud seen; calls on objects of different
+    widths, interleaved, each give recomputing_nearest's bytes."""
+    monkeypatch.setattr(sim, "_SCRATCH", {})
+    rng = np.random.default_rng(13)
+    objs = sorted(hand_assets("inspire_like").objects, key=len)
+    narrow, wide = objs[0], objs[-1]
+    assert len(narrow) < len(wide)
+    for obj, n in ((narrow, 70), (wide, 300), (narrow, 2), (objs[1], 129), (wide, 1), (narrow, 200)):
+        lo, hi = obj.box
+        centers = rng.uniform(lo - 0.02, hi + 0.02, (n, 3))
+        got, want = sim._nearest(centers, obj), recomputing_nearest(centers, obj.points)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), (obj.name, n)
+    assert list(sim._SCRATCH) == ["nearest"] and sim._SCRATCH["nearest"].size == sim._ROW_BLOCK * len(wide)
+
+
+def test_a_chunk_past_the_scratch_cap_keeps_no_buffer(monkeypatch):
+    """A workspace request over _SCRATCH_MAX floats gets a temporary array:
+    after a large chunk and then a small one, the kept contact buffer is
+    the small chunk's, and the large chunk's columns are those of a run
+    that kept its workspace."""
+    assets = hand_assets("inspire_like")
+    envs, actions = seeded_rollout_inputs(assets, 24, seed=5)
+    args = (assets.demo, actions, assets.spec, assets.styles, SimParams())
+    monkeypatch.setattr(sim, "_SCRATCH", {})
+    kept = rollout_batch(envs, *args)
+    k_count = len(sphere_metadata(assets.spec)[0])
+    assert sim._SCRATCH["contacts"].size == 10 * 24 * (assets.demo.grasp_index + 1) * k_count
+    small = sim._SCRATCH["contacts"].size // 6                       # a 4-episode chunk's workspace
+    monkeypatch.setattr(sim, "_SCRATCH", {})
+    monkeypatch.setattr(sim, "_SCRATCH_MAX", small)
+    large = rollout_batch(envs, *args)
+    assert "contacts" not in sim._SCRATCH
+    rows = np.arange(4)
+    rollout_batch(envs[rows], assets.demo, actions[rows], *args[2:])
+    assert sim._SCRATCH["contacts"].size == small
+    assert all(buf.size <= small for buf in sim._SCRATCH.values())
+    assert bits(large) == bits(kept)
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(

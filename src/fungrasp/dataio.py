@@ -232,7 +232,9 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
 
 
 def save_checkpoint(params: PolicyParams, meta: dict, path) -> None:
-    """Versioned JSON checkpoint; floats round-trip bit-exactly."""
+    """Versioned JSON checkpoint; floats round-trip bit-exactly. It is
+    written to a temporary file that then replaces path, so a write that
+    fails or is killed leaves the previous checkpoint whole."""
     arrays = param_views(params.flat, params.style_count, params.joint_count)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -245,7 +247,14 @@ def save_checkpoint(params: PolicyParams, meta: dict, path) -> None:
         "shapes": {f: list(a.shape) for f, a in arrays.items()},
         "arrays": {f: [float(v) for v in a.ravel()] for f, a in arrays.items()},
     }
-    Path(path).write_text(json.dumps(payload))
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        tmp.write_text(json.dumps(payload))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: int | None = None,

@@ -79,16 +79,17 @@ def _effective_success(res: EpisodeResult, strict: bool) -> bool:
     return not strict or (rec.d_final < STRICT_AFFORD_RADIUS and rec.executed_style == res.conditioned_style)
 
 
-def pairwise_style_diversity(q_list) -> float:
-    """Mean L2 distance over all unordered pairs; 0 below two entries."""
-    qs = np.asarray(list(q_list), dtype=float)
-    n = qs.shape[0]
-    if n < 2:
+def pairwise_style_diversity(qs) -> float:
+    """Mean L2 distance over all unordered pairs of the rows of qs (n, J);
+    0 below two rows. Each row's distances to the later rows are taken
+    in turn, so the pairs come in triu_indices order and no (n, n, J)
+    difference tensor is built: the peak is the n (n - 1) / 2 distances,
+    held twice while they are concatenated."""
+    qs = np.asarray(qs, dtype=float)
+    if len(qs) < 2:
         return 0.0
-    diffs = qs[:, None, :] - qs[None, :, :]
-    d = np.sqrt((diffs**2).sum(axis=2))
-    iu = np.triu_indices(n, k=1)
-    return float(d[iu].mean())
+    rows = [np.sqrt(((qs[i + 1 :] - qs[i]) ** 2).sum(axis=1)) for i in range(len(qs) - 1)]
+    return float(np.concatenate(rows).mean())
 
 
 def compute_metrics(results: list[EpisodeResult], spec: HandSpec, strict: bool,
@@ -104,9 +105,9 @@ def compute_metrics(results: list[EpisodeResult], spec: HandSpec, strict: bool,
     succ = [r for r in results if _effective_success(r, strict)]
     gsr = len(succ) / n if n else 0.0
     sad = float(np.mean([r.record.d_final for r in succ])) if succ else None
-    q_succ = [r.record.q_final for r in succ]
+    q_succ = np.array([r.record.q_final for r in succ], dtype=float).reshape(-1, spec.joint_count)
     sd = pairwise_style_diversity(q_succ)
-    sd_norm = pairwise_style_diversity([normalize_joints(spec, q) for q in q_succ])
+    sd_norm = pairwise_style_diversity(normalize_joints(spec, q_succ))
     sa = sum(1 for r in succ if r.record.executed_style == r.conditioned_style) / len(succ) if succ else None
     return Metrics(
         gsr=gsr,
@@ -141,10 +142,10 @@ def evaluate(
 ) -> tuple[Metrics, list[EpisodeResult]]:
     """Run N conditioned evaluation episodes and aggregate metrics.
 
-    mode sets the action choice (mean by default; policy | random |
-    identity); with "random" the actions, and so the metrics, do not
-    depend on params. With exhaustive_styles each episode replays every
-    style candidate (identical environment otherwise) and keeps the best
+    mode sets the action choice (mean by default; policy | random);
+    with "random" the actions, and so the metrics, do not depend on
+    params. With exhaustive_styles each episode replays every style
+    candidate (identical environment otherwise) and keeps the best
     outcome.
     """
     if n_episodes < 1:

@@ -4,9 +4,13 @@ The network is deliberately small and fully explicit in numpy: a
 pointwise MLP with channel-wise max pooling encodes the object cloud,
 an actor trunk maps the concatenated observation to a Gaussian action
 head (state-independent log-std), and a separate value path shares no
-trunk parameters with the actor. Reverse-mode gradients are written out
-by hand; the check-gradients command and the tests gate them against
-finite differences.
+trunk parameters with the actor. The three are stacks of dense layers,
+each named once as a table of its (weight, bias) names (POINT_BRANCH,
+ACTOR, VALUE); every layer is followed by a ReLU except a head's last.
+One forward (_stack) and one reverse pass (_stack_backward) run every
+stack, so the rule z = x W + b, g_W = x^T d, g_b = sum d,
+d <- (d W^T) * [z > 0] is written once; the check-gradients command and
+the tests gate the gradients against finite differences.
 
 Observations only exist as an ObsBatch, and only encode_observation
 makes one, over many episodes at once: a chunk of episodes encodes its
@@ -86,6 +90,14 @@ LOG_STD_MAX = 1.0
 POINT_FEATURES = 6          # xyz (centered, scaled) + normal
 CLOUD_FEAT_DIM = 64
 HEAD_SCALE = 0.01           # output heads start near zero: initial policy ~ replay
+
+# the dense stacks, each layer's (weight, bias) names in param_shapes
+POINT_BRANCH = (("pb_w1", "pb_b1"), ("pb_w2", "pb_b2"))
+ACTOR = (("a_w1", "a_b1"), ("a_w2", "a_b2"), ("mean_w", "mean_b"))
+VALUE = (("v_w1", "v_b1"), ("v_w2", "v_b2"), ("v_w3", "v_b3"))
+# the columns of the trunks' input that hold the pooled cloud feature,
+# after s_r and s_o
+_POOLED = slice(7 + 7, 7 + 7 + CLOUD_FEAT_DIM)
 
 
 class PolicyError(RuntimeError):
@@ -188,12 +200,13 @@ def observation_checks(batch: ObsBatch) -> list[tuple[str, np.ndarray]]:
 
 def activation_checks(mean: np.ndarray, value: np.ndarray, cache: ForwardCache) -> list[tuple[str, np.ndarray]]:
     """(message, (B,) bool ok) of each activation check of a forward
-    pass, in order: each row's pooled cloud feature (a NaN or inf in a2
-    reaches its column's max), the actor trunk, the action head and the
-    value head must be finite."""
+    pass, in order: each row's pooled cloud feature (a NaN or inf in
+    the point branch's output reaches its column's max), the actor trunk,
+    the action head and the value head must be finite."""
+    feat, trunk = cache.actor[0][0], cache.actor[0][-1]
     return [
-        ("non-finite activations in point_branch", np.isfinite(cache.feat[:, 14 : 14 + CLOUD_FEAT_DIM]).all(axis=1)),
-        ("non-finite activations in actor_trunk", np.isfinite(cache.aa2).all(axis=1)),
+        ("non-finite activations in point_branch", np.isfinite(feat[:, _POOLED]).all(axis=1)),
+        ("non-finite activations in actor_trunk", np.isfinite(trunk).all(axis=1)),
         ("non-finite activations in action_head", np.isfinite(mean).all(axis=1)),
         ("non-finite activations in value_head", np.isfinite(value)),
     ]
@@ -295,12 +308,13 @@ def init_params(
     """Orthogonal weights (drawn in layout order), zero biases; output
     heads scaled down so the initial policy squashes to (almost) the
     identity edit."""
+    heads = {stack[-1][0] for stack in (ACTOR, VALUE)}
     parts = []
     for name, shape in param_shapes(style_count, joint_count).items():
         if name == "log_std":
             part = np.full(shape, float(init_log_std))
         elif len(shape) == 2:
-            gain = HEAD_SCALE if name in ("mean_w", "v_w3") else np.sqrt(2.0)
+            gain = HEAD_SCALE if name in heads else np.sqrt(2.0)
             part = _orthogonal(rng, shape, gain)
         else:
             part = np.zeros(shape)
@@ -310,26 +324,49 @@ def init_params(
 
 @dataclass
 class ForwardCache:
+    """The batch, and each stack's (inputs, pre-activations) as _stack
+    returns them."""
+
     batch: ObsBatch
-    z1: np.ndarray
-    a1: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray
-    feat: np.ndarray
-    az1: np.ndarray
-    aa1: np.ndarray
-    az2: np.ndarray
-    aa2: np.ndarray
-    vz1: np.ndarray
-    va1: np.ndarray
-    vz2: np.ndarray
-    va2: np.ndarray
+    point: tuple[list, list]
+    actor: tuple[list, list]
+    value: tuple[list, list]
 
 
-def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, row_alone: bool) -> np.ndarray:
-    # row-alone: one stacked (1, D) @ (D, H) product per row, which numpy
-    # runs as one gemv each, the bits of a batch of one
-    return ((x[:, None, :] @ w)[:, 0] if row_alone else x @ w) + b
+def _stack(params: PolicyParams, layers, x: np.ndarray, row_alone: bool, head: bool):
+    """(inputs, pre-activations) of the dense layers of a stack table
+    run on x: inputs[k] is layer k's input, x or the ReLU of layer k - 1.
+    A head's last layer has no ReLU; a stack that is no head also ends
+    its inputs with its last layer's ReLU, the stack's output."""
+    xs, zs = [x], []
+    for w, b in layers:
+        if zs:
+            x = np.maximum(zs[-1], 0.0)
+            xs.append(x)
+        weight = getattr(params, w)
+        # row-alone: one stacked (1, D) @ (D, H) product per row, which
+        # numpy runs as one gemv each, the bits of a batch of one
+        zs.append(((x[:, None, :] @ weight)[:, 0] if row_alone else x @ weight) + getattr(params, b))
+    if not head:
+        xs.append(np.maximum(zs[-1], 0.0))
+    return xs, zs
+
+
+def _stack_backward(params: PolicyParams, layers, xs: list, zs: list, d: np.ndarray, g: dict) -> np.ndarray:
+    """Assign each layer's slots in g from d, the gradient at the output
+    of the stack whose _stack pass gave (xs, zs), and return the gradient
+    at its first pre-activation. A layer's ReLU was taken when the layer
+    has a successor in xs. The point branch's (U, M, k) arrays take each
+    weight gradient as one product over the U*M points."""
+    for k in reversed(range(len(layers))):
+        w, b = layers[k]
+        if k + 1 < len(xs):
+            d = d * (zs[k] > 0.0)
+        g[w][...] = xs[k].reshape(-1, xs[k].shape[-1]).T @ d.reshape(-1, d.shape[-1])
+        g[b][...] = d.sum(axis=tuple(range(d.ndim - 1)))
+        if k:
+            d = d @ getattr(params, w).T
+    return d
 
 
 def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True, *, row_alone: bool = False):
@@ -357,31 +394,18 @@ def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True, *,
         raise PolicyError(
             f"style one-hot dim {batch.l_style.shape[1]} != S={params.style_count}"
         )
-    z1 = batch.clouds @ params.pb_w1 + params.pb_b1        # (U, M, 32)
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.pb_w2 + params.pb_b2
-    a2 = np.maximum(z2, 0.0)
-    pooled = a2.max(axis=1)                                # (U, 64)
+    point = _stack(params, POINT_BRANCH, batch.clouds, row_alone=False, head=False)   # (U, M, ·) arrays
+    pooled = point[0][-1].max(axis=1)                                                   # (U, 64)
     feat = np.concatenate(
         [batch.s_r, batch.s_o, pooled.take(batch.cloud_index, axis=0), batch.p_afford_rel,
          batch.l_style, batch.obj_bb],
         axis=1,
     )
-    az1 = _dense(feat, params.a_w1, params.a_b1, row_alone)
-    aa1 = np.maximum(az1, 0.0)
-    az2 = _dense(aa1, params.a_w2, params.a_b2, row_alone)
-    aa2 = np.maximum(az2, 0.0)
-    mean = _dense(aa2, params.mean_w, params.mean_b, row_alone)
-    vz1 = _dense(feat, params.v_w1, params.v_b1, row_alone)
-    va1 = np.maximum(vz1, 0.0)
-    vz2 = _dense(va1, params.v_w2, params.v_b2, row_alone)
-    va2 = np.maximum(vz2, 0.0)
-    value = _dense(va2, params.v_w3, params.v_b3, row_alone)[:, 0]
-    log_std = np.clip(params.log_std, LOG_STD_MIN, LOG_STD_MAX)
     cache = ForwardCache(
-        batch=batch, z1=z1, a1=a1, z2=z2, a2=a2, feat=feat,
-        az1=az1, aa1=aa1, az2=az2, aa2=aa2, vz1=vz1, va1=va1, vz2=vz2, va2=va2,
+        batch, point, _stack(params, ACTOR, feat, row_alone, head=True), _stack(params, VALUE, feat, row_alone, head=True)
     )
+    mean, value = cache.actor[1][-1], cache.value[1][-1][:, 0]
+    log_std = np.clip(params.log_std, LOG_STD_MIN, LOG_STD_MAX)
     if check:
         for message, ok in activation_checks(mean, value, cache):
             if not ok.all():
@@ -414,48 +438,18 @@ def policy_backward(
     if out is None:
         flat = np.empty_like(params.flat)
         out = param_views(flat, params.style_count, params.joint_count)
-    g = out
-    # actor head and trunk
-    g["mean_w"][...] = cache.aa2.T @ d_mean
-    g["mean_b"][...] = d_mean.sum(axis=0)
-    d_aa2 = d_mean @ params.mean_w.T
-    d_az2 = d_aa2 * (cache.az2 > 0.0)
-    g["a_w2"][...] = cache.aa1.T @ d_az2
-    g["a_b2"][...] = d_az2.sum(axis=0)
-    d_aa1 = d_az2 @ params.a_w2.T
-    d_az1 = d_aa1 * (cache.az1 > 0.0)
-    g["a_w1"][...] = cache.feat.T @ d_az1
-    g["a_b1"][...] = d_az1.sum(axis=0)
-    d_feat = d_az1 @ params.a_w1.T
-    # value path
-    g["v_w3"][...] = cache.va2.T @ d_value[:, None]
-    g["v_b3"][...] = d_value.sum()
-    d_va2 = d_value[:, None] * params.v_w3[:, 0][None, :]
-    d_vz2 = d_va2 * (cache.vz2 > 0.0)
-    g["v_w2"][...] = cache.va1.T @ d_vz2
-    g["v_b2"][...] = d_vz2.sum(axis=0)
-    d_va1 = d_vz2 @ params.v_w2.T
-    d_vz1 = d_va1 * (cache.vz1 > 0.0)
-    g["v_w1"][...] = cache.feat.T @ d_vz1
-    g["v_b1"][...] = d_vz1.sum(axis=0)
-    d_feat = d_feat + d_vz1 @ params.v_w1.T
+    d_feat = _stack_backward(params, ACTOR, *cache.actor, d_mean, out) @ params.a_w1.T
+    d_feat = d_feat + _stack_backward(params, VALUE, *cache.value, d_value[:, None], out) @ params.v_w1.T
     # sum the pooled slice per cloud, then route it back through the
-    # winning points only (the first of tied ones, as argmax picks); the
-    # point-branch weights take one product over the U*M table points
-    d_pooled = np.zeros((len(cache.a2), CLOUD_FEAT_DIM))
-    np.add.at(d_pooled, cache.batch.cloud_index, d_feat[:, 14 : 14 + CLOUD_FEAT_DIM])
-    d_a2 = np.zeros_like(cache.a2)
-    pool_arg = np.argmax(cache.a2, axis=1)
-    np.put_along_axis(d_a2, pool_arg[:, None, :], d_pooled[:, None, :], axis=1)
-    d_z2 = d_a2 * (cache.z2 > 0.0)
-    g["pb_w2"][...] = cache.a1.reshape(-1, 32).T @ d_z2.reshape(-1, CLOUD_FEAT_DIM)
-    g["pb_b2"][...] = d_z2.sum(axis=(0, 1))
-    d_a1 = d_z2 @ params.pb_w2.T
-    d_z1 = d_a1 * (cache.z1 > 0.0)
-    g["pb_w1"][...] = cache.batch.clouds.reshape(-1, POINT_FEATURES).T @ d_z1.reshape(-1, 32)
-    g["pb_b1"][...] = d_z1.sum(axis=(0, 1))
+    # winning points only (the first of tied ones, as argmax picks)
+    pool_in = cache.point[0][-1]
+    d_pooled = np.zeros((len(pool_in), CLOUD_FEAT_DIM))
+    np.add.at(d_pooled, cache.batch.cloud_index, d_feat[:, _POOLED])
+    d_out = np.zeros_like(pool_in)
+    np.put_along_axis(d_out, np.argmax(pool_in, axis=1)[:, None, :], d_pooled[:, None, :], axis=1)
+    _stack_backward(params, POINT_BRANCH, *cache.point, d_out, out)
     inside = (params.log_std > LOG_STD_MIN) & (params.log_std < LOG_STD_MAX)
-    g["log_std"][...] = d_log_std * inside
+    out["log_std"][...] = d_log_std * inside
     return flat
 
 

@@ -25,8 +25,8 @@ through three phases:
    computed once over the chunk. Then one encode_observation over the
    batch's columns, one row-alone policy_forward (each trunk product a
    stacked (1, D) @ (D, H) gemv per row, so every row has the bits of a
-   batch of one) and one sample_action (or the mean, random or identity
-   action) over the rows.
+   batch of one) and one sample_action (or the mean or random action)
+   over the rows.
 2. One sim.rollout_batch over the chunk: joint targets, trajectories,
    wrist edits and FK at once; one contact phase in the object frame,
    with per object one nearest-point query of the grasp frame and the
@@ -63,7 +63,8 @@ alone and every other row keeps its bits. The result keeps the
 episode's object, pose, affordance point and style, and gets zero
 reward and no sample in the PPO batch.
 Degenerate contact geometry is the rollout's own "degenerate" outcome,
-not an error. Any other exception propagates, and a run in which every
+not an error. Any other exception propagates, the PolicyError of
+params that do not fit the batch's shapes too, and a run in which every
 episode errors raises PolicyError.
 
 The update (ppo_update) owns its buffers. It copies the incoming
@@ -436,7 +437,7 @@ class Batch:
     results: list[EpisodeResult]
 
 
-ACTION_MODES = ("policy", "mean", "random", "identity")
+ACTION_MODES = ("policy", "mean", "random")
 
 
 def observe(results: list[EpisodeResult], cfg: TrainConfig, assets: Assets) -> ObsBatch:
@@ -499,13 +500,8 @@ def run_episodes(
         env.objs, env.pose_t, env.pose_r, env.p_afford, env.style,
         assets.demo, assets.styles, cfg.m_points, cfg.seed, assets.cloud_cache,
     )
-    checks = observation_checks(obs)
-    try:
-        mean, log_std, value, cache = policy_forward(params, obs, check=False, row_alone=True)
-        checks += activation_checks(mean, value, cache)
-    except PolicyError as exc:      # the batch does not fit params: every row
-        checks.append((str(exc), np.zeros(len(env), dtype=bool)))
-    errors = row_errors(checks, len(env))
+    mean, log_std, value, cache = policy_forward(params, obs, check=False, row_alone=True)
+    errors = row_errors(observation_checks(obs) + activation_checks(mean, value, cache), len(env))
     for i, error in zip(indices, errors):
         if error is not None:
             log.warning("episode %d failed (%s); scored as zero reward", i, error)
@@ -520,10 +516,7 @@ def run_episodes(
             actions = squash(raw, lo, hi)
             logp, _, _ = log_prob_of_raw(raw, log_std, raw, cfg.bounds, joint_count)
         else:
-            if mode == "random":
-                actions = draws[live]
-            else:   # the identity edit: no wrist offset, no joint residual, scale 1
-                actions = np.tile(np.r_[np.zeros(6 + joint_count), 1.0], (len(live), 1))
+            actions = draws[live]
             raw = np.zeros_like(actions)
             logp = np.zeros(len(live))
         policy_out[:, live] = logp, value[live]

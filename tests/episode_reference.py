@@ -188,13 +188,9 @@ def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode
         raw = mean[0]
         action = squash(raw, lo, hi)
         logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
-    elif mode == "random":
+    else:
         action = rng.uniform(lo, hi)
         raw = np.zeros_like(action)
-        logp = 0.0
-    else:
-        action = np.concatenate([np.zeros(6 + joint_count), [1.0]])
-        raw = np.zeros(7 + joint_count)
         logp = 0.0
     result.raw, result.action_vec = np.asarray(raw, dtype=float), action
     result.log_prob, result.value = float(logp), float(value[0])

@@ -289,6 +289,27 @@ def test_checkpoint_truncated_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_write_failing_partway_keeps_the_previous_one(tmp_path, monkeypatch):
+    """A rewrite that writes half its text and then fails leaves the last
+    checkpoint loadable, bit for bit, and no temporary file behind."""
+    before = init_params(np.random.default_rng(5), 8, 4, 6)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(before, {"hand": "inspire_like", "iteration": 3}, path)
+
+    def half_then_fail(self, text):
+        with self.open("w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(type(path), "write_text", half_then_fail)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(init_params(np.random.default_rng(6), 8, 4, 6), {"hand": "inspire_like", "iteration": 4}, path)
+    monkeypatch.undo()
+    back, meta = load_checkpoint(path)
+    assert back.flat.tobytes() == before.flat.tobytes() and meta["iteration"] == 3
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_config_digest_stable_under_key_order():
     assert config_digest({"a": 1, "b": [1, 2]}) == config_digest({"b": [1, 2], "a": 1})
     assert config_digest({"a": 1}) != config_digest({"a": 2})

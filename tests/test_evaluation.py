@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,14 @@ def eval_cfg():
 
 
 @pytest.fixture(scope="module")
+def identity_cfg(eval_cfg):
+    """eval_cfg with zero-width bounds: random mode's uniform actions are
+    then all the identity edit (no wrist offset, no joint residual,
+    scale 1)."""
+    return dataclasses.replace(eval_cfg, bounds=EditBounds(b_t=0.0, b_r=0.0, b_q=0.0, k_min=1.0, k_max=1.0))
+
+
+@pytest.fixture(scope="module")
 def eval_params(assets, eval_cfg):
     return init_params(episode_rng(eval_cfg.seed, 4), eval_cfg.m_points,
                        len(assets.styles), assets.spec.joint_count)
@@ -48,6 +59,34 @@ def test_pairwise_diversity_cases():
     qs = [np.array([0.0, 0.0]), np.array([3.0, 0.0]), np.array([0.0, 4.0])]
     expected = (3.0 + 4.0 + 5.0) / 3.0
     assert pairwise_style_diversity(qs) == pytest.approx(expected)
+
+
+def _pairwise_oracle(qs):
+    """The mean pairwise distance through the (n, n, J) difference
+    tensor, the form pairwise_style_diversity replaced."""
+    qs = np.asarray(qs, dtype=float)
+    d = np.sqrt(((qs[:, None, :] - qs[None, :, :]) ** 2).sum(axis=2))
+    return float(d[np.triu_indices(len(qs), k=1)].mean())
+
+
+@pytest.mark.parametrize("joints", [6, 22])
+@pytest.mark.parametrize("n", [2, 3, 9, 130, 400])
+def test_pairwise_diversity_has_the_bits_of_the_difference_tensor(n, joints):
+    qs = np.random.default_rng(n * joints).normal(size=(n, joints))
+    assert pairwise_style_diversity(qs).hex() == _pairwise_oracle(qs).hex()
+
+
+def test_pairwise_diversity_never_builds_the_difference_tensor():
+    """At n = 1,500 and J = 22 the (n, n, J) form allocates about 800 MB;
+    the distances themselves are 9 MB."""
+    qs = np.random.default_rng(5).normal(size=(1500, 22))
+    tracemalloc.start()
+    try:
+        pairwise_style_diversity(qs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_pairwise_diversity_translation_invariant():
@@ -110,15 +149,13 @@ def test_evaluate_deterministic(assets, eval_cfg, eval_params):
 def test_evaluate_rejects_bad_args(assets, eval_cfg, eval_params):
     with pytest.raises(ValueError):
         evaluate(eval_params, eval_cfg, assets, 0, seed=1)
-    import dataclasses
-
     empty = dataclasses.replace(assets, objects=[])
     with pytest.raises(ValueError, match="empty object set"):
         evaluate(eval_params, eval_cfg, empty, 5, seed=1)
 
 
-def test_identity_policy_on_box_fixture(box_assets, eval_cfg, eval_params):
-    m, results = evaluate(eval_params, eval_cfg, box_assets, 30, seed=3, mode="identity")
+def test_identity_policy_on_box_fixture(box_assets, identity_cfg, eval_params):
+    m, results = evaluate(eval_params, identity_cfg, box_assets, 30, seed=3, mode="random")
     assert m.gsr == 1.0
     assert m.sa == 1.0
     assert m.sad is not None and m.sad < 0.12
@@ -140,9 +177,9 @@ def test_metrics_match_independent_oracle(assets, eval_cfg, eval_params, tmp_pat
         assert ref["sa"] == pytest.approx(m.sa, abs=1e-9)
 
 
-def test_exhaustive_styles_at_least_as_good(box_assets, eval_cfg, eval_params):
-    base, _ = evaluate(eval_params, eval_cfg, box_assets, 15, seed=5, mode="identity")
-    best, _ = evaluate(eval_params, eval_cfg, box_assets, 15, seed=5, mode="identity",
+def test_exhaustive_styles_at_least_as_good(box_assets, identity_cfg, eval_params):
+    base, _ = evaluate(eval_params, identity_cfg, box_assets, 15, seed=5, mode="random")
+    best, _ = evaluate(eval_params, identity_cfg, box_assets, 15, seed=5, mode="random",
                        exhaustive_styles=True)
     assert best.gsr >= base.gsr - 1e-12
 
@@ -168,16 +205,12 @@ def test_random_baseline_determinism(assets, eval_cfg, eval_params):
     assert c == a
 
 
-def test_random_baseline_zero_bounds_equals_identity(box_assets, eval_cfg, eval_params):
-    import dataclasses
-
-    degenerate = dataclasses.replace(
-        eval_cfg, bounds=EditBounds(b_t=0.0, b_r=0.0, b_q=0.0, k_min=1.0, k_max=1.0)
-    )
-    rand, _ = evaluate(eval_params, degenerate, box_assets, 20, seed=9, mode="random")
-    ident, _ = evaluate(eval_params, degenerate, box_assets, 20, seed=9, mode="identity")
-    assert rand.gsr == ident.gsr
-    assert rand.sad == pytest.approx(ident.sad, abs=1e-12)
+def test_random_baseline_zero_bounds_equals_identity(box_assets, identity_cfg, eval_params):
+    """Under zero-width bounds every random action is, by bytes, the
+    identity edit [0] * (6 + J) + [1]."""
+    _, results = evaluate(eval_params, identity_cfg, box_assets, 20, seed=9, mode="random")
+    identity = np.r_[np.zeros(6 + box_assets.spec.joint_count), 1.0]
+    assert [r.action_vec.tobytes() for r in results] == [identity.tobytes()] * 20
 
 
 def test_ablate_config_flags(eval_cfg):

@@ -4,10 +4,15 @@ import pickle
 import numpy as np
 import pytest
 
+from fungrasp.assets import default_hand_path, default_styles_path
 from fungrasp.demo import EditBounds
+from fungrasp.hand import load_hand_spec, load_styles
 from fungrasp.objects import ObjectModel
 from fungrasp.policy import (
+    ACTOR,
     LOG_STD_MIN,
+    POINT_BRANCH,
+    VALUE,
     ObsBatch,
     PolicyError,
     PolicyParams,
@@ -315,7 +320,7 @@ def test_duplicated_row_doubles_gradient(small_params):
     g1 = policy_backward(small_params, c1, d_mean, d_value, np.zeros(13))
     _, _, _, c2 = policy_forward(small_params, obs[np.array([0, 0])])
     # the two rows share one table entry, so the point branch runs once
-    assert c2.a2.shape[0] == 1
+    assert c2.point[0][-1].shape[0] == 1
     g2 = policy_backward(small_params, c2, np.repeat(d_mean, 2, axis=0), np.repeat(d_value, 2), np.zeros(13))
     assert np.allclose(g2, 2.0 * g1, atol=1e-12)
 
@@ -336,7 +341,7 @@ def test_forward_matches_the_per_row_reference(small_params):
         assert np.array_equal(mean, r_mean) and np.array_equal(value, r_value)
         assert np.array_equal(log_std, r_log_std)
         # the point branch ran once per distinct cloud
-        assert cache.a2.shape[0] == len(batch.clouds) == len(np.unique(batch.cloud_index))
+        assert cache.point[0][-1].shape[0] == len(batch.clouds) == len(np.unique(batch.cloud_index))
 
 
 def test_backward_matches_the_per_row_reference(small_params):
@@ -372,6 +377,28 @@ def test_backward_into_a_reused_vector_assigns_every_slot(small_params):
         fresh = policy_backward(small_params, cache, d_mean, d_value, d_ls)
         assert policy_backward(small_params, cache, d_mean, d_value, d_ls, out=views) is None
         assert out.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
+def test_backward_assigns_every_slot_on_the_bundled_layouts(hand):
+    """On each bundled hand's layout, a NaN-filled gradient vector holds
+    no NaN after one policy_backward into it."""
+    spec = load_hand_spec(default_hand_path(hand))
+    style_count = len(load_styles(default_styles_path(hand), spec))
+    rng = np.random.default_rng(23)
+    params = init_params(rng, 16, style_count, spec.joint_count)
+    batch = random_obs(rng, 3, 16, style_count)[np.array([0, 2, 2, 1, 0])]
+    _, _, _, cache = policy_forward(params, batch)
+    out = np.full_like(params.flat, np.nan)
+    d_mean = rng.normal(size=(batch.size, params.action_dim))
+    policy_backward(params, cache, d_mean, rng.normal(size=batch.size), rng.normal(size=params.action_dim),
+                    out=param_views(out, style_count, spec.joint_count))
+    assert not np.isnan(out).any()
+
+
+def test_every_dense_array_is_in_exactly_one_stack_table():
+    names = [name for stack in (POINT_BRANCH, ACTOR, VALUE) for layer in stack for name in layer]
+    assert sorted(names) == sorted(set(param_shapes(4, 6)) - {"log_std"})
 
 
 def test_log_std_clamp_masks_gradient(small_params):

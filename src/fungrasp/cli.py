@@ -58,7 +58,6 @@ USER_ERRORS = (
     CheckpointError,
     ExportError,
     ValueError,
-    KeyError,
 )
 
 GRADIENT_GATE = 1e-4
@@ -156,7 +155,11 @@ def _objects_dir(args):
 def _run_setup(args) -> tuple[TrainConfig, Assets, Path]:
     """What train, ablate, eval and collect share: the train config, the
     assets and the output directory (runs/out if unset), made if
-    missing."""
+    missing. The train section may not hold seed or workers: TrainConfig
+    has both fields, but only the top-level settings set them."""
+    for key in ("seed", "workers"):
+        if isinstance(args.train, dict) and key in args.train:
+            raise ValueError(f"config 'train.{key}': not a train setting; set the top-level config '{key}' or --{key}")
     seed = _require_seed(args)
     cfg = config_from_dict(args.train)
     cfg = replace(cfg, seed=seed, workers=cfg.workers if args.workers is None else args.workers)

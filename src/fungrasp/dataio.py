@@ -154,9 +154,9 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
     element-wise edit_wrist_arrays and edited_joint_trajectory, so its
     frames carry the bits the rollout ran; its world affordance point is
     the object-frame one under the object pose, as the rollout's
-    d_series measures to it. Each wrist quaternion r is written as
-    r / np.linalg.norm(r), the loaders' division: a norm more than 1e-6
-    from 1 raises ValueError. Errored episodes (no record)
+    affordance distance measures to it. Each wrist quaternion r is
+    written as r / np.linalg.norm(r), the loaders' division: a norm more
+    than 1e-6 from 1 raises ValueError. Errored episodes (no record)
     are skipped and counted as `n_errored` in the manifest. Action
     targets are absolute next-frame (t, r, q); the last frame targets
     itself.

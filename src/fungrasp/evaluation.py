@@ -82,14 +82,19 @@ def _effective_success(res: EpisodeResult, strict: bool) -> bool:
 def pairwise_style_diversity(qs) -> float:
     """Mean L2 distance over all unordered pairs of the rows of qs (n, J);
     0 below two rows. Each row's distances to the later rows are taken
-    in turn, so the pairs come in triu_indices order and no (n, n, J)
-    difference tensor is built: the peak is the n (n - 1) / 2 distances,
-    held twice while they are concatenated."""
+    in turn into one vector, so the pairs come in triu_indices order and
+    no (n, n, J) difference tensor is built: the peak is the n (n - 1) / 2
+    distances, held once."""
     qs = np.asarray(qs, dtype=float)
-    if len(qs) < 2:
+    n = len(qs)
+    if n < 2:
         return 0.0
-    rows = [np.sqrt(((qs[i + 1 :] - qs[i]) ** 2).sum(axis=1)) for i in range(len(qs) - 1)]
-    return float(np.concatenate(rows).mean())
+    dists = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        np.sqrt(((qs[i + 1 :] - qs[i]) ** 2).sum(axis=1), out=dists[start : start + n - 1 - i])
+        start += n - 1 - i
+    return float(dists.mean())
 
 
 def compute_metrics(results: list[EpisodeResult], spec: HandSpec, strict: bool,

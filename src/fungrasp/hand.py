@@ -4,13 +4,16 @@ A hand is a tree of revolute chains hanging off the wrist. Each segment
 rotates about its own axis (expressed in the frame the segment starts in)
 and then extends along local +x by its length; one collision sphere sits
 at each segment end, so the last sphere of a chain is the fingertip.
-Passive segments carry no entry in the joint vector: their angle is a
-linear function (``scale * q[source]``) of an active joint.
+Every segment has one drive rule: its angle is ``scale * q[source]``.
+An active segment is joint ``source`` of the joint vector at scale 1,
+numbered in chain order; a coupled segment carries no entry of its own
+and follows an active joint at the scale its coupling entry gives (as a
+URDF ``mimic`` joint follows its source).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +25,6 @@ __all__ = [
     "HandError",
     "Segment",
     "Finger",
-    "Coupling",
     "HandSpec",
     "Style",
     "load_hand_spec",
@@ -44,6 +46,8 @@ class Segment:
     axis: np.ndarray        # unit 3-vector, joint rotation axis
     limits: tuple[float, float]
     radius: float           # collision sphere at the segment end
+    source: int             # the joint that drives the segment: its angle is scale * q[source]
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -55,23 +59,14 @@ class Finger:
 
 
 @dataclass(frozen=True)
-class Coupling:
-    finger: int
-    segment: int
-    source: int             # active joint index driving this segment
-    scale: float
-
-
-@dataclass(frozen=True)
 class HandSpec:
     name: str
     fingers: tuple[Finger, ...]
-    couplings: tuple[Coupling, ...]
     joint_count: int
-    # per (finger, segment): active joint index, or None when coupled
-    joint_index: tuple[tuple[int | None, ...], ...]
     limits_lo: np.ndarray   # (J,)
     limits_hi: np.ndarray   # (J,)
+    radii: np.ndarray       # (K,) sphere radii in chain order
+    finger_index: np.ndarray  # (K,) the finger of each sphere
 
     @property
     def finger_count(self) -> int:
@@ -79,7 +74,7 @@ class HandSpec:
 
     @property
     def sphere_count(self) -> int:
-        return sum(len(f.segments) for f in self.fingers)
+        return len(self.radii)
 
 
 @dataclass(frozen=True)
@@ -89,46 +84,19 @@ class Style:
     contact_mask: tuple[int, ...]
 
 
-def _build_spec(name, fingers, couplings) -> HandSpec:
-    coupled = {(c.finger, c.segment): c for c in couplings}
-    joint_index: list[tuple[int | None, ...]] = []
-    lo, hi = [], []
-    next_q = 0
-    for fi, finger in enumerate(fingers):
-        row: list[int | None] = []
-        for si, seg in enumerate(finger.segments):
-            if (fi, si) in coupled:
-                row.append(None)
-            else:
-                row.append(next_q)
-                lo.append(seg.limits[0])
-                hi.append(seg.limits[1])
-                next_q += 1
-        joint_index.append(tuple(row))
-    for c in couplings:
-        if not (0 <= c.finger < len(fingers)):
-            raise HandError(f"coupling references finger {c.finger}, hand has {len(fingers)}")
-        if not (0 <= c.segment < len(fingers[c.finger].segments)):
-            raise HandError(f"coupling references segment {c.segment} of finger {c.finger}")
-        if not (0 <= c.source < next_q):
-            raise HandError(f"coupling source joint {c.source} out of range (J={next_q})")
-    limits_lo = np.array(lo)
-    limits_hi = np.array(hi)
-    limits_lo.setflags(write=False)
-    limits_hi.setflags(write=False)
-    return HandSpec(
-        name=name,
-        fingers=tuple(fingers),
-        couplings=tuple(couplings),
-        joint_count=next_q,
-        joint_index=tuple(joint_index),
-        limits_lo=limits_lo,
-        limits_hi=limits_hi,
-    )
+def _read_only(a) -> np.ndarray:
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
 
 
 def load_hand_spec(path) -> HandSpec:
-    """Parse a hand spec JSON file; rejects limit and schema violations."""
+    """Parse a hand spec JSON file; rejects limit and schema violations.
+
+    Each uncoupled segment takes the next joint in chain order (scale
+    1); each coupling entry names a segment and the joint that drives it
+    instead, with its scale.
+    """
     data = read_json_object(path, HandError)
 
     def fail(where, msg):
@@ -137,7 +105,7 @@ def load_hand_spec(path) -> HandSpec:
     name = data.get("name")
     if not isinstance(name, str) or not name:
         fail("name", "missing or empty")
-    fingers = []
+    parsed = []     # per finger: name, base pose and each segment's fields
     for fi, fd in enumerate(json_object_list(data, "fingers", HandError, f"{path}: ")):
         where = f"fingers[{fi}]"
         base_t, base_r = json_pose(fd.get("base"), HandError, f"{path}: {where}.base")
@@ -164,24 +132,58 @@ def load_hand_spec(path) -> HandSpec:
             radius = json_number(sd.get("radius", tip_radius), HandError, f"{path}: {sw}.radius")
             if radius <= 0:
                 fail(sw + ".radius", "must be > 0")
-            segments.append(Segment(length=length, axis=axis, limits=(lo_, hi_), radius=radius))
+            segments.append({"length": length, "axis": axis, "limits": (lo_, hi_), "radius": radius})
         if not segments:
             fail(where, "finger has no segments")
         # the last sphere is the fingertip; its radius is the tip radius
-        segments[-1] = replace(segments[-1], radius=tip_radius)
+        segments[-1]["radius"] = tip_radius
         finger_name = fd.get("name", f"finger{fi}")
         if not isinstance(finger_name, str) or not finger_name:
             fail(where + ".name", f"must be a non-empty string, got {finger_name!r}")
-        fingers.append(Finger(finger_name, base_t, base_r, tuple(segments)))
-    if not fingers:
+        parsed.append((finger_name, base_t, base_r, segments))
+    if not parsed:
         fail("fingers", "hand has no fingers")
-    couplings = []
+
+    counts = [len(segments) for *_, segments in parsed]
+    coupled = {}    # (finger, segment) -> (source, scale, coupling entry)
     for ci, cd in enumerate(json_object_list(data, "coupling", HandError, f"{path}: ")):
-        where = f"{path}: coupling[{ci}]"
-        fields = {k: json_number(cd.get(k), HandError, f"{where}.{k}", integer=True)
-                  for k in ("finger", "segment", "source")}
-        couplings.append(Coupling(**fields, scale=json_number(cd.get("scale", 1.0), HandError, f"{where}.scale")))
-    return _build_spec(name, fingers, couplings)
+        where = f"coupling[{ci}]"
+        fi, si, source = (json_number(cd.get(k), HandError, f"{path}: {where}.{k}", integer=True)
+                          for k in ("finger", "segment", "source"))
+        if not 0 <= fi < len(parsed):
+            fail(where + ".finger", f"finger {fi} out of range, hand has {len(parsed)}")
+        if not 0 <= si < counts[fi]:
+            fail(where + ".segment", f"segment {si} out of range, finger {fi} has {counts[fi]}")
+        if (fi, si) in coupled:
+            fail(where, f"finger {fi} segment {si} is already coupled by coupling[{coupled[fi, si][2]}]")
+        coupled[fi, si] = (source, json_number(cd.get("scale", 1.0), HandError, f"{path}: {where}.scale"), ci)
+    # every segment no entry couples is a joint
+    joint_count = sum(counts) - len(coupled)
+    for source, _, ci in coupled.values():
+        if not 0 <= source < joint_count:
+            fail(f"coupling[{ci}].source", f"joint {source} out of range (J={joint_count})")
+
+    fingers, lo, hi = [], [], []
+    for fi, (finger_name, base_t, base_r, fields) in enumerate(parsed):
+        segments = []
+        for si, seg in enumerate(fields):
+            if (fi, si) in coupled:
+                source, scale, _ = coupled[fi, si]
+            else:
+                source, scale = len(lo), 1.0
+                lo.append(seg["limits"][0])
+                hi.append(seg["limits"][1])
+            segments.append(Segment(**seg, source=source, scale=scale))
+        fingers.append(Finger(finger_name, base_t, base_r, tuple(segments)))
+    return HandSpec(
+        name=name,
+        fingers=tuple(fingers),
+        joint_count=joint_count,
+        limits_lo=_read_only(lo),
+        limits_hi=_read_only(hi),
+        radii=_read_only([seg.radius for finger in fingers for seg in finger.segments]),
+        finger_index=_read_only([fi for fi, finger in enumerate(fingers) for _ in finger.segments]),
+    )
 
 
 def load_styles(path, spec: HandSpec) -> list[Style]:
@@ -231,8 +233,8 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
     """Evaluate FK for a batch of wrist poses and joint vectors.
 
     wrist_t: (B, 3), wrist_r: (B, 4) unit quats, q: (B, J).
-    Returns (centers (B, K, 3), fingertips (B, F, 3)); sphere metadata is
-    constant per spec and available via sphere_metadata().
+    Returns (centers (B, K, 3), fingertips (B, F, 3)); the spheres'
+    radii and fingers are the spec's radii and finger_index.
 
     Each finger's chain runs on contiguous (B,) component arrays through
     geometry.hamilton and geometry.rotate, the only copies of those
@@ -250,21 +252,15 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
         raise HandError(f"joint vector has dim {q.shape[-1]}, hand has J={spec.joint_count}")
     wrist = tuple(wrist_r.T.copy())
     joints = q.T.copy()
-    coupled = {(c.finger, c.segment): c for c in spec.couplings}
     out = np.empty((3, spec.sphere_count, len(q)))
     work = np.empty((7, len(q)))   # rotate's, each result added into place before the next call
     tip_k = []
     k = 0
-    for fi, finger in enumerate(spec.fingers):
+    for finger in spec.fingers:
         cur_r = hamilton(*wrist, *finger.base_r)
         cur_t = tuple(wt + bt for wt, bt in zip(wrist_t.T, rotate(*wrist, *finger.base_t, work)))
-        for si, seg in enumerate(finger.segments):
-            idx = spec.joint_index[fi][si]
-            if idx is None:
-                c = coupled[(fi, si)]
-                half = 0.5 * (c.scale * joints[c.source])
-            else:
-                half = 0.5 * joints[idx]
+        for seg in finger.segments:
+            half = 0.5 * (seg.scale * joints[seg.source])
             s = np.sin(half)
             cur_r = hamilton(*cur_r, np.cos(half), s * seg.axis[0], s * seg.axis[1], s * seg.axis[2])
             step = rotate(*cur_r, seg.length, 0.0, 0.0, work)
@@ -274,16 +270,6 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
             k += 1
         tip_k.append(k - 1)
     return out.transpose(2, 1, 0), out[:, tip_k].transpose(2, 1, 0).copy()
-
-
-def sphere_metadata(spec: HandSpec):
-    """(radii (K,), finger_index (K,)) in chain order."""
-    radii, fidx = [], []
-    for fi, finger in enumerate(spec.fingers):
-        for seg in finger.segments:
-            radii.append(seg.radius)
-            fidx.append(fi)
-    return np.array(radii), np.array(fidx)
 
 
 def normalize_joints(spec: HandSpec, q) -> np.ndarray:

@@ -12,9 +12,10 @@ at once and returns the RolloutRecord fields as columns (training._results
 builds the records); one episode is a batch of one. Joint targets, joint
 trajectories, wrist edits and FK run once over all E x (L + 1) frames,
 frames 0..L of the demonstration (L its hold_index: every later frame
-repeats frame L, and so does the edit's), and d_series repeats its
-column L out to T_D. The contact phase (detect_contacts) then works in
-each episode's object frame: one inverse rotation, in a workspace kept
+repeats frame L, and so does the edit's), so the affordance distance's
+last value is frame L's and its minimum is over frames 0..L. The
+contact phase (detect_contacts) then works in each episode's object
+frame: one inverse rotation, in a workspace kept
 between calls (_scratch), maps the sphere centers of frames 0..T_l
 (nothing reads later frames) into it, and one box test of the chunk
 keeps, as one row list, the spheres near enough to the cloud to
@@ -28,9 +29,10 @@ What comes out is one contact table of fixed shape: hit (E, F), points
 and normals (E, F, 3), each finger's deepest hit in the world frame and
 a zero row where it has none. Everything after it is an array
 expression over the chunk, with the (E, F) bool contact masks in place
-of finger lists: the style contact point and d_series, the contact
-centroid, the gravity wrench and the friction-pyramid generators (four
-zero columns per finger without a hit). A grasp that passes the crush, table and
+of finger lists: the style contact point and its distance to the
+affordance point, the contact centroid, the gravity wrench and the
+friction-pyramid generators (four zero columns per finger without a
+hit). A grasp that passes the crush, table and
 two-mask-finger gates must be feasible at seven loads: gravity, and
 gravity perturbed along each force axis. One stacked simplex solves the
 gravity load of every such grasp (grasp_success_batch,
@@ -64,7 +66,7 @@ import numpy as np
 
 from .demo import Demonstration, edited_joint_trajectory, target_joint_config
 from .geometry import axis_angle_to_quat, normalize_rows, quat_conjugate, quat_rotate, rotate, row_norms
-from .hand import HandSpec, Style, clamp_to_limits, classify_style, forward_kinematics_batch, sphere_metadata
+from .hand import HandSpec, Style, clamp_to_limits, classify_style, forward_kinematics_batch
 from .objects import AffordanceDistribution, ObjectModel, sample_affordance_index
 
 log = logging.getLogger(__name__)
@@ -138,13 +140,15 @@ FAILURE_REASONS = ("crush", "table_collision", "no_closure", "degenerate")
 @dataclass(frozen=True)
 class RolloutRecord:
     """What one rollout measured, and nothing it was given: the
-    affordance-to-contact-centroid distance of every frame, the final
-    and the edited target joints, the style the final joints read as,
-    and why the grasp failed, a name from FAILURE_REASONS (None on
-    success). Everything else is a property of these fields, which are
-    rollout_batch's columns in order."""
+    affordance-to-contact-centroid distance at the last frame and its
+    minimum over the frames, the final and the edited target joints,
+    the style the final joints read as, and why the grasp failed, a
+    name from FAILURE_REASONS (None on success). Everything else is a
+    property of these fields, which are rollout_batch's columns in
+    order."""
 
-    d_series: np.ndarray          # (T_D + 1,)
+    d_final: float
+    d_min: float
     q_final: np.ndarray
     q_star: np.ndarray
     executed_style: int
@@ -153,14 +157,6 @@ class RolloutRecord:
     @property
     def success(self) -> bool:
         return self.failure_reason is None
-
-    @property
-    def d_min(self) -> float:
-        return float(self.d_series.min())
-
-    @property
-    def d_final(self) -> float:
-        return float(self.d_series[-1])
 
 
 def reset_env(
@@ -662,15 +658,15 @@ def rollout_batch(
 ) -> tuple:
     """Execute E edited trajectories, given as (E, 7 + J) action vectors
     laid out [dt(3), dr(3), dq(J), k] (EditBounds.intervals). Returns
-    RolloutRecord's fields as columns: d_series (E, T_D + 1), q_final
+    RolloutRecord's fields as columns: d_final and d_min (E,), q_final
     and q_star (E, J), and lists of executed styles and failure reasons;
     row i is a pure function of (row i of env, actions[i]), bit for bit
     whatever else is in the batch.
 
-    Target joints, joint trajectories, wrist edits, FK and d_series run
-    once over all E x (L + 1) frames 0..L, L the demo's hold_index; the
-    frames past L repeat frame L, so d_series is widened back to T_D + 1
-    columns by repeating its column L, and q_final is frame L's row. The
+    Target joints, joint trajectories, wrist edits, FK and the
+    affordance distance run once over all E x (L + 1) frames 0..L, L the
+    demo's hold_index; the frames past L repeat frame L, so d_final and
+    q_final are frame L's and d_min is the minimum over frames 0..L. The
     contact phase (detect_contacts) maps the sphere centers of frames
     0..T_l into each episode's object frame with one inverse rotation,
     into a workspace kept between calls, keeps those inside the cloud's
@@ -701,13 +697,11 @@ def rollout_batch(
     )
     centers = centers.reshape(e_count, t_count, *centers.shape[1:])
     tips = tips.reshape(e_count, t_count, *tips.shape[1:])
-    radii, finger_index = sphere_metadata(spec)
     tl = demo.grasp_index
 
-    d_series = np.linalg.norm(style_contact_point(tips, env.mask[:, None]) - p_afford[:, None], axis=-1)
-    d_series = d_series[:, np.minimum(np.arange(demo.horizon + 1), demo.hold_index)]
-    crushed, hit, points, normals = detect_contacts(env, centers, radii, finger_index, tl, params)
-    table = check_table_collision(centers[:, tl], radii, params.table_tol)
+    d = np.linalg.norm(style_contact_point(tips, env.mask[:, None]) - p_afford[:, None], axis=-1)
+    crushed, hit, points, normals = detect_contacts(env, centers, spec.radii, spec.finger_index, tl, params)
+    table = check_table_collision(centers[:, tl], spec.radii, params.table_tol)
     # a crushed grasp skips the closure test as a table collision does
     success, degenerate = grasp_success_batch(
         hit, points, normals, env, params.mu, params.eta, table_collision=table | crushed,
@@ -719,4 +713,4 @@ def rollout_batch(
     if degenerate.any():
         log.warning("%d episode(s) failed: non-finite contact geometry", degenerate.sum())
     q_final = joints[:, -1].copy()  # frame L's; a view would keep the whole (E, L + 1, J) trajectory alive
-    return d_series, q_final, q_star, classify_style(spec, q_final, styles).tolist(), reasons
+    return d[:, -1], d.min(axis=1), q_final, q_star, classify_style(spec, q_final, styles).tolist(), reasons

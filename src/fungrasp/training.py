@@ -33,8 +33,8 @@ through three phases:
    last approach frame for every episode of the chunk on it, and one of
    the earlier approach frames for the episodes that frame did not
    crush, that yields one (E, F) contact table (each finger's deepest
-   hit, or a zero row); the wrenches, gravity loads and d_series as
-   array expressions over that table; one stacked closure LP (see sim).
+   hit, or a zero row); the wrenches and gravity loads as array
+   expressions over that table; one stacked closure LP (see sim).
 3. One rewards.total_reward over the rollout's columns gives the
    chunk's (E, 5) table of reward terms. The chunk stays columns to the
    end: run_episodes returns them, and _results alone builds
@@ -522,9 +522,9 @@ def run_episodes(
         policy_out[:, live] = logp, value[live]
         played = env[live]
         rollout = rollout_batch(played, assets.demo, actions, assets.spec, assets.styles, cfg.sim)
-        d_series, q_final, _, _, reasons = rollout
+        d_final, d_min, q_final, _, _, reasons = rollout
         canonical = np.stack([style.q_canonical for style in assets.styles])
-        terms = total_reward([reason is None for reason in reasons], d_series[:, -1], d_series.min(axis=1), q_final,
+        terms = total_reward([reason is None for reason in reasons], d_final, d_min, q_final,
                              canonical[played.style], played.obj_bb, cfg.reward)
         ran = [raw, actions, terms]
     errors = [None if error is None else f"PolicyError: {error}" for error in errors]

@@ -8,8 +8,12 @@ products numpy hands to gemv) that raises its own PolicyError, and
 draws and squashes its action one vector at a time. Phase 2 runs
 through sim.rollout_batch with the per-episode wrist composition of
 pose_reference.compose_pose (reference_edit_wrist_arrays) in place of
-demo.edit_wrist_arrays. Phase 3 scores each record on its own with
-scalar reward terms (reference_reward_terms).
+demo.edit_wrist_arrays; each record's d_final and d_min are the last
+value and the minimum of the episode's own affordance distance at every
+frame 0..T_D of the demonstration, with the oracle FK of kernel_reference
+(reference_affordance_series), where the rollout runs frames 0..L only.
+Phase 3 scores each record on its own with scalar reward terms
+(reference_reward_terms).
 reference_run_episodes has run_episodes' signature and returns its
 results, so a test can compare every field of every result by bytes.
 
@@ -23,6 +27,7 @@ import pytest
 
 from conftest import concat_envs, env_of
 from fungrasp import demo as demo_module
+from fungrasp.demo import edited_joint_trajectory, target_joint_config
 from fungrasp.geometry import quat_mul, quat_normalize, quat_rotate
 from fungrasp.hand import clamp_to_limits
 from fungrasp.objects import farthest_point_sample
@@ -35,8 +40,9 @@ from fungrasp.policy import (
     squash,
     squash_correction,
 )
-from fungrasp.sim import RolloutRecord, rollout_batch
+from fungrasp.sim import RolloutRecord, rollout_batch, style_contact_point
 from fungrasp.training import STREAM_TRAIN, EpisodeResult, episode_rng
+from kernel_reference import reference_forward_kinematics
 from pose_reference import compose_pose, pose
 
 
@@ -89,6 +95,19 @@ def reference_reset(objects, dists, styles, rng, train_mode, *, spec, square_hal
         style_index, q_used = force_style, styles[force_style].q_canonical.copy()
     mask = np.isin(np.arange(spec.finger_count), styles[style_index].contact_mask)
     return env_of(obj, p_afford, q_used, mask, style_index, obj_pose), obj_pose
+
+
+def reference_affordance_series(env, action, demo, spec):
+    """The distance from the world affordance point to the style contact
+    point of an EnvBatch of one under its (7 + J,) action, at each frame
+    0..T_D of the demonstration: every frame's joints and wrist pose
+    edited on their own and run through kernel_reference's FK."""
+    q_star = target_joint_config(env.q_style, action[None, -1:], action[None, 6:-1], spec)
+    joints = edited_joint_trajectory(demo, q_star, spec)[0]
+    wrist_t, wrist_r = reference_edit_wrist_arrays(demo, action[None], env.pose_t, env.pose_r)
+    _, tips = reference_forward_kinematics(spec, wrist_t[0], wrist_r[0], joints)
+    p_afford = quat_rotate(env.pose_r, env.p_afford) + env.pose_t
+    return np.linalg.norm(style_contact_point(tips, env.mask) - p_afford, axis=-1)
 
 
 def reference_reward_terms(record, obj_bb, q_style, cfg):
@@ -220,8 +239,9 @@ def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, tr
             )
         # a patch the rollout does not look up would compare the engine with itself
         assert calls == [1], "rollout_batch did not call the reference wrist composition"
-        for (res, env, _), row in zip(live, zip(*rollout)):
-            res.record = record = RolloutRecord(*row)
+        for (res, env, action), row in zip(live, zip(*rollout)):
+            series = reference_affordance_series(env, action, assets.demo, assets.spec)
+            res.record = record = RolloutRecord(series[-1], series.min(), *row[2:])
             res.terms = reference_reward_terms(record, env.objs[0].obj_bb,
                                                assets.styles[res.conditioned_style].q_canonical, cfg.reward)
     return [res for res, _, _, _ in acted]

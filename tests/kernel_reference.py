@@ -60,20 +60,9 @@ def stacked_quat_rotate(q, v):
 
 
 def _segment_angles(spec, q):
-    """Per-finger (B, n_segments) arrays of segment angles, coupling applied."""
-    coupled = {(c.finger, c.segment): c for c in spec.couplings}
-    out = []
-    for fi, finger in enumerate(spec.fingers):
-        cols = []
-        for si in range(len(finger.segments)):
-            idx = spec.joint_index[fi][si]
-            if idx is None:
-                c = coupled[(fi, si)]
-                cols.append(c.scale * q[:, c.source])
-            else:
-                cols.append(q[:, idx])
-        out.append(np.stack(cols, axis=1))
-    return out
+    """Per-finger (B, n_segments) arrays of segment angles, each
+    segment's scale times its source joint."""
+    return [np.stack([seg.scale * q[:, seg.source] for seg in finger.segments], axis=1) for finger in spec.fingers]
 
 
 def reference_forward_kinematics(spec, wrist_t, wrist_r, q):

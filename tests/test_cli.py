@@ -431,14 +431,42 @@ def test_style_mask_of_one_finger_is_a_user_error(tmp_path, capsys):
 
 
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys):
-    for train, field in (({"iterations": -3}, "iterations"), ({"workers": 0}, "workers"),
-                         ({"sim": {"mu": 0.0}}, "mu"), ({"m_points": 4000}, "m_points"),
-                         ({"m_points": 0}, "m_points"), ({"m_points": -1}, "m_points"), ({"epochs": -1}, "epochs")):
+    for top, train, field in (({}, {"iterations": -3}, "iterations"), ({"workers": 0}, {}, "workers"),
+                              ({}, {"sim": {"mu": 0.0}}, "mu"), ({}, {"m_points": 4000}, "m_points"),
+                              ({}, {"m_points": 0}, "m_points"), ({}, {"m_points": -1}, "m_points"),
+                              ({}, {"epochs": -1}, "epochs")):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"seed": 1, "train": {"envs_per_iter": 8, "minibatch": 8, **train}}))
+        path.write_text(json.dumps({"seed": 1, **top, "train": {"envs_per_iter": 8, "minibatch": 8, **train}}))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("seed", 99), ("workers", 2)])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_seed_or_workers_in_the_train_section_is_a_user_error(tmp_path, capsys, command, key, value):
+    """TrainConfig has seed and workers fields, but only the top-level
+    settings set them: the train section's would be discarded or
+    overridden, so the run refuses them and names the top-level key."""
+    path = _write_config(tmp_path, **{key: value})
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "run")]
+    assert main([*argv, "--checkpoint", str(tmp_path / "nope.json")] if command == "eval" else argv) == 1
+    err = capsys.readouterr().err
+    assert f"config 'train.{key}': not a train setting; set the top-level config '{key}' or --{key}" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_key_error_in_the_engine_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """KeyError is no user error: one raised inside the engine exits 2."""
+    from fungrasp import training
+
+    def broken(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(training, "rollout_batch", broken)
+    assert main(["train", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "run")]) == 2
+    assert "internal error: KeyError: 'lost'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "collect"])

@@ -184,6 +184,65 @@ def test_coupled_segment_follows_source(spec):
     assert not np.allclose(bent[1], half[1], atol=1e-6)
 
 
+def _hand_json(hand):
+    """A bundled hand's JSON; "half_coupled" is inspire_like with its first
+    coupling at scale 0.5 and its second driven by joint 0."""
+    payload = json.loads(default_hand_path("inspire_like" if hand == "half_coupled" else hand).read_text())
+    if hand == "half_coupled":
+        payload["coupling"][0]["scale"] = 0.5
+        payload["coupling"][1]["source"] = 0
+    return payload
+
+
+def _drives(payload):
+    """Each segment's (source, scale) in chain order, as the hand format
+    defines them: a coupling entry gives its segment's pair, and every
+    other segment is the next active joint, numbered from 0, at scale 1."""
+    coupled = {(c["finger"], c["segment"]): (c["source"], c.get("scale", 1.0)) for c in payload.get("coupling", [])}
+    drives, joint = [], 0
+    for fi, finger in enumerate(payload["fingers"]):
+        for si in range(len(finger["segments"])):
+            if (fi, si) in coupled:
+                drives.append(coupled[fi, si])
+            else:
+                drives.append((joint, 1.0))
+                joint += 1
+    return drives
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like", "half_coupled"])
+def test_each_segment_is_driven_by_its_source_at_its_scale(tmp_path, hand):
+    """Every loaded segment's (source, scale) is what the JSON gives it,
+    the sphere radii and fingers are read-only arrays in chain order, and
+    FK matches kernel_reference's chain by bytes."""
+    payload = _hand_json(hand)
+    spec = load_hand_spec(_write(tmp_path, "hand.json", payload))
+    segments = [seg for finger in spec.fingers for seg in finger.segments]
+    assert [(seg.source, seg.scale) for seg in segments] == _drives(payload)
+    assert spec.joint_count == len(segments) - len(payload.get("coupling", []))
+    assert spec.radii.tolist() == [seg.radius for seg in segments]
+    assert spec.finger_index.tolist() == [fi for fi, finger in enumerate(spec.fingers) for _ in finger.segments]
+    assert not spec.radii.flags.writeable and not spec.finger_index.flags.writeable
+    rng = np.random.default_rng(3)
+    wrist_r = axis_angle_to_quat(rng.normal(size=(64, 3)))
+    q = rng.uniform(spec.limits_lo, spec.limits_hi, (64, spec.joint_count))
+    _same_fk_bytes(spec, rng.normal(size=(64, 3)), wrist_r, q)
+
+
+@pytest.mark.parametrize("entry, at, message", [
+    ({"finger": 9, "segment": 1, "source": 3}, 1, "coupling[1].finger: finger 9 out of range, hand has 4"),
+    ({"finger": 1, "segment": 2, "source": 3}, 1, "coupling[1].segment: segment 2 out of range, finger 1 has 2"),
+    ({"finger": 2, "segment": 1, "source": 40}, 1, "coupling[1].source: joint 40 out of range (J=6)"),
+    ({"finger": 1, "segment": 1, "source": 3, "scale": 0.5}, 3,
+     "coupling[3]: finger 1 segment 1 is already coupled by coupling[0]"),
+], ids=["finger", "segment", "source", "duplicate"])
+def test_a_bad_coupling_entry_is_a_hand_error_that_names_it(tmp_path, entry, at, message):
+    payload = _hand_json("inspire_like")
+    payload["coupling"][at:at + 1] = [entry]
+    with pytest.raises(HandError, match=re.escape(f"hand.json: {message}")):
+        load_hand_spec(_write(tmp_path, "hand.json", payload))
+
+
 def test_clamp_cases(spec):
     q = np.zeros(spec.joint_count)
     assert np.allclose(clamp_to_limits(spec, q), q)

@@ -162,7 +162,7 @@ EVAL = ["eval", "--seed", "1", "--config", "{dir}/config.json", "--checkpoint", 
     (TRAIN, ["train", "--seed", "1", "--config", "{dir}/doc.json", "--out", "{dir}/run"],
      ("train", "envs_per_iter"), 10**20, "envs_per_iter must be <= 2147483647, got 100000000000000000000"),
     (TRAIN, ["train", "--seed", "1", "--config", "{dir}/doc.json", "--out", "{dir}/run"],
-     ("train", "workers"), 2**31, "workers must be <= 2147483647, got 2147483648"),
+     ("workers",), 2**31, "workers must be <= 2147483647, got 2147483648"),
     ("checkpoint", EVAL, ("m_points",), "32", "doc.json: m_points: must be an integer, got '32'"),
     ("checkpoint", EVAL, ("style_count",), 4.9, "doc.json: style_count: must be an integer, got 4.9"),
     ("checkpoint", EVAL, ("arrays", "a_w1", 2), "0.5",

@@ -146,16 +146,17 @@ def test_table_rows_are_the_episodes_alone(cfg):
     rng = np.random.default_rng(4)
     n = 257
     success = rng.random(n) < 0.6
-    d_series = rng.uniform(0, 0.12, (n, 3))
+    frames = rng.uniform(0, 0.12, (n, 3))   # each episode's distance at three frames
+    d_final, d_min = frames[:, -1], frames.min(axis=1)
     q_final, q_style = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
     obj_bb = rng.uniform(0.05, 0.3, n)
-    table = total_reward(success, d_series[:, -1], d_series.min(axis=1), q_final, q_style, obj_bb, cfg)
+    table = total_reward(success, d_final, d_min, q_final, q_style, obj_bb, cfg)
     assert table.shape == (n, len(TERMS)) and (0 < np.count_nonzero(table[:, 0]) < n or not cfg.afford_on)
     for i in range(n):
-        alone = total_reward(success[i : i + 1], d_series[i, -1:], d_series[i].min(keepdims=True), q_final[i : i + 1],
+        alone = total_reward(success[i : i + 1], d_final[i : i + 1], d_min[i : i + 1], q_final[i : i + 1],
                              q_style[i : i + 1], obj_bb[i : i + 1], cfg)
-        record = RolloutRecord(d_series=d_series[i], q_final=q_final[i], q_star=q_final[i], executed_style=0,
-                               failure_reason=None if success[i] else "no_closure")
+        record = RolloutRecord(d_final=d_final[i], d_min=d_min[i], q_final=q_final[i], q_star=q_final[i],
+                               executed_style=0, failure_reason=None if success[i] else "no_closure")
         want = reference_reward_terms(record, obj_bb[i], q_style[i], cfg)
         assert table[i].tobytes() == alone[0].tobytes() == want.tobytes(), i
 

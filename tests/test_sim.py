@@ -18,14 +18,14 @@ from contact_reference import (
     seeded_rollout_inputs,
     two_pass_crushed,
 )
-from episode_reference import reference_reset
+from episode_reference import reference_affordance_series, reference_reset
 from kernel_reference import reference_feasible_combination
 from pose_reference import compose_pose, invert_pose, pose, transform_point
 from fungrasp import sim
 from fungrasp.demo import Demonstration, EditBounds
 from fungrasp.geometry import axis_angle_to_quat, quat_rotate
 from fungrasp.assets import default_hand_path
-from fungrasp.hand import Style, load_hand_spec, sphere_metadata
+from fungrasp.hand import Style, load_hand_spec
 from fungrasp.objects import ObjectModel
 from fungrasp.rewards import RewardConfig
 from fungrasp.sim import (
@@ -571,7 +571,7 @@ def test_identity_rollout_succeeds_on_fixture(box_assets, demo, spec, styles):
     env = _fixture_env(box_assets)
     (rec,) = _records(rollout_batch(env, demo, [_action()], spec, styles, SimParams()))
     assert rec.success
-    assert np.all(np.isfinite(rec.d_series))
+    assert np.isfinite(rec.d_final) and np.isfinite(rec.d_min)
     assert rec.executed_style == 0
 
 
@@ -589,7 +589,7 @@ def test_rollout_purity(box_assets, demo, spec, styles):
     (r1,) = _records(rollout_batch(env1, demo, [a], spec, styles, SimParams()))
     (r2,) = _records(rollout_batch(env2, demo, [a], spec, styles, SimParams()))
     assert r1.success == r2.success
-    assert np.array_equal(r1.d_series, r2.d_series)
+    assert r1.d_final == r2.d_final and r1.d_min == r2.d_min
     assert np.array_equal(r1.q_final, r2.q_final)
 
 
@@ -600,11 +600,12 @@ def test_rollout_record_invariants(box_assets, demo, spec, styles):
     for i in range(15):
         envs.append(_fixture_env(box_assets, style_index=int(rng.integers(4))))
         actions.append(rng.uniform(lo, hi))
-    for rec in _records(rollout_batch(concat_envs(envs), demo, actions, spec, styles, SimParams())):
-        assert rec.d_series.shape == (demo.horizon + 1,)
-        assert rec.d_min <= rec.d_final + 1e-15
-        assert np.all(rec.d_series >= 0.0)
-        assert rec.d_min == rec.d_series.min() and rec.d_final == rec.d_series[-1]
+    records = _records(rollout_batch(concat_envs(envs), demo, actions, spec, styles, SimParams()))
+    for env, action, rec in zip(envs, actions, records):
+        # the last value and the minimum of the distance at every frame 0..T_D, each frame run on its own
+        series = reference_affordance_series(env, action, demo, spec)
+        assert len(series) == demo.horizon + 1 > demo.hold_index + 1
+        assert rec.d_final == series[-1] and rec.d_min == series.min() >= 0.0
         assert rec.success == (rec.failure_reason is None)
         # the failure reason is an outcome name as it stands
         assert rec.failure_reason in (None, *sim.FAILURE_REASONS)
@@ -615,7 +616,7 @@ def test_rollout_record_invariants(box_assets, demo, spec, styles):
 
 def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
     """Rigidly transforming the object pose (table-preserving yaw + xy)
-    leaves success, d_series, and object-frame contacts unchanged."""
+    leaves success, d_final, d_min and object-frame contacts unchanged."""
     action = _action(dt=(0.01, 0.0, -0.005), dq=-0.01, k=0.95)
     g = pose([0.12, -0.3, 0.0], axis_angle_to_quat(np.array([0, 0, 1.1])))
     env = concat_envs([_fixture_env(box_assets, 1, point=77), _fixture_env(box_assets, 1, pose=g, point=77)])
@@ -623,7 +624,7 @@ def test_rollout_yaw_equivariance(box_assets, demo, spec, styles):
         sim.detect_contacts, env, demo, [action] * 2, spec, styles, SimParams())
     ra, rb = _records(rollout)
     assert ra.success == rb.success
-    assert np.allclose(ra.d_series, rb.d_series, atol=1e-9)
+    assert np.allclose([ra.d_final, ra.d_min], [rb.d_final, rb.d_min], atol=1e-9)
     assert np.array_equal(hit[0], hit[1]) and hit[0].any()
     # contact matching snaps to the sampled cloud: transformed near-ties can
     # resolve to a neighboring grid point, so points match up to the grid
@@ -693,10 +694,10 @@ def _held_demos(demo):
 
 @pytest.mark.parametrize("hand", ["inspire_like", "shadow_like"])
 def test_rollout_of_frames_0_to_l_matches_a_full_frame_run(hand):
-    """rollout_batch runs the trajectories, the wrist edit, FK and d_series
-    over frames 0..L only, and its columns are, bit for bit, those of a
-    run over every frame: d_series is widened back by repeating column
-    L, and q_final is frame L's row."""
+    """rollout_batch runs the trajectories, the wrist edit, FK and the
+    affordance distance over frames 0..L only, and its columns are, bit
+    for bit, those of a run over every frame: d_final and q_final are
+    frame L's and d_min is the minimum over frames 0..L."""
     assets = hand_assets(hand)
     envs, actions = seeded_rollout_inputs(assets, 24, seed=11)
     args = (envs, assets.demo, actions, assets.spec, assets.styles, SimParams())
@@ -717,7 +718,7 @@ def test_rollout_of_frames_0_to_l_matches_a_full_frame_run(hand):
             want = rollout_batch(envs, _unmerged(demo), *args[2:])
         assert fk_rows == [len(envs) * (hold + 1), len(envs) * (demo.horizon + 1)], name
         assert bits(got) == bits(want), name
-        assert got[0].shape == (len(envs), demo.horizon + 1)
+        assert got[0].shape == got[1].shape == (len(envs),)
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +814,7 @@ def test_a_chunk_past_the_scratch_cap_keeps_no_buffer(monkeypatch):
     args = (assets.demo, actions, assets.spec, assets.styles, SimParams())
     monkeypatch.setattr(sim, "_SCRATCH", {})
     kept = rollout_batch(envs, *args)
-    k_count = len(sphere_metadata(assets.spec)[0])
+    k_count = assets.spec.sphere_count
     assert sim._SCRATCH["contacts"].size == 10 * 24 * (assets.demo.grasp_index + 1) * k_count
     small = sim._SCRATCH["contacts"].size // 6                       # a 4-episode chunk's workspace
     monkeypatch.setattr(sim, "_SCRATCH", {})
@@ -865,7 +866,7 @@ def test_contact_phase_matches_per_episode_world_frame_reference(hand):
     assets = hand_assets(hand)
     envs, actions = seeded_rollout_inputs(assets, 640, seed=12)
     args = (envs, assets.demo, actions, assets.spec, assets.styles, SimParams())
-    margin = sim.sphere_metadata(assets.spec)[0].max() + SimParams().delta_c + 1e-9
+    margin = assets.spec.radii.max() + SimParams().delta_c + 1e-9
     real, outside = sim._nearest, []
 
     def boxed(centers, obj):
@@ -1037,14 +1038,14 @@ def test_q_final_does_not_keep_the_trajectory_alive(n):
     as long as any record holds its row."""
     assets = hand_assets("inspire_like")
     envs, actions = seeded_rollout_inputs(assets, n, seed=5)
-    q_final = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, SimParams())[1]
+    q_final = rollout_batch(envs, assets.demo, actions, assets.spec, assets.styles, SimParams())[2]
     assert q_final.shape == (n, assets.spec.joint_count)
     assert q_final.base is None or q_final.base.nbytes <= q_final.nbytes
 
 
 # every sphere radius of the bundled hands, the smallest first
 _RADII = sorted({float(r) for h in ("inspire_like", "shadow_like")
-                 for r in sphere_metadata(load_hand_spec(default_hand_path(h)))[0]})
+                 for r in load_hand_spec(default_hand_path(h)).radii})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

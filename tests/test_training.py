@@ -58,7 +58,7 @@ def test_single_episode_deterministic(assets, tiny_cfg, tiny_params):
     assert np.array_equal(a.raw, b.raw)
     assert a.log_prob == b.log_prob
     assert a.reward == b.reward
-    assert np.array_equal(a.record.d_series, b.record.d_series)
+    assert a.record.d_final == b.record.d_final and a.record.d_min == b.record.d_min
 
 
 def test_batch_reward_matches_reward_engine(assets, tiny_cfg, tiny_params):
@@ -513,7 +513,7 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
         assert res.error is None
         assert res.reward == want.reward and res.log_prob == want.log_prob
         assert np.array_equal(res.raw, want.raw)
-        assert np.array_equal(res.record.d_series, want.record.d_series)
+        assert res.record.d_final == want.record.d_final and res.record.d_min == want.record.d_min
     batch = collect_batch(tiny_params, tiny_cfg, assets, 0)
     assert len(batch.results) == tiny_cfg.envs_per_iter and len(batch.rewards) == len(batch.results) - 1
     assert batch.results[2].error is not None
@@ -568,7 +568,7 @@ def test_engine_chunking_does_not_change_results(assets, tiny_cfg, tiny_params):
     for r in whole:
         other = by_index[r.index]
         assert r.reward == other.reward and r.log_prob == other.log_prob
-        assert np.array_equal(r.record.d_series, other.record.d_series)
+        assert r.record.d_final == other.record.d_final and r.record.d_min == other.record.d_min
         assert r.record.failure_reason == other.record.failure_reason
 
 

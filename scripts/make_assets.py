@@ -47,14 +47,15 @@ APPROACH = 0.10
 # ---------------------------------------------------------------------------
 
 def inspire_like_hand() -> dict:
-    """4 fingers, 6 active joints; index/middle/ring distals are coupled."""
+    """4 fingers, 6 active joints; index/middle/ring distals are coupled,
+    so they declare no limits."""
     finger = lambda y: {
         "name": None,
         "base": {"t": [0.060, y, 0.0], "r": RY90},
         "tip_radius": 0.010,
         "segments": [
             {"length": 0.045, "axis": [0, 1, 0], "limits": [0.0, 1.6], "radius": 0.009},
-            {"length": 0.035, "axis": [0, 1, 0], "limits": [0.0, 1.6], "radius": 0.010},
+            {"length": 0.035, "axis": [0, 1, 0], "radius": 0.010},
         ],
     }
     fingers = []

@@ -1,5 +1,6 @@
-"""Paths to the assets bundled with the package, and the readers of
-every JSON input file and of its numeric and pose fields.
+"""Paths to the assets bundled with the package, the readers of every
+JSON input file and of its numeric and pose fields, and UserError, the
+one error every rejected input raises.
 
 Hands, styles, demos, and the PLY exports of the toy suite live under
 fungrasp/assets/; scripts/make_assets.py regenerates them.
@@ -17,6 +18,7 @@ import numpy as np
 DEFAULT_HAND = "inspire_like"
 
 __all__ = [
+    "UserError",
     "asset_dir",
     "default_hand_path",
     "default_styles_path",
@@ -28,6 +30,11 @@ __all__ = [
     "json_pose",
     "DEFAULT_HAND",
 ]
+
+
+class UserError(ValueError):
+    """An input the user gave is rejected: a file, a field of one, a
+    config value or a flag. Its message names what it rejects."""
 
 
 def asset_dir() -> Path:
@@ -50,38 +57,38 @@ def default_objects_dir() -> Path:
     return asset_dir() / "objects"
 
 
-def read_json_object(path, error: type[Exception]) -> dict:
-    """The JSON object the file at path holds. Raises `error`, naming
+def read_json_object(path) -> dict:
+    """The JSON object the file at path holds. Raises UserError, naming
     the file, when it cannot be read or parsed or its top level is not
     an object."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as e:
-        raise error(f"{path}: cannot parse JSON ({e})") from e
+        raise UserError(f"{path}: cannot parse JSON ({e})") from e
     if not isinstance(data, dict):
-        raise error(f"{path}: the top level must be a JSON object, not {type(data).__name__}")
+        raise UserError(f"{path}: the top level must be a JSON object, not {type(data).__name__}")
     return data
 
 
-def json_object_list(data: dict, key: str, error: type[Exception], where: str) -> list[dict]:
+def json_object_list(data: dict, key: str, where: str) -> list[dict]:
     """data[key], or [] when it is absent, checked to be a list of JSON
-    objects. Raises `error`, naming `where` (the file, and the entry that
+    objects. Raises UserError, naming `where` (the file, and the entry that
     holds data) and the offending entry, when it is not."""
     entries = data.get(key, [])
     if not isinstance(entries, list):
-        raise error(f"{where}{key}: must be a list, not {type(entries).__name__}")
+        raise UserError(f"{where}{key}: must be a list, not {type(entries).__name__}")
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise error(f"{where}{key}[{i}]: must be an object, not {type(entry).__name__}")
+            raise UserError(f"{where}{key}[{i}]: must be an object, not {type(entry).__name__}")
     return entries
 
 
-def json_number(value, error: type[Exception], where: str, *, integer: bool = False, vector: bool = False):
+def json_number(value, where: str, *, integer: bool = False, vector: bool = False):
     """A numeric field of a JSON input file: a number a finite float
     holds (with integer, a JSON integer), as a float (an int), or with
     vector a list of them, as a float array (a tuple of ints). A bool, a
     string, null, an object or a nested list is no number. Raises
-    `error`, naming `where` and the value (in a list, the first bad
+    UserError, naming `where` and the value (in a list, the first bad
     entry), for anything else."""
     kinds = (int,) if integer else (int, float)
     items = value if vector and isinstance(value, list) else [value]
@@ -95,25 +102,25 @@ def json_number(value, error: type[Exception], where: str, *, integer: bool = Fa
         noun = "integer" if integer else "finite number"
         want = f"a list of {noun}s" if vector else f"an {noun}" if integer else f"a {noun}"
         got = f"{items[bad[0]]!r} at [{bad[0]}]" if bad and items is value else repr(value)
-        raise error(f"{where}: must be {want}, got {got}")
+        raise UserError(f"{where}: must be {want}, got {got}")
     if vector:
         return tuple(value) if integer else array
     return value if integer else float(value)
 
 
-def json_pose(value, error: type[Exception], where: str):
+def json_pose(value, where: str):
     """A pose field {"t": [3 numbers], "r": [4 numbers]} of a JSON input
     file, returned as read-only (t, r) arrays with r / np.linalg.norm(r).
-    Raises `error`, naming `where`, for a field of another shape or a
+    Raises UserError, naming `where`, for a field of another shape or a
     quaternion whose norm is more than 1e-6 from 1."""
     fields = value if isinstance(value, dict) else {}
-    t, r = (json_number(fields.get(k), error, f"{where}.{k}", vector=True) for k in "tr")
+    t, r = (json_number(fields.get(k), f"{where}.{k}", vector=True) for k in "tr")
     for name, a, n in (("t", t, 3), ("r", r, 4)):
         if a.shape != (n,):
-            raise error(f"{where}: {name} must have shape ({n},), got {a.shape}")
+            raise UserError(f"{where}: {name} must have shape ({n},), got {a.shape}")
     norm = np.linalg.norm(r)
     if abs(norm - 1.0) > 1e-6:
-        raise error(f"{where}: quaternion norm {norm:.3e} too far from 1")
+        raise UserError(f"{where}: quaternion norm {norm:.3e} too far from 1")
     r = r / norm
     t.setflags(write=False)
     r.setflags(write=False)

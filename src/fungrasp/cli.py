@@ -15,8 +15,12 @@ usage error. All randomness flows from --seed via seed-splitting, so
 repeated invocations reproduce outputs byte for byte. FUNGRASP_LOG sets
 verbosity.
 
-Exit codes: 0 success, 1 user error (bad flags, missing files, failed
-gate), 2 internal error.
+Exit codes: 0 success, 1 user error, 2 internal error. A user error is
+an input the user gave that the run rejects, with a message that names
+it: a flag, a config key, a file or a field of one, or a path that
+cannot be read or written; a failed gradient gate exits 1 too. Any
+other exception is an internal error, a fault of the program, and is
+logged with its traceback.
 """
 
 from __future__ import annotations
@@ -30,12 +34,13 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import assets as bundled
-from .dataio import CheckpointError, ExportError, default_cameras, export_rollouts, load_checkpoint
-from .demo import DemoError, load_demo
+from .assets import UserError
+from .dataio import default_cameras, export_rollouts, load_checkpoint
+from .demo import load_demo
 from .evaluation import ABLATION_COMPONENTS, ablation_run, evaluate, write_episode_rows, write_report
-from .hand import HandError, load_hand_spec
-from .objects import ObjectError, affordance_distribution, sample_affordance_index
-from .policy import PolicyError, init_params, random_obs
+from .hand import load_hand_spec
+from .objects import affordance_distribution, sample_affordance_index
+from .policy import init_params, random_obs
 from .training import (
     Assets,
     TrainConfig,
@@ -49,16 +54,7 @@ from .training import (
 
 log = logging.getLogger(__name__)
 
-USER_ERRORS = (
-    FileNotFoundError,
-    NotADirectoryError,
-    HandError,
-    DemoError,
-    ObjectError,
-    CheckpointError,
-    ExportError,
-    ValueError,
-)
+USER_ERRORS = (UserError, OSError)
 
 GRADIENT_GATE = 1e-4
 
@@ -104,16 +100,16 @@ def _load_config_file(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    cfg = bundled.read_json_object(p, ValueError)
+    cfg = bundled.read_json_object(p)
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
-        raise ValueError(f"unknown config key(s) in {p}: {', '.join(map(repr, unknown))}; known: {', '.join(CONFIG_KEYS)}")
+        raise UserError(f"unknown config key(s) in {p}: {', '.join(map(repr, unknown))}; known: {', '.join(CONFIG_KEYS)}")
     for key, (want, _) in SETTINGS.items():
         where = f"{p}: config '{key}'"
         if key in cfg and want is int:
-            bundled.json_number(cfg[key], ValueError, where, integer=True)
+            bundled.json_number(cfg[key], where, integer=True)
         elif key in cfg and not isinstance(cfg[key], str):
-            raise ValueError(f"{where}: must be a string, got {cfg[key]!r}")
+            raise UserError(f"{where}: must be a string, got {cfg[key]!r}")
     return cfg
 
 
@@ -129,9 +125,9 @@ def _merge_config(args) -> None:
 
 def _require_seed(args) -> int:
     if args.seed is None:
-        raise ValueError("a --seed (or config 'seed') is required for this subcommand")
+        raise UserError("a --seed (or config 'seed') is required for this subcommand")
     if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        raise UserError(f"--seed must be >= 0, got {args.seed}")
     return args.seed
 
 
@@ -159,7 +155,7 @@ def _run_setup(args) -> tuple[TrainConfig, Assets, Path]:
     has both fields, but only the top-level settings set them."""
     for key in ("seed", "workers"):
         if isinstance(args.train, dict) and key in args.train:
-            raise ValueError(f"config 'train.{key}': not a train setting; set the top-level config '{key}' or --{key}")
+            raise UserError(f"config 'train.{key}': not a train setting; set the top-level config '{key}' or --{key}")
     seed = _require_seed(args)
     cfg = config_from_dict(args.train)
     cfg = replace(cfg, seed=seed, workers=cfg.workers if args.workers is None else args.workers)
@@ -186,7 +182,7 @@ def _checkpoint_run(args):
     count (200 if unset)."""
     cfg, assets, out = _run_setup(args)
     if args.checkpoint is None:
-        raise ValueError(f"{args.command} needs --checkpoint (or config 'checkpoint')")
+        raise UserError(f"{args.command} needs --checkpoint (or config 'checkpoint')")
     params, _ = load_checkpoint(
         args.checkpoint, expect_hand=assets.spec.name, expect_style_count=len(assets.styles),
         expect_m_points=cfg.m_points, expect_joint_count=assets.spec.joint_count,
@@ -237,7 +233,7 @@ def cmd_sample_affordance(args) -> int:
     objs = {o.name: o for o in load_objects(_objects_dir(args))}
     name = args.object or sorted(objs)[0]
     if name not in objs:
-        raise ValueError(f"object {name!r} not found; have {sorted(objs)}")
+        raise UserError(f"object {name!r} not found; have {sorted(objs)}")
     obj = objs[name]
     idx = sample_affordance_index(affordance_distribution(obj), episode_rng(seed, 42).random(1))[0]
     print(json.dumps({
@@ -271,7 +267,7 @@ def cmd_demo_inspect(args) -> int:
 def cmd_check_gradients(args) -> int:
     seed = _require_seed(args)
     if args.params < 1:
-        raise ValueError(f"--params must be >= 1, got {args.params}")
+        raise UserError(f"--params must be >= 1, got {args.params}")
     rng = episode_rng(seed, 7)
     m_points, style_count, joint_count = 16, 4, 6
     params = init_params(rng, m_points, style_count, joint_count)
@@ -342,9 +338,6 @@ def main(argv=None) -> int:
     except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except PolicyError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:  # noqa: BLE001
         log.exception("internal error")
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assets import json_number, read_json_object
+from .assets import UserError, json_number, read_json_object
 from .demo import Demonstration, edit_wrist_arrays, edited_joint_trajectory
 from .geometry import quat_from_matrix, quat_rotate, row_norms
 from .hand import HandSpec
@@ -26,8 +26,6 @@ from .rewards import TERMS
 
 __all__ = [
     "CameraModel",
-    "CheckpointError",
-    "ExportError",
     "project_affordance",
     "in_frame",
     "look_at_camera",
@@ -44,14 +42,6 @@ BEHIND_CAMERA_Z = 1e-6
 # look_at_camera's intrinsics, in pixels, for CameraModel's default image size
 FOCAL_PX = 210.0
 PRINCIPAL_PX = 128.0
-
-
-class ExportError(RuntimeError):
-    pass
-
-
-class CheckpointError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -215,7 +205,7 @@ def export_rollouts(episodes, cameras: dict[str, CameraModel], path, demo: Demon
         tmp.replace(path)
     except OSError as e:
         tmp.unlink(missing_ok=True)
-        raise ExportError(f"export to {path} failed: {e}") from e
+        raise UserError(f"export to {path} failed: {e}") from e
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "file": path.name,
@@ -263,11 +253,11 @@ def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: in
     """Load and validate a checkpoint. Rejects identity mismatches, counts
     and array entries that json_number rejects, and any array whose size
     differs from the shape its stored style_count and joint_count give
-    it (policy.param_shapes); each CheckpointError names what it rejects."""
-    payload = read_json_object(path, CheckpointError)
+    it (policy.param_shapes); each UserError names what it rejects."""
+    payload = read_json_object(path)
     if payload.get("schema_version") != SCHEMA_VERSION:
-        raise CheckpointError(f"{path}: schema_version {payload.get('schema_version')} != {SCHEMA_VERSION}")
-    counts = {k: json_number(payload.get(k), CheckpointError, f"{path}: {k}", integer=True)
+        raise UserError(f"{path}: schema_version {payload.get('schema_version')} != {SCHEMA_VERSION}")
+    counts = {k: json_number(payload.get(k), f"{path}: {k}", integer=True)
               for k in ("m_points", "style_count", "joint_count")}
     for got, want, label in (
         (payload.get("hand"), expect_hand, "hand"),
@@ -276,13 +266,13 @@ def load_checkpoint(path, expect_hand: str | None = None, expect_style_count: in
         (counts["joint_count"], expect_joint_count, "joint_count"),
     ):
         if want is not None and got != want:
-            raise CheckpointError(f"{path}: checkpoint {label}={got!r}, configured {label}={want!r}")
+            raise UserError(f"{path}: checkpoint {label}={got!r}, configured {label}={want!r}")
     stored = payload["arrays"] if isinstance(payload.get("arrays"), dict) else {}
     shapes = param_shapes(counts["style_count"], counts["joint_count"])
-    arrays = {f: json_number(stored.get(f), CheckpointError, f"{path}: arrays.{f}", vector=True) for f in shapes}
+    arrays = {f: json_number(stored.get(f), f"{path}: arrays.{f}", vector=True) for f in shapes}
     for f, shape in shapes.items():
         if arrays[f].size != int(np.prod(shape)):
-            raise CheckpointError(
+            raise UserError(
                 f"{path}: array {f} has {arrays[f].size} values, but style_count={counts['style_count']} "
                 f"and joint_count={counts['joint_count']} give it shape {shape}"
             )

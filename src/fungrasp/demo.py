@@ -16,14 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .assets import json_number, json_object_list, json_pose, read_json_object
+from .assets import UserError, json_number, json_object_list, json_pose, read_json_object
 from .geometry import axis_angle_to_quat, compose_pose_rows, normalize_rows, quat_mul, quat_normalize, quat_rotate
 from .hand import HandSpec, clamp_to_limits
 
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "DemoError",
     "Demonstration",
     "EditBounds",
     "load_demo",
@@ -36,10 +35,6 @@ __all__ = [
 
 STATIC_JOINT_TOL = 1e-9
 LIMIT_SLACK = 1e-6
-
-
-class DemoError(ValueError):
-    """Raised for malformed demonstration files."""
 
 
 @dataclass(frozen=True)
@@ -64,11 +59,11 @@ class Demonstration:
     def __post_init__(self):
         frames = self.joints.shape[0]
         if self.pose_t.shape != (frames, 3) or self.pose_r.shape != (frames, 4):
-            raise DemoError("pose and joint sequences disagree in length")
+            raise UserError("pose and joint sequences disagree in length")
         if self.horizon < 2:
-            raise DemoError(f"demonstration needs T_D >= 2, got {self.horizon}")
+            raise UserError(f"demonstration needs T_D >= 2, got {self.horizon}")
         if not (0 < self.grasp_index <= self.horizon):
-            raise DemoError(f"grasp index {self.grasp_index} outside (0, {self.horizon}]")
+            raise UserError(f"grasp index {self.grasp_index} outside (0, {self.horizon}]")
         for a in (self.pose_t, self.pose_r, self.joints):
             a.setflags(write=False)
         frames = np.concatenate([self.pose_t, self.pose_r, self.joints], axis=1)
@@ -109,9 +104,9 @@ class EditBounds:
     def __post_init__(self):
         for name in ("b_t", "b_r", "b_q"):
             if getattr(self, name) < 0:
-                raise ValueError(f"bounds.{name} must be >= 0, got {getattr(self, name)}")
+                raise UserError(f"bounds.{name} must be >= 0, got {getattr(self, name)}")
         if self.k_min > self.k_max:
-            raise ValueError(f"bounds.k_min must be <= bounds.k_max, got {self.k_min} > {self.k_max}")
+            raise UserError(f"bounds.k_min must be <= bounds.k_max, got {self.k_min} > {self.k_max}")
 
     def intervals(self, joint_count: int) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) per action dimension, layout [dt(3), dr(3), dq(J), k].
@@ -131,18 +126,18 @@ class EditBounds:
 
 def load_demo(path, spec: HandSpec) -> Demonstration:
     """Parse a demo JSON file for a given hand."""
-    data = read_json_object(path, DemoError)
+    data = read_json_object(path)
     if data.get("hand") != spec.name:
-        raise DemoError(f"{path}: demo recorded for hand {data.get('hand')!r}, configured hand is {spec.name!r}")
-    frames = json_object_list(data, "frames", DemoError, f"{path}: ")
+        raise UserError(f"{path}: demo recorded for hand {data.get('hand')!r}, configured hand is {spec.name!r}")
+    frames = json_object_list(data, "frames", f"{path}: ")
     if len(frames) < 3:
-        raise DemoError(f"{path}: needs at least 3 frames (T_D >= 2), got {len(frames)}")
+        raise UserError(f"{path}: needs at least 3 frames (T_D >= 2), got {len(frames)}")
     poses, joints = [], []
     for i, fr in enumerate(frames):
-        poses.append(json_pose(fr.get("p"), DemoError, f"{path}: frames[{i}].p"))
-        q = json_number(fr.get("q", []), DemoError, f"{path}: frames[{i}].q", vector=True)
+        poses.append(json_pose(fr.get("p"), f"{path}: frames[{i}].p"))
+        q = json_number(fr.get("q", []), f"{path}: frames[{i}].q", vector=True)
         if q.shape != (spec.joint_count,):
-            raise DemoError(
+            raise UserError(
                 f"{path}: frames[{i}].q has dim {q.shape[0] if q.ndim == 1 else q.shape}, "
                 f"hand has J={spec.joint_count}"
             )
@@ -150,13 +145,13 @@ def load_demo(path, spec: HandSpec) -> Demonstration:
     joints = np.array(joints)
     over = np.maximum(joints - spec.limits_hi, spec.limits_lo - joints).max()
     if over > LIMIT_SLACK:
-        raise DemoError(f"{path}: joints exceed limits by {over:.2e} (> {LIMIT_SLACK})")
+        raise UserError(f"{path}: joints exceed limits by {over:.2e} (> {LIMIT_SLACK})")
     if over > 0:
         log.warning("%s: joints marginally out of limits (%.2e), clamping", path, over)
         joints = clamp_to_limits(spec, joints)
-    grasp_index = json_number(data.get("T_l"), DemoError, f"{path}: T_l", integer=True)
+    grasp_index = json_number(data.get("T_l"), f"{path}: T_l", integer=True)
     if not 0 < grasp_index < len(frames):
-        raise DemoError(f"{path}: T_l: grasp index {grasp_index} outside (0, {len(frames) - 1}]")
+        raise UserError(f"{path}: T_l: grasp index {grasp_index} outside (0, {len(frames) - 1}]")
     pose_t, pose_r = (np.stack(c) for c in zip(*poses))
     return Demonstration(pose_t, pose_r, joints, grasp_index)
 

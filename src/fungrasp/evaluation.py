@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .assets import UserError
 from .dataio import config_digest
 from .hand import HandSpec, normalize_joints
 from .policy import PolicyParams
@@ -66,7 +67,6 @@ class Metrics:
     sa: float | None
     n_episodes: int
     n_success: int
-    sd_ratio: float | None = None
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -97,14 +97,12 @@ def pairwise_style_diversity(qs) -> float:
     return float(dists.mean())
 
 
-def compute_metrics(results: list[EpisodeResult], spec: HandSpec, strict: bool,
-                    baseline_sd: float | None = None) -> Metrics:
+def compute_metrics(results: list[EpisodeResult], spec: HandSpec, strict: bool) -> Metrics:
     """Aggregate episode results into the four headline numbers; an
     errored episode counts as a failure.
 
     SD is reported both raw (mixed joint units) and in the hand's
-    limit-normalized joint coordinates; sd_ratio divides raw SD by a
-    supplied baseline.
+    limit-normalized joint coordinates.
     """
     n = len(results)
     succ = [r for r in results if _effective_success(r, strict)]
@@ -122,7 +120,6 @@ def compute_metrics(results: list[EpisodeResult], spec: HandSpec, strict: bool,
         sa=sa,
         n_episodes=n,
         n_success=len(succ),
-        sd_ratio=(sd / baseline_sd) if (baseline_sd and baseline_sd > 0) else None,
     )
 
 
@@ -143,7 +140,6 @@ def evaluate(
     exhaustive_styles: bool = False,
     mode: str = "mean",
     pool: EpisodePool | None = None,
-    baseline_sd: float | None = None,
 ) -> tuple[Metrics, list[EpisodeResult]]:
     """Run N conditioned evaluation episodes and aggregate metrics.
 
@@ -154,11 +150,11 @@ def evaluate(
     outcome.
     """
     if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
+        raise UserError("n_episodes must be >= 1")
     if n_episodes > COUNT_MAX:
-        raise ValueError(f"n_episodes must be <= {COUNT_MAX}, got {n_episodes}")
+        raise UserError(f"n_episodes must be <= {COUNT_MAX}, got {n_episodes}")
     if not assets.objects:
-        raise ValueError("empty object set")
+        raise UserError("empty object set")
     check_m_points(cfg, assets)
     forced = range(len(assets.styles)) if exhaustive_styles else [None]
     with nullcontext(pool) if pool else EpisodePool(cfg.workers, assets) as pool:
@@ -170,7 +166,7 @@ def evaluate(
             for s in forced
         ]
     results = [_best_of_styles(list(per_style)) for per_style in zip(*by_style)]
-    return compute_metrics(results, assets.spec, strict, baseline_sd), results
+    return compute_metrics(results, assets.spec, strict), results
 
 
 @dataclass(frozen=True)

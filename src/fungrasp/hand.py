@@ -6,9 +6,9 @@ and then extends along local +x by its length; one collision sphere sits
 at each segment end, so the last sphere of a chain is the fingertip.
 Every segment has one drive rule: its angle is ``scale * q[source]``.
 An active segment is joint ``source`` of the joint vector at scale 1,
-numbered in chain order; a coupled segment carries no entry of its own
-and follows an active joint at the scale its coupling entry gives (as a
-URDF ``mimic`` joint follows its source).
+numbered in chain order; a coupled segment carries no joint and no
+limits of its own and follows an active joint at the scale its coupling
+entry gives (as a URDF ``mimic`` joint follows its source).
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .assets import json_number, json_object_list, json_pose, read_json_object
+from .assets import UserError, json_number, json_object_list, json_pose, read_json_object
 from .geometry import hamilton, rotate, row_norms
 
 __all__ = [
-    "HandError",
     "Segment",
     "Finger",
     "HandSpec",
@@ -36,15 +35,10 @@ __all__ = [
 ]
 
 
-class HandError(ValueError):
-    """Raised for malformed hand/style files and dimension mismatches."""
-
-
 @dataclass(frozen=True)
 class Segment:
     length: float
     axis: np.ndarray        # unit 3-vector, joint rotation axis
-    limits: tuple[float, float]
     radius: float           # collision sphere at the segment end
     source: int             # the joint that drives the segment: its angle is scale * q[source]
     scale: float
@@ -94,49 +88,52 @@ def load_hand_spec(path) -> HandSpec:
     """Parse a hand spec JSON file; rejects limit and schema violations.
 
     Each uncoupled segment takes the next joint in chain order (scale
-    1); each coupling entry names a segment and the joint that drives it
-    instead, with its scale.
+    1) and declares its limits; each coupling entry names a segment and
+    the joint that drives it instead, with its scale, and that segment
+    declares no limits: its angle is bounded by its source's.
     """
-    data = read_json_object(path, HandError)
+    data = read_json_object(path)
 
     def fail(where, msg):
-        raise HandError(f"{path}: {where}: {msg}")
+        raise UserError(f"{path}: {where}: {msg}")
 
     name = data.get("name")
     if not isinstance(name, str) or not name:
         fail("name", "missing or empty")
-    parsed = []     # per finger: name, base pose and each segment's fields
-    for fi, fd in enumerate(json_object_list(data, "fingers", HandError, f"{path}: ")):
+    parsed = []     # per finger: name, base pose and each segment's fields and declared limits
+    for fi, fd in enumerate(json_object_list(data, "fingers", f"{path}: ")):
         where = f"fingers[{fi}]"
-        base_t, base_r = json_pose(fd.get("base"), HandError, f"{path}: {where}.base")
-        tip_radius = json_number(fd.get("tip_radius", 0.0), HandError, f"{path}: {where}.tip_radius")
+        base_t, base_r = json_pose(fd.get("base"), f"{path}: {where}.base")
+        tip_radius = json_number(fd.get("tip_radius", 0.0), f"{path}: {where}.tip_radius")
         if tip_radius <= 0:
             fail(where + ".tip_radius", "must be > 0")
         segments = []
-        for si, sd in enumerate(json_object_list(fd, "segments", HandError, f"{path}: {where}.")):
+        for si, sd in enumerate(json_object_list(fd, "segments", f"{path}: {where}.")):
             sw = f"{where}.segments[{si}]"
-            length = json_number(sd.get("length", 0.0), HandError, f"{path}: {sw}.length")
+            length = json_number(sd.get("length", 0.0), f"{path}: {sw}.length")
             if length <= 0:
                 fail(sw + ".length", f"must be > 0, got {length}")
-            axis = json_number(sd.get("axis", []), HandError, f"{path}: {sw}.axis", vector=True)
+            axis = json_number(sd.get("axis", []), f"{path}: {sw}.axis", vector=True)
             if axis.shape != (3,) or np.linalg.norm(axis) < 1e-9:
                 fail(sw + ".axis", "must be a nonzero 3-vector")
             axis = axis / np.linalg.norm(axis)
             axis.setflags(write=False)
-            lim = json_number(sd.get("limits", []), HandError, f"{path}: {sw}.limits", vector=True)
-            if len(lim) != 2:
-                fail(sw + ".limits", "must be [lo, hi]")
-            lo_, hi_ = float(lim[0]), float(lim[1])
-            if not lo_ < hi_:
-                fail(sw + ".limits", f"joint '{fd.get('name', fi)}[{si}]' has lo >= hi ({lo_} >= {hi_})")
-            radius = json_number(sd.get("radius", tip_radius), HandError, f"{path}: {sw}.radius")
+            limits = None
+            if "limits" in sd:
+                lim = json_number(sd["limits"], f"{path}: {sw}.limits", vector=True)
+                if len(lim) != 2:
+                    fail(sw + ".limits", "must be [lo, hi]")
+                limits = float(lim[0]), float(lim[1])
+                if not limits[0] < limits[1]:
+                    fail(sw + ".limits", f"joint '{fd.get('name', fi)}[{si}]' has lo >= hi ({limits[0]} >= {limits[1]})")
+            radius = json_number(sd.get("radius", tip_radius), f"{path}: {sw}.radius")
             if radius <= 0:
                 fail(sw + ".radius", "must be > 0")
-            segments.append({"length": length, "axis": axis, "limits": (lo_, hi_), "radius": radius})
+            segments.append(({"length": length, "axis": axis, "radius": radius}, limits))
         if not segments:
             fail(where, "finger has no segments")
         # the last sphere is the fingertip; its radius is the tip radius
-        segments[-1]["radius"] = tip_radius
+        segments[-1][0]["radius"] = tip_radius
         finger_name = fd.get("name", f"finger{fi}")
         if not isinstance(finger_name, str) or not finger_name:
             fail(where + ".name", f"must be a non-empty string, got {finger_name!r}")
@@ -146,9 +143,9 @@ def load_hand_spec(path) -> HandSpec:
 
     counts = [len(segments) for *_, segments in parsed]
     coupled = {}    # (finger, segment) -> (source, scale, coupling entry)
-    for ci, cd in enumerate(json_object_list(data, "coupling", HandError, f"{path}: ")):
+    for ci, cd in enumerate(json_object_list(data, "coupling", f"{path}: ")):
         where = f"coupling[{ci}]"
-        fi, si, source = (json_number(cd.get(k), HandError, f"{path}: {where}.{k}", integer=True)
+        fi, si, source = (json_number(cd.get(k), f"{path}: {where}.{k}", integer=True)
                           for k in ("finger", "segment", "source"))
         if not 0 <= fi < len(parsed):
             fail(where + ".finger", f"finger {fi} out of range, hand has {len(parsed)}")
@@ -156,7 +153,7 @@ def load_hand_spec(path) -> HandSpec:
             fail(where + ".segment", f"segment {si} out of range, finger {fi} has {counts[fi]}")
         if (fi, si) in coupled:
             fail(where, f"finger {fi} segment {si} is already coupled by coupling[{coupled[fi, si][2]}]")
-        coupled[fi, si] = (source, json_number(cd.get("scale", 1.0), HandError, f"{path}: {where}.scale"), ci)
+        coupled[fi, si] = (source, json_number(cd.get("scale", 1.0), f"{path}: {where}.scale"), ci)
     # every segment no entry couples is a joint
     joint_count = sum(counts) - len(coupled)
     for source, _, ci in coupled.values():
@@ -166,13 +163,18 @@ def load_hand_spec(path) -> HandSpec:
     fingers, lo, hi = [], [], []
     for fi, (finger_name, base_t, base_r, fields) in enumerate(parsed):
         segments = []
-        for si, seg in enumerate(fields):
+        for si, (seg, limits) in enumerate(fields):
+            sw = f"fingers[{fi}].segments[{si}].limits"
             if (fi, si) in coupled:
-                source, scale, _ = coupled[fi, si]
+                source, scale, ci = coupled[fi, si]
+                if limits is not None:
+                    fail(sw, f"coupling[{ci}] drives this segment, so it declares no limits")
+            elif limits is None:
+                fail(sw, "must be [lo, hi]")
             else:
                 source, scale = len(lo), 1.0
-                lo.append(seg["limits"][0])
-                hi.append(seg["limits"][1])
+                lo.append(limits[0])
+                hi.append(limits[1])
             segments.append(Segment(**seg, source=source, scale=scale))
         fingers.append(Finger(finger_name, base_t, base_r, tuple(segments)))
     return HandSpec(
@@ -188,36 +190,36 @@ def load_hand_spec(path) -> HandSpec:
 
 def load_styles(path, spec: HandSpec) -> list[Style]:
     """Parse a style file and validate it against a hand spec."""
-    data = read_json_object(path, HandError)
+    data = read_json_object(path)
     if data.get("hand") != spec.name:
-        raise HandError(f"{path}: styles are for hand {data.get('hand')!r}, spec is {spec.name!r}")
+        raise UserError(f"{path}: styles are for hand {data.get('hand')!r}, spec is {spec.name!r}")
     styles = []
-    for i, sd in enumerate(json_object_list(data, "styles", HandError, f"{path}: ")):
+    for i, sd in enumerate(json_object_list(data, "styles", f"{path}: ")):
         style_id = sd.get("id", str(i))
         if not isinstance(style_id, str) or not style_id:
-            raise HandError(f"{path}: styles[{i}].id: must be a non-empty string, got {style_id!r}")
-        q = json_number(sd.get("q", []), HandError, f"{path}: styles[{i}].q", vector=True)
+            raise UserError(f"{path}: styles[{i}].id: must be a non-empty string, got {style_id!r}")
+        q = json_number(sd.get("q", []), f"{path}: styles[{i}].q", vector=True)
         if q.shape != (spec.joint_count,):
-            raise HandError(f"{path}: styles[{i}]: q has shape {q.shape}, hand has J={spec.joint_count}")
+            raise UserError(f"{path}: styles[{i}]: q has shape {q.shape}, hand has J={spec.joint_count}")
         if np.any(q < spec.limits_lo - 1e-9) or np.any(q > spec.limits_hi + 1e-9):
             j = int(np.argmax((q < spec.limits_lo - 1e-9) | (q > spec.limits_hi + 1e-9)))
-            raise HandError(f"{path}: styles[{i}]: q[{j}]={q[j]} outside limits")
-        mask = json_number(sd.get("contact_mask", []), HandError, f"{path}: styles[{i}].contact_mask",
+            raise UserError(f"{path}: styles[{i}]: q[{j}]={q[j]} outside limits")
+        mask = json_number(sd.get("contact_mask", []), f"{path}: styles[{i}].contact_mask",
                            integer=True, vector=True)
         if not mask or len(mask) > spec.finger_count:
-            raise HandError(f"{path}: styles[{i}]: contact_mask must name 1..{spec.finger_count} fingers")
+            raise UserError(f"{path}: styles[{i}]: contact_mask must name 1..{spec.finger_count} fingers")
         if any(not (0 <= m < spec.finger_count) for m in mask):
-            raise HandError(f"{path}: styles[{i}]: contact_mask finger out of range")
+            raise UserError(f"{path}: styles[{i}]: contact_mask finger out of range")
         if len(set(mask)) < 2:
             # a grasp needs two distinct mask fingers in contact (sim.grasp_success_batch)
-            raise HandError(
+            raise UserError(
                 f"{path}: styles[{i}] ({style_id!r}): contact_mask {list(mask)} names fewer than two "
                 "distinct fingers, so no grasp of the style could succeed"
             )
         q.setflags(write=False)
         styles.append(Style(id=style_id, q_canonical=q, contact_mask=mask))
     if not styles:
-        raise HandError(f"{path}: no styles defined")
+        raise UserError(f"{path}: no styles defined")
     return styles
 
 
@@ -225,7 +227,7 @@ def clamp_to_limits(spec: HandSpec, q) -> np.ndarray:
     """Element-wise clamp of a joint vector (or (T, J) batch) to limits."""
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != spec.joint_count:
-        raise HandError(f"joint vector has dim {q.shape[-1]}, hand has J={spec.joint_count}")
+        raise ValueError(f"joint vector has dim {q.shape[-1]}, hand has J={spec.joint_count}")
     return np.clip(q, spec.limits_lo, spec.limits_hi)
 
 
@@ -249,7 +251,7 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
     wrist_r = np.asarray(wrist_r, dtype=float)
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != spec.joint_count:
-        raise HandError(f"joint vector has dim {q.shape[-1]}, hand has J={spec.joint_count}")
+        raise ValueError(f"joint vector has dim {q.shape[-1]}, hand has J={spec.joint_count}")
     wrist = tuple(wrist_r.T.copy())
     joints = q.T.copy()
     out = np.empty((3, spec.sphere_count, len(q)))
@@ -289,7 +291,7 @@ def classify_style(spec: HandSpec, q_final, styles: Sequence[Style]) -> np.ndarr
     one vector alone.
     """
     if not styles:
-        raise HandError("classify_style needs at least one style")
+        raise ValueError("classify_style needs at least one style")
     qn = normalize_joints(spec, q_final)
     diff = qn[..., None, :] - normalize_joints(spec, np.stack([s.q_canonical for s in styles]))
     dists = row_norms(diff.reshape(-1, spec.joint_count))

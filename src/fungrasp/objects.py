@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .assets import UserError
+
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "ObjectError",
     "ObjectModel",
     "AffordanceDistribution",
     "load_object",
@@ -32,10 +33,6 @@ NORMAL_ROWS = 64          # rows of the neighbor search's distance block (estima
 AFFORD_BETA = 1.0         # the affordance score's exponent
 AFFORD_H_MIN = 0.01       # points below this height are never affordances
 AFFORD_UP_WEIGHT = 0.5    # blend between upward and outward normal alignment
-
-
-class ObjectError(ValueError):
-    """Raised for unusable point-cloud files or degenerate objects."""
 
 
 @dataclass(frozen=True)
@@ -62,22 +59,22 @@ class ObjectModel:
     def from_points(cls, name: str, points, normals=None) -> "ObjectModel":
         points = np.array(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 3:
-            raise ObjectError(f"{name}: points must be (N, 3), got {points.shape}")
+            raise UserError(f"{name}: points must be (N, 3), got {points.shape}")
         if points.shape[0] < MIN_POINTS:
-            raise ObjectError(f"{name}: needs at least {MIN_POINTS} points, got {points.shape[0]}")
+            raise UserError(f"{name}: needs at least {MIN_POINTS} points, got {points.shape[0]}")
         if not np.all(np.isfinite(points)):
-            raise ObjectError(f"{name}: points contain non-finite values")
+            raise UserError(f"{name}: points contain non-finite values")
         points = points - np.array([0.0, 0.0, points[:, 2].min()])
         if normals is None:
             normals = estimate_normals(points)
         normals = np.array(normals, dtype=float)
         if normals.shape != points.shape:
-            raise ObjectError(f"{name}: normals shape {normals.shape} != points shape {points.shape}")
+            raise UserError(f"{name}: normals shape {normals.shape} != points shape {points.shape}")
         if not np.all(np.isfinite(normals)):
-            raise ObjectError(f"{name}: normals contain non-finite values")
+            raise UserError(f"{name}: normals contain non-finite values")
         lens = np.linalg.norm(normals, axis=1)
         if np.any(lens < 1e-9):
-            raise ObjectError(f"{name}: zero-length normal at index {int(np.argmin(lens))}")
+            raise UserError(f"{name}: zero-length normal at index {int(np.argmin(lens))}")
         normals = normals / lens[:, None]
         centroid = points.mean(axis=0)
         box = np.stack([points.min(axis=0), points.max(axis=0)])
@@ -134,7 +131,7 @@ def _read_ply(path: Path):
     # undecodable bytes, as in a binary PLY's body, wait for the header check
     lines = path.read_text(errors="surrogateescape").splitlines()
     if not lines or lines[0].strip() != "ply":
-        raise ObjectError(f"{path}: not a PLY file (missing magic)")
+        raise UserError(f"{path}: not a PLY file (missing magic)")
     n_vertex = None
     props: list[str] = []
     i = 1
@@ -145,39 +142,39 @@ def _read_ply(path: Path):
         if not tok:
             continue
         if tok[0] in ("format", "element") and len(tok) < 2:
-            raise ObjectError(f"{path}:{i}: '{tok[0]}' line has no operand")
+            raise UserError(f"{path}:{i}: '{tok[0]}' line has no operand")
         if tok[0] == "format":
             if tok[1] != "ascii":
-                raise ObjectError(f"{path}:{i}: only ascii PLY is supported, got {tok[1]}")
+                raise UserError(f"{path}:{i}: only ascii PLY is supported, got {tok[1]}")
         elif tok[0] == "element":
             in_vertex = tok[1] == "vertex"
             if in_vertex:
                 count = tok[2] if len(tok) > 2 else ""
                 if not (count.isascii() and count.isdigit()):
-                    raise ObjectError(f"{path}:{i}: vertex count must be a non-negative integer, got {count!r}")
+                    raise UserError(f"{path}:{i}: vertex count must be a non-negative integer, got {count!r}")
                 n_vertex = int(count)
         elif tok[0] == "property" and in_vertex:
             props.append(tok[-1])
         elif tok[0] == "end_header":
             break
     else:
-        raise ObjectError(f"{path}: header never ended")
+        raise UserError(f"{path}: header never ended")
     if n_vertex is None:
-        raise ObjectError(f"{path}: no vertex element in header")
+        raise UserError(f"{path}: no vertex element in header")
     for need in ("x", "y", "z"):
         if need not in props:
-            raise ObjectError(f"{path}: vertex property '{need}' missing")
+            raise UserError(f"{path}: vertex property '{need}' missing")
     rows = []
     for ln in range(n_vertex):
         if i + ln >= len(lines):
-            raise ObjectError(f"{path}: expected {n_vertex} vertex rows, file ends at {ln}")
+            raise UserError(f"{path}: expected {n_vertex} vertex rows, file ends at {ln}")
         vals = lines[i + ln].split()
         if len(vals) < len(props):
-            raise ObjectError(f"{path}:{i + ln + 1}: row has {len(vals)} fields, header declares {len(props)}")
+            raise UserError(f"{path}:{i + ln + 1}: row has {len(vals)} fields, header declares {len(props)}")
         try:
             rows.append([float(v) for v in vals[: len(props)]])
         except ValueError as e:
-            raise ObjectError(f"{path}:{i + ln + 1}: {e}") from e
+            raise UserError(f"{path}:{i + ln + 1}: {e}") from e
     arr = np.array(rows, dtype=float).reshape(n_vertex, len(props))
     cols = {p: arr[:, j] for j, p in enumerate(props)}
     points = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
@@ -223,7 +220,7 @@ def affordance_distribution(obj: ObjectModel) -> AffordanceDistribution:
     z = obj.points[:, 2]
     admissible = z >= AFFORD_H_MIN
     if not admissible.any():
-        raise ObjectError(
+        raise UserError(
             f"{obj.name}: all points below h_min={AFFORD_H_MIN}; object too flat to condition on"
         )
     o = obj.points - obj.centroid
@@ -272,7 +269,7 @@ def farthest_point_sample(points, m: int, seed: int) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if m > n:
-        raise ObjectError(f"cannot sample {m} points from a cloud of {n}")
+        raise UserError(f"cannot sample {m} points from a cloud of {n}")
     rng = np.random.default_rng(seed)
     cols, (dist, d, tmp) = points.T.copy(), np.empty((3, n))
     chosen = np.empty(m, dtype=int)

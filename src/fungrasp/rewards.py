@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assets import UserError
 from .geometry import row_norms
 
 __all__ = ["RewardConfig", "TERMS", "total_reward"]
@@ -43,11 +44,11 @@ class RewardConfig:
 
     def __post_init__(self):
         if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+            raise UserError(f"gamma must be > 0, got {self.gamma}")
         if self.close_threshold <= 0:
-            raise ValueError(f"close_threshold must be > 0, got {self.close_threshold}")
+            raise UserError(f"close_threshold must be > 0, got {self.close_threshold}")
         if self.fixed_clip_radius <= 0:
-            raise ValueError(f"fixed_clip_radius must be > 0, got {self.fixed_clip_radius}")
+            raise UserError(f"fixed_clip_radius must be > 0, got {self.fixed_clip_radius}")
 
 
 def total_reward(success, d_final, d_min, q_final, q_style, obj_bb, cfg: RewardConfig) -> np.ndarray:

@@ -64,6 +64,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .assets import UserError
 from .demo import Demonstration, edited_joint_trajectory, target_joint_config
 from .geometry import axis_angle_to_quat, normalize_rows, quat_conjugate, quat_rotate, rotate, row_norms
 from .hand import HandSpec, Style, clamp_to_limits, classify_style, forward_kinematics_batch
@@ -97,10 +98,10 @@ class SimParams:
     def __post_init__(self):
         for name in ("delta_c", "table_tol", "eta"):
             if getattr(self, name) < 0:
-                raise ValueError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
+                raise UserError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
         for name in ("mu", "crush_factor"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"sim.{name} must be positive, got {getattr(self, name)}")
+                raise UserError(f"sim.{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

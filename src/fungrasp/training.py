@@ -109,7 +109,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .assets import default_objects_dir, json_number
+from .assets import UserError, default_objects_dir, json_number
 from .demo import Demonstration, EditBounds, load_demo
 from .hand import HandSpec, Style, load_hand_spec, load_styles
 from .objects import AffordanceDistribution, ObjectModel, affordance_distribution, load_object
@@ -200,16 +200,16 @@ class TrainConfig:
         for name, low in (("minibatch", 1), ("workers", 1), ("eval_episodes", 1), ("m_points", 1), ("iterations", 0),
                           ("epochs", 0), ("sigma_style", 0), ("eval_every", 0), ("checkpoint_every", 0), ("seed", 0)):
             if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+                raise UserError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("envs_per_iter", "iterations", "minibatch", "epochs", "m_points", "workers", "eval_every",
                      "eval_episodes", "checkpoint_every"):
             if getattr(self, name) > COUNT_MAX:
-                raise ValueError(f"{name} must be <= {COUNT_MAX}, got {getattr(self, name)}")
+                raise UserError(f"{name} must be <= {COUNT_MAX}, got {getattr(self, name)}")
         if self.envs_per_iter < self.minibatch:
-            raise ValueError("envs_per_iter must be >= minibatch")
+            raise UserError("envs_per_iter must be >= minibatch")
         for name in ("learning_rate", "clip_eps"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise UserError(f"{name} must be positive")
 
 
 def _section(d, cls, section: str) -> dict:
@@ -218,26 +218,26 @@ def _section(d, cls, section: str) -> dict:
     field's default (an object for a section, json_number's number or
     integer for a float or an int, else the default's type), as is."""
     if not isinstance(d, dict):
-        raise ValueError(f"config '{section}' must be an object, got {d!r}")
+        raise UserError(f"config '{section}' must be an object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ValueError(f"unknown config key(s) in '{section}': {', '.join(map(repr, unknown))}")
+        raise UserError(f"unknown config key(s) in '{section}': {', '.join(map(repr, unknown))}")
     defaults = cls()
     for name, value in d.items():
         default = getattr(defaults, name)
         nested = dataclasses.is_dataclass(default)
         if type(default) in (int, float):
-            json_number(value, ValueError, f"config '{section}.{name}'", integer=type(default) is int)
+            json_number(value, f"config '{section}.{name}'", integer=type(default) is int)
         elif not isinstance(value, dict if nested else type(default)):
             kind = "an object" if nested else type(default).__name__
-            raise ValueError(f"config '{section}.{name}' must be {kind}, got {value!r}")
+            raise UserError(f"config '{section}.{name}' must be {kind}, got {value!r}")
     return d
 
 
 def config_from_dict(d: dict) -> TrainConfig:
     """TrainConfig from nested dicts. A section that is not an object,
     an unknown key in any section, or a value whose type does not fit
-    the field's default is a ValueError that names it."""
+    the field's default is a UserError that names it."""
     d = dict(_section(d, TrainConfig, "train"))
     reward = RewardConfig(**_section(d.pop("reward", {}), RewardConfig, "train.reward"))
     bounds = EditBounds(**_section(d.pop("bounds", {}), EditBounds, "train.bounds"))
@@ -286,11 +286,14 @@ def load_assets(hand_path, styles_path, demo_path, objects_dir=None) -> Assets:
 
 
 def check_m_points(cfg: TrainConfig, assets: Assets) -> None:
-    """Reject an m_points larger than the smallest cloud before any
-    episode runs; otherwise every episode's sampling fails on its own."""
+    """Reject an m_points larger than the smallest cloud, naming that
+    cloud, before any episode runs. Without this check the first episode
+    on that cloud would raise farthest_point_sample's error, which names
+    no object, only after the pool has started and metrics.jsonl has
+    opened."""
     smallest = min(assets.objects, key=lambda o: len(o.points))
     if cfg.m_points > len(smallest.points):
-        raise ValueError(
+        raise UserError(
             f"m_points {cfg.m_points} exceeds the {len(smallest.points)} points of the smallest cloud "
             f"({smallest.name!r})"
         )

@@ -457,16 +457,20 @@ def test_seed_or_workers_in_the_train_section_is_a_user_error(tmp_path, capsys, 
     assert not (tmp_path / "run").exists()
 
 
-def test_a_key_error_in_the_engine_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    """KeyError is no user error: one raised inside the engine exits 2."""
+@pytest.mark.parametrize("error, shown", [(KeyError, "KeyError: 'lost'"), (ValueError, "ValueError: lost")],
+                         ids=["KeyError", "ValueError"])
+def test_a_key_error_in_the_engine_is_an_internal_error(tmp_path, capsys, monkeypatch, error, shown):
+    """Only a UserError or an OSError is a user error: a KeyError or a
+    plain ValueError, such as a numpy shape error, raised inside the
+    engine exits 2."""
     from fungrasp import training
 
     def broken(*args):
-        raise KeyError("lost")
+        raise error("lost")
 
     monkeypatch.setattr(training, "rollout_batch", broken)
     assert main(["train", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "run")]) == 2
-    assert "internal error: KeyError: 'lost'" in capsys.readouterr().err
+    assert f"internal error: {shown}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "collect"])

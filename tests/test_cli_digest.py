@@ -20,22 +20,22 @@ TRAIN = dict(envs_per_iter=24, minibatch=12, epochs=2, iterations=4, m_points=32
 
 DIGESTS = {
     "inspire_like": {
-        "train_w1/metrics.jsonl": "4dfcea547657493207f3b757e5d8db42f951b3a7f797f9e2edc3cc8265d48230",
+        "train_w1/metrics.jsonl": "8f7b1d4f436913a24a800cc661285b6478dd2252788472a93abcc54895ee8c5d",
         "train_w1/checkpoint.json": "3c6af1e671673ff5c3d8a2891a09ba6723d4ab05ac0f60d3d0a39ce9ed38f8a7",
-        "train_w2/metrics.jsonl": "4dfcea547657493207f3b757e5d8db42f951b3a7f797f9e2edc3cc8265d48230",
+        "train_w2/metrics.jsonl": "8f7b1d4f436913a24a800cc661285b6478dd2252788472a93abcc54895ee8c5d",
         "train_w2/checkpoint.json": "3c6af1e671673ff5c3d8a2891a09ba6723d4ab05ac0f60d3d0a39ce9ed38f8a7",
         "eval/episodes.jsonl": "8e6ae0fd35b6c8239ce301d21e4d7bb6801911bfddb21fe43cbc3d3881ab5e24",
-        "eval/report.json": "77afa9c7feda0c0efb8236b7d43cba2b88836a27d733271e7a3e593c0005a1e6",
+        "eval/report.json": "432d2376a7bc1edffbeaca0701832ec3208a18afffe38dd4a70cac5deaf4fa60",
         "collect/rollouts.jsonl": "0b129e926cf521d91cac3cf547058411d206cbe80b484aa7f319038ef4e70ed9",
         "collect/rollouts.jsonl.manifest.json": "b5e28129660bc6a3cbe10e67385f43157b544846b560eff540f1bb10d4a77f02",
     },
     "shadow_like": {
-        "train_w1/metrics.jsonl": "5b19ada9fe4ee797611e795a33d693760a1b145ff7c8a8cee76076d7f04a31dc",
+        "train_w1/metrics.jsonl": "6a3816b9c7ad23dfca5197e9fe3d7932d02f99839082fc90ddbdb9803600eedf",
         "train_w1/checkpoint.json": "dbd5b7edbe0ee8f8b868d2b115a5db7c175e1e2495b9e8d560bf530952ee9b3c",
-        "train_w2/metrics.jsonl": "5b19ada9fe4ee797611e795a33d693760a1b145ff7c8a8cee76076d7f04a31dc",
+        "train_w2/metrics.jsonl": "6a3816b9c7ad23dfca5197e9fe3d7932d02f99839082fc90ddbdb9803600eedf",
         "train_w2/checkpoint.json": "dbd5b7edbe0ee8f8b868d2b115a5db7c175e1e2495b9e8d560bf530952ee9b3c",
         "eval/episodes.jsonl": "0b2d7072930fed449b204aa5edd1a8dc0b1d67fe01e5a2868566c739606a1f00",
-        "eval/report.json": "4ac8625b56ea88edb8ab7af0a2a777304d6df79b7e8d593335d3684e48d941a8",
+        "eval/report.json": "90e2d10370af660cbfc9c94ad4465117331a6552210d44d2f5a5672d51603add",
         "collect/rollouts.jsonl": "b23b63734cbd9d8c3079a989af8ed4abd84464e9ff4c9c9512b1d38262b5971d",
         "collect/rollouts.jsonl.manifest.json": "c95eb829435a8f60ab9ab366cb29791cbf1160f3599703db85277e91ec07fc68",
     },

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from fungrasp.assets import UserError
 from fungrasp.dataio import (
     CameraModel,
-    CheckpointError,
     config_digest,
     default_cameras,
     export_rollouts,
@@ -236,9 +236,9 @@ def test_checkpoint_mismatch_rejected(tmp_path):
     params = init_params(np.random.default_rng(4), 16, 9, 22)
     path = tmp_path / "ck22.json"
     save_checkpoint(params, {"hand": "shadow_like"}, path)
-    with pytest.raises(CheckpointError, match="hand"):
+    with pytest.raises(UserError, match="hand"):
         load_checkpoint(path, expect_hand="inspire_like")
-    with pytest.raises(CheckpointError, match="style_count"):
+    with pytest.raises(UserError, match="style_count"):
         load_checkpoint(path, expect_hand="shadow_like", expect_style_count=4)
 
 
@@ -246,7 +246,7 @@ def test_checkpoint_joint_count_mismatch_rejected(tmp_path):
     params = init_params(np.random.default_rng(4), 16, 4, 5)
     path = tmp_path / "ck5.json"
     save_checkpoint(params, {"hand": "inspire_like"}, path)
-    with pytest.raises(CheckpointError, match=r"joint_count=5, configured joint_count=6"):
+    with pytest.raises(UserError, match=r"joint_count=5, configured joint_count=6"):
         load_checkpoint(path, expect_hand="inspire_like", expect_joint_count=6)
     back, _ = load_checkpoint(path, expect_hand="inspire_like", expect_joint_count=5)
     assert back.joint_count == 5
@@ -259,11 +259,11 @@ def test_checkpoint_array_shapes_follow_the_stored_counts(tmp_path):
     payload = json.loads(path.read_text())
     payload["joint_count"] = 6
     path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match=r"array mean_w has 1536 values, .*joint_count=6 give it shape \(128, 13\)"):
+    with pytest.raises(UserError, match=r"array mean_w has 1536 values, .*joint_count=6 give it shape \(128, 13\)"):
         load_checkpoint(path)
     del payload["arrays"]["v_b3"]
     path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match=r"arrays\.v_b3: must be a list of finite numbers, got None"):
+    with pytest.raises(UserError, match=r"arrays\.v_b3: must be a list of finite numbers, got None"):
         load_checkpoint(path)
 
 
@@ -275,7 +275,7 @@ def test_checkpoint_non_finite_rejected(tmp_path):
     path = tmp_path / "nan.json"
     save_checkpoint(params, {"hand": "inspire_like"}, path)
     entry = 3 * v_w2.shape[1] + 1     # v_w2[3, 1] in the stored row-major list
-    with pytest.raises(CheckpointError, match=rf"arrays\.v_w2: must be a list of finite numbers, got nan at \[{entry}\]"):
+    with pytest.raises(UserError, match=rf"arrays\.v_w2: must be a list of finite numbers, got nan at \[{entry}\]"):
         load_checkpoint(path)
 
 
@@ -285,7 +285,7 @@ def test_checkpoint_truncated_rejected(tmp_path):
     save_checkpoint(params, {"hand": "x"}, path)
     blob = path.read_text()
     path.write_text(blob[: len(blob) // 2])
-    with pytest.raises(CheckpointError, match="parse"):
+    with pytest.raises(UserError, match="parse"):
         load_checkpoint(path)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fungrasp.demo import (
-    DemoError,
     Demonstration,
     EditBounds,
     edit_wrist_arrays,
@@ -13,7 +12,7 @@ from fungrasp.demo import (
     load_demo,
     target_joint_config,
 )
-from fungrasp.assets import default_demo_path, default_hand_path
+from fungrasp.assets import UserError, default_demo_path, default_hand_path
 from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import load_hand_spec
 
@@ -32,12 +31,12 @@ def test_single_frame_demo_rejected(tmp_path, spec):
                "frames": [{"p": {"t": [0, 0, 0], "r": [1, 0, 0, 0]}, "q": [0] * 6}]}
     p = tmp_path / "one.json"
     p.write_text(json.dumps(payload))
-    with pytest.raises(DemoError, match="T_D >= 2"):
+    with pytest.raises(UserError, match="T_D >= 2"):
         load_demo(p, spec)
 
 
 def test_wrong_hand_dimension_rejected(tmp_path, spec, shadow_spec):
-    with pytest.raises(DemoError, match="hand"):
+    with pytest.raises(UserError, match="hand"):
         load_demo(default_demo_path("shadow_like"), spec)
     # same hand name, wrong joint dimension
     payload = {"hand": spec.name, "T_l": 2, "frames": [
@@ -45,7 +44,7 @@ def test_wrong_hand_dimension_rejected(tmp_path, spec, shadow_spec):
     ]}
     p = tmp_path / "wrong.json"
     p.write_text(json.dumps(payload))
-    with pytest.raises(DemoError, match="J="):
+    with pytest.raises(UserError, match="J="):
         load_demo(p, spec)
 
 
@@ -198,7 +197,7 @@ def test_bounds_intervals_norm_guarantee():
 
 @pytest.mark.parametrize("t_l", [[3], None, 2.7, True, "3", "missing"])
 def test_grasp_index_must_be_a_json_integer(tmp_path, spec, t_l):
-    """T_l is a JSON integer (not a bool); anything else is a DemoError
+    """T_l is a JSON integer (not a bool); anything else is a UserError
     that names the file and T_l, not a silent int() of it."""
     payload = json.loads(default_demo_path().read_text())
     if t_l == "missing":
@@ -207,7 +206,7 @@ def test_grasp_index_must_be_a_json_integer(tmp_path, spec, t_l):
         payload["T_l"] = t_l
     p = tmp_path / "demo.json"
     p.write_text(json.dumps(payload))
-    with pytest.raises(DemoError, match=rf"demo\.json: T_l: must be an integer"):
+    with pytest.raises(UserError, match=rf"demo\.json: T_l: must be an integer"):
         load_demo(p, spec)
     payload["T_l"] = 3
     p.write_text(json.dumps(payload))
@@ -216,17 +215,17 @@ def test_grasp_index_must_be_a_json_integer(tmp_path, spec, t_l):
 
 @pytest.mark.parametrize("t_l", [-1, 0, 41])
 def test_grasp_index_out_of_range_names_the_file(tmp_path, spec, t_l):
-    """A T_l outside (0, T_D] of the 41-frame bundled demo is a DemoError
+    """A T_l outside (0, T_D] of the 41-frame bundled demo is a UserError
     that names the file and T_l; the in-code check stays for demos built
     in code."""
     payload = json.loads(default_demo_path().read_text())
     payload["T_l"] = t_l
     p = tmp_path / "demo.json"
     p.write_text(json.dumps(payload))
-    with pytest.raises(DemoError, match=rf"demo\.json: T_l: grasp index {t_l} outside \(0, 40\]"):
+    with pytest.raises(UserError, match=rf"demo\.json: T_l: grasp index {t_l} outside \(0, 40\]"):
         load_demo(p, spec)
     demo = load_demo(default_demo_path(), spec)
-    with pytest.raises(DemoError, match=rf"^grasp index {t_l} outside \(0, 40\]"):
+    with pytest.raises(UserError, match=rf"^grasp index {t_l} outside \(0, 40\]"):
         Demonstration(demo.pose_t, demo.pose_r, demo.joints, t_l)
 
 

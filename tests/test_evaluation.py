@@ -137,12 +137,6 @@ def test_strict_success_filter(spec):
     assert strict.sa == 1.0
 
 
-def test_sd_ratio_against_baseline(spec):
-    rows = [_row(True, q=[0.0, 0.0]), _row(True, q=[2.0, 0.0])]
-    m = compute_metrics(rows, spec, False, baseline_sd=4.0)
-    assert m.sd_ratio == pytest.approx(0.5)
-
-
 def test_evaluate_deterministic(assets, eval_cfg, eval_params):
     a, _ = evaluate(eval_params, eval_cfg, assets, 20, seed=7)
     b, _ = evaluate(eval_params, eval_cfg, assets, 20, seed=7)

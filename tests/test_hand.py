@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fungrasp.assets import default_hand_path, default_styles_path
+from fungrasp.assets import UserError, default_hand_path, default_styles_path
 from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import (
-    HandError,
     clamp_to_limits,
     classify_style,
     forward_kinematics_batch,
@@ -81,7 +80,7 @@ def test_limits_violation_rejected(tmp_path):
             }
         ],
     }
-    with pytest.raises(HandError, match="lo >= hi"):
+    with pytest.raises(UserError, match="lo >= hi"):
         load_hand_spec(_write(tmp_path, "bad.json", payload))
 
 
@@ -169,8 +168,9 @@ def test_fk_matches_the_reference_on_seeded_rollout_inputs(hand, monkeypatch):
 
 
 def test_fk_dimension_mismatch(spec):
-    with pytest.raises(HandError, match="J="):
+    with pytest.raises(ValueError, match="J=") as raised:
         _fk(spec, [IDENTITY], np.zeros((1, spec.joint_count + 1)))
+    assert type(raised.value) is ValueError
 
 
 def test_coupled_segment_follows_source(spec):
@@ -239,7 +239,27 @@ def test_each_segment_is_driven_by_its_source_at_its_scale(tmp_path, hand):
 def test_a_bad_coupling_entry_is_a_hand_error_that_names_it(tmp_path, entry, at, message):
     payload = _hand_json("inspire_like")
     payload["coupling"][at:at + 1] = [entry]
-    with pytest.raises(HandError, match=re.escape(f"hand.json: {message}")):
+    with pytest.raises(UserError, match=re.escape(f"hand.json: {message}")):
+        load_hand_spec(_write(tmp_path, "hand.json", payload))
+
+
+@pytest.mark.parametrize("segment, limits, message", [
+    (1, [0.0, 1.6], "fingers[2].segments[1].limits: coupling[1] drives this segment, so it declares no limits"),
+    (0, None, "fingers[2].segments[0].limits: must be [lo, hi]"),
+], ids=["coupled-declared", "active-absent"])
+def test_only_an_active_segment_declares_limits(tmp_path, segment, limits, message):
+    """A coupled segment's angle is scale * q[source], bounded by its
+    source's limits alone, so it declares none: in half_coupled the
+    middle distal follows the thumb's [-0.6, 0.6] roll, and limits
+    declared there would be unread. An active segment must declare its
+    limits (None: the key is deleted)."""
+    payload = _hand_json("half_coupled")
+    middle = payload["fingers"][2]["segments"][segment]
+    if limits is None:
+        del middle["limits"]
+    else:
+        middle["limits"] = limits
+    with pytest.raises(UserError, match=re.escape(f"hand.json: {message}")):
         load_hand_spec(_write(tmp_path, "hand.json", payload))
 
 
@@ -321,7 +341,7 @@ def test_classify_permutation_invariant_value(spec, styles):
 
 def test_styles_hand_mismatch_rejected(tmp_path, spec):
     p = _write(tmp_path, "styles.json", {"hand": "other", "styles": [{"id": "a", "q": [0] * 6, "contact_mask": [0]}]})
-    with pytest.raises(HandError, match="other"):
+    with pytest.raises(UserError, match="other"):
         load_styles(p, spec)
 
 
@@ -329,7 +349,7 @@ def test_style_out_of_limits_rejected(tmp_path, spec):
     q = [0.0] * spec.joint_count
     q[1] = 99.0
     p = _write(tmp_path, "styles.json", {"hand": spec.name, "styles": [{"id": "a", "q": q, "contact_mask": [0]}]})
-    with pytest.raises(HandError, match="outside limits"):
+    with pytest.raises(UserError, match="outside limits"):
         load_styles(p, spec)
 
 
@@ -340,7 +360,7 @@ def test_style_mask_needs_two_distinct_fingers(tmp_path, spec, styles, mask):
     entries = [{"id": s.id, "q": s.q_canonical.tolist(), "contact_mask": list(s.contact_mask)} for s in styles]
     entries[1]["contact_mask"] = mask
     p = _write(tmp_path, "styles.json", {"hand": spec.name, "styles": entries})
-    with pytest.raises(HandError, match=rf"styles\[1\] \('{styles[1].id}'\): contact_mask .* fewer than two"):
+    with pytest.raises(UserError, match=rf"styles\[1\] \('{styles[1].id}'\): contact_mask .* fewer than two"):
         load_styles(p, spec)
 
 
@@ -352,7 +372,7 @@ def test_style_mask_needs_two_distinct_fingers(tmp_path, spec, styles, mask):
     (("segments", 1, "radius"), True),
 ])
 def test_hand_numeric_fields_are_type_checked(tmp_path, where, value):
-    """A numeric hand field of the wrong JSON type is a HandError that
+    """A numeric hand field of the wrong JSON type is a UserError that
     names the file and the field's path."""
     payload = json.loads(default_hand_path().read_text())
     node = payload["fingers"][0]
@@ -360,7 +380,7 @@ def test_hand_numeric_fields_are_type_checked(tmp_path, where, value):
         node = node[key]
     node[where[-1]] = value
     path = "fingers[0]" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)
-    with pytest.raises(HandError, match=re.escape(f"hand.json: {path}: must be")):
+    with pytest.raises(UserError, match=re.escape(f"hand.json: {path}: must be")):
         load_hand_spec(_write(tmp_path, "hand.json", payload))
 
 
@@ -369,5 +389,5 @@ def test_style_numeric_fields_are_type_checked(tmp_path, spec, styles, field, va
     entries = [{"id": s.id, "q": s.q_canonical.tolist(), "contact_mask": list(s.contact_mask)} for s in styles]
     entries[2][field] = value
     p = _write(tmp_path, "styles.json", {"hand": spec.name, "styles": entries})
-    with pytest.raises(HandError, match=re.escape(f"styles.json: styles[2].{field}: must be a list of")):
+    with pytest.raises(UserError, match=re.escape(f"styles.json: styles[2].{field}: must be a list of")):
         load_styles(p, spec)

@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import builtins
 from collections import defaultdict
 from functools import cache
 from pathlib import Path
@@ -212,9 +213,6 @@ def test_results_and_records_are_built_in_one_place(path):
 # by module, the defaulted parameters that no program call passes, each
 # kept for a reason
 UNPASSED_ALLOWED = {"evaluation": [
-    # dropping it drops the always-null sd_ratio key from report.json and
-    # metrics.jsonl, an output change for the eval digests' next re-record
-    "evaluate(baseline_sd)",
     # criterion 6's random-action baseline, a reference the tests take
     "evaluate(mode)",
 ], "cli": [
@@ -302,3 +300,36 @@ def test_every_default_is_passed_by_the_program(path):
     unpassed."""
     callers = [(module_key(p), parsed(p)) for p in PROGRAM]
     assert unpassed_parameters(parsed(path), path.stem, callers) == UNPASSED_ALLOWED.get(path.stem, [])
+
+
+def exception_classes(trees) -> list[str]:
+    """The classes the modules define that derive from a built-in
+    exception, directly or through one another."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found = set()
+
+    def is_exception(base) -> bool:
+        builtin = getattr(builtins, getattr(base, "id", ""), None)
+        return getattr(base, "id", None) in found or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    while new := [node.name for node in classes if node.name not in found and any(map(is_exception, node.bases))]:
+        found.update(new)
+    return sorted(found)
+
+
+def test_exception_class_scan_catches_one():
+    source = "class A(ValueError):\n    pass\nclass B(A):\n    pass\nclass C(B, dict):\n    pass\n"
+    source += "class D:\n    pass\nclass E(D, m.F):\n    pass\n"
+    assert exception_classes([ast.parse(source)]) == ["A", "B", "C"]
+
+
+def test_the_package_defines_two_error_types():
+    """UserError, for every input the program rejects, and PolicyError
+    are the package's only exception classes, and cli.main reports
+    UserError and OSError alone as user errors (exit 1): anything else
+    is an internal error (exit 2)."""
+    assert exception_classes([parsed(p) for p in PACKAGE]) == ["PolicyError", "UserError"]
+    cli = parsed(ROOT / "src" / "fungrasp" / "cli.py")
+    (user_errors,) = [node.value for node in cli.body if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["USER_ERRORS"]]
+    assert ast.unparse(user_errors) == "(UserError, OSError)"

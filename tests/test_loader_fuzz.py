@@ -1,7 +1,8 @@
 """The CLI on the bundled hand, styles and demo JSON with one field, at
-any depth, retyped: every run succeeds or ends in a named user error
-(exit 0 or 1), never in an internal error (exit 2). So do a run config
-and a checkpoint with a retyped number."""
+any depth, retyped or dropped: every run succeeds or ends in a named
+user error (exit 0 or 1), never in an internal error (exit 2). So do a
+run config with a key dropped or retyped, a checkpoint with a retyped
+number, a broken PLY cloud and an --out that names a file."""
 
 import contextlib
 import copy
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 import numpy as np
 
 from fungrasp import cli
-from fungrasp.assets import default_demo_path, default_hand_path, default_styles_path
+from fungrasp.assets import default_demo_path, default_hand_path, default_objects_dir, default_styles_path
 from fungrasp.dataio import save_checkpoint
 from fungrasp.policy import init_params
 
 # 10**400 is a JSON integer that no float holds
 RETYPED = (None, [], [1], "x", True, {}, 2.5, -1, 10**400)
+# as a value: the key or list entry at the path is deleted
+DROP = "<dropped>"
 TRAIN = {"train": {"iterations": 0, "envs_per_iter": 8, "minibatch": 8, "m_points": 32}}
 FUZZ = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -46,14 +49,18 @@ STYLES, STYLES_PATHS = _bundled(default_styles_path())
 
 def _exit_code(tmp_path_factory, doc, path, value, command):
     """cli.main's exit code for `command` (with {dir} standing for the
-    files' directory) run on doc with the field at path set to value.
+    files' directory) run on doc with the field at path set to value, or
+    deleted when value is DROP.
     An argv that argparse rejects fails the test: it exits 1 too, but
     without loading the file."""
     doc = copy.deepcopy(doc)
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value == DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     out = tmp_path_factory.mktemp("fuzz")
     (out / "doc.json").write_text(json.dumps(doc))
     (out / "config.json").write_text(json.dumps(TRAIN))
@@ -104,10 +111,121 @@ def test_retyped_styles_field_is_never_an_internal_error(tmp_path_factory, path,
     assert _exit_code(tmp_path_factory, STYLES, path, value, command) in (0, 1)
 
 
-
 DEMO_INSPECT = ["demo", "inspect"]
 TRAIN_STYLES = ["train", "--seed", "1", "--config", "{dir}/config.json", "--styles", "{dir}/doc.json",
                 "--out", "{dir}/run"]
+
+
+@FUZZ
+@given(path=st.sampled_from(HAND_PATHS))
+@example(path=("fingers", 2, "segments", 0, "limits"))
+@example(path=("coupling", 0))
+@example(path=("fingers", 3))
+def test_dropped_hand_key_is_never_an_internal_error(tmp_path_factory, path):
+    assert _exit_code(tmp_path_factory, HAND, path, DROP, [*DEMO_INSPECT, "--hand", "{dir}/doc.json"]) in (0, 1)
+
+
+@FUZZ
+@given(path=st.sampled_from(DEMO_PATHS))
+@example(path=("T_l",))
+@example(path=("frames", 0, "p", "r", 3))
+def test_dropped_demo_key_is_never_an_internal_error(tmp_path_factory, path):
+    assert _exit_code(tmp_path_factory, DEMO, path, DROP, [*DEMO_INSPECT, "--demo", "{dir}/doc.json"]) in (0, 1)
+
+
+@FUZZ
+@given(path=st.sampled_from(STYLES_PATHS))
+@example(path=("styles", 0, "contact_mask", 1))
+@example(path=("hand",))
+def test_dropped_styles_key_is_never_an_internal_error(tmp_path_factory, path):
+    assert _exit_code(tmp_path_factory, STYLES, path, DROP, TRAIN_STYLES) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A checkpoint file for the bundled hand at TRAIN's m_points."""
+    path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.json"
+    params = init_params(np.random.default_rng(0), TRAIN["train"]["m_points"], 4, 6)
+    save_checkpoint(params, {"hand": "inspire_like"}, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def checkpoint(checkpoint_file):
+    """That checkpoint, as JSON."""
+    return json.loads(checkpoint_file.read_text())
+
+
+# an eval run of two episodes, with a key of each train section
+RUN_CONFIG = {"seed": 1, "workers": 1, "episodes": 2, "train": {
+    "m_points": 32, "envs_per_iter": 8, "minibatch": 8, "sim": {"mu": 0.5}, "reward": {"gamma": 4.0},
+    "bounds": {"k_min": 0.6},
+}}
+
+
+@FUZZ
+@given(path=st.sampled_from(list(_paths(RUN_CONFIG))), value=st.sampled_from((DROP, *RETYPED)))
+@example(path=("seed",), value=DROP)
+@example(path=("train",), value=DROP)
+@example(path=("episodes",), value=DROP)
+@example(path=("train", "bounds", "k_min"), value=-1)
+@example(path=("train", "sim", "mu"), value=2.5)
+def test_dropped_or_retyped_run_config_key_is_never_an_internal_error(tmp_path_factory, checkpoint_file, path,
+                                                                       value):
+    command = ["eval", "--config", "{dir}/doc.json", "--checkpoint", str(checkpoint_file), "--out", "{dir}/run"]
+    assert _exit_code(tmp_path_factory, RUN_CONFIG, path, value, command) in (0, 1)
+
+
+def _ply(rows: int, declared: int | None = None, bad: tuple[int, int] | None = None) -> str:
+    """The bundled box cloud's PLY text cut to its first rows vertex rows,
+    its header declaring `declared` (default: rows) vertices, with the
+    entry at bad (row, column) set to nan."""
+    lines = (default_objects_dir() / "box.ply").read_text().splitlines()
+    end = lines.index("end_header") + 1
+    header = [f"element vertex {rows if declared is None else declared}" if line.startswith("element vertex")
+              else line for line in lines[:end]]
+    body = [line.split() for line in lines[end:end + rows]]
+    if bad is not None:
+        body[bad[0]][bad[1]] = "nan"
+    return "\n".join([*header, *map(" ".join, body)]) + "\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "cloud.ply: not a PLY file (missing magic)"),
+    (_ply(0, declared=1536), "cloud.ply: expected 1536 vertex rows, file ends at 0"),
+    (_ply(0), "cloud: needs at least 64 points, got 0"),
+    (_ply(10, declared=1536), "cloud.ply: expected 1536 vertex rows, file ends at 10"),
+    (_ply(63), "cloud: needs at least 64 points, got 63"),
+    (_ply(1536, bad=(700, 1)), "cloud: points contain non-finite values"),
+    (_ply(1536, bad=(700, 5)), "cloud: normals contain non-finite values"),
+], ids=["empty", "header-only", "no-vertices", "truncated", "63-rows", "nan-coordinate", "nan-normal"])
+@pytest.mark.parametrize("command", [["sample-affordance"], ["train", "--out", "{dir}/run"]],
+                         ids=["sample-affordance", "train"])
+def test_a_broken_ply_is_a_named_user_error(tmp_path, capsys, text, message, command):
+    """An objects directory whose cloud is empty, ends early, holds fewer
+    than 64 points or a nan exits 1 with an error that names the cloud,
+    before any output is made."""
+    (tmp_path / "objects").mkdir()
+    (tmp_path / "objects" / "cloud.ply").write_text(text)
+    argv = [arg.format(dir=tmp_path) for arg in [*command, "--seed", "1", "--objects", "{dir}/objects"]]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "collect"])
+def test_an_out_that_names_a_file_is_a_named_user_error(tmp_path, capsys, command):
+    """Every command that writes into --out exits 1 when it names an
+    existing file, and leaves the file as it was."""
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    extra = {"eval": ["--checkpoint", str(tmp_path / "none.json")], "ablate": ["--component", "afford"],
+             "collect": ["--checkpoint", str(tmp_path / "none.json")]}
+    assert cli.main([command, "--seed", "1", *extra.get(command, []), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: output path exists and is not a directory: {out}\n" in err and "internal error" not in err
+    assert out.read_text() == "kept"
 
 
 @pytest.mark.parametrize("doc, command, path, value, field", [
@@ -139,15 +257,6 @@ def test_pose_fields_fail_as_named_user_errors(tmp_path_factory, capsys, doc, op
     the pose."""
     assert _exit_code(tmp_path_factory, doc, path, value, [*DEMO_INSPECT, option, "{dir}/doc.json"]) == 1
     assert f"doc.json: {message}\n" in capsys.readouterr().err
-
-
-@pytest.fixture(scope="module")
-def checkpoint(tmp_path_factory):
-    """A checkpoint for the bundled hand at TRAIN's m_points, as JSON."""
-    path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.json"
-    params = init_params(np.random.default_rng(0), TRAIN["train"]["m_points"], 4, 6)
-    save_checkpoint(params, {"hand": "inspire_like"}, path)
-    return json.loads(path.read_text())
 
 
 EVAL = ["eval", "--seed", "1", "--config", "{dir}/config.json", "--checkpoint", "{dir}/doc.json",

@@ -2,10 +2,12 @@
 package's own batched FK and rollout on the bundled assets, and its
 builders and writers give the bundled files."""
 
+import json
+
 import numpy as np
 
 from conftest import _load_script
-from fungrasp.assets import default_objects_dir
+from fungrasp.assets import default_hand_path, default_objects_dir
 
 
 def test_replay_success_on_the_box(spec, styles, demo, objects):
@@ -34,3 +36,12 @@ def test_builders_write_the_bundled_plys(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in bundled]
     for path in bundled:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_builders_write_the_bundled_hands():
+    """The script's hand builders, written as its main writes them, give
+    the bundled hand files byte for byte."""
+    make_assets = _load_script()
+    for build in (make_assets.inspire_like_hand, make_assets.shadow_like_hand):
+        hand = build()
+        assert json.dumps(hand, indent=1) == default_hand_path(hand["name"]).read_text(), hand["name"]

@@ -7,13 +7,12 @@ import pytest
 
 from conftest import _load_script
 from kernel_reference import reference_estimate_normals, reference_farthest_point_sample
-from fungrasp.assets import default_objects_dir
+from fungrasp.assets import UserError, default_objects_dir
 from fungrasp.objects import (
     AFFORD_H_MIN,
     AFFORD_UP_WEIGHT,
     NORMAL_ROWS,
     AffordanceDistribution,
-    ObjectError,
     ObjectModel,
     affordance_distribution,
     _squared_distances,
@@ -72,14 +71,14 @@ def test_canonicalization_shifts_min_z_to_zero():
 
 
 def test_too_few_points_rejected():
-    with pytest.raises(ObjectError, match="at least"):
+    with pytest.raises(UserError, match="at least"):
         ObjectModel.from_points("tiny", np.random.default_rng(0).normal(size=(10, 3)))
 
 
 def test_non_finite_rejected():
     pts, nrm = _cube_cloud()
     pts[0, 0] = np.nan
-    with pytest.raises(ObjectError, match="non-finite"):
+    with pytest.raises(UserError, match="non-finite"):
         ObjectModel.from_points("nan", pts, nrm)
 
 
@@ -104,7 +103,7 @@ def test_sphere_affordance_weights_follow_upward_normals(objects):
 
 def test_affordance_h_min_above_object_rejected():
     obj = _load_script().make_box(edges=(0.05, 0.05, AFFORD_H_MIN / 2))
-    with pytest.raises(ObjectError, match="below h_min"):
+    with pytest.raises(UserError, match="below h_min"):
         affordance_distribution(obj)
 
 
@@ -219,7 +218,7 @@ def test_fps_matches_the_row_sum_reference():
 
 
 def test_fps_m_too_large():
-    with pytest.raises(ObjectError):
+    with pytest.raises(UserError):
         farthest_point_sample(np.zeros((5, 3)), 6, seed=0)
 
 
@@ -273,18 +272,18 @@ def test_ply_without_normals_estimates_and_flags(tmp_path, caplog, objects):
 def test_ply_parse_errors(tmp_path):
     bad = tmp_path / "bad.ply"
     bad.write_text("not a ply\n")
-    with pytest.raises(ObjectError, match="magic"):
+    with pytest.raises(UserError, match="magic"):
         load_object(bad)
     trunc = tmp_path / "trunc.ply"
     trunc.write_text("ply\nformat ascii 1.0\nelement vertex 100\nproperty float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n")
-    with pytest.raises(ObjectError, match="file ends"):
+    with pytest.raises(UserError, match="file ends"):
         load_object(trunc)
     # a format or element line with no operand names the file and line
     for header, line in (("ply\nformat\n", 2), ("ply\nformat ascii 1.0\nelement\n", 3)):
         bare = tmp_path / "bare.ply"
         bare.write_text(header + "end_header\n")
         word = header.split()[-1]
-        with pytest.raises(ObjectError, match=re.escape(f"{bare}:{line}: '{word}' line has no operand")):
+        with pytest.raises(UserError, match=re.escape(f"{bare}:{line}: '{word}' line has no operand")):
             load_object(bare)
 
 
@@ -293,7 +292,7 @@ def test_binary_ply_names_the_file_and_its_format(tmp_path, objects):
     points = objects["sphere"].points[:100].astype("<f4")
     path = tmp_path / "binary.ply"
     path.write_bytes(_XYZ_HEADER.format(100).replace("ascii", "binary_little_endian").encode() + points.tobytes())
-    with pytest.raises(ObjectError, match=re.escape(f"{path}:2: only ascii PLY is supported, got binary_little_endian")):
+    with pytest.raises(UserError, match=re.escape(f"{path}:2: only ascii PLY is supported, got binary_little_endian")):
         load_object(path)
 
 
@@ -302,15 +301,15 @@ _XYZ_HEADER = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\nprope
 
 def test_ply_vertex_count_is_checked(tmp_path):
     """An empty cloud parses and is refused as too small; a count that is
-    not a non-negative integer is an ObjectError that names the file."""
+    not a non-negative integer is a UserError that names the file."""
     empty = tmp_path / "empty.ply"
     empty.write_text(_XYZ_HEADER.format(0))
-    with pytest.raises(ObjectError, match="needs at least"):
+    with pytest.raises(UserError, match="needs at least"):
         load_object(empty)
     for count in ("-1", "2.5", "many", ""):
         bad = tmp_path / "count.ply"
         bad.write_text(_XYZ_HEADER.format(count) + "0 0 0\n0 0 1\n")
-        with pytest.raises(ObjectError, match=re.escape(f"{bad}:3: vertex count must be a non-negative integer")):
+        with pytest.raises(UserError, match=re.escape(f"{bad}:3: vertex count must be a non-negative integer")):
             load_object(bad)
 
 
@@ -318,7 +317,7 @@ def test_only_an_accepted_cloud_warns_of_estimated_normals(tmp_path, caplog, obj
     empty = tmp_path / "empty.ply"
     empty.write_text(_XYZ_HEADER.format(0))
     with caplog.at_level(logging.WARNING, logger="fungrasp.objects"):
-        with pytest.raises(ObjectError, match="needs at least"):
+        with pytest.raises(UserError, match="needs at least"):
             load_object(empty)
     assert caplog.records == []
     plain = tmp_path / "plain.ply"

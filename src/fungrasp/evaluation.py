@@ -147,7 +147,7 @@ def evaluate(
     with "random" the actions, and so the metrics, do not depend on
     params. With exhaustive_styles each episode replays every style
     candidate (identical environment otherwise) and keeps the best
-    outcome.
+    outcome. Episodes run at sigma_style 0: no style disturbance.
     """
     if n_episodes < 1:
         raise UserError("n_episodes must be >= 1")
@@ -157,12 +157,10 @@ def evaluate(
         raise UserError("empty object set")
     check_m_points(cfg, assets)
     forced = range(len(assets.styles)) if exhaustive_styles else [None]
+    undisturbed = replace(cfg, sigma_style=0.0)
     with nullcontext(pool) if pool else EpisodePool(cfg.workers, assets) as pool:
         by_style = [
-            pool.run(
-                params, cfg, seed, (STREAM_EVAL,), n_episodes,
-                train_mode=False, mode=mode, force_style=s,
-            )
+            pool.run(params, undisturbed, seed, (STREAM_EVAL,), n_episodes, mode=mode, force_style=s)
             for s in forced
         ]
     results = [_best_of_styles(list(per_style)) for per_style in zip(*by_style)]

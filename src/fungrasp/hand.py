@@ -1,14 +1,17 @@
 """Multi-finger kinematic hand models with spherical collision proxies.
 
-A hand is a tree of revolute chains hanging off the wrist. Each segment
-rotates about its own axis (expressed in the frame the segment starts in)
-and then extends along local +x by its length; one collision sphere sits
-at each segment end, so the last sphere of a chain is the fingertip.
-Every segment has one drive rule: its angle is ``scale * q[source]``.
-An active segment is joint ``source`` of the joint vector at scale 1,
-numbered in chain order; a coupled segment carries no joint and no
-limits of its own and follows an active joint at the scale its coupling
-entry gives (as a URDF ``mimic`` joint follows its source).
+A hand is a tree of revolute chains hanging off the wrist, held as one
+table (HandSpec): a row per finger for its base pose, and a row per
+segment, in chain order finger by finger, for its length, axis, sphere
+radius, finger and drive. Each segment rotates about its own axis
+(expressed in the frame the segment starts in) and then extends along
+local +x by its length; one collision sphere sits at each segment end,
+so a finger's last row is its fingertip. Every segment has one drive
+rule: its angle is ``scale * q[source]``. An active segment is joint
+``source`` of the joint vector at scale 1, numbered in chain order; a
+coupled segment carries no joint and no limits of its own and follows
+an active joint at the scale its coupling entry gives (as a URDF
+``mimic`` joint follows its source).
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .assets import UserError, json_number, json_object_list, json_pose, read_js
 from .geometry import hamilton, rotate, row_norms
 
 __all__ = [
-    "Segment",
-    "Finger",
     "HandSpec",
     "Style",
     "load_hand_spec",
@@ -36,35 +37,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Segment:
-    length: float
-    axis: np.ndarray        # unit 3-vector, joint rotation axis
-    radius: float           # collision sphere at the segment end
-    source: int             # the joint that drives the segment: its angle is scale * q[source]
-    scale: float
-
-
-@dataclass(frozen=True)
-class Finger:
-    name: str
-    base_t: np.ndarray      # (3,), wrist-relative
-    base_r: np.ndarray      # (4,) unit quaternion, wrist-relative
-    segments: tuple[Segment, ...]   # the last one's radius is the tip radius
-
-
-@dataclass(frozen=True)
 class HandSpec:
+    """A hand as one table of read-only arrays, built by load_hand_spec
+    alone: F finger rows, then K segment rows grouped by finger in chain
+    order, which forward_kinematics_batch relies on."""
+
     name: str
-    fingers: tuple[Finger, ...]
     joint_count: int
     limits_lo: np.ndarray   # (J,)
     limits_hi: np.ndarray   # (J,)
-    radii: np.ndarray       # (K,) sphere radii in chain order
-    finger_index: np.ndarray  # (K,) the finger of each sphere
+    base_t: np.ndarray      # (F, 3) each finger's base, wrist-relative
+    base_r: np.ndarray      # (F, 4) unit quaternions, wrist-relative
+    finger_index: np.ndarray  # (K,) the finger of each segment
+    length: np.ndarray      # (K,)
+    axis: np.ndarray        # (K, 3) unit rotation axes
+    radii: np.ndarray       # (K,) the sphere at each segment end; a finger's last is its tip
+    source: np.ndarray      # (K,) the joint that drives each segment: its angle is scale * q[source]
+    scale: np.ndarray       # (K,)
 
     @property
     def finger_count(self) -> int:
-        return len(self.fingers)
+        return len(self.base_t)
 
     @property
     def sphere_count(self) -> int:
@@ -90,7 +83,9 @@ def load_hand_spec(path) -> HandSpec:
     Each uncoupled segment takes the next joint in chain order (scale
     1) and declares its limits; each coupling entry names a segment and
     the joint that drives it instead, with its scale, and that segment
-    declares no limits: its angle is bounded by its source's.
+    declares no limits: its angle is bounded by its source's. The
+    coupling entries are read first, against the fingers' segment
+    counts; then each segment once, into its row.
     """
     data = read_json_object(path)
 
@@ -100,15 +95,37 @@ def load_hand_spec(path) -> HandSpec:
     name = data.get("name")
     if not isinstance(name, str) or not name:
         fail("name", "missing or empty")
-    parsed = []     # per finger: name, base pose and each segment's fields and declared limits
-    for fi, fd in enumerate(json_object_list(data, "fingers", f"{path}: ")):
+    fingers = json_object_list(data, "fingers", f"{path}: ")
+    if not fingers:
+        fail("fingers", "hand has no fingers")
+    chains = [json_object_list(fd, "segments", f"{path}: fingers[{fi}].") for fi, fd in enumerate(fingers)]
+
+    coupled = {}    # (finger, segment) -> (source, scale, coupling entry)
+    for ci, cd in enumerate(json_object_list(data, "coupling", f"{path}: ")):
+        where = f"coupling[{ci}]"
+        fi, si, source = (json_number(cd.get(k), f"{path}: {where}.{k}", integer=True)
+                          for k in ("finger", "segment", "source"))
+        if not 0 <= fi < len(chains):
+            fail(where + ".finger", f"finger {fi} out of range, hand has {len(chains)}")
+        if not 0 <= si < len(chains[fi]):
+            fail(where + ".segment", f"segment {si} out of range, finger {fi} has {len(chains[fi])}")
+        if (fi, si) in coupled:
+            fail(where, f"finger {fi} segment {si} is already coupled by coupling[{coupled[fi, si][2]}]")
+        coupled[fi, si] = (source, json_number(cd.get("scale", 1.0), f"{path}: {where}.scale"), ci)
+    # every segment no entry couples is a joint
+    joint_count = sum(map(len, chains)) - len(coupled)
+    for source, _, ci in coupled.values():
+        if not 0 <= source < joint_count:
+            fail(f"coupling[{ci}].source", f"joint {source} out of range (J={joint_count})")
+
+    bases, rows, lo, hi = [], [], [], []    # rows as HandSpec's segment columns: finger .. scale
+    for fi, (fd, chain) in enumerate(zip(fingers, chains)):
         where = f"fingers[{fi}]"
-        base_t, base_r = json_pose(fd.get("base"), f"{path}: {where}.base")
+        bases.append(json_pose(fd.get("base"), f"{path}: {where}.base"))
         tip_radius = json_number(fd.get("tip_radius", 0.0), f"{path}: {where}.tip_radius")
         if tip_radius <= 0:
             fail(where + ".tip_radius", "must be > 0")
-        segments = []
-        for si, sd in enumerate(json_object_list(fd, "segments", f"{path}: {where}.")):
+        for si, sd in enumerate(chain):
             sw = f"{where}.segments[{si}]"
             length = json_number(sd.get("length", 0.0), f"{path}: {sw}.length")
             if length <= 0:
@@ -116,76 +133,35 @@ def load_hand_spec(path) -> HandSpec:
             axis = json_number(sd.get("axis", []), f"{path}: {sw}.axis", vector=True)
             if axis.shape != (3,) or np.linalg.norm(axis) < 1e-9:
                 fail(sw + ".axis", "must be a nonzero 3-vector")
-            axis = axis / np.linalg.norm(axis)
-            axis.setflags(write=False)
             limits = None
             if "limits" in sd:
-                lim = json_number(sd["limits"], f"{path}: {sw}.limits", vector=True)
-                if len(lim) != 2:
+                limits = json_number(sd["limits"], f"{path}: {sw}.limits", vector=True)
+                if len(limits) != 2:
                     fail(sw + ".limits", "must be [lo, hi]")
-                limits = float(lim[0]), float(lim[1])
                 if not limits[0] < limits[1]:
                     fail(sw + ".limits", f"joint '{fd.get('name', fi)}[{si}]' has lo >= hi ({limits[0]} >= {limits[1]})")
             radius = json_number(sd.get("radius", tip_radius), f"{path}: {sw}.radius")
             if radius <= 0:
                 fail(sw + ".radius", "must be > 0")
-            segments.append(({"length": length, "axis": axis, "radius": radius}, limits))
-        if not segments:
-            fail(where, "finger has no segments")
-        # the last sphere is the fingertip; its radius is the tip radius
-        segments[-1][0]["radius"] = tip_radius
-        finger_name = fd.get("name", f"finger{fi}")
-        if not isinstance(finger_name, str) or not finger_name:
-            fail(where + ".name", f"must be a non-empty string, got {finger_name!r}")
-        parsed.append((finger_name, base_t, base_r, segments))
-    if not parsed:
-        fail("fingers", "hand has no fingers")
-
-    counts = [len(segments) for *_, segments in parsed]
-    coupled = {}    # (finger, segment) -> (source, scale, coupling entry)
-    for ci, cd in enumerate(json_object_list(data, "coupling", f"{path}: ")):
-        where = f"coupling[{ci}]"
-        fi, si, source = (json_number(cd.get(k), f"{path}: {where}.{k}", integer=True)
-                          for k in ("finger", "segment", "source"))
-        if not 0 <= fi < len(parsed):
-            fail(where + ".finger", f"finger {fi} out of range, hand has {len(parsed)}")
-        if not 0 <= si < counts[fi]:
-            fail(where + ".segment", f"segment {si} out of range, finger {fi} has {counts[fi]}")
-        if (fi, si) in coupled:
-            fail(where, f"finger {fi} segment {si} is already coupled by coupling[{coupled[fi, si][2]}]")
-        coupled[fi, si] = (source, json_number(cd.get("scale", 1.0), f"{path}: {where}.scale"), ci)
-    # every segment no entry couples is a joint
-    joint_count = sum(counts) - len(coupled)
-    for source, _, ci in coupled.values():
-        if not 0 <= source < joint_count:
-            fail(f"coupling[{ci}].source", f"joint {source} out of range (J={joint_count})")
-
-    fingers, lo, hi = [], [], []
-    for fi, (finger_name, base_t, base_r, fields) in enumerate(parsed):
-        segments = []
-        for si, (seg, limits) in enumerate(fields):
-            sw = f"fingers[{fi}].segments[{si}].limits"
             if (fi, si) in coupled:
                 source, scale, ci = coupled[fi, si]
                 if limits is not None:
-                    fail(sw, f"coupling[{ci}] drives this segment, so it declares no limits")
+                    fail(sw + ".limits", f"coupling[{ci}] drives this segment, so it declares no limits")
             elif limits is None:
-                fail(sw, "must be [lo, hi]")
+                fail(sw + ".limits", "must be [lo, hi]")
             else:
                 source, scale = len(lo), 1.0
                 lo.append(limits[0])
                 hi.append(limits[1])
-            segments.append(Segment(**seg, source=source, scale=scale))
-        fingers.append(Finger(finger_name, base_t, base_r, tuple(segments)))
-    return HandSpec(
-        name=name,
-        fingers=tuple(fingers),
-        joint_count=joint_count,
-        limits_lo=_read_only(lo),
-        limits_hi=_read_only(hi),
-        radii=_read_only([seg.radius for finger in fingers for seg in finger.segments]),
-        finger_index=_read_only([fi for fi, finger in enumerate(fingers) for _ in finger.segments]),
-    )
+            # the last sphere is the fingertip; its radius is the tip radius
+            radius = tip_radius if si == len(chain) - 1 else radius
+            rows.append((fi, length, axis / np.linalg.norm(axis), radius, source, scale))
+        if not chain:
+            fail(where, "finger has no segments")
+        finger_name = fd.get("name", f"finger{fi}")
+        if not isinstance(finger_name, str) or not finger_name:
+            fail(where + ".name", f"must be a non-empty string, got {finger_name!r}")
+    return HandSpec(name, joint_count, *map(_read_only, (lo, hi, *zip(*bases), *zip(*rows))))
 
 
 def load_styles(path, spec: HandSpec) -> list[Style]:
@@ -236,16 +212,18 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
 
     wrist_t: (B, 3), wrist_r: (B, 4) unit quats, q: (B, J).
     Returns (centers (B, K, 3), fingertips (B, F, 3)); the spheres'
-    radii and fingers are the spec's radii and finger_index.
+    radii and fingers are the spec's radii and finger_index, and each
+    fingertip is its finger's last row.
 
-    Each finger's chain runs on contiguous (B,) component arrays through
-    geometry.hamilton and geometry.rotate, the only copies of those
-    formulas, in the operation order of quat_mul and quat_rotate (every
-    multiply by a segment vector's zero entries included), so each row
-    keeps the bits it gets alone; rotate writes into one (7, B)
-    workspace. The centers are a view of one (3, K, B) buffer; the
-    fingertips are a C-order copy, the layout the masked finger sums
-    downstream have always read.
+    The segment rows run in chain order on contiguous (B,) component
+    arrays; a row whose finger differs from the row before starts over
+    at that finger's base. Every row goes through geometry.hamilton and
+    geometry.rotate, the only copies of those formulas, in the
+    operation order of quat_mul and quat_rotate (every multiply by a
+    segment vector's zero entries included), so each row keeps the bits
+    it gets alone; rotate writes into one (7, B) workspace. The centers
+    are a view of one (3, K, B) buffer; the fingertips are a C-order
+    copy, the layout the masked finger sums downstream have always read.
     """
     wrist_t = np.asarray(wrist_t, dtype=float)
     wrist_r = np.asarray(wrist_r, dtype=float)
@@ -256,22 +234,23 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
     joints = q.T.copy()
     out = np.empty((3, spec.sphere_count, len(q)))
     work = np.empty((7, len(q)))   # rotate's, each result added into place before the next call
-    tip_k = []
-    k = 0
-    for finger in spec.fingers:
-        cur_r = hamilton(*wrist, *finger.base_r)
-        cur_t = tuple(wt + bt for wt, bt in zip(wrist_t.T, rotate(*wrist, *finger.base_t, work)))
-        for seg in finger.segments:
-            half = 0.5 * (seg.scale * joints[seg.source])
-            s = np.sin(half)
-            cur_r = hamilton(*cur_r, np.cos(half), s * seg.axis[0], s * seg.axis[1], s * seg.axis[2])
-            step = rotate(*cur_r, seg.length, 0.0, 0.0, work)
-            for a in range(3):
-                np.add(cur_t[a], step[a], out=out[a, k])
-            cur_t = tuple(out[:, k])
-            k += 1
-        tip_k.append(k - 1)
-    return out.transpose(2, 1, 0), out[:, tip_k].transpose(2, 1, 0).copy()
+    rows = zip(spec.finger_index.tolist(), spec.length.tolist(), spec.axis.tolist(), spec.source.tolist(),
+               spec.scale.tolist())
+    finger = None
+    for k, (fi, length, (ax, ay, az), source, scale) in enumerate(rows):
+        if fi != finger:
+            finger = fi
+            cur_r = hamilton(*wrist, *spec.base_r[fi])
+            cur_t = tuple(wt + bt for wt, bt in zip(wrist_t.T, rotate(*wrist, *spec.base_t[fi], work)))
+        half = 0.5 * (scale * joints[source])
+        s = np.sin(half)
+        cur_r = hamilton(*cur_r, np.cos(half), s * ax, s * ay, s * az)
+        step = rotate(*cur_r, length, 0.0, 0.0, work)
+        for a in range(3):
+            np.add(cur_t[a], step[a], out=out[a, k])
+        cur_t = tuple(out[:, k])
+    tips = np.flatnonzero(np.diff(spec.finger_index, append=spec.finger_count))
+    return out.transpose(2, 1, 0), out[:, tips].transpose(2, 1, 0).copy()
 
 
 def normalize_joints(spec: HandSpec, q) -> np.ndarray:

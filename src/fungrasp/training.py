@@ -18,7 +18,7 @@ through three phases:
    over them gives the chunk's EnvBatch. Only the rng draws run per
    episode, each on the episode's own rng in the contract order: the
    reset's four draws (object, the pose and affordance uniforms, style,
-   and in training the style disturbance), then the action draw
+   and at sigma_style > 0 the style disturbance), then the action draw
    (standard_normal noise in policy mode, uniform actions in random
    mode), which does not depend on the forward pass. What the reset's
    draws become (the pose, the affordance point, the clamped joints) is
@@ -466,7 +466,6 @@ def run_episodes(
     stream_key: tuple,
     indices,
     *,
-    train_mode: bool,
     mode: str = "policy",          # one of ACTION_MODES
     force_style: int | None = None,
 ) -> tuple:
@@ -478,6 +477,9 @@ def run_episodes(
     action_vec and terms and the rollout_batch columns of those that
     ran, both empty when none did. Each row is bit for bit what the
     episode gets in a chunk of its own.
+
+    cfg.sigma_style sets the reset's style disturbance; evaluation runs
+    at 0, which draws none.
 
     force_style overrides the sampled style *after* the reset draws, so
     the environment (object, pose, affordance) is identical across the
@@ -492,7 +494,7 @@ def run_episodes(
     rngs = episode_rngs((seed, *stream_key), indices)
     env = reset_env(
         assets.objects, assets.afford_dists, assets.styles, rngs, spec=assets.spec,
-        square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0, force_style=force_style,
+        square_half=cfg.square_half, sigma_style=cfg.sigma_style, force_style=force_style,
     )
     if mode == "policy":
         draws = np.stack([rng.standard_normal(params.action_dim) for rng in rngs])
@@ -614,10 +616,10 @@ def _results(columns: tuple) -> list[EpisodeResult]:
 def _pool_chunk(args):
     """One worker's chunk, as run_episodes' columns, under the params in
     the pool's block, laid out by the counts the task carries."""
-    counts, cfg, seed, stream_key, indices, train_mode, mode, force_style = args
+    counts, cfg, seed, stream_key, indices, mode, force_style = args
     return run_episodes(
         PolicyParams(_WORKER_FLAT, *counts), cfg, _WORKER_ASSETS, seed, stream_key, indices,
-        train_mode=train_mode, mode=mode, force_style=force_style,
+        mode=mode, force_style=force_style,
     )
 
 
@@ -636,7 +638,7 @@ class EpisodePool:
     caller set them."""
 
     def __init__(self, workers: int, assets: Assets):
-        self.workers = max(1, int(workers))
+        self.workers = workers
         self.assets = assets
         self._ex = None
         self._open = ExitStack()       # closed in reverse: the executor, the block, then the pin
@@ -651,27 +653,25 @@ class EpisodePool:
             ))
 
     def run(
-        self, params, cfg, seed, stream_key, n_episodes, *, train_mode, mode="policy", force_style=None,
+        self, params, cfg, seed, stream_key, n_episodes, *, mode="policy", force_style=None,
     ) -> list[EpisodeResult]:
         """Episodes 0..n_episodes-1 in index order; raises PolicyError
         if every one of them errored."""
         indices = list(range(n_episodes))
         if self._ex is None:
             out = _results(run_episodes(
-                params, cfg, self.assets, seed, stream_key, indices,
-                train_mode=train_mode, mode=mode, force_style=force_style,
+                params, cfg, self.assets, seed, stream_key, indices, mode=mode, force_style=force_style,
             ))
         else:
             self._flat[:] = params.flat
             counts = (params.m_points, params.style_count, params.joint_count)
-            tasks = [(counts, cfg, seed, stream_key, indices[c :: self.workers], train_mode, mode, force_style)
+            tasks = [(counts, cfg, seed, stream_key, indices[c :: self.workers], mode, force_style)
                      for c in range(min(self.workers, n_episodes))]
             futures = [self._ex.submit(_pool_chunk, task) for task in tasks]
             wait(futures)
             out = [None] * n_episodes
-            for future in futures:
-                for r in _results(future.result()):
-                    out[r.index] = r
+            for c, future in enumerate(futures):
+                out[c :: self.workers] = _results(future.result())
         if out and all(r.error is not None for r in out):
             raise PolicyError(f"all {len(out)} episodes failed; the first: {out[0].error}")
         return out
@@ -698,10 +698,7 @@ def collect_batch(
     batch stacks the episodes that ran, with their observations encoded
     here (observe); errored ones stay in results only."""
     with nullcontext(pool) if pool else EpisodePool(cfg.workers, assets) as pool:
-        results = pool.run(
-            params, cfg, cfg.seed, (STREAM_TRAIN, iteration), cfg.envs_per_iter,
-            train_mode=True, mode="policy",
-        )
+        results = pool.run(params, cfg, cfg.seed, (STREAM_TRAIN, iteration), cfg.envs_per_iter)
     ran = [r for r in results if r.error is None]
     rewards = np.array([r.reward for r in ran])
     adv = rewards - np.array([r.value for r in ran])

@@ -182,7 +182,7 @@ def reference_sample(mean, log_std, bounds, joint_count, rng):
     return raw, squash(raw, lo, hi), logp
 
 
-def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode, force_style, cloud_cache):
+def reference_act(params, cfg, assets, seed, stream_key, index, mode, force_style, cloud_cache):
     """Phase 1 of one episode: reset, observe, a B=1 forward pass, act.
     Returns the episode's result, its EnvBatch of one, its action vector
     and its observation; a PolicyError makes the result an errored one,
@@ -190,8 +190,8 @@ def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode
     rng = episode_rng(seed, *stream_key, index)
     joint_count = assets.spec.joint_count
     env, pose = reference_reset(
-        assets.objects, assets.afford_dists, assets.styles, rng, train_mode, spec=assets.spec,
-        square_half=cfg.square_half, sigma_style=cfg.sigma_style if train_mode else 0.0, force_style=force_style,
+        assets.objects, assets.afford_dists, assets.styles, rng, True, spec=assets.spec,
+        square_half=cfg.square_half, sigma_style=cfg.sigma_style, force_style=force_style,
     )
     result = EpisodeResult(index, env.objs[0].name, *pose, env.p_afford[0], int(env.style[0]))
     try:
@@ -216,12 +216,11 @@ def reference_act(params, cfg, assets, seed, stream_key, index, train_mode, mode
     return result, env, action, obs
 
 
-def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, train_mode, mode="policy",
-                           force_style=None):
+def reference_run_episodes(params, cfg, assets, seed, stream_key, indices, *, mode="policy", force_style=None):
     """run_episodes with the per-episode phases 1 and 3 and wrist
     composition."""
     cloud_cache = {}
-    acted = [reference_act(params, cfg, assets, seed, stream_key, i, train_mode, mode, force_style, cloud_cache)
+    acted = [reference_act(params, cfg, assets, seed, stream_key, i, mode, force_style, cloud_cache)
              for i in indices]
     live = [(res, env, action) for res, env, action, _ in acted if res.error is None]
     if live:
@@ -252,6 +251,6 @@ def reference_batch_obs(params, cfg, assets, iteration, skip=()):
     concat_obs over the batch of one of each episode that ran, with the
     episodes in `skip` left out as errored ones."""
     cloud_cache = {}
-    acted = [reference_act(params, cfg, assets, cfg.seed, (STREAM_TRAIN, iteration), i, True, "policy", None,
-                           cloud_cache) for i in range(cfg.envs_per_iter) if i not in skip]
+    acted = [reference_act(params, cfg, assets, cfg.seed, (STREAM_TRAIN, iteration), i, "policy", None, cloud_cache)
+             for i in range(cfg.envs_per_iter) if i not in skip]
     return concat_obs([obs for res, _, _, obs in acted if res.error is None])

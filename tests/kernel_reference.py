@@ -60,14 +60,15 @@ def stacked_quat_rotate(q, v):
 
 
 def _segment_angles(spec, q):
-    """Per-finger (B, n_segments) arrays of segment angles, each
-    segment's scale times its source joint."""
-    return [np.stack([seg.scale * q[:, seg.source] for seg in finger.segments], axis=1) for finger in spec.fingers]
+    """(B, K) segment angles, each segment's scale times its source
+    joint."""
+    return spec.scale * q[:, spec.source]
 
 
 def reference_forward_kinematics(spec, wrist_t, wrist_r, q):
     """(centers (B, K, 3), fingertips (B, F, 3)), one finger and one
-    segment at a time on (B, 4) quaternion slices."""
+    segment at a time on (B, 4) quaternion slices; a finger's segments
+    are the rows its finger_index names, and its tip is the last."""
     wrist_t = np.asarray(wrist_t, dtype=float)
     wrist_r = np.asarray(wrist_r, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -75,19 +76,17 @@ def reference_forward_kinematics(spec, wrist_t, wrist_r, q):
     angles = _segment_angles(spec, q)
     centers = np.empty((n, spec.sphere_count, 3))
     fingertips = np.empty((n, spec.finger_count, 3))
-    k = 0
-    for fi, finger in enumerate(spec.fingers):
-        cur_r = stacked_quat_mul(wrist_r, finger.base_r)
-        cur_t = wrist_t + stacked_quat_rotate(wrist_r, finger.base_t)
-        for si, seg in enumerate(finger.segments):
-            half = 0.5 * angles[fi][:, si]
+    for fi in range(spec.finger_count):
+        cur_r = stacked_quat_mul(wrist_r, spec.base_r[fi])
+        cur_t = wrist_t + stacked_quat_rotate(wrist_r, spec.base_t[fi])
+        for k in np.flatnonzero(spec.finger_index == fi):
+            half = 0.5 * angles[:, k]
             joint_q = np.empty((n, 4))
             joint_q[:, 0] = np.cos(half)
-            joint_q[:, 1:] = np.sin(half)[:, None] * seg.axis
+            joint_q[:, 1:] = np.sin(half)[:, None] * spec.axis[k]
             cur_r = stacked_quat_mul(cur_r, joint_q)
-            cur_t = cur_t + stacked_quat_rotate(cur_r, np.array([seg.length, 0.0, 0.0]))
+            cur_t = cur_t + stacked_quat_rotate(cur_r, np.array([spec.length[k], 0.0, 0.0]))
             centers[:, k] = cur_t
-            k += 1
         fingertips[:, fi] = cur_t
     return centers, fingertips
 

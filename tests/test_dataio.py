@@ -204,7 +204,7 @@ def test_export_rebuilds_the_rollouts_trajectory(hand, tmp_path, monkeypatch):
         return real(spec, wrist_t, wrist_r, q)
 
     monkeypatch.setattr(sim, "forward_kinematics_batch", capture)
-    results = _results(run_episodes(params, cfg, assets, 5, (1, 0), range(24), train_mode=True))
+    results = _results(run_episodes(params, cfg, assets, 5, (1, 0), range(24)))
     (fk_t, fk_r, fk_q), = seen
     frames_per, hold = assets.demo.horizon + 1, assets.demo.hold_index
     assert hold < assets.demo.horizon

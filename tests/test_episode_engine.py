@@ -55,8 +55,9 @@ def test_chunk_matches_the_per_episode_engine(hand_setup, mode, force_style):
     identity = mode == "identity"
     if identity:
         cfg, mode = dataclasses.replace(cfg, bounds=EditBounds(0.0, 0.0, 0.0, 1.0, 1.0)), "random"
-    train_mode = mode == "policy"
-    kwargs = dict(train_mode=train_mode, mode=mode, force_style=force_style)
+    if mode != "policy":
+        cfg = dataclasses.replace(cfg, sigma_style=0.0)     # as evaluate runs them
+    kwargs = dict(mode=mode, force_style=force_style)
     key = (1, 7)
     want = reference_run_episodes(params, cfg, assets, cfg.seed, key, range(96), **kwargs)
     assert all(r.error is None for r in want)
@@ -75,7 +76,7 @@ def test_ppo_batch_obs_matches_the_batches_of_one(hand_setup, workers):
     cache in the main process; and with the first episode, the first on
     its object, errored, so that the cloud table starts elsewhere."""
     assets, cfg, params = hand_setup
-    (first,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, (tr.STREAM_TRAIN, 0), [0], train_mode=True))
+    (first,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, (tr.STREAM_TRAIN, 0), [0]))
     for skip in ((), (0,)):
         with pytest.MonkeyPatch.context() as mp:
             if skip:
@@ -97,18 +98,19 @@ def test_pool_results_match_the_engine_in_this_process(hand_setup):
     the second worker without a chunk."""
     assets, cfg, params = hand_setup
     key = (1, 7)
-    (third,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, [3], train_mode=True))
+    (third,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, [3]))
     with pytest.MonkeyPatch.context() as mp:
         # patched before the pool forks its workers, so that they run it too
         mp.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, third))
         with EpisodePool(2, assets) as pool:
             for mode in MODES:
                 for force_style in (None, 2):
-                    kwargs = dict(train_mode=mode == "policy", mode=mode, force_style=force_style)
+                    run_cfg = cfg if mode == "policy" else dataclasses.replace(cfg, sigma_style=0.0)
+                    kwargs = dict(mode=mode, force_style=force_style)
                     for n in (24, 1):
-                        want = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(n), **kwargs))
-                        assert_same_typed_results(pool.run(params, cfg, cfg.seed, key, n, **kwargs), want)
-                        if kwargs["train_mode"] and n > 1:
+                        want = tr._results(run_episodes(params, run_cfg, assets, cfg.seed, key, range(n), **kwargs))
+                        assert_same_typed_results(pool.run(params, run_cfg, cfg.seed, key, n, **kwargs), want)
+                        if mode == "policy" and n > 1:
                             assert [i for i, r in enumerate(want) if r.error is not None] == [3]
                             assert want[3].raw is None and want[3].record is None and want[3].terms is None
 
@@ -121,9 +123,9 @@ def test_pool_runs_each_call_under_its_own_params(hand_setup):
     other = with_arrays(params, mean_b=-0.05)
     key = (1, 7)
     with EpisodePool(2, assets) as pool:
-        runs = [(p, pool.run(p, cfg, cfg.seed, key, 16, train_mode=True)) for p in (params, other, params)]
+        runs = [(p, pool.run(p, cfg, cfg.seed, key, 16)) for p in (params, other, params)]
     for p, got in runs:
-        want = tr._results(run_episodes(p, cfg, assets, cfg.seed, key, range(16), train_mode=True))
+        want = tr._results(run_episodes(p, cfg, assets, cfg.seed, key, range(16)))
         assert_same_typed_results(got, want)
     assert all(a.raw.tobytes() != b.raw.tobytes() for a, b in zip(runs[0][1], runs[1][1]))
 
@@ -136,7 +138,7 @@ def test_pool_raises_the_engine_message_when_every_episode_errors(hand_setup):
     messages = []
     for workers in (1, 2):
         with EpisodePool(workers, assets) as pool, pytest.raises(PolicyError) as raised:
-            pool.run(broken, cfg, cfg.seed, (1, 7), 9, train_mode=True)
+            pool.run(broken, cfg, cfg.seed, (1, 7), 9)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("all 9 episodes failed; the first: PolicyError: non-finite activations")
@@ -150,7 +152,7 @@ def test_pool_raises_the_forward_shape_error_when_params_do_not_fit(hand_setup):
     other_m = dataclasses.replace(params, m_points=cfg.m_points // 2)
     for workers in (1, 2):
         with EpisodePool(workers, assets) as pool, pytest.raises(PolicyError, match=r"cloud shape \(64, 6\)"):
-            pool.run(other_m, cfg, cfg.seed, (1, 7), 9, train_mode=True)
+            pool.run(other_m, cfg, cfg.seed, (1, 7), 9)
 
 
 def test_edit_wrist_arrays_matches_the_per_episode_composition(demo):
@@ -221,7 +223,7 @@ def test_nan_row_errors_alone(hand_setup):
     message it gets in a chunk of one; every other row keeps its bits."""
     assets, cfg, params = hand_setup
     key = (1, 3)
-    reference = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True))
+    reference = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(12)))
     real = tr.encode_observation
 
     def poisoned(objs, pose_t, *args):
@@ -234,8 +236,8 @@ def test_nan_row_errors_alone(hand_setup):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tr, "encode_observation", poisoned)
-        got = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(12), train_mode=True))
-        (alone,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, [4], train_mode=True))
+        got = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, range(12)))
+        (alone,) = tr._results(run_episodes(params, cfg, assets, cfg.seed, key, [4]))
     assert got[4].error == alone.error == "PolicyError: non-finite observation field s_o"
     assert got[4].record is None and got[4].raw is None
     assert_same_results(got[:4] + got[5:], reference[:4] + reference[5:])

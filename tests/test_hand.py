@@ -94,10 +94,10 @@ def test_fk_zero_config_straight_chain(tmp_path):
 
 def test_fk_bundled_zero_config_matches_summed_lengths(spec):
     _, tips = _fk(spec, [IDENTITY], np.zeros((1, spec.joint_count)))
-    for fi, finger in enumerate(spec.fingers):
-        total = sum(s.length for s in finger.segments)
+    for fi in range(spec.finger_count):
+        total = sum(spec.length[spec.finger_index == fi])
         # bundled bases point the chains straight down
-        expected = finger.base_t + np.array([0.0, 0.0, -total])
+        expected = spec.base_t[fi] + np.array([0.0, 0.0, -total])
         assert np.allclose(tips[0, fi], expected, atol=1e-9)
 
 
@@ -184,9 +184,39 @@ def test_coupled_segment_follows_source(spec):
     assert not np.allclose(bent[1], half[1], atol=1e-6)
 
 
+# three chains of unequal length: one segment; four, the third following
+# the first finger's joint; two, the second following the second finger's
+# first joint
+IRREGULAR = {
+    "name": "irregular",
+    "fingers": [
+        {"name": "stub", "base": {"t": [0.02, -0.01, 0.0], "r": [0.9238795325112867, 0.0, 0.3826834323650898, 0.0]},
+         "tip_radius": 0.012, "segments": [{"length": 0.03, "axis": [0, 1, 0], "limits": [-0.5, 1.2]}]},
+        {"name": "long", "base": {"t": [0.0, 0.02, -0.01], "r": [1, 0, 0, 0]}, "tip_radius": 0.008, "segments": [
+            {"length": 0.04, "axis": [0, 1, 0], "limits": [0.0, 1.5], "radius": 0.011},
+            {"length": 0.03, "axis": [0.3, 1, 0.2], "limits": [-0.2, 1.0]},
+            {"length": 0.025, "axis": [0, 1, 0]},
+            {"length": 0.02, "axis": [1, 0, 1], "limits": [-0.4, 0.4]},
+        ]},
+        {"name": "pair", "base": {"t": [-0.02, 0.0, 0.0], "r": [0.7071067811865476, 0.7071067811865476, 0, 0]},
+         "tip_radius": 0.009, "segments": [
+            {"length": 0.035, "axis": [0, 0, 1], "limits": [-1.0, 1.0]},
+            {"length": 0.03, "axis": [0, 0, 1]},
+        ]},
+    ],
+    "coupling": [
+        {"finger": 1, "segment": 2, "source": 0, "scale": -0.7},
+        {"finger": 2, "segment": 1, "source": 1, "scale": 1.3},
+    ],
+}
+
+
 def _hand_json(hand):
-    """A bundled hand's JSON; "half_coupled" is inspire_like with its first
-    coupling at scale 0.5 and its second driven by joint 0."""
+    """A hand's JSON: a bundled one, IRREGULAR, or "half_coupled", which
+    is inspire_like with its first coupling at scale 0.5 and its second
+    driven by joint 0."""
+    if hand == "irregular":
+        return json.loads(json.dumps(IRREGULAR))
     payload = json.loads(default_hand_path("inspire_like" if hand == "half_coupled" else hand).read_text())
     if hand == "half_coupled":
         payload["coupling"][0]["scale"] = 0.5
@@ -210,23 +240,36 @@ def _drives(payload):
     return drives
 
 
-@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like", "half_coupled"])
+def _radii(payload):
+    """Each segment's sphere radius in chain order, as the hand format
+    defines them: its own radius (by default the tip radius), and the tip
+    radius at a finger's last segment."""
+    return [finger["tip_radius"] if si == len(finger["segments"]) - 1 else seg.get("radius", finger["tip_radius"])
+            for finger in payload["fingers"] for si, seg in enumerate(finger["segments"])]
+
+
+@pytest.mark.parametrize("hand", ["inspire_like", "shadow_like", "half_coupled", "irregular"])
 def test_each_segment_is_driven_by_its_source_at_its_scale(tmp_path, hand):
     """Every loaded segment's (source, scale) is what the JSON gives it,
-    the sphere radii and fingers are read-only arrays in chain order, and
-    FK matches kernel_reference's chain by bytes."""
+    the sphere radii and fingers are in chain order, every array of the
+    spec is read-only, FK matches kernel_reference's chain by bytes, and
+    each fingertip is its finger's last row."""
     payload = _hand_json(hand)
     spec = load_hand_spec(_write(tmp_path, "hand.json", payload))
-    segments = [seg for finger in spec.fingers for seg in finger.segments]
-    assert [(seg.source, seg.scale) for seg in segments] == _drives(payload)
-    assert spec.joint_count == len(segments) - len(payload.get("coupling", []))
-    assert spec.radii.tolist() == [seg.radius for seg in segments]
-    assert spec.finger_index.tolist() == [fi for fi, finger in enumerate(spec.fingers) for _ in finger.segments]
-    assert not spec.radii.flags.writeable and not spec.finger_index.flags.writeable
+    assert list(zip(spec.source.tolist(), spec.scale.tolist())) == _drives(payload)
+    assert spec.joint_count == spec.sphere_count - len(payload.get("coupling", []))
+    assert spec.radii.tolist() == _radii(payload)
+    assert spec.finger_index.tolist() == [fi for fi, f in enumerate(payload["fingers"]) for _ in f["segments"]]
+    arrays = [value for value in vars(spec).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
     rng = np.random.default_rng(3)
     wrist_r = axis_angle_to_quat(rng.normal(size=(64, 3)))
     q = rng.uniform(spec.limits_lo, spec.limits_hi, (64, spec.joint_count))
-    _same_fk_bytes(spec, rng.normal(size=(64, 3)), wrist_r, q)
+    wrist_t = rng.normal(size=(64, 3))
+    _same_fk_bytes(spec, wrist_t, wrist_r, q)
+    centers, tips = forward_kinematics_batch(spec, wrist_t, wrist_r, q)
+    last = np.cumsum([len(finger["segments"]) for finger in payload["fingers"]]) - 1
+    assert tips.tobytes() == np.ascontiguousarray(centers[:, last]).tobytes()
 
 
 @pytest.mark.parametrize("entry, at, message", [

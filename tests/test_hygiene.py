@@ -174,8 +174,17 @@ def test_every_export_is_read_by_the_program(path):
     assert sorted(_exported(tree) - used) == []
 
 
-# the types whose objects the package builds only in training._results
-BUILT_IN_ONE_PLACE = {"EpisodeResult", "RolloutRecord"}
+# each type whose objects are built in one function alone, as (module,
+# function): results and records from the engine's columns, and a hand by
+# its loader, which alone lays the segment rows out finger by finger in
+# chain order, as forward_kinematics_batch walks them
+BUILT_IN_ONE_PLACE = {
+    "EpisodeResult": ("training", "_results"),
+    "RolloutRecord": ("training", "_results"),
+    "HandSpec": ("hand", "load_hand_spec"),
+}
+# the tests' references and fixtures build results and records of their own
+BUILT_BY_TESTS = {"EpisodeResult", "RolloutRecord"}
 
 
 def calls_outside(tree, names: set[str], allowed: str | None) -> list[str]:
@@ -202,12 +211,16 @@ def test_outside_call_scan_catches_one():
     ]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", READERS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_results_and_records_are_built_in_one_place(path):
-    """EpisodeResult(...) and RolloutRecord(...) are called only inside
-    training._results, which builds them from the engine's columns."""
-    allowed = "_results" if path.name == "training.py" else None
-    assert calls_outside(parsed(path), BUILT_IN_ONE_PLACE, allowed) == []
+    """Each type of BUILT_IN_ONE_PLACE is called only inside its function,
+    in the package, the tests, the bench and the scripts; the tests may
+    build results and records."""
+    found = []
+    for name, (module, function) in BUILT_IN_ONE_PLACE.items():
+        if not (path.parent.name == "tests" and name in BUILT_BY_TESTS):
+            found += calls_outside(parsed(path), {name}, function if module_key(path) == module else None)
+    assert found == []
 
 
 # by module, the defaulted parameters that no program call passes, each

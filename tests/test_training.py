@@ -52,8 +52,8 @@ def tiny_params(assets, tiny_cfg):
 
 
 def test_single_episode_deterministic(assets, tiny_cfg, tiny_params):
-    (a,) = tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0], train_mode=True))
-    (b,) = tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0], train_mode=True))
+    (a,) = tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0]))
+    (b,) = tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), [0]))
     assert a.object_name == b.object_name
     assert np.array_equal(a.raw, b.raw)
     assert a.log_prob == b.log_prob
@@ -112,7 +112,7 @@ def test_chunk_pickle_carries_no_observation():
     assets = hand_assets("inspire_like")
     cfg = TrainConfig(envs_per_iter=96, minibatch=32, m_points=64, seed=2026)
     params = init_params(episode_rng(cfg.seed, 4), cfg.m_points, len(assets.styles), assets.spec.joint_count)
-    columns = run_episodes(params, cfg, assets, cfg.seed, (1, 0), range(0, 96, 2), train_mode=True)
+    columns = run_episodes(params, cfg, assets, cfg.seed, (1, 0), range(0, 96, 2))
     errors = columns[0][-1]
     assert errors == [None] * 48
     blob = pickle.dumps(columns, protocol=pickle.HIGHEST_PROTOCOL)
@@ -132,7 +132,7 @@ def test_pool_tasks_carry_no_params(assets, tiny_cfg, tiny_params):
             return submit(fn, *args)
 
         pool._ex.submit = spy
-        pool.run(tiny_params, tiny_cfg, 17, (1, 0), 8, train_mode=True)
+        pool.run(tiny_params, tiny_cfg, 17, (1, 0), 8)
     assert len(sizes) == 2 and max(sizes) < tiny_params.flat.nbytes / 20
 
 
@@ -144,7 +144,7 @@ def test_pool_leaves_no_process_and_closes_its_block(assets, tiny_cfg, tiny_para
     for fail in (False, True):
         with pytest.raises(RuntimeError, match="inside the pool") if fail else nullcontext():
             with EpisodePool(2, assets) as pool:
-                pool.run(tiny_params, tiny_cfg, 17, (1, 0), 4, train_mode=True)
+                pool.run(tiny_params, tiny_cfg, 17, (1, 0), 4)
                 assert len(multiprocessing.active_children()) == min(2, os.cpu_count() or 1)
                 assert not pool._block.closed
                 if fail:
@@ -494,7 +494,7 @@ def test_episode_error_becomes_zero_reward(assets, tiny_cfg, tiny_params, monkey
     for bit."""
 
     def run(indices):
-        return tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True))
+        return tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices))
 
     # run() draws the same episodes as the batch of iteration 0 (seed 17, stream 1)
     reference = collect_batch(tiny_params, tiny_cfg, assets, 0)
@@ -533,7 +533,7 @@ def test_batched_rollout_failure_is_contained(assets, tiny_cfg, tiny_params, mon
 
     monkeypatch.setattr(tr, "rollout_batch", boom)
     with pytest.raises(RuntimeError, match="synthetic geometry failure"):
-        tr.run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), range(6), train_mode=True)
+        tr.run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), range(6))
     with pytest.raises(RuntimeError, match="synthetic geometry failure"):
         collect_batch(tiny_params, tiny_cfg, assets, 0)
     monkeypatch.undo()
@@ -560,7 +560,7 @@ def test_every_episode_failing_raises(assets, tiny_cfg, tiny_params):
 
 def test_engine_chunking_does_not_change_results(assets, tiny_cfg, tiny_params):
     def run(indices):
-        return tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices, train_mode=True))
+        return tr._results(run_episodes(tiny_params, tiny_cfg, assets, 17, (1, 0), indices))
 
     whole = run(range(8))
     split = run([5, 1, 7]) + run([0, 2, 3, 4, 6])
@@ -589,7 +589,7 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
     monkeypatch.setattr(tr, "_WORKER_ASSETS", dataclasses.replace(assets))
     monkeypatch.setattr(tr, "_WORKER_FLAT", tiny_params.flat)
     counts = (tiny_params.m_points, tiny_params.style_count, tiny_params.joint_count)
-    task = (counts, tiny_cfg, 17, (1, 0), list(range(8)), True, "policy", None)
+    task = (counts, tiny_cfg, 17, (1, 0), list(range(8)), "policy", None)
     first = tr._results(tr._pool_chunk(task))
     n_first = len(calls)
     second = tr._results(tr._pool_chunk(task))
@@ -599,8 +599,7 @@ def test_pool_worker_keeps_its_fps_cache(assets, tiny_cfg, tiny_params, monkeypa
     assert sorted(cache) == sorted((name, 32, tiny_cfg.seed) for name in {r.object_name for r in first})
     assert all(not c.flags.writeable for c in cache.values())
     # another Assets bundle starts with an empty cache
-    third = tr._results(run_episodes(tiny_params, tiny_cfg, dataclasses.replace(assets), 17, (1, 0), range(8),
-                                      train_mode=True))
+    third = tr._results(run_episodes(tiny_params, tiny_cfg, dataclasses.replace(assets), 17, (1, 0), range(8)))
     assert len(calls) == 2 * n_first
     assert [r.reward for r in third] == [r.reward for r in first]
 

@@ -47,6 +47,9 @@ __all__ = [
 # strict composite success: affordance distance < 4 cm and style match
 STRICT_AFFORD_RADIUS = 0.04
 
+# the most floats of (pairs, J) differences one pass of pairwise_style_diversity holds
+_PAIR_FLOATS = 1 << 15
+
 # each ablation component and the config change that switches it off
 _ABLATIONS = {
     "afford": lambda cfg: replace(cfg, reward=replace(cfg.reward, afford_on=False)),
@@ -81,19 +84,29 @@ def _effective_success(res: EpisodeResult, strict: bool) -> bool:
 
 def pairwise_style_diversity(qs) -> float:
     """Mean L2 distance over all unordered pairs of the rows of qs (n, J);
-    0 below two rows. Each row's distances to the later rows are taken
-    in turn into one vector, so the pairs come in triu_indices order and
-    no (n, n, J) difference tensor is built: the peak is the n (n - 1) / 2
-    distances, held once."""
+    0 below two rows. The pairs come in triu_indices order, a block of
+    rows at a time: each pass takes (qs[j] - qs[i])**2 summed over the
+    joint axis for every pair i < j of its rows, as one (pairs, J) array
+    of at most _PAIR_FLOATS floats (or one row's pairs, when they are
+    more), so each sum has the bits the row-by-row form gives, no
+    (n, n, J) difference tensor is built, and the peak is the
+    n (n - 1) / 2 distances, held once, and one pass's scratch."""
     qs = np.asarray(qs, dtype=float)
     n = len(qs)
     if n < 2:
         return 0.0
-    dists = np.empty(n * (n - 1) // 2)
-    start = 0
-    for i in range(n - 1):
-        np.sqrt(((qs[i + 1 :] - qs[i]) ** 2).sum(axis=1), out=dists[start : start + n - 1 - i])
-        start += n - 1 - i
+    counts = np.arange(n - 1, 0, -1)  # row i pairs with the n - 1 - i rows after it
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    per_pass = max(_PAIR_FLOATS // max(qs.shape[1], 1), 1)
+    dists = np.empty(ends[-1])
+    lo = 0
+    while lo < n - 1:
+        hi = max(int(np.searchsorted(ends, firsts[lo] + per_pass, side="right")), lo + 1)
+        i = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        j = np.arange(firsts[lo], ends[hi - 1]) - firsts[i] + i + 1
+        np.sqrt(((qs[j] - qs[i]) ** 2).sum(axis=1), out=dists[firsts[lo] : ends[hi - 1]])
+        lo = hi
     return float(dists.mean())
 
 

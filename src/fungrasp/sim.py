@@ -36,9 +36,10 @@ hit). A grasp that passes the crush, table and
 two-mask-finger gates must be feasible at seven loads: gravity, and
 gravity perturbed along each force axis. One stacked simplex solves the
 gravity load of every such grasp (grasp_success_batch,
-feasible_combination_batch). The final basis of a feasible gravity
-tableau certifies most perturbed loads with one (6, 6) product each,
-and only the loads it leaves open go through the simplex again; the
+feasible_combination_batch). A perturbed load changes only the
+right-hand side, so a few dual-simplex pivots (_dual_pivots) from its
+grasp's final gravity tableau, the last column replaced, decide it;
+only a load they leave undecided goes through the simplex again, so the
 verdicts are those of solving all seven.
 
 Determinism: every batched step is element-wise or keeps each row's or
@@ -223,9 +224,15 @@ def reset_env(
     return EnvBatch(objs, draws * [square_half, square_half, 0.0], pose_r, p_afford, style, q_style, masks[style])
 
 
-# the closure LP's tolerance: reduced costs, the phase-1 objective and
-# the gravity basis's certificate all compare against it
+# the closure LP's tolerance: reduced costs, the phase-1 objective, and
+# the dual pivots' entering entries and off-bound rows compare against it
 _LP_TOL = 1e-9
+# _dual_pivots: the most pivots per load; how near its bound a basic
+# value, or how near zero an entry, is taken as on it (rounding); and the
+# least phase-1 optimum an infeasibility certificate must prove
+_DUAL_PIVOTS = 8
+_SLACK = 1e-12
+_CERT_MARGIN = 1e-6
 
 # rows per block of _nearest's product: the (block, N) scratch stays small
 _ROW_BLOCK = 64
@@ -474,16 +481,35 @@ def check_table_collision(centers: np.ndarray, radii, tol: float) -> np.ndarray:
     return np.any(centers[..., 2] < radii + tol, axis=-1)
 
 
-def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pivot(tab: np.ndarray, basis: np.ndarray, leave: np.ndarray, enter: np.ndarray) -> None:
+    """One pivot per tableau of a (B, rows, cols) stack and its (B, m)
+    bases, in place: column enter[i] enters at row leave[i] of tableau i.
+    A row whose entry in the entering column is 0 is left as it is, and
+    the entering column comes out an exact unit column."""
+    rows = np.arange(len(tab))
+    pivot = tab[rows, leave]
+    pivot /= pivot[rows, enter][:, None]
+    tab[rows, leave] = pivot
+    factor = tab[rows, :, enter]
+    update = factor != 0.0
+    update[rows, leave] = False
+    np.subtract(tab, factor[:, :, None] * pivot[:, None, :], out=tab, where=update[:, :, None])
+    basis[rows, leave] = enter
+
+
+def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, ...]:
     """Phase-1 simplex feasibility of  generators[i] @ alpha = loads[i],
     alpha >= 0, for a (B, m, n) stack of problems; returns ((B,) bools,
-    (B, m, m) final basis inverses).
+    (B, m) final bases, (B, m, n + m) final constraint rows).
 
-    The inverse of a feasible tableau whose final basis holds only real
-    columns is its artificial block, B^-1 for the rows as the tableau
-    holds them (sign-flipped where the load is negative): the basic
-    solution of another load b' is inverse @ (sign * b'). Every other
-    problem gets NaN, which no certificate accepts.
+    A feasible problem's final basis names each row's basic column (real
+    columns 0..n-1, then the artificial ones n..n+m-1, which stay basic,
+    at zero, where the generators do not span the load space), and
+    its constraint rows are the final tableau's [B^-1 (s A) | B^-1], s
+    the signs the rows were taken with (-1 where the load is negative):
+    the last m columns are the basis inverse, so B^-1 (s b') is another
+    load's right-hand side in that basis, and every basic column is an
+    exact unit column. An infeasible problem gets -1 and NaN.
 
     Small and self-contained (problems here are 6 rows x <= ~30 columns).
     Every tableau pivots on its own by Bland's rule, which prevents
@@ -511,41 +537,83 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray) -> tup
     basis = np.tile(np.arange(n, n + m), (count, 1))
     ids = np.arange(count)
     feasible = np.zeros(count, dtype=bool)
-    inverse = np.full((count, m, m), np.nan)
-    for _ in range(1000):
+    final = np.full((count, m), -1)
+    block = np.full((count, m, n + m), np.nan)
+    rows = np.arange(count)
+    for step in range(1001):
         cand = tab[:, m, : n + m] < -_LP_TOL
-        done = ~cand.any(axis=1)
+        enter = cand.argmax(axis=1)
+        done = ~cand[rows, enter]
+        if step == 1000:
+            done[:] = True
         if done.any():
             fin = np.flatnonzero(done)
             feasible[ids[fin]] = ok = tab[fin, m, -1] >= -_LP_TOL
-            fin = fin[ok & (basis[fin] < n).all(axis=1)]
-            inverse[ids[fin]] = tab[fin, :m, n : n + m]
-        enter = cand.argmax(axis=1)
-        col = tab[np.arange(len(ids)), :m, enter]
+            fin = fin[ok]
+            final[ids[fin]] = basis[fin]
+            block[ids[fin]] = tab[fin, :m, : n + m]
+        col = tab[rows, :m, enter]
         ratios = np.full(col.shape, np.inf)
         np.divide(tab[:, :m, -1], col, out=ratios, where=col > 1e-11)
-        finite = np.isfinite(ratios)
-        # finished tableaus leave the stack; unbounded ones are infeasible
-        keep = ~done & finite.any(axis=1)
-        if not keep.all():
-            tab, basis, ids, enter, ratios, finite = (
-                x[keep] for x in (tab, basis, ids, enter, ratios, finite)
-            )
-        if not len(ids):
-            return feasible, inverse
-        rows = np.arange(len(ids))
         best = ratios.min(axis=1)
-        ties = finite & (ratios - best[:, None] <= 1e-12)
-        leave = np.where(ties, basis, n + m).argmin(axis=1)
-        pivot = tab[rows, leave] / tab[rows, leave, enter][:, None]
-        tab[rows, leave] = pivot
-        factor = tab[rows, :, enter]
-        update = factor != 0.0
-        update[rows, leave] = False
-        np.subtract(tab, factor[:, :, None] * pivot[:, None, :], out=tab, where=update[:, :, None])
-        basis[rows, leave] = enter
-    feasible[ids] = tab[:, m, -1] >= -_LP_TOL
-    return feasible, inverse
+        # finished tableaus leave the stack; unbounded ones are infeasible
+        keep = ~done & (best < np.inf)
+        if not keep.all():
+            tab, basis, ids, enter, ratios, best = (x[keep] for x in (tab, basis, ids, enter, ratios, best))
+            rows = rows[: len(ids)]
+        if not len(ids):
+            break
+        _pivot(tab, basis, np.where(ratios - best[:, None] <= 1e-12, basis, n + m).argmin(axis=1), enter)
+    return feasible, final, block
+
+
+def _dual_pivots(tab: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+    """Decide L feasibility problems from (L, m, n + m + 1) tableaus
+    [B^-1 (s A) | B^-1 | B^-1 (s b)] of alpha >= 0 with A alpha = b, each
+    in a basis (L, m) whose basic columns are exact unit columns (real
+    columns 0..n-1, artificial ones after them, which must end at zero).
+    Returns (L,) verdicts: 1 feasible, -1 infeasible, 0 undecided; tab
+    and basis are overwritten.
+
+    Feasible: every real basic value is >= -_SLACK and every basic
+    artificial within _SLACK of zero, so the basic values solve the
+    problem up to rounding. Infeasible: a row r off its bound by more
+    than _LP_TOL has no nonbasic real column whose entry, beyond _SLACK,
+    would move it toward the bound, so every alpha >= 0 leaves the rows a
+    residual u with |B^-1[r] . u| >= |x_r|, and phase 1 cannot end below
+    |x_r| / max |B^-1[r]|; that bound must pass _CERT_MARGIN, far above
+    _LP_TOL, for the verdict to be the one phase 1 reaches. Otherwise the
+    tableau pivots: the costs are zero, so every basis is dual feasible,
+    and by Bland's rule the lowest basic column of the rows off their
+    bound that can move leaves for the first nonbasic real column whose
+    entry, by more than _LP_TOL, has that row's sign. A problem stays
+    undecided after _DUAL_PIVOTS pivots, or when no row can move.
+    """
+    verdict = np.zeros(len(tab), dtype=np.int8)
+    ids = np.arange(len(tab))
+    for step in range(_DUAL_PIVOTS + 1):
+        x, real = tab[:, :, -1], basis < n
+        off = (x < -_SLACK) | (~real & (x > _SLACK))
+        feasible = ~off.any(axis=1)
+        verdict[ids[feasible]] = 1
+        toward = tab[:, :, :n] * np.sign(x)[:, :, None]  # > 0 where a column moves its row toward the bound
+        movers = (toward > _LP_TOL) & off[:, :, None]
+        movable = movers.any(axis=2)
+        keep = ~feasible & movable.any(axis=1)
+        stuck = off & (np.abs(x) > _LP_TOL) & ~movable
+        if stuck.any():
+            stuck &= ~(toward > _SLACK).any(axis=2)
+            stuck &= np.abs(x) > _CERT_MARGIN * np.abs(tab[:, :, n:-1]).max(axis=2)
+            dead = stuck.any(axis=1)
+            verdict[ids[dead]] = -1
+            keep &= ~dead
+        if step == _DUAL_PIVOTS or not keep.any():
+            break
+        if not keep.all():
+            tab, basis, ids, movers, movable = (v[keep] for v in (tab, basis, ids, movers, movable))
+        leave = np.where(movable, basis, n + basis.shape[1]).argmin(axis=1)
+        _pivot(tab, basis, leave, movers[np.arange(len(ids)), leave].argmax(axis=1))
+    return verdict
 
 
 def wrench_generators(hit: np.ndarray, points: np.ndarray, normals: np.ndarray, scale: np.ndarray, mu: float):
@@ -592,9 +660,9 @@ def grasp_success_batch(
     of six perturbed loads (+-eta along each force axis), torques about
     the contact centroid, and (c) no table collision. The grasps that
     pass (a) and (c) with finite contact geometry are scored by
-    _closure_batch: one stacked simplex over their gravity loads, the
-    gravity basis's certificate for the perturbed loads of the feasible
-    ones, and a second stacked simplex over the loads it leaves open.
+    _closure_batch: one stacked simplex over their gravity loads, dual
+    pivots from each feasible gravity tableau for its perturbed loads,
+    and a stacked simplex over the few loads those leave undecided.
     Returns (success (E,), degenerate (E,)): degenerate marks the grasps
     past (a) and (c) whose contact points or normals are not finite;
     they are not scored.
@@ -624,29 +692,32 @@ def grasp_success_batch(
 
 def _closure_batch(generators: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Force closure of G grasps: (G, 6, n) generators and (G, 7, 6)
-    loads, gravity first. Returns ((G,) closed, (G, 6) certified): closed
+    loads, gravity first. Returns ((G,) closed, (G, 6) settled): closed
     where all seven loads are feasible, the verdict the seven-load stack
-    of feasible_combination_batch gives; certified marks the perturbed
-    loads the gravity basis settled without a solve.
+    of feasible_combination_batch gives; settled is 1 or -1 where the
+    dual pivots proved a perturbed load feasible or infeasible, else 0.
 
     The stacked simplex solves the gravity load alone; a grasp it finds
-    infeasible there is not closed. A perturbed load b' whose basic solution in the
-    final gravity basis, inverse @ (sign * b'), has every component above
-    _LP_TOL is a nonnegative combination of that basis's generators, so
-    feasible (sensitivity analysis of an optimal basis). Only the
-    perturbed loads of gravity-feasible grasps that this leaves
-    uncertified go through the simplex again, each with its grasp's
-    generators.
+    infeasible there is not closed. A perturbed load b' differs from
+    gravity only in the right-hand side, so _dual_pivots starts it from
+    its grasp's final gravity tableau with B^-1 (s b') as the last
+    column. A grasp with a perturbed load proved infeasible is not
+    closed; only the undecided loads of the others go through the stacked
+    simplex, each with its grasp's generators.
     """
     gravity = loads[:, 0]
-    feasible, inverse = feasible_combination_batch(generators, gravity)
-    sign = np.where(gravity < 0, -1.0, 1.0)[:, :, None]
-    certified = (inverse @ (sign * loads[:, 1:].transpose(0, 2, 1)) > _LP_TOL).all(axis=1)
-    g, j = np.nonzero(feasible[:, None] & ~certified)
-    closed = feasible.copy()
+    feasible, basis, rows = feasible_combination_batch(generators, gravity)
+    g, n = np.flatnonzero(feasible), generators.shape[2]
+    rows, sign = rows[g], np.where(gravity[g] < 0, -1.0, 1.0)[:, :, None]
+    rhs = (rows[:, :, n:] @ (sign * loads[g, 1:].transpose(0, 2, 1))).transpose(0, 2, 1)
+    tab = np.concatenate([np.repeat(rows, 6, axis=0), rhs.reshape(-1, 6, 1)], axis=2)
+    settled = np.zeros((len(loads), 6), dtype=np.int8)
+    settled[g] = _dual_pivots(tab, np.repeat(basis[g], 6, axis=0), n).reshape(-1, 6)
+    closed = feasible & (settled != -1).all(axis=1)
+    g, j = np.nonzero(closed[:, None] & (settled == 0))
     if len(g):
         closed[g[~feasible_combination_batch(generators[g], loads[g, j + 1])[0]]] = False
-    return closed, certified
+    return closed, settled
 
 
 def rollout_batch(
@@ -678,9 +749,9 @@ def rollout_batch(
     gap in the object frame, and returns the (E, F) contact table of
     each finger's deepest hit, rotated back to the world frame. Every
     grasp that gets that far is scored at once (grasp_success_batch):
-    the gravity load by one stacked simplex, the perturbed loads by the
-    gravity basis where it certifies them and by a second stacked
-    simplex where it does not.
+    the gravity load by one stacked simplex, the perturbed loads by dual
+    pivots from the gravity tableau, and by the stacked simplex again
+    only where those leave one undecided.
     """
     # read from demo at each call, where perfbench's tracer and the tests' oracle replace it
     from .demo import edit_wrist_arrays

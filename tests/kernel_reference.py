@@ -1,10 +1,10 @@
 """Reference kernels: the (n, 4)-slice forward kinematics, the np.where
 simplex pivot and the seven-load closure stack that
 hand.forward_kinematics_batch, sim.feasible_combination_batch and the
-gravity-basis certificate of sim._closure_batch replaced, the (N, 3)-row
-farthest-point sampling that objects.farthest_point_sample replaced, and
-the whole-matrix neighbor search that objects.estimate_normals' row
-blocks replaced, kept as oracles.
+gravity solve and dual pivots of sim._closure_batch replaced, the
+(N, 3)-row farthest-point sampling that objects.farthest_point_sample
+replaced, and the whole-matrix neighbor search that
+objects.estimate_normals' row blocks replaced, kept as oracles.
 
 The FK chains each finger with whole-array quaternion products built by
 np.stack, one (n, 4) joint quaternion per segment, and writes each
@@ -12,9 +12,10 @@ sphere center into a C-order (n, K, 3) array. It carries its own copies
 of the stacked quaternion product and rotation, so it checks geometry's
 component formulas too. The simplex rebuilds its whole tableau with
 np.where at every pivot. The closure stack solves all seven loads of
-every grasp from scratch. Each function has the signature of the one it
-replaced, so a test can compare outputs by bytes; the simplex returns
-only the verdicts, not the basis inverses sim's returns next to them.
+every grasp from scratch, with no dual pivots. Each function has the
+signature of the one it replaced, so a test can compare outputs by
+bytes; the simplex returns only the verdicts, not the final bases and
+constraint rows sim's returns next to them.
 """
 
 import numpy as np

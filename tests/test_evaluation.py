@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fungrasp import evaluation
 from fungrasp.demo import EditBounds
 from fungrasp.evaluation import (
     ABLATION_COMPONENTS,
@@ -75,6 +76,33 @@ def _pairwise_oracle(qs):
 def test_pairwise_diversity_has_the_bits_of_the_difference_tensor(n, joints):
     qs = np.random.default_rng(n * joints).normal(size=(n, joints))
     assert pairwise_style_diversity(qs).hex() == _pairwise_oracle(qs).hex()
+
+
+def _pairwise_by_rows(qs):
+    """The mean pairwise distance with each row's distances to the later
+    rows taken in turn, the form the blockwise passes replaced."""
+    qs = np.asarray(qs, dtype=float)
+    n = len(qs)
+    if n < 2:
+        return 0.0
+    dists = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        np.sqrt(((qs[i + 1 :] - qs[i]) ** 2).sum(axis=1), out=dists[start : start + n - 1 - i])
+        start += n - 1 - i
+    return float(dists.mean())
+
+
+@pytest.mark.parametrize("pass_floats", [None, 64], ids=["default_passes", "one_row_passes"])
+@pytest.mark.parametrize("joints", [1, 6, 22])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 28, 500])
+def test_pairwise_diversity_has_the_bits_of_the_row_loop(n, joints, pass_floats, monkeypatch):
+    """Whole blocks of rows per pass, or (at 64 floats a pass) one row's
+    pairs, give the row loop's bytes."""
+    if pass_floats is not None:
+        monkeypatch.setattr(evaluation, "_PAIR_FLOATS", pass_floats)
+    qs = np.random.default_rng(n * joints + 1).normal(size=(n, joints))
+    assert pairwise_style_diversity(qs).hex() == _pairwise_by_rows(qs).hex()
 
 
 def test_pairwise_diversity_never_builds_the_difference_tensor():

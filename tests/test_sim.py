@@ -337,7 +337,7 @@ def test_feasibility_against_scipy_oracle():
             b = w @ np.abs(rng.normal(size=m_gen))  # feasible by construction
         else:
             b = rng.normal(size=6)
-        (mine,), _ = feasible_combination_batch(w[None], b[None])
+        mine = feasible_combination_batch(w[None], b[None])[0][0]
         ref = linprog(np.zeros(m_gen), A_eq=w, b_eq=b,
                       bounds=[(0, None)] * m_gen, method="highs").status == 0
         assert mine == ref
@@ -370,31 +370,43 @@ def test_stacked_feasibility_matches_single_and_scipy(objects, seed, shapes, lay
     """One stacked simplex over ragged wrench sets, with zero columns
     anywhere (between real columns, or after them all), gives each
     problem its own unpadded answer, and scipy's, and the bytes of the
-    np.where-pivot reference on the same stack."""
+    np.where-pivot reference on the same stack. A feasible problem's
+    final basis and constraint rows are those it gets alone, at the
+    padded column positions, with exact zeros in the zero columns and an
+    exact unit column at each basic column; an infeasible one gets -1
+    and NaN."""
     rng = np.random.default_rng(seed)
     problems = [_random_wrench_set(rng, n, feasible, objects["sphere"]) for n, feasible in shapes]
     layout_seed, extra, trailing = layout
     width = max(w.shape[1] for w, _ in problems) + extra
     place = np.random.default_rng(layout_seed)
     padded = np.zeros((len(problems), 6, width))
+    positions = []
     for i, (w, _) in enumerate(problems):
         # the real columns keep their order; zero columns fill the rest
         cols = np.arange(w.shape[1]) if trailing else np.sort(place.choice(width, w.shape[1], replace=False))
         padded[i][:, cols] = w
+        positions.append(cols)
     loads = np.array([b for _, b in problems])
-    stacked, inverse = feasible_combination_batch(padded, loads)
+    stacked, basis, rows = feasible_combination_batch(padded, loads)
     assert stacked.tobytes() == reference_feasible_combination(padded, loads).tobytes()
-    alone = [feasible_combination_batch(w[None], b[None])[0][0] for w, b in problems]
-    # each tableau's basis inverse is its own, and NaN where it certifies nothing
-    for (w, b), inv in zip(problems, inverse):
-        assert feasible_combination_batch(w[None], b[None])[1][0].tobytes() == inv.tobytes()
+    alone = [feasible_combination_batch(w[None], b[None]) for w, b in problems]
+    for i, (cols, (ok, basis_1, rows_1)) in enumerate(zip(positions, alone)):
+        if not ok[0]:
+            assert (basis[i] == -1).all() and np.isnan(rows[i]).all()
+            continue
+        own = np.r_[cols, width + np.arange(6)]  # the padded position of each of its columns
+        assert basis[i].tolist() == own[basis_1[0]].tolist()
+        assert rows[i][:, own].tobytes() == rows_1[0].tobytes()
+        assert not np.delete(rows[i], own, axis=1).any()
+        assert np.array_equal(rows[i][:, basis[i]], np.eye(6)) and np.array_equal(rows_1[0][:, basis_1[0]], np.eye(6))
     ref = [
         linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],
                 method="highs").status == 0
         for w, b in problems
     ]
-    assert list(stacked) == alone == ref
-    for (n, feasible), ok in zip(shapes, alone):
+    assert list(stacked) == [ok[0] for ok, _, _ in alone] == ref
+    for (n, feasible), ok in zip(shapes, stacked):
         assert ok or not feasible
 
 
@@ -421,35 +433,82 @@ def _closure_loads(rng, w, gravity_kind, kinds, eta):
     return np.array(loads)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    grasps=st.lists(st.tuples(st.integers(2, 7), st.sampled_from(["inside", "random", "face"]),
-                              st.lists(st.sampled_from(["axis", "tiny", "face"]), min_size=6, max_size=6)),
-                    min_size=1, max_size=8),
-    eta=st.floats(0.0, 0.5),
-    extra=st.integers(0, 8),
-)
-def test_certified_closure_matches_the_seven_load_stack(objects, seed, grasps, eta, extra):
-    """Over ragged wrench sets and loads on and near the cone's faces, the
-    gravity-basis certificate gives every grasp the verdict of the full
-    seven-load stack, and every load it certifies is one the stack and
-    scipy find feasible."""
-    rng = np.random.default_rng(seed)
-    sets = [_random_wrench_set(rng, n, True, objects["sphere"])[0] for n, _, _ in grasps]
-    width = max(w.shape[1] for w in sets) + extra
-    generators = np.zeros((len(sets), 6, width))
-    for g, w in zip(generators, sets):
-        g[:, np.sort(rng.choice(width, w.shape[1], replace=False))] = w
-    loads = np.stack([_closure_loads(rng, w, kind, kinds, eta) for w, (_, kind, kinds) in zip(sets, grasps)])
-    closed, certified = sim._closure_batch(generators, loads)
-    stack = feasible_combination_batch(np.repeat(generators, 7, axis=0), loads.reshape(-1, 6))[0].reshape(-1, 7)
-    assert closed.tolist() == stack.all(axis=1).tolist()
-    assert stack[:, 1:][certified].all() and stack[:, 0][certified.any(axis=1)].all()
-    for g, j in zip(*np.nonzero(certified)):
-        w, b = sets[g], loads[g, j + 1]
-        assert linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],
-                       method="highs").status == 0
+def _feasible_by_scipy(w, b) -> bool:
+    return linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],
+                   method="highs").status == 0
+
+
+def test_certified_closure_matches_the_seven_load_stack(objects, monkeypatch):
+    """Over ragged wrench sets, rank-deficient ones among them (two
+    contacts: the gravity basis keeps an artificial column), and loads on
+    the cone's faces pushed off by 1e-12 to 1e-6, _closure_batch gives
+    every grasp the verdict of the full seven-load stack, and every
+    perturbed load the dual pivots settle gets their answer from the
+    stack and from scipy. Over the examples, the pivots settle loads from
+    a basis that keeps an artificial, prove some loads infeasible, and
+    leave some to the stacked simplex, so every path runs."""
+    solve = feasible_combination_batch
+    sizes, seen = [], {"artificial": 0, "infeasible": 0, "fallback": 0}
+
+    def counting(generators, loads):
+        sizes.append(len(loads))
+        return solve(generators, loads)
+
+    monkeypatch.setattr(sim, "feasible_combination_batch", counting)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grasps=st.lists(st.tuples(st.integers(2, 7), st.sampled_from(["inside", "random", "face"]),
+                                  st.lists(st.sampled_from(["axis", "tiny", "face"]), min_size=6, max_size=6)),
+                        min_size=1, max_size=8),
+        eta=st.floats(0.0, 0.5),
+        extra=st.integers(0, 8),
+    )
+    def check(seed, grasps, eta, extra):
+        rng = np.random.default_rng(seed)
+        sets = [_random_wrench_set(rng, n, True, objects["sphere"])[0] for n, _, _ in grasps]
+        width = max(w.shape[1] for w in sets) + extra
+        generators = np.zeros((len(sets), 6, width))
+        for g, w in zip(generators, sets):
+            g[:, np.sort(rng.choice(width, w.shape[1], replace=False))] = w
+        loads = np.stack([_closure_loads(rng, w, kind, kinds, eta) for w, (_, kind, kinds) in zip(sets, grasps)])
+        sizes.clear()
+        closed, settled = sim._closure_batch(generators, loads)
+        stack = solve(np.repeat(generators, 7, axis=0), loads.reshape(-1, 6))[0].reshape(-1, 7)
+        assert closed.tolist() == stack.all(axis=1).tolist()
+        assert (settled == 0)[~stack[:, 0]].all()
+        assert stack[:, 1:][settled == 1].all() and not stack[:, 1:][settled == -1].any()
+        for g, j in zip(*np.nonzero(settled)):
+            assert _feasible_by_scipy(sets[g], loads[g, j + 1]) == (settled[g, j] == 1)
+        basis = solve(generators, loads[:, 0])[1]
+        seen["artificial"] += int(((basis >= width).any(axis=1)[:, None] & (settled != 0)).sum())
+        seen["infeasible"] += int((settled == -1).sum())
+        seen["fallback"] += sum(sizes[1:])
+
+    check()
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("basic, entry, x, binv, verdict", [
+    (0, 0.3, -0.5, 1.0, -1),      # no column lifts the row, and phase 1 must end at 0.5 or more
+    (0, -2e-10, -0.5, 1.0, 0),    # an entry too small to pivot on, but not rounding: undecided
+    (0, -0.3, -0.5, 1.0, 1),      # one pivot: the column enters at 0.5 / 0.3
+    (0, 0.3, -1e-4, 1e3, 0),      # off its bound, but phase 1 could end at 1e-7
+    (0, 0.3, -1e-13, 1.0, 1),     # within _SLACK of its bound
+    (2, -0.3, 0.5, 1.0, -1),      # a basic artificial that no column can drive to zero
+    (2, 0.3, 0.5, 1.0, 1),        # ... and one that a column can
+    (2, -0.3, -1e-13, 1.0, 1),    # a basic artificial within _SLACK of zero
+], ids=["lift_none", "lift_tiny", "lift_pivot", "within_margin", "within_slack",
+        "artificial_stuck", "artificial_pivot", "artificial_zero"])
+def test_dual_pivots_decide_by_their_certificates(basic, entry, x, binv, verdict):
+    """One row [real 0, real 1 | artificial | x]: the basic column is a
+    unit column, the other real column holds entry, and a basic real
+    column's row has binv in the artificial (basis-inverse) column."""
+    tab = np.zeros((1, 1, 4))
+    other = 1 if basic == 0 else 0
+    tab[0, 0, [2, basic, other, 3]] = [binv, 1.0, entry, x]
+    assert sim._dual_pivots(tab, np.array([[basic]]), 2).tolist() == [verdict]
 
 
 def _per_contact_generators(hit, points, normals, scale, mu):

@@ -11,7 +11,9 @@ The Hamilton product (hamilton) and the rotation (rotate) are written
 once, over component arrays; quat_mul, quat_rotate and the FK chain all
 run them in that operation order, so a row's bits do not depend on the
 layout it arrives in. rotate can also write into a workspace, which FK
-and the contact phase pass, with the same bits.
+and the contact phase pass, with the same bits. FK rotates its segments'
++x offsets by rotate_x, rotate less its products by zero components,
+which gives rotate's bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "quat_mul",
     "hamilton",
     "rotate",
+    "rotate_x",
     "row_norms",
     "quat_conjugate",
     "quat_rotate",
@@ -99,6 +102,31 @@ def rotate(w, ux, uy, uz, vx, vy, vz, out=None):
     return tuple(
         np.add(v, np.multiply(2.0, np.add(np.multiply(w, ci, o), di, o), o), o)
         for v, ci, di, o in zip((vx, vy, vz), c, d, c_out)
+    )
+
+
+def rotate_x(w, ux, uy, uz, length, out=None):
+    """(length, 0, 0) rotated by the unit quaternion (w, u) over
+    components, with the bytes of rotate(w, ux, uy, uz, length, 0.0, 0.0)
+    for finite input: rotate's operations in its order, less the seven
+    products by a zero component of v or of u x v, whose x is zero.
+
+    Each dropped product is a signed zero, and a signed zero added to a
+    nonzero sum leaves it as it is, so every nonzero value along the way
+    is rotate's; a zero may differ only in sign, and y and z keep
+    rotate's 0.0 + to make theirs +0.0 (x starts from length). out is
+    rotate's (7, ...) workspace, the result in out[:3].
+    """
+    rx, ry, rz, cy, cz, tmp = (None,) * 6 if out is None else out[:6]
+    cy = np.multiply(uz, length, cy)                    # u x v = (0, uz L, -uy L)
+    cz = np.multiply(uy, -length, cz)
+    rx = np.subtract(np.multiply(uy, cz, rx), np.multiply(uz, cy, tmp), rx)
+    ry = np.subtract(np.multiply(w, cy, ry), np.multiply(ux, cz, tmp), ry)
+    rz = np.add(np.multiply(w, cz, rz), np.multiply(ux, cy, tmp), rz)
+    return (
+        np.add(length, np.multiply(2.0, rx, rx), rx),
+        np.add(0.0, np.multiply(2.0, ry, ry), ry),
+        np.add(0.0, np.multiply(2.0, rz, rz), rz),
     )
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .assets import UserError, json_number, json_object_list, json_pose, read_json_object
-from .geometry import hamilton, rotate, row_norms
+from .geometry import hamilton, rotate, rotate_x, row_norms
 
 __all__ = [
     "HandSpec",
@@ -219,9 +219,11 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
     arrays; a row whose finger differs from the row before starts over
     at that finger's base. Every row goes through geometry.hamilton and
     geometry.rotate, the only copies of those formulas, in the
-    operation order of quat_mul and quat_rotate (every multiply by a
-    segment vector's zero entries included), so each row keeps the bits
-    it gets alone; rotate writes into one (7, B) workspace. The centers
+    operation order of quat_mul and quat_rotate, so each row keeps the
+    bits it gets alone. A segment's offset (L, 0, 0) is rotated by
+    geometry.rotate_x, which skips the products by its zero components
+    and gives rotate's bytes for finite input; both write into one
+    (7, B) workspace. The centers
     are a view of one (3, K, B) buffer; the fingertips are a C-order
     copy, the layout the masked finger sums downstream have always read.
     """
@@ -245,7 +247,7 @@ def forward_kinematics_batch(spec: HandSpec, wrist_t, wrist_r, q):
         half = 0.5 * (scale * joints[source])
         s = np.sin(half)
         cur_r = hamilton(*cur_r, np.cos(half), s * ax, s * ay, s * az)
-        step = rotate(*cur_r, length, 0.0, 0.0, work)
+        step = rotate_x(*cur_r, length, work)
         for a in range(3):
             np.add(cur_t[a], step[a], out=out[a, k])
         cur_t = tuple(out[:, k])

@@ -14,12 +14,17 @@ the tests gate the gradients against finite differences.
 
 Observations only exist as an ObsBatch, and only encode_observation
 makes one, over many episodes at once: a chunk of episodes encodes its
-batch for its forward pass, collection encodes the PPO batch once from
-the results of the episodes that ran, and the update indexes minibatch
-rows out of that. An episode's result carries no observation. The
-encoding is row-wise, so the PPO batch's rows have the bits the chunks
-saw. Log-probabilities are always taken of the stored raw (pre-squash)
-samples, so no squashed action is ever inverted.
+batch for its forward pass, and collection encodes the PPO batch once
+from the results of the episodes that ran. An episode's result carries
+no observation. The encoding is row-wise, so the PPO batch's rows have
+the bits the chunks saw. A batch holds its rows as the trunks' input,
+one (B, D) table in param_shapes order with the pooled-feature block
+left blank, and each row field is a view of its columns. So a minibatch
+of the update is one gather of table rows, and every forward pass only
+fills the pooled block of its copy. Log-probabilities are always taken
+of the stored raw (pre-squash) samples, so no squashed action is ever
+inverted, and the squash correction of a raw sample, which no parameter
+moves, is taken once per sample (squash_correction).
 
 The observed cloud depends only on (object, M, FPS seed), so a batch
 holds a table of its U distinct encoded clouds, clouds (U, M, 6), and
@@ -104,32 +109,44 @@ class PolicyError(RuntimeError):
     """Raised on dimension mismatches or non-finite activations."""
 
 
-# the ObsBatch fields that hold the observations' own values, one row each
-_ROW_FIELDS = ("s_r", "s_o", "p_afford_rel", "l_style", "obj_bb")
-
-
 @dataclass(frozen=True)
 class ObsBatch:
-    """B observations over a table of U distinct clouds."""
+    """B observations over a table of U distinct clouds. The rows' own
+    values are the column blocks of trunk_in, the trunks' input with a
+    blank (zero) pooled block: s_r, s_o, pooled, p_afford_rel, l_style,
+    obj_bb. Each row field is a view of its block."""
 
-    s_r: np.ndarray            # (B, 7) initial end-effector pose (t, quat)
-    s_o: np.ndarray            # (B, 7) object pose
-    p_afford_rel: np.ndarray   # (B, 3) affordance relative to centroid, / obj_bb
-    l_style: np.ndarray        # (B, S) one-hot
-    obj_bb: np.ndarray         # (B, 1)
+    trunk_in: np.ndarray       # (B, D), D as param_shapes counts it
     cloud_index: np.ndarray    # (B,) each row's entry in clouds
     clouds: np.ndarray         # (U, M, 6) centered/scaled FPS points + normals
 
+    # the row fields, each a view of its block: s_r (B, 7) initial
+    # end-effector pose (t, quat), s_o (B, 7) object pose, p_afford_rel
+    # (B, 3), l_style (B, S) one-hot, obj_bb (B, 1)
+    s_r = property(lambda self: self.trunk_in[:, :7])
+    s_o = property(lambda self: self.trunk_in[:, 7 : _POOLED.start])
+    p_afford_rel = property(lambda self: self.trunk_in[:, _POOLED.stop : _POOLED.stop + 3])
+    l_style = property(lambda self: self.trunk_in[:, _POOLED.stop + 3 : -1])
+    obj_bb = property(lambda self: self.trunk_in[:, -1:])
+
+    @classmethod
+    def build(cls, s_r, s_o, p_afford_rel, l_style, obj_bb, cloud_index, clouds) -> "ObsBatch":
+        """The batch of those row fields (p_afford_rel: the affordance
+        point relative to the centroid, / obj_bb) and that cloud table."""
+        blank = np.zeros((len(s_r), CLOUD_FEAT_DIM))
+        return cls(np.concatenate([s_r, s_o, blank, p_afford_rel, l_style, obj_bb], axis=1), cloud_index, clouds)
+
     @property
     def size(self) -> int:
-        return self.s_r.shape[0]
+        return self.trunk_in.shape[0]
 
     def __getitem__(self, sel) -> "ObsBatch":
         """The rows `sel` (an index array or a slice) picks, over the
-        table entries those rows use."""
-        used, index = np.unique(self.cloud_index[sel], return_inverse=True)
-        rows = {name: getattr(self, name)[sel] for name in _ROW_FIELDS}
-        return ObsBatch(**rows, cloud_index=index, clouds=self.clouds[used])
+        table entries those rows use, in ascending order as np.unique
+        lists them: a bincount over the U entries finds them."""
+        index = self.cloud_index[sel]
+        used = np.bincount(index, minlength=len(self.clouds)) > 0
+        return ObsBatch(self.trunk_in[sel], (np.cumsum(used) - 1)[index], self.clouds[used])
 
 
 def encode_observation(
@@ -176,7 +193,7 @@ def encode_observation(
     ee0_t, ee0_r = compose_pose_rows(pose_t, pose_r, demo.pose_t[0], demo.pose_r[0])
     centroid = np.stack([obj.centroid for obj in objs])
     obj_bb = np.array([[obj.obj_bb] for obj in objs], dtype=float)
-    return ObsBatch(
+    return ObsBatch.build(
         s_r=np.concatenate([ee0_t, ee0_r], axis=1),
         s_o=np.concatenate([pose_t, pose_r], axis=1),
         p_afford_rel=(p_afford - centroid) * (1.0 / obj_bb),
@@ -233,8 +250,8 @@ def random_obs(rng: np.random.Generator, size: int, m_points: int, style_count: 
             p_afford_rel=rng.normal(size=3), l_style=np.eye(style_count)[style],
             obj_bb=rng.uniform(0.05, 0.3, size=1),
         ))
-    return ObsBatch(**{name: np.stack([d[name] for d in draws]) for name in draws[0]},
-                    cloud_index=np.arange(size))
+    return ObsBatch.build(**{name: np.stack([d[name] for d in draws]) for name in draws[0]},
+                          cloud_index=np.arange(size))
 
 
 def param_shapes(style_count: int, joint_count: int) -> dict[str, tuple]:
@@ -337,7 +354,8 @@ def _stack(params: PolicyParams, layers, x: np.ndarray, row_alone: bool, head: b
     """(inputs, pre-activations) of the dense layers of a stack table
     run on x: inputs[k] is layer k's input, x or the ReLU of layer k - 1.
     A head's last layer has no ReLU; a stack that is no head also ends
-    its inputs with its last layer's ReLU, the stack's output."""
+    its inputs with its last layer's ReLU, the stack's output. Each
+    pre-activation is its product, into which the bias is added in place."""
     xs, zs = [x], []
     for w, b in layers:
         if zs:
@@ -346,24 +364,27 @@ def _stack(params: PolicyParams, layers, x: np.ndarray, row_alone: bool, head: b
         weight = getattr(params, w)
         # row-alone: one stacked (1, D) @ (D, H) product per row, which
         # numpy runs as one gemv each, the bits of a batch of one
-        zs.append(((x[:, None, :] @ weight)[:, 0] if row_alone else x @ weight) + getattr(params, b))
+        z = (x[:, None, :] @ weight)[:, 0] if row_alone else x @ weight
+        z += getattr(params, b)
+        zs.append(z)
     if not head:
         xs.append(np.maximum(zs[-1], 0.0))
     return xs, zs
 
 
 def _stack_backward(params: PolicyParams, layers, xs: list, zs: list, d: np.ndarray, g: dict) -> np.ndarray:
-    """Assign each layer's slots in g from d, the gradient at the output
-    of the stack whose _stack pass gave (xs, zs), and return the gradient
-    at its first pre-activation. A layer's ReLU was taken when the layer
-    has a successor in xs. The point branch's (U, M, k) arrays take each
-    weight gradient as one product over the U*M points."""
+    """Write each layer's slots in g (its views, with out=) from d, the
+    gradient at the output of the stack whose _stack pass gave (xs, zs),
+    and return the gradient at its first pre-activation. A layer's ReLU
+    was taken when the layer has a successor in xs. The point branch's
+    (U, M, k) arrays take each weight gradient as one product over the
+    U*M points."""
     for k in reversed(range(len(layers))):
         w, b = layers[k]
         if k + 1 < len(xs):
             d = d * (zs[k] > 0.0)
-        g[w][...] = xs[k].reshape(-1, xs[k].shape[-1]).T @ d.reshape(-1, d.shape[-1])
-        g[b][...] = d.sum(axis=tuple(range(d.ndim - 1)))
+        np.matmul(xs[k].reshape(-1, xs[k].shape[-1]).T, d.reshape(-1, d.shape[-1]), out=g[w])
+        np.sum(d, axis=tuple(range(d.ndim - 1)), out=g[b])
         if k:
             d = d @ getattr(params, w).T
     return d
@@ -374,7 +395,8 @@ def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True, *,
 
     Returns (mean (B, A), log_std (A,), value (B,), cache). The point
     branch runs once per entry of the cloud table, and each row takes
-    its entry's pooled feature; every output row has the bits it would
+    its entry's pooled feature into the pooled block of its copy of the
+    batch's trunk_in row; every output row has the bits it would
     have with the branch run on the row's own copy of its cloud. The max
     pool over points makes the cloud branch permutation-invariant; the
     backward pass routes a pooling tie to the lowest point index (argmax
@@ -395,12 +417,8 @@ def policy_forward(params: PolicyParams, batch: ObsBatch, check: bool = True, *,
             f"style one-hot dim {batch.l_style.shape[1]} != S={params.style_count}"
         )
     point = _stack(params, POINT_BRANCH, batch.clouds, row_alone=False, head=False)   # (U, M, ·) arrays
-    pooled = point[0][-1].max(axis=1)                                                   # (U, 64)
-    feat = np.concatenate(
-        [batch.s_r, batch.s_o, pooled.take(batch.cloud_index, axis=0), batch.p_afford_rel,
-         batch.l_style, batch.obj_bb],
-        axis=1,
-    )
+    feat = batch.trunk_in.copy()
+    feat[:, _POOLED] = point[0][-1].max(axis=1)[batch.cloud_index]
     cache = ForwardCache(
         batch, point, _stack(params, ACTOR, feat, row_alone, head=True), _stack(params, VALUE, feat, row_alone, head=True)
     )
@@ -433,20 +451,25 @@ def policy_backward(
     branch. d_log_std collects the direct terms (density
     sigma-derivatives, entropy bonus) and is masked by the [-5, 1]
     clamp.
+
+    Every weight and bias gradient is written straight into its view of
+    the vector. The pooled-feature gradient goes back through the
+    winning point of each (cloud, channel), the first of tied ones as
+    argmax picks, by one flat index into the point branch's output: one
+    bincount sums each winner's rows from 0.0 in row order, the sums a
+    zeroed per-cloud accumulation and its scatter give.
     """
     flat = None
     if out is None:
         flat = np.empty_like(params.flat)
         out = param_views(flat, params.style_count, params.joint_count)
     d_feat = _stack_backward(params, ACTOR, *cache.actor, d_mean, out) @ params.a_w1.T
-    d_feat = d_feat + _stack_backward(params, VALUE, *cache.value, d_value[:, None], out) @ params.v_w1.T
-    # sum the pooled slice per cloud, then route it back through the
-    # winning points only (the first of tied ones, as argmax picks)
-    pool_in = cache.point[0][-1]
-    d_pooled = np.zeros((len(pool_in), CLOUD_FEAT_DIM))
-    np.add.at(d_pooled, cache.batch.cloud_index, d_feat[:, _POOLED])
-    d_out = np.zeros_like(pool_in)
-    np.put_along_axis(d_out, np.argmax(pool_in, axis=1)[:, None, :], d_pooled[:, None, :], axis=1)
+    d_feat += _stack_backward(params, VALUE, *cache.value, d_value[:, None], out) @ params.v_w1.T
+    pool_in = cache.point[0][-1]                                        # (U, M, C)
+    u, m, c = pool_in.shape
+    winner = np.argmax(pool_in, axis=1) * c + np.arange(c) + (np.arange(u) * (m * c))[:, None]
+    d_out = np.bincount(winner[cache.batch.cloud_index].ravel(), weights=d_feat[:, _POOLED].ravel(),
+                        minlength=pool_in.size).reshape(pool_in.shape)
     _stack_backward(params, POINT_BRANCH, *cache.point, d_out, out)
     inside = (params.log_std > LOG_STD_MIN) & (params.log_std < LOG_STD_MAX)
     out["log_std"][...] = d_log_std * inside
@@ -506,19 +529,20 @@ def sample_action(
     bits it gets alone."""
     lo, hi = bounds.intervals(joint_count)
     raw = mean + np.exp(log_std) * noise
-    logp, _, _ = log_prob_of_raw(mean, log_std, raw, bounds, joint_count)
+    logp, _, _ = log_prob_of_raw(mean, log_std, raw, squash_correction(raw, lo, hi))
     return raw, squash(raw, lo, hi), logp
 
 
-def log_prob_of_raw(mean, log_std, raw, bounds: EditBounds, joint_count: int):
+def log_prob_of_raw(mean, log_std, raw, correction: np.ndarray):
     """Log-prob (with Jacobian) of stored raw samples; batched.
+    correction is each row's squash_correction of raw, which no
+    parameter moves, so a caller takes it once per sample.
 
     Returns (logp, d_mean, d_log_std); the Jacobian term is constant in
     the parameters, so the gradients are those of the Gaussian density.
     """
-    lo, hi = bounds.intervals(joint_count)
     logp, d_mean, d_log_std = gaussian_log_prob(mean, log_std, raw)
-    return logp - squash_correction(raw, lo, hi), d_mean, d_log_std
+    return logp - correction, d_mean, d_log_std
 
 
 def entropy(log_std: np.ndarray) -> float:

@@ -132,6 +132,7 @@ from .policy import (
     row_errors,
     sample_action,
     squash,
+    squash_correction,
 )
 from .rewards import TERMS, RewardConfig, total_reward
 from .sim import FAILURE_REASONS, RolloutRecord, SimParams, reset_env, rollout_batch
@@ -519,7 +520,7 @@ def run_episodes(
         elif mode == "mean":
             raw = mean[live]
             actions = squash(raw, lo, hi)
-            logp, _, _ = log_prob_of_raw(raw, log_std, raw, cfg.bounds, joint_count)
+            logp, _, _ = log_prob_of_raw(raw, log_std, raw, squash_correction(raw, lo, hi))
         else:
             actions = draws[live]
             raw = np.zeros_like(actions)
@@ -796,6 +797,12 @@ def ppo_update(
     and that AdamState; the params and state passed in are never
     written.
 
+    What the minibatches share is built once per update, not per
+    minibatch: each PPO row's squash correction (squash_correction of
+    its raw sample), of which a minibatch takes its rows. A minibatch's
+    observations are one gather of rows of the batch's trunk-input
+    table (ObsBatch), over the cloud entries those rows use.
+
     A non-finite loss or non-finite activations abort the iteration and
     return the incoming params and state (the batch is discarded).
     """
@@ -807,6 +814,7 @@ def ppo_update(
     grads = np.empty_like(work)
     grad_views = param_views(grads, params.style_count, joint_count)
     scratch = (np.empty_like(work), np.empty_like(work))
+    correction = squash_correction(batch.raw, *cfg.bounds.intervals(joint_count))
     order = np.arange(e)
     clip_hits = 0
     clip_total = 0
@@ -817,9 +825,7 @@ def ppo_update(
             for start in range(0, e, cfg.minibatch):
                 sel = order[start : start + cfg.minibatch]
                 mean, log_std, value, cache = policy_forward(current, batch.obs[sel])
-                logp_new, d_mean_lp, d_logstd_lp = log_prob_of_raw(
-                    mean, log_std, batch.raw[sel], cfg.bounds, joint_count
-                )
+                logp_new, d_mean_lp, d_logstd_lp = log_prob_of_raw(mean, log_std, batch.raw[sel], correction[sel])
                 ratio = np.exp(logp_new - batch.log_prob_old[sel])
                 adv = batch.advantages[sel]
                 surrogate, coef = clipped_surrogate(ratio, adv, cfg.clip_eps)
@@ -962,21 +968,20 @@ def finite_diff_check(
     (analytic gradient exactly 0, finite difference pure rounding noise)
     from producing spurious failures.
     """
-    bounds = EditBounds()
-    joint_count = params.joint_count
     b = batch.size
     raw = rng.standard_normal((b, params.action_dim))
+    correction = squash_correction(raw, *EditBounds().intervals(params.joint_count))
     c_lp = rng.normal(size=b)
     c_v = rng.normal(size=b)
     c_h = float(rng.normal())
 
     def objective(p: PolicyParams) -> float:
         mean, log_std, value, _ = policy_forward(p, batch, check=False)
-        logp, _, _ = log_prob_of_raw(mean, log_std, raw, bounds, joint_count)
+        logp, _, _ = log_prob_of_raw(mean, log_std, raw, correction)
         return float((c_lp * logp).sum() + (c_v * value).sum() + c_h * entropy(log_std))
 
     mean, log_std, value, cache = policy_forward(params, batch, check=False)
-    _, d_mean_lp, d_logstd_lp = log_prob_of_raw(mean, log_std, raw, bounds, joint_count)
+    _, d_mean_lp, d_logstd_lp = log_prob_of_raw(mean, log_std, raw, correction)
     d_mean = c_lp[:, None] * d_mean_lp
     d_value = c_v.copy()
     d_log_std = (c_lp[:, None] * d_logstd_lp).sum(axis=0) + c_h

@@ -6,7 +6,7 @@ real ppo_update, with OpenBLAS on one thread for the length of the run.
 
 import numpy as np
 
-from fungrasp.policy import ObsBatch, init_params, log_prob_of_raw, policy_forward
+from fungrasp.policy import ObsBatch, init_params, log_prob_of_raw, policy_forward, squash_correction
 from fungrasp.training import STREAM_UPDATE, AdamState, Batch, TrainConfig, _one_blas_thread, episode_rng, ppo_update
 
 # the bandit's rng stream tag, apart from the training streams
@@ -38,7 +38,7 @@ def run_bandit(
     params = init_params(rng0, m_points, style_count, joint_count, init_log_std=-0.5)
     a_dim = params.action_dim
     a_star = episode_rng(seed, STREAM_BANDIT, 1).uniform(-0.5, 0.5, a_dim)
-    obs_batch = ObsBatch(
+    obs_batch = ObsBatch.build(
         s_r=np.zeros((envs, 7)),
         s_o=np.zeros((envs, 7)),
         p_afford_rel=np.zeros((envs, 3)),
@@ -56,7 +56,7 @@ def run_bandit(
             raw = mean + np.exp(log_std) * rng_it.standard_normal(mean.shape)
             a_norm = np.tanh(raw)
             rewards = -np.sum((a_norm - a_star) ** 2, axis=1)
-            logp, _, _ = log_prob_of_raw(mean, log_std, raw, cfg.bounds, joint_count)
+            logp, _, _ = log_prob_of_raw(mean, log_std, raw, squash_correction(raw, *cfg.bounds.intervals(joint_count)))
             adv = rewards - value
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
             batch = Batch(

@@ -10,7 +10,7 @@ from fungrasp.assets import default_demo_path, default_hand_path, default_styles
 from fungrasp.demo import load_demo
 from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import load_hand_spec, load_styles
-from fungrasp.policy import param_views
+from fungrasp.policy import ObsBatch, param_views
 from fungrasp.sim import EnvBatch
 from fungrasp.training import Assets, load_objects
 from pose_reference import IDENTITY, pose
@@ -107,6 +107,12 @@ def with_arrays(params, **arrays):
     for name, value in arrays.items():
         views[name][...] = value
     return dataclasses.replace(params, flat=flat)
+
+
+def with_fields(obs, **fields):
+    """A copy of the ObsBatch obs with the named row fields replaced."""
+    rows = {name: fields.get(name, getattr(obs, name)) for name in ("s_r", "s_o", "p_afford_rel", "l_style", "obj_bb")}
+    return ObsBatch.build(**rows, cloud_index=obs.cloud_index, clouds=obs.clouds)
 
 
 def poison_cloud_of(encode, episode):

@@ -142,7 +142,7 @@ def reference_encode(env, pose, demo, styles, m_points, fps_seed, cloud_cache):
     ee0_t, ee0_r = compose_pose(pose, (demo.pose_t[0], demo.pose_r[0]))
     one_hot = np.zeros(len(styles))
     one_hot[env.style[0]] = 1.0
-    obs = ObsBatch(
+    obs = ObsBatch.build(
         s_r=np.concatenate([ee0_t, ee0_r])[None],
         s_o=np.concatenate(pose)[None],
         p_afford_rel=((env.p_afford[0] - obj.centroid) * scale)[None],
@@ -169,7 +169,7 @@ def concat_obs(batches):
     rows = {name: np.concatenate([getattr(b, name) for b in batches])
             for name in ("s_r", "s_o", "p_afford_rel", "l_style", "obj_bb")}
     clouds = np.stack([cloud for _, cloud in entries.values()])
-    return ObsBatch(**rows, cloud_index=np.concatenate(index), clouds=clouds)
+    return ObsBatch.build(**rows, cloud_index=np.concatenate(index), clouds=clouds)
 
 
 def reference_sample(mean, log_std, bounds, joint_count, rng):
@@ -206,7 +206,7 @@ def reference_act(params, cfg, assets, seed, stream_key, index, mode, force_styl
     elif mode == "mean":
         raw = mean[0]
         action = squash(raw, lo, hi)
-        logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, cfg.bounds, joint_count)
+        logp, _, _ = log_prob_of_raw(mean[0], log_std, raw, squash_correction(raw, lo, hi))
     else:
         action = rng.uniform(lo, hi)
         raw = np.zeros_like(action)

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_same_results, assert_same_typed_results, bits, poison_cloud_of, with_arrays
+from conftest import assert_same_results, assert_same_typed_results, bits, poison_cloud_of, with_arrays, with_fields
 from contact_reference import hand_assets
 from episode_reference import (
     reference_axis_angle_to_quat,
@@ -198,7 +198,7 @@ def forward_setup():
     base = random_obs(np.random.default_rng(2), 7, 16, 4)
     rng = np.random.default_rng(3)
     batch = base[rng.integers(7, size=257)]
-    batch = dataclasses.replace(batch, s_r=batch.s_r + rng.normal(scale=0.1, size=batch.s_r.shape))
+    batch = with_fields(batch, s_r=batch.s_r + rng.normal(scale=0.1, size=batch.s_r.shape))
     return params, batch
 
 
@@ -232,7 +232,7 @@ def test_nan_row_errors_alone(hand_setup):
         for k, t in enumerate(pose_t):
             if np.array_equal(t, reference[4].pose_t):
                 s_o[k, 2] = np.nan
-        return dataclasses.replace(obs, s_o=s_o)
+        return with_fields(obs, s_o=s_o)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tr, "encode_observation", poisoned)
@@ -254,7 +254,7 @@ def test_row_errors_keep_the_batch_of_one_order(forward_setup):
     l_style[1, 0] = np.nan                    # s_r is checked first
     l_style[3, 0] = np.nan
     obj_bb[5, 0] = np.inf                     # not an observation check: the trunk meets it
-    batch = dataclasses.replace(batch, s_r=s_r, l_style=l_style, obj_bb=obj_bb)
+    batch = with_fields(batch, s_r=s_r, l_style=l_style, obj_bb=obj_bb)
     with np.errstate(invalid="ignore"):
         mean, _, value, cache = policy_forward(params, batch, check=False, row_alone=True)
         errors = row_errors(observation_checks(batch) + activation_checks(mean, value, cache), batch.size)

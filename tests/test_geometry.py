@@ -11,6 +11,7 @@ from fungrasp.geometry import (
     quat_normalize,
     quat_rotate,
     rotate,
+    rotate_x,
     row_norms,
 )
 
@@ -220,3 +221,30 @@ def test_in_place_rotate_gives_the_allocating_bytes(seed, grid, scale):
         want = rotate(*comps, *vec)
         assert all(np.shares_memory(g, w) for g, w in zip(got, work[:3]))
         assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.sampled_from([0.0, 0.02, 0.045]) | st.floats(1e-6, 1e3),
+    zeros=st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=4, max_size=4),
+)
+def test_rotate_x_gives_rotates_bytes(seed, length, zeros):
+    """rotate_x gives rotate(w, u, length, 0, 0)'s bytes, into a workspace
+    and allocating: on random unit quaternions, half of whose rows get
+    exact or signed zeros in the drawn components, and on the identity
+    and its negative with signed zeros, as an identity wrist and zero
+    joints give FK."""
+    rng = np.random.default_rng(seed)
+    q = quat_normalize(rng.normal(size=(64, 4)))
+    for k, zero in enumerate(zeros):
+        if zero is not None:
+            q[::2, k] = zero
+    q = np.concatenate([q, [[1.0, 0.0, 0.0, 0.0], [-1.0, -0.0, -0.0, -0.0], [1.0, -0.0, 0.0, -0.0]]])
+    comps = tuple(q.T.copy())
+    want = np.stack(rotate(*comps, length, 0.0, 0.0)).tobytes()
+    work = np.full((7, len(q)), np.nan)
+    got = rotate_x(*comps, length, work)
+    assert all(np.shares_memory(g, w) for g, w in zip(got, work[:3]))
+    assert np.stack(got).tobytes() == want
+    assert np.stack(rotate_x(*comps, length)).tobytes() == want

@@ -9,13 +9,16 @@ train_inspire bench workload's config, the chunk's generators
 (episode_rngs against one SeedSequence per episode), its reset
 (reset_env against each episode's own reference_reset) and its contact
 phase's inverse rotation of the (E, T_l + 1, K) grid (rotate into a
-workspace against the allocating rotate).
+workspace against the allocating rotate) and the PPO update of its
+96-row batch (ppo_update against the allocating reference_ppo_update).
 
 pytest's addopts pass --benchmark-disable, so the suite runs each case
 once as a plain test. Time them with
 
     PYTHONPATH=src python -m pytest tests/test_kernel_bench.py --benchmark-enable
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,8 +27,20 @@ from conftest import concat_envs
 from contact_reference import hand_assets, seeded_rollout_inputs
 from episode_reference import reference_reset
 from fungrasp import geometry, hand, sim
-from fungrasp.training import STREAM_TRAIN, TrainConfig, episode_rngs
+from fungrasp.policy import init_params
+from fungrasp.training import (
+    STREAM_INIT,
+    STREAM_TRAIN,
+    STREAM_UPDATE,
+    AdamState,
+    TrainConfig,
+    collect_batch,
+    episode_rng,
+    episode_rngs,
+    ppo_update,
+)
 from kernel_reference import reference_closure, reference_feasible_combination, reference_forward_kinematics
+from update_reference import reference_ppo_update
 
 EPISODES = 96
 
@@ -212,3 +227,35 @@ def test_contact_rotation_benchmark(benchmark, contact_grid, form):
     got = np.stack(benchmark(form, q, v, np.empty((7, *grid))))
     other = rotate_allocating if form is rotate_in_place else rotate_in_place
     assert got.tobytes() == np.stack(other(q, v, np.empty((7, *grid)))).tobytes()
+
+
+@pytest.fixture(scope="module")
+def ppo_batch(train_chunk):
+    """(params, batch, cfg) of one train_inspire update: the chunk's 96
+    episodes collected under the seed-2026 initial policy, at the bench
+    workload's training config."""
+    assets, cfg, prefix, _ = train_chunk
+    cfg = dataclasses.replace(cfg, epochs=6, learning_rate=1e-3, entropy_coef=5e-4, init_log_std=-2.0)
+    params = init_params(episode_rng(2026, STREAM_INIT), cfg.m_points, len(assets.styles), assets.spec.joint_count,
+                         cfg.init_log_std)
+    return params, collect_batch(params, cfg, assets, prefix[-1]), cfg
+
+
+@pytest.mark.parametrize("update", [ppo_update, reference_ppo_update],
+                         ids=["built_once_per_update", "allocating_reference"])
+def test_ppo_update_benchmark(benchmark, ppo_batch, update):
+    """Each round updates from a fresh Adam state and update rng; the
+    update and its allocating reference give each other's params,
+    moments and stats."""
+    params, batch, cfg = ppo_batch
+    benchmark.group = f"ppo_update, {len(batch.raw)} rows, minibatch {cfg.minibatch}, {cfg.epochs} epochs"
+
+    def fresh():
+        return (params, batch, cfg, AdamState.init(params), episode_rng(cfg.seed, STREAM_UPDATE, 75)), {}
+
+    got = benchmark.pedantic(update, setup=fresh, rounds=30)
+    other = reference_ppo_update if update is ppo_update else ppo_update
+    want = other(*fresh()[0])
+    assert "aborted" not in got[2] and got[2] == want[2]
+    for g, w in ((got[0].flat, want[0].flat), (got[1].m, want[1].m), (got[1].v, want[1].v)):
+        assert g.tobytes() == w.tobytes()

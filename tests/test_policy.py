@@ -249,7 +249,8 @@ def test_log_prob_self_consistency(small_params, assets):
     assert np.array_equal(action, squash(raw, lo, hi))
     # the update's batched log-prob of the stored raw sample, from a fresh forward pass
     mean2, log_std2, _, _ = policy_forward(small_params, obs[np.array([0, 0])])
-    recomputed, _, _ = log_prob_of_raw(mean2, log_std2, np.concatenate([raw] * 2), bounds, 6)
+    raw2 = np.concatenate([raw] * 2)
+    recomputed, _, _ = log_prob_of_raw(mean2, log_std2, raw2, squash_correction(raw2, lo, hi))
     assert recomputed == pytest.approx([log_prob[0]] * 2, abs=1e-9)
 
 
@@ -278,7 +279,7 @@ def test_log_prob_decreases_away_from_mean(small_params):
     vals = []
     for step in (0.0, 0.5, 1.0, 2.0):
         raw = mean[0] + step * direction
-        lp, _, _ = log_prob_of_raw(mean[0], log_std, raw, bounds, 6)
+        lp, _, _ = log_prob_of_raw(mean[0], log_std, raw, squash_correction(raw, lo, hi))
         vals.append(lp)
     assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
 
@@ -421,7 +422,7 @@ def test_finite_difference_gate(small_params):
 def test_finite_difference_zero_obs(small_params):
     # zero inputs park activations exactly on the ReLU kink; the contract
     # here is only that the check stays finite, not that it passes the gate
-    zero = ObsBatch(
+    zero = ObsBatch.build(
         s_r=np.zeros((1, 7)), s_o=np.zeros((1, 7)), p_afford_rel=np.zeros((1, 3)),
         l_style=np.eye(4)[:1], obj_bb=np.ones((1, 1)), cloud_index=np.zeros(1, dtype=int),
         clouds=np.zeros((1, 16, 6)),

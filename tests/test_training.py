@@ -253,21 +253,37 @@ def test_adam_step_matches_the_allocating_reference(tiny_params):
         assert state.step == want.step == k + 1
 
 
-@pytest.mark.parametrize("size", ["tiny", "96"])
-def test_ppo_update_matches_the_allocating_reference(assets, tiny_cfg, tiny_params, size):
+@pytest.mark.parametrize("case", ["tiny", "96", "one_row_last_minibatch", "one_object", "errored_row_left_out"])
+def test_ppo_update_matches_the_allocating_reference(assets, box_assets, tiny_cfg, tiny_params, case, monkeypatch):
     """Two consecutive updates give the reference's params, moments,
     step and stats; the params and state passed in are never written,
-    and the returned vector is read-only."""
-    cfg, params = tiny_cfg, tiny_params
-    if size == "96":
+    and the returned vector is read-only. Besides the tiny and the
+    96-row batch: a one-row last minibatch (E = 9, minibatch 4), a
+    one-object asset set, whose minibatches each use one cloud entry,
+    and a first batch with one errored episode left out of its rows."""
+    cfg, params, case_assets = tiny_cfg, tiny_params, assets
+    if case == "96":
         cfg = TrainConfig(envs_per_iter=96, minibatch=32, epochs=6, learning_rate=1e-3, entropy_coef=5e-4,
                           m_points=64, seed=2026, init_log_std=-2.0)
         params = init_params(episode_rng(cfg.seed, 4), cfg.m_points, len(assets.styles),
                              assets.spec.joint_count, cfg.init_log_std)
+    elif case == "one_row_last_minibatch":
+        cfg = dataclasses.replace(cfg, envs_per_iter=9)
+    elif case == "one_object":
+        case_assets = box_assets
+    elif case == "errored_row_left_out":
+        victim = collect_batch(params, cfg, assets, 0).results[2]
+        monkeypatch.setattr(tr, "encode_observation", poison_cloud_of(tr.encode_observation, victim))
     adam = want_adam = AdamState.init(params)
     want_params = params
     for it in range(2):
-        batch = collect_batch(params, cfg, assets, it)
+        batch = collect_batch(params, cfg, case_assets, it)
+        if case == "one_row_last_minibatch":
+            assert len(batch.raw) % cfg.minibatch == 1
+        elif case == "one_object":
+            assert len(batch.obs.clouds) == 1
+        elif case == "errored_row_left_out" and it == 0:
+            assert [r.error is not None for r in batch.results].count(True) == 1 == len(batch.results) - len(batch.raw)
         incoming = (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step)
         got = ppo_update(params, batch, cfg, adam, episode_rng(cfg.seed, 3, it))
         want = reference_ppo_update(want_params, batch, cfg, want_adam, episode_rng(cfg.seed, 3, it))
@@ -282,6 +298,31 @@ def test_ppo_update_matches_the_allocating_reference(assets, tiny_cfg, tiny_para
             got[0].flat[0] = 0.0
         params, adam, _ = got
         want_params, want_adam, _ = want
+
+
+# the names the benchmark's tracer wraps in training to time the update's layers
+UPDATE_LAYERS = ("policy_forward", "log_prob_of_raw", "policy_backward", "adam_step")
+
+
+def test_ppo_update_reaches_each_traced_layer_once_per_minibatch(assets, tiny_cfg, tiny_params, monkeypatch):
+    """One ppo_update looks up each of UPDATE_LAYERS in the training
+    module exactly once per minibatch, so a tracer that wraps them there
+    sees every call and the update's per-layer times cannot read 0."""
+    cfg = dataclasses.replace(tiny_cfg, envs_per_iter=9)
+    batch = collect_batch(tiny_params, cfg, assets, 0)
+    calls = dict.fromkeys(UPDATE_LAYERS, 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in UPDATE_LAYERS:
+        monkeypatch.setattr(tr, name, counted(name, getattr(tr, name)))
+    _, _, stats = ppo_update(tiny_params, batch, cfg, AdamState.init(tiny_params), episode_rng(0, 3, 0))
+    assert "aborted" not in stats
+    assert calls == dict.fromkeys(UPDATE_LAYERS, cfg.epochs * -(-len(batch.raw) // cfg.minibatch))
 
 
 def test_ppo_update_abort_after_in_place_steps_returns_the_incoming_state(assets, tiny_cfg, tiny_params,

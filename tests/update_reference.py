@@ -2,8 +2,9 @@
 training.adam_step and training.ppo_update replaced, kept as an oracle.
 
 Every Adam step builds new m, v and parameter vectors from whole-array
-expressions and a new PolicyParams over them; every minibatch takes a
-fresh gradient vector from policy_backward. reference_ppo_update has
+expressions and a new PolicyParams over them; every minibatch takes its
+rows' squash correction afresh and a fresh gradient vector from
+policy_backward. reference_ppo_update has
 ppo_update's signature and returns its (params, AdamState, stats), so a
 test can compare the vectors by bytes and the stats by value.
 """
@@ -21,6 +22,7 @@ from fungrasp.policy import (
     log_prob_of_raw,
     policy_backward,
     policy_forward,
+    squash_correction,
 )
 from fungrasp.training import AdamState, _batch_stats, clipped_surrogate
 
@@ -43,7 +45,7 @@ def reference_ppo_update(params, batch, cfg, adam, rng):
     new params and AdamState; an abort returns the incoming ones."""
     snapshot_params, snapshot_adam = params, adam
     e = batch.raw.shape[0]
-    joint_count = params.joint_count
+    lo, hi = cfg.bounds.intervals(params.joint_count)
     order = np.arange(e)
     clip_hits = 0
     clip_total = 0
@@ -54,9 +56,8 @@ def reference_ppo_update(params, batch, cfg, adam, rng):
             for start in range(0, e, cfg.minibatch):
                 sel = order[start : start + cfg.minibatch]
                 mean, log_std, value, cache = policy_forward(params, batch.obs[sel])
-                logp_new, d_mean_lp, d_logstd_lp = log_prob_of_raw(
-                    mean, log_std, batch.raw[sel], cfg.bounds, joint_count
-                )
+                raw = batch.raw[sel]
+                logp_new, d_mean_lp, d_logstd_lp = log_prob_of_raw(mean, log_std, raw, squash_correction(raw, lo, hi))
                 ratio = np.exp(logp_new - batch.log_prob_old[sel])
                 adv = batch.advantages[sel]
                 surrogate, coef = clipped_surrogate(ratio, adv, cfg.clip_eps)

@@ -1,6 +1,7 @@
 """Paths to the assets bundled with the package, the readers of every
-JSON input file and of its numeric and pose fields, and UserError, the
-one error every rejected input raises.
+JSON input file and of its numeric and pose fields, UserError, the one
+error every rejected input raises, and LENGTH_MAX, the desk scale that
+bounds every length an input gives.
 
 Hands, styles, demos, and the PLY exports of the toy suite live under
 fungrasp/assets/; scripts/make_assets.py regenerates them.
@@ -17,6 +18,12 @@ import numpy as np
 
 DEFAULT_HAND = "inspire_like"
 
+# the desk scale, in metres: every length an input gives (a hand's segment
+# lengths and radii, a pose's t, a cloud's coordinates) is at most this in
+# magnitude. The largest cloud it admits, a 2 m box, sizes sim._may_crush's
+# crush-floor table at about 1 GB of lazily touched memory
+LENGTH_MAX = 1.0
+
 __all__ = [
     "UserError",
     "asset_dir",
@@ -29,6 +36,7 @@ __all__ = [
     "json_number",
     "json_pose",
     "DEFAULT_HAND",
+    "LENGTH_MAX",
 ]
 
 
@@ -111,13 +119,16 @@ def json_number(value, where: str, *, integer: bool = False, vector: bool = Fals
 def json_pose(value, where: str):
     """A pose field {"t": [3 numbers], "r": [4 numbers]} of a JSON input
     file, returned as read-only (t, r) arrays with r / np.linalg.norm(r).
-    Raises UserError, naming `where`, for a field of another shape or a
-    quaternion whose norm is more than 1e-6 from 1."""
+    Raises UserError, naming `where`, for a field of another shape, an
+    entry of t beyond LENGTH_MAX in magnitude or a quaternion whose norm
+    is more than 1e-6 from 1."""
     fields = value if isinstance(value, dict) else {}
     t, r = (json_number(fields.get(k), f"{where}.{k}", vector=True) for k in "tr")
     for name, a, n in (("t", t, 3), ("r", r, 4)):
         if a.shape != (n,):
             raise UserError(f"{where}: {name} must have shape ({n},), got {a.shape}")
+    if np.abs(t).max() > LENGTH_MAX:
+        raise UserError(f"{where}.t: every entry must lie within {LENGTH_MAX:g} m of 0, got {t.tolist()}")
     norm = np.linalg.norm(r)
     if abs(norm - 1.0) > 1e-6:
         raise UserError(f"{where}: quaternion norm {norm:.3e} too far from 1")

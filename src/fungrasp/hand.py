@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assets import UserError, json_number, json_object_list, json_pose, read_json_object
+from .assets import LENGTH_MAX, UserError, json_number, json_object_list, json_pose, read_json_object
 from .geometry import hamilton, rotate, rotate_x, row_norms
 
 __all__ = [
@@ -85,12 +85,21 @@ def load_hand_spec(path) -> HandSpec:
     the joint that drives it instead, with its scale, and that segment
     declares no limits: its angle is bounded by its source's. The
     coupling entries are read first, against the fingers' segment
-    counts; then each segment once, into its row.
+    counts; then each segment once, into its row. Every length it reads,
+    a segment's length and radius and a finger's tip_radius, must be > 0
+    and at most assets.LENGTH_MAX, and each finger base's t within
+    LENGTH_MAX of 0 (assets.json_pose).
     """
     data = read_json_object(path)
 
     def fail(where, msg):
         raise UserError(f"{path}: {where}: {msg}")
+
+    def length_field(entry, where, key, default):
+        value = json_number(entry.get(key, default), f"{path}: {where}.{key}")
+        if not 0 < value <= LENGTH_MAX:
+            fail(f"{where}.{key}", f"must be > 0 and <= {LENGTH_MAX:g} m, got {value}")
+        return value
 
     name = data.get("name")
     if not isinstance(name, str) or not name:
@@ -122,14 +131,10 @@ def load_hand_spec(path) -> HandSpec:
     for fi, (fd, chain) in enumerate(zip(fingers, chains)):
         where = f"fingers[{fi}]"
         bases.append(json_pose(fd.get("base"), f"{path}: {where}.base"))
-        tip_radius = json_number(fd.get("tip_radius", 0.0), f"{path}: {where}.tip_radius")
-        if tip_radius <= 0:
-            fail(where + ".tip_radius", "must be > 0")
+        tip_radius = length_field(fd, where, "tip_radius", 0.0)
         for si, sd in enumerate(chain):
             sw = f"{where}.segments[{si}]"
-            length = json_number(sd.get("length", 0.0), f"{path}: {sw}.length")
-            if length <= 0:
-                fail(sw + ".length", f"must be > 0, got {length}")
+            length = length_field(sd, sw, "length", 0.0)
             axis = json_number(sd.get("axis", []), f"{path}: {sw}.axis", vector=True)
             if axis.shape != (3,) or np.linalg.norm(axis) < 1e-9:
                 fail(sw + ".axis", "must be a nonzero 3-vector")
@@ -140,9 +145,7 @@ def load_hand_spec(path) -> HandSpec:
                     fail(sw + ".limits", "must be [lo, hi]")
                 if not limits[0] < limits[1]:
                     fail(sw + ".limits", f"joint '{fd.get('name', fi)}[{si}]' has lo >= hi ({limits[0]} >= {limits[1]})")
-            radius = json_number(sd.get("radius", tip_radius), f"{path}: {sw}.radius")
-            if radius <= 0:
-                fail(sw + ".radius", "must be > 0")
+            radius = length_field(sd, sw, "radius", tip_radius)
             if (fi, si) in coupled:
                 source, scale, ci = coupled[fi, si]
                 if limits is not None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assets import UserError
+from .assets import LENGTH_MAX, UserError
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +57,11 @@ class ObjectModel:
 
     @classmethod
     def from_points(cls, name: str, points, normals=None) -> "ObjectModel":
+        """The cloud named name, shifted to min z = 0, with unit normals,
+        estimated when none are given. Raises UserError, naming the
+        object, for fewer than MIN_POINTS points, a non-finite or
+        zero-length entry, or a coordinate beyond assets.LENGTH_MAX in
+        magnitude (a cloud in millimetres, say)."""
         points = np.array(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 3:
             raise UserError(f"{name}: points must be (N, 3), got {points.shape}")
@@ -64,6 +69,9 @@ class ObjectModel:
             raise UserError(f"{name}: needs at least {MIN_POINTS} points, got {points.shape[0]}")
         if not np.all(np.isfinite(points)):
             raise UserError(f"{name}: points contain non-finite values")
+        far = np.abs(points).max()
+        if far > LENGTH_MAX:
+            raise UserError(f"{name}: points must lie within {LENGTH_MAX:g} m of 0 (in metres), got {far}")
         points = points - np.array([0.0, 0.0, points[:, 2].min()])
         if normals is None:
             normals = estimate_normals(points)

@@ -36,7 +36,9 @@ hit). A grasp that passes the crush, table and
 two-mask-finger gates must be feasible at seven loads: gravity, and
 gravity perturbed along each force axis. One stacked simplex solves the
 gravity load of every such grasp (grasp_success_batch,
-feasible_combination_batch). A perturbed load changes only the
+feasible_combination_batch); the stack keeps its shape to the end, a
+tableau that finishes freezing in place, pivoted on its own basic
+column, which changes no byte. A perturbed load changes only the
 right-hand side, so a few dual-simplex pivots (_dual_pivots) from its
 grasp's final gravity tableau, the last column replaced, decide it;
 only a load they leave undecided goes through the simplex again, so the
@@ -521,6 +523,15 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray) -> tup
     each tableau takes exactly the pivots, and the bits, it takes with
     its zero columns left out. Reduced costs and the phase-1 objective
     compare against _LP_TOL.
+
+    The stack stays whole for at most 1000 pivots, with two (B,) masks:
+    a tableau is active until no column enters it, or until its entering
+    column has no entry above 1e-11 to bound a ratio, which clears
+    bounded too (unbounded is infeasible). A tableau no longer active freezes in
+    place: its row 0 pivots on its own basic column basis[:, 0], an exact
+    unit column with a zero cost entry, so the row is divided by 1.0,
+    nothing is subtracted, and the tableau and basis keep every byte. The
+    verdicts, bases and rows are then read off the final stack.
     """
     a = np.array(generators, dtype=float)
     b = np.array(loads, dtype=float)
@@ -535,36 +546,28 @@ def feasible_combination_batch(generators: np.ndarray, loads: np.ndarray) -> tup
     tab[:, m, :n] = -a.sum(axis=1)
     tab[:, m, -1] = -b.sum(axis=1)
     basis = np.tile(np.arange(n, n + m), (count, 1))
-    ids = np.arange(count)
-    feasible = np.zeros(count, dtype=bool)
-    final = np.full((count, m), -1)
-    block = np.full((count, m, n + m), np.nan)
     rows = np.arange(count)
-    for step in range(1001):
+    active, bounded = np.ones(count, dtype=bool), np.ones(count, dtype=bool)
+    for _ in range(1000):
         cand = tab[:, m, : n + m] < -_LP_TOL
         enter = cand.argmax(axis=1)
-        done = ~cand[rows, enter]
-        if step == 1000:
-            done[:] = True
-        if done.any():
-            fin = np.flatnonzero(done)
-            feasible[ids[fin]] = ok = tab[fin, m, -1] >= -_LP_TOL
-            fin = fin[ok]
-            final[ids[fin]] = basis[fin]
-            block[ids[fin]] = tab[fin, :m, : n + m]
         col = tab[rows, :m, enter]
         ratios = np.full(col.shape, np.inf)
         np.divide(tab[:, :m, -1], col, out=ratios, where=col > 1e-11)
         best = ratios.min(axis=1)
-        # finished tableaus leave the stack; unbounded ones are infeasible
-        keep = ~done & (best < np.inf)
-        if not keep.all():
-            tab, basis, ids, enter, ratios, best = (x[keep] for x in (tab, basis, ids, enter, ratios, best))
-            rows = rows[: len(ids)]
-        if not len(ids):
+        # a tableau finishes with no entering column; one whose column has no ratio is unbounded (infeasible)
+        active &= cand[rows, enter]
+        bounded &= ~active | (best < np.inf)
+        active &= bounded
+        if not active.any():
             break
-        _pivot(tab, basis, np.where(ratios - best[:, None] <= 1e-12, basis, n + m).argmin(axis=1), enter)
-    return feasible, final, block
+        best[~active] = 0.0  # a frozen tableau's best may be inf: no inf - inf below
+        leave = np.where(ratios - best[:, None] <= 1e-12, basis, n + m).argmin(axis=1)
+        # a finished tableau freezes: row 0 pivots on its own basic column, which changes no byte
+        _pivot(tab, basis, np.where(active, leave, 0), np.where(active, enter, basis[:, 0]))
+    feasible = bounded & (tab[:, m, -1] >= -_LP_TOL)
+    block = np.where(feasible[:, None, None], tab[:, :m, : n + m], np.nan)
+    return feasible, np.where(feasible[:, None], basis, -1), block
 
 
 def _dual_pivots(tab: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:

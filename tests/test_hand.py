@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fungrasp.assets import UserError, default_hand_path, default_styles_path
+from fungrasp.assets import LENGTH_MAX, UserError, default_hand_path, default_styles_path
 from fungrasp.geometry import axis_angle_to_quat
 from fungrasp.hand import (
     clamp_to_limits,
@@ -424,6 +424,24 @@ def test_hand_numeric_fields_are_type_checked(tmp_path, where, value):
     node[where[-1]] = value
     path = "fingers[0]" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)
     with pytest.raises(UserError, match=re.escape(f"hand.json: {path}: must be")):
+        load_hand_spec(_write(tmp_path, "hand.json", payload))
+
+
+@pytest.mark.parametrize("where, field", [
+    (("tip_radius",), "tip_radius"), (("segments", 0, "length"), "segments[0].length"),
+    (("segments", 1, "radius"), "segments[1].radius"), (("base", "t", 2), "base.t"),
+])
+def test_hand_lengths_are_bounded_by_the_desk_scale(tmp_path, where, field):
+    """A hand length or base coordinate of LENGTH_MAX loads, and one just
+    past it is a UserError that names the file and the field."""
+    payload = json.loads(default_hand_path().read_text())
+    node = payload["fingers"][0]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = LENGTH_MAX
+    load_hand_spec(_write(tmp_path, "hand.json", payload))
+    node[where[-1]] = LENGTH_MAX * (1 + 1e-15)
+    with pytest.raises(UserError, match=re.escape(f"hand.json: fingers[0].{field}: ") + ".*1 m"):
         load_hand_spec(_write(tmp_path, "hand.json", payload))
 
 

@@ -2,7 +2,9 @@
 any depth, retyped or dropped: every run succeeds or ends in a named
 user error (exit 0 or 1), never in an internal error (exit 2). So do a
 run config with a key dropped or retyped, a checkpoint with a retyped
-number, a broken PLY cloud and an --out that names a file."""
+number, a broken PLY cloud and an --out that names a file. A hand, demo
+or cloud length past the desk scale fails a one-iteration train and an
+eval the same way, before its episodes run."""
 
 import contextlib
 import copy
@@ -290,3 +292,59 @@ def test_retyped_numbers_fail_as_named_user_errors(tmp_path_factory, capsys, che
     assert _exit_code(tmp_path_factory, doc, path, value, command) == 1
     err = capsys.readouterr().err
     assert message in err and "internal error" not in err
+
+
+def _far_demo():
+    """The bundled demo with 1e200 added to every frame's p.t[0]."""
+    doc = copy.deepcopy(DEMO)
+    for frame in doc["frames"]:
+        frame["p"]["t"][0] += 1e200
+    return doc
+
+
+def _far_hand():
+    """The bundled hand with a 1e200 m first segment."""
+    doc = copy.deepcopy(HAND)
+    doc["fingers"][0]["segments"][0]["length"] = 1e200
+    return doc
+
+
+def _scaled_ply(scale: float) -> str:
+    """The bundled box cloud's PLY text with its coordinates times scale."""
+    lines = (default_objects_dir() / "box.ply").read_text().splitlines()
+    end = lines.index("end_header") + 1
+    rows = [line.split() for line in lines[end:]]
+    body = [" ".join([*(repr(float(v) * scale) for v in row[:3]), *row[3:]]) for row in rows]
+    return "\n".join([*lines[:end], *body]) + "\n"
+
+
+@pytest.mark.parametrize("option, name, text, message", [
+    ("--hand", "hand.json", lambda: json.dumps(_far_hand()),
+     "hand.json: fingers[0].segments[0].length: must be > 0 and <= 1 m, got 1e+200"),
+    ("--demo", "demo.json", lambda: json.dumps(_far_demo()),
+     "demo.json: frames[0].p.t: every entry must lie within 1 m of 0, got [1e+200, "),
+    ("--objects", "objects/box.ply", lambda: _scaled_ply(200.0),
+     "box: points must lie within 1 m of 0 (in metres), got 12.0\n"),
+    ("--objects", "objects/box.ply", lambda: _scaled_ply(1e200),
+     "box: points must lie within 1 m of 0 (in metres), got 5.999999999999999e+198\n"),
+], ids=["hand-length-1e200", "demo-t-1e200", "cloud-x200", "cloud-x1e200"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_of_scale_lengths_fail_as_named_user_errors(tmp_path, capsys, checkpoint_file, option, name, text,
+                                                        message, command):
+    """A segment length, a demo frame's t or a cloud coordinate beyond
+    assets.LENGTH_MAX fails a one-iteration train and an eval on a
+    checkpoint with exit 1 and an error that names the file (for a cloud,
+    the object) and the field, before any output is made. Unchecked, they
+    trained to a non-finite loss, wrote a non-finite affordance distance
+    or sized the crush-floor table past any memory."""
+    (tmp_path / "objects").mkdir()
+    (tmp_path / name).write_text(text())
+    (tmp_path / "config.json").write_text(json.dumps({"train": {**TRAIN["train"], "iterations": 1}}))
+    source = str(tmp_path / (name if option != "--objects" else "objects"))
+    extra = ["--checkpoint", str(checkpoint_file), "--episodes", "2"] if command == "eval" else []
+    argv = [command, "--seed", "1", "--config", str(tmp_path / "config.json"), option, source, *extra,
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+    assert not (tmp_path / "run").exists()

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import _load_script
 from kernel_reference import reference_estimate_normals, reference_farthest_point_sample
-from fungrasp.assets import UserError, default_objects_dir
+from fungrasp.assets import LENGTH_MAX, UserError, default_objects_dir
 from fungrasp.objects import (
     AFFORD_H_MIN,
     AFFORD_UP_WEIGHT,
@@ -80,6 +80,15 @@ def test_non_finite_rejected():
     pts[0, 0] = np.nan
     with pytest.raises(UserError, match="non-finite"):
         ObjectModel.from_points("nan", pts, nrm)
+
+
+def test_coordinates_past_the_desk_scale_rejected():
+    """A cloud reaching LENGTH_MAX loads; one a step past it, such as a
+    cloud in millimetres, is a UserError naming the object."""
+    pts, nrm = _cube_cloud()
+    ObjectModel.from_points("edge", pts * 2.0 * LENGTH_MAX, nrm)
+    with pytest.raises(UserError, match=re.escape("far: points must lie within 1 m of 0")):
+        ObjectModel.from_points("far", pts * 2.0 * LENGTH_MAX * (1 + 1e-15), nrm)
 
 
 def test_sphere_affordance_weights_follow_upward_normals(objects):

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
@@ -360,54 +361,141 @@ def _random_wrench_set(rng, n_contacts, feasible, sphere):
     return w, rng.normal(size=6)
 
 
+# problems built at a stack's own width and height beside the wrench sets:
+# zero (zero generators and load: feasible after 0 pivots), negative (no
+# column can enter: infeasible after 0 pivots), one (e_0 and 2 e_0:
+# feasible after 1 pivot), and unbounded0 and unbounded1 (an entering
+# column of 1e-11 in every row, after 0 and after 1 pivot). No entry of
+# that column passes the ratio test's 1e-11, yet over the 128 rows of a
+# stack that holds one its reduced cost passes -_LP_TOL; the objective is
+# 0 when it enters, so only the unbounded verdict makes it infeasible
+EXTRA_KINDS = ("zero", "negative", "one", "unbounded0", "unbounded1")
+
+
+def _extra_problem(rng, kind, m, width):
+    a, b = np.zeros((m, width)), np.zeros(m)
+    if kind == "negative":
+        a[:6] = -np.abs(rng.normal(size=(6, width)))
+        b[:6] = np.abs(rng.normal(size=6))
+    elif kind in ("one", "unbounded1"):
+        a[0, 0], b[0] = 1.0, 2.0
+    if kind.startswith("unbounded"):
+        a[:, int(kind == "unbounded1")] = 1e-11
+    return a, b
+
+
+def _phase1_stack(rng, layout, sphere, shapes, extras):
+    """A stack of wrench sets (_random_wrench_set) in its top rows, their
+    real columns in order, at random positions or first, and the extra
+    problems, all in a random order; 128 rows when an extra is unbounded,
+    else 6. Returns (generators, loads, one entry per problem: an extra's
+    kind, or a wrench set, its load, its column positions and whether the
+    load is feasible by construction)."""
+    layout_seed, extra_cols, trailing = layout
+    sets = [_random_wrench_set(rng, n, feasible, sphere) for n, feasible in shapes]
+    width = max(w.shape[1] for w, _ in sets) + extra_cols
+    m = 128 if any(k.startswith("unbounded") for k in extras) else 6
+    place = np.random.default_rng(layout_seed)
+    problems, own = [], []
+    for (w, b), (_, feasible) in zip(sets, shapes):
+        # the real columns keep their order; zero columns fill the rest
+        cols = np.arange(w.shape[1]) if trailing else np.sort(place.choice(width, w.shape[1], replace=False))
+        a, load = np.zeros((m, width)), np.zeros(m)
+        a[:6, cols], load[:6] = w, b
+        problems.append((a, load))
+        own.append((w, b, cols, feasible))
+    problems += [_extra_problem(rng, kind, m, width) for kind in extras]
+    own += extras
+    order = place.permutation(len(problems))
+    return (np.array([problems[i][0] for i in order]), np.array([problems[i][1] for i in order]),
+            [own[i] for i in order])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     shapes=st.lists(st.tuples(st.integers(2, 7), st.booleans()), min_size=1, max_size=8),
+    extras=st.lists(st.sampled_from(EXTRA_KINDS), max_size=4),
     layout=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 8), st.booleans()),
 )
-def test_stacked_feasibility_matches_single_and_scipy(objects, seed, shapes, layout):
+@example(seed=3, shapes=[(4, True), (3, False)], extras=list(EXTRA_KINDS), layout=(5, 2, False))
+@example(seed=4, shapes=[(5, True)], extras=["zero", "negative", "one"], layout=(6, 0, True))
+def test_stacked_feasibility_matches_single_and_scipy(objects, seed, shapes, extras, layout):
     """One stacked simplex over ragged wrench sets, with zero columns
-    anywhere (between real columns, or after them all), gives each
-    problem its own unpadded answer, and scipy's, and the bytes of the
-    np.where-pivot reference on the same stack. A feasible problem's
-    final basis and constraint rows are those it gets alone, at the
-    padded column positions, with exact zeros in the zero columns and an
-    exact unit column at each basic column; an infeasible one gets -1
-    and NaN."""
-    rng = np.random.default_rng(seed)
-    problems = [_random_wrench_set(rng, n, feasible, objects["sphere"]) for n, feasible in shapes]
-    layout_seed, extra, trailing = layout
-    width = max(w.shape[1] for w, _ in problems) + extra
-    place = np.random.default_rng(layout_seed)
-    padded = np.zeros((len(problems), 6, width))
-    positions = []
-    for i, (w, _) in enumerate(problems):
-        # the real columns keep their order; zero columns fill the rest
-        cols = np.arange(w.shape[1]) if trailing else np.sort(place.choice(width, w.shape[1], replace=False))
-        padded[i][:, cols] = w
-        positions.append(cols)
-    loads = np.array([b for _, b in problems])
-    stacked, basis, rows = feasible_combination_batch(padded, loads)
-    assert stacked.tobytes() == reference_feasible_combination(padded, loads).tobytes()
-    alone = [feasible_combination_batch(w[None], b[None]) for w, b in problems]
-    for i, (cols, (ok, basis_1, rows_1)) in enumerate(zip(positions, alone)):
-        if not ok[0]:
+    anywhere (between real columns, or after them all), and problems that
+    finish after 0, 1 or many pivots, feasible, infeasible or unbounded,
+    gives each problem the three returns, by bytes, that it gets solved
+    alone, and the verdicts of the np.where-pivot reference on the same
+    stack, with no invalid float operation. A wrench set gets its own
+    unpadded answer, and scipy's: if feasible, its final basis and
+    constraint rows are those it gets alone, at the padded column
+    positions, with exact zeros in the zero columns and an exact unit
+    column at each basic column; if infeasible, -1 and NaN."""
+    padded, loads, own = _phase1_stack(np.random.default_rng(seed), layout, objects["sphere"], shapes, extras)
+    m, width = padded.shape[1:]
+    with np.errstate(invalid="raise"):
+        stacked = feasible_combination_batch(padded, loads)
+    assert stacked[0].tobytes() == reference_feasible_combination(padded, loads).tobytes()
+    for i in range(len(padded)):
+        alone = feasible_combination_batch(padded[i : i + 1], loads[i : i + 1])
+        assert [x[i].tobytes() for x in stacked] == [x[0].tobytes() for x in alone]
+    ok, basis, rows = stacked
+    for i, problem in enumerate(own):
+        if isinstance(problem, str):
+            assert ok[i] == (problem in ("zero", "one"))
+            continue
+        w, b, cols, feasible = problem
+        assert ok[i] or not feasible
+        a, load = np.zeros((m, w.shape[1])), np.zeros(m)
+        a[:6], load[:6] = w, b
+        ok_1, basis_1, rows_1 = feasible_combination_batch(a[None], load[None])
+        assert ok[i] == ok_1[0] == _feasible_by_scipy(w, b)
+        if not ok[i]:
             assert (basis[i] == -1).all() and np.isnan(rows[i]).all()
             continue
-        own = np.r_[cols, width + np.arange(6)]  # the padded position of each of its columns
-        assert basis[i].tolist() == own[basis_1[0]].tolist()
-        assert rows[i][:, own].tobytes() == rows_1[0].tobytes()
-        assert not np.delete(rows[i], own, axis=1).any()
-        assert np.array_equal(rows[i][:, basis[i]], np.eye(6)) and np.array_equal(rows_1[0][:, basis_1[0]], np.eye(6))
-    ref = [
-        linprog(np.zeros(w.shape[1]), A_eq=w, b_eq=b, bounds=[(0, None)] * w.shape[1],
-                method="highs").status == 0
-        for w, b in problems
-    ]
-    assert list(stacked) == [ok[0] for ok, _, _ in alone] == ref
-    for (n, feasible), ok in zip(shapes, stacked):
-        assert ok or not feasible
+        cols = np.r_[cols, width + np.arange(m)]  # the padded position of each of its columns
+        assert basis[i].tolist() == cols[basis_1[0]].tolist()
+        assert rows[i][:, cols].tobytes() == rows_1[0].tobytes()
+        assert not np.delete(rows[i], cols, axis=1).any()
+        assert np.array_equal(rows[i][:, basis[i]], np.eye(m)) and np.array_equal(rows_1[0][:, basis_1[0]], np.eye(m))
+
+
+def _final_stack(generators, loads):
+    """The (tableaus, bases) stack feasible_combination_batch pivots, as
+    its last pivot leaves it: the stack keeps its shape, so every pivot
+    gets the same arrays."""
+    seen = []
+
+    def spy(tab, basis, leave, enter):
+        seen[:] = tab, basis
+        pivot(tab, basis, leave, enter)
+
+    pivot = sim._pivot
+    with mock.patch.object(sim, "_pivot", spy):
+        feasible_combination_batch(generators, loads)
+    assert seen, "no tableau of the stack pivoted"
+    return seen
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.lists(st.tuples(st.integers(2, 7), st.booleans()), min_size=1, max_size=6),
+    extras=st.lists(st.sampled_from(EXTRA_KINDS), max_size=3),
+    layout=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 8), st.booleans()),
+)
+@example(seed=3, shapes=[(4, True), (3, False)], extras=list(EXTRA_KINDS), layout=(5, 2, False))
+def test_a_pivot_on_its_own_basic_column_leaves_a_final_tableau_as_it_is(objects, seed, shapes, extras, layout):
+    """The freeze of a finished tableau: in the final phase-1 stack of
+    feasible, infeasible, unbounded and zero-padded problems, a pivot of
+    every tableau at any row r on its basic column basis[:, r] leaves the
+    tableaus and the bases byte-identical."""
+    padded, loads, _ = _phase1_stack(np.random.default_rng(seed), layout, objects["sphere"], shapes, extras)
+    tab, basis = _final_stack(padded, loads)
+    for r in range(basis.shape[1]):
+        frozen, kept = tab.copy(), basis.copy()
+        sim._pivot(frozen, kept, np.full(len(tab), r), basis[:, r])
+        assert frozen.tobytes() == tab.tobytes() and kept.tobytes() == basis.tobytes()
 
 
 def _closure_loads(rng, w, gravity_kind, kinds, eta):
